@@ -61,6 +61,12 @@ METRIC_FLOORS: dict[str, dict[str, dict[str, float]]] = {
     "bench_rom": {
         "test_rom_sweep_speedup": {"rom_speedup": 10.0},
     },
+    # Two warm pool workers against one warm serial session (CI pins
+    # one BLAS thread per process for this file; unpinned, the leg
+    # skips and the missing metric fails the gate).
+    "bench_sweep": {
+        "test_pool_sweep_vs_serial_session": {"pool_speedup_vs_serial": 1.4},
+    },
 }
 
 #: Absolute ceilings on recorded metrics, checked against the FRESH

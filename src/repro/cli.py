@@ -197,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--processes", type=int, default=0,
         help="run node tasks on a persistent pool of this many worker "
-             "processes (0 = in-process serial emulation)")
+             "processes (0 = in-process serial emulation); export "
+             "OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 first — unpinned "
+             "BLAS threads oversubscribe the pool")
     sweep.add_argument(
         "--rom", default=None, metavar="TOL[:QMAX]",
         help="answer scenarios from a reduced-order model: accept a "

@@ -11,23 +11,76 @@ condition trivially zero:
 3. Superpose on the shared GTS grid: ``x(t) = x_dc + Σ_k y_k(t)``.
 
 Step 3 is the only cross-node communication — the "write back" of the
-paper's Fig. 4.
+paper's Fig. 4.  Its arithmetic lives in :func:`superpose_states`, the
+one accumulation routine both the scheduler-side :func:`superpose` and
+the pool workers' in-place reduction
+(:mod:`repro.dist.executors`) run — floating-point addition is not
+associative, so "the same sum" has to mean the same routine adding the
+same blocks in the same order.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.results import TransientResult
 from repro.core.stats import SolverStats
 
-__all__ = ["superpose"]
+__all__ = [
+    "SUPERPOSED_METHOD",
+    "superpose",
+    "superpose_states",
+    "merge_node_stats",
+]
+
+#: ``TransientResult.method`` label of a superposed full-system result.
+SUPERPOSED_METHOD = "matex-distributed"
+
+
+def superpose_states(
+    dc_state: np.ndarray,
+    times: Sequence[np.ndarray],
+    states: Sequence[np.ndarray],
+) -> np.ndarray:
+    """``x_dc + Σ_k y_k``: the accumulation kernel of :func:`superpose`.
+
+    Starts from ``dc_state`` tiled over the grid and adds the
+    ``(K × dim)`` blocks of ``states`` **in list order** — the order is
+    part of the contract, because it fixes the result's bits.  ``times``
+    holds each block's time grid; all must equal the first (the
+    scheduler hands every node the same GTS schedule).
+    """
+    if not states:
+        raise ValueError("superpose needs at least one node result")
+    reference = times[0]
+    for t in times[1:]:
+        if t.shape != reference.shape or not np.allclose(
+            t, reference, rtol=1e-12, atol=0.0
+        ):
+            raise ValueError(
+                "node results are not aligned on a common time grid; "
+                "pass the scheduler's shared schedule to every node"
+            )
+    total = np.tile(np.asarray(dc_state, dtype=float), (len(reference), 1))
+    for block in states:
+        total += block
+    return total
+
+
+def merge_node_stats(node_stats: Iterable[SolverStats]) -> SolverStats:
+    """The combined result's statistics: node stats merged in node order."""
+    merged = SolverStats()
+    for stats in node_stats:
+        merged = merged.merge(stats)
+    return merged
 
 
 def superpose(
     dc_state: np.ndarray,
     node_results: list[TransientResult],
-    method: str = "matex-distributed",
+    method: str = SUPERPOSED_METHOD,
 ) -> TransientResult:
     """Sum per-node deviation responses onto the DC operating point.
 
@@ -48,30 +101,16 @@ def superpose(
         (wall-clock aggregation for the paper's max-over-nodes timing is
         done by the scheduler, which knows per-node runtimes).
     """
-    if not node_results:
-        raise ValueError("superpose needs at least one node result")
-
+    total = superpose_states(
+        dc_state,
+        [r.times for r in node_results],
+        [r.states for r in node_results],
+    )
     reference = node_results[0]
-    times = reference.times
-    for r in node_results[1:]:
-        if r.times.shape != times.shape or not np.allclose(
-            r.times, times, rtol=1e-12, atol=0.0
-        ):
-            raise ValueError(
-                "node results are not aligned on a common time grid; "
-                "pass the scheduler's shared schedule to every node"
-            )
-
-    total = np.tile(np.asarray(dc_state, dtype=float), (len(times), 1))
-    stats = SolverStats()
-    for r in node_results:
-        total += r.states
-        stats = stats.merge(r.stats)
-
     return TransientResult(
         system=reference.system,
-        times=times.copy(),
+        times=reference.times.copy(),
         states=total,
-        stats=stats,
+        stats=merge_node_stats(r.stats for r in node_results),
         method=method,
     )

@@ -15,6 +15,26 @@ Two interchangeable backends run a batch of
   ``multiprocessing.shared_memory`` (trajectory arrays stay in shared
   segments, only metadata is pickled — see :mod:`repro.dist.messages`).
 
+What crosses the process boundary.  In: one pickled
+:class:`~repro.dist.messages.SimulationTask` per node (≈2.3 kB with a
+plan-frozen schedule) plus, when the caller passes ``dc_states``, one
+``dim``-float DC vector per scenario.  Out: MATEX's only cross-node
+communication is the final sum ``x = x_dc + Σ_k y_k``, so a worker whose
+lockstep chunk holds **all** node tasks of a scenario performs that sum
+itself — through :func:`~repro.core.superposition.superpose_states`, the
+very routine the parent-side ``superpose`` runs, adding the same blocks
+in the same task order, hence bit-for-bit the same trajectory — and
+returns one ``(K × dim)`` block per scenario plus every node's
+:class:`~repro.core.stats.SolverStats`; the per-node blocks never leave
+the worker.  ``"auto"`` chunks are cut on scenario boundaries whenever a
+submission holds at least as many scenarios as workers, so a
+session-driven sweep is reduced this way throughout.  Per-node
+trajectories still travel — and the parent superposes them — for a
+scenario that straddles two chunks (fewer scenarios than workers, e.g. a
+one-scenario ``repro sweep --processes N``), for per-task pools
+(``batch_width=None``), and whenever ``run`` is called without
+``dc_states`` (the paper's per-node view).
+
 Both executors optionally run the **block-batched fast path**
 (:class:`~repro.dist.block_runner.BlockNodeRunner`): ``batch_width``
 groups tasks into lockstep batches whose results are bit-for-bit
@@ -29,6 +49,7 @@ runs all agree bit-for-bit.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import time
@@ -37,9 +58,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro import faults
 from repro.circuit.mna import MNASystem
 from repro.core.options import SolverOptions
+from repro.core.superposition import superpose_states
 from repro.dist.block_runner import BlockNodeRunner
 from repro.dist.messages import NodeResult, SimulationTask
 from repro.dist.shm import (
@@ -99,6 +123,28 @@ def _chunks(tasks: list, width: int) -> list[list]:
     return [tasks[i:i + width] for i in range(0, len(tasks), width)]
 
 
+def _whole_scenarios(
+    start: int, length: int, per_scenario: int, dc_states: Sequence | None
+) -> list[tuple[int, int, np.ndarray]]:
+    """Scenarios lying wholly inside the chunk ``tasks[start:start+length]``.
+
+    Scenario ``j`` owns tasks ``[j·per_scenario, (j+1)·per_scenario)`` of
+    the submission.  Returns ``(lo, hi, dc_state)`` per contained
+    scenario, ``lo``/``hi`` relative to the chunk — what the worker that
+    marches the chunk needs to superpose them itself (nothing when the
+    submission came without ``dc_states``).
+    """
+    if not dc_states:
+        return []
+    first = -(-start // per_scenario)
+    stop = (start + length) // per_scenario
+    return [
+        (j * per_scenario - start, (j + 1) * per_scenario - start,
+         dc_states[j])
+        for j in range(first, stop)
+    ]
+
+
 class Executor:
     """Common interface: run tasks, yield results in task order.
 
@@ -113,7 +159,18 @@ class Executor:
     callers are unchanged.
     """
 
-    def run(self, tasks: Sequence[SimulationTask]) -> list[NodeResult]:
+    def run(
+        self,
+        tasks: Sequence[SimulationTask],
+        dc_states: Sequence[np.ndarray] | None = None,
+    ) -> list[NodeResult]:
+        """One :class:`NodeResult` per task, in task order.
+
+        ``dc_states`` — one DC operating point per scenario, the tasks
+        being that many equal-length consecutive runs — allows (never
+        obliges) an executor to superpose a scenario where its nodes
+        were marched; see :class:`NodeResult` ``covers``.
+        """
         raise NotImplementedError
 
     def prepare(self) -> None:
@@ -195,7 +252,13 @@ class SerialExecutor(Executor):
         self._worker = None
         self._runner = None
 
-    def run(self, tasks: Sequence[SimulationTask]) -> list[NodeResult]:
+    def run(
+        self,
+        tasks: Sequence[SimulationTask],
+        dc_states: Sequence[np.ndarray] | None = None,
+    ) -> list[NodeResult]:
+        """Per-node results; ``dc_states`` is ignored (nothing is
+        transported, so the caller superposes in place)."""
         tasks = list(tasks)
         width = _resolve_batch_width(self.batch_width, len(tasks))
         if width is None:
@@ -262,7 +325,36 @@ def _run_in_process(task: SimulationTask) -> NodeResult:
     return _maybe_share(_PROCESS_WORKER.run(task))
 
 
-def _run_chunk_in_process(tasks: list[SimulationTask]) -> list[NodeResult]:
+def _superpose_in_worker(
+    dc_state: np.ndarray, share: list[NodeResult]
+) -> list[NodeResult]:
+    """Fold one scenario's node results into a carrier (worker side).
+
+    The first result becomes the carrier of ``x_dc + Σ_k y_k`` — summed
+    by the same routine, in the same task order, as the parent-side
+    ``superpose`` — and the rest keep everything but their trajectory.
+    """
+    t0 = time.perf_counter()
+    total = superpose_states(
+        dc_state, [r.times for r in share], [r.states for r in share]
+    )
+    seconds = time.perf_counter() - t0
+    carrier = dataclasses.replace(
+        share[0],
+        states=total,
+        covers=tuple(r.task_id for r in share),
+        superpose_seconds=seconds,
+    )
+    folded = np.empty((0, total.shape[1]))
+    return [carrier] + [
+        dataclasses.replace(r, states=folded) for r in share[1:]
+    ]
+
+
+def _run_chunk_in_process(
+    tasks: list[SimulationTask],
+    scenarios: Sequence[tuple[int, int, np.ndarray]] = (),
+) -> list[NodeResult]:
     global _PROCESS_RUNNER
     assert _PROCESS_CONFIG is not None, "pool initializer did not run"
     if _PROCESS_RUNNER is None:
@@ -271,7 +363,10 @@ def _run_chunk_in_process(tasks: list[SimulationTask]) -> list[NodeResult]:
     # hook fires here, per task, before the batch marches.
     for t in tasks:
         faults.on_task_start(t.task_id)
-    return [_maybe_share(r) for r in _PROCESS_RUNNER.run(tasks)]
+    results = _PROCESS_RUNNER.run(tasks)
+    for lo, hi, dc_state in scenarios:
+        results[lo:hi] = _superpose_in_worker(dc_state, results[lo:hi])
+    return [_maybe_share(r) for r in results]
 
 
 class MultiprocessExecutor(Executor):
@@ -290,7 +385,11 @@ class MultiprocessExecutor(Executor):
         ``None`` (default) — one pickled task per pool job, reference
         per-task marches.  ``"auto"`` — tasks are split into one
         lockstep chunk per worker, each marched by that process's
-        :class:`BlockNodeRunner`.  ``int`` — fixed chunk width.
+        :class:`BlockNodeRunner`; when :meth:`run` is given
+        ``dc_states`` for at least as many scenarios as workers, the
+        chunks are cut on scenario boundaries.  ``int`` — fixed chunk
+        width.  Either way a chunk that holds a whole scenario returns
+        it superposed (see the module docstring).
     transport:
         ``"auto"`` (default) — trajectory arrays return through
         ``multiprocessing.shared_memory`` when the platform supports
@@ -326,8 +425,10 @@ class MultiprocessExecutor(Executor):
     the next :meth:`run` transparently spins up fresh workers, so one
     SIGKILLed worker cannot poison the scenarios that follow.  With a
     ``retry`` policy the failed batch itself is retried against the
-    fresh pool — because task trajectories are deterministic, a retried
-    batch is bit-identical to a never-failed one.
+    fresh pool — because task trajectories are deterministic, and a
+    scenario is summed by one routine in one order wherever that
+    happens, a retried (or degraded, in-process) batch is bit-identical
+    to a never-failed one.
     """
 
     def __init__(
@@ -380,20 +481,27 @@ class MultiprocessExecutor(Executor):
             return True
         return shm_available()
 
-    # -- persistent lifecycle ---------------------------------------------------
+    # -- pool lifecycle ---------------------------------------------------------
 
     def prepare(self) -> None:
         """Switch to (and spin up) the persistent-pool lifecycle.
 
         Worker processes — and their per-process factor caches — then
         survive across :meth:`run` calls until :meth:`close`.
-        Idempotent; also called internally to respawn the pool after a
-        failure disposed it.
+        Idempotent.
         """
         self._persistent = True
+        self._ensure_pool()
+
+    def _ensure_pool(self, n_tasks: int | None = None) -> None:
+        """Spawn the pool unless one is alive (first use, or respawn
+        after a failure disposed it); a per-call pool is no wider than
+        its ``n_tasks``."""
         if self._pool is not None:
             return
         self._pool_workers = self.max_workers or os.cpu_count() or 1
+        if n_tasks is not None:
+            self._pool_workers = min(self._pool_workers, n_tasks)
         self._prefix = new_segment_prefix() if self._use_shm() else None
         self._pool = ProcessPoolExecutor(
             max_workers=self._pool_workers,
@@ -433,87 +541,115 @@ class MultiprocessExecutor(Executor):
             self._serial.close()
             self._serial = None
 
+    # -- one batch ----------------------------------------------------------------
+
     def _map_tasks(
-        self, pool: ProcessPoolExecutor, tasks: list[SimulationTask],
-        n_workers: int, timeout: float | None = None,
+        self,
+        tasks: list[SimulationTask],
+        dc_states: Sequence[np.ndarray] | None,
+        timeout: float | None,
     ) -> list[NodeResult]:
+        """Cut ``tasks`` into pool jobs and gather the raw results."""
+        n_scenarios = len(dc_states) if dc_states is not None else 0
+        per_scenario = len(tasks) // n_scenarios if n_scenarios else 0
         width = self.batch_width
         if width == "auto":
-            # One lockstep chunk per worker process.
-            width = -(-len(tasks) // min(n_workers, len(tasks)))
+            # One lockstep chunk per worker process — of whole scenarios
+            # when there are enough to go round, so each is superposed
+            # by the worker that marched it.
+            n_chunks = min(self._pool_workers, len(tasks))
+            if n_scenarios >= n_chunks:
+                width = -(-n_scenarios // n_chunks) * per_scenario
+            else:
+                width = -(-len(tasks) // n_chunks)
         width = _resolve_batch_width(width, len(tasks))
         if width is None:
-            return list(pool.map(_run_in_process, tasks, timeout=timeout))
+            return list(
+                self._pool.map(_run_in_process, tasks, timeout=timeout)
+            )
+        chunks = _chunks(tasks, width)
+        scenarios = [
+            _whole_scenarios(i * width, len(chunk), per_scenario, dc_states)
+            for i, chunk in enumerate(chunks)
+        ]
         return [
             r
-            for chunk_results in pool.map(
-                _run_chunk_in_process, _chunks(tasks, width),
-                timeout=timeout,
+            for chunk_results in self._pool.map(
+                _run_chunk_in_process, chunks, scenarios, timeout=timeout
             )
             for r in chunk_results
         ]
 
-    def run(self, tasks: Sequence[SimulationTask]) -> list[NodeResult]:
+    def _run_batch(
+        self,
+        tasks: list[SimulationTask],
+        dc_states: Sequence[np.ndarray] | None,
+        timeout: float | None = None,
+    ) -> list[NodeResult]:
+        """One attempt at one batch: map it over the pool, rehydrate.
+
+        The one collect path of every lifecycle.  The pool is spawned
+        on demand — per call outside the persistent lifecycle, and torn
+        down again afterwards — which is also how a persistent pool
+        heals: any failure (most importantly a worker SIGKILLed
+        mid-task, which breaks the whole ``concurrent.futures`` pool)
+        disposes the pool, force-killing hung workers after a timeout,
+        and sweeps its shared-memory prefix, so a dead worker's
+        segments are reclaimed at once and the next attempt or
+        :meth:`run` call builds a fresh pool.  The exception still
+        propagates: the caller (or the supervised loop) decides about
+        a retry.
+        """
+        self._ensure_pool(None if self._persistent else len(tasks))
+        try:
+            raw = self._map_tasks(tasks, dc_states, timeout)
+            results = [from_shared(r) for r in raw]
+        except BaseException as exc:
+            self._dispose_pool(force=isinstance(exc, _TIMEOUT_ERRORS))
+            raise
+        if not self._persistent:
+            self._dispose_pool()
+        return results
+
+    def run(
+        self,
+        tasks: Sequence[SimulationTask],
+        dc_states: Sequence[np.ndarray] | None = None,
+    ) -> list[NodeResult]:
+        """Run ``tasks`` on the pool; one result per task, in task order.
+
+        With ``dc_states`` (one DC operating point per scenario; the
+        tasks are that many consecutive, equally long scenarios) every
+        scenario whose tasks all land in one lockstep chunk comes back
+        already superposed: its first result is the carrier of
+        ``x_dc + Σ_k y_k`` (``covers`` set) and the others have empty
+        ``states``.  Without it every result holds its node's own
+        deviation trajectory.
+        """
         tasks = list(tasks)
         if not tasks:
             return []
+        if dc_states is not None and (
+            not len(dc_states) or len(tasks) % len(dc_states)
+        ):
+            raise ValueError(
+                f"{len(tasks)} task(s) do not split into "
+                f"{len(dc_states)} equally long scenario(s)"
+            )
         if self._degraded:
             self.supervision.degraded_runs += 1
             return self._degraded_executor().run(tasks)
         if self.retry is not None:
-            return self._run_supervised(tasks)
-        if self._persistent:
-            # Respawns the pool if a previous failure disposed it.
-            self.prepare()
-            return self._run_persistent(tasks)
-        return self._run_once(tasks)
-
-    def _run_once(
-        self, tasks: list[SimulationTask], timeout: float | None = None
-    ) -> list[NodeResult]:
-        """Historical per-call lifecycle: fresh pool, run, tear down."""
-        n_workers = min(self.max_workers or os.cpu_count() or 1, len(tasks))
-        prefix = new_segment_prefix() if self._use_shm() else None
-        pool = ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_process_worker,
-            initargs=(self.system, self.options, prefix),
-        )
-        try:
-            raw = self._map_tasks(pool, tasks, n_workers, timeout=timeout)
-            results = [from_shared(r) for r in raw]
-        except BaseException as exc:
-            _shutdown_pool(pool, force=isinstance(exc, _TIMEOUT_ERRORS))
-            if prefix is not None:
-                cleanup_segments(prefix)
-            raise
-        _shutdown_pool(pool)
-        if prefix is not None:
-            cleanup_segments(prefix)
-        return results
-
-    def _run_persistent(self, tasks: list[SimulationTask]) -> list[NodeResult]:
-        """One batch against the long-lived pool, self-healing on failure.
-
-        Any failure — most importantly a worker SIGKILLed mid-task,
-        which breaks the whole ``concurrent.futures`` pool — disposes
-        the pool and sweeps the run's shared-memory prefix, so the dead
-        worker's segments are reclaimed immediately and the **next**
-        :meth:`run` call transparently builds a fresh pool.  The
-        exception still propagates: with ``retry=None`` the caller
-        decides whether the failed batch is retried; under a
-        :class:`RetryPolicy` the supervised loop below retries it here.
-        """
-        try:
-            raw = self._map_tasks(self._pool, tasks, self._pool_workers)
-            return [from_shared(r) for r in raw]
-        except BaseException:
-            self._dispose_pool()
-            raise
+            return self._run_supervised(tasks, dc_states)
+        return self._run_batch(tasks, dc_states)
 
     # -- supervised execution -----------------------------------------------------
 
-    def _run_supervised(self, tasks: list[SimulationTask]) -> list[NodeResult]:
+    def _run_supervised(
+        self,
+        tasks: list[SimulationTask],
+        dc_states: Sequence[np.ndarray] | None,
+    ) -> list[NodeResult]:
         """Run one batch under :attr:`retry`: bounded retries, backoff,
         per-batch timeout, degradation ladder, :class:`JobError` give-up.
         """
@@ -523,21 +659,9 @@ class MultiprocessExecutor(Executor):
         while True:
             attempts += 1
             try:
-                if self._persistent:
-                    self.prepare()
-                    try:
-                        raw = self._map_tasks(
-                            self._pool, tasks, self._pool_workers,
-                            timeout=policy.timeout,
-                        )
-                        results = [from_shared(r) for r in raw]
-                    except BaseException as exc:
-                        self._dispose_pool(
-                            force=isinstance(exc, _TIMEOUT_ERRORS)
-                        )
-                        raise
-                else:
-                    results = self._run_once(tasks, timeout=policy.timeout)
+                results = self._run_batch(
+                    tasks, dc_states, timeout=policy.timeout
+                )
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:

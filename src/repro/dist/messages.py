@@ -16,6 +16,14 @@ The protocol mirrors the paper's Fig. 4:
   on that grid plus its local statistics;
 * the scheduler superposes and reports a :class:`DistributedResult` with
   the Sec. 3.4 timing split.
+
+One refinement on the way back: a pool worker that marched *every* node
+of a scenario superposes them itself and answers with one trajectory for
+the scenario instead of one per node.  The scenario's first result is
+the **carrier** — its ``states`` hold ``x_dc + Σ_k y_k`` and ``covers``
+lists the summed task ids — and the other node results keep their
+statistics but travel with an empty ``(0, dim)`` ``states`` block (see
+:mod:`repro.dist.executors` for when this happens).
 """
 
 from __future__ import annotations
@@ -83,6 +91,20 @@ class NodeResult:
     re-attaches its own system reference during superposition.
     ``eq=False``: the array payloads have no scalar ``==``; compare the
     fields (``np.testing.assert_array_equal``) instead of whole messages.
+
+    Attributes
+    ----------
+    states:
+        The node's ``(K × dim)`` deviation trajectory — unless the
+        worker already superposed the node's scenario: then the carrier
+        (``covers`` non-empty) holds the scenario sum and every other
+        node result of that scenario an empty ``(0, dim)`` block.
+    covers:
+        Ids of the tasks, in summation order, whose trajectories the
+        worker summed onto their scenario's DC state to produce
+        ``states``.  Empty for an ordinary per-node result.
+    superpose_seconds:
+        Wall time of that worker-side sum (0 for per-node results).
     """
 
     task_id: int
@@ -91,6 +113,8 @@ class NodeResult:
     times: np.ndarray
     states: np.ndarray
     stats: SolverStats = field(default_factory=SolverStats)
+    covers: tuple[int, ...] = ()
+    superpose_seconds: float = 0.0
 
     @property
     def transient_seconds(self) -> float:

@@ -9,6 +9,13 @@ segment once, and only the **metadata** (segment name, shape, dtype —
 a :class:`ShmArrayRef`) travels through the pipe.  The parent maps the
 segment and hands numpy a zero-copy view.
 
+Only results that still hold trajectory bytes get a segment.  When a
+worker superposed a whole scenario itself (see
+:mod:`repro.dist.executors`), that is the scenario's carrier alone — one
+``K·dim·8``-byte segment per scenario, named after the carrier's task
+id — and the other node results, whose ``states`` are empty, travel as
+plain pickled metadata.
+
 Lifecycle contract
 ------------------
 * The **worker** creates the segment, fills it, closes its mapping and
@@ -83,7 +90,8 @@ class ShmArrayRef:
     def run_prefix(self) -> str:
         """The run-unique sweep prefix this segment was created under.
 
-        Names are built as ``f"{prefix}t{task_id}"`` and the prefix
+        Names are built as ``f"{prefix}t{task_id}"`` (a reduced
+        scenario's segment carries its carrier's task id) and the prefix
         (``repro<pid>x<hex8>``) can never contain ``"t"``, so splitting
         at the last ``"t"`` recovers it exactly.
         """
@@ -186,15 +194,21 @@ def _unregister(raw_name: str) -> None:
 
 
 def to_shared(result: NodeResult, prefix: str) -> NodeResult:
-    """Move ``result.states`` into a fresh shared segment (worker side)."""
+    """Move ``result.states`` into a fresh shared segment (worker side).
+
+    A result without trajectory bytes (its scenario was superposed into
+    another result's ``states``) has nothing to share and is returned
+    unchanged — it never owns a segment.
+    """
     states = np.ascontiguousarray(result.states)
+    if not states.size:
+        return result
     name = f"{prefix}t{result.task_id}"
     seg = shared_memory.SharedMemory(
-        name=name, create=True, size=max(states.nbytes, 1)
+        name=name, create=True, size=states.nbytes
     )
-    if states.size:
-        dst = np.ndarray(states.shape, dtype=states.dtype, buffer=seg.buf)
-        dst[:] = states
+    dst = np.ndarray(states.shape, dtype=states.dtype, buffer=seg.buf)
+    dst[:] = states
     ref = ShmArrayRef(name=name, shape=states.shape, dtype=states.dtype.str)
     _unregister(seg._name)
     seg.close()
@@ -223,8 +237,12 @@ def from_shared(result: NodeResult) -> NodeResult:
     ref = result.states
     if not isinstance(ref, ShmArrayRef):
         return result
-    task_part = ref.name.rpartition("t")[2]
-    if task_part.isdigit() and faults.should_fail_attach(int(task_part)):
+    # A reduced scenario's segment stands for every task it sums, so an
+    # attach fault armed at any of them fires on this segment.
+    if any(
+        faults.should_fail_attach(task_id)
+        for task_id in result.covers or (result.task_id,)
+    ):
         # Injected attach failure (shmfail@N): unlink the real segment
         # underneath the ref so the genuine missing-segment error path
         # below runs — no simulated exceptions.

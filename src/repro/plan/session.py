@@ -15,7 +15,15 @@ objects through one :class:`~repro.plan.plan.CompiledPlan` against a
 * every scenario's superposed trajectory is **bit-for-bit identical**
   to an independent cold :class:`~repro.dist.scheduler.MatexScheduler`
   run on the scenario-bound system (enforced by ``tests/test_plan.py``)
-  — the sweep is purely an amortisation, never an approximation.
+  — the sweep is purely an amortisation, never an approximation;
+* the session hands the executor each scenario's DC state along with
+  its tasks, so a process pool superposes a scenario **in the worker
+  that marched it** and ships one trajectory per scenario instead of
+  one per node (:mod:`repro.dist.executors` says when); the session
+  takes such a sum as it comes and superposes itself — through the same
+  accumulation routine, in the same node order, hence the same bits —
+  only the scenarios that came back per node (in-process executors,
+  scenarios split over several workers, degraded batches).
 
 A worker death mid-sweep does not poison the session: the persistent
 executor disposes the broken pool (sweeping the dead worker's
@@ -27,14 +35,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.circuit.mna import MNASystem
 from repro.core.results import TransientResult
 from repro.core.stats import SolverStats
-from repro.core.superposition import superpose
+from repro.core.superposition import (
+    SUPERPOSED_METHOD,
+    merge_node_stats,
+    superpose,
+)
 from repro.dist.executors import Executor, SerialExecutor
 from repro.dist.messages import DistributedResult, SimulationTask
 from repro.linalg.lu import FACTORIZATION_CACHE
@@ -64,6 +76,28 @@ def _resolve_stack(stack, n_scenarios: int, n_nodes: int) -> int:
     if width < 1:
         raise ValueError(f"stack must be 'auto' or >= 1, got {stack!r}")
     return width
+
+
+class _CompileCost(NamedTuple):
+    """What ``compile()`` paid, owed to the session's first result."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    factor_seconds: float = 0.0
+
+    def charge(self, result: DistributedResult) -> DistributedResult:
+        if not any(self):
+            return result
+        return replace(
+            result,
+            factor_cache_hits=result.factor_cache_hits + self.hits,
+            factor_cache_misses=result.factor_cache_misses + self.misses,
+            factor_cache_evictions=(
+                result.factor_cache_evictions + self.evictions
+            ),
+            factor_seconds=result.factor_seconds + self.factor_seconds,
+        )
 
 
 class Session:
@@ -108,11 +142,15 @@ class Session:
         # spots against these, and a wide sweep would otherwise rescan
         # the same unchanged base waveforms once per scenario.
         self._base_spots: dict[int, list[float]] = {}
-        # Compile-time cost is reported once, on the session's first
+        # Compile-time cost (cache traffic, factorisation + kernel
+        # export seconds) is reported once, on the session's first
         # result — mirroring how workers attribute construction traffic.
-        self._pending_hits = compiled.cache_hits
-        self._pending_misses = compiled.cache_misses
-        self._pending_evictions = compiled.cache_evictions
+        self._pending = _CompileCost(
+            compiled.cache_hits,
+            compiled.cache_misses,
+            compiled.cache_evictions,
+            compiled.factor_seconds,
+        )
         self.n_scenarios_run = 0
         # Reduced-order tier tallies (see ``sweep(rom=...)``): scenarios
         # answered inside the posterior bound vs. re-run full-order.
@@ -334,16 +372,9 @@ class Session:
         fallback_bounds: dict[int, float] = {}
 
         # Reduced answers never touch the factor cache, so grab the
-        # pending compile-time traffic up front and attribute it to the
+        # pending compile-time cost up front and attribute it to the
         # sweep's first result, whichever tier produced it.
-        pend = (
-            self._pending_hits,
-            self._pending_misses,
-            self._pending_evictions,
-        )
-        self._pending_hits = 0
-        self._pending_misses = 0
-        self._pending_evictions = 0
+        pend, self._pending = self._pending, _CompileCost()
 
         for i, (scenario, bound) in enumerate(
             zip(scenarios, bound_systems)
@@ -399,21 +430,10 @@ class Session:
                     )
             self.rom_fallbacks += len(fallback_idx)
 
-        if results and any(pend):
-            first = results[0]
-            results[0] = replace(
-                first,
-                factor_cache_hits=first.factor_cache_hits + pend[0],
-                factor_cache_misses=(
-                    first.factor_cache_misses + pend[1]
-                ),
-                factor_cache_evictions=(
-                    first.factor_cache_evictions + pend[2]
-                ),
-            )
-        elif any(pend):
-            self._pending_hits, self._pending_misses, \
-                self._pending_evictions = pend
+        if results:
+            results[0] = pend.charge(results[0])
+        else:
+            self._pending = pend
         return results
 
     def _run_chunk(
@@ -458,7 +478,7 @@ class Session:
         retries0 = sup.retries if sup is not None else 0
         degraded0 = sup.degraded_runs if sup is not None else 0
         node_results = sorted(
-            self.executor.run(tasks), key=lambda r: r.task_id
+            self.executor.run(tasks, dc_states), key=lambda r: r.task_id
         )
         chunk_evictions = FACTORIZATION_CACHE.stats()["evictions"] - ev0
         chunk_retries = (sup.retries - retries0) if sup is not None else 0
@@ -472,14 +492,27 @@ class Session:
         ):
             share = node_results[slot * n:(slot + 1) * n]
             system = bound if bound is not None else compiled.system
-            t0 = time.perf_counter()
-            combined = superpose(
-                dc_states[slot],
-                [r.as_transient_result(system) for r in share],
-            )
-            superpose_seconds = time.perf_counter() - t0
-
             node_stats = tuple(r.stats for r in share)
+            carrier = share[0]
+            if carrier.covers:
+                # The worker that marched the whole scenario already
+                # superposed it (same routine, same node order).
+                combined = TransientResult(
+                    system=system,
+                    times=carrier.times,
+                    states=carrier.states,
+                    stats=merge_node_stats(node_stats),
+                    method=SUPERPOSED_METHOD,
+                )
+                superpose_seconds = carrier.superpose_seconds
+            else:
+                t0 = time.perf_counter()
+                combined = superpose(
+                    dc_states[slot],
+                    [r.as_transient_result(system) for r in share],
+                )
+                superpose_seconds = time.perf_counter() - t0
+
             hits = dc_hits[slot] + sum(
                 s.n_factor_cache_hits for s in node_stats
             )
@@ -490,14 +523,6 @@ class Session:
             # inside a stacked submission; charge them (and pending
             # compile-time traffic) to the chunk's first result.
             evictions = chunk_evictions if slot == 0 else 0
-            if self.n_scenarios_run == 0 and slot == 0:
-                hits += self._pending_hits
-                misses += self._pending_misses
-                evictions += self._pending_evictions
-                self._pending_hits = 0
-                self._pending_misses = 0
-                self._pending_evictions = 0
-
             results.append(
                 DistributedResult(
                     result=combined,
@@ -519,5 +544,8 @@ class Session:
                     degraded_runs=chunk_degraded if slot == 0 else 0,
                 )
             )
+        if self.n_scenarios_run == 0 and results:
+            results[0] = self._pending.charge(results[0])
+            self._pending = _CompileCost()
         self.n_scenarios_run += len(scenarios)
         return results

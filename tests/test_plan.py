@@ -235,6 +235,28 @@ class TestSessionParity:
             assert res.factor_cache_misses == 0
             assert res.factor_cache_hits >= 1  # cache-served scenario DC
 
+    def test_cold_compile_factor_time_is_charged_once(
+        self, mesh_system, scenarios
+    ):
+        """``compile()`` pre-factorises, so every later consumer sees a
+        cache view reporting zero seconds; what priming paid (pencil LU +
+        kernel exports) must still reach ``factor_seconds``/``tr_total``
+        — on the session's first result, and only there."""
+        FACTORIZATION_CACHE.clear()
+        compiled = SimulationPlan(mesh_system, OPTS, t_end=T_END).compile()
+        assert compiled.factor_seconds > 0.0
+        with Session(compiled) as session:
+            first, second = session.sweep(scenarios[:2], stack=1)
+        assert first.factor_seconds == pytest.approx(compiled.factor_seconds)
+        assert second.factor_seconds == 0.0
+        assert first.tr_total >= first.factor_seconds
+
+        # Nothing was primed: nothing to charge.
+        unprimed = SimulationPlan(mesh_system, OPTS, t_end=T_END).compile(
+            prime=False
+        )
+        assert unprimed.factor_seconds == 0.0
+
 
 class TestCompiledPlanPickle:
     """Satellite: compile → pickle → unpickle → execute is bit-exact."""

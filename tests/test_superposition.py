@@ -11,6 +11,7 @@ from repro.core import (
     superpose,
 )
 from repro.core.stats import SolverStats
+from repro.core.superposition import superpose_states
 from repro.linalg import exact_transient
 
 
@@ -68,3 +69,45 @@ class TestSuperposition:
     def test_empty_rejected(self, mesh_system):
         with pytest.raises(ValueError, match="at least one"):
             superpose(np.zeros(mesh_system.dim), [])
+
+
+class TestAccumulationKernel:
+    """``superpose_states`` is the one routine every execution mode sums
+    with; these pin that ``superpose`` is exactly it, order included."""
+
+    @staticmethod
+    def _blocks():
+        # Magnitudes 16 decades apart: (1 + 1e16) - 1e16 == 0 but
+        # 1 + (1e16 - 1e16) == 1, so any reassociation changes bits.
+        shape = (3, 4)
+        return [
+            np.full(shape, 1.0),
+            np.full(shape, 1e16),
+            np.full(shape, -1e16),
+            np.full(shape, 3.0),
+        ]
+
+    def test_kernel_and_superpose_agree_bitwise(self, mesh_system):
+        times = np.array([0.0, 1e-10, 2e-10])
+        blocks = self._blocks()
+        dc = np.array([0.5, -0.25, 1e-3, 7.0])
+        kernel = superpose_states(dc, [times] * len(blocks), blocks)
+        via_superpose = superpose(
+            dc,
+            [TransientResult(mesh_system, times, b, SolverStats())
+             for b in blocks],
+        )
+        assert via_superpose.states.tobytes() == kernel.tobytes()
+
+    def test_sum_is_in_list_order(self):
+        times = np.array([0.0, 1e-10, 2e-10])
+        blocks = self._blocks()
+        dc = np.zeros(4)
+        expected = ((((dc + 1.0) + 1e16) - 1e16) + 3.0)
+        got = superpose_states(dc, [times] * 4, blocks)
+        assert np.array_equal(got, np.tile(expected, (3, 1)))
+        # ... and the order matters on these blocks: a reversed sum
+        # lands elsewhere, so an implementation that reassociates
+        # (pairwise, sorted, BLAS-reduced) cannot pass both asserts.
+        reordered = superpose_states(dc, [times] * 4, blocks[::-1])
+        assert not np.array_equal(got, reordered)
