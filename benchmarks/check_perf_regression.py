@@ -52,8 +52,13 @@ DEFAULT_MODULES = (
 #: the in-bench asserts (belt and braces: the gate also catches a
 #: baseline regenerated from a run whose asserts were skipped).
 METRIC_FLOORS: dict[str, dict[str, dict[str, float]]] = {
+    # Both ratios are against the scalar run_task reference, which no
+    # optimisation of the executors can speed up.
     "bench_table3_distributed": {
-        "test_block_batched_march": {"batched_speedup": 3.0},
+        "test_block_batched_march": {
+            "batched_speedup": 3.0,
+            "width1_speedup": 1.3,
+        },
     },
     "bench_kernels": {
         "test_multi_rhs_substitution_batched": {"kernel_speedup": 1.5},

@@ -383,10 +383,10 @@ def _add_sim_options(sim: argparse.ArgumentParser) -> None:
                      choices=["bump", "source", "bump-split"])
     sim.add_argument(
         "--batch", default="off", type=_batch_policy,
-        help="block-batching policy for --distributed: off (reference "
-             "per-node marches, default) | auto (one lockstep block "
-             "march, bit-identical and several times faster) | <int> "
-             "(fixed lockstep width per worker)")
+        help="lockstep width for --distributed: off (width 1, the "
+             "paper's per-node execution, default) | auto (one lockstep "
+             "block march, bit-identical and several times faster) | "
+             "<int> (fixed lockstep width per worker)")
     sim.add_argument("--nodes", nargs="*", default=None,
                      help="node voltages to export (default: all)")
     sim.add_argument("--out", type=Path, default=None,
@@ -729,7 +729,7 @@ def _cmd_sweep(args) -> int:
 
         executor = MultiprocessExecutor(
             system, opts, max_workers=args.processes,
-            batch_width=None if args.batch == "off" else args.batch,
+            batch_width=args.batch,
             retry=retry,
         )
         with executor, Session(compiled, executor=executor) as session:

@@ -101,9 +101,10 @@ class MatexSolver:
         self.construction_cache_hits = hits1 - hits0
         self.construction_cache_misses = misses1 - misses0
         self.deviation_mode = deviation_mode
-        # Reusable input-grid buffer: the per-node march calls simulate
-        # once per task over one shared grid shape, and bu_series fills
-        # a caller-held buffer bit-identically to a fresh allocation.
+        # Reusable input-grid buffer: the scalar reference march
+        # (repro.dist.worker.run_task) calls simulate once per task over
+        # one shared grid shape, and bu_series fills a caller-held
+        # buffer bit-identically to a fresh allocation.
         self._bu_buffer: np.ndarray | None = None
 
     # -- public API ---------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Distributed MATEX (paper Sec. 3, Fig. 4).
 
 The subsystem splits a transient simulation by *input sources*: the
-:class:`MatexScheduler` decomposes the inputs into groups, each
-:class:`NodeWorker` simulates one group's deviation from the operating
-point against its own (amortised) factorisations, and the scheduler
-superposes the per-node trajectories.  Executors choose where workers
-live: in-process (:class:`SerialExecutor`) or a real process pool
-(:class:`MultiprocessExecutor`) with pickled task messages and
-optional zero-copy shared-memory result transport.
+:class:`MatexScheduler` decomposes the inputs into groups, a
+:class:`BlockNodeRunner` simulates each group's deviation from the
+operating point against its process's (amortised) factorisations, and
+the scheduler superposes the per-node trajectories.  Executors choose
+where the runners live: in-process (:class:`SerialExecutor`) or a real
+process pool (:class:`MultiprocessExecutor`) with pickled task messages
+and optional zero-copy shared-memory result transport.
 
-The block-batched fast path (:class:`BlockNodeRunner`, enabled with
-``batch="auto"`` on the scheduler or ``batch_width`` on the executors)
-advances every node task in one lockstep march — bit-for-bit identical
-to the per-node path, several times faster on wide decompositions.
+There is one march.  ``batch`` on the scheduler (``batch_width`` on the
+executors) only sets how many node tasks advance in lockstep: ``"off"``
+is width 1 — the paper's per-node execution — and ``"auto"`` one block
+over all tasks, several times faster on wide decompositions and
+bit-for-bit identical.
 """
 
 from repro.dist.block_runner import BlockNodeRunner
@@ -20,7 +21,6 @@ from repro.dist.executors import Executor, MultiprocessExecutor, SerialExecutor
 from repro.dist.messages import DistributedResult, NodeResult, SimulationTask
 from repro.dist.scheduler import DECOMPOSITIONS, MatexScheduler
 from repro.dist.supervision import JobError, RetryPolicy, SupervisionStats
-from repro.dist.worker import NodeWorker
 
 __all__ = [
     "BlockNodeRunner",
@@ -31,7 +31,6 @@ __all__ = [
     "MatexScheduler",
     "MultiprocessExecutor",
     "NodeResult",
-    "NodeWorker",
     "RetryPolicy",
     "SerialExecutor",
     "SimulationTask",

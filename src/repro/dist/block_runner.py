@@ -1,11 +1,15 @@
-"""Block-batched node execution: one lockstep march for all node tasks.
+"""Node execution: one lockstep march, at any width.
 
 Every task of a decomposed run shares the full system's MNA pencil and
 the same global-transition-spot grid (paper Sec. 3.4) — only the *input
-columns* differ.  The per-node path (:class:`~repro.dist.worker.NodeWorker`)
-therefore runs N nearly identical Python marches back to back.
-:class:`BlockNodeRunner` fuses them into block linear algebra without
-changing a single bit of the results:
+columns* differ.  :class:`BlockNodeRunner` is the one march the
+executors run.  At **width 1** it is the paper's per-node execution
+(Alg. 2): a node builds a basis at each of its local transition spots
+and only re-evaluates it at the snapshots in between — ≈5 rounds of
+three scalar ``G`` solves, one 1-column Arnoldi and one span-batched
+evaluation instead of one Python step per grid point.  At width N it
+fuses N such marches into block linear algebra without changing a
+single bit of the results:
 
 * **Round lockstep.**  Node ``k``'s march is a chain over its *own*
   local transition spots; between two consecutive LTS every snapshot
@@ -19,13 +23,15 @@ changing a single bit of the results:
 * **Span-batched snapshots.**  The snapshot states of a whole segment
   are evaluated in one :meth:`~repro.linalg.krylov.KrylovBasis.evaluate_many`
   call; its loop-ordered kernel makes each column bit-identical to the
-  scalar ``evaluate_with_error`` the per-node path performs, including
-  the posterior-error rebuild decisions.
+  scalar ``evaluate_with_error`` a step-by-step march performs,
+  including the posterior-error rebuild decisions.
 
-Bit-for-bit parity with :class:`~repro.dist.worker.NodeWorker` on both
-executors is enforced by ``tests/test_block_runner.py``; it is what lets
-Table-3 numbers stay untouched while the wall time drops by the batching
-factor.
+Bit-for-bit parity with the scalar reference march
+(:func:`repro.dist.worker.run_task`, kept as the degenerate-grid
+fallback and the tests' oracle) is enforced at every width by
+``tests/test_block_runner.py`` and pinned to recorded digests by
+``tests/test_golden_digests.py``; it is what lets Table-3 numbers stay
+untouched while the wall time drops by the batching factor.
 """
 
 from __future__ import annotations
@@ -82,14 +88,14 @@ class _TaskState:
 
 
 class BlockNodeRunner:
-    """Advances many :class:`SimulationTask` messages in lockstep.
+    """Advances one or many :class:`SimulationTask` messages in lockstep.
 
-    Construction mirrors :class:`~repro.dist.worker.NodeWorker`: one
-    :class:`~repro.core.solver.MatexSolver` in deviation mode owns the
-    factorisations (usually served by the process-wide
-    :data:`~repro.linalg.lu.FACTORIZATION_CACHE`), and the construction
-    cache traffic is attributed to the first task result of the first
-    :meth:`run` call.
+    One :class:`~repro.core.solver.MatexSolver` in deviation mode owns
+    the factorisations (usually served by the process-wide
+    :data:`~repro.linalg.lu.FACTORIZATION_CACHE`, since every task of a
+    distributed run shares the full system's pencil); construction is
+    the runner's one-off cost, and its cache traffic is attributed to
+    the first task result of the first :meth:`run` call.
 
     Parameters
     ----------
@@ -212,7 +218,7 @@ class BlockNodeRunner:
         # The lockstep march assumes a strictly increasing shared grid
         # (guaranteed for scheduler-built grids, whose transition spots
         # are tolerance-deduplicated).  Anything else falls back to the
-        # reference per-node march, task by task.
+        # scalar reference march, task by task.
         pts_ref = np.asarray(tstates[0].schedule.points)
         degenerate = not np.all(np.diff(pts_ref) > 0.0)
         aligned = all(
@@ -221,7 +227,7 @@ class BlockNodeRunner:
             for t in tstates
         )
         if degenerate or not aligned:
-            return [self._run_single(t) for t in tasks]
+            return [run_task(self.solver, t) for t in tasks]
 
         t_march = time.perf_counter()
         round_idx = 0
@@ -236,10 +242,11 @@ class BlockNodeRunner:
             round_idx += 1
         march_seconds = time.perf_counter() - t_march
 
-        # The paper's per-node "pure transient computing" has no direct
-        # analogue inside a fused march; apportion the measured wall
-        # time by each task's substitution-pair share (the quantity
-        # node effort scales with) so tr_matex stays meaningful.
+        # At width 1 this is the task's own measured march — the paper's
+        # per-node "pure transient computing".  A fused march has no
+        # direct analogue; apportion the measured wall time by each
+        # task's substitution-pair share (the quantity node effort
+        # scales with) so tr_matex stays meaningful.
         total_solves = sum(t.stats.n_solves_transient for t in tstates)
         for t in tstates:
             if total_solves > 0:
@@ -366,7 +373,7 @@ class BlockNodeRunner:
         ``span_hs[0]`` is the fresh segment's own step (plain evaluate,
         as Alg. 2's LTS branch); every later entry is a snapshot whose
         posterior error is re-checked against the generation budget,
-        regenerating the basis exactly where the per-node path would.
+        regenerating the basis exactly where a step-by-step march would.
         """
         span_hs = pts[t.i0 + 1: t.i1 + 1] - pts[t.i0]
         n_span = len(span_hs)
@@ -416,10 +423,3 @@ class BlockNodeRunner:
             t.states[t.i0 + 1 + k] = X_span[k - offset]
             k += 1
         t.x = t.states[t.i1]
-
-    # -- reference fallback -------------------------------------------------------
-
-    def _run_single(self, task: SimulationTask) -> NodeResult:
-        """Reference per-node march (degenerate grids): the same
-        :func:`repro.dist.worker.run_task` the per-node path runs."""
-        return run_task(self.solver, task)

@@ -3,7 +3,7 @@
 Two interchangeable backends run a batch of
 :class:`~repro.dist.messages.SimulationTask` messages:
 
-* :class:`SerialExecutor` — one in-process worker serves every task.
+* :class:`SerialExecutor` — one in-process runner serves every task.
   This *emulates* the cluster: wall-clock is the sum over nodes, but the
   recorded per-node statistics (and therefore the paper's max-over-nodes
   ``trmatex``) are identical to a real deployment, which is what Table 3
@@ -14,6 +14,18 @@ Two interchangeable backends run a batch of
   messages; results can travel back **zero-copy** through
   ``multiprocessing.shared_memory`` (trajectory arrays stay in shared
   segments, only metadata is pickled — see :mod:`repro.dist.messages`).
+
+**One run path.**  Both backends cut their tasks into lockstep chunks
+(:func:`_chunks`) and march every chunk with a
+:class:`~repro.dist.block_runner.BlockNodeRunner`; ``batch_width`` only
+says how wide the chunks are.  ``None`` / ``"off"`` **is width 1** — the
+paper's per-node execution model (Sec. 3.4, Alg. 2), one task per
+chunk, each building a basis at its own transition spots and
+re-evaluating it over the whole span of snapshots in between — not a
+different code path.  ``"auto"`` is one chunk per worker and an integer
+a fixed width.  The results are bit-for-bit the same at every width
+(``tests/test_golden_digests.py`` pins them to the digests the former
+scalar per-task march recorded).
 
 What crosses the process boundary.  In: one pickled
 :class:`~repro.dist.messages.SimulationTask` per node (≈2.3 kB with a
@@ -31,15 +43,9 @@ submission holds at least as many scenarios as workers, so a
 session-driven sweep is reduced this way throughout.  Per-node
 trajectories still travel — and the parent superposes them — for a
 scenario that straddles two chunks (fewer scenarios than workers, e.g. a
-one-scenario ``repro sweep --processes N``), for per-task pools
-(``batch_width=None``), and whenever ``run`` is called without
+one-scenario ``repro sweep --processes N``; every multi-node scenario
+of a width-1 pool), and whenever ``run`` is called without
 ``dc_states`` (the paper's per-node view).
-
-Both executors optionally run the **block-batched fast path**
-(:class:`~repro.dist.block_runner.BlockNodeRunner`): ``batch_width``
-groups tasks into lockstep batches whose results are bit-for-bit
-identical to the per-task path.  ``batch_width=None`` keeps the
-reference per-task workers.
 
 Both executors are deterministic: a task's floating-point trajectory
 depends only on the task itself, never on which worker ran it, in what
@@ -74,7 +80,6 @@ from repro.dist.shm import (
     to_shared,
 )
 from repro.dist.supervision import JobError, RetryPolicy, SupervisionStats
-from repro.dist.worker import NodeWorker
 
 __all__ = ["Executor", "SerialExecutor", "MultiprocessExecutor"]
 
@@ -103,14 +108,15 @@ def _shutdown_pool(pool: ProcessPoolExecutor, force: bool = False) -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _resolve_batch_width(batch_width, n_tasks: int) -> int | None:
-    """Normalise a batch-width policy to a concrete width (or None).
+def _resolve_batch_width(batch_width, n_tasks: int) -> int:
+    """Normalise a batch-width policy to a concrete lockstep width.
 
-    ``None`` → per-task reference path; ``"auto"`` → one lockstep batch
-    over all tasks; an integer → fixed-width chunks.
+    The one place a policy becomes a number: ``None`` / ``"off"`` → 1
+    (per-node execution), ``"auto"`` → one lockstep batch over all
+    tasks, an integer → fixed-width chunks.
     """
-    if batch_width is None:
-        return None
+    if batch_width in (None, "off"):
+        return 1
     if batch_width == "auto":
         return max(n_tasks, 1)
     width = int(batch_width)
@@ -121,6 +127,20 @@ def _resolve_batch_width(batch_width, n_tasks: int) -> int | None:
 
 def _chunks(tasks: list, width: int) -> list[list]:
     return [tasks[i:i + width] for i in range(0, len(tasks), width)]
+
+
+def _march_chunk(
+    runner: BlockNodeRunner, chunk: list[SimulationTask]
+) -> list[NodeResult]:
+    """March one lockstep chunk — the single run path of both executors.
+
+    The fault hook fires here, once per task, immediately before the
+    chunk marches: in the host process, in a pool worker, and in the
+    in-process rerun of a degraded pool alike.
+    """
+    for task in chunk:
+        faults.on_task_start(task.task_id)
+    return runner.run(chunk)
 
 
 def _whole_scenarios(
@@ -197,15 +217,15 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """In-process emulation: one long-lived worker runs every task.
+    """In-process emulation: one long-lived runner marches every task.
 
     Parameters
     ----------
     system, options:
         The full MNA system and shared solver options.
     batch_width:
-        ``None`` (default) — reference per-task :class:`NodeWorker`
-        marches.  ``"auto"`` — one :class:`BlockNodeRunner` lockstep
+        ``None`` / ``"off"`` (default) — width 1, the paper's per-node
+        execution.  ``"auto"`` — one :class:`BlockNodeRunner` lockstep
         batch over all tasks.  ``int`` — lockstep batches of that width.
     """
 
@@ -218,19 +238,11 @@ class SerialExecutor(Executor):
         self.system = system
         self.options = options if options is not None else SolverOptions()
         self.batch_width = batch_width
-        self._worker: NodeWorker | None = None
         self._runner: BlockNodeRunner | None = None
 
     @property
-    def worker(self) -> NodeWorker:
-        """The lazily-built worker (factorisations amortised across runs)."""
-        if self._worker is None:
-            self._worker = NodeWorker(self.system, self.options)
-        return self._worker
-
-    @property
     def runner(self) -> BlockNodeRunner:
-        """The lazily-built block runner (same amortisation)."""
+        """The lazily-built runner (factorisations amortised across runs)."""
         if self._runner is None:
             self._runner = BlockNodeRunner(self.system, self.options)
         return self._runner
@@ -239,17 +251,13 @@ class SerialExecutor(Executor):
         """Build the solver state (and prime its factorisations) now.
 
         This is the in-process half of a compiled plan's "factor once"
-        promise: the worker/runner construction routes through the
+        promise: the runner construction routes through the
         process-wide :data:`~repro.linalg.lu.FACTORIZATION_CACHE`, so a
         session pays it once and every scenario after that reuses it.
         """
-        if self.batch_width is None:
-            self.worker
-        else:
-            self.runner
+        self.runner
 
     def close(self) -> None:
-        self._worker = None
         self._runner = None
 
     def run(
@@ -261,32 +269,26 @@ class SerialExecutor(Executor):
         transported, so the caller superposes in place)."""
         tasks = list(tasks)
         width = _resolve_batch_width(self.batch_width, len(tasks))
-        if width is None:
-            worker = self.worker if tasks else None
-            return [worker.run(task) for task in tasks]
         out: list[NodeResult] = []
         for chunk in _chunks(tasks, width):
-            out.extend(self.runner.run(chunk))
+            out.extend(_march_chunk(self.runner, chunk))
         return out
 
 
 # -- multiprocess backend ----------------------------------------------------------
 
 # Per-process state: the pool initializer stores the configuration and
-# the per-task worker / block runner are each built lazily on first use,
-# so only the path a pool actually runs pays its solver construction —
-# and reports its construction-time factor-cache traffic.
+# the runner is built lazily by the first chunk, which then reports the
+# construction-time factor-cache traffic.
 _PROCESS_CONFIG: tuple[MNASystem, SolverOptions, str | None] | None = None
-_PROCESS_WORKER: NodeWorker | None = None
 _PROCESS_RUNNER: BlockNodeRunner | None = None
 
 
 def _init_process_worker(
     system: MNASystem, options: SolverOptions, shm_prefix: str | None
 ) -> None:
-    global _PROCESS_CONFIG, _PROCESS_WORKER, _PROCESS_RUNNER
+    global _PROCESS_CONFIG, _PROCESS_RUNNER
     _PROCESS_CONFIG = (system, options, shm_prefix)
-    _PROCESS_WORKER = None
     _PROCESS_RUNNER = None
     # Forked workers inherit the parent's signal plumbing — including,
     # under asyncio, the event loop's signal wakeup fd, which fork
@@ -315,14 +317,6 @@ def _maybe_share(result: NodeResult) -> NodeResult:
     if shm_prefix is None:
         return result
     return to_shared(result, shm_prefix)
-
-
-def _run_in_process(task: SimulationTask) -> NodeResult:
-    global _PROCESS_WORKER
-    assert _PROCESS_CONFIG is not None, "pool initializer did not run"
-    if _PROCESS_WORKER is None:
-        _PROCESS_WORKER = NodeWorker(*_PROCESS_CONFIG[:2])
-    return _maybe_share(_PROCESS_WORKER.run(task))
 
 
 def _superpose_in_worker(
@@ -359,11 +353,7 @@ def _run_chunk_in_process(
     assert _PROCESS_CONFIG is not None, "pool initializer did not run"
     if _PROCESS_RUNNER is None:
         _PROCESS_RUNNER = BlockNodeRunner(*_PROCESS_CONFIG[:2])
-    # The lockstep chunk path bypasses NodeWorker.run, so the fault
-    # hook fires here, per task, before the batch marches.
-    for t in tasks:
-        faults.on_task_start(t.task_id)
-    results = _PROCESS_RUNNER.run(tasks)
+    results = _march_chunk(_PROCESS_RUNNER, tasks)
     for lo, hi, dc_state in scenarios:
         results[lo:hi] = _superpose_in_worker(dc_state, results[lo:hi])
     return [_maybe_share(r) for r in results]
@@ -382,10 +372,10 @@ class MultiprocessExecutor(Executor):
     max_workers:
         Pool size; defaults to ``os.cpu_count()``.
     batch_width:
-        ``None`` (default) — one pickled task per pool job, reference
-        per-task marches.  ``"auto"`` — tasks are split into one
-        lockstep chunk per worker, each marched by that process's
-        :class:`BlockNodeRunner`; when :meth:`run` is given
+        ``None`` / ``"off"`` (default) — width 1: one task per pool
+        job, the paper's per-node execution.  ``"auto"`` — tasks are
+        split into one lockstep chunk per worker, each marched by that
+        process's :class:`BlockNodeRunner`; when :meth:`run` is given
         ``dc_states`` for at least as many scenarios as workers, the
         chunks are cut on scenario boundaries.  ``int`` — fixed chunk
         width.  Either way a chunk that holds a whole scenario returns
@@ -563,10 +553,6 @@ class MultiprocessExecutor(Executor):
             else:
                 width = -(-len(tasks) // n_chunks)
         width = _resolve_batch_width(width, len(tasks))
-        if width is None:
-            return list(
-                self._pool.map(_run_in_process, tasks, timeout=timeout)
-            )
         chunks = _chunks(tasks, width)
         scenarios = [
             _whole_scenarios(i * width, len(chunk), per_scenario, dc_states)

@@ -62,15 +62,17 @@ class MatexScheduler:
         round-robin to fit (each node's LTS grows — the paper's graceful
         degradation when the cluster is smaller than the bump count).
     batch:
-        Block-batching policy for the default executor: ``"off"``
-        (default) runs the reference per-node marches; ``"auto"``
-        advances every node task in one lockstep
-        :class:`~repro.dist.block_runner.BlockNodeRunner` batch
-        (bit-for-bit identical results, a fraction of the wall time);
-        an integer fixes the lockstep width.  When an explicit
+        Lockstep width of the default executor's
+        :class:`~repro.dist.block_runner.BlockNodeRunner` march:
+        ``"off"`` (default) **is width 1** — the paper's per-node
+        execution, one task at a time, each re-evaluating its bases
+        over whole spans of snapshots; ``"auto"`` advances every node
+        task in one lockstep batch (bit-for-bit identical results, a
+        fraction of the wall time); an integer fixes the width.  It is
+        one code path at different widths.  When an explicit
         ``executor`` is passed to :meth:`run` the setting cannot apply —
-        a ``UserWarning`` is emitted and the executor's own
-        ``batch_width`` configuration wins.
+        a ``UserWarning`` is emitted (for anything but ``"off"``) and
+        the executor's own ``batch_width`` configuration wins.
     """
 
     def __init__(

@@ -1,42 +1,31 @@
-"""Computing-node worker (paper Fig. 4, the "MATEX slave node").
+"""The scalar reference march of one node task.
 
-A :class:`NodeWorker` owns one :class:`~repro.core.solver.MatexSolver` in
-deviation mode.  Construction performs the node's one-off matrix
-factorisations; every subsequent :meth:`NodeWorker.run` call reuses them,
-so a worker that serves several source groups (fewer physical nodes than
-groups, or the serial emulation) amortises the LU exactly as a
-long-lived process would.
+:func:`run_task` simulates one :class:`~repro.dist.messages.SimulationTask`
+through :meth:`MatexSolver.simulate <repro.core.solver.MatexSolver.simulate>`,
+one Python step per grid point (paper Alg. 2, literally).  It is **not**
+how the executors run a node: per-node execution is the
+:class:`~repro.dist.block_runner.BlockNodeRunner` at width 1, which
+evaluates a whole span of snapshots per call and lands on the same bits.
+The scalar march stays for two callers only:
 
-Construction may not even pay the factorisation: every sub-task of a
-distributed run shares the full system's MNA pencil (paper Sec. 3.4), so
-the process-wide :data:`~repro.linalg.lu.FACTORIZATION_CACHE` frequently
-serves the worker's ``G`` / ``C + γG`` factors from an earlier consumer
-(the scheduler's DC analysis, or a previous run).  Those construction
-cache hits are attributed to the worker's *first* task result, so the
-scheduler can report them in
-:class:`~repro.dist.messages.DistributedResult` without double counting.
+* the block runner's fallback for a degenerate (not strictly
+  increasing) or misaligned grid, which the lockstep march assumes away;
+* the test suite's parity oracle (``tests/conftest.py``
+  ``ScalarOracleExecutor``) and the scalar reference wall of
+  ``benchmarks/bench_table3_distributed.py``.
 """
 
 from __future__ import annotations
 
-from repro import faults
-from repro.circuit.mna import MNASystem
-from repro.core.options import SolverOptions
 from repro.core.solver import MatexSolver
 from repro.core.transition import build_schedule
 from repro.dist.messages import NodeResult, SimulationTask
 
-__all__ = ["NodeWorker", "run_task"]
+__all__ = ["run_task"]
 
 
 def run_task(solver: MatexSolver, task: SimulationTask) -> NodeResult:
-    """Reference per-node march of one task against a deviation solver.
-
-    The single definition of "simulate one
-    :class:`~repro.dist.messages.SimulationTask`": used by
-    :class:`NodeWorker` and by the block runner's degenerate-grid
-    fallback, so the two can never diverge.
-    """
+    """Scalar march of one task against a deviation-mode solver."""
     overrides = task.group.overrides_dict() or None
     schedule = task.schedule
     if schedule is None:
@@ -62,40 +51,3 @@ def run_task(solver: MatexSolver, task: SimulationTask) -> NodeResult:
         stats=res.stats,
     )
 
-
-class NodeWorker:
-    """Executes :class:`~repro.dist.messages.SimulationTask` messages.
-
-    Parameters
-    ----------
-    system:
-        The full assembled MNA system (every node holds the complete
-        matrices; only the *inputs* are decomposed).
-    options:
-        Solver options shared across the distributed run.
-    """
-
-    def __init__(self, system: MNASystem, options: SolverOptions | None = None):
-        self.system = system
-        self.options = options if options is not None else SolverOptions()
-        self.solver = MatexSolver(system, self.options, deviation_mode=True)
-        # Construction-time cache traffic, reported through the first
-        # task's stats (once — the factorisations happened once).
-        self._pending_cache_hits = self.solver.construction_cache_hits
-        self._pending_cache_misses = self.solver.construction_cache_misses
-
-    def run(self, task: SimulationTask) -> NodeResult:
-        """Simulate one source group's deviation response.
-
-        The node marches through the task's shared global grid: its own
-        group's transition spots trigger fresh Krylov generations, every
-        other point is served as a snapshot from the most recent basis
-        (Alg. 2 line 11).
-        """
-        faults.on_task_start(task.task_id)
-        result = run_task(self.solver, task)
-        result.stats.n_factor_cache_hits += self._pending_cache_hits
-        result.stats.n_factor_cache_misses += self._pending_cache_misses
-        self._pending_cache_hits = 0
-        self._pending_cache_misses = 0
-        return result

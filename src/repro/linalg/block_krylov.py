@@ -13,7 +13,7 @@ per-column with exactly the arithmetic of :func:`repro.linalg.arnoldi`
 returned :class:`~repro.linalg.krylov.KrylovBasis` is **bit-for-bit
 identical** to a scalar build of the same column.  That parity is a hard
 contract (it is what lets the block-batched distributed fast path claim
-the per-node path's validation), enforced by ``tests/test_block_krylov.py``.
+the scalar march's validation), enforced by ``tests/test_block_krylov.py``.
 
 The module also houses the *fast Hessenberg kernel*: the posterior error
 estimates factor and exponentiate a tiny ``m × m`` Hessenberg block per
@@ -399,7 +399,7 @@ def _batched_test_estimates(
     each estimate — are fused into one :func:`fast_expm_stack` call.
     Any anomaly (singular block, non-finite scaling) routes the affected
     columns through the canonical scalar estimate, so every value is
-    bit-for-bit what the per-node path would have computed.
+    bit-for-bit what a scalar build would have computed.
     """
     ests: dict[int, float] = {}
     if estimator.method == "standard" or len(testing) == 1:

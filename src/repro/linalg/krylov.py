@@ -155,10 +155,11 @@ class KrylovBasis:
 
         The accumulation is an explicit rank-1 loop over the basis
         columns so each output column is **bit-for-bit identical**
-        whether evaluated alone (``K = 1``, the per-node marching path)
-        or as part of a span batch (the block runner): elementwise
-        broadcasting never changes the per-element operation order,
-        whereas BLAS gemm and gemv kernels disagree in the last ulp.
+        whether evaluated alone (``K = 1``, a step-by-step march such as
+        ``MatexSolver.simulate``) or as part of a span batch (the block
+        runner, at any width): elementwise broadcasting never changes
+        the per-element operation order, whereas BLAS gemm and gemv
+        kernels disagree in the last ulp.
         """
         usable, payload = self._eig_payload()
         m = self.m

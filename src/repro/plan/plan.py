@@ -111,9 +111,8 @@ def prime_factorizations(system: MNASystem, options: SolverOptions) -> float:
     construction performs (``C + γG`` for rational, ``G`` for inverted,
     ``C`` for standard) and discards the operator handle — the factors
     stay resident in :data:`~repro.linalg.lu.FACTORIZATION_CACHE`, so
-    every later :class:`~repro.dist.worker.NodeWorker` /
-    :class:`~repro.dist.block_runner.BlockNodeRunner` built in this
-    process gets a hit instead of a factorisation.
+    every later :class:`~repro.dist.block_runner.BlockNodeRunner` built
+    in this process gets a hit instead of a factorisation.
 
     The pencil's substitution kernel is primed along with the factors:
     the triangular export *and* its level schedules
@@ -155,8 +154,11 @@ class SimulationPlan:
         Optional round-robin merge cap on the group count.
     batch:
         Default lockstep policy for sessions over this plan: ``"auto"``
-        (default — sweeps want the block-batched march), ``"off"``, or
-        a fixed width.
+        (default — sweeps want the block-batched march), ``"off"``
+        (width 1: per-node execution, same march one task at a time),
+        or a fixed width.  Executors resolve the policy to a number
+        (``repro.dist.executors._resolve_batch_width``); nothing else
+        interprets it.
     """
 
     system: MNASystem

@@ -129,11 +129,10 @@ class Session:
         self.compiled = compiled
         self._owns_executor = executor is None
         if executor is None:
-            batch = compiled.batch
             executor = SerialExecutor(
                 compiled.system,
                 compiled.options,
-                batch_width=None if batch == "off" else batch,
+                batch_width=compiled.batch,
             )
         self.executor = executor
         self._prepared = False

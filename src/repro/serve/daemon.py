@@ -118,12 +118,11 @@ class _PlanEntry:
         self.system = compiled.system
         self.executor: MultiprocessExecutor | None = None
         if processes:
-            batch = compiled.batch
             self.executor = MultiprocessExecutor(
                 compiled.system,
                 compiled.options,
                 max_workers=processes,
-                batch_width=None if batch == "off" else batch,
+                batch_width=compiled.batch,
                 retry=retry,
             )
             self.executor.prepare()

@@ -3,12 +3,24 @@ plus the /dev/shm leak sanitizer guarding the segment lifecycle."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
+
+# One BLAS thread per process, set before numpy loads its BLAS: the
+# suite forks 2-worker pools on small boxes, where unpinned OpenBLAS
+# threads spin against each other (a 1 s pool run takes 5-10 s).  The
+# results do not depend on it — tests/golden/state_digests.json was
+# recorded identically with one and two threads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest
 
 from repro.circuit import Netlist, Pulse, assemble
+from repro.core import MatexSolver
+from repro.dist import Executor
+from repro.dist.worker import run_task
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -42,6 +54,23 @@ def shm_leak_sanitizer():
             f"(reclaimed now): {', '.join(leaked)}",
             pytrace=False,
         )
+
+
+class ScalarOracleExecutor(Executor):
+    """The scalar reference march, task by task: the parity oracle.
+
+    :func:`repro.dist.worker.run_task` walks a task's grid one Python
+    step at a time through ``MatexSolver.simulate`` — no block runner,
+    no span batching — which is the per-node path as it was before the
+    executors collapsed onto width-1 lockstep.  Every executor, at every
+    width, must reproduce its bits and its ``SolverStats`` counters.
+    """
+
+    def __init__(self, system, options):
+        self.solver = MatexSolver(system, options, deviation_mode=True)
+
+    def run(self, tasks, dc_states=None):
+        return [run_task(self.solver, task) for task in tasks]
 
 
 def build_rc_ladder(n: int = 10, with_pulse: bool = True) -> Netlist:

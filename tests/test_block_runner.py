@@ -1,24 +1,27 @@
 """Bit-for-bit parity of the block-batched fast path, plus transport.
 
 The contract under test: every trajectory, time grid and operation count
-a :class:`~repro.dist.block_runner.BlockNodeRunner` produces is
-bit-for-bit identical to the per-node :class:`~repro.dist.worker.NodeWorker`
-reference path — on the serial executor, on the multiprocess executor,
-through the scheduler's ``batch`` policy, across decompositions
-(including split-bump waveform overrides) and Krylov flavours.  On top,
-the shared-memory result transport round-trips arrays exactly and
-reclaims its segments, including after worker death.
+a :class:`~repro.dist.block_runner.BlockNodeRunner` produces — at any
+width, width 1 (per-node execution) included — is bit-for-bit identical
+to the scalar reference march :func:`repro.dist.worker.run_task` — on
+the serial executor, on the multiprocess executor, through the
+scheduler's ``batch`` policy, across decompositions (including
+split-bump waveform overrides) and Krylov flavours.  On top, the
+shared-memory result transport round-trips arrays exactly and reclaims
+its segments, including after worker death.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import SolverOptions
+from repro.core import MatexSolver, SolverOptions
+from repro.core.transition import build_schedule
 from repro.dist import (
     BlockNodeRunner,
     MatexScheduler,
     MultiprocessExecutor,
-    NodeWorker,
     SerialExecutor,
     SimulationTask,
 )
@@ -29,6 +32,8 @@ from repro.dist.shm import (
     shm_available,
     to_shared,
 )
+from repro.dist.worker import run_task
+from tests.conftest import ScalarOracleExecutor
 
 OPTS = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-8)
 
@@ -41,6 +46,11 @@ def tasks_for(system, t_end=1e-9, decomposition="bump"):
                        global_points=gts)
         for g in sched.groups(t_end=t_end)
     ]
+
+
+def scalar_oracle(system, tasks, opts=OPTS):
+    """The scalar reference march of every task, in order."""
+    return ScalarOracleExecutor(system, opts).run(tasks)
 
 
 def assert_results_identical(ref, blk):
@@ -59,13 +69,13 @@ def assert_results_identical(ref, blk):
 class TestRunnerParity:
     def test_mesh_bitwise_parity(self, mesh_system):
         tasks = tasks_for(mesh_system)
-        ref = [NodeWorker(mesh_system, OPTS).run(t) for t in tasks]
+        ref = scalar_oracle(mesh_system, tasks)
         blk = BlockNodeRunner(mesh_system, OPTS).run(tasks)
         assert_results_identical(ref, blk)
 
     def test_singular_c_pdn_parity(self, small_pdn_system):
         tasks = tasks_for(small_pdn_system)
-        ref = [NodeWorker(small_pdn_system, OPTS).run(t) for t in tasks]
+        ref = scalar_oracle(small_pdn_system, tasks)
         blk = BlockNodeRunner(small_pdn_system, OPTS).run(tasks)
         assert_results_identical(ref, blk)
 
@@ -73,18 +83,58 @@ class TestRunnerParity:
     def test_methods_parity(self, mesh_system, method):
         opts = SolverOptions(method=method, gamma=1e-10, eps_rel=1e-8)
         tasks = tasks_for(mesh_system)
-        worker = NodeWorker(mesh_system, opts)
-        ref = [worker.run(t) for t in tasks]
+        ref = scalar_oracle(mesh_system, tasks, opts)
         blk = BlockNodeRunner(mesh_system, opts).run(tasks)
         assert_results_identical(ref, blk)
 
     def test_bump_split_overrides_parity(self, mesh_system):
         tasks = tasks_for(mesh_system, decomposition="bump-split")
         assert any(t.group.waveform_overrides for t in tasks)
-        worker = NodeWorker(mesh_system, OPTS)
-        ref = [worker.run(t) for t in tasks]
+        ref = scalar_oracle(mesh_system, tasks)
         blk = BlockNodeRunner(mesh_system, OPTS).run(tasks)
         assert_results_identical(ref, blk)
+
+    def test_width_one_chunks_match_the_oracle(self, mesh_system):
+        """Per-node execution: one task per ``run`` call."""
+        tasks = tasks_for(mesh_system, decomposition="source")
+        runner = BlockNodeRunner(mesh_system, OPTS)
+        blk = [runner.run([t])[0] for t in tasks]
+        assert_results_identical(scalar_oracle(mesh_system, tasks), blk)
+
+    def test_degenerate_grid_falls_back_to_the_scalar_march(
+        self, mesh_system, monkeypatch
+    ):
+        """A grid with a repeated point is outside the lockstep march's
+        contract; the runner hands such tasks to ``run_task``."""
+        from repro.dist import block_runner as block_runner_mod
+
+        base = tasks_for(mesh_system)[0]
+        flags = build_schedule(
+            mesh_system, base.t_end,
+            local_inputs=base.group.input_columns,
+            global_points=base.global_points,
+        ).is_lts
+        # Repeat a point that is a snapshot between two others for this
+        # task (a zero-length step is only defined on basis reuse).
+        k = next(
+            i for i in range(2, len(flags) - 1)
+            if not flags[i] and not flags[i - 1]
+        )
+        pts = list(base.global_points)
+        pts.insert(k, pts[k])
+        task = replace(base, global_points=tuple(pts))
+        calls = []
+        real = block_runner_mod.run_task
+        monkeypatch.setattr(
+            block_runner_mod, "run_task",
+            lambda solver, t: calls.append(t.task_id) or real(solver, t),
+        )
+        (got,) = BlockNodeRunner(mesh_system, OPTS).run([task])
+        assert calls == [task.task_id]
+        ref = run_task(
+            MatexSolver(mesh_system, OPTS, deviation_mode=True), task
+        )
+        assert_results_identical([ref], [got])
 
     def test_empty_and_order(self, mesh_system):
         runner = BlockNodeRunner(mesh_system, OPTS)
@@ -116,8 +166,8 @@ class TestRunnerParity:
 class TestExecutorParity:
     def test_serial_batched_matches_per_node(self, mesh_system):
         tasks = tasks_for(mesh_system)
-        ref = SerialExecutor(mesh_system, OPTS).run(tasks)
-        for width in ("auto", 2, 1):
+        ref = scalar_oracle(mesh_system, tasks)
+        for width in (None, "off", 1, 2, "auto"):
             blk = SerialExecutor(
                 mesh_system, OPTS, batch_width=width
             ).run(tasks)
@@ -167,7 +217,7 @@ class TestExecutorParity:
 class TestShmTransport:
     def _node_result(self, mesh_system):
         tasks = tasks_for(mesh_system)
-        return NodeWorker(mesh_system, OPTS).run(tasks[0])
+        return BlockNodeRunner(mesh_system, OPTS).run(tasks[:1])[0]
 
     def test_round_trip_bitwise(self, mesh_system):
         res = self._node_result(mesh_system)

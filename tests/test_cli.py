@@ -215,6 +215,26 @@ class TestSweep:
         b = np.load(single)
         np.testing.assert_array_equal(a["states"], b["states"])
 
+    def test_per_task_pool_sweep_equals_serial(self, ibmpg_deck, tmp_path,
+                                               capsys):
+        """``--batch off`` is width 1 on a pool too: same bytes as the
+        in-process sweep."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '[{"name": "nominal"}, {"name": "hot", "scale_loads": 1.3}]'
+        )
+        outs = {}
+        for name, extra in (("serial", []), ("pool", ["--processes", "2"])):
+            outs[name] = tmp_path / name
+            assert main(["sweep", "--netlist", str(ibmpg_deck),
+                         "--scenarios", str(spec), "--batch", "off",
+                         "--out-dir", str(outs[name]), *extra]) == 0
+        capsys.readouterr()
+        for scenario in ("nominal", "hot"):
+            a = np.load(outs["serial"] / f"{scenario}.npz")
+            b = np.load(outs["pool"] / f"{scenario}.npz")
+            assert a["states"].tobytes() == b["states"].tobytes()
+
     def test_bad_random_spec_is_usage_error(self, ibmpg_deck, capsys):
         assert main(["sweep", "--netlist", str(ibmpg_deck),
                      "--scenarios", "random:0"]) == 2

@@ -1,16 +1,17 @@
-"""Unit tests for the distributed scheduler, workers and executors."""
+"""Unit tests for the distributed scheduler, node runner and executors."""
 
 import numpy as np
 import pytest
 
 from repro.core import MatexSolver, SolverOptions
 from repro.dist import (
+    BlockNodeRunner,
     MatexScheduler,
     MultiprocessExecutor,
-    NodeWorker,
     SerialExecutor,
     SimulationTask,
 )
+from repro.dist.worker import run_task
 from repro.core.decomposition import SourceGroup
 from repro.linalg import exact_transient
 
@@ -71,9 +72,11 @@ class TestScheduler:
 
 
 class TestWorker:
+    """One computing node = a :class:`BlockNodeRunner` fed one task."""
+
     def test_node_worker_runs_task(self, mesh_system):
         s = mesh_system
-        worker = NodeWorker(s, OPTS)
+        runner = BlockNodeRunner(s, OPTS)
         gts = tuple(s.global_transition_spots(1e-9))
         task = SimulationTask(
             task_id=3,
@@ -81,22 +84,25 @@ class TestWorker:
             t_end=1e-9,
             global_points=gts,
         )
-        result = worker.run(task)
+        (result,) = runner.run([task])
         assert result.task_id == 3
         assert result.states.shape == (len(gts), s.dim)
         assert result.transient_seconds >= 0.0
+        oracle = run_task(MatexSolver(s, OPTS, deviation_mode=True), task)
+        assert result.states.tobytes() == oracle.states.tobytes()
+        assert result.stats.krylov_dims == oracle.stats.krylov_dims
 
     def test_worker_amortizes_factorization(self, mesh_system):
-        worker = NodeWorker(mesh_system, OPTS)
-        f0 = worker.solver.factor_seconds
+        runner = BlockNodeRunner(mesh_system, OPTS)
+        f0 = runner.solver.factor_seconds
         gts = tuple(mesh_system.global_transition_spots(1e-9))
         for k in range(2):
-            worker.run(SimulationTask(
+            runner.run([SimulationTask(
                 task_id=k,
                 group=SourceGroup(group_id=k, label="", input_columns=(k,)),
                 t_end=1e-9, global_points=gts,
-            ))
-        assert worker.solver.factor_seconds == f0  # no refactorisation
+            )])
+        assert runner.solver.factor_seconds == f0  # no refactorisation
 
 
 class TestExecutors:

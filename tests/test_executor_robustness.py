@@ -186,9 +186,9 @@ class TestCacheProcessScope:
         FACTORIZATION_CACHE.clear()
         sched = MatexScheduler(mesh_system, OPTS)
         sched.run(1e-9)
-        warm = sched.run(1e-9)  # new SerialExecutor, new NodeWorker
+        warm = sched.run(1e-9)  # new SerialExecutor, new width-1 runner
         assert warm.factor_cache_misses == 0
-        assert warm.factor_cache_hits >= 3  # DC G + worker G + C+γG
+        assert warm.factor_cache_hits >= 3  # DC G + runner G + C+γG
 
 
 class TestEmptyDistributedResult:

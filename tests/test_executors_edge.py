@@ -85,7 +85,7 @@ class TestDegenerateSchedules:
         """The serial emulation must not pay a factorisation for nothing."""
         ex = SerialExecutor(mesh_system, OPTS)
         ex.run([])
-        assert ex._worker is None
+        assert ex._runner is None
 
     @pytest.fixture
     def single_source_system(self):

@@ -11,6 +11,9 @@ Covers the ISSUE-8 contracts:
 * ``evict`` empties the process-wide factorisation cache,
 * ``shmfail`` drives the *real* :class:`~repro.dist.shm.ShmAttachError`
   path (the segment is unlinked under the ref),
+* ``delay``/``evict`` fire once per task on **every** run path — serial
+  at width 1, serial ``"auto"``, and the in-process rerun of a degraded
+  pool (the executors share one hook, ``_march_chunk``),
 * an injected worker kill heals under a
   :class:`~repro.dist.supervision.RetryPolicy` bit-identically,
 * the atexit/SIGTERM sweep reclaims the run's shm segments.
@@ -259,6 +262,87 @@ class TestInjectedFaultsHeal:
                 res = session.run()
         assert np.all(np.isfinite(res.result.states))
         assert faults.active_plan().fired() == []
+
+
+class TestHooksOnEveryRunPath:
+    """``on_task_start`` fires per task wherever a chunk marches.
+
+    The serial lockstep path used to call ``runner.run(chunk)`` without
+    the hook, so ``delay@N``/``evict@N`` silently never fired under
+    ``SerialExecutor(batch_width="auto")`` — which is also what a
+    degraded pool falls back to.
+    """
+
+    SPEC = "kill@0,evict@0,delay@0:0.01"
+    NON_LETHAL = ["001.evict@0", "002.delay@0"]
+
+    @pytest.mark.parametrize("width", [None, "off", 1, "auto"])
+    def test_serial_fires_non_lethal_faults_only(
+        self, mesh_system, tmp_path, width
+    ):
+        compiled = _compile(mesh_system)
+        with Session(compiled) as session:
+            reference = session.run()
+        plan = faults.install(self.SPEC, str(tmp_path / "faults"))
+        with SerialExecutor(mesh_system, OPTS, batch_width=width) as ex:
+            with Session(compiled, executor=ex) as session:
+                res = session.run()
+        # kill@0 is disarmed in the host — and not burned either.
+        assert plan.fired() == self.NON_LETHAL
+        assert (res.result.states.tobytes()
+                == reference.result.states.tobytes())
+
+    @pytest.mark.parametrize("width", [None, "auto"])
+    def test_degraded_pool_rerun_fires_them_in_process(
+        self, mesh_system, tmp_path, width
+    ):
+        """The worker dies on ``kill@0`` before reaching the directives
+        behind it; the in-process rerun then fires those, not the kill."""
+        compiled = _compile(mesh_system)
+        with Session(compiled) as session:
+            reference = session.run()
+        plan = faults.install(self.SPEC, str(tmp_path / "faults"))
+        retry = RetryPolicy(backoff=0.0, jitter=0.0, degrade_after=1)
+        with MultiprocessExecutor(
+            mesh_system, OPTS, max_workers=2, batch_width=width, retry=retry
+        ) as ex:
+            with Session(compiled, executor=ex) as session:
+                with pytest.warns(RuntimeWarning, match="degrading"):
+                    res = session.run()
+        assert ex.supervision.degraded_runs == 1
+        assert plan.fired() == ["000.kill@0"] + self.NON_LETHAL
+        assert (res.result.states.tobytes()
+                == reference.result.states.tobytes())
+
+    def test_hook_fires_once_per_task_before_its_chunk(
+        self, mesh_system, monkeypatch
+    ):
+        from repro.dist import BlockNodeRunner
+        from repro.dist import executors as executors_mod
+        from tests.test_block_runner import tasks_for
+
+        events = []
+        monkeypatch.setattr(
+            executors_mod.faults, "on_task_start",
+            lambda tid: events.append(("start", tid)),
+        )
+        real_run = BlockNodeRunner.run
+
+        def recording_run(runner, chunk):
+            events.append(("march", [t.task_id for t in chunk]))
+            return real_run(runner, chunk)
+
+        monkeypatch.setattr(BlockNodeRunner, "run", recording_run)
+        tasks = tasks_for(mesh_system, decomposition="source")
+        for width in (None, 2, "auto"):
+            events.clear()
+            SerialExecutor(mesh_system, OPTS, batch_width=width).run(tasks)
+            n = executors_mod._resolve_batch_width(width, len(tasks))
+            expected = []
+            for lo in range(0, len(tasks), n):
+                ids = [t.task_id for t in tasks[lo:lo + n]]
+                expected += [("start", i) for i in ids] + [("march", ids)]
+            assert events == expected
 
 
 @pytest.mark.skipif(not shm_available(),

@@ -1,0 +1,241 @@
+"""Golden state digests: every execution mode reproduces the scalar path.
+
+``tests/golden/state_digests.json`` holds SHA-256 digests of superposed
+trajectories (and the summed ``SolverStats`` counters) recorded by the
+**scalar** per-node path — ``MatexScheduler(batch="off")`` while that
+still walked every task one Python step at a time through
+``MatexSolver.simulate`` — at the commit before the executors collapsed
+onto the block runner.  They are the evidence that let the twin go:
+``batch ∈ {"off", 1, 7, "auto"}`` on the serial executor and on a
+process pool over both transports must all reproduce them, and so must
+the scalar :func:`repro.dist.worker.run_task` oracle that remains.
+
+**Determinism boundary.**  The digests are bits, so they are pinned for
+one numerical stack: the numpy / scipy / BLAS builds, the machine
+architecture and the SIMD level the BLAS dispatches its kernels on
+(:func:`fingerprint`).  They were recorded with one and with two BLAS
+threads (identical).  On any other stack the comparison is skipped with
+the reason stated — the modes still have to agree with *each other*
+there, which ``tests/test_block_runner.py`` and
+``tests/test_pool_reduction.py`` check without golden values.
+
+Regenerate (from the repository root, only when the numbers are meant
+to change): ``python -m tests.test_golden_digests``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.circuit import assemble
+from repro.core import SolverOptions
+from repro.dist import MatexScheduler, MultiprocessExecutor
+from repro.dist.shm import shm_available
+from repro.pdn import (
+    PdnConfig,
+    WorkloadSpec,
+    attach_pulse_loads,
+    build_case,
+    generate_power_grid,
+)
+from repro.plan import Session, SimulationPlan
+from tests.conftest import ScalarOracleExecutor, build_multi_source_mesh
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "state_digests.json"
+
+#: SolverStats counters that must not depend on how a node was marched.
+COUNTERS = (
+    "n_steps", "n_krylov_bases", "n_reuses", "n_solves_krylov",
+    "n_solves_etd",
+)
+
+
+def fingerprint() -> dict:
+    """The numerical stack the digests are pinned for."""
+    import scipy
+
+    cfg = np.show_config(mode="dicts")
+    blas = cfg.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "machine": platform.machine(),
+        "simd": sorted(cfg.get("SIMD Extensions", {}).get("found", [])),
+    }
+
+
+# -- cases ---------------------------------------------------------------------------
+
+
+def _pg1t():
+    system, case = build_case("pg1t")
+    opts = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-6)
+    return system, opts, case.t_end, "bump"
+
+
+def _rlc_rebuild():
+    """Package inductance, loose γ: 14 snapshot-triggered basis rebuilds."""
+    t_end = 2e-9
+    net = generate_power_grid(PdnConfig(
+        rows=12, cols=12, n_pads=2, l_package=5e-10, seed=9,
+    ))
+    attach_pulse_loads(net, WorkloadSpec(
+        n_sources=32, n_shapes=8, t_end=t_end, time_grid_points=40, seed=9,
+    ))
+    opts = SolverOptions(method="rational", gamma=1e-12, eps_rel=1e-6)
+    return assemble(net), opts, t_end, "bump"
+
+
+def _mesh_bump_split():
+    """Waveform overrides (split bumps) under the inverted method."""
+    opts = SolverOptions(method="inverted", gamma=1e-10, eps_rel=1e-8)
+    return assemble(build_multi_source_mesh()), opts, 1e-9, "bump-split"
+
+
+CASES = {
+    "pg1t": _pg1t,
+    "rlc-rebuild": _rlc_rebuild,
+    "mesh-bump-split": _mesh_bump_split,
+}
+
+#: The chaos gate's sweep (tests/test_chaos_gate.py): that test asserts
+#: the faulted pool run equals a fault-free serial session; this file
+#: asserts the serial session equals the scalar path's recorded bits.
+CHAOS_CASE = "pg1t-chaos-sweep"
+
+
+def _chaos_sweep(batch, executor=None):
+    from tests import test_chaos_gate as gate
+
+    system, _case = build_case("pg1t")
+    compiled = SimulationPlan(
+        system, gate.OPTS, t_end=gate.T_END, decomposition="bump",
+        max_nodes=8, batch=batch,
+    ).compile(prime=False)
+    if executor is not None:
+        executor = executor(system, gate.OPTS)
+    with Session(compiled, executor=executor) as session:
+        return session.sweep(gate.scenarios_seed7(), stack=gate.STACK)
+
+
+def digest(results) -> dict:
+    """SHA-256 over times + states of each result, plus summed counters."""
+    sha = hashlib.sha256()
+    dims = []
+    counters = dict.fromkeys(COUNTERS, 0)
+    for dres in results:
+        sha.update(np.ascontiguousarray(dres.result.times).tobytes())
+        sha.update(np.ascontiguousarray(dres.result.states).tobytes())
+        for stats in dres.node_stats:
+            dims.append(list(stats.krylov_dims))
+            for name in COUNTERS:
+                counters[name] += getattr(stats, name)
+    counters["krylov_dims_sha256"] = hashlib.sha256(
+        json.dumps(dims).encode()
+    ).hexdigest()
+    return {"sha256": sha.hexdigest(), "counters": counters}
+
+
+# -- the tests -----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def golden():
+    recorded = json.loads(GOLDEN_PATH.read_text())
+    here = fingerprint()
+    if recorded["fingerprint"] != here:
+        pytest.skip(
+            f"golden digests are pinned for {recorded['fingerprint']}; "
+            f"this stack is {here} — bits may legitimately differ"
+        )
+    return recorded["cases"]
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    return (request.param, *CASES[request.param]())
+
+
+BATCHES = ("off", 1, 7, "auto")
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_serial_reproduces_scalar_digests(golden, case, batch):
+    name, system, opts, t_end, decomposition = case
+    dres = MatexScheduler(
+        system, opts, decomposition=decomposition, batch=batch
+    ).run(t_end)
+    assert digest([dres]) == golden[name]
+
+
+@pytest.mark.parametrize("transport", ["shm", "pickle"])
+@pytest.mark.parametrize("batch", BATCHES)
+def test_pool_reproduces_scalar_digests(golden, case, batch, transport):
+    if transport == "shm" and not shm_available():
+        pytest.skip("POSIX shared memory needed")
+    name, system, opts, t_end, decomposition = case
+    executor = MultiprocessExecutor(
+        system, opts, max_workers=2, batch_width=batch, transport=transport
+    )
+    dres = MatexScheduler(system, opts, decomposition=decomposition).run(
+        t_end, executor=executor
+    )
+    assert digest([dres]) == golden[name]
+
+
+def test_scalar_oracle_reproduces_its_own_digests(golden, case):
+    """``run_task`` — what is left of the scalar path — is still it."""
+    name, system, opts, t_end, decomposition = case
+    dres = MatexScheduler(system, opts, decomposition=decomposition).run(
+        t_end, executor=ScalarOracleExecutor(system, opts)
+    )
+    assert digest([dres]) == golden[name]
+
+
+@pytest.mark.parametrize("batch", ["off", "auto"])
+def test_chaos_gate_reference_reproduces_scalar_digests(golden, batch):
+    assert digest(_chaos_sweep(batch)) == golden[CHAOS_CASE]
+
+
+def test_rebuild_case_really_rebuilds(golden):
+    """The RLC case earns its name: more bases than transition spots."""
+    system, opts, t_end, decomposition = CASES["rlc-rebuild"]()
+    plan = SimulationPlan(system, opts, t_end=t_end).compile(prime=False)
+    n_lts = sum(sum(s.is_lts[:-1]) for s in plan.schedules)
+    assert golden["rlc-rebuild"]["counters"]["n_krylov_bases"] > n_lts
+
+
+def _regenerate() -> None:
+    """Rewrite the golden file from the scalar oracle."""
+    cases = {}
+    for name, build in CASES.items():
+        system, opts, t_end, decomposition = build()
+        dres = MatexScheduler(system, opts, decomposition=decomposition).run(
+            t_end, executor=ScalarOracleExecutor(system, opts)
+        )
+        cases[name] = digest([dres])
+    cases[CHAOS_CASE] = digest(_chaos_sweep("off", ScalarOracleExecutor))
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(
+        {
+            "recorded_by": (
+                "the scalar per-node path (repro.dist.worker.run_task, one "
+                "MatexSolver.simulate march per task)"
+            ),
+            "fingerprint": fingerprint(),
+            "cases": cases,
+        },
+        indent=2,
+    ) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    _regenerate()

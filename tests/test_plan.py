@@ -356,6 +356,23 @@ class TestSchedulerBatchWarning:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, UserWarning)]
 
+    def test_only_off_is_silent_with_an_explicit_executor(
+        self, mesh_system, recwarn
+    ):
+        """``"off"`` asks for nothing the executor could contradict;
+        any other width — 1 included, though it marches the same — is a
+        request the scheduler cannot honour and says so."""
+        ex = SerialExecutor(mesh_system, OPTS)
+        MatexScheduler(mesh_system, OPTS, batch="off").run(
+            T_END, executor=ex
+        )
+        assert not [w for w in recwarn.list
+                    if issubclass(w.category, UserWarning)]
+        with pytest.warns(UserWarning, match="batch=1"):
+            MatexScheduler(mesh_system, OPTS, batch=1).run(
+                T_END, executor=ex
+            )
+
     def test_no_warning_without_explicit_executor(
         self, mesh_system, recwarn
     ):
