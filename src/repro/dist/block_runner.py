@@ -17,9 +17,11 @@ single bit of the results:
   previous snapshot.  So the runner iterates over *segment rounds*:
   in round ``r`` every task builds its ``r``-th ETD segment and Krylov
   basis together — three multi-RHS ``G`` substitutions
-  (:meth:`~repro.linalg.lu.SparseLU.solve_many`) and one lockstep
-  block-Arnoldi (:func:`~repro.linalg.block_krylov.build_bases_block`)
-  instead of ``width`` scalar sequences.
+  (:meth:`~repro.linalg.lu.SparseLU.solve_many`) and one call of the
+  Arnoldi build (:func:`~repro.linalg.block_krylov.build_bases_block`,
+  the same routine ``MatexSolver.simulate`` reaches through
+  ``op.build_basis`` at one column) instead of ``width`` scalar
+  sequences.
 * **Span-batched snapshots.**  The snapshot states of a whole segment
   are evaluated in one :meth:`~repro.linalg.krylov.KrylovBasis.evaluate_many`
   call; its loop-ordered kernel makes each column bit-identical to the
@@ -49,11 +51,7 @@ from repro.core.stats import SolverStats
 from repro.core.transition import TransitionSchedule, build_schedule
 from repro.dist.messages import NodeResult, SimulationTask
 from repro.dist.worker import run_task
-from repro.linalg.block_krylov import (
-    FastEstimator,
-    build_bases_block,
-    prime_eig_payloads,
-)
+from repro.linalg.block_krylov import build_bases_block, prime_eig_payloads
 
 __all__ = ["BlockNodeRunner"]
 
@@ -109,7 +107,6 @@ class BlockNodeRunner:
         self.system = system
         self.options = options if options is not None else SolverOptions()
         self.solver = MatexSolver(system, self.options, deviation_mode=True)
-        self._estimator = FastEstimator(self.solver.op)
         self._pending_cache_hits = self.solver.construction_cache_hits
         self._pending_cache_misses = self.solver.construction_cache_misses
         # Reusable (dim, 2·width) RHS buffer for the segment rounds and
@@ -331,7 +328,7 @@ class BlockNodeRunner:
             t.stats.n_solves_etd += 3
 
     def _build_bases(self, builders: list[_TaskState], pts: np.ndarray) -> None:
-        """One lockstep block-Arnoldi for every task's new segment."""
+        """One lockstep Arnoldi build for every task's new segment."""
         opts = self.options
         vs, hs, tols = [], [], []
         for t in builders:
@@ -346,7 +343,6 @@ class BlockNodeRunner:
         bases = build_bases_block(
             self.solver.op, vs, hs, tols,
             m_max=opts.m_max, min_dim=opts.m_min,
-            estimator=self._estimator,
         )
         prime_eig_payloads(bases)
         for t, basis in zip(builders, bases):
@@ -360,7 +356,6 @@ class BlockNodeRunner:
         (basis,) = build_bases_block(
             self.solver.op, [t.v_alts], [ha], [t.eps_segment],
             m_max=self.options.m_max, min_dim=self.options.m_min,
-            estimator=self._estimator,
         )
         t.basis = basis
         t.stats.n_krylov_bases += 1

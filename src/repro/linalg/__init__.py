@@ -1,8 +1,8 @@
 """Linear-algebra substrate: LU, dense expm, Arnoldi, Krylov expm operators."""
 
-from repro.linalg.arnoldi import ArnoldiBreakdown, ArnoldiResult, arnoldi
+from repro.linalg.arnoldi import ArnoldiBreakdown
 from repro.linalg.dense_reference import dense_a_matrix, etd_exact_step, exact_transient
-from repro.linalg.expm import expm, expm_action, expm_e1
+from repro.linalg.expm import expm, expm_e1
 from repro.linalg.krylov import (
     METHOD_NAMES,
     InvertedKrylov,
@@ -23,7 +23,6 @@ from repro.linalg.triangular import (
 
 __all__ = [
     "ArnoldiBreakdown",
-    "ArnoldiResult",
     "FactorizationError",
     "InvertedKrylov",
     "KERNEL_MODES",
@@ -35,12 +34,10 @@ __all__ = [
     "SparseLU",
     "StandardKrylov",
     "TriangularFactors",
-    "arnoldi",
     "dense_a_matrix",
     "etd_exact_step",
     "exact_transient",
     "expm",
-    "expm_action",
     "expm_e1",
     "kernel_mode",
     "make_krylov_operator",

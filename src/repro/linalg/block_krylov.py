@@ -1,331 +1,59 @@
-"""Lockstep block-Arnoldi: one basis build per column group.
+"""The Arnoldi build: Alg. 1 for any number of start vectors in lockstep.
 
-The distributed decomposition (paper Sec. 3.4) gives every node task the
-*same* MNA pencil, so all their Krylov bases are built against the same
-sparse LU factors.  :func:`build_bases_block` marches the Arnoldi
-iterations of many start vectors **in lockstep**: at iteration ``j`` the
-operator is applied to all still-active columns with one sparse mat-mat
-product and one multi-RHS substitution (``SparseLU.solve_many``) instead
-of one scalar solve per column.  Everything else — Gram-Schmidt,
-breakdown handling, the posterior-error convergence test — runs
-per-column with exactly the arithmetic of :func:`repro.linalg.arnoldi`
-/ :meth:`~repro.linalg.krylov.KrylovExpmOperator.build_basis`, so every
-returned :class:`~repro.linalg.krylov.KrylovBasis` is **bit-for-bit
-identical** to a scalar build of the same column.  That parity is a hard
-contract (it is what lets the block-batched distributed fast path claim
-the scalar march's validation), enforced by ``tests/test_block_krylov.py``.
+There is one Krylov build in the repository, :func:`build_bases_block`:
+Arnoldi with classical Gram-Schmidt + one reorthogonalisation pass
+(CGS2), happy-breakdown detection and the posterior-error stopping rule
+of Eqs. (7)/(8)/(10), returning one reusable
+:class:`~repro.linalg.krylov.KrylovBasis` per start vector.
+:meth:`KrylovExpmOperator.build_basis
+<repro.linalg.krylov.KrylovExpmOperator.build_basis>` — what
+``MatexSolver.simulate`` calls at every local transition spot — is its
+one-column call.
 
-The module also houses the *fast Hessenberg kernel*: the posterior error
-estimates factor and exponentiate a tiny ``m × m`` Hessenberg block per
-Arnoldi iteration, and at m ≈ 10 the SciPy wrapper overhead
-(``asarray_chkfinite``, shape validation) costs several times the LAPACK
-work itself.  :class:`FastHessenberg` and :func:`fast_expm` call the very
-same LAPACK routines (``getrf``/``getrs`` — which is also exactly what
-``numpy.linalg.solve``'s ``gesv`` runs internally) through
-``scipy.linalg.get_lapack_funcs`` with the validation skipped, producing
-bitwise-identical numbers at a fraction of the call overhead.
+What batching adds.  The distributed decomposition (paper Sec. 3.4)
+gives every node task the *same* MNA pencil, so all their bases are
+built against the same sparse LU factors.  With several columns the
+routine marches their Arnoldi iterations **in lockstep**: at iteration
+``j`` the operator is applied to all still-active columns with one
+sparse mat-mat product and one multi-RHS substitution
+(``SparseLU.solve_many``) instead of one solve per column, and the
+columns that test for convergence share one stacked small-matrix
+exponential (:meth:`KrylovExpmOperator.error_estimates
+<repro.linalg.krylov.KrylovExpmOperator.error_estimates>`).  Everything
+else runs per column on that column's own workspace, and both batched
+steps return per column exactly what they return for a column alone, so
+a basis does not depend on which columns it was built next to.
+``tests/test_block_krylov.py`` checks that across widths and
+``tests/test_krylov_golden.py`` pins the bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from repro.linalg.arnoldi import (
     ArnoldiBreakdown,
     _ensure_capacity,
     _initial_capacity,
 )
-from repro.linalg.expm import _pade13, _THETA13
-from repro.linalg.krylov import KrylovBasis, KrylovExpmOperator
+from repro.linalg.krylov import (
+    HessenbergFactors,
+    KrylovBasis,
+    KrylovExpmOperator,
+)
 
-__all__ = [
-    "build_bases_block",
-    "prime_eig_payloads",
-    "FastHessenberg",
-    "fast_expm",
-    "fast_expm_stack",
-    "FastEstimator",
-]
+__all__ = ["build_bases_block", "prime_eig_payloads"]
 
-_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), (np.zeros((2, 2)),))
-
-#: Read-only identity cache for the m ≈ 10 Hessenberg blocks: np.eye in
-#: the per-iteration estimates was a visible slice of the batch loop.
-_EYE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _eye(m: int) -> np.ndarray:
-    """Cached identity — callers must not mutate the returned array."""
-    ident = _EYE_CACHE.get(m)
-    if ident is None:
-        ident = np.eye(m)
-        ident.setflags(write=False)
-        _EYE_CACHE[m] = ident
-    return ident
-
-#: Mirrors of the constants hard-wired in the scalar path
-#: (:meth:`KrylovExpmOperator.build_basis` and :func:`arnoldi` defaults).
+#: Relative tolerance (vs. the pre-orthogonalisation norm of the new
+#: vector) declaring a happy breakdown.
 _BREAKDOWN_TOL = 1e-14
+#: Each convergence test costs an m×m expm; once the basis is large
+#: (only MEXP on stiff circuits gets there) testing every iteration
+#: would dominate, so past this dimension only every 5th vector tests.
 _TEST_THROTTLE_DIM = 60
 _TEST_THROTTLE_EVERY = 5
-
-
-# -- fast small-dense kernel ---------------------------------------------------------
-
-
-def fast_expm(a: np.ndarray) -> np.ndarray:
-    """Bitwise clone of :func:`repro.linalg.expm.expm`, minus overhead.
-
-    Same degree-13 Padé scaling-and-squaring, same 1-norm threshold; the
-    Padé solve goes through raw ``getrf``/``getrs`` — the exact pair
-    ``numpy.linalg.solve``'s ``gesv`` executes internally — so the result
-    matches :func:`~repro.linalg.expm.expm` to the last bit while
-    skipping the wrapper validation that dominates at m ≈ 10.
-    """
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
-    if a.shape[0] == 1:
-        return np.exp(a)
-
-    norm = np.linalg.norm(a, 1)
-    if not np.isfinite(norm):
-        raise ValueError("expm: matrix contains non-finite entries")
-
-    s = 0
-    if norm > _THETA13:
-        s = int(np.ceil(np.log2(norm / _THETA13)))
-        a = a / (2.0 ** s)
-
-    u, v = _pade13(a)
-    lu, piv, info = _GETRF(v - u)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular Padé denominator")
-    r, info = _GETRS(lu, piv, v + u)
-    # getrs hands back a Fortran-ordered solution while numpy's gesv
-    # returns C order; dgemm results depend on operand layout, so the
-    # squaring phase must see the same layout as the canonical expm.
-    r = np.ascontiguousarray(r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            r = r @ r
-    return r
-
-
-def _fast_expm_e1(a: np.ndarray) -> np.ndarray:
-    """First column of ``exp(a)`` via :func:`fast_expm`."""
-    return fast_expm(a)[:, 0].copy()
-
-
-def _pade13_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked [13/13] Padé split, slice-for-slice bitwise with
-    :func:`repro.linalg.expm._pade13` (gufunc matmul runs the same dgemm
-    per slice)."""
-    from repro.linalg.expm import _PADE13 as b
-
-    ident = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    return u, v
-
-
-def fast_expm_stack(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a ``(B, m, m)`` stack, one slice per matrix.
-
-    Slice ``k`` of the result is **bit-for-bit** ``expm(a[k])``: numpy's
-    stacked matmul/solve gufuncs run the identical BLAS/LAPACK call per
-    slice, the per-slice 1-norms and scaling powers reproduce the scalar
-    control flow, and the squaring phase re-squares exactly the slices
-    whose scale demands it.  This is the vectorised heart of the batched
-    posterior error estimates: one stacked Padé evaluation replaces one
-    small ``expm`` per Arnoldi column per iteration.
-
-    Raises
-    ------
-    ValueError
-        If any slice contains non-finite entries (as the scalar expm
-        does for that slice); callers fall back to per-column handling.
-    numpy.linalg.LinAlgError
-        If any slice's Padé denominator is singular.
-    """
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a (B, m, m) stack, got {a.shape}")
-    B, m, _ = a.shape
-    if m == 0:
-        return np.zeros((B, 0, 0))
-    if m == 1:
-        return np.exp(a)
-
-    norms = np.abs(a).sum(axis=1).max(axis=1)
-    if not np.all(np.isfinite(norms)):
-        raise ValueError("expm: matrix contains non-finite entries")
-
-    s = np.zeros(B, dtype=int)
-    big = norms > _THETA13
-    if np.any(big):
-        s[big] = np.ceil(np.log2(norms[big] / _THETA13)).astype(int)
-        a = a / (2.0 ** s)[:, None, None]
-
-    u, v = _pade13_stack(a)
-    r = np.linalg.solve(v - u, v + u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(int(s.max()) if B else 0):
-            idx = s > step
-            r[idx] = r[idx] @ r[idx]
-    return r
-
-
-class FastHessenberg:
-    """Bitwise drop-in for :class:`repro.linalg.krylov.HessenbergFactors`.
-
-    Same ``getrf`` factorisation, same exactly-zero-pivot singularity
-    rule, same tiny-identity-shift fallback for the inverse, same
-    raise-on-singular contract for the transposed row solve — through
-    the raw LAPACK bindings instead of the ``lu_factor``/``lu_solve``
-    wrappers (which call the identical routines after ~10× the Python
-    overhead).
-    """
-
-    def __init__(self, h_square: np.ndarray):
-        self.h_square = h_square
-        self.m = h_square.shape[0]
-        lu, piv, info = _GETRF(h_square)
-        self._factors = (lu, piv)
-        diag = np.abs(np.diag(lu))
-        self.singular = bool(self.m) and float(diag.min()) == 0.0  # repro: allow[RPL005] exact zero pivot is the singularity sentinel
-
-    def _shifted_factors(self):
-        delta = 1e-30 * (1.0 + float(np.abs(self.h_square).max()))
-        shifted = self.h_square + delta * np.eye(self.m)
-        lu, piv, info = _GETRF(shifted)
-        return lu, piv
-
-    def inverse(self) -> np.ndarray:
-        lu, piv = self._shifted_factors() if self.singular else self._factors
-        out, info = _GETRS(lu, piv, _eye(self.m))
-        return out
-
-    def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
-        if self.singular:
-            raise np.linalg.LinAlgError(
-                "singular Hessenberg block has no H^{-1} row"
-            )
-        lu, piv = self._factors
-        out, info = _GETRS(lu, piv, rhs, trans=1)
-        return out
-
-
-class FastEstimator:
-    """Fast-kernel mirror of one operator's Hessenberg-side arithmetic.
-
-    Reimplements ``error_estimate`` / ``effective_hm`` / ``_error_row``
-    of the three :class:`~repro.linalg.krylov.KrylovExpmOperator`
-    flavours on top of :class:`FastHessenberg` and :func:`fast_expm`.
-    Bit-for-bit parity with the canonical SciPy-wrapped implementations
-    is enforced by ``tests/test_block_krylov.py``.
-    """
-
-    def __init__(self, op: KrylovExpmOperator):
-        self.method = op.method
-        self.gamma = getattr(op, "gamma", None)
-        if self.method not in ("standard", "inverted", "rational"):
-            raise ValueError(f"unknown Krylov method {self.method!r}")
-
-    # -- per-method maps ---------------------------------------------------------
-
-    def factors(self, h_square: np.ndarray) -> FastHessenberg | None:
-        if self.method == "standard":
-            return None
-        return FastHessenberg(h_square)
-
-    def effective_hm(
-        self, h_square: np.ndarray, factors: FastHessenberg | None = None
-    ) -> np.ndarray:
-        if self.method == "standard":
-            return -h_square
-        if factors is None:
-            factors = FastHessenberg(h_square)
-        if self.method == "inverted":
-            return -factors.inverse()
-        return (_eye(h_square.shape[0]) - factors.inverse()) / self.gamma
-
-    def error_row(
-        self, h_square: np.ndarray, factors: FastHessenberg | None = None
-    ) -> np.ndarray:
-        m = h_square.shape[0]
-        e_m = np.zeros(m)
-        e_m[m - 1] = 1.0
-        if self.method == "standard":
-            return e_m
-        if factors is None:
-            factors = FastHessenberg(h_square)
-        return factors.solve_transposed(e_m)
-
-    def error_estimate(
-        self,
-        h: float,
-        H: np.ndarray,
-        beta: float,
-        factors: FastHessenberg | None = None,
-    ) -> float:
-        if self.method == "standard":
-            return self._standard_estimate(h, H, beta)
-        return self._hinv_row_estimate(h, H, beta, factors=factors)
-
-    # -- estimate bodies (mirroring krylov.py line for line) ------------------------
-
-    def _standard_estimate(self, h: float, H: np.ndarray, beta: float) -> float:
-        m = H.shape[1]
-        h_next = float(H[m, m - 1])
-        heff = -H[:m, :m]
-        aug = np.zeros((m + 1, m + 1))
-        aug[:m, :m] = h * heff
-        aug[0, m] = h
-        try:
-            col = fast_expm(aug)[:m, m]
-        except (ValueError, np.linalg.LinAlgError):
-            return np.inf
-        val = abs(col[m - 1])
-        if not np.isfinite(val):
-            return np.inf
-        return beta * abs(h_next) * val
-
-    def _hinv_row_estimate(
-        self,
-        h: float,
-        H: np.ndarray,
-        beta: float,
-        factors: FastHessenberg | None = None,
-    ) -> float:
-        m = H.shape[1]
-        h_next = float(H[m, m - 1])
-        h_square = H[:m, :m]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if factors is None:
-                    factors = FastHessenberg(h_square)
-                heff = self.effective_hm(h_square, factors=factors)
-                col = _fast_expm_e1(h * heff)
-                e_m = np.zeros(m)
-                e_m[m - 1] = 1.0
-                row = factors.solve_transposed(e_m)
-                est = beta * abs(h_next * float(row @ col))
-        except (ValueError, np.linalg.LinAlgError):
-            return np.inf
-        if not np.isfinite(est):
-            return np.inf
-        return est
 
 
 def prime_eig_payloads(bases: list[KrylovBasis]) -> None:
@@ -361,7 +89,7 @@ def prime_eig_payloads(bases: list[KrylovBasis]) -> None:
             )
 
 
-# -- lockstep block Arnoldi ---------------------------------------------------------
+# -- lockstep Arnoldi -------------------------------------------------------------------
 
 
 @dataclass
@@ -378,89 +106,13 @@ class _Column:
     cap: int = 0
     m: int = 0
     active: bool = False
-    converged: bool = False
     happy: bool = False
-    applies: int = field(init=False, default=0)
     #: Estimate/factors of the most recent convergence test, reused by
-    #: the finalisation when it happened at the final dimension (the
-    #: scalar path recomputes the identical value there).
+    #: the finalisation when it happened at the final dimension (getrf
+    #: is deterministic: recomputing would give the identical value).
     last_est: float | None = None
     last_est_m: int = -1
-    last_factors: FastHessenberg | None = None
-
-
-def _batched_test_estimates(
-    estimator: FastEstimator, testing: list[_Column], m: int
-) -> dict[int, float]:
-    """Posterior error estimates for all columns testing at dimension ``m``.
-
-    The per-column Hessenberg factorisations stay scalar (raw getrf /
-    getrs are a few µs), but the small matrix exponentials — the bulk of
-    each estimate — are fused into one :func:`fast_expm_stack` call.
-    Any anomaly (singular block, non-finite scaling) routes the affected
-    columns through the canonical scalar estimate, so every value is
-    bit-for-bit what a scalar build would have computed.
-    """
-    ests: dict[int, float] = {}
-    if estimator.method == "standard" or len(testing) == 1:
-        for c in testing:
-            ests[c.idx] = estimator.error_estimate(
-                c.h, c.H[: m + 1, : m], c.beta
-            )
-            c.last_est, c.last_est_m, c.last_factors = ests[c.idx], m, None
-        return ests
-
-    stacked: list[tuple[_Column, FastHessenberg, np.ndarray, float]] = []
-    h_squares = np.empty((len(testing), m, m))
-    e_m = np.zeros(m)
-    e_m[m - 1] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in testing:
-            h_square = c.H[:m, :m]
-            factors = FastHessenberg(h_square)
-            if factors.singular:
-                est = estimator.error_estimate(
-                    c.h, c.H[: m + 1, : m], c.beta
-                )
-                ests[c.idx] = est
-                c.last_est, c.last_est_m, c.last_factors = est, m, None
-                continue
-            row = factors.solve_transposed(e_m)
-            h_squares[len(stacked)] = h_square
-            stacked.append((c, factors, row, float(c.H[m, m - 1])))
-        if stacked:
-            R = None
-            try:
-                # Stacked gesv is bitwise the getrf+getrs pair the
-                # scalar inverse runs; the exponent map and scaled
-                # exponentials then batch elementwise per slice.
-                inv = np.linalg.solve(
-                    h_squares[: len(stacked)],
-                    np.broadcast_to(_eye(m), (len(stacked), m, m)),
-                )
-                if estimator.method == "inverted":
-                    heffs = -inv
-                else:
-                    heffs = (_eye(m) - inv) / estimator.gamma
-                heffs *= np.array([c.h for c, _, _, _ in stacked])[
-                    :, None, None
-                ]
-                R = fast_expm_stack(heffs)
-            except (ValueError, np.linalg.LinAlgError):
-                R = None
-            for i, (c, factors, row, h_next) in enumerate(stacked):
-                if R is None:
-                    est = estimator.error_estimate(
-                        c.h, c.H[: m + 1, : m], c.beta, factors=factors
-                    )
-                else:
-                    col = np.ascontiguousarray(R[i, :, 0])
-                    est = c.beta * abs(h_next * float(row @ col))
-                    if not np.isfinite(est):
-                        est = np.inf
-                ests[c.idx] = est
-                c.last_est, c.last_est_m, c.last_factors = est, m, factors
-    return ests
+    last_factors: HessenbergFactors | None = None
 
 
 def build_bases_block(
@@ -470,7 +122,6 @@ def build_bases_block(
     tols: list,
     m_max: int = 100,
     min_dim: int = 2,
-    estimator: FastEstimator | None = None,
 ) -> list[KrylovBasis]:
     """Build one Krylov basis per column, marching all columns in lockstep.
 
@@ -480,30 +131,33 @@ def build_bases_block(
         The shared Krylov operator (one sparse LU for every column —
         the paper's shared-pencil property).
     vs, hs, tols:
-        Per-column start vectors, convergence-test step sizes and error
-        budgets (exactly the arguments the scalar
-        :meth:`~repro.linalg.krylov.KrylovExpmOperator.build_basis`
-        takes one at a time).
-    m_max, min_dim:
-        Basis-dimension cap and first-test iteration, shared.
-    estimator:
-        Hessenberg-side kernel; defaults to a :class:`FastEstimator`
-        for ``op`` (bitwise-identical to the canonical estimates).
+        Per-column start vectors (in MATEX: ``x(t) + F(t, h)``),
+        convergence-test step sizes and error budgets ``ε``.
+    m_max:
+        Hard cap on the basis dimension (MEXP on stiff circuits runs
+        into this; I-/R-MATEX converge around m ≈ 10).
+    min_dim:
+        Do not test convergence before this many vectors (the inverted
+        and rational estimates are unreliable for the first couple of
+        iterations, paper Sec. 3.3.3).
 
     Returns
     -------
     list[KrylovBasis]
-        One basis per input column, each bit-for-bit equal to
-        ``op.build_basis(vs[k], hs[k], tols[k], m_max, min_dim)``.
+        One basis per input column; a zero start vector gives the
+        trivially converged empty basis (``exp(hA)·0 = 0`` exactly).
+
+    Raises
+    ------
+    ArnoldiBreakdown
+        If the operator returns non-finite values.
 
     Notes
     -----
-    The solve accounting matches the scalar path: ``op.n_solves`` grows
-    by one per column per lockstep iteration the column is active —
-    i.e. by ``basis.m`` per column over the whole build.
+    ``op.n_solves`` grows by one per column per lockstep iteration the
+    column is active — i.e. by ``basis.m`` per column over the whole
+    build.
     """
-    if estimator is None:
-        estimator = FastEstimator(op)
     n_cols = len(vs)
     if not (len(hs) == len(tols) == n_cols):
         raise ValueError("vs, hs and tols must have equal lengths")
@@ -529,8 +183,8 @@ def build_bases_block(
     tiny = np.finfo(float).tiny
 
     for c in cols:
-        if c.beta == 0.0:  # repro: allow[RPL005] exact Krylov-breakdown sentinel, like arnoldi()
-            continue  # trivially converged empty subspace, like arnoldi()
+        if c.beta == 0.0:  # repro: allow[RPL005] exact Krylov-breakdown sentinel (norm of the zero vector)
+            continue
         c.cap = _initial_capacity(m_cap)
         c.V = np.empty((n, c.cap + 1))
         c.H = np.zeros((c.cap + 1, c.cap))
@@ -567,82 +221,87 @@ def build_bases_block(
 
         testing: list[_Column] = []
         for i, c in enumerate(active):
-            c.applies += 1
             w = np.ascontiguousarray(W[:, i])
-            # float(sqrt(w·w)) is numpy's exact norm formula for 1-d
-            # real vectors, minus the wrapper dispatch.
+            # Breakdown must be judged against the *local* operator
+            # scale: e.g. the inverted operator G⁻¹C has tiny norm on
+            # fast circuits, so comparing h_{j+1,j} with beta would fire
+            # spuriously.  float(sqrt(w·w)) is numpy's exact norm
+            # formula for 1-d real vectors, minus the wrapper dispatch.
             w_scale = float(np.sqrt(w.dot(w)))
+            # Classical Gram-Schmidt in BLAS-2 form; the second pass
+            # (CGS2) restores the numerical robustness of the modified
+            # variant written in the paper's Alg. 1, at vectorised speed
+            # — essential when MEXP pushes m into the hundreds.
             basis_block = c.V[:, : j + 1]
-            coeffs = basis_block.T @ w
-            w = w - basis_block @ coeffs
-            c.H[: j + 1, j] += coeffs
-            corr = basis_block.T @ w
-            w = w - basis_block @ corr
-            c.H[: j + 1, j] += corr
+            for _ in range(2):
+                coeffs = basis_block.T @ w
+                w = w - basis_block @ coeffs
+                c.H[: j + 1, j] += coeffs
             h_next = float(np.sqrt(w.dot(w)))
             c.H[j + 1, j] = h_next
             c.m = j + 1
 
             if h_next <= _BREAKDOWN_TOL * max(w_scale, tiny):
+                # Invariant subspace: the projection is exact.  The
+                # unused extra basis column is zeroed explicitly (the
+                # workspace is allocated with np.empty).
                 c.V[:, j + 1] = 0.0
                 c.happy = True
-                c.converged = True
                 c.active = False
                 continue
 
             c.V[:, j + 1] = w / h_next
 
-            if c.m >= min_dim:
-                # The scalar path throttles the (expensive) test on deep
-                # bases; replicated so the stopping decisions coincide.
-                if c.m > _TEST_THROTTLE_DIM and c.m % _TEST_THROTTLE_EVERY:
-                    continue
+            if c.m >= min_dim and not (
+                c.m > _TEST_THROTTLE_DIM and c.m % _TEST_THROTTLE_EVERY
+            ):
                 testing.append(c)
 
         if testing:
             # All lockstep columns test at the same dimension, so their
-            # posterior estimates batch into one stacked expm.
-            ests = _batched_test_estimates(estimator, testing, j + 1)
-            for c in testing:
-                if ests[c.idx] < c.tol:
-                    c.converged = True
+            # posterior estimates share one stacked expm.
+            m = j + 1
+            factors = [op._hess_factors(c.H[:m, :m]) for c in testing]
+            ests = op.error_estimates(
+                [c.h for c in testing],
+                [c.H[: m + 1, :m] for c in testing],
+                [c.beta for c in testing],
+                factors,
+            )
+            for c, est, fac in zip(testing, ests, factors):
+                c.last_est, c.last_est_m, c.last_factors = est, m, fac
+                if est < c.tol:
                     c.active = False
 
-    for c in cols:
-        c.active = False
-
-    return [_finalize_basis(op, estimator, c) for c in cols]
+    return [_finalize_basis(op, c) for c in cols]
 
 
-def _finalize_basis(
-    op: KrylovExpmOperator, estimator: FastEstimator, c: _Column
-) -> KrylovBasis:
-    """Package one finished column exactly like ``build_basis`` does."""
+def _finalize_basis(op: KrylovExpmOperator, c: _Column) -> KrylovBasis:
+    """Package one finished column as a reusable basis."""
     if c.m == 0:
         return KrylovBasis(
             Vm=np.zeros((c.v.shape[0], 0)), Hm=np.zeros((0, 0)), beta=0.0,
             h_built=c.h, m=0, error_estimate=0.0, method=op.method,
         )
+    # One LU of the final Hessenberg block serves the effective
+    # exponent, the posterior estimate and the reuse error row.
     h_square = np.ascontiguousarray(c.H[: c.m, : c.m])
-    factors = c.last_factors if c.last_est_m == c.m else None
-    if factors is None:
-        factors = estimator.factors(h_square)
-    heff = estimator.effective_hm(h_square, factors=factors)
+    tested_here = c.last_est_m == c.m
+    factors = c.last_factors if tested_here else op._hess_factors(h_square)
+    heff = op.effective_hm(h_square, factors=factors)
     if c.happy:
         err = 0.0
         h_next = 0.0
         err_row = None
     else:
-        # The convergence test at the final dimension already computed
-        # this exact estimate (getrf is deterministic); reuse it.
-        if c.last_est_m == c.m and c.last_est is not None:
+        if tested_here:
             err = c.last_est
         else:
-            err = estimator.error_estimate(
+            err = op.error_estimate(
                 c.h, c.H[: c.m + 1, : c.m], c.beta, factors=factors
             )
         h_next = float(c.H[c.m, c.m - 1])
-        err_row = estimator.error_row(h_square, factors=factors)
+        err_row = op._error_row(h_square, factors=factors)
     return KrylovBasis(
         Vm=c.V[:, : c.m].copy(), Hm=heff, beta=c.beta,
         h_built=c.h, m=c.m, error_estimate=err, method=op.method,

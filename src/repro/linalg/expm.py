@@ -7,16 +7,38 @@ scaling-and-squaring algorithm from scratch so the simulator does not rely
 on SciPy for its inner kernel, and validate it against ``scipy.linalg.expm``
 in the test suite.
 
-For convenience the module also provides :func:`expm_e1` (the
-``exp(H) @ e1`` product that appears in every Krylov evaluation) and
-:func:`expm_action`.
+There is one implementation, and its primary form is the **stack**:
+:func:`expm` takes a ``(B, m, m)`` array and exponentiates every slice —
+what the lockstep Arnoldi build needs, one posterior estimate per column
+per iteration.  A single ``(m, m)`` matrix is a stack of one through the
+very same statements, so slice ``k`` of a stacked call equals the single
+call of that matrix *by construction*: the operands are normalised to C
+order at entry, the products are numpy's stacked ``matmul`` (one ``dgemm``
+per slice, blind to its neighbours) and every linear solve goes through
+one LAPACK binding, SciPy's raw ``getrf``/``getrs``
+(:data:`GETRF`/:data:`GETRS`, shared with
+:class:`repro.linalg.krylov.HessenbergFactors`).  The binding is part of
+the contract: ``numpy.linalg.solve`` wraps its own LAPACK build and
+disagrees with SciPy's in the last bits on some inputs, so mixing the two
+would make a result depend on which call shape produced it.
+
+:func:`expm_e1` is the ``exp(H) @ e1`` column every Krylov evaluation
+needs.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-__all__ = ["expm", "expm_e1", "expm_action"]
+import numpy as np
+from scipy.linalg import get_lapack_funcs
+
+__all__ = ["expm", "expm_e1"]
+
+#: The one LAPACK binding of the small dense kernels (no input validation:
+#: at m ≈ 10 SciPy's ``lu_factor``/``lu_solve`` wrappers cost several
+#: times the LAPACK work).
+GETRF, GETRS = get_lapack_funcs(("getrf", "getrs"), (np.zeros((2, 2)),))
 
 # Padé coefficients for the degree-13 diagonal approximant (Higham 2005).
 _PADE13 = (
@@ -32,9 +54,8 @@ _THETA13 = 5.371920351148152
 
 
 def _pade13(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return numerator/denominator split (U, V) of the [13/13] Padé."""
-    n = a.shape[0]
-    ident = np.eye(n)
+    """Numerator/denominator split (U, V) of the [13/13] Padé, per slice."""
+    ident = np.eye(a.shape[-1])
     b = _PADE13
     a2 = a @ a
     a4 = a2 @ a2
@@ -51,40 +72,71 @@ def _pade13(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a small dense square matrix.
+    """Matrix exponential of a small dense square matrix, or of each
+    slice of a ``(B, m, m)`` stack.
 
     Scaling-and-squaring with the [13/13] Padé approximant.  Intended for
     the m×m Hessenberg matrices of the Krylov methods; for large sparse
     operators use the Krylov machinery in :mod:`repro.linalg.krylov`
     instead.
+
+    Raises
+    ------
+    ValueError
+        On a non-square input, or if any slice has non-finite entries.
+    numpy.linalg.LinAlgError
+        If any slice's Padé denominator is singular.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
-    if a.shape[0] == 1:
+    a = np.asarray(a, dtype=float, order="C")
+    if a.ndim == 2:
+        return expm(a[None])[0]
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(
+            f"expm expects a square matrix or a stack of them, got shape {a.shape}"
+        )
+    n_slices, m, _ = a.shape
+    if m == 0 or n_slices == 0:
+        return np.zeros(a.shape)
+    if m == 1:
         return np.exp(a)
 
-    norm = np.linalg.norm(a, 1)
-    if not np.isfinite(norm):
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    top = float(norms.max())
+    if not math.isfinite(top):
         raise ValueError("expm: matrix contains non-finite entries")
 
-    s = 0
-    if norm > _THETA13:
-        s = int(np.ceil(np.log2(norm / _THETA13)))
-        a = a / (2.0 ** s)
+    # Per-slice scaling power: each slice is scaled and squared exactly
+    # as often as its own 1-norm demands, whatever its neighbours need.
+    s = None
+    if top > _THETA13:
+        s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0)))
+        a = a / (2.0 ** s)[:, None, None]
 
     u, v = _pade13(a)
-    # Solve (V - U) X = (V + U) for the Padé value.  The squaring phase
-    # can overflow legitimately when the matrix has large positive
-    # eigenvalues (spurious Ritz values on RLC systems); callers treat a
-    # non-finite result as "not converged", so overflow is allowed to
-    # produce inf silently rather than spam warnings.
-    r = np.linalg.solve(v - u, v + u)
+    # Solve (V - U) X = (V + U) for the Padé value, slice by slice.
+    lhs = v - u
+    rhs = v + u
+    r = np.empty_like(a)
+    for k in range(n_slices):
+        lu, piv, info = GETRF(lhs[k])
+        if info != 0:
+            raise np.linalg.LinAlgError("singular Padé denominator")
+        # getrs returns Fortran order; storing into the C-ordered stack
+        # fixes the operand layout the squaring dgemm sees.
+        r[k] = GETRS(lu, piv, rhs[k])[0]
+    if s is None:
+        return r
+    # The squaring phase can overflow legitimately when the matrix has
+    # large positive eigenvalues (spurious Ritz values on RLC systems);
+    # callers treat a non-finite result as "not converged", so overflow
+    # is allowed to produce inf silently rather than spam warnings.
+    fewest, most = int(s.min()), int(s.max())
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
+        for _ in range(fewest):
             r = r @ r
+        for step in range(fewest, most):
+            todo = s > step
+            r[todo] = r[todo] @ r[todo]
     return r
 
 
@@ -96,8 +148,3 @@ def expm_e1(a: np.ndarray) -> np.ndarray:
     the full exponential is cheap and numerically safest.
     """
     return expm(a)[:, 0].copy()
-
-
-def expm_action(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense ``exp(a) @ v`` (reference helper for tests and Fig. 5)."""
-    return expm(a) @ np.asarray(v, dtype=float)

@@ -28,20 +28,29 @@ A :class:`KrylovBasis` is the reusable artefact of one Arnoldi run: MATEX
 re-evaluates it at any step ``h`` inside the current piecewise-linear
 input segment just by rescaling the Hessenberg exponent (paper Sec. 2.4,
 Alg. 2 line 11).
+
+This module holds what a basis *is* and the per-method mathematics: the
+exponent maps, the posterior error estimates of Eqs. (7)/(8)/(10) and
+the one small-block LU they share (:class:`HessenbergFactors`).  The
+Arnoldi iteration that produces a basis exists once, in
+:func:`repro.linalg.block_krylov.build_bases_block`, for any number of
+start vectors; :meth:`KrylovExpmOperator.build_basis` is its one-column
+call.  The estimates follow the same rule:
+:meth:`KrylovExpmOperator.error_estimates` serves a batch of columns
+through one stacked :func:`~repro.linalg.expm.expm`, and the single
+``error_estimate`` is a batch of one — batching adds throughput, never a
+second set of arithmetic.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
-from repro.linalg.arnoldi import ArnoldiResult, arnoldi
-from repro.linalg.expm import expm, expm_e1
+from repro.linalg.expm import GETRF, GETRS, expm, expm_e1
 from repro.linalg.lu import (
     FACTORIZATION_CACHE,
     FactorizationError,
@@ -250,15 +259,31 @@ class KrylovBasis:
         return Y[0], float(errs[0])
 
 
+#: Read-only identity cache for the m ≈ 10 Hessenberg blocks: np.eye in
+#: the per-iteration estimates was a visible slice of the build loop.
+_EYE_CACHE: dict[int, np.ndarray] = {}
+
+
+def _eye(m: int) -> np.ndarray:
+    """Cached identity — callers must not mutate the returned array
+    (its last row doubles as the unit vector ``e_m``)."""
+    ident = _EYE_CACHE.get(m)
+    if ident is None:
+        ident = np.eye(m)
+        ident.setflags(write=False)
+        _EYE_CACHE[m] = ident
+    return ident
+
+
 class HessenbergFactors:
     """LU factors of one small Hessenberg block — factor once, solve many.
 
     The inverted/rational error estimates and effective-exponent maps all
     need ``H⁻¹`` products of the *same* ``m × m`` block: the inverse for
     the exponent, and the ``e_m^T H⁻¹`` row for the posterior residual.
-    Previously each consumer ran its own ``np.linalg.solve``; this class
-    factors the block once (``scipy.linalg.lu_factor``) and serves every
-    product by substitution (``lu_solve``).
+    This class factors the block once and serves every product by
+    substitution, through the raw ``getrf``/``getrs`` binding it shares
+    with :func:`repro.linalg.expm.expm`.
 
     Singularity handling preserves the pencil semantics: a (near-)
     singular block arises when the start vector lies in the *algebraic*
@@ -276,26 +301,20 @@ class HessenbergFactors:
     def __init__(self, h_square: np.ndarray):
         self.h_square = h_square
         self.m = h_square.shape[0]
-        with warnings.catch_warnings():
-            # lu_factor warns (LinAlgWarning) on an exactly-zero pivot;
-            # we detect that case from the U diagonal below.
-            warnings.simplefilter("ignore")
-            self._factors = scipy.linalg.lu_factor(h_square)
-        diag = np.abs(np.diag(self._factors[0]))
-        self.singular = bool(self.m) and float(diag.min()) == 0.0  # repro: allow[RPL005] exact zero pivot is the singularity sentinel
+        lu, piv, _info = GETRF(h_square)
+        self._factors = (lu, piv)
+        self.singular = bool((lu.diagonal() == 0.0).any())  # repro: allow[RPL005] exact zero pivot is the singularity sentinel
 
     def _shifted_factors(self):
         """Factors of the identity-shifted block (singular fallback)."""
         delta = 1e-30 * (1.0 + float(np.abs(self.h_square).max()))
-        shifted = self.h_square + delta * np.eye(self.m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return scipy.linalg.lu_factor(shifted)
+        lu, piv, _info = GETRF(self.h_square + delta * np.eye(self.m))
+        return lu, piv
 
     def inverse(self) -> np.ndarray:
         """``H⁻¹`` by m substitutions against the shared factors."""
-        factors = self._shifted_factors() if self.singular else self._factors
-        return scipy.linalg.lu_solve(factors, np.eye(self.m))
+        lu, piv = self._shifted_factors() if self.singular else self._factors
+        return GETRS(lu, piv, _eye(self.m))[0]
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         """``H^{-T} rhs`` (the ``e_m^T H⁻¹`` row of Eqs. 8/10).
@@ -303,14 +322,35 @@ class HessenbergFactors:
         Raises
         ------
         numpy.linalg.LinAlgError
-            If the block is exactly singular — matching the pre-factored
-            ``np.linalg.solve`` behaviour the error estimates rely on.
+            If the block is exactly singular — the error estimates rely
+            on it to report "not converged".
         """
         if self.singular:
             raise np.linalg.LinAlgError(
                 "singular Hessenberg block has no H^{-1} row"
             )
-        return scipy.linalg.lu_solve(self._factors, rhs, trans=1)
+        lu, piv = self._factors
+        return GETRS(lu, piv, rhs, trans=1)[0]
+
+
+def _expm_each(mats: list[np.ndarray]) -> list[np.ndarray | None]:
+    """``exp`` of each same-shaped matrix in one stacked call; ``None``
+    where it does not exist.
+
+    One slice that cannot be exponentiated (non-finite entries, singular
+    Padé denominator) fails the whole stacked call, so the stack is
+    retried one matrix at a time.  Slice ``k`` of a stacked
+    :func:`~repro.linalg.expm.expm` *is* the single call, so a matrix's
+    result does not depend on which route it took.
+    """
+    if not mats:
+        return []
+    try:
+        return list(expm(np.array(mats)))
+    except (ValueError, np.linalg.LinAlgError):
+        if len(mats) == 1:
+            return [None]
+        return [_expm_each([a])[0] for a in mats]
 
 
 class KrylovExpmOperator:
@@ -319,7 +359,9 @@ class KrylovExpmOperator:
     Subclasses define which matrix is factored (``X1``), which is applied
     (``X2``), how the Arnoldi Hessenberg maps to the effective exponent
     matrix, and the posterior error estimate used as the convergence test
-    in Alg. 1 lines 10-12.
+    in Alg. 1 lines 10-12.  The Hessenberg-side defaults here are the
+    ``H⁻¹`` forms the inverted and rational subspaces share;
+    :class:`StandardKrylov`, which never inverts ``H``, overrides them.
     """
 
     method: str = "base"
@@ -347,16 +389,49 @@ class KrylovExpmOperator:
         """Map the Arnoldi Hessenberg block to the exponent matrix.
 
         ``factors`` lets callers that already factored ``H`` (the error
-        estimates, ``build_basis``) reuse the LU instead of refactoring.
+        estimates, the basis build) reuse the LU instead of refactoring.
         """
         raise NotImplementedError
 
     def _hess_factors(self, h_square: np.ndarray) -> HessenbergFactors | None:
-        """Factor the Hessenberg block once for all ``H⁻¹`` consumers.
+        """Factor the Hessenberg block once for all ``H⁻¹`` consumers
+        (``None`` for a subspace that never inverts ``H``)."""
+        return HessenbergFactors(h_square)
 
-        The standard subspace never inverts ``H`` and returns ``None``.
+    def _estimate_terms(
+        self,
+        h: float,
+        H: np.ndarray,
+        beta: float,
+        factors: HessenbergFactors | None,
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
+        """The small matrix one posterior estimate exponentiates, and the
+        map from its exponential to the estimate.
+
+        Default: ``β |h_{m+1,m} · e_m^T H⁻¹ exp(h·Hm) e_1|``, the
+        regularization-free specialisation of Eqs. (8)/(10): the leading
+        operator factors (``A`` resp. ``(I-γA)/γ``) cannot be applied
+        when ``C`` is singular, and numerically the remaining row
+        functional already tracks the true error within a small factor
+        (validated against dense ``expm`` in the test suite).  The extra
+        ``e_m^T H⁻¹`` row is empirically the difference between stopping
+        correctly and stopping ~10 orders of magnitude too early on
+        stiff PDNs.  One LU of the small block serves both ``H⁻¹``
+        products — the effective exponent and the row.
+
+        Raises
+        ------
+        numpy.linalg.LinAlgError
+            On an exactly singular block (no ``e_m^T H⁻¹`` row).
         """
-        return None
+        m = H.shape[1]
+        h_next = float(H[m, m - 1])
+        h_square = H[:m, :m]
+        if factors is None:
+            factors = self._hess_factors(h_square)
+        row = self._error_row(h_square, factors=factors)
+        heff = self.effective_hm(h_square, factors=factors)
+        return h * heff, lambda r: beta * abs(h_next * float(row @ r[:, 0].copy()))
 
     # -- shared machinery --------------------------------------------------------
 
@@ -380,7 +455,7 @@ class KrylovExpmOperator:
         return self._lu.solve(self._x2 @ v)
 
     def apply_block(self, V: np.ndarray) -> np.ndarray:
-        """Batched operator application over a dense column block.
+        """Batched operator application over a dense ``(n, k)`` block.
 
         One sparse mat-mat product plus one multi-RHS substitution; the
         accounting charges one forward/backward pair per column, and
@@ -389,11 +464,50 @@ class KrylovExpmOperator:
         column-by-column, and the level-scheduled substitution kernel
         (:mod:`repro.linalg.triangular`) reproduces the scalar sweep's
         accumulation order per column at any batch width.  This is the
-        primitive the lockstep block-Arnoldi builds on.
+        primitive the lockstep Arnoldi builds on.
         """
-        if V.ndim == 1:
-            return self.apply(V)
         return self._lu.solve_many(self._x2 @ V)
+
+    def error_estimates(
+        self,
+        hs: list[float],
+        Hs: list[np.ndarray],
+        betas: list[float],
+        factors: list[HessenbergFactors | None] | None = None,
+    ) -> list[float]:
+        """Posterior errors of several subspaces of one dimension ``m``.
+
+        Column ``k`` is the ``(m+1) × m`` Hessenberg block ``Hs[k]``
+        tested at step ``hs[k]``; the small exponentials — the bulk of
+        an estimate — go through one stacked :func:`expm`.  A column's
+        value does not depend on its companions.  ``inf`` means "not
+        converged": an exactly singular block (no ``e_m^T H⁻¹`` row), or
+        a non-finite value — a spurious positive Ritz value (oblique
+        projection artefact, possible mid-iteration on RLC systems)
+        overflows the small exponential, and Arnoldi must keep going.
+        """
+        n_cols = len(Hs)
+        if factors is None:
+            factors = [None] * n_cols
+        ests = [np.inf] * n_cols
+        live, exponents, readouts = [], [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_cols):
+                try:
+                    exponent, readout = self._estimate_terms(
+                        hs[k], Hs[k], betas[k], factors[k]
+                    )
+                except np.linalg.LinAlgError:
+                    continue
+                live.append(k)
+                exponents.append(exponent)
+                readouts.append(readout)
+            for k, readout, r in zip(live, readouts, _expm_each(exponents)):
+                if r is not None:
+                    est = readout(r)
+                    if np.isfinite(est):
+                        ests[k] = est
+        return ests
 
     def error_estimate(
         self,
@@ -402,60 +516,9 @@ class KrylovExpmOperator:
         beta: float,
         factors: HessenbergFactors | None = None,
     ) -> float:
-        """Posterior error of the current subspace at step ``h``.
-
-        Base implementation: the standard-Krylov residual norm of paper
-        Eq. (7), ``‖r_m(h)‖ = β |h_{m+1,m} e_m^T exp(h·Hm) e_1|``.  The
-        inverted/rational subclasses override this with the Eq. (8)/(10)
-        forms, which carry an extra ``e_m^T H⁻¹`` row factor (empirically
-        the difference between stopping correctly and stopping ~10 orders
-        of magnitude too early on stiff PDNs — see tests).
-        """
-        m = H.shape[1]
-        h_next = float(H[m, m - 1])
-        heff = self.effective_hm(H[:m, :m])
-        col = expm_e1(h * heff)
-        return beta * abs(h_next * col[m - 1])
-
-    def _hinv_row_estimate(
-        self,
-        h: float,
-        H: np.ndarray,
-        beta: float,
-        factors: HessenbergFactors | None = None,
-    ) -> float:
-        """Residual estimate ``β |h_{m+1,m} · e_m^T H⁻¹ exp(h·Hm) e_1|``.
-
-        This is the regularization-free specialisation of Eqs. (8)/(10):
-        the leading operator factors (``A`` resp. ``(I-γA)/γ``) cannot be
-        applied when ``C`` is singular, and numerically the remaining row
-        functional already tracks the true error within a small factor
-        (validated against dense ``expm`` in the test suite).
-
-        One LU of the small block serves both ``H⁻¹`` products — the
-        effective exponent and the ``e_m^T H⁻¹`` row.
-        """
-        m = H.shape[1]
-        h_next = float(H[m, m - 1])
-        h_square = H[:m, :m]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if factors is None:
-                    factors = self._hess_factors(h_square)
-                heff = self.effective_hm(h_square, factors=factors)
-                col = expm_e1(h * heff)
-                e_m = np.zeros(m)
-                e_m[m - 1] = 1.0
-                row = factors.solve_transposed(e_m)  # e_m^T H^{-1}
-                est = beta * abs(h_next * float(row @ col))
-        except (ValueError, np.linalg.LinAlgError):
-            return np.inf
-        # A spurious positive Ritz value (oblique projection artefact,
-        # possible mid-iteration on RLC systems) overflows the small
-        # exponential; report "not converged" so Arnoldi keeps going.
-        if not np.isfinite(est):
-            return np.inf
-        return est
+        """Posterior error of the current subspace at step ``h`` — the
+        one-column call of :meth:`error_estimates`."""
+        return self.error_estimates([h], [H], [beta], [factors])[0]
 
     def _error_row(
         self,
@@ -463,10 +526,10 @@ class KrylovExpmOperator:
         factors: HessenbergFactors | None = None,
     ) -> np.ndarray:
         """Row functional of the posterior estimate (for basis reuse)."""
+        if factors is None:
+            factors = self._hess_factors(h_square)
         m = h_square.shape[0]
-        e_m = np.zeros(m)
-        e_m[m - 1] = 1.0
-        return e_m
+        return factors.solve_transposed(_eye(m)[m - 1])
 
     def build_basis(
         self,
@@ -477,6 +540,9 @@ class KrylovExpmOperator:
         min_dim: int = 2,
     ) -> KrylovBasis:
         """Run Alg. 1: Arnoldi with the posterior-error stopping rule.
+
+        The one-column call of
+        :func:`repro.linalg.block_krylov.build_bases_block`.
 
         Parameters
         ----------
@@ -492,40 +558,13 @@ class KrylovExpmOperator:
         min_dim:
             Iterations before the first convergence test.
         """
+        # Imported here: block_krylov builds on this module's classes.
+        from repro.linalg.block_krylov import build_bases_block
 
-        def converged(m: int, H: np.ndarray, V: np.ndarray, beta: float) -> bool:
-            # Each test costs an m×m expm; once the basis is large (only
-            # MEXP on stiff circuits gets there) testing every iteration
-            # would dominate, so throttle to every 5th vector.
-            if m > 60 and m % 5 != 0:
-                return False
-            return self.error_estimate(h, H, beta) < tol
-
-        res: ArnoldiResult = arnoldi(
-            self.apply, v, m_max=m_max, convergence=converged, min_dim=min_dim
+        (basis,) = build_bases_block(
+            self, [v], [h], [tol], m_max=m_max, min_dim=min_dim
         )
-        if res.m == 0:
-            return KrylovBasis(
-                Vm=res.V[:, :0], Hm=np.zeros((0, 0)), beta=0.0,
-                h_built=h, m=0, error_estimate=0.0, method=self.method,
-            )
-        # One LU of the final Hessenberg block serves the effective
-        # exponent, the posterior estimate and the reuse error row.
-        factors = self._hess_factors(res.Hm)
-        heff = self.effective_hm(res.Hm, factors=factors)
-        if res.happy_breakdown:
-            err = 0.0
-            h_next = 0.0
-            err_row = None
-        else:
-            err = self.error_estimate(h, res.H, res.beta, factors=factors)
-            h_next = res.h_next
-            err_row = self._error_row(res.Hm, factors=factors)
-        return KrylovBasis(
-            Vm=res.Vm.copy(), Hm=heff, beta=res.beta,
-            h_built=h, m=res.m, error_estimate=err, method=self.method,
-            h_next=h_next, err_row=err_row,
-        )
+        return basis
 
     def expm_multiply(
         self,
@@ -562,19 +601,22 @@ class StandardKrylov(KrylovExpmOperator):
             ) from exc
         self._x2 = self.G
 
+    def _hess_factors(self, h_square: np.ndarray) -> None:
+        return None
+
     def effective_hm(
         self, H: np.ndarray, factors: HessenbergFactors | None = None
     ) -> np.ndarray:
         # Arnoldi ran on C⁻¹G = -A, so exp(hA) = exp(-h·H) on the subspace.
         return -H
 
-    def error_estimate(
+    def _estimate_terms(
         self,
         h: float,
         H: np.ndarray,
         beta: float,
-        factors: HessenbergFactors | None = None,
-    ) -> float:
+        factors: HessenbergFactors | None,
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
         """Integrated (hump-aware) version of the Eq. (7) residual.
 
         On stiff circuits the point residual at τ = h underflows long
@@ -591,19 +633,19 @@ class StandardKrylov(KrylovExpmOperator):
         """
         m = H.shape[1]
         h_next = float(H[m, m - 1])
-        heff = self.effective_hm(H[:m, :m])
         # exp([[hH, h e1],[0, 0]]) has top-right column h·φ1(hH)·e1.
         aug = np.zeros((m + 1, m + 1))
-        aug[:m, :m] = h * heff
+        aug[:m, :m] = h * self.effective_hm(H[:m, :m])
         aug[0, m] = h
-        try:
-            col = expm(aug)[:m, m]
-        except (ValueError, np.linalg.LinAlgError):
-            return np.inf
-        val = abs(col[m - 1])
-        if not np.isfinite(val):
-            return np.inf
-        return beta * abs(h_next) * val
+        return aug, lambda r: beta * abs(h_next) * abs(r[m - 1, m])
+
+    def _error_row(
+        self,
+        h_square: np.ndarray,
+        factors: HessenbergFactors | None = None,
+    ) -> np.ndarray:
+        m = h_square.shape[0]
+        return _eye(m)[m - 1].copy()
 
 
 class InvertedKrylov(KrylovExpmOperator):
@@ -620,9 +662,6 @@ class InvertedKrylov(KrylovExpmOperator):
         self._lu = FACTORIZATION_CACHE.factor(self.G, label="G")
         self._x2 = self.C
 
-    def _hess_factors(self, h_square: np.ndarray) -> HessenbergFactors:
-        return HessenbergFactors(h_square)
-
     def effective_hm(
         self, H: np.ndarray, factors: HessenbergFactors | None = None
     ) -> np.ndarray:
@@ -630,28 +669,6 @@ class InvertedKrylov(KrylovExpmOperator):
         if factors is None:
             factors = self._hess_factors(H)
         return -factors.inverse()
-
-    def error_estimate(
-        self,
-        h: float,
-        H: np.ndarray,
-        beta: float,
-        factors: HessenbergFactors | None = None,
-    ) -> float:
-        """Eq. (8) residual estimate (regularization-free form)."""
-        return self._hinv_row_estimate(h, H, beta, factors=factors)
-
-    def _error_row(
-        self,
-        h_square: np.ndarray,
-        factors: HessenbergFactors | None = None,
-    ) -> np.ndarray:
-        m = h_square.shape[0]
-        e_m = np.zeros(m)
-        e_m[m - 1] = 1.0
-        if factors is None:
-            factors = self._hess_factors(h_square)
-        return factors.solve_transposed(e_m)
 
 
 class RationalKrylov(KrylovExpmOperator):
@@ -687,39 +704,13 @@ class RationalKrylov(KrylovExpmOperator):
         )
         self._x2 = self.C
 
-    def _hess_factors(self, h_square: np.ndarray) -> HessenbergFactors:
-        return HessenbergFactors(h_square)
-
     def effective_hm(
         self, H: np.ndarray, factors: HessenbergFactors | None = None
     ) -> np.ndarray:
         # Arnoldi ran on (I-γA)⁻¹ ⇒ A ≈ (I - H̃⁻¹)/γ on the subspace.
-        m = H.shape[0]
         if factors is None:
             factors = self._hess_factors(H)
-        return (np.eye(m) - factors.inverse()) / self.gamma
-
-    def error_estimate(
-        self,
-        h: float,
-        H: np.ndarray,
-        beta: float,
-        factors: HessenbergFactors | None = None,
-    ) -> float:
-        """Eq. (10) residual estimate (regularization-free form)."""
-        return self._hinv_row_estimate(h, H, beta, factors=factors)
-
-    def _error_row(
-        self,
-        h_square: np.ndarray,
-        factors: HessenbergFactors | None = None,
-    ) -> np.ndarray:
-        m = h_square.shape[0]
-        e_m = np.zeros(m)
-        e_m[m - 1] = 1.0
-        if factors is None:
-            factors = self._hess_factors(h_square)
-        return factors.solve_transposed(e_m)
+        return (_eye(H.shape[0]) - factors.inverse()) / self.gamma
 
 
 def make_krylov_operator(

@@ -1,116 +1,163 @@
-"""Unit tests for the Arnoldi process."""
+"""Unit tests for the Arnoldi process — the one lockstep build.
+
+The generic-matrix operator is ``StandardKrylov(identity, A)``: it
+factors ``C = I`` and applies ``C⁻¹G = A``, and its exponent map is just
+``Hm = -H``.  Every property is checked at one column and at four (the
+column under test rides at position 1 of a 4-column lockstep build).
+"""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.linalg import ArnoldiBreakdown, arnoldi
+from repro.linalg import ArnoldiBreakdown, StandardKrylov
+from repro.linalg.block_krylov import build_bases_block
+
+WIDTHS = (1, 4)
+
+#: tol = 0 never passes the posterior test (``est < tol``); tol = inf
+#: passes the first one Arnoldi runs.
+NEVER, AT_FIRST_TEST = 0.0, np.inf
+
+
+def build(a, v, width, m_max, tol=NEVER, min_dim=2):
+    """Basis of ``K_m(a, v)`` out of a ``width``-column build, and H."""
+    n = a.shape[0]
+    op = StandardKrylov(sp.identity(n, format="csc"), sp.csc_matrix(a))
+    rng = np.random.default_rng(width)
+    vs = [rng.normal(size=n) for _ in range(width)]
+    pos = min(1, width - 1)
+    vs[pos] = v
+    bases = build_bases_block(
+        op, vs, [1.0] * width, [tol] * width, m_max=m_max, min_dim=min_dim
+    )
+    assert op.n_solves == sum(b.m for b in bases)
+    basis = bases[pos]
+    return basis, -basis.Hm
 
 
 class TestArnoldiRelations:
     def test_orthonormal_basis(self, rng):
         a = rng.normal(size=(30, 30))
         v = rng.normal(size=30)
-        res = arnoldi(lambda x: a @ x, v, m_max=12)
-        vtv = res.V.T @ res.V
-        assert np.allclose(vtv, np.eye(res.m + 1), atol=1e-12)
+        for width in WIDTHS:
+            basis, _ = build(a, v, width, m_max=12)
+            assert basis.m == 12
+            vtv = basis.Vm.T @ basis.Vm
+            assert np.allclose(vtv, np.eye(12), atol=1e-12)
 
     def test_arnoldi_identity(self, rng):
-        """A V_m = V_{m+1} H  (the fundamental recurrence)."""
+        """A V_m = V_m H + h_{m+1,m} v_{m+1} e_mᵀ  (the recurrence)."""
         a = rng.normal(size=(25, 25))
         v = rng.normal(size=25)
-        res = arnoldi(lambda x: a @ x, v, m_max=10)
-        lhs = a @ res.Vm
-        rhs = res.V @ res.H
-        assert np.allclose(lhs, rhs, atol=1e-10)
+        for width in WIDTHS:
+            basis, h = build(a, v, width, m_max=10)
+            residual = a @ basis.Vm - basis.Vm @ h
+            # Only the last column is non-zero: h_{m+1,m} v_{m+1}, a
+            # vector of norm h_next orthogonal to the basis.
+            assert np.allclose(residual[:, :-1], 0.0, atol=1e-10)
+            assert np.linalg.norm(residual[:, -1]) == pytest.approx(basis.h_next)
+            assert np.allclose(basis.Vm.T @ residual[:, -1], 0.0, atol=1e-10)
+            assert np.allclose(basis.Vm[:, 0], v / np.linalg.norm(v))
 
     def test_beta_is_start_norm(self, rng):
         v = rng.normal(size=10)
-        res = arnoldi(lambda x: x, v, m_max=3)
-        assert res.beta == pytest.approx(np.linalg.norm(v))
+        for width in WIDTHS:
+            basis, _ = build(np.eye(10), v, width, m_max=3)
+            assert basis.beta == pytest.approx(np.linalg.norm(v))
 
     def test_hessenberg_structure(self, rng):
         a = rng.normal(size=(20, 20))
-        res = arnoldi(lambda x: a @ x, rng.normal(size=20), m_max=8)
-        h = res.H
-        for i in range(h.shape[0]):
-            for j in range(h.shape[1]):
-                if i > j + 1:
-                    assert h[i, j] == 0.0
+        v = rng.normal(size=20)
+        for width in WIDTHS:
+            _, h = build(a, v, width, m_max=8)
+            assert h.shape == (8, 8)
+            for i in range(8):
+                for j in range(8):
+                    if i > j + 1:
+                        assert h[i, j] == 0.0
 
 
 class TestBreakdown:
-    def test_happy_breakdown_on_invariant_subspace(self, rng):
+    def test_happy_breakdown_on_invariant_subspace(self):
         # v is an eigenvector: the subspace is invariant after 1 step.
         a = np.diag([1.0, 2.0, 3.0])
         v = np.array([1.0, 0.0, 0.0])
-        res = arnoldi(lambda x: a @ x, v, m_max=3)
-        assert res.happy_breakdown
-        assert res.m == 1
-        assert res.converged
+        for width in WIDTHS:
+            basis, _ = build(a, v, width, m_max=3)
+            assert basis.m == 1
+            assert basis.h_next == 0.0
+            assert basis.error_estimate == 0.0
+            assert basis.err_row is None
 
     def test_low_rank_operator_breaks_down_early(self, rng):
         u = rng.normal(size=15)
         w = rng.normal(size=15)
         a = np.outer(u, w)  # rank 1
-        res = arnoldi(lambda x: a @ x, rng.normal(size=15), m_max=10)
-        assert res.happy_breakdown
-        assert res.m <= 3
+        v = rng.normal(size=15)
+        for width in WIDTHS:
+            basis, _ = build(a, v, width, m_max=10)
+            assert basis.h_next == 0.0
+            assert basis.m <= 3
 
     def test_small_scale_operator_not_mistaken_for_breakdown(self, rng):
         # Operator with tiny norm (like G^-1 C on fast circuits) must not
         # trigger a spurious happy breakdown.
         a = 1e-14 * rng.normal(size=(20, 20))
-        res = arnoldi(lambda x: a @ x, rng.normal(size=20), m_max=8)
-        assert not res.happy_breakdown
-        assert res.m == 8
+        v = rng.normal(size=20)
+        for width in WIDTHS:
+            basis, _ = build(a, v, width, m_max=8)
+            assert basis.h_next > 0.0
+            assert basis.m == 8
 
     def test_zero_start_vector(self):
-        res = arnoldi(lambda x: x, np.zeros(5), m_max=3)
-        assert res.m == 0
-        assert res.beta == 0.0
-        assert res.converged
+        for width in WIDTHS:
+            basis, _ = build(np.eye(5), np.zeros(5), width, m_max=3)
+            assert basis.m == 0
+            assert basis.beta == 0.0
+            assert basis.error_estimate == 0.0
+            assert basis.Vm.shape == (5, 0)
+            assert np.array_equal(basis.evaluate(1.0), np.zeros(5))
 
     def test_nonfinite_operator_raises(self, rng):
-        def bad(x):
-            return np.full_like(x, np.nan)
-
-        with pytest.raises(ArnoldiBreakdown):
-            arnoldi(bad, rng.normal(size=5), m_max=3)
+        a = np.eye(5)
+        a[2, 2] = np.nan
+        for width in WIDTHS:
+            with pytest.raises(ArnoldiBreakdown):
+                build(a, rng.normal(size=5), width, m_max=3)
 
 
 class TestConvergenceControl:
     def test_callback_stops_iteration(self, rng):
+        """The posterior test ends the build at the dimension it passes."""
         a = rng.normal(size=(30, 30))
-        calls = []
-
-        def stop_at_4(m, H, V, beta):
-            calls.append(m)
-            return m >= 4
-
-        res = arnoldi(lambda x: a @ x, rng.normal(size=30),
-                      m_max=20, convergence=stop_at_4)
-        assert res.m == 4
-        assert res.converged
+        v = rng.normal(size=30)
+        for width in WIDTHS:
+            basis, _ = build(a, v, width, m_max=20, tol=AT_FIRST_TEST)
+            assert basis.m == 2  # the default min_dim
+            assert basis.h_next > 0.0
+            assert basis.err_row is not None
 
     def test_min_dim_defers_checks(self, rng):
         a = rng.normal(size=(30, 30))
-        seen = []
-
-        def spy(m, H, V, beta):
-            seen.append(m)
-            return True
-
-        arnoldi(lambda x: a @ x, rng.normal(size=30),
-                m_max=20, convergence=spy, min_dim=5)
-        assert seen[0] == 5
+        v = rng.normal(size=30)
+        for width in WIDTHS:
+            basis, _ = build(
+                a, v, width, m_max=20, tol=AT_FIRST_TEST, min_dim=5
+            )
+            assert basis.m == 5
 
     def test_m_max_caps_dimension(self, rng):
         a = rng.normal(size=(40, 40))
-        res = arnoldi(lambda x: a @ x, rng.normal(size=40),
-                      m_max=7, convergence=lambda *a: False)
-        assert res.m == 7
-        assert not res.converged
+        v = rng.normal(size=40)
+        for width in WIDTHS:
+            basis, _ = build(a, v, width, m_max=7)
+            assert basis.m == 7
+            assert basis.h_next > 0.0
+            # Never converged: the estimate is reported, not zeroed.
+            assert basis.error_estimate > 0.0
 
     def test_m_max_validation(self, rng):
-        with pytest.raises(ValueError):
-            arnoldi(lambda x: x, rng.normal(size=5), m_max=0)
+        for width in WIDTHS:
+            with pytest.raises(ValueError):
+                build(np.eye(5), rng.normal(size=5), width, m_max=0)

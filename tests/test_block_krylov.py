@@ -1,27 +1,28 @@
-"""Bit-for-bit parity of the lockstep block-Arnoldi and fast kernels.
+"""The one Krylov build and its small dense kernels.
 
-The block-batched distributed fast path is only allowed to exist because
-every number it produces is identical to the scalar reference path; these
-tests pin that contract at the linalg layer:
+There is a single implementation of each piece, so these tests no longer
+compare twins.  They check
 
-* ``fast_expm`` == ``expm`` to the last bit (including the
-  scaling-and-squaring branch),
-* ``FastHessenberg`` == ``HessenbergFactors`` (inverse, transposed row
-  solve, singularity handling),
-* ``FastEstimator`` == the per-method posterior error estimates,
-* ``build_bases_block`` == one ``op.build_basis`` per column.
+* :func:`repro.linalg.expm.expm` against ``scipy.linalg.expm``, and that
+  slice ``k`` of a stacked call *is* the single call (scaling-and-squaring
+  branch included),
+* :class:`HessenbergFactors` against ``scipy.linalg`` (inverse, transposed
+  row solve, singularity rules) and that its bits do not depend on the
+  operand layout,
+* the per-method posterior estimates against a SciPy-only reference, and
+  that an estimate does not depend on the batch it was computed in,
+* :func:`build_bases_block`: a column built in lockstep with others is
+  bit-for-bit the column built alone (``op.build_basis``) — including
+  ``error_estimate``, which the deleted twins did not agree on.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from repro.linalg.block_krylov import (
-    FastEstimator,
-    FastHessenberg,
-    build_bases_block,
-    fast_expm,
-)
+from repro.circuit import assemble
+from repro.linalg.block_krylov import build_bases_block
 from repro.linalg.expm import expm
 from repro.linalg.krylov import (
     HessenbergFactors,
@@ -30,8 +31,10 @@ from repro.linalg.krylov import (
     StandardKrylov,
     make_krylov_operator,
 )
+from repro.pdn import stiff_rc_mesh
 
 METHODS = ["standard", "inverted", "rational"]
+GAMMA = 1e-10
 
 
 def small_system(n=24, seed=0):
@@ -44,28 +47,44 @@ def small_system(n=24, seed=0):
 
 
 def make_op(method, C, G):
-    return make_krylov_operator(method, C, G, gamma=1e-10)
+    return make_krylov_operator(method, C, G, gamma=GAMMA)
+
+
+def unit_last(m):
+    e_m = np.zeros(m)
+    e_m[m - 1] = 1.0
+    return e_m
 
 
 class TestFastExpm:
     @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0, 1e3])
     def test_bitwise_vs_reference(self, scale):
+        """Slice of a stack == single call, and both match SciPy."""
         rng = np.random.default_rng(7)
         for m in [1, 2, 5, 13]:
-            a = rng.standard_normal((m, m)) * scale
-            np.testing.assert_array_equal(fast_expm(a.copy()), expm(a))
+            # Shifted into the left half-plane so 1e3 does not overflow.
+            stack = scale * (
+                rng.standard_normal((4, m, m)) - 2 * np.sqrt(m) * np.eye(m)
+            )
+            whole = expm(stack)
+            for k in range(4):
+                np.testing.assert_array_equal(whole[k], expm(stack[k]))
+                np.testing.assert_allclose(
+                    whole[k], sla.expm(stack[k]), rtol=1e-9, atol=1e-12
+                )
 
     def test_upper_hessenberg_shapes(self):
         rng = np.random.default_rng(8)
         a = np.triu(rng.standard_normal((9, 9)), k=-1)
-        np.testing.assert_array_equal(fast_expm(a.copy()), expm(a))
+        np.testing.assert_allclose(expm(a), sla.expm(a), rtol=1e-11, atol=1e-12)
+        np.testing.assert_array_equal(expm(np.stack([2 * a, a]))[1], expm(a))
 
     def test_empty(self):
-        assert fast_expm(np.zeros((0, 0))).shape == (0, 0)
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
 
     def test_nonfinite_raises(self):
         with pytest.raises(ValueError):
-            fast_expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+            expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestFastHessenberg:
@@ -73,56 +92,133 @@ class TestFastHessenberg:
         rng = np.random.default_rng(9)
         for m in [1, 3, 8, 15]:
             h = np.triu(rng.standard_normal((m, m)), k=-1) + 2 * np.eye(m)
-            ref = HessenbergFactors(h)
-            fast = FastHessenberg(h)
-            assert fast.singular == ref.singular
-            np.testing.assert_array_equal(fast.inverse(), ref.inverse())
-            rhs = np.zeros(m)
-            rhs[m - 1] = 1.0
-            np.testing.assert_array_equal(
-                fast.solve_transposed(rhs.copy()), ref.solve_transposed(rhs)
+            factors = HessenbergFactors(h)
+            assert not factors.singular
+            np.testing.assert_allclose(
+                factors.inverse(), sla.inv(h), rtol=1e-10, atol=1e-12
             )
+            row = factors.solve_transposed(unit_last(m))
+            np.testing.assert_allclose(
+                row, sla.solve(h.T, unit_last(m)), rtol=1e-10, atol=1e-12
+            )
+            # Same bits whatever the operand layout: a Fortran copy, and
+            # a strided view like the Arnoldi workspace's H[:m, :m].
+            wide = np.zeros((m + 1, m + 4))
+            wide[:m, :m] = h
+            for other in (np.asfortranarray(h), wide[:m, :m]):
+                again = HessenbergFactors(other)
+                np.testing.assert_array_equal(again.inverse(), factors.inverse())
+                np.testing.assert_array_equal(
+                    again.solve_transposed(unit_last(m)), row
+                )
 
     def test_singular_block(self):
         h = np.array([[1.0, 1.0], [0.0, 0.0]])
-        ref = HessenbergFactors(h)
-        fast = FastHessenberg(h)
-        assert ref.singular and fast.singular
-        np.testing.assert_array_equal(fast.inverse(), ref.inverse())
-        for impl in (ref, fast):
-            with pytest.raises(np.linalg.LinAlgError):
-                impl.solve_transposed(np.array([0.0, 1.0]))
+        factors = HessenbergFactors(h)
+        assert factors.singular
+        # The inverse is that of the tiny-identity-shifted block ...
+        delta = 1e-30 * (1.0 + 1.0)
+        np.testing.assert_allclose(
+            factors.inverse(), np.linalg.inv(h + delta * np.eye(2)), rtol=1e-12
+        )
+        assert factors.inverse()[1, 1] > 1e29
+        # ... but there is no e_m^T H^{-1} row: never a shifted answer.
+        with pytest.raises(np.linalg.LinAlgError):
+            factors.solve_transposed(np.array([0.0, 1.0]))
+
+
+def reference_estimate(op, h, H, beta):
+    """The posterior estimate through ``scipy.linalg`` only."""
+    m = H.shape[1]
+    h_next = H[m, m - 1]
+    h_square = H[:m, :m]
+    if op.method == "standard":
+        aug = np.zeros((m + 1, m + 1))
+        aug[:m, :m] = -h * h_square
+        aug[0, m] = h
+        return beta * abs(h_next) * abs(sla.expm(aug)[m - 1, m])
+    inv = sla.inv(h_square)
+    heff = -inv if op.method == "inverted" else (np.eye(m) - inv) / op.gamma
+    return beta * abs(h_next * (inv[m - 1] @ sla.expm(h * heff)[:, 0]))
 
 
 class TestFastEstimator:
     @pytest.mark.parametrize("method", METHODS)
     def test_estimates_bitwise(self, method):
+        """An estimate is the same float alone and in any batch."""
         C, G = small_system()
         op = make_op(method, C, G)
         rng = np.random.default_rng(11)
+        beta = 2.7
+        # Steps that put h·Hm at O(1): the exponent is ±H or H/γ-sized.
+        steps = [1e-12, 1e-10, 1e-9] if method == "rational" else [0.05, 0.5, 2.0]
         for m in [2, 4, 9]:
-            H = np.zeros((m + 1, m))
-            H[: m + 1, :] = np.triu(rng.standard_normal((m + 1, m)), k=-1)
-            H[m, m - 1] = abs(H[m, m - 1]) + 0.1
-            beta = 2.7
-            for h in [1e-12, 1e-10, 1e-9]:
-                ref = op.error_estimate(h, H, beta)
-                fast = FastEstimator(op).error_estimate(h, H, beta)
-                assert ref == fast or (np.isinf(ref) and np.isinf(fast))
+            Hs = []
+            for _ in range(3):
+                H = np.triu(rng.standard_normal((m + 1, m)), k=-1)
+                H[:m] += 3.0 * np.eye(m)
+                H[m, m - 1] = abs(H[m, m - 1]) + 0.1
+                Hs.append(H)
+            alone = [
+                [op.error_estimate(h, H, beta) for h in steps] for H in Hs
+            ]
+            for k, h in enumerate(steps):
+                batch = op.error_estimates([h] * 3, Hs, [beta] * 3)
+                assert batch == [alone[i][k] for i in range(3)]
+                # Mixed steps and a reversed order change nothing either.
+                mixed = op.error_estimates(steps[::-1], Hs[::-1], [beta] * 3)
+                assert mixed == [alone[2 - i][2 - i] for i in range(3)]
+            for i, H in enumerate(Hs):
+                for k, h in enumerate(steps):
+                    ref = reference_estimate(op, h, H, beta)
+                    assert alone[i][k] == pytest.approx(ref, rel=1e-6, abs=1e-14)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bad_column_does_not_spoil_its_batch(self, method):
+        """Singular / overflowing columns read inf; companions are untouched."""
+        C, G = small_system()
+        op = make_op(method, C, G)
+        rng = np.random.default_rng(15)
+        m = 4
+        good = np.triu(rng.standard_normal((m + 1, m)), k=-1)
+        good[:m] += 3.0 * np.eye(m)
+        singular = good.copy()
+        singular[:m, 0] = 0.0  # exactly singular square block
+        # Sign-flipped and rescaled so h·Hm has huge positive "Ritz
+        # values" (Hm is -H, -H⁻¹ or (I-H⁻¹)/γ): the expm overflows.
+        unstable = -(1e15 if method == "standard" else 1e-15) * good
+        unstable[m, m - 1] = 1.0
+        h, beta = 1e-9, 1.0
+        alone = op.error_estimate(h, good, beta)
+        assert np.isfinite(alone)
+        ests = op.error_estimates(
+            [h] * 4, [singular, good, unstable, good], [beta] * 4
+        )
+        assert ests[1] == ests[3] == alone
+        assert ests[2] == np.inf
+        if method != "standard":  # the standard estimate never inverts H
+            assert ests[0] == np.inf
 
     @pytest.mark.parametrize("method", ["inverted", "rational"])
     def test_effective_hm_and_row_bitwise(self, method):
         C, G = small_system()
         op = make_op(method, C, G)
-        est = FastEstimator(op)
         rng = np.random.default_rng(12)
         for m in [1, 5, 10]:
             h_square = np.triu(rng.standard_normal((m, m)), k=-1) + np.eye(m)
+            inv = sla.inv(h_square)
+            expected = -inv if method == "inverted" else (np.eye(m) - inv) / GAMMA
+            heff = op.effective_hm(h_square)
+            np.testing.assert_allclose(heff, expected, rtol=1e-9, atol=1e-9)
+            row = op._error_row(h_square)
+            np.testing.assert_allclose(row, inv[m - 1], rtol=1e-9, atol=1e-12)
+            # Prefactored or not, C- or Fortran-ordered: the same bits.
+            factors = HessenbergFactors(np.asfortranarray(h_square))
             np.testing.assert_array_equal(
-                est.effective_hm(h_square), op.effective_hm(h_square)
+                op.effective_hm(h_square, factors=factors), heff
             )
             np.testing.assert_array_equal(
-                est.error_row(h_square), op._error_row(h_square)
+                op._error_row(h_square, factors=factors), row
             )
 
 
@@ -154,11 +250,13 @@ class TestBlockBases:
         hs = [1e-10 * (k + 1) for k in range(7)]
         tols = [1e-8] * 7
 
+        # Each column alone (op.build_basis is the one-column call) ...
         op_ref = make_op(method, C, G)
         refs = [
             op_ref.build_basis(v, h, tol, m_max=20, min_dim=2)
             for v, h, tol in zip(vs, hs, tols)
         ]
+        # ... versus all seven in lockstep.
         op_blk = make_op(method, C, G)
         blks = build_bases_block(op_blk, vs, hs, tols, m_max=20, min_dim=2)
 
@@ -214,8 +312,31 @@ class TestBlockBases:
     def test_standard_operator_supported(self):
         C, G = small_system(n=12, seed=2)
         op = StandardKrylov(C, G)
-        est = FastEstimator(op)
-        assert est.factors(np.eye(3)) is None
-        np.testing.assert_array_equal(
-            est.effective_hm(np.eye(3)), -np.eye(3)
-        )
+        assert op._hess_factors(np.eye(3)) is None
+        np.testing.assert_array_equal(op.effective_hm(np.eye(3)), -np.eye(3))
+        np.testing.assert_array_equal(op._error_row(np.eye(3)), unit_last(3))
+
+    def test_error_estimate_does_not_depend_on_width(self):
+        """Regression: the posterior estimate — what ``est < tol`` stops
+        Arnoldi on — used to come out of three kernels that disagreed on
+        this input (…038926956e-09 from the scalar build, …091114413e-09
+        at width 1, …080240144e-09 as column 0 of a 2-column build)."""
+        system = assemble(stiff_rc_mesh(
+            12, 12, fast_ratio=20, slow_ratio=1e4, n_sources=2, seed=3
+        ))
+        v = np.random.default_rng(1).normal(size=system.dim)
+        h, tol = 1e-11, 1e-8
+        op = InvertedKrylov(system.C, system.G)
+        alone = op.build_basis(v, h, tol, m_max=300)
+        assert alone.m == 17
+        assert alone.error_estimate == pytest.approx(1.94843810e-09, rel=1e-6)
+        for width in (1, 2, 7):
+            vs = [v] + [
+                np.random.default_rng(50 + k).normal(size=system.dim)
+                for k in range(width - 1)
+            ]
+            hs = [h] + [h * (k + 2) for k in range(width - 1)]
+            bases = build_bases_block(op, vs, hs, [tol] * width, m_max=300)
+            assert bases[0].m == alone.m
+            assert bases[0].error_estimate == alone.error_estimate
+            assert_bases_equal(alone, bases[0])

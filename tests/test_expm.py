@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from repro.linalg import expm, expm_action, expm_e1
+from repro.linalg import expm, expm_e1
 
 
 class TestExpmAccuracy:
@@ -44,13 +44,50 @@ class TestExpmValidation:
         with pytest.raises(ValueError, match="non-finite"):
             expm(a)
 
+    def test_bad_rank_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            expm(np.zeros(3))
+        with pytest.raises(ValueError, match="square"):
+            expm(np.zeros((2, 2, 3, 3)))
+
+
+class TestStack:
+    """One kernel: a single matrix is a stack of one."""
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 17])
+    def test_slice_equals_single_call_in_any_layout(self, m, rng):
+        # Scales straddle theta_13, so the slices of one stack need
+        # different numbers of squarings (0 ... 12); the shift keeps the
+        # spectra in the left half-plane, so nothing overflows.
+        scales = np.array([1e-3, 0.5, 3.0, 40.0, 900.0, 7.0, 0.0])
+        stable = rng.normal(size=(len(scales), m, m)) - 2 * np.sqrt(m) * np.eye(m)
+        stack = stable * scales[:, None, None]
+        whole = expm(stack)
+        assert whole.shape == stack.shape
+        for k in range(len(scales)):
+            np.testing.assert_array_equal(whole[k], expm(stack[k]))
+            np.testing.assert_array_equal(
+                whole[k], expm(np.asfortranarray(stack[k]))
+            )
+            assert np.allclose(
+                whole[k], sla.expm(stack[k]), rtol=1e-9, atol=1e-9
+            )
+        # A Fortran-ordered or strided stack is normalised at entry too.
+        np.testing.assert_array_equal(expm(np.asfortranarray(stack)), whole)
+        np.testing.assert_array_equal(expm(stack[::2]), whole[::2])
+
+    def test_empty_stack_and_empty_matrices(self):
+        assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert expm(np.zeros((4, 0, 0))).shape == (4, 0, 0)
+
+    def test_one_bad_slice_fails_the_stack(self, rng):
+        stack = rng.normal(size=(3, 4, 4))
+        stack[1, 2, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(stack)
+
 
 class TestHelpers:
     def test_expm_e1_is_first_column(self, rng):
         a = rng.normal(size=(6, 6))
         assert np.allclose(expm_e1(a), expm(a)[:, 0])
-
-    def test_expm_action(self, rng):
-        a = rng.normal(size=(6, 6))
-        v = rng.normal(size=6)
-        assert np.allclose(expm_action(a, v), sla.expm(a) @ v)

@@ -2,11 +2,12 @@
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.linalg import arnoldi, expm
+from repro.linalg import StandardKrylov, expm
 
 # Small well-scaled random matrices.
 square = st.integers(min_value=1, max_value=10).flatmap(
@@ -71,10 +72,17 @@ def test_arnoldi_orthonormality_and_recurrence(n, seed):
     if np.linalg.norm(v) < 1e-12:
         return
     m_max = min(6, n)
-    res = arnoldi(lambda x: a @ x, v, m_max=m_max)
-    # On happy breakdown the extra column v_{m+1} is zero by design, so
-    # only the first m columns are orthonormal.
-    block = res.Vm if res.happy_breakdown else res.V
-    assert np.allclose(block.T @ block, np.eye(block.shape[1]), atol=1e-10)
+    # StandardKrylov(I, A) applies C⁻¹G = A; tol = 0 never converges.
+    op = StandardKrylov(sp.identity(n, format="csc"), sp.csc_matrix(a))
+    basis = op.build_basis(v, 1.0, tol=0.0, m_max=m_max)
+    vm, h = basis.Vm, -basis.Hm
+    assert np.allclose(vm.T @ vm, np.eye(basis.m), atol=1e-10)
+    # A V_m = V_m H + h_{m+1,m} v_{m+1} e_mᵀ: the residual lives in the
+    # last column, has norm h_next and is orthogonal to the basis.
     scale = max(1.0, float(np.abs(a).max()))
-    assert np.allclose(a @ res.Vm, res.V @ res.H, atol=1e-8 * scale)
+    residual = a @ vm - vm @ h
+    assert np.allclose(residual[:, :-1], 0.0, atol=1e-8 * scale)
+    assert np.isclose(
+        np.linalg.norm(residual[:, -1]), basis.h_next, atol=1e-8 * scale
+    )
+    assert np.allclose(vm.T @ residual[:, -1], 0.0, atol=1e-8 * scale)
