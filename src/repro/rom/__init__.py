@@ -4,7 +4,7 @@ The package projects the MNA descriptor system onto a block
 rational-Krylov subspace once (:mod:`repro.rom.projector`), bakes a
 picklable :class:`~repro.rom.model.ReducedModel`
 (:func:`~repro.rom.model.build_reduced_model`), and answers each sweep
-scenario with a few dense ``q``-sized products plus a posterior
+scenario with four real dense products plus a posterior
 residual error bound — accepted answers skip the full-order march
 entirely, rejected ones transparently fall back to it.  Wired through
 ``SimulationPlan.compile(rom=...)``, ``Session.sweep`` and

@@ -82,7 +82,7 @@ def rational_krylov_basis(
     moments: int = 2,
     q_max: int = 200,
     deflation_tol: float = 1e-10,
-) -> tuple[np.ndarray, BasisInfo]:
+) -> tuple[np.ndarray, BasisInfo, np.ndarray]:
     """Orthonormal basis ``V`` for the reduced space, with deflation.
 
     Parameters
@@ -106,8 +106,10 @@ def rational_krylov_basis(
 
     Returns
     -------
-    (V, info):
-        ``V`` is ``(n, q)`` with orthonormal columns, ``q <= q_max``.
+    (V, info, W):
+        ``V`` is ``(n, q)`` with orthonormal columns, ``q <= q_max``;
+        ``W = G^-1 B`` is the quasi-static candidate block, handed back
+        because the reduced model needs it again (one solve, not two).
 
     Raises
     ------
@@ -139,9 +141,9 @@ def rational_krylov_basis(
             f"basis: {exc}"
         ) from exc
 
-    blocks = [np.asarray(lu_g.solve_many(Bd))]
+    W = np.asarray(lu_g.solve_many(Bd))
     X = np.asarray(lu_s.solve_many(Bd))
-    blocks.append(X)
+    blocks = [W, X]
     for _ in range(moments - 1):
         X = np.asarray(lu_s.solve_many(np.asarray(C @ X)))
         blocks.append(X)
@@ -181,4 +183,4 @@ def rational_krylov_basis(
         n_deflated=max(n_deflated, 0),
         rank=keep,
         truncated=rank > q_max,
-    )
+    ), W

@@ -11,15 +11,21 @@ Covers the ISSUE-7 contracts:
   bit-identical and order-preserving,
 * a `ReducedModel` pickles with its compiled plan and answers
   bit-identically after the roundtrip,
-* a build failure degrades the compile gracefully (``rom_error``).
+* a build failure degrades the compile gracefully (``rom_error``),
+
+and the ISSUE-17 one: the shipped real-arithmetic, shape-factored
+``answer`` agrees with ``dense_complex_answer`` — the formula evaluated
+over every input row with complex ``(n, q)`` lifts — on inputs that do
+and do not factor over the base shapes.
 """
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from repro.circuit.waveforms import PWL
 from repro.core.options import SolverOptions
 from repro.linalg.lu import FACTORIZATION_CACHE
 from repro.plan import PlanError, Scenario, Session, SimulationPlan
@@ -30,6 +36,7 @@ from repro.rom import (
     build_reduced_model,
     rational_krylov_basis,
 )
+from repro.rom.model import _shape_rows
 
 OPTS = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-8)
 T_END = 1e-9
@@ -42,7 +49,7 @@ def _compile(system, rom=None):
 
 class TestProjectorDeflation:
     def test_orthonormal_basis(self, mesh_system):
-        V, info = rational_krylov_basis(
+        V, info, _ = rational_krylov_basis(
             mesh_system.C, mesh_system.G, mesh_system.B, GAMMA
         )
         assert V.shape == (mesh_system.dim, info.rank)
@@ -54,10 +61,10 @@ class TestProjectorDeflation:
         """Repeating every input column must not grow the basis."""
         Bd = np.asarray(mesh_system.B.todense())
         Bdup = np.concatenate([Bd, Bd, Bd], axis=1)
-        V1, info1 = rational_krylov_basis(
+        V1, info1, _ = rational_krylov_basis(
             mesh_system.C, mesh_system.G, Bd, GAMMA
         )
-        V3, info3 = rational_krylov_basis(
+        V3, info3, _ = rational_krylov_basis(
             mesh_system.C, mesh_system.G, Bdup, GAMMA
         )
         assert info3.rank == info1.rank
@@ -73,7 +80,7 @@ class TestProjectorDeflation:
         for r in (1, 2, 4):
             for _ in range(3):
                 B = rng.normal(size=(n, r)) @ rng.normal(size=(r, 11))
-                V, info = rational_krylov_basis(
+                V, info, _ = rational_krylov_basis(
                     mesh_system.C, mesh_system.G, B, GAMMA, moments=2
                 )
                 assert info.rank == V.shape[1]
@@ -90,8 +97,16 @@ class TestProjectorDeflation:
                 np.zeros((mesh_system.dim, 3)), GAMMA,
             )
 
+    def test_hands_back_the_quasi_static_block(self, mesh_system):
+        _, _, W = rational_krylov_basis(
+            mesh_system.C, mesh_system.G, mesh_system.B, GAMMA
+        )
+        np.testing.assert_allclose(
+            mesh_system.G @ W, mesh_system.B.toarray(), atol=1e-12
+        )
+
     def test_q_max_caps_and_reports_truncation(self, mesh_system):
-        V, info = rational_krylov_basis(
+        V, info, _ = rational_krylov_basis(
             mesh_system.C, mesh_system.G, mesh_system.B, GAMMA, q_max=2
         )
         assert V.shape[1] == 2 and info.rank == 2 and info.truncated
@@ -155,27 +170,61 @@ class TestCompileWiring:
 
 
 class TestSessionRouting:
-    def test_accepted_answer_sits_inside_its_bound(self, mesh_system):
+    def test_accepted_answer_sits_inside_its_bound(self, mesh_system, rng):
         compiled = _compile(mesh_system, rom=RomConfig(tol=0.9))
         model = compiled.rom
         scenarios = [
             None,
             Scenario(name="hot", scales={0: 1.4, 1: 0.8}),
             Scenario(name="cool", scales={0: 0.6}),
+        ] + [
+            Scenario(
+                name=f"rand{i}",
+                scales=dict(enumerate(rng.uniform(0.2, 3.0, size=3))),
+            )
+            for i in range(32)
         ]
         with Session(compiled) as session:
             rom_results = session.sweep(scenarios)
             full_results = session.sweep(scenarios, rom=False)
-        assert session.rom_accepted == 3 and session.rom_fallbacks == 0
+        assert session.rom_accepted == 35 and session.rom_fallbacks == 0
         for sc, r, f in zip(scenarios, rom_results, full_results):
             assert r.rom_dim == model.dim and not r.rom_fallback
             assert r.result.method == f"rom[q={model.dim}]"
+            assert r.result.states.flags["C_CONTIGUOUS"]
             ans = model.answer(model.input_matrix(sc, None))
             err = float(
                 np.abs(r.result.states - f.result.states).max()
             )
             assert err <= ans.bound_abs
             assert r.rom_bound == ans.bound_rel <= 0.9
+
+    def test_pg1t_bench_scenarios_sit_inside_their_bound(self):
+        """The bench's own spot scenarios, at a tolerance that splits
+        them: every answer is certified, every fallback is the
+        full-order bits."""
+        from repro.pdn import build_case, load_pattern_scenarios
+
+        system, case = build_case("pg1t")
+        compiled = SimulationPlan(
+            system, replace(OPTS, eps_rel=1e-6), t_end=case.t_end
+        ).compile(rom=RomConfig(tol=0.026))
+        model = compiled.rom
+        assert model.n_shapes == compiled.n_nodes == 100
+        scenarios = load_pattern_scenarios(
+            system, n=8, seed=2014, spread=0.5
+        )
+        with Session(compiled) as session:
+            rom_results = session.sweep(scenarios)
+            full_results = session.sweep(scenarios, rom=False)
+        assert session.rom_accepted >= 1 and session.rom_fallbacks >= 1
+        for sc, r, f in zip(scenarios, rom_results, full_results):
+            ans = model.answer(model.input_matrix(sc, None))
+            assert r.rom_fallback == (not ans.accepted)
+            want = f.result.states if r.rom_fallback else ans.states
+            assert r.result.states.tobytes() == want.tobytes()
+            err = float(np.abs(ans.states - f.result.states).max())
+            assert err <= ans.bound_abs
 
     def test_rejected_scenarios_fall_back_bit_identically(
         self, mesh_system
@@ -250,6 +299,158 @@ class TestSessionRouting:
                 session.sweep([None], rom=True)
 
 
+def dense_complex_answer(model, U):
+    """The reduced answer as it was computed before ISSUE 17 (tests only).
+
+    Every one of the ``p`` input rows goes through ``W`` and ``F``, the
+    march looks its propagators up by segment width, and the trajectory
+    is lifted through the complex ``(n, q)`` products ``V·X`` and
+    ``(G^-1 C V)·X`` — rebuilt here from the shipped real fields.
+    Returns ``(states, bound_abs, bound_rel, accepted, scale)``.
+    """
+    n, q, K = model.n_full, model.dim, model.n_points
+    W = model.input_map[:, :n].T
+    F = np.ascontiguousarray(model.input_map[:, n:]).view(complex).T
+    X = (model.X[0::2] - 1j * model.X[1::2]).T
+    lift_v = model.Vt.T.astype(complex) @ X
+    lift_z = model.Zt.T @ X
+    tables, grid = model.tables, model.grid
+
+    Ut = U - U[:, :1]
+    qs = W @ Ut
+    x_dc = W @ U[:, 0]
+    FU = F @ Ut
+    Y = np.empty((q, K), dtype=complex)
+    y = np.zeros(q, dtype=complex)
+    Y[:, 0] = y
+    for i in range(K - 1):
+        h = grid[i + 1] - grid[i]
+        a, b, c = tables[h]
+        d = (FU[:, i + 1] - FU[:, i]) / h
+        y = a * y + b * FU[:, i] + c * d
+        Y[:, i + 1] = y
+    dev = (lift_v @ Y).real
+    Ydot = model.lam[:, None] * (Y - model.gamma * FU) + FU
+    res = qs - (lift_z @ Ydot).real - dev
+    bound_abs = model.config.safety * float(np.abs(res).max(initial=0.0))
+    scale = max(
+        float(np.abs(qs).max(initial=0.0)),
+        float(np.abs(dev).max(initial=0.0)),
+    )
+    bound_rel = bound_abs / scale if scale > 0.0 else 0.0
+    states = (x_dc[:, None] + dev).T
+    return states, bound_abs, bound_rel, bound_rel <= model.config.tol, scale
+
+
+def _n_answer_shapes(model, U):
+    """Shape rows the answer's GEMMs run over for input ``U``."""
+    _, _, S = _shape_rows(
+        U, U - U[:, :1], model.shapes, model.shape_of, model.pivot
+    )
+    return S.shape[0]
+
+
+def _model(system, **config):
+    return build_reduced_model(system, OPTS, T_END, RomConfig(**config))
+
+
+class TestAnswerOracle:
+    def _check(self, model, U):
+        ans = model.answer(U)
+        states, bound_abs, bound_rel, accepted, scale = (
+            dense_complex_answer(model, U)
+        )
+        assert ans.states.shape == (model.n_points, model.n_full)
+        assert ans.states.flags["C_CONTIGUOUS"]
+        assert np.abs(ans.states - states).max() <= 1e-12 * scale
+        # 1e-9 relative, above the round-off floor of the residual's
+        # own cancellation (a near-exact model's bound *is* round-off).
+        assert abs(ans.bound_abs - bound_abs) <= (
+            1e-9 * bound_abs + 1e-12 * scale
+        )
+        assert abs(ans.bound_rel - bound_rel) <= 1e-9 * bound_rel + 1e-12
+        assert ans.accepted == accepted
+        return ans
+
+    def test_baseline_and_amplitude_only(self, mesh_system):
+        model = _model(mesh_system)
+        # I1 and I3 share a bump shape: three inputs, two shapes.
+        assert (model.n_inputs, model.n_shapes) == (3, 2)
+        for sc in (None, Scenario(name="hot", scales={0: 1.4, 2: 0.3})):
+            U = model.input_matrix(sc, None)
+            assert _n_answer_shapes(model, U) == 2
+            assert self._check(model, U).accepted
+
+    def test_scale_on_a_constant_supply_column(self, small_pdn_system):
+        model = _model(small_pdn_system)
+        (vdd,) = [
+            k for k, w in enumerate(small_pdn_system.waveforms)
+            if w.is_constant()
+        ]
+        base = self._check(model, model.input_matrix())
+        U = model.input_matrix(Scenario(name="sag", scales={vdd: 0.9}), None)
+        assert _n_answer_shapes(model, U) == model.n_shapes
+        sag = self._check(model, U)
+        # A supply scale moves the DC point, not the deviation.
+        assert sag.bound_abs == base.bound_abs
+        assert np.abs(sag.states - base.states).max() > 0.1
+
+    def test_constant_inputs_have_zero_scale_and_bound(self, mesh_system):
+        model = _model(mesh_system)
+        U = np.tile([[1e-3], [-2e-3], [0.0]], (1, model.n_points))
+        ans = self._check(model, U)
+        assert ans.bound_rel == 0.0 and ans.accepted
+        assert np.ptp(ans.states, axis=0).max() == 0.0
+
+    def test_override_with_a_shape_outside_the_base_set(self, mesh_system):
+        model = _model(mesh_system)
+        # I2's own transition spots, a ramp-down instead of a plateau.
+        ramp = PWL([(0.0, 0.0), (2e-10, 0.0), (2.3e-10, 4e-3),
+                    (3.3e-10, 1e-3), (3.7e-10, 0.0), (1e-9, 0.0)])
+        scenario = Scenario(name="ramp", overrides={1: ramp}, scales={0: 0.7})
+        U = model.input_matrix(scenario, scenario.bind(mesh_system))
+        assert _n_answer_shapes(model, U) == model.n_shapes + 1
+        self._check(model, U)
+
+    def test_same_spot_inputs_that_are_not_proportional(self, mesh_system):
+        # I3 keeps I1's transition spots but not its shape: r == p.
+        skew = PWL([(0.0, 0.0), (1e-10, 0.0), (1.5e-10, 2e-3),
+                    (3.5e-10, 1e-3), (4e-10, 0.0), (1e-9, 0.0)])
+        system = mesh_system.rebind_sources(overrides={2: skew})
+        model = _model(system)
+        assert model.n_shapes == model.n_inputs == 3
+        for sc in (None, Scenario(name="hot", scales={2: 1.7})):
+            U = model.input_matrix(sc, None)
+            assert _n_answer_shapes(model, U) == 3
+            self._check(model, U)
+
+    def test_dense_input_violating_every_base_shape(self, mesh_system, rng):
+        model = _model(mesh_system)
+        U = 1e-3 * rng.normal(size=(model.n_inputs, model.n_points))
+        assert _n_answer_shapes(model, U) == model.n_shapes + model.n_inputs
+        self._check(model, U)
+
+    def test_dense_b_builds_the_same_model(self, mesh_system):
+        dense = replace(mesh_system, B=mesh_system.B.toarray())
+        a, b = _model(mesh_system), _model(dense)
+        np.testing.assert_allclose(b.input_map, a.input_map, atol=1e-12)
+        np.testing.assert_allclose(
+            b.answer(b.U_base).states, a.answer(a.U_base).states,
+            atol=1e-15,
+        )
+
+    def test_all_constant_inputs_refuse_to_build(self, small_pdn_system):
+        flat = small_pdn_system.rebind_sources(
+            overrides={
+                k: w.scaled(0.0)
+                for k, w in enumerate(small_pdn_system.waveforms)
+                if not w.is_constant()
+            }
+        )
+        with pytest.raises(RomBuildError, match="constant"):
+            _model(flat)
+
+
 class TestPickling:
     def test_model_roundtrip_answers_bit_identically(self, mesh_system):
         model = build_reduced_model(
@@ -294,6 +495,29 @@ class TestModelInternals:
         np.testing.assert_allclose(
             ans.states[0], x_dc, rtol=1e-9, atol=1e-14
         )
+
+    def test_resident_bytes_is_the_sum_of_the_array_fields(
+        self, mesh_system
+    ):
+        model = _model(mesh_system)
+        arrays = (
+            "grid", "mu", "lam", "input_map", "X", "Vt", "Zt", "U_base",
+            "shapes", "shape_of", "pivot", "widths", "propagators",
+            "segment",
+        )
+        assert {
+            f.name for f in fields(model)
+            if isinstance(getattr(model, f.name), np.ndarray)
+        } == set(arrays)
+        assert model.resident_bytes() == sum(
+            getattr(model, name).nbytes for name in arrays
+        )
+        # The lifts are real: nothing complex is as long as the system.
+        for name in arrays:
+            v = getattr(model, name)
+            assert not (np.iscomplexobj(v) and model.n_full in v.shape)
+        assert (f"{model.n_inputs} inputs in {model.n_shapes} shapes"
+                in model.summary())
 
     def test_segment_tables_cover_grid_widths(self, mesh_system):
         model = build_reduced_model(
