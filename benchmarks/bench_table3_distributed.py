@@ -13,6 +13,8 @@ sub-tasks share one MNA pencil, paper Sec. 3.4), and a warm re-run of
 the same pencil re-factors nothing at all.
 """
 
+import numpy as np
+
 from repro.baselines import simulate_trapezoidal
 from repro.core import MatexSolver, SolverOptions
 from repro.dist import Executor, MatexScheduler
@@ -70,7 +72,7 @@ class ScalarReferenceExecutor(Executor):
 def test_block_batched_march(pg1t, record_metric):
     """Span batching and lockstep batching vs the scalar reference.
 
-    Three walls of the same 100-task plan, same bits:
+    Three walls of the same 100-task plan:
 
     * ``scalar_reference`` — ``run_task`` per task + superposition: one
       Python step per grid point, the unchanged oracle every ratio is
@@ -79,9 +81,12 @@ def test_block_batched_march(pg1t, record_metric):
       runner one task at a time, a span of snapshots per call;
     * ``batched`` — ``batch="auto"``, one lockstep march over all tasks.
 
-    The superposed trajectory must be **bit-for-bit** the scalar one
-    (Table 3 numbers unchanged).  The per-node run's tr_matex/tr_total
-    model numbers are recorded by ``test_distributed_matex``.
+    The two block-runner walls must agree **bit for bit**, and with the
+    scalar oracle to round-off on states (it accumulates a dense row by
+    an ordered rank-1 loop, the runner's factored rows are BLAS dots)
+    and exactly on substitution pairs — Table 3 numbers unchanged.  The
+    per-node run's tr_matex/tr_total model numbers are recorded by
+    ``test_distributed_matex``.
     """
     import time
 
@@ -101,13 +106,15 @@ def test_block_batched_march(pg1t, record_metric):
         "batched": lambda: batched.run(case.t_end),
     }
     ref = scalar_reference()  # also warms the caches for all three
-    for name in ("width1", "batched"):
-        got = runs[name]()
-        assert got.n_nodes == ref.n_nodes == 100
-        assert got.result.states.tobytes() == ref.result.states.tobytes()
-        assert got.result.times.tobytes() == ref.result.times.tobytes()
-        assert (got.total_substitution_pairs
-                == ref.total_substitution_pairs)
+    width1 = runs["width1"]()
+    assert (runs["batched"]().result.states.tobytes()
+            == width1.result.states.tobytes())
+    assert width1.n_nodes == ref.n_nodes == 100
+    assert np.abs(width1.result.states - ref.result.states).max() <= (
+        1e-12 * np.abs(ref.result.states).max()
+    )
+    assert width1.result.times.tobytes() == ref.result.times.tobytes()
+    assert width1.total_substitution_pairs == ref.total_substitution_pairs
 
     # Interleaved best-of-5: alternating the paths keeps slow drifts
     # (thermal, co-tenancy) from biasing any side's minimum.
@@ -130,9 +137,11 @@ def test_block_batched_march(pg1t, record_metric):
     # The level-scheduled kernel of repro.linalg.triangular substitutes
     # all columns in lockstep with the scalar sweep's exact accumulation
     # order; that is what buys the lockstep march its 3x over the
-    # scalar reference while staying bit-identical.
-    assert batched_speedup >= 3.0, (
-        f"block-batched march must be >= 3x faster than the scalar "
+    # scalar reference while staying bit-identical across widths.
+    # Factored node trajectories took the ratio 3.54 -> 4.72 (the
+    # scalar reference still writes dense rows): floor 3.0 -> 3.5.
+    assert batched_speedup >= 3.5, (
+        f"block-batched march must be >= 3.5x faster than the scalar "
         f"reference, got {batched_speedup:.2f}x "
         f"({best['scalar_reference']:.3f}s vs {best['batched']:.3f}s)"
     )

@@ -53,18 +53,24 @@ DEFAULT_MODULES = (
 #: baseline regenerated from a run whose asserts were skipped).
 METRIC_FLOORS: dict[str, dict[str, dict[str, float]]] = {
     # Both ratios are against the scalar run_task reference, which no
-    # optimisation of the executors can speed up.
+    # optimisation of the executors can speed up.  batched_speedup was
+    # raised 3.0 -> 3.5 with factored node trajectories (3.54 -> 4.72
+    # measured); width1_speedup (1.71 -> 1.76) keeps its floor.
     "bench_table3_distributed": {
         "test_block_batched_march": {
-            "batched_speedup": 3.0,
+            "batched_speedup": 3.5,
             "width1_speedup": 1.3,
         },
     },
     "bench_kernels": {
         "test_multi_rhs_substitution_batched": {"kernel_speedup": 1.5},
     },
+    # full_ms_per_scenario / rom_ms_per_scenario.  Re-based 18 -> 10 when
+    # the denominator — the warm full-order sweep — fell from 476.8 to
+    # 248.1 ms/scenario (factored node trajectories); the reduced
+    # answer itself went 18.7 -> 14.7 ms (25.5x -> 16.9x).
     "bench_rom": {
-        "test_rom_sweep_speedup": {"rom_speedup": 18.0},
+        "test_rom_sweep_speedup": {"rom_speedup": 10.0},
     },
     # Two warm pool workers against one warm serial session (CI pins
     # one BLAS thread per process for this file; unpinned, the leg

@@ -17,6 +17,16 @@ the pool workers' in-place reduction
 (:mod:`repro.dist.executors`) run — floating-point addition is not
 associative, so "the same sum" has to mean the same routine adding the
 same blocks in the same order.
+
+It is also where a node's trajectory first becomes dense.  The block
+runner answers with *factors* (:class:`~repro.dist.messages.FactoredStates`)
+and the write-back only ever needs the sum over nodes: each span is one
+small GEMM folded straight into the scenario total, task after task,
+span after span, so the 122 MB of per-node ``(145 × 1058)`` blocks a
+pg1t scenario used to materialise are never written, and forming the
+rows is part of ``superpose_seconds``.  An in-place ``dgemm(β=1)`` into
+the total and the two-step ``+= A @ B`` used here differ in the last
+ulp, which is why there is exactly one fold.
 """
 
 from __future__ import annotations
@@ -48,9 +58,12 @@ def superpose_states(
 
     Starts from ``dc_state`` tiled over the grid and adds the
     ``(K × dim)`` blocks of ``states`` **in list order** — the order is
-    part of the contract, because it fixes the result's bits.  ``times``
-    holds each block's time grid; all must equal the first (the
-    scheduler hands every node the same GTS schedule).
+    part of the contract, because it fixes the result's bits.  A dense
+    block is added whole; a factored block (anything with ``spans``) is
+    folded span by span as ``total[row0:row0 + K] += A @ B`` — the only
+    place a factored trajectory meets a sum.  ``times`` holds each
+    block's time grid; all must equal the first (the scheduler hands
+    every node the same GTS schedule).
     """
     if not states:
         raise ValueError("superpose needs at least one node result")
@@ -65,7 +78,13 @@ def superpose_states(
             )
     total = np.tile(np.asarray(dc_state, dtype=float), (len(reference), 1))
     for block in states:
-        total += block
+        spans = getattr(block, "spans", None)
+        if spans is None:
+            total += block
+            continue
+        for row0, a, b in spans:
+            rows = b if a is None else a @ b
+            total[row0:row0 + len(rows)] += rows
     return total
 
 
@@ -79,8 +98,9 @@ def merge_node_stats(node_stats: Iterable[SolverStats]) -> SolverStats:
 
 def superpose(
     dc_state: np.ndarray,
-    node_results: list[TransientResult],
+    node_results: list,
     method: str = SUPERPOSED_METHOD,
+    system=None,
 ) -> TransientResult:
     """Sum per-node deviation responses onto the DC operating point.
 
@@ -89,10 +109,16 @@ def superpose(
     dc_state:
         The DC operating point ``x_dc``.
     node_results:
-        Per-node deviation trajectories.  All must share the identical
-        time grid (the scheduler hands every node the same GTS schedule).
+        Per-node deviation trajectories: :class:`TransientResult` or
+        :class:`~repro.dist.messages.NodeResult` objects (``times``,
+        ``states``, ``stats``) — the latter keep their factored
+        ``states``, which a ``TransientResult`` would densify.  All must
+        share the identical time grid (the scheduler hands every node
+        the same GTS schedule).
     method:
         Label recorded on the combined result.
+    system:
+        The simulated system; defaults to the first result's.
 
     Returns
     -------
@@ -108,7 +134,7 @@ def superpose(
     )
     reference = node_results[0]
     return TransientResult(
-        system=reference.system,
+        system=reference.system if system is None else system,
         times=reference.times.copy(),
         states=total,
         stats=merge_node_stats(r.stats for r in node_results),

@@ -18,7 +18,12 @@ bit-for-bit identical.
 
 from repro.dist.block_runner import BlockNodeRunner
 from repro.dist.executors import Executor, MultiprocessExecutor, SerialExecutor
-from repro.dist.messages import DistributedResult, NodeResult, SimulationTask
+from repro.dist.messages import (
+    DistributedResult,
+    FactoredStates,
+    NodeResult,
+    SimulationTask,
+)
 from repro.dist.scheduler import DECOMPOSITIONS, MatexScheduler
 from repro.dist.supervision import JobError, RetryPolicy, SupervisionStats
 
@@ -27,6 +32,7 @@ __all__ = [
     "DECOMPOSITIONS",
     "DistributedResult",
     "Executor",
+    "FactoredStates",
     "JobError",
     "MatexScheduler",
     "MultiprocessExecutor",

@@ -6,10 +6,10 @@ columns* differ.  :class:`BlockNodeRunner` is the one march the
 executors run.  At **width 1** it is the paper's per-node execution
 (Alg. 2): a node builds a basis at each of its local transition spots
 and only re-evaluates it at the snapshots in between — ≈5 rounds of
-three scalar ``G`` solves, one 1-column Arnoldi and one span-batched
-evaluation instead of one Python step per grid point.  At width N it
-fuses N such marches into block linear algebra without changing a
-single bit of the results:
+three scalar ``G`` solves, one 1-column Arnoldi and one span of small
+Hessenberg exponentials instead of one Python step per grid point.  At
+width N it fuses N such marches into block linear algebra without
+changing a single bit of the results:
 
 * **Round lockstep.**  Node ``k``'s march is a chain over its *own*
   local transition spots; between two consecutive LTS every snapshot
@@ -22,18 +22,25 @@ single bit of the results:
   the same routine ``MatexSolver.simulate`` reaches through
   ``op.build_basis`` at one column) instead of ``width`` scalar
   sequences.
-* **Span-batched snapshots.**  The snapshot states of a whole segment
-  are evaluated in one :meth:`~repro.linalg.krylov.KrylovBasis.evaluate_many`
-  call; its loop-ordered kernel makes each column bit-identical to the
-  scalar ``evaluate_with_error`` a step-by-step march performs,
-  including the posterior-error rebuild decisions.
+* **A node's answer is its factors.**  Alg. 2 reuses one basis for every
+  snapshot of a segment, so the deviation there has rank ``m + 2``.
+  The runner never writes that ``(K × dim)`` block: per span it keeps
+  the coefficient rows ``A`` (:meth:`KrylovBasis.coefficients
+  <repro.linalg.krylov.KrylovBasis.coefficients>`, which also yields
+  every snapshot's posterior error) and the vectors ``B = [V_mᵀ; F;
+  w_2]``, carries ``x(t_i1) = A[-1] @ B`` into the next segment, and
+  returns a :class:`~repro.dist.messages.FactoredStates`.  A
+  snapshot-triggered rebuild closes one span and opens the next; a
+  quiescent segment emits nothing.  The dense rows first exist inside
+  the scenario sum (:func:`~repro.core.superposition.superpose_states`),
+  so forming them is charged to ``superpose_seconds``, not to a node's
+  ``transient_seconds``.
 
-Bit-for-bit parity with the scalar reference march
-(:func:`repro.dist.worker.run_task`, kept as the degenerate-grid
-fallback and the tests' oracle) is enforced at every width by
-``tests/test_block_runner.py`` and pinned to recorded digests by
-``tests/test_golden_digests.py``; it is what lets Table-3 numbers stay
-untouched while the wall time drops by the batching factor.
+The scalar reference march (:func:`repro.dist.worker.run_task`, kept as
+the degenerate-grid fallback and the tests' oracle) agrees with the
+runner to round-off on states and exactly on every convergence decision
+(``tests/test_block_runner.py``); the runner's own bits are identical at
+every width and pinned by ``tests/test_golden_digests.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from repro.core.options import SolverOptions
 from repro.core.solver import MatexSolver, REUSE_SAFETY
 from repro.core.stats import SolverStats
 from repro.core.transition import TransitionSchedule, build_schedule
-from repro.dist.messages import NodeResult, SimulationTask
+from repro.dist.messages import FactoredStates, NodeResult, SimulationTask
 from repro.dist.worker import run_task
 from repro.linalg.block_krylov import build_bases_block, prime_eig_payloads
 
@@ -72,9 +79,9 @@ class _TaskState:
     rows: np.ndarray
     bu_comp: np.ndarray
     lts: list[int]
-    states: np.ndarray
     stats: SolverStats
     x: np.ndarray
+    spans: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
     eps_segment: float = 0.0
     basis: object = None
     v_alts: np.ndarray | None = None
@@ -192,21 +199,15 @@ class BlockNodeRunner:
         bu0 = bu_comp[:, 0].copy()
         bu_comp -= bu0[:, None]
 
-        n_pts = len(pts)
-        dim = self.system.dim
-        states = np.empty((n_pts, dim))
-        x = np.zeros(dim)
-        states[0] = x
-        lts = [i for i in range(n_pts - 1) if schedule.is_lts[i]]
+        lts = [i for i in range(len(pts) - 1) if schedule.is_lts[i]]
         return _TaskState(
             task=task,
             schedule=schedule,
             rows=rows,
             bu_comp=bu_comp,
             lts=lts,
-            states=states,
             stats=SolverStats(factor_seconds=self.solver.factor_seconds),
-            x=x,
+            x=np.zeros(self.system.dim),
         )
 
     def _run_grid_batch(self, tasks: list[SimulationTask]) -> list[NodeResult]:
@@ -259,7 +260,9 @@ class BlockNodeRunner:
                 group_id=t.task.group.group_id,
                 label=t.task.group.label,
                 times=pts_ref.copy(),
-                states=t.states,
+                states=FactoredStates.from_spans(
+                    (len(pts_ref), self.system.dim), t.spans
+                ),
                 stats=t.stats,
             )
             for t in tstates
@@ -363,12 +366,13 @@ class BlockNodeRunner:
         t.krylov_dims.append(basis.m)
 
     def _evaluate_span(self, t: _TaskState, pts: np.ndarray) -> None:
-        """States of one segment: LTS step plus error-checked snapshots.
+        """Factors of one segment: LTS step plus error-checked snapshots.
 
-        ``span_hs[0]`` is the fresh segment's own step (plain evaluate,
-        as Alg. 2's LTS branch); every later entry is a snapshot whose
+        ``span_hs[0]`` is the fresh segment's own step (taken as is, as
+        Alg. 2's LTS branch); every later entry is a snapshot whose
         posterior error is re-checked against the generation budget,
-        regenerating the basis exactly where a step-by-step march would.
+        regenerating the basis exactly where a step-by-step march would
+        — which closes one span and opens the next.
         """
         span_hs = pts[t.i0 + 1: t.i1 + 1] - pts[t.i0]
         n_span = len(span_hs)
@@ -376,45 +380,37 @@ class BlockNodeRunner:
         if t.basis.m == 0 and not t.F.any() and not t.w2.any():
             # Quiescent segment (node idle before its delay): the empty
             # basis evaluates to zero and P(h) ≡ ±0, so every marching
-            # step lands exactly on +0.0 — skip the span evaluation.
-            t.states[t.i0 + 1: t.i1 + 1] = 0.0
+            # step lands exactly on +0.0 — no span is emitted.
             t.stats.n_reuses += n_span - 1
-            t.x = t.states[t.i1]
+            t.x = np.zeros_like(t.x)
             return
-        Y, errs = t.basis.evaluate_many(span_hs)
         threshold = REUSE_SAFETY * t.eps_segment
-        if not np.any(errs[1:] > threshold):
-            # No rebuilds anywhere in the segment (the overwhelmingly
-            # common case — Fig. 5 says reuse error shrinks with h):
-            # evaluate P(h) and commit the states straight into the
-            # task's trajectory block, allocation-free.
-            dst = t.states[t.i0 + 1: t.i1 + 1]
-            np.multiply(span_hs[:, None], t.w2[None, :], out=dst)
-            np.subtract(t.F[None, :], dst, out=dst)
-            np.subtract(Y, dst, out=dst)
-            t.stats.n_reuses += n_span - 1
-            t.x = t.states[t.i1]
-            return
-        P_span = t.F[None, :] - span_hs[:, None] * t.w2[None, :]
-        X_span = Y - P_span
-        t.states[t.i0 + 1] = X_span[0]
-        k = 1
-        offset = 0  # span index where the current Y/errs/X_span start
-        while k < n_span:
-            if errs[k - offset] > threshold:
-                ha = float(span_hs[k])
-                self._rebuild_basis(t, ha)
-                Yk, _ = t.basis.evaluate_many([ha], with_errors=False)
-                t.states[t.i0 + 1 + k] = Yk[0] - (t.F - ha * t.w2)
-                k += 1
-                if k < n_span:
-                    # Re-evaluate only the remaining tail against the
-                    # fresh basis; committed steps stay committed.
-                    offset = k
-                    Y, errs = t.basis.evaluate_many(span_hs[offset:])
-                    X_span = Y - P_span[offset:]
-                continue
-            t.stats.n_reuses += 1
-            t.states[t.i0 + 1 + k] = X_span[k - offset]
-            k += 1
-        t.x = t.states[t.i1]
+        start = 0
+        while True:
+            hs = span_hs[start:]
+            coeffs, errs = t.basis.coefficients(hs)
+            # The first step of a (re)built basis is committed unchecked.
+            failed = np.flatnonzero(errs[1:] > threshold)
+            stop = int(failed[0]) + 1 if failed.size else len(hs)
+            # Both factors C-ordered by construction: numpy picks its
+            # BLAS call from the operand strides, and the bits follow.
+            m = t.basis.m
+            A = np.empty((stop, m + 2))
+            A[:, :m] = coeffs[:stop]
+            A[:, m] = -1.0
+            A[:, m + 1] = hs[:stop]
+            B = np.empty((m + 2, len(t.x)))
+            B[:m] = t.basis.Vm.T
+            B[m] = t.F
+            B[m + 1] = t.w2
+            if stop * B.shape[1] <= A.size + B.size:
+                # Too short a span is smaller as the rows themselves.
+                t.spans.append((t.i0 + 1 + start, None, A @ B))
+            else:
+                t.spans.append((t.i0 + 1 + start, A, B))
+            t.stats.n_reuses += stop - 1
+            start += stop
+            if start == n_span:
+                break
+            self._rebuild_basis(t, float(span_hs[start]))
+        t.x = A[-1] @ B

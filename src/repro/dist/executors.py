@@ -24,8 +24,7 @@ chunk, each building a basis at its own transition spots and
 re-evaluating it over the whole span of snapshots in between — not a
 different code path.  ``"auto"`` is one chunk per worker and an integer
 a fixed width.  The results are bit-for-bit the same at every width
-(``tests/test_golden_digests.py`` pins them to the digests the former
-scalar per-task march recorded).
+(``tests/test_golden_digests.py`` pins them to recorded digests).
 
 What crosses the process boundary.  In: one pickled
 :class:`~repro.dist.messages.SimulationTask` per node (≈2.3 kB with a
@@ -41,8 +40,10 @@ returns one ``(K × dim)`` block per scenario plus every node's
 the worker.  ``"auto"`` chunks are cut on scenario boundaries whenever a
 submission holds at least as many scenarios as workers, so a
 session-driven sweep is reduced this way throughout.  Per-node
-trajectories still travel — and the parent superposes them — for a
-scenario that straddles two chunks (fewer scenarios than workers, e.g. a
+trajectories still travel — as their factors
+(:class:`~repro.dist.messages.FactoredStates`, ≈ a sixth of the dense
+block), which the parent folds into the sum with that same routine —
+for a scenario that straddles two chunks (fewer scenarios than workers, e.g. a
 one-scenario ``repro sweep --processes N``; every multi-node scenario
 of a width-1 pool), and whenever ``run`` is called without
 ``dc_states`` (the paper's per-node view).

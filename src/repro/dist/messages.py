@@ -13,17 +13,18 @@ The protocol mirrors the paper's Fig. 4:
   group, the horizon and the *shared* global-transition-spot grid (so
   every node's trajectory aligns for superposition);
 * the node answers with a :class:`NodeResult` — the deviation trajectory
-  on that grid plus its local statistics;
+  on that grid, as :class:`FactoredStates` (≈ 0.2 MB for a pg1t node
+  whose dense block is 1.23 MB), plus its local statistics;
 * the scheduler superposes and reports a :class:`DistributedResult` with
   the Sec. 3.4 timing split.
 
 One refinement on the way back: a pool worker that marched *every* node
 of a scenario superposes them itself and answers with one trajectory for
 the scenario instead of one per node.  The scenario's first result is
-the **carrier** — its ``states`` hold ``x_dc + Σ_k y_k`` and ``covers``
-lists the summed task ids — and the other node results keep their
-statistics but travel with an empty ``(0, dim)`` ``states`` block (see
-:mod:`repro.dist.executors` for when this happens).
+the **carrier** — its ``states`` hold the dense ``x_dc + Σ_k y_k`` and
+``covers`` lists the summed task ids — and the other node results keep
+their statistics but travel with an empty ``(0, dim)`` ``states`` block
+(see :mod:`repro.dist.executors` for when this happens).
 """
 
 from __future__ import annotations
@@ -37,7 +38,12 @@ from repro.core.results import TransientResult
 from repro.core.stats import SolverStats
 from repro.core.transition import TransitionSchedule
 
-__all__ = ["SimulationTask", "NodeResult", "DistributedResult"]
+__all__ = [
+    "SimulationTask",
+    "FactoredStates",
+    "NodeResult",
+    "DistributedResult",
+]
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,85 @@ class SimulationTask:
 
 
 @dataclass(frozen=True, eq=False)
+class FactoredStates:
+    """A node trajectory kept as its low-rank factors, span by span.
+
+    Over one Krylov basis the deviation is ``y(t_i0 + h) = β V_m
+    exp(h·H_m) e_1 − F + h·w_2``: rows ``row0 … row0 + K`` of the
+    ``(n_points × dim)`` block are ``A @ B`` with ``A = [β exp(h_k H_m)
+    e_1ᵀ | −1 | h_k]`` of shape ``(K, m + 2)`` and ``B = [V_mᵀ; F;
+    w_2]`` of shape ``(m + 2, dim)``.  A span too short for its factors
+    to be the smaller form (``K ≲ m + 2``: merged groups, whose every
+    grid point is a transition spot) carries its ``K`` rows as they are,
+    ``A = None``.  Rows no span covers (``t = 0``, quiescent segments)
+    are exactly ``+0.0``.  Everything lives in one flat buffer — ``A``
+    then ``B``, span after span — so the block pickles, or moves through
+    shared memory, as a single array, and the products see the same
+    operand layout wherever they are formed: inside the write-back
+    (:func:`repro.core.superposition.superpose_states`) or on request
+    (:meth:`dense`, ``np.asarray``).
+
+    Attributes
+    ----------
+    shape:
+        ``(n_points, dim)`` of the dense block this stands for.
+    layout:
+        ``(row0, K, m + 2)`` per span in marching order; ``(row0, K, 0)``
+        for a span of plain rows.
+    data:
+        The flat ``float64`` buffer.
+    """
+
+    shape: tuple[int, int]
+    layout: tuple[tuple[int, int, int], ...]
+    data: np.ndarray
+
+    @classmethod
+    def from_spans(cls, shape, spans) -> "FactoredStates":
+        """Pack ``(row0, A, B)`` spans (``A`` may be ``None``)."""
+        parts = [
+            m.ravel() for _row0, a, b in spans for m in (a, b)
+            if m is not None
+        ]
+        return cls(
+            shape=tuple(shape),
+            layout=tuple(
+                (row0, len(b), 0) if a is None else (row0, *a.shape)
+                for row0, a, b in spans
+            ),
+            data=np.concatenate(parts) if parts else np.empty(0),
+        )
+
+    @property
+    def spans(self) -> list[tuple[int, np.ndarray | None, np.ndarray]]:
+        """``(row0, A, B)`` per span: views into :attr:`data`."""
+        dim = self.shape[1]
+        out, pos = [], 0
+        for row0, k, r in self.layout:
+            a = self.data[pos:pos + k * r].reshape(k, r) if r else None
+            pos += k * r
+            n_b = (r or k) * dim
+            out.append((row0, a, self.data[pos:pos + n_b].reshape(-1, dim)))
+            pos += n_b
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes
+
+    def dense(self) -> np.ndarray:
+        """The ``(n_points × dim)`` block, materialised."""
+        out = np.zeros(self.shape)
+        for row0, a, b in self.spans:
+            rows = b if a is None else a @ b
+            out[row0:row0 + len(rows)] = rows
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.dense(), dtype=dtype)
+
+
+@dataclass(frozen=True, eq=False)
 class NodeResult:
     """A node's answer: the deviation trajectory plus local statistics.
 
@@ -95,10 +180,12 @@ class NodeResult:
     Attributes
     ----------
     states:
-        The node's ``(K × dim)`` deviation trajectory — unless the
+        The node's ``(K × dim)`` deviation trajectory: a
+        :class:`FactoredStates` from the block runner (every executor),
+        a dense array from the scalar ``run_task`` march — unless the
         worker already superposed the node's scenario: then the carrier
-        (``covers`` non-empty) holds the scenario sum and every other
-        node result of that scenario an empty ``(0, dim)`` block.
+        (``covers`` non-empty) holds the dense scenario sum and every
+        other node result of that scenario an empty ``(0, dim)`` block.
     covers:
         Ids of the tasks, in summation order, whose trajectories the
         worker summed onto their scenario's DC state to produce
@@ -111,7 +198,7 @@ class NodeResult:
     group_id: int
     label: str
     times: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | FactoredStates
     stats: SolverStats = field(default_factory=SolverStats)
     covers: tuple[int, ...] = ()
     superpose_seconds: float = 0.0
@@ -127,7 +214,9 @@ class NodeResult:
         return self.stats.factor_seconds
 
     def as_transient_result(self, system) -> TransientResult:
-        """Rehydrate into a :class:`TransientResult` for superposition."""
+        """Rehydrate into a :class:`TransientResult` (node voltages by
+        name, interpolation).  This materialises a factored trajectory;
+        superposition takes the node results themselves."""
         return TransientResult(
             system=system,
             times=self.times,

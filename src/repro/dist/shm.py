@@ -14,7 +14,11 @@ worker superposed a whole scenario itself (see
 :mod:`repro.dist.executors`), that is the scenario's carrier alone — one
 ``K·dim·8``-byte segment per scenario, named after the carrier's task
 id — and the other node results, whose ``states`` are empty, travel as
-plain pickled metadata.
+plain pickled metadata.  A per-node result (a scenario straddling two
+chunks) holds a :class:`~repro.dist.messages.FactoredStates`: its flat
+factor buffer is what the segment carries, and the ref's ``factors``
+field the shape and span layout that turn the mapped buffer back into
+the same factored trajectory, still zero-copy.
 
 Lifecycle contract
 ------------------
@@ -49,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults
-from repro.dist.messages import NodeResult
+from repro.dist.messages import FactoredStates, NodeResult
 
 try:  # pragma: no cover - import guard for exotic platforms
     from multiprocessing import shared_memory
@@ -86,6 +90,9 @@ class ShmArrayRef:
     name: str
     shape: tuple
     dtype: str
+    #: ``(shape, layout)`` of the :class:`FactoredStates` whose flat
+    #: factor buffer the segment holds; ``None`` for a dense block.
+    factors: tuple | None = None
 
     def run_prefix(self) -> str:
         """The run-unique sweep prefix this segment was created under.
@@ -200,7 +207,11 @@ def to_shared(result: NodeResult, prefix: str) -> NodeResult:
     another result's ``states``) has nothing to share and is returned
     unchanged — it never owns a segment.
     """
-    states = np.ascontiguousarray(result.states)
+    states, factors = result.states, None
+    if isinstance(states, FactoredStates):
+        # A per-node result: its spans already sit in one flat buffer.
+        states, factors = states.data, (states.shape, states.layout)
+    states = np.ascontiguousarray(states)
     if not states.size:
         return result
     name = f"{prefix}t{result.task_id}"
@@ -209,7 +220,10 @@ def to_shared(result: NodeResult, prefix: str) -> NodeResult:
     )
     dst = np.ndarray(states.shape, dtype=states.dtype, buffer=seg.buf)
     dst[:] = states
-    ref = ShmArrayRef(name=name, shape=states.shape, dtype=states.dtype.str)
+    ref = ShmArrayRef(
+        name=name, shape=states.shape, dtype=states.dtype.str,
+        factors=factors,
+    )
     _unregister(seg._name)
     seg.close()
     return dataclasses.replace(result, states=ref)
@@ -273,7 +287,8 @@ def from_shared(result: NodeResult) -> NodeResult:
     except FileNotFoundError:  # pragma: no cover - swept concurrently
         pass
     weakref.finalize(arr, _close_segment, seg)
-    return dataclasses.replace(result, states=arr)
+    states = arr if ref.factors is None else FactoredStates(*ref.factors, arr)
+    return dataclasses.replace(result, states=states)
 
 
 def cleanup_segments(prefix: str) -> int:

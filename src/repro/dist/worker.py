@@ -5,8 +5,11 @@ through :meth:`MatexSolver.simulate <repro.core.solver.MatexSolver.simulate>`,
 one Python step per grid point (paper Alg. 2, literally).  It is **not**
 how the executors run a node: per-node execution is the
 :class:`~repro.dist.block_runner.BlockNodeRunner` at width 1, which
-evaluates a whole span of snapshots per call and lands on the same bits.
-The scalar march stays for two callers only:
+serves a whole span of snapshots per call and answers with the
+trajectory's factors.  The two make the same convergence decisions and
+agree on states to round-off (this march accumulates a dense row with
+an ordered rank-1 loop, a factored row is a BLAS dot), so this one is a
+*tolerance* oracle.  The scalar march stays for two callers only:
 
 * the block runner's fallback for a degenerate (not strictly
   increasing) or misaligned grid, which the lockstep march assumes away;

@@ -7,8 +7,10 @@ baseline, fixed-step trapezoidal at h = 10ps.  Columns follow the paper:
 * ``t1000``      — TR pure transient time (1000 substitution pairs),
 * ``tt_total``   — TR total (LU + DC + transient),
 * ``Group #``    — number of bump groups = computing nodes,
-* ``trmatex``    — max pure-transient time over MATEX nodes,
-* ``tr_total``   — MATEX total (per-node LU + DC + transient + superpose),
+* ``trmatex``    — max pure-transient time over MATEX nodes (solves,
+  Arnoldi, small exponentials; a node answers with its factors),
+* ``tr_total``   — MATEX total (per-node LU + DC + transient + superpose,
+  the write-back that forms the dense rows and sums them),
 * ``Max/Avg Err``— node-voltage error vs a golden reference
   (the paper compares to IBM-provided solutions; we use TR at h = 1ps),
 * ``Spdp4``      — t1000 / trmatex, ``Spdp5`` — tt_total / tr_total.

@@ -186,9 +186,9 @@ def build_bases_block(
         if c.beta == 0.0:  # repro: allow[RPL005] exact Krylov-breakdown sentinel (norm of the zero vector)
             continue
         c.cap = _initial_capacity(m_cap)
-        c.V = np.empty((n, c.cap + 1))
+        c.V = np.empty((c.cap + 1, n))
         c.H = np.zeros((c.cap + 1, c.cap))
-        c.V[:, 0] = c.v / c.beta
+        c.V[0] = c.v / c.beta
         c.active = True
 
     for j in range(m_cap):
@@ -202,11 +202,11 @@ def build_bases_block(
         # single sparse mat-mat product + multi-RHS substitution, with
         # columns bit-identical to per-column scalar applies.
         if len(active) == 1:
-            W = op.apply(active[0].V[:, j])[:, None]
+            W = op.apply(active[0].V[j])[:, None]
         else:
             block = np.empty((n, len(active)))
             for i, c in enumerate(active):
-                block[:, i] = c.V[:, j]
+                block[:, i] = c.V[j]
             W = op.apply_block(block)
 
         if not np.all(np.isfinite(W)):
@@ -231,11 +231,13 @@ def build_bases_block(
             # Classical Gram-Schmidt in BLAS-2 form; the second pass
             # (CGS2) restores the numerical robustness of the modified
             # variant written in the paper's Alg. 1, at vectorised speed
-            # — essential when MEXP pushes m into the hundreds.
-            basis_block = c.V[:, : j + 1]
+            # — essential when MEXP pushes m into the hundreds.  Every
+            # basis vector is one contiguous workspace row, so both
+            # products stream whole vectors.
+            basis_block = c.V[: j + 1]
             for _ in range(2):
-                coeffs = basis_block.T @ w
-                w = w - basis_block @ coeffs
+                coeffs = basis_block @ w
+                w = w - coeffs @ basis_block
                 c.H[: j + 1, j] += coeffs
             h_next = float(np.sqrt(w.dot(w)))
             c.H[j + 1, j] = h_next
@@ -243,14 +245,14 @@ def build_bases_block(
 
             if h_next <= _BREAKDOWN_TOL * max(w_scale, tiny):
                 # Invariant subspace: the projection is exact.  The
-                # unused extra basis column is zeroed explicitly (the
+                # unused extra basis vector is zeroed explicitly (the
                 # workspace is allocated with np.empty).
-                c.V[:, j + 1] = 0.0
+                c.V[j + 1] = 0.0
                 c.happy = True
                 c.active = False
                 continue
 
-            c.V[:, j + 1] = w / h_next
+            c.V[j + 1] = w / h_next
 
             if c.m >= min_dim and not (
                 c.m > _TEST_THROTTLE_DIM and c.m % _TEST_THROTTLE_EVERY
@@ -303,7 +305,7 @@ def _finalize_basis(op: KrylovExpmOperator, c: _Column) -> KrylovBasis:
         h_next = float(c.H[c.m, c.m - 1])
         err_row = op._error_row(h_square, factors=factors)
     return KrylovBasis(
-        Vm=c.V[:, : c.m].copy(), Hm=heff, beta=c.beta,
+        Vm=c.V[: c.m].copy().T, Hm=heff, beta=c.beta,
         h_built=c.h, m=c.m, error_estimate=err, method=op.method,
         h_next=h_next, err_row=err_row,
     )

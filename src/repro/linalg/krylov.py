@@ -196,14 +196,14 @@ class KrylovBasis:
         """Evaluate the basis at many steps at once.
 
         Returns ``(Y, errs)`` with ``Y`` of shape ``(K, n)`` — row ``k``
-        is ``β V_m exp(hs[k]·Hm) e_1`` (row-major, so a marching span
-        commits straight into its states block) — and ``errs`` the
-        posterior error estimate per step (zeros when the basis carries
-        no error row, or when ``with_errors`` is false).  This is the
-        batched Hessenberg-exponential kernel behind snapshot reuse:
-        the scalar :meth:`evaluate` / :meth:`evaluate_with_error`
+        is ``β V_m exp(hs[k]·Hm) e_1`` — and ``errs`` the posterior
+        error estimate per step (zeros when the basis carries no error
+        row, or when ``with_errors`` is false).  This is the dense
+        evaluation of the scalar march (``MatexSolver.simulate``,
+        ``run_task``): :meth:`evaluate` / :meth:`evaluate_with_error`
         delegate here with ``K = 1``, so batched and per-step
-        evaluations are bit-for-bit interchangeable.
+        evaluations are bit-for-bit interchangeable.  The block runner
+        ships :meth:`coefficients` instead and never forms ``Y``.
         """
         hs = np.asarray(hs, dtype=float)
         K = hs.shape[0]
@@ -227,13 +227,33 @@ class KrylovBasis:
                 Y[k] = self.beta * (
                     self.Vm @ np.ascontiguousarray(cols[:, k])
                 )
-        if not with_errors or self.err_row is None or self.h_next == 0.0:  # repro: allow[RPL005] exact happy-breakdown sentinel
+        if not with_errors:
             return Y, np.zeros(K)
+        return Y, self._posterior_errors(cols)
+
+    def _posterior_errors(self, cols: np.ndarray) -> np.ndarray:
+        """Posterior error estimate per column of ``exp(h·Hm) e_1``."""
+        if self.err_row is None or self.h_next == 0.0:  # repro: allow[RPL005] exact happy-breakdown sentinel
+            return np.zeros(cols.shape[1])
         dots = self.err_row[0] * cols[0, :]
         for j in range(1, self.m):
             dots = dots + self.err_row[j] * cols[j, :]
-        errs = self.beta * np.abs(self.h_next * dots)
-        return Y, errs
+        return self.beta * np.abs(self.h_next * dots)
+
+    def coefficients(self, hs) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of ``β V_m exp(h·Hm) e_1`` in the basis, per step.
+
+        Returns ``(coeffs, errs)``: row ``k`` of the ``(K, m)`` block is
+        ``β·exp(hs[k]·Hm) e_1``, so the states :meth:`evaluate_many`
+        materialises are ``coeffs @ Vmᵀ`` — the factored form the block
+        runner ships instead of a dense span — and ``errs`` are the same
+        posterior estimates, from the same small exponentials.
+        """
+        hs = np.asarray(hs, dtype=float)
+        if self.m == 0:
+            return np.zeros((hs.shape[0], 0)), np.zeros(hs.shape[0])
+        cols = self._expm_e1_many(hs)
+        return self.beta * cols.T, self._posterior_errors(cols)
 
     def evaluate(self, h: float) -> np.ndarray:
         """Return ``β V_m exp(h Hm) e_1`` — the reuse step of Alg. 2."""

@@ -23,7 +23,10 @@ objects through one :class:`~repro.plan.plan.CompiledPlan` against a
   takes such a sum as it comes and superposes itself — through the same
   accumulation routine, in the same node order, hence the same bits —
   only the scenarios that came back per node (in-process executors,
-  scenarios split over several workers, degraded batches).
+  scenarios split over several workers, degraded batches).  Node
+  results arrive as factored trajectories and are handed to that
+  routine as they are: the dense rows are formed inside the sum, so
+  ``superpose_seconds`` includes their evaluation.
 
 A worker death mid-sweep does not poison the session: the persistent
 executor disposes the broken pool (sweeping the dead worker's
@@ -59,8 +62,8 @@ __all__ = ["Session"]
 #: Target lockstep width (node tasks per submission) for ``stack="auto"``.
 #: Stacking pays off by amortising per-round Python overhead, which is
 #: saturated by a few hundred lockstep columns; beyond that the
-#: per-round working set (every stacked task's dense trajectory block)
-#: only grows, and the march slows down on memory traffic.  So "auto"
+#: per-round working set (every stacked task's vectors and factored
+#: spans) only grows, and the march slows down on memory traffic.  So "auto"
 #: stacks narrow plans deeply (a 6-node plan runs ~40 scenarios per
 #: march) and wide plans shallowly (a 100-node plan runs 2 per march),
 #: instead of blindly submitting the whole sweep at once.
@@ -296,8 +299,10 @@ class Session:
             :data:`AUTO_STACK_TASK_TARGET` lockstep tasks per
             submission — deep stacking for narrow plans, shallow for
             wide ones; an explicit integer overrides it (each stacked
-            scenario holds ``n_nodes`` dense ``(K × dim)`` deviation
-            blocks until superposition).
+            scenario holds its ``n_nodes`` factored trajectories —
+            ≈ ``(m + 2)·(K + dim)`` floats per Krylov basis, about a
+            sixth of a dense ``(K × dim)`` block on pg1t — until
+            superposition forms the one dense sum).
         rom:
             Reduced-order tier policy.  ``None`` (default) answers from
             the compiled plan's :class:`~repro.rom.ReducedModel` when
@@ -506,10 +511,9 @@ class Session:
                 superpose_seconds = carrier.superpose_seconds
             else:
                 t0 = time.perf_counter()
-                combined = superpose(
-                    dc_states[slot],
-                    [r.as_transient_result(system) for r in share],
-                )
+                # The node results themselves, not TransientResults:
+                # rehydrating would densify their factored states.
+                combined = superpose(dc_states[slot], share, system=system)
                 superpose_seconds = time.perf_counter() - t0
 
             hits = dc_hits[slot] + sum(

@@ -9,8 +9,8 @@ from pathlib import Path
 # One BLAS thread per process, set before numpy loads its BLAS: the
 # suite forks 2-worker pools on small boxes, where unpinned OpenBLAS
 # threads spin against each other (a 1 s pool run takes 5-10 s).  The
-# results do not depend on it — tests/golden/state_digests.json was
-# recorded identically with one and two threads.
+# results do not depend on it — tests/test_factored_trajectory.py
+# digests the pg1t golden case under one and two threads.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -61,9 +61,11 @@ class ScalarOracleExecutor(Executor):
 
     :func:`repro.dist.worker.run_task` walks a task's grid one Python
     step at a time through ``MatexSolver.simulate`` — no block runner,
-    no span batching — which is the per-node path as it was before the
-    executors collapsed onto width-1 lockstep.  Every executor, at every
-    width, must reproduce its bits and its ``SolverStats`` counters.
+    no span batching, dense rank-1 evaluation — which is the per-node
+    path as it was before the executors collapsed onto width-1
+    lockstep.  It is a *tolerance* oracle: every executor, at every
+    width, must reproduce its ``SolverStats`` counters exactly and its
+    states to round-off (1e-12 of the response scale).
     """
 
     def __init__(self, system, options):

@@ -1,14 +1,18 @@
-"""Bit-for-bit parity of the block-batched fast path, plus transport.
+"""Parity of the block-batched fast path, plus transport.
 
 The contract under test: every trajectory, time grid and operation count
-a :class:`~repro.dist.block_runner.BlockNodeRunner` produces — at any
-width, width 1 (per-node execution) included — is bit-for-bit identical
-to the scalar reference march :func:`repro.dist.worker.run_task` — on
-the serial executor, on the multiprocess executor, through the
-scheduler's ``batch`` policy, across decompositions (including
-split-bump waveform overrides) and Krylov flavours.  On top, the
-shared-memory result transport round-trips arrays exactly and reclaims
-its segments, including after worker death.
+a :class:`~repro.dist.block_runner.BlockNodeRunner` produces is
+**bit-for-bit identical at every width** — width 1 (per-node execution)
+included — on the serial executor, on the multiprocess executor, through
+the scheduler's ``batch`` policy, across decompositions (including
+split-bump waveform overrides) and Krylov flavours.  The scalar
+reference march :func:`repro.dist.worker.run_task` is the *tolerance*
+oracle of all of them: a runner result is a factored trajectory whose
+rows are BLAS dots over ``m + 2`` terms where the scalar march runs an
+ordered rank-1 loop, so the two agree to 1e-12 of the response scale on
+states and exactly on every operation count and basis dimension.  On
+top, the shared-memory result transport round-trips arrays exactly and
+reclaims its segments, including after worker death.
 """
 
 from dataclasses import replace
@@ -53,17 +57,35 @@ def scalar_oracle(system, tasks, opts=OPTS):
     return ScalarOracleExecutor(system, opts).run(tasks)
 
 
-def assert_results_identical(ref, blk):
+STAT_FIELDS = ("n_steps", "n_krylov_bases", "n_reuses", "krylov_dims",
+               "n_solves_krylov", "n_solves_etd", "n_solves_dc")
+
+
+def _assert_same_work(ref, blk):
     assert len(ref) == len(blk)
     for r, b in zip(ref, blk):
         assert r.task_id == b.task_id
         assert r.group_id == b.group_id
         assert r.label == b.label
         assert r.times.tobytes() == b.times.tobytes()
-        assert r.states.tobytes() == b.states.tobytes()  # strict bitwise
-        for f in ("n_steps", "n_krylov_bases", "n_reuses", "krylov_dims",
-                  "n_solves_krylov", "n_solves_etd", "n_solves_dc"):
+        for f in STAT_FIELDS:
             assert getattr(r.stats, f) == getattr(b.stats, f), f
+
+
+def assert_results_identical(ref, blk):
+    """Two executions of the block path: strictly bitwise."""
+    _assert_same_work(ref, blk)
+    for r, b in zip(ref, blk):
+        assert np.asarray(r.states).tobytes() == np.asarray(b.states).tobytes()
+
+
+def assert_matches_oracle(oracle, blk, rtol=1e-12):
+    """Block path vs the scalar ``run_task`` march: the same work,
+    states equal to ``rtol`` of the task's response scale."""
+    _assert_same_work(oracle, blk)
+    for r, b in zip(oracle, blk):
+        scale = max(np.abs(r.states).max(), np.finfo(float).tiny)
+        assert np.abs(np.asarray(b.states) - r.states).max() <= rtol * scale
 
 
 class TestRunnerParity:
@@ -71,13 +93,13 @@ class TestRunnerParity:
         tasks = tasks_for(mesh_system)
         ref = scalar_oracle(mesh_system, tasks)
         blk = BlockNodeRunner(mesh_system, OPTS).run(tasks)
-        assert_results_identical(ref, blk)
+        assert_matches_oracle(ref, blk)
 
     def test_singular_c_pdn_parity(self, small_pdn_system):
         tasks = tasks_for(small_pdn_system)
         ref = scalar_oracle(small_pdn_system, tasks)
         blk = BlockNodeRunner(small_pdn_system, OPTS).run(tasks)
-        assert_results_identical(ref, blk)
+        assert_matches_oracle(ref, blk)
 
     @pytest.mark.parametrize("method", ["rational", "inverted"])
     def test_methods_parity(self, mesh_system, method):
@@ -85,21 +107,22 @@ class TestRunnerParity:
         tasks = tasks_for(mesh_system)
         ref = scalar_oracle(mesh_system, tasks, opts)
         blk = BlockNodeRunner(mesh_system, opts).run(tasks)
-        assert_results_identical(ref, blk)
+        assert_matches_oracle(ref, blk)
 
     def test_bump_split_overrides_parity(self, mesh_system):
         tasks = tasks_for(mesh_system, decomposition="bump-split")
         assert any(t.group.waveform_overrides for t in tasks)
         ref = scalar_oracle(mesh_system, tasks)
         blk = BlockNodeRunner(mesh_system, OPTS).run(tasks)
-        assert_results_identical(ref, blk)
+        assert_matches_oracle(ref, blk)
 
     def test_width_one_chunks_match_the_oracle(self, mesh_system):
         """Per-node execution: one task per ``run`` call."""
         tasks = tasks_for(mesh_system, decomposition="source")
         runner = BlockNodeRunner(mesh_system, OPTS)
         blk = [runner.run([t])[0] for t in tasks]
-        assert_results_identical(scalar_oracle(mesh_system, tasks), blk)
+        assert_matches_oracle(scalar_oracle(mesh_system, tasks), blk)
+        assert_results_identical(runner.run(tasks), blk)
 
     def test_degenerate_grid_falls_back_to_the_scalar_march(
         self, mesh_system, monkeypatch
@@ -166,8 +189,10 @@ class TestRunnerParity:
 class TestExecutorParity:
     def test_serial_batched_matches_per_node(self, mesh_system):
         tasks = tasks_for(mesh_system)
-        ref = scalar_oracle(mesh_system, tasks)
-        for width in (None, "off", 1, 2, "auto"):
+        oracle = scalar_oracle(mesh_system, tasks)
+        ref = SerialExecutor(mesh_system, OPTS).run(tasks)
+        assert_matches_oracle(oracle, ref)
+        for width in ("off", 1, 2, "auto"):
             blk = SerialExecutor(
                 mesh_system, OPTS, batch_width=width
             ).run(tasks)
@@ -225,7 +250,9 @@ class TestShmTransport:
         shared = to_shared(res, prefix)
         assert not isinstance(shared.states, np.ndarray)
         back = from_shared(shared)
-        assert back.states.tobytes() == res.states.tobytes()
+        assert back.states.layout == res.states.layout
+        assert back.states.data.tobytes() == res.states.data.tobytes()
+        assert back.states.dense().tobytes() == res.states.dense().tobytes()
         assert back.times.tobytes() == res.times.tobytes()
         assert back.stats is res.stats
         # segment name already unlinked: nothing left to sweep

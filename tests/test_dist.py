@@ -89,7 +89,9 @@ class TestWorker:
         assert result.states.shape == (len(gts), s.dim)
         assert result.transient_seconds >= 0.0
         oracle = run_task(MatexSolver(s, OPTS, deviation_mode=True), task)
-        assert result.states.tobytes() == oracle.states.tobytes()
+        assert np.abs(result.states.dense() - oracle.states).max() <= (
+            1e-12 * np.abs(oracle.states).max()
+        )
         assert result.stats.krylov_dims == oracle.stats.krylov_dims
 
     def test_worker_amortizes_factorization(self, mesh_system):

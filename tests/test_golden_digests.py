@@ -1,23 +1,38 @@
-"""Golden state digests: every execution mode reproduces the scalar path.
+"""Golden state digests: every execution mode reproduces the same bits.
 
 ``tests/golden/state_digests.json`` holds SHA-256 digests of superposed
-trajectories (and the summed ``SolverStats`` counters) recorded by the
-**scalar** per-node path — ``MatexScheduler(batch="off")`` while that
-still walked every task one Python step at a time through
-``MatexSolver.simulate`` — at the commit before the executors collapsed
-onto the block runner.  They are the evidence that let the twin go:
-``batch ∈ {"off", 1, 7, "auto"}`` on the serial executor and on a
-process pool over both transports must all reproduce them, and so must
-the scalar :func:`repro.dist.worker.run_task` oracle that remains.
+trajectories (and the summed ``SolverStats`` counters) recorded by
+``MatexScheduler(batch="off")`` on the serial executor — the block
+runner at width 1, the paper's per-node execution.  ``batch ∈ {"off",
+1, 7, "auto"}`` on the serial executor and on a process pool over both
+transports must all reproduce them: a node's answer is a factored
+trajectory (:class:`repro.dist.messages.FactoredStates`) whatever the
+width, and one routine (:func:`repro.core.superposition.superpose_states`)
+folds the factors into the scenario sum in task order wherever the
+tasks meet.
+
+**Oracles.**  The bits are the block path's own, so two independent
+checks keep them honest.  The scalar :func:`repro.dist.worker.run_task`
+march (one ``MatexSolver.simulate`` step per grid point, dense rank-1
+evaluation) is a *tolerance* oracle: it must agree with the block path
+to 1e-12 of the response scale on states — the two differ only in how a
+snapshot row is accumulated, an ordered rank-1 loop there, a BLAS dot
+over ``m + 2`` terms here — and **exactly** on every convergence
+decision (steps, bases, reuses, solves, per-basis dimensions).  And
+each case stays within its posterior error budget of a reference that
+shares no code with the Krylov machinery: the dense exact-ETD solver
+(:func:`repro.linalg.exact_transient`) where ``C`` is invertible and the
+system small, a fine fixed-step trapezoidal run otherwise.
 
 **Determinism boundary.**  The digests are bits, so they are pinned for
 one numerical stack: the numpy / scipy / BLAS builds, the machine
 architecture and the SIMD level the BLAS dispatches its kernels on
-(:func:`fingerprint`).  They were recorded with one and with two BLAS
-threads (identical).  On any other stack the comparison is skipped with
-the reason stated — the modes still have to agree with *each other*
-there, which ``tests/test_block_runner.py`` and
-``tests/test_pool_reduction.py`` check without golden values.
+(:func:`fingerprint`).  They do not depend on the BLAS thread count
+(``tests/test_factored_trajectory.py`` digests pg1t under one and two
+threads).  On any other stack the comparison is skipped with the reason
+stated — the modes still have to agree with *each other* there, which
+``tests/test_block_runner.py`` and ``tests/test_pool_reduction.py``
+check without golden values.
 
 Regenerate (from the repository root, only when the numbers are meant
 to change): ``python -m tests.test_golden_digests``.
@@ -33,10 +48,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines import simulate_trapezoidal
 from repro.circuit import assemble
 from repro.core import SolverOptions
+from repro.core.solver import REUSE_SAFETY
 from repro.dist import MatexScheduler, MultiprocessExecutor
 from repro.dist.shm import shm_available
+from repro.linalg import exact_transient
 from repro.pdn import (
     PdnConfig,
     WorkloadSpec,
@@ -107,7 +125,7 @@ CASES = {
 
 #: The chaos gate's sweep (tests/test_chaos_gate.py): that test asserts
 #: the faulted pool run equals a fault-free serial session; this file
-#: asserts the serial session equals the scalar path's recorded bits.
+#: asserts the serial session equals the recorded bits.
 CHAOS_CASE = "pg1t-chaos-sweep"
 
 
@@ -190,13 +208,68 @@ def test_pool_reproduces_scalar_digests(golden, case, batch, transport):
     assert digest([dres]) == golden[name]
 
 
+#: ``SolverStats`` fields that record convergence decisions: the scalar
+#: oracle must reproduce them exactly.
+DECISIONS = COUNTERS + ("n_solves_dc", "krylov_dims")
+
+
+def assert_oracle_agrees(oracle, block, rtol=1e-12) -> None:
+    """``run_task`` vs the block path: states to ``rtol`` of the response
+    scale, every convergence decision exactly."""
+    assert oracle.result.times.tobytes() == block.result.times.tobytes()
+    scale = np.abs(block.result.states).max()
+    diff = np.abs(oracle.result.states - block.result.states).max()
+    assert diff <= rtol * scale
+    assert len(oracle.node_stats) == len(block.node_stats)
+    for ref, got in zip(oracle.node_stats, block.node_stats):
+        for name in DECISIONS:
+            assert getattr(ref, name) == getattr(got, name), name
+
+
 def test_scalar_oracle_reproduces_its_own_digests(golden, case):
-    """``run_task`` — what is left of the scalar path — is still it."""
+    """``run_task`` — what is left of the scalar path — is a tolerance
+    oracle: same decisions, states equal to round-off."""
     name, system, opts, t_end, decomposition = case
-    dres = MatexScheduler(system, opts, decomposition=decomposition).run(
-        t_end, executor=ScalarOracleExecutor(system, opts)
-    )
-    assert digest([dres]) == golden[name]
+    scheduler = MatexScheduler(system, opts, decomposition=decomposition)
+    block = scheduler.run(t_end)
+    assert digest([block]) == golden[name]
+    oracle = scheduler.run(t_end, executor=ScalarOracleExecutor(system, opts))
+    assert_oracle_agrees(oracle, block)
+
+
+def _reference(system, x_dc, times):
+    """A trajectory on ``times`` from outside the Krylov machinery."""
+    try:
+        if system.dim > 200:
+            raise np.linalg.LinAlgError("too large for the dense oracle")
+        ref_times, states = exact_transient(system, x_dc, times[-1])
+        assert np.allclose(ref_times, times, rtol=1e-12, atol=0.0)
+        return states, 0.0
+    except np.linalg.LinAlgError:
+        h = times[-1] / 8000
+        tr = simulate_trapezoidal(system, h, times[-1])
+        # TR's own error: O(h²) — measured against a halved step.
+        half = simulate_trapezoidal(system, h / 2, times[-1])
+        at = tr.sample(times)
+        return at, 4.0 * np.abs(half.sample(times) - at).max()
+
+
+def test_cases_stay_within_their_posterior_budget(case):
+    """Every basis is built to ``ε = eps_rel·‖v‖ + eps_abs`` and reused
+    while its posterior estimate stays under ``REUSE_SAFETY·ε``; summed
+    over a case's bases that bounds the distance to an independent
+    reference (plus the reference's own discretisation error where it
+    is TR)."""
+    _name, system, opts, t_end, decomposition = case
+    dres = MatexScheduler(
+        system, opts, decomposition=decomposition, batch="auto"
+    ).run(t_end)
+    states = dres.result.states
+    reference, ref_err = _reference(system, states[0], dres.result.times)
+    n_bases = sum(s.n_krylov_bases for s in dres.node_stats)
+    scale = np.linalg.norm(states - states[0], axis=1).max()
+    budget = REUSE_SAFETY * n_bases * (opts.eps_rel * scale + opts.eps_abs)
+    assert np.abs(states - reference).max() <= budget + ref_err
 
 
 @pytest.mark.parametrize("batch", ["off", "auto"])
@@ -213,21 +286,22 @@ def test_rebuild_case_really_rebuilds(golden):
 
 
 def _regenerate() -> None:
-    """Rewrite the golden file from the scalar oracle."""
+    """Rewrite the golden file from the per-node serial path."""
     cases = {}
     for name, build in CASES.items():
         system, opts, t_end, decomposition = build()
-        dres = MatexScheduler(system, opts, decomposition=decomposition).run(
-            t_end, executor=ScalarOracleExecutor(system, opts)
-        )
+        dres = MatexScheduler(
+            system, opts, decomposition=decomposition, batch="off"
+        ).run(t_end)
         cases[name] = digest([dres])
-    cases[CHAOS_CASE] = digest(_chaos_sweep("off", ScalarOracleExecutor))
+    cases[CHAOS_CASE] = digest(_chaos_sweep("off"))
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(
         {
             "recorded_by": (
-                "the scalar per-node path (repro.dist.worker.run_task, one "
-                "MatexSolver.simulate march per task)"
+                'MatexScheduler(batch="off") on the serial executor (the '
+                "block runner at width 1; factored node trajectories "
+                "folded by superpose_states)"
             ),
             "fingerprint": fingerprint(),
             "cases": cases,

@@ -6,7 +6,8 @@ lockstep width 1 in one place.  These tests cover what the old twin
 covered implicitly: the width mapping, the shape of what a width-1 pool
 returns, degenerate inputs (no tasks, one task), per-task timing and
 cache accounting, and counter-for-counter parity with the scalar oracle
-on a run that rebuilds bases at snapshots.
+(states to round-off: it is a tolerance oracle) on a run that rebuilds
+bases at snapshots.
 """
 
 import time
@@ -19,8 +20,12 @@ from repro.dist.executors import _resolve_batch_width
 from repro.linalg.lu import FACTORIZATION_CACHE
 from repro.plan import Scenario, Session, SimulationPlan
 from tests.conftest import ScalarOracleExecutor
-from tests.test_block_runner import assert_results_identical, tasks_for
-from tests.test_golden_digests import CASES
+from tests.test_block_runner import (
+    assert_matches_oracle,
+    assert_results_identical,
+    tasks_for,
+)
+from tests.test_golden_digests import CASES, assert_oracle_agrees
 
 OPTS = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-8)
 T_END = 1e-9
@@ -103,14 +108,14 @@ class TestDegenerateSubmissions:
             T_END,
             executor=SerialExecutor(mesh_system, OPTS, batch_width=width),
         )
-        assert got.result.states.tobytes() == ref.result.states.tobytes()
+        assert_oracle_agrees(ref, got)
         pooled = MatexScheduler(mesh_system, OPTS, max_nodes=1).run(
             T_END,
             executor=MultiprocessExecutor(
                 mesh_system, OPTS, max_workers=2, batch_width=width
             ),
         )
-        assert pooled.result.states.tobytes() == ref.result.states.tobytes()
+        assert pooled.result.states.tobytes() == got.result.states.tobytes()
 
 
 class TestPerTaskAccounting:
@@ -162,6 +167,13 @@ class TestRebuildParity:
             r.stats.n_krylov_bases - k for r, k in zip(oracle, n_lts)
         ]
         assert sum(rebuilds) >= 10 and max(rebuilds) >= 2
+        reference = SerialExecutor(system, opts, batch_width="auto").run(tasks)
         for width in (None, 1, 3):
             got = SerialExecutor(system, opts, batch_width=width).run(tasks)
-            assert_results_identical(oracle, got)
+            # Per task the round-off shows larger than on the 1.8 V
+            # superposed response: a node's deviation is ≈ 10-40 mV, its
+            # loose-γ Krylov terms ≈ 9× that, and each rebuilt basis
+            # starts from a carried state that already differs in the
+            # last ulp (worst task 3e-11; posterior budget 1e-6).
+            assert_matches_oracle(oracle, got, rtol=1e-10)
+            assert_results_identical(got, reference)
