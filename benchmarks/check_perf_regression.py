@@ -68,7 +68,10 @@ METRIC_FLOORS: dict[str, dict[str, dict[str, float]]] = {
     # full_ms_per_scenario / rom_ms_per_scenario.  Re-based 18 -> 10 when
     # the denominator — the warm full-order sweep — fell from 476.8 to
     # 248.1 ms/scenario (factored node trajectories); the reduced
-    # answer itself went 18.7 -> 14.7 ms (25.5x -> 16.9x).
+    # answer itself went 18.7 -> 14.7 ms (25.5x -> 16.9x).  Kept at 10
+    # when minimum-degree factors halved the fill per substitution pair:
+    # denominator 253.7 -> 213.4 ms/scenario, answer 16.0 -> 15.1 ms
+    # (15.9x -> 14.1x).
     "bench_rom": {
         "test_rom_sweep_speedup": {"rom_speedup": 10.0},
     },

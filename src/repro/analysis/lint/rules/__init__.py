@@ -4,7 +4,7 @@ Importing this package registers every rule with the framework
 registry (:mod:`repro.analysis.lint.core`); each module documents the
 invariant its family guards and the PR that established it:
 
-* :mod:`~repro.analysis.lint.rules.determinism` — RPL001-RPL005
+* :mod:`~repro.analysis.lint.rules.determinism` — RPL001-RPL006
 * :mod:`~repro.analysis.lint.rules.forkshm` — RPL010-RPL012
 * :mod:`~repro.analysis.lint.rules.picklable` — RPL020-RPL021
 * :mod:`~repro.analysis.lint.rules.asynchygiene` — RPL030

@@ -1,4 +1,4 @@
-"""Determinism rules (RPL001-RPL005).
+"""Determinism rules (RPL001-RPL006).
 
 The paper's superposition trick — and every layer built since — depends
 on node trajectories being **bitwise deterministic**: the distributed
@@ -9,12 +9,15 @@ into sweeps on the promise that a rerun reproduces the original run
 exactly (PR 7), and ``repro serve`` audits agreement between daemons by
 comparing SHA-256 state digests.  Anything that injects wall-clock
 time, OS entropy, hidden global RNG state or unordered-container
-iteration into a numeric path silently voids all of that.
+iteration into a numeric path silently voids all of that.  So does a
+second factorisation call site: the column ordering decides the order
+every substitution accumulates in, and it has one owner.
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
 from repro.analysis.lint.core import Rule, register
 
@@ -42,6 +45,14 @@ GLOBAL_SAMPLERS = frozenset(
 })
 
 SEED_CALLS = frozenset({"numpy.random.seed", "random.seed"})
+
+FACTOR_CALLS = frozenset({
+    "scipy.sparse.linalg.splu",
+    "scipy.sparse.linalg.spilu",
+})
+
+#: The one module allowed to call SuperLU directly.
+FACTOR_OWNER = ("repro", "linalg", "lu.py")
 
 #: Accumulators whose result depends on operand order in float arithmetic.
 ACCUM_CALLS = frozenset({
@@ -278,4 +289,35 @@ class FloatEquality(Rule):
                     "deliberate exact sentinel (breakdown beta, "
                     "untouched scale factor), suppress with a written "
                     "justification; otherwise compare with a tolerance",
+                )
+
+
+@register
+class DirectSparseFactorization(Rule):
+    code = "RPL006"
+    name = "direct-sparse-factorization"
+    summary = ("scipy.sparse.linalg.splu/spilu outside repro.linalg.lu "
+               "— SparseLU owns the ordering, the kernels and the "
+               "substitution accounting")
+    invariant = ("one factorisation call site: the fill-reducing "
+                 "ordering (hence every substitution's bits and cost), "
+                 "the factor cache and the pair counters cannot be "
+                 "bypassed")
+    established = "PR 19"
+    library_only = True
+
+    def check_file(self, ctx):
+        if Path(ctx.path).parts[-3:] == FACTOR_OWNER:
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            qn = ctx.call_name(node)
+            if qn in FACTOR_CALLS:
+                yield ctx.finding(
+                    self, node,
+                    f"{qn}() bypasses repro.linalg.lu.SparseLU (its "
+                    f"fill-reducing ordering, exported kernels and "
+                    f"solve counters); factor through SparseLU or "
+                    f"FACTORIZATION_CACHE.factor",
                 )

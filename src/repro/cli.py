@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="project-invariant static analysis (RPL rules)",
         description="Lint source trees against the project invariants: "
-                    "determinism (RPL001-RPL005), fork/shm lifecycle "
+                    "determinism (RPL001-RPL006), fork/shm lifecycle "
                     "safety (RPL010-RPL012), message picklability "
                     "(RPL020-RPL021) and async hygiene (RPL030).  "
                     "Exit 0 clean, 1 findings, 2 usage error.",

@@ -309,6 +309,12 @@ def cleanup_segments(prefix: str) -> int:
             seg = shared_memory.SharedMemory(name=entry.name)
         except FileNotFoundError:
             continue
+        except ValueError:
+            # Created but never sized: its writer died between shm_open
+            # and ftruncate, so there is nothing to map — drop the name.
+            entry.unlink(missing_ok=True)
+            removed += 1
+            continue
         try:
             seg.unlink()
         except FileNotFoundError:  # pragma: no cover

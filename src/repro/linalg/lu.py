@@ -9,6 +9,13 @@ factorisation wall-time is recorded separately so experiments can report
 
 The paper uses UMFPACK; SciPy's ``splu`` (SuperLU) plays the same role
 here — factor once, reuse many times (documented substitution, DESIGN.md).
+:class:`SparseLU` is the only ``splu`` call site (lint rule RPL006) and
+so the owner of the one decision that sets what a pair costs, the
+fill-reducing column ordering: minimum degree on ``A + Aᵀ``, which on
+the pattern-symmetric MNA pencils (``G``, ``C + γG``, ``C``) leaves
+about half the fill of SuperLU's default ``COLAMD`` (an ordering of
+``AᵀA``, built for unsymmetric matrices).  Pivoting is unchanged, so an
+unsymmetric matrix still factors correctly.
 
 On top of the wrapper sits the process-wide :data:`FACTORIZATION_CACHE`:
 the paper's amortisation claim (one ``C + γG`` factorisation serves an
@@ -89,7 +96,7 @@ class SparseLU:
             raise ValueError(f"{self.label}: matrix must be square, got {m.shape}")
         t0 = time.perf_counter()
         try:
-            self._lu = spla.splu(m)
+            self._lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise FactorizationError(
                 f"LU factorisation of {self.label} failed: {exc}"

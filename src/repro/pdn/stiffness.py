@@ -9,10 +9,10 @@ large positive number on stiff circuits; Table 1 goes up to 2.1e16).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.circuit.mna import MNASystem
+from repro.linalg.lu import SparseLU
 
 __all__ = ["stiffness", "eigenvalue_extremes"]
 
@@ -51,8 +51,8 @@ def eigenvalue_extremes(
 
     # Sparse path: |λ|max of C⁻¹G via Arnoldi on LinearOperator, |λ|min
     # via the inverted operator G⁻¹C.
-    lu_c = spla.splu(sp.csc_matrix(system.C))
-    lu_g = spla.splu(sp.csc_matrix(system.G))
+    lu_c = SparseLU(system.C, label="C")
+    lu_g = SparseLU(system.G, label="G")
     g = system.G.tocsr()
     c = system.C.tocsr()
 

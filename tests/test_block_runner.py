@@ -268,6 +268,17 @@ class TestShmTransport:
         assert cleanup_segments(prefix) == 2
         assert cleanup_segments(prefix) == 0
 
+    def test_cleanup_reclaims_a_segment_its_writer_never_sized(self):
+        """A worker killed between ``shm_open`` and ``ftruncate`` leaves
+        an empty file, which cannot be mapped — only unlinked."""
+        from pathlib import Path
+
+        prefix = new_segment_prefix()
+        orphan = Path("/dev/shm") / f"{prefix}0"
+        orphan.touch()
+        assert cleanup_segments(prefix) == 1
+        assert not orphan.exists()
+
     def test_worker_death_leaves_no_segments(self, mesh_system):
         """A SIGKILLed worker must not leak its run's segments."""
         from pathlib import Path

@@ -27,7 +27,7 @@ _EXPECT_RE = re.compile(r"#\s*expect:\s*(RPL\d{3})")
 
 #: Rules whose fixtures are linted as files (AST + engine meta rules).
 FILE_RULES = (
-    "RPL000", "RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
+    "RPL000", "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
     "RPL010", "RPL011", "RPL012", "RPL030",
     "RPL090", "RPL091", "RPL092",
 )

@@ -160,3 +160,19 @@ class TestSolveManyContract:
         out = lu.solve_many(b)
         assert out.ndim == 1
         assert out.tobytes() == lu.solve(np.asarray(b, dtype=float)).tobytes()
+
+
+class TestStructureMatchedOrdering:
+    """Fill is a count that repeats exactly, so it is pinned as one:
+    minimum degree on ``A + Aᵀ`` suits the pattern-symmetric MNA
+    pencils (COLAMD left 42 682 non-zeros and 227 levels here)."""
+
+    def test_pg1t_fill_and_level_depth(self):
+        from repro.pdn import build_case
+
+        system, _case = build_case("pg1t")
+        for matrix in (system.G, system.C + 1e-10 * system.G):
+            lu = SparseLU(matrix)
+            assert lu._lu.L.nnz + lu._lu.U.nnz <= 30_000
+            tri = lu._tri.get(lu._lu, lu.matrix, schedule=True)
+            assert max(tri.n_levels) <= 125

@@ -115,6 +115,14 @@ class TestStiffness:
         stiff_ = assemble(stiff_rc_mesh(8, 8, fast_ratio=20, slow_ratio=1e6))
         assert stiffness(stiff_) > 100 * stiffness(mild)
 
+    def test_sparse_path_agrees_with_the_dense_eigensolve(self):
+        """Beyond ``dense_limit`` the extremes come from Arnoldi on
+        ``SparseLU`` factors of ``C`` and ``G``."""
+        system = assemble(stiff_rc_mesh(8, 8, fast_ratio=2, slow_ratio=1e2))
+        dense = eigenvalue_extremes(system)
+        sparse = eigenvalue_extremes(system, dense_limit=0)
+        assert sparse == pytest.approx(dense, rel=1e-8)
+
     def test_mesh_validation(self):
         with pytest.raises(ValueError):
             stiff_rc_mesh(1, 5, fast_ratio=2)

@@ -5,13 +5,18 @@ on randomly generated RC circuits and inputs, plus structural MNA
 invariants that must hold for any generated topology.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import Netlist, Pulse, assemble
+from repro.circuit import Netlist, Pulse, assemble, ingest_file, write_file
 from repro.core import MatexSolver, SolverOptions
-from repro.linalg import exact_transient
+from repro.linalg import SparseLU, exact_transient
 
 
 @st.composite
@@ -117,3 +122,68 @@ def test_response_scales_linearly(net, scale):
     # would be O(1), so 1e-4 relative keeps the property sharp.
     tol = 1e-9 * max(1.0, np.abs(scaled).max())
     assert np.allclose(scaled, scale * base, rtol=1e-4, atol=tol)
+
+
+@st.composite
+def random_rlc_deck(draw):
+    """A random RC tree, optionally with a supply pad behind a package
+    inductor and inductive links — the branch rows MNA adds."""
+    net = draw(random_rc_circuit())
+    n = len(net.capacitors)
+    if draw(st.booleans()):
+        net.add_voltage_source("Vdd", "pad", "0", 1.8)
+        net.add_inductor(
+            "Lpkg", "pad", f"p{draw(st.integers(0, n - 1))}",
+            draw(st.floats(1e-11, 1e-9)),
+        )
+    for k in range(draw(st.integers(0, 2))):
+        a = draw(st.integers(0, n - 2))
+        b = draw(st.integers(a + 1, n - 1))
+        net.add_inductor(f"L{k}", f"p{a}", f"p{b}", draw(st.floats(1e-11, 1e-9)))
+    return net
+
+
+def _pattern_asymmetry(matrix) -> int:
+    """Stored positions of ``matrix`` missing from its transpose."""
+    m = sp.csc_matrix(matrix)
+    pattern = sp.csc_matrix(
+        (np.ones(m.nnz), m.indices, m.indptr), shape=m.shape
+    )
+    return (pattern != pattern.T).nnz
+
+
+@given(net=random_rlc_deck())
+@settings(max_examples=25, deadline=None)
+def test_mna_patterns_are_structurally_symmetric(net):
+    """The premise of ``SparseLU``'s ordering: every pencil assembled
+    or streamed from a deck has ``pattern(A) == pattern(Aᵀ)``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "deck.spice"
+        write_file(net, path, t_end=1e-9, order="insertion")
+        streamed = ingest_file(path).system
+    for system in (assemble(net), streamed):
+        for matrix in (system.G, system.C, system.C + 1e-10 * system.G):
+            assert _pattern_asymmetry(matrix) == 0
+
+
+@given(
+    n=st.integers(5, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_sparse_lu_does_not_rest_on_pattern_symmetry(n, seed):
+    """A deliberately pattern-unsymmetric system solves to the residual
+    of ``scipy.sparse.linalg.spsolve``: the ordering is tuned for
+    symmetric patterns, the answer does not depend on one."""
+    rng = np.random.default_rng(seed)
+    upper = sp.triu(sp.random_array((n, n), density=0.3, rng=rng), k=1)
+    corner = sp.coo_array(([1.0], ([0], [n - 1])), shape=(n, n))
+    matrix = sp.csc_matrix(
+        upper + corner + sp.diags_array(2.0 + rng.random(n))
+    )
+    assert _pattern_asymmetry(matrix) > 0
+    rhs = rng.standard_normal(n)
+    scale = np.abs(matrix).sum(axis=1).max() * np.abs(rhs).max()
+    ref = np.abs(matrix @ spla.spsolve(matrix, rhs) - rhs).max()
+    got = np.abs(matrix @ SparseLU(matrix).solve(rhs) - rhs).max()
+    assert got <= ref + 1e-14 * scale

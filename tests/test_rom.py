@@ -202,18 +202,27 @@ class TestSessionRouting:
     def test_pg1t_bench_scenarios_sit_inside_their_bound(self):
         """The bench's own spot scenarios, at a tolerance that splits
         them: every answer is certified, every fallback is the
-        full-order bits."""
+        full-order bits.  The splitting tolerance is the median of the
+        scenarios' own bounds (the bound does not depend on ``tol``),
+        so both branches run whatever the basis' last bits are."""
         from repro.pdn import build_case, load_pattern_scenarios
 
         system, case = build_case("pg1t")
         compiled = SimulationPlan(
             system, replace(OPTS, eps_rel=1e-6), t_end=case.t_end
-        ).compile(rom=RomConfig(tol=0.026))
-        model = compiled.rom
-        assert model.n_shapes == compiled.n_nodes == 100
+        ).compile(rom=RomConfig())
+        assert compiled.rom.n_shapes == compiled.n_nodes == 100
         scenarios = load_pattern_scenarios(
             system, n=8, seed=2014, spread=0.5
         )
+        bounds = [
+            compiled.rom.answer(compiled.rom.input_matrix(sc, None)).bound_rel
+            for sc in scenarios
+        ]
+        model = replace(
+            compiled.rom, config=RomConfig(tol=float(np.median(bounds)))
+        )
+        compiled = replace(compiled, rom=model)
         with Session(compiled) as session:
             rom_results = session.sweep(scenarios)
             full_results = session.sweep(scenarios, rom=False)
