@@ -43,25 +43,24 @@ def test_multi_rhs_substitution_batched(benchmark, system, record_metric):
     """
     import time
 
-    from repro.linalg.triangular import set_kernel_mode
-
     lu = SparseLU((system.C + 1e-10 * system.G).tocsc(), label="probe")
     block = np.random.default_rng(3).normal(size=(system.dim, 128))
     lu.prime_kernel(wide=True)  # pay export + schedule outside timing
 
-    set_kernel_mode("column")
-    column_out = lu.solve_many(block)
-    set_kernel_mode(None)
-    level_out = lu.solve_many(block)
-    assert level_out.tobytes() == column_out.tobytes()
+    def column_loop():
+        """The denominator: one scalar pair per column, F-ordered."""
+        out = np.empty(block.shape, order="F")
+        for i in range(block.shape[1]):
+            out[:, i] = lu.solve(block[:, i])
+        return out
+
+    assert lu.solve_many(block).tobytes() == column_loop().tobytes()
 
     column_walls, level_walls = [], []
     for _ in range(7):  # interleaved best-of, like the march gate
-        set_kernel_mode("column")
         t0 = time.perf_counter()
-        lu.solve_many(block)
+        column_loop()
         column_walls.append(time.perf_counter() - t0)
-        set_kernel_mode(None)
         t0 = time.perf_counter()
         lu.solve_many(block)
         level_walls.append(time.perf_counter() - t0)

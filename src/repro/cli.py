@@ -66,7 +66,6 @@ from repro.engine import (
     make_sink,
 )
 from repro.linalg.lu import FACTORIZATION_CACHE, parse_byte_size
-from repro.linalg.triangular import KERNEL_MODES, set_kernel_mode
 
 __all__ = ["main", "build_parser"]
 
@@ -166,47 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "session — persistent workers, stacked lockstep "
                     "marches, bit-identical to independent cold runs.",
     )
-    sweep.add_argument("--netlist", type=Path, required=True,
-                       help="ibmpg-style SPICE deck to stream")
+    _add_plan_options(sweep)
     sweep.add_argument("--scenarios", required=True,
                        help="scenario source: a JSON spec file (see "
                             "repro.plan.load_scenarios_json) or "
                             "random:<n>[:seed] for n synthetic "
                             "switching-activity patterns")
-    sweep.add_argument("--t-end", default=None,
-                       help="simulation horizon (SPICE suffixes ok); "
-                            "defaults to the deck's .tran stop time")
-    sweep.add_argument(
-        "--method", default="r-matex",
-        help="MATEX integrator (r-matex | i-matex | mexp)")
-    sweep.add_argument("--gamma", default="1e-10",
-                       help="rational-Krylov shift")
-    sweep.add_argument("--eps", type=float, default=1e-7,
-                       help="relative Arnoldi error budget")
-    sweep.add_argument("--decomposition", default="bump",
-                       choices=["bump", "source", "bump-split"])
-    sweep.add_argument(
-        "--batch", default="auto", type=_batch_policy,
-        help="lockstep policy (default auto: one block march per "
-             "stacked submission)")
-    sweep.add_argument(
-        "--stack", default="auto", type=_stack_policy,
-        help="scenarios per executor submission: auto (default, whole "
-             "sweep in one stacked lockstep march) or an integer to "
-             "bound resident node trajectories")
-    sweep.add_argument(
-        "--processes", type=int, default=0,
-        help="run node tasks on a persistent pool of this many worker "
-             "processes (0 = in-process serial emulation); export "
-             "OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 first — unpinned "
-             "BLAS threads oversubscribe the pool")
-    sweep.add_argument(
-        "--rom", default=None, metavar="TOL[:QMAX]",
-        help="answer scenarios from a reduced-order model: accept a "
-             "scenario when its posterior relative error bound is "
-             "<= TOL (QMAX caps the reduced dimension, default 200); "
-             "scenarios above the bound transparently re-run "
-             "full-order")
     sweep.add_argument("--out-dir", type=Path, default=None,
                        help="write one <scenario>.npz trajectory per "
                             "scenario into this directory")
@@ -223,42 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "SIGTERM shutdown.  Results return as SHA-256 "
                     "digests plus summary scalars.",
     )
-    serve.add_argument("--netlist", type=Path, required=True,
-                       help="ibmpg-style SPICE deck to stream and "
-                            "preload as the 'default' plan")
+    _add_plan_options(serve, serving=True)
     serve.add_argument("--socket", type=Path, required=True,
                        help="stream-socket path to listen on")
     serve.add_argument("--plan-name", default="default",
                        help="catalogue name of the preloaded plan")
-    serve.add_argument("--t-end", default=None,
-                       help="simulation horizon (SPICE suffixes ok); "
-                            "defaults to the deck's .tran stop time")
-    serve.add_argument(
-        "--method", default="r-matex",
-        help="MATEX integrator (r-matex | i-matex | mexp)")
-    serve.add_argument("--gamma", default="1e-10",
-                       help="rational-Krylov shift")
-    serve.add_argument("--eps", type=float, default=1e-7,
-                       help="relative Arnoldi error budget")
-    serve.add_argument("--decomposition", default="bump",
-                       choices=["bump", "source", "bump-split"])
-    serve.add_argument(
-        "--batch", default="auto", type=_batch_policy,
-        help="lockstep policy for the preloaded plan (default auto)")
-    serve.add_argument(
-        "--stack", default="auto", type=_stack_policy,
-        help="scenarios per executor submission for sweep jobs")
-    serve.add_argument(
-        "--processes", type=int, default=0,
-        help="persistent worker processes per plan (0 = in-process)")
     serve.add_argument(
         "--max-queue", type=int, default=16,
         help="bounded job-queue depth; a full queue rejects "
              "immediately with kind=busy (default 16)")
-    serve.add_argument(
-        "--rom", default=None, metavar="TOL[:QMAX]",
-        help="bake a reduced-order model into the preloaded plan "
-             "(see sweep --rom)")
     _add_supervision_options(serve, serving=True)
     _add_cache_options(serve)
 
@@ -275,14 +212,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_plan_options(
+    p: argparse.ArgumentParser, serving: bool = False
+) -> None:
+    """Deck, solver and execution options of ``sweep`` and ``serve``."""
+    p.add_argument("--netlist", type=Path, required=True,
+                   help="ibmpg-style SPICE deck to stream"
+                        + (" and preload as the 'default' plan"
+                           if serving else ""))
+    p.add_argument("--t-end", default=None,
+                   help="simulation horizon (SPICE suffixes ok); "
+                        "defaults to the deck's .tran stop time")
+    p.add_argument("--method", default="r-matex",
+                   help="MATEX integrator (r-matex | i-matex | mexp)")
+    p.add_argument("--gamma", default="1e-10",
+                   help="rational-Krylov shift")
+    p.add_argument("--eps", type=float, default=1e-7,
+                   help="relative Arnoldi error budget")
+    p.add_argument("--decomposition", default="bump",
+                   choices=["bump", "source", "bump-split"])
+    p.add_argument(
+        "--batch", default="auto", type=_batch_policy,
+        help="lockstep policy for the preloaded plan (default auto)"
+        if serving else
+        "lockstep policy (default auto: one block march per "
+        "stacked submission)")
+    p.add_argument(
+        "--stack", default="auto", type=_stack_policy,
+        help="scenarios per executor submission for sweep jobs"
+        if serving else
+        "scenarios per executor submission: auto (default, whole "
+        "sweep in one stacked lockstep march) or an integer to "
+        "bound resident node trajectories")
+    p.add_argument(
+        "--processes", type=int, default=0,
+        help="persistent worker processes per plan (0 = in-process)"
+        if serving else
+        "run node tasks on a persistent pool of this many worker "
+        "processes (0 = in-process serial emulation); export "
+        "OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 first — unpinned "
+        "BLAS threads oversubscribe the pool")
+    p.add_argument(
+        "--rom", default=None, metavar="TOL[:QMAX]",
+        help="bake a reduced-order model into the preloaded plan "
+             "(see sweep --rom)"
+        if serving else
+        "answer scenarios from a reduced-order model: accept a "
+        "scenario when its posterior relative error bound is "
+        "<= TOL (QMAX caps the reduced dimension, default 200); "
+        "scenarios above the bound transparently re-run "
+        "full-order")
+
+
 def _add_supervision_options(
     p: argparse.ArgumentParser, serving: bool = False
 ) -> None:
     """Retry/timeout/backoff/fault knobs (sweep --processes and serve).
 
-    ``sweep`` defaults every knob to ``None`` — no flag, no policy, the
-    historical raise-through executor.  ``serve`` defaults to a live
-    policy (2 retries, 50 ms backoff): a daemon exists to stay up.
+    ``sweep`` defaults every knob to ``None`` — no flag, no policy, a
+    pool failure raises through.  ``serve`` defaults to a live policy
+    (2 retries, 50 ms backoff): a daemon exists to stay up.
     """
     p.add_argument(
         "--retries", type=int, default=2 if serving else None,
@@ -313,12 +302,12 @@ def _add_supervision_options(
              "firing exactly once; also REPRO_FAULTS")
 
 
-def _retry_policy_from_args(args, serving: bool = False):
+def _retry_policy_from_args(args, serving: bool):
     """Build the RetryPolicy encoded by the supervision flags.
 
-    Returns ``None`` when no flag was given on a sweep (legacy
-    raise-through executor); ``serve`` always builds one (its defaults
-    are live).  Range errors surface as usage errors via ``_UsageError``.
+    Returns ``None`` when no flag was given on a sweep (failures raise
+    through); ``serve`` always builds one (its defaults are live).
+    Range errors surface as usage errors via ``_UsageError``.
     """
     from repro.dist.supervision import RetryPolicy
 
@@ -349,14 +338,6 @@ def _add_cache_options(p: argparse.ArgumentParser) -> None:
         "--factor-cache-bytes", type=_byte_size, default=None,
         help="max bytes of resident LU factors, K/M/G suffixes ok "
              "(default 256M, or REPRO_FACTOR_CACHE_BYTES)")
-    p.add_argument(
-        "--triangular-kernel", default=None,
-        choices=sorted(KERNEL_MODES),
-        help="substitution kernel: level (default — level-scheduled "
-             "multi-RHS lockstep, per-column bit-identical to scalar "
-             "solves) | column (exported scalar path per column, same "
-             "bits) | legacy (SuperLU's own solves); also "
-             "REPRO_TRIANGULAR_KERNEL")
 
 
 def _add_sim_options(sim: argparse.ArgumentParser) -> None:
@@ -465,14 +446,8 @@ def _export(result: TransientResult, nodes, out: Path) -> None:
             f.write(",".join(row) + "\n")
 
 
-def _usage_error(message: str) -> int:
-    """Print a usage-style error (argparse convention) and return 2."""
-    print(f"repro.cli: error: {message}", file=sys.stderr)
-    return 2
-
-
 class _UsageError(Exception):
-    """An argv problem reported as a usage message, not a traceback."""
+    """An argv problem :func:`main` reports as a usage message, exit 2."""
 
 
 def _resolve_plan(args):
@@ -483,8 +458,8 @@ def _resolve_plan(args):
     numeric option must fail before that work, not after.  Returns the
     resolved ``(integrator_cls, matex_method)`` plan so the simulation
     body never re-derives (and cannot drift from) these checks.
-    ``_UsageError`` exits with a usage message; ValueErrors keep the
-    historical raw-raise behaviour the seed tests assert via ``main()``.
+    ``_UsageError`` exits with a usage message; ValueErrors raise
+    through ``main()``, as the seed tests assert.
     """
     cls = get_integrator(args.method)  # unknown method raises here
     matex_method = getattr(cls, "krylov_method", None)
@@ -525,31 +500,30 @@ def _resolve_plan(args):
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        plan = _resolve_plan(args)
-    except _UsageError as exc:
-        return _usage_error(str(exc))
+    plan = _resolve_plan(args)
     system = _load(args.netlist)
     return _simulate_system(system, parse_value(args.t_end), args, plan)
 
 
-def _cmd_run(args) -> int:
-    try:
-        plan = _resolve_plan(args)
-    except _UsageError as exc:
-        return _usage_error(str(exc))
+def _ingest(args):
+    """Stream the deck; ``--t-end``, else its ``.tran`` stop, else usage error."""
     res = ingest_file(args.netlist)
     print(res.stats.summary())
     if args.t_end is not None:
-        t_end = parse_value(args.t_end)
-    elif res.stats.tran_stop is not None:
-        t_end = res.stats.tran_stop
-        print(f"t_end = {t_end:g} s (from the deck's .tran directive)")
-    else:
-        return _usage_error(
+        return res.system, parse_value(args.t_end)
+    if res.stats.tran_stop is None:
+        raise _UsageError(
             f"deck {args.netlist} has no .tran directive; pass --t-end"
         )
-    return _simulate_system(res.system, t_end, args, plan)
+    print(f"t_end = {res.stats.tran_stop:g} s "
+          f"(from the deck's .tran directive)")
+    return res.system, res.stats.tran_stop
+
+
+def _cmd_run(args) -> int:
+    plan = _resolve_plan(args)
+    system, t_end = _ingest(args)
+    return _simulate_system(system, t_end, args, plan)
 
 
 def _simulate_system(system, t_end: float, args, plan) -> int:
@@ -646,6 +620,48 @@ def _parse_rom(spec: str):
         ) from None
 
 
+def _resolve_plan_options(args):
+    """argv-only validation of the ``sweep``/``serve`` plan options.
+
+    Runs before the (potentially minutes-long) deck load and installs
+    the ``--faults`` plan and the shm signal sweep.  Returns
+    ``(integrator_cls, rom_config, retry_policy)``.
+    """
+    serving = args.command == "serve"
+    cls = get_integrator(args.method)
+    if getattr(cls, "krylov_method", None) is None:
+        raise _UsageError(
+            f"{args.command} needs a MATEX method (r-matex, i-matex, "
+            f"mexp), got {args.method!r}"
+        )
+    rom_cfg = _parse_rom(args.rom) if args.rom is not None else None
+    if args.processes < 0:
+        raise _UsageError(f"--processes must be >= 0, got {args.processes}")
+    retry = _retry_policy_from_args(args, serving)
+    if retry is not None and not serving and not args.processes:
+        raise _UsageError(
+            "--retries/--job-timeout/--backoff/--degrade-after only apply "
+            "to --processes N sweeps (an in-process sweep has no pool to "
+            "supervise)"
+        )
+    if args.faults is not None:
+        from repro import faults as _faults
+
+        try:
+            _faults.install(args.faults)
+        except _faults.FaultError as exc:
+            raise _UsageError(str(exc)) from None
+    for value in (args.gamma, args.t_end):
+        if value is not None:
+            parse_value(value)
+    # A killed sweep or daemon (Ctrl-C, SIGTERM, plain exit) must not
+    # leak /dev/shm segments; a SIGKILLed one cannot drain.
+    from repro.dist.shm import install_signal_sweep
+
+    install_signal_sweep()
+    return cls, rom_cfg, retry
+
+
 def _cmd_sweep(args) -> int:
     from repro.pdn.scenarios import load_pattern_scenarios
     from repro.plan import (
@@ -654,51 +670,11 @@ def _cmd_sweep(args) -> int:
         load_scenarios_json,
     )
 
-    # argv-only validation before the (potentially minutes-long) load.
-    try:
-        cls = get_integrator(args.method)
-        if getattr(cls, "krylov_method", None) is None:
-            raise _UsageError(
-                f"sweep needs a MATEX method (r-matex, i-matex, mexp), "
-                f"got {args.method!r}"
-            )
-        source = _parse_scenario_source(args.scenarios)
-        rom_cfg = _parse_rom(args.rom) if args.rom is not None else None
-        if args.processes < 0:
-            raise _UsageError(
-                f"--processes must be >= 0, got {args.processes}"
-            )
-        retry = _retry_policy_from_args(args)
-        if args.faults is not None:
-            from repro import faults as _faults
-
-            try:
-                _faults.install(args.faults)
-            except _faults.FaultError as exc:
-                raise _UsageError(str(exc)) from None
-            print(f"fault injection active: {args.faults}")
-    except _UsageError as exc:
-        return _usage_error(str(exc))
-    for value in (args.gamma, args.t_end):
-        if value is not None:
-            parse_value(value)
-    # A killed sweep (Ctrl-C, SIGTERM) must not leak /dev/shm segments.
-    from repro.dist.shm import install_signal_sweep
-
-    install_signal_sweep()
-
-    res = ingest_file(args.netlist)
-    print(res.stats.summary())
-    if args.t_end is not None:
-        t_end = parse_value(args.t_end)
-    elif res.stats.tran_stop is not None:
-        t_end = res.stats.tran_stop
-        print(f"t_end = {t_end:g} s (from the deck's .tran directive)")
-    else:
-        return _usage_error(
-            f"deck {args.netlist} has no .tran directive; pass --t-end"
-        )
-    system = res.system
+    source = _parse_scenario_source(args.scenarios)
+    cls, rom_cfg, retry = _resolve_plan_options(args)
+    if args.faults is not None:
+        print(f"fault injection active: {args.faults}")
+    system, t_end = _ingest(args)
 
     if source[0] == "random":
         scenarios = load_pattern_scenarios(
@@ -789,48 +765,18 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import PlanServer, ServeConfig
 
+    cls, rom_cfg, retry = _resolve_plan_options(args)
     try:
-        cls = get_integrator(args.method)
-        if getattr(cls, "krylov_method", None) is None:
-            raise _UsageError(
-                f"serve needs a MATEX method (r-matex, i-matex, mexp), "
-                f"got {args.method!r}"
-            )
-        rom_cfg = _parse_rom(args.rom) if args.rom is not None else None
-        if args.processes < 0:
-            raise _UsageError(
-                f"--processes must be >= 0, got {args.processes}"
-            )
-        retry = _retry_policy_from_args(args, serving=True)
-        if args.faults is not None:
-            from repro import faults as _faults
-
-            try:
-                _faults.install(args.faults)
-            except _faults.FaultError as exc:
-                raise _UsageError(str(exc)) from None
-        try:
-            config = ServeConfig(
-                socket_path=str(args.socket),
-                max_queue=args.max_queue,
-                job_timeout=args.job_timeout,
-                processes=args.processes,
-                retry=retry,
-                stack=args.stack,
-            )
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    except _UsageError as exc:
-        return _usage_error(str(exc))
-    for value in (args.gamma, args.t_end):
-        if value is not None:
-            parse_value(value)
-    # A SIGKILLed daemon cannot drain; at least plain exits and the
-    # drain path itself must leave /dev/shm clean.
-    from repro.dist.shm import install_signal_sweep
-
-    install_signal_sweep()
-
+        config = ServeConfig(
+            socket_path=str(args.socket),
+            max_queue=args.max_queue,
+            job_timeout=args.job_timeout,
+            processes=args.processes,
+            retry=retry,
+            stack=args.stack,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     server = PlanServer(config)
     entry = server.load_plan(
         args.plan_name,
@@ -866,8 +812,6 @@ def main(argv: list[str] | None = None) -> int:
             max_entries=args.factor_cache_entries,
             max_bytes=args.factor_cache_bytes,
         )
-    if getattr(args, "triangular_kernel", None) is not None:
-        set_kernel_mode(args.triangular_kernel)
     handlers = {
         "info": _cmd_info,
         "dc": _cmd_dc,
@@ -877,7 +821,11 @@ def main(argv: list[str] | None = None) -> int:
         "serve": _cmd_serve,
         "lint": run_lint,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"repro.cli: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,8 +36,9 @@ changing a single bit of the results:
   so forming them is charged to ``superpose_seconds``, not to a node's
   ``transient_seconds``.
 
-The scalar reference march (:func:`repro.dist.worker.run_task`, kept as
-the degenerate-grid fallback and the tests' oracle) agrees with the
+A batch's grid must increase strictly and be shared by its tasks (the
+scheduler and compiled plans guarantee it); :meth:`BlockNodeRunner.run`
+raises ``ValueError`` otherwise.  The tests' scalar oracle agrees with the
 runner to round-off on states and exactly on every convergence decision
 (``tests/test_block_runner.py``); the runner's own bits are identical at
 every width and pinned by ``tests/test_golden_digests.py``.
@@ -57,7 +58,6 @@ from repro.core.solver import MatexSolver, REUSE_SAFETY
 from repro.core.stats import SolverStats
 from repro.core.transition import TransitionSchedule, build_schedule
 from repro.dist.messages import FactoredStates, NodeResult, SimulationTask
-from repro.dist.worker import run_task
 from repro.linalg.block_krylov import build_bases_block, prime_eig_payloads
 
 __all__ = ["BlockNodeRunner"]
@@ -213,19 +213,20 @@ class BlockNodeRunner:
     def _run_grid_batch(self, tasks: list[SimulationTask]) -> list[NodeResult]:
         tstates = [self._prepare(t) for t in tasks]
 
-        # The lockstep march assumes a strictly increasing shared grid
-        # (guaranteed for scheduler-built grids, whose transition spots
-        # are tolerance-deduplicated).  Anything else falls back to the
-        # scalar reference march, task by task.
         pts_ref = np.asarray(tstates[0].schedule.points)
-        degenerate = not np.all(np.diff(pts_ref) > 0.0)
-        aligned = all(
-            len(t.schedule.points) == len(pts_ref)
-            and np.array_equal(np.asarray(t.schedule.points), pts_ref)
-            for t in tstates
-        )
-        if degenerate or not aligned:
-            return [run_task(self.solver, t) for t in tasks]
+        stalled = np.flatnonzero(~(np.diff(pts_ref) > 0.0))
+        if stalled.size:
+            k = int(stalled[0]) + 1
+            raise ValueError(
+                f"task {tasks[0].task_id}: grid point {k} (t={pts_ref[k]!r}) "
+                f"does not exceed point {k - 1}; the grid must strictly increase"
+            )
+        for pos, t in enumerate(tstates):
+            if not np.array_equal(np.asarray(t.schedule.points), pts_ref):
+                raise ValueError(
+                    f"task {t.task.task_id} (position {pos} of its grid batch): "
+                    f"schedule points differ from task {tasks[0].task_id}'s"
+                )
 
         t_march = time.perf_counter()
         round_idx = 0

@@ -89,6 +89,9 @@ __all__ = ["Executor", "SerialExecutor", "MultiprocessExecutor"]
 #: alias of the builtin in 3.11).
 _TIMEOUT_ERRORS = (TimeoutError, _FuturesTimeout)
 
+#: What ``retry=None`` means: one attempt, no timeout, no ladder.
+_NO_RETRY = RetryPolicy(max_retries=0)
+
 
 def _shutdown_pool(pool: ProcessPoolExecutor, force: bool = False) -> None:
     """Shut a pool down; ``force`` kills workers first (hung-task path).
@@ -176,8 +179,7 @@ class Executor:
     :meth:`run` calls — this is what lets a :class:`repro.plan.Session`
     stream many scenarios through one set of warmed-up workers.  Outside
     a ``with`` block (and without an explicit :meth:`prepare`), ``run``
-    keeps its historical per-call lifecycle, so existing single-run
-    callers are unchanged.
+    builds and releases that state per call.
     """
 
     def run(
@@ -387,16 +389,16 @@ class MultiprocessExecutor(Executor):
         it, with only metadata pickled; ``"shm"`` forces it, and
         ``"pickle"`` forces the classic pipe transport.
     retry:
-        ``None`` (default) — historical behaviour: any failure disposes
-        a persistent pool and re-raises.  A
-        :class:`~repro.dist.supervision.RetryPolicy` supervises every
-        batch instead: bounded retries with backoff, an optional
-        per-batch timeout (expiry force-kills the hung workers), a
-        structured :class:`~repro.dist.supervision.JobError` on
-        give-up, and — with ``degrade_after > 0`` — a degradation
-        ladder that falls back to in-process execution after that many
-        consecutive pool failures.  Lifetime counters live on
-        :attr:`supervision`.
+        Every batch runs in one supervised attempt loop.  ``None``
+        (default) is its zero-retry policy: a failure disposes the pool
+        and re-raises the raw cause.  A
+        :class:`~repro.dist.supervision.RetryPolicy` adds bounded
+        retries with backoff, an optional per-batch timeout (expiry
+        force-kills the hung workers), a structured
+        :class:`~repro.dist.supervision.JobError` on give-up, and —
+        with ``degrade_after > 0`` — a degradation ladder that falls
+        back to in-process execution after that many consecutive pool
+        failures.  Lifetime counters live on :attr:`supervision`.
 
     Notes
     -----
@@ -571,21 +573,20 @@ class MultiprocessExecutor(Executor):
         self,
         tasks: list[SimulationTask],
         dc_states: Sequence[np.ndarray] | None,
-        timeout: float | None = None,
+        timeout: float | None,
     ) -> list[NodeResult]:
         """One attempt at one batch: map it over the pool, rehydrate.
 
-        The one collect path of every lifecycle.  The pool is spawned
-        on demand — per call outside the persistent lifecycle, and torn
-        down again afterwards — which is also how a persistent pool
-        heals: any failure (most importantly a worker SIGKILLed
+        Called from :meth:`run`'s attempt loop only.  The pool is
+        spawned on demand — per call outside the persistent lifecycle,
+        and torn down again afterwards — which is also how a persistent
+        pool heals: any failure (most importantly a worker SIGKILLed
         mid-task, which breaks the whole ``concurrent.futures`` pool)
         disposes the pool, force-killing hung workers after a timeout,
         and sweeps its shared-memory prefix, so a dead worker's
         segments are reclaimed at once and the next attempt or
         :meth:`run` call builds a fresh pool.  The exception still
-        propagates: the caller (or the supervised loop) decides about
-        a retry.
+        propagates: the attempt loop decides about a retry.
         """
         self._ensure_pool(None if self._persistent else len(tasks))
         try:
@@ -612,6 +613,9 @@ class MultiprocessExecutor(Executor):
         ``x_dc + Σ_k y_k`` (``covers`` set) and the others have empty
         ``states``.  Without it every result holds its node's own
         deviation trajectory.
+
+        The batch is attempted under :attr:`retry` (class docstring);
+        on give-up a policy raises :class:`JobError`, ``None`` the cause.
         """
         tasks = list(tasks)
         if not tasks:
@@ -626,29 +630,13 @@ class MultiprocessExecutor(Executor):
         if self._degraded:
             self.supervision.degraded_runs += 1
             return self._degraded_executor().run(tasks)
-        if self.retry is not None:
-            return self._run_supervised(tasks, dc_states)
-        return self._run_batch(tasks, dc_states)
-
-    # -- supervised execution -----------------------------------------------------
-
-    def _run_supervised(
-        self,
-        tasks: list[SimulationTask],
-        dc_states: Sequence[np.ndarray] | None,
-    ) -> list[NodeResult]:
-        """Run one batch under :attr:`retry`: bounded retries, backoff,
-        per-batch timeout, degradation ladder, :class:`JobError` give-up.
-        """
-        policy = self.retry
+        policy = self.retry if self.retry is not None else _NO_RETRY
         start = time.monotonic()
         attempts = 0
         while True:
             attempts += 1
             try:
-                results = self._run_batch(
-                    tasks, dc_states, timeout=policy.timeout
-                )
+                results = self._run_batch(tasks, dc_states, policy.timeout)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:
@@ -664,6 +652,8 @@ class MultiprocessExecutor(Executor):
                     self.supervision.degraded_runs += 1
                     return self._degraded_executor().run(tasks)
                 if attempts > policy.max_retries:
+                    if self.retry is None:
+                        raise
                     elapsed = time.monotonic() - start
                     raise JobError(
                         f"batch of {len(tasks)} task(s) failed permanently "
@@ -691,7 +681,7 @@ class MultiprocessExecutor(Executor):
             f"pool failure(s) (last cause: {cause!r}); degrading to "
             f"in-process execution until this executor is closed",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
 
     def _degraded_executor(self) -> SerialExecutor:

@@ -19,8 +19,8 @@ behaviour into an explicit, configurable, observable policy:
   :class:`~repro.dist.messages.DistributedResult`).
 
 ``retry=None`` on :class:`~repro.dist.executors.MultiprocessExecutor`
-keeps the historical raise-through behaviour — existing single-shot
-callers see exactly the old contract.
+is the zero-retry policy of the same loop: one attempt, and a failure
+re-raises its raw cause instead of a :class:`JobError`.
 """
 
 from __future__ import annotations

@@ -1,21 +1,17 @@
-"""The scalar reference march of one node task.
+"""The scalar reference march of one node task — oracle only.
 
 :func:`run_task` simulates one :class:`~repro.dist.messages.SimulationTask`
 through :meth:`MatexSolver.simulate <repro.core.solver.MatexSolver.simulate>`,
 one Python step per grid point (paper Alg. 2, literally).  It is **not**
-how the executors run a node: per-node execution is the
-:class:`~repro.dist.block_runner.BlockNodeRunner` at width 1, which
-serves a whole span of snapshots per call and answers with the
-trajectory's factors.  The two make the same convergence decisions and
-agree on states to round-off (this march accumulates a dense row with
-an ordered rank-1 loop, a factored row is a BLAS dot), so this one is a
-*tolerance* oracle.  The scalar march stays for two callers only:
-
-* the block runner's fallback for a degenerate (not strictly
-  increasing) or misaligned grid, which the lockstep march assumes away;
-* the test suite's parity oracle (``tests/conftest.py``
-  ``ScalarOracleExecutor``) and the scalar reference wall of
-  ``benchmarks/bench_table3_distributed.py``.
+how the executors run a node, and nothing in ``src/`` calls it: per-node
+execution is the :class:`~repro.dist.block_runner.BlockNodeRunner` at
+width 1, which serves a whole span of snapshots per call and answers
+with the trajectory's factors.  The two make the same convergence
+decisions and agree on states to round-off (this march accumulates a
+dense row with an ordered rank-1 loop, a factored row is a BLAS dot), so
+this one is a *tolerance* oracle: the test suite's parity reference
+(``tests/conftest.py`` ``ScalarOracleExecutor``) and the scalar
+reference wall of ``benchmarks/bench_table3_distributed.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ __all__ = ["run_task"]
 
 
 def run_task(solver: MatexSolver, task: SimulationTask) -> NodeResult:
-    """Scalar march of one task against a deviation-mode solver."""
+    """Scalar march of one task against a deviation-mode solver (oracle only)."""
     overrides = task.group.overrides_dict() or None
     schedule = task.schedule
     if schedule is None:

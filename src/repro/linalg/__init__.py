@@ -14,18 +14,12 @@ from repro.linalg.krylov import (
     make_krylov_operator,
 )
 from repro.linalg.lu import FactorizationError, SparseLU
-from repro.linalg.triangular import (
-    KERNEL_MODES,
-    TriangularFactors,
-    kernel_mode,
-    set_kernel_mode,
-)
+from repro.linalg.triangular import TriangularFactors
 
 __all__ = [
     "ArnoldiBreakdown",
     "FactorizationError",
     "InvertedKrylov",
-    "KERNEL_MODES",
     "KrylovBasis",
     "KrylovExpmOperator",
     "METHOD_NAMES",
@@ -39,7 +33,5 @@ __all__ = [
     "exact_transient",
     "expm",
     "expm_e1",
-    "kernel_mode",
     "make_krylov_operator",
-    "set_kernel_mode",
 ]

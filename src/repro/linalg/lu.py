@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.linalg.triangular import TriangularHolder, kernel_mode
+from repro.linalg.triangular import TriangularHolder
 
 __all__ = [
     "SparseLU",
@@ -115,17 +115,15 @@ class SparseLU:
         Substitutes through the exported column-sweep kernel
         (:mod:`repro.linalg.triangular`) — the arithmetic definition the
         multi-RHS level kernel matches bit-for-bit per column — falling
-        back to SuperLU's own solve in ``legacy`` mode or when the
-        export could not be verified.  A 2-D right-hand side is routed
-        through :meth:`solve_many` (one counted pair per column).
+        back to SuperLU's own solve only when the export could not be
+        verified.  A 2-D right-hand side is routed through
+        :meth:`solve_many` (one counted pair per column).
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim != 1:
             return self.solve_many(rhs)
         self.n_solves += 1
-        tri = None
-        if kernel_mode() != "legacy":
-            tri = self._tri.get(self._lu, self.matrix)
+        tri = self._tri.get(self._lu, self.matrix)
         if tri is None:
             return self._lu.solve(rhs)
         return tri.solve(rhs)
@@ -159,11 +157,9 @@ class SparseLU:
         count (bit-stable on pg1t's ``G``, divergent at nrhs = 8 on
         pg4t's pencil).
 
-        Escape hatches (``REPRO_TRIANGULAR_KERNEL`` / the CLI's
-        ``--triangular-kernel``): ``column`` loops over the exported
-        scalar path — same bits, no level kernel — and ``legacy``
-        restores SuperLU's own per-column solves.  Factors whose export
-        fails verification use the legacy path automatically.
+        A one-column block goes through the scalar sweep (no schedule
+        to build), and a factor whose export fails verification is
+        answered by SuperLU's own solve, column by column.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 1:
@@ -172,22 +168,13 @@ class SparseLU:
         self.n_solves += n_cols
         if n_cols == 0:
             return np.empty((n, 0), dtype=float, order="F")
-        mode = kernel_mode()
-        tri = None
-        if mode != "legacy":
-            tri = self._tri.get(
-                self._lu, self.matrix,
-                schedule=(mode == "level" and n_cols > 1),
-            )
-        if tri is not None and mode == "level" and n_cols > 1:
+        tri = self._tri.get(self._lu, self.matrix, schedule=n_cols > 1)
+        if tri is not None and n_cols > 1:
             return tri.solve_many(rhs)
+        pair = self._lu.solve if tri is None else tri.solve
         out = np.empty((n, n_cols), dtype=float, order="F")
-        if tri is None:
-            for i in range(n_cols):
-                out[:, i] = self._lu.solve(rhs[:, i])
-        else:
-            for i in range(n_cols):
-                out[:, i] = tri.solve(rhs[:, i])
+        for i in range(n_cols):
+            out[:, i] = pair(rhs[:, i])
         return out
 
     def prime_kernel(self, wide: bool = True) -> bool:
@@ -195,11 +182,10 @@ class SparseLU:
 
         ``wide`` also builds the level schedules the multi-RHS kernel
         runs on.  Called at plan-compile time so a scenario sweep's
-        first lockstep round pays no export latency; a no-op (returning
-        ``False``) in ``legacy`` mode or when the export falls back.
+        first lockstep round pays no export latency.  Returns ``False``
+        when the export failed verification (SuperLU's own solve serves
+        the factor).
         """
-        if kernel_mode() == "legacy":
-            return False
         return self._tri.get(self._lu, self.matrix, schedule=wide) is not None
 
     def resident_bytes(self) -> int:

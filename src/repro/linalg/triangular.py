@@ -20,7 +20,7 @@ This module restores the headroom without giving up a single bit:
   column-scaled strictly-upper part of ``U``, both row/column
   permutations and the diagonal scaling — after *verifying* that the
   export reproduces the factorisation (equilibrated factorisations fall
-  back to the legacy path instead of being silently wrong).
+  back to SuperLU's own solve instead of being silently wrong).
 * The **scalar** path substitutes through SuperLU's non-supernodal
   column-sweep kernel (the one :func:`scipy.sparse.linalg.
   spsolve_triangular` uses) on the exported factors: ascending-column
@@ -37,22 +37,19 @@ This module restores the headroom without giving up a single bit:
   kernel runs the batch at C speed (~3x faster than the column loop at
   march widths).
 
-The escape hatch: ``REPRO_TRIANGULAR_KERNEL`` (or the CLI's
-``--triangular-kernel``) selects ``level`` (default), ``column``
-(exported scalar path per column — same bits, no level kernel) or
-``legacy`` (SuperLU's own supernodal solve, the pre-export behaviour).
+There is no switch between kernels: a factor whose export fails
+verification is served by SuperLU's own solve automatically
+(:class:`TriangularHolder` records why), and nothing else selects it.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
-try:  # SciPy-private kernels; absence degrades to the legacy path.
+try:  # SciPy-private kernels; absence degrades to SuperLU's own solve.
     from scipy.sparse import _sparsetools
     from scipy.sparse.linalg._dsolve import _superlu
 
@@ -65,80 +62,20 @@ except ImportError:  # pragma: no cover - exotic scipy builds
     _KERNELS_AVAILABLE = False
 
 __all__ = [
-    "DEFAULT_KERNEL_MODE",
-    "ENV_KERNEL_MODE",
-    "KERNEL_MODES",
     "TriangularExportError",
     "TriangularFactors",
     "TriangularHolder",
-    "kernel_mode",
-    "set_kernel_mode",
 ]
-
-#: Recognised substitution-kernel modes.
-KERNEL_MODES = ("level", "column", "legacy")
-DEFAULT_KERNEL_MODE = "level"
-
-#: Environment variable selecting the mode at process start (the CLI's
-#: ``--triangular-kernel`` flag reconfigures the live process instead).
-ENV_KERNEL_MODE = "REPRO_TRIANGULAR_KERNEL"
 
 
 class TriangularExportError(RuntimeError):
     """The exported factors do not reproduce SuperLU's factorisation.
 
     Raised (and swallowed by :class:`TriangularHolder`, which then
-    serves the legacy path) when the export verification probe fails —
+    serves SuperLU's own solve) when the export verification probe fails —
     e.g. a SuperLU build that equilibrated the matrix with scalings the
     handle does not expose.
     """
-
-
-def _mode_from_env() -> str:
-    raw = os.environ.get(ENV_KERNEL_MODE)
-    if raw is None:
-        return DEFAULT_KERNEL_MODE
-    mode = raw.strip().lower()
-    if mode not in KERNEL_MODES:
-        warnings.warn(
-            f"ignoring invalid {ENV_KERNEL_MODE}={raw!r}; "
-            f"using {DEFAULT_KERNEL_MODE!r} "
-            f"(choose from {sorted(KERNEL_MODES)})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_KERNEL_MODE
-    return mode
-
-
-_KERNEL_MODE = _mode_from_env()
-
-
-def kernel_mode() -> str:
-    """The process-wide substitution-kernel mode (see :data:`KERNEL_MODES`)."""
-    return _KERNEL_MODE
-
-
-def set_kernel_mode(mode: str | None) -> None:
-    """Select the substitution kernel for this process.
-
-    ``None`` resets to the environment/default.  All three modes produce
-    per-column bit-identical results on matrices where the export
-    verifies (``level`` and ``column`` share one arithmetic definition;
-    ``legacy`` is SuperLU's own scalar solve, which the other two were
-    verified against at export time only up to round-off).
-    """
-    global _KERNEL_MODE
-    if mode is None:
-        _KERNEL_MODE = _mode_from_env()
-        return
-    mode = str(mode).strip().lower()
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown triangular kernel mode {mode!r}; "
-            f"choose from {sorted(KERNEL_MODES)}"
-        )
-    _KERNEL_MODE = mode
 
 
 def _topological_levels(dep_csr: sp.csr_matrix) -> np.ndarray:
@@ -283,7 +220,7 @@ class TriangularFactors:
 
         Catches exports that do not reproduce the factorisation (e.g. a
         SuperLU that equilibrated with scalings the Python handle does
-        not expose): those must fall back to the legacy path rather
+        not expose): those must fall back to SuperLU's own solve rather
         than return silently wrong answers.
         """
         n = self.n
@@ -303,9 +240,8 @@ class TriangularFactors:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """One substitution pair through the column-sweep kernel.
 
-        This is the arithmetic definition every other path matches: the
-        level kernel reproduces it bit-for-bit per column, and the
-        ``column`` escape hatch loops over it directly.
+        This is the arithmetic definition of a pair: the level kernel
+        reproduces it bit-for-bit per column.
         """
         w = np.ascontiguousarray(b[self._take_in], dtype=np.float64)
         x, info = _superlu.gstrs(
@@ -427,7 +363,7 @@ class TriangularHolder:
     exports and level schedules are built at most once per factor no
     matter how many consumers the :data:`~repro.linalg.lu.
     FACTORIZATION_CACHE` hands out.  Any export failure is recorded and
-    all consumers permanently fall back to the legacy SuperLU path —
+    all consumers permanently fall back to SuperLU's own solve —
     wrong bits are never an option, slow bits are.
     """
 
@@ -440,14 +376,14 @@ class TriangularHolder:
 
     @property
     def failure(self) -> str | None:
-        """Why the export fell back to the legacy path, if it did."""
+        """Why the export fell back to SuperLU's own solve, if it did."""
         return self._failure
 
     def get(self, superlu, matrix, schedule: bool = False):
         """The shared export, building (stages of) it on first demand.
 
         Returns ``None`` when the kernel cannot serve this factor —
-        the caller must use the legacy SuperLU path.
+        the caller must use SuperLU's own solve.
         """
         if self._failure is not None:
             return None

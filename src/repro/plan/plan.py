@@ -118,7 +118,7 @@ def prime_factorizations(system: MNASystem, options: SolverOptions) -> float:
     the triangular export *and* its level schedules
     (:mod:`repro.linalg.triangular`) are built here, once, so the block
     Arnoldi's first multi-RHS round in every sweep session is served by
-    the already-scheduled kernel (a no-op in ``legacy`` kernel mode).
+    the already-scheduled kernel.
     """
     op = make_krylov_operator(
         options.method, system.C, system.G, gamma=options.gamma

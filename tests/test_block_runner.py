@@ -20,8 +20,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import MatexSolver, SolverOptions
-from repro.core.transition import build_schedule
+from repro.core import SolverOptions
+from repro.core.transition import TransitionSchedule, build_schedule
 from repro.dist import (
     BlockNodeRunner,
     MatexScheduler,
@@ -36,7 +36,6 @@ from repro.dist.shm import (
     shm_available,
     to_shared,
 )
-from repro.dist.worker import run_task
 from tests.conftest import ScalarOracleExecutor
 
 OPTS = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-8)
@@ -124,40 +123,43 @@ class TestRunnerParity:
         assert_matches_oracle(scalar_oracle(mesh_system, tasks), blk)
         assert_results_identical(runner.run(tasks), blk)
 
-    def test_degenerate_grid_falls_back_to_the_scalar_march(
-        self, mesh_system, monkeypatch
-    ):
-        """A grid with a repeated point is outside the lockstep march's
-        contract; the runner hands such tasks to ``run_task``."""
-        from repro.dist import block_runner as block_runner_mod
-
+    @pytest.mark.parametrize("where", ["interior", "t=0"])
+    def test_repeated_grid_point_is_rejected(self, mesh_system, where):
+        """A grid with a repeated point is malformed outside input (the
+        scheduler and compiled plans deduplicate theirs): the runner
+        names the offending index instead of marching it."""
         base = tasks_for(mesh_system)[0]
-        flags = build_schedule(
-            mesh_system, base.t_end,
-            local_inputs=base.group.input_columns,
-            global_points=base.global_points,
-        ).is_lts
-        # Repeat a point that is a snapshot between two others for this
-        # task (a zero-length step is only defined on basis reuse).
-        k = next(
-            i for i in range(2, len(flags) - 1)
-            if not flags[i] and not flags[i - 1]
-        )
         pts = list(base.global_points)
+        k = 0 if where == "t=0" else len(pts) // 2
         pts.insert(k, pts[k])
         task = replace(base, global_points=tuple(pts))
-        calls = []
-        real = block_runner_mod.run_task
-        monkeypatch.setattr(
-            block_runner_mod, "run_task",
-            lambda solver, t: calls.append(t.task_id) or real(solver, t),
+        with pytest.raises(ValueError, match=rf"grid point {k + 1} "):
+            BlockNodeRunner(mesh_system, OPTS).run([task])
+
+    def test_misaligned_schedules_on_one_grid_key_are_rejected(
+        self, mesh_system
+    ):
+        base, other = tasks_for(mesh_system)[:2]
+        built = build_schedule(
+            mesh_system, other.t_end,
+            local_inputs=other.group.input_columns,
+            global_points=other.global_points,
         )
-        (got,) = BlockNodeRunner(mesh_system, OPTS).run([task])
-        assert calls == [task.task_id]
-        ref = run_task(
-            MatexSolver(mesh_system, OPTS, deviation_mode=True), task
+        k = len(built.points) // 2
+        short = TransitionSchedule(
+            built.points[:k] + built.points[k + 1:],
+            built.is_lts[:k] + built.is_lts[k + 1:],
+            built.t_end,
         )
-        assert_results_identical([ref], [got])
+        with pytest.raises(ValueError, match=r"position 1 .*points differ"):
+            BlockNodeRunner(mesh_system, OPTS).run(
+                [base, replace(other, schedule=short)]
+            )
+
+    def test_runner_has_no_scalar_march(self):
+        from repro.dist import block_runner
+
+        assert not hasattr(block_runner, "run_task")
 
     def test_empty_and_order(self, mesh_system):
         runner = BlockNodeRunner(mesh_system, OPTS)

@@ -275,6 +275,21 @@ class TestSweep:
                      "--scenarios", "random:2", "--method", "tr"]) == 2
         assert "MATEX method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--retries", "2"], ["--job-timeout", "30"], ["--backoff", "0.1"],
+        ["--degrade-after", "3"],
+    ])
+    def test_supervision_flags_without_a_pool_are_a_usage_error(
+        self, ibmpg_deck, capsys, flag
+    ):
+        """An in-process sweep has no pool to supervise: the flags fail
+        from argv alone instead of building a policy nobody reads."""
+        assert main(["sweep", "--netlist", str(ibmpg_deck),
+                     "--scenarios", "random:2", *flag]) == 2
+        captured = capsys.readouterr()
+        assert "only apply to --processes" in captured.err
+        assert captured.out == ""  # before the deck load
+
     def test_factor_cache_flags_reconfigure(self, ibmpg_deck, capsys):
         from repro.linalg.lu import FACTORIZATION_CACHE
 

@@ -15,6 +15,8 @@ Covers the ISSUE-8 contracts:
 
 import os
 import signal
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +151,34 @@ class TestSupervisedExecution:
         assert err.__cause__ is err.cause
         assert ex.supervision.pool_failures == 2
         assert ex.supervision.retries == 1
+
+    @pytest.mark.parametrize("retry, raised", [
+        (None, BrokenProcessPool),
+        (RetryPolicy(max_retries=0), JobError),
+    ])
+    def test_zero_retry_policies_differ_only_in_the_exception(
+        self, mesh_system, retry, raised
+    ):
+        """``retry=None`` is the zero-retry policy of the one attempt
+        loop: same disposal, same shm sweep, same counters — only the
+        raw cause instead of a ``JobError``."""
+        compiled = _compile(mesh_system)
+        with MultiprocessExecutor(
+            mesh_system, OPTS, max_workers=2, retry=retry
+        ) as ex:
+            prefix = ex._prefix
+            with Session(compiled, executor=ex) as session:
+                with pytest.raises(raised) as excinfo:
+                    session.run(killer_scenario(mesh_system))
+            assert ex._pool is None and ex._prefix is None
+            if prefix is not None:
+                assert list(Path("/dev/shm").glob(f"{prefix}*")) == []
+        cause = excinfo.value if retry is None else excinfo.value.cause
+        assert isinstance(cause, BrokenProcessPool)
+        assert ex.supervision.as_dict() == {
+            "retries": 0, "pool_failures": 1, "timeouts": 0,
+            "degradations": 0, "degraded_runs": 0,
+        }
 
     def test_job_error_does_not_poison_the_session(self, mesh_system):
         compiled = _compile(mesh_system)

@@ -4,9 +4,10 @@ The batched march, the scenario sweeps and the per-node/block parity web
 all rest on one invariant: ``solve_many(B)[:, i]`` is bit-for-bit
 ``solve(B[:, i])`` at any batch width, at any offset, under any column
 permutation.  This module pins that invariant directly against the
-kernel (property-based over random batch shapes), exercises every
-escape-hatch mode, and checks that the factor cache's byte accounting
-sees the exported factors and schedules.
+kernel (property-based over random batch shapes), exercises the
+automatic SuperLU path of a factor whose export fails verification, and
+checks that the factor cache's byte accounting sees the exported factors
+and schedules.
 """
 
 import numpy as np
@@ -17,23 +18,10 @@ from hypothesis import strategies as st
 
 from repro.linalg import SparseLU
 from repro.linalg.triangular import (
-    DEFAULT_KERNEL_MODE,
-    ENV_KERNEL_MODE,
-    KERNEL_MODES,
     TriangularExportError,
     TriangularFactors,
     TriangularHolder,
-    kernel_mode,
-    set_kernel_mode,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_kernel_mode():
-    """Every test starts from (and restores) the environment default."""
-    set_kernel_mode(None)
-    yield
-    set_kernel_mode(None)
 
 
 def build_pencil(n: int = 60, seed: int = 7) -> sp.csc_matrix:
@@ -54,37 +42,6 @@ def pencil():
 @pytest.fixture(scope="module")
 def pencil_lu(pencil):
     return SparseLU(pencil, label="tri-test")
-
-
-class TestKernelModeSelection:
-    def test_default_is_level(self):
-        assert DEFAULT_KERNEL_MODE == "level"
-        assert kernel_mode() in KERNEL_MODES
-
-    def test_set_and_reset(self):
-        set_kernel_mode("column")
-        assert kernel_mode() == "column"
-        set_kernel_mode(None)
-        assert kernel_mode() == DEFAULT_KERNEL_MODE
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown triangular kernel"):
-            set_kernel_mode("supernodal")
-
-    def test_mode_normalised(self):
-        set_kernel_mode("  LeGaCy ")
-        assert kernel_mode() == "legacy"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_KERNEL_MODE, "column")
-        set_kernel_mode(None)
-        assert kernel_mode() == "column"
-
-    def test_invalid_env_warns_and_defaults(self, monkeypatch):
-        monkeypatch.setenv(ENV_KERNEL_MODE, "banana")
-        with pytest.warns(RuntimeWarning, match=ENV_KERNEL_MODE):
-            set_kernel_mode(None)
-        assert kernel_mode() == DEFAULT_KERNEL_MODE
 
 
 class TestExport:
@@ -119,7 +76,7 @@ class TestExport:
         assert holder.get(_Broken(), pencil) is None
         assert holder.failure is not None
         # Permanent: a later call with a *good* factorisation still
-        # declines — wrong-once means legacy-forever for this holder.
+        # declines — wrong-once means SuperLU-forever for this holder.
         good = SparseLU(pencil)
         assert holder.get(good._lu, good.matrix) is None
         assert holder.nbytes() == 0
@@ -129,6 +86,33 @@ class TestExport:
         complex_matrix = pencil.astype(np.complex128)
         with pytest.raises(TriangularExportError, match="dtype"):
             TriangularFactors(lu._lu, complex_matrix)
+
+    def test_unverified_export_is_served_by_superlu(
+        self, pencil, rng, monkeypatch
+    ):
+        """The one path to SuperLU's own solve: a failed verification.
+
+        Every answer is then ``lu._lu.solve`` of that column, nothing is
+        exported, and the holder says why.
+        """
+        def refuse(self, superlu, matrix):
+            raise TriangularExportError("probe mismatch (injected)")
+
+        monkeypatch.setattr(TriangularFactors, "_verify", refuse)
+        lu = SparseLU(pencil)
+        block = rng.normal(size=(pencil.shape[0], 6))
+        ref = np.empty_like(block, order="F")
+        for i in range(6):
+            ref[:, i] = lu._lu.solve(block[:, i].copy())
+        assert lu.solve(block[:, 0]).tobytes() == ref[:, 0].tobytes()
+        out = lu.solve_many(block)
+        assert out.flags.f_contiguous
+        assert out.tobytes(order="F") == ref.tobytes(order="F")
+        assert lu.solve_many(block[:, :1]).tobytes() == ref[:, 0].tobytes()
+        assert lu.prime_kernel() is False
+        assert lu._tri.nbytes() == 0
+        assert "probe mismatch (injected)" in lu._tri.failure
+        assert lu.n_solves == 8
 
 
 class TestPerColumnBitwiseParity:
@@ -159,22 +143,6 @@ class TestPerColumnBitwiseParity:
             [pencil_lu.solve(block[:, i]) for i in range(width)]
         )
         assert pencil_lu.solve_many(block).tobytes() == ref.tobytes()
-
-    def test_column_mode_same_bits_as_level(self, pencil_lu, rng):
-        block = rng.normal(size=(pencil_lu.shape[0], 24))
-        level_out = pencil_lu.solve_many(block)
-        set_kernel_mode("column")
-        column_out = pencil_lu.solve_many(block)
-        assert level_out.tobytes() == column_out.tobytes()
-
-    def test_legacy_mode_serves_superlu_answers(self, pencil_lu, rng):
-        set_kernel_mode("legacy")
-        block = rng.normal(size=(pencil_lu.shape[0], 6))
-        out = pencil_lu.solve_many(block)
-        ref = np.column_stack(
-            [pencil_lu._lu.solve(block[:, i].copy()) for i in range(6)]
-        )
-        assert out.tobytes() == ref.tobytes()
 
     def test_nrhs8_regression_on_ill_scaled_pencil(self):
         """The divergence width that sank raw multi-RHS SuperLU.
@@ -227,12 +195,6 @@ class TestCacheByteAccounting:
 
         stats = cache.stats()
         assert stats["resident_bytes"] == scheduled
-
-    def test_prime_kernel_noop_in_legacy_mode(self, pencil):
-        set_kernel_mode("legacy")
-        lu = SparseLU(pencil)
-        assert not lu.prime_kernel(wide=True)
-        assert lu._tri.nbytes() == 0
 
     def test_shared_views_share_one_export(self, pencil):
         from repro.linalg.lu import FactorizationCache
