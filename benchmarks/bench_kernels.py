@@ -3,7 +3,7 @@
 Measures the primitives the paper's complexity model is built from:
 
 * ``Tbs``   — one forward/backward substitution pair,
-* the level-scheduled multi-RHS substitution kernel vs the per-column
+* the in-place multi-RHS substitution sweep vs the per-column
   loop (the batched-march multiplier; gated, see
   ``check_perf_regression.py``),
 * Arnoldi basis construction (m substitution pairs + orthogonalisation),
@@ -34,10 +34,10 @@ def test_substitution_pair(benchmark, system):
 
 
 def test_multi_rhs_substitution_batched(benchmark, system, record_metric):
-    """Level-scheduled lockstep batch vs the per-column scalar loop.
+    """In-place lockstep block sweep vs the per-column scalar loop.
 
     Both paths produce bit-identical blocks (asserted — the invariant
-    the batched march rests on); the level kernel must keep a healthy
+    the batched march rests on); the block sweep must keep a healthy
     multiple over the column loop at march-like widths or the restored
     3x batched-march gate erodes from below.
     """
@@ -45,7 +45,7 @@ def test_multi_rhs_substitution_batched(benchmark, system, record_metric):
 
     lu = SparseLU((system.C + 1e-10 * system.G).tocsc(), label="probe")
     block = np.random.default_rng(3).normal(size=(system.dim, 128))
-    lu.prime_kernel(wide=True)  # pay export + schedule outside timing
+    lu.prime_kernel(wide=True)  # pay export + sweep build outside timing
 
     def column_loop():
         """The denominator: one scalar pair per column, F-ordered."""
@@ -56,21 +56,21 @@ def test_multi_rhs_substitution_batched(benchmark, system, record_metric):
 
     assert lu.solve_many(block).tobytes() == column_loop().tobytes()
 
-    column_walls, level_walls = [], []
+    column_walls, block_walls = [], []
     for _ in range(7):  # interleaved best-of, like the march gate
         t0 = time.perf_counter()
         column_loop()
         column_walls.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         lu.solve_many(block)
-        level_walls.append(time.perf_counter() - t0)
-    kernel_speedup = min(column_walls) / min(level_walls)
+        block_walls.append(time.perf_counter() - t0)
+    kernel_speedup = min(column_walls) / min(block_walls)
 
     record_metric("column_wall_seconds", min(column_walls))
-    record_metric("level_wall_seconds", min(level_walls))
+    record_metric("block_wall_seconds", min(block_walls))
     record_metric("kernel_speedup", kernel_speedup)
     assert kernel_speedup >= 1.5, (
-        f"level kernel must be >= 1.5x the column loop at width 128, "
+        f"block sweep must be >= 1.5x the column loop at width 128, "
         f"got {kernel_speedup:.2f}x"
     )
     benchmark(lambda: lu.solve_many(block))

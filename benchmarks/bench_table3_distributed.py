@@ -134,7 +134,7 @@ def test_block_batched_march(pg1t, record_metric):
     record_metric("width1_speedup", width1_speedup)
     # No floor: how much lockstep adds on top of span batching.
     record_metric("batched_vs_width1", best["width1"] / best["batched"])
-    # The level-scheduled kernel of repro.linalg.triangular substitutes
+    # The in-place block sweep of repro.linalg.triangular substitutes
     # all columns in lockstep with the scalar sweep's exact accumulation
     # order; that is what buys the lockstep march its 3x over the
     # scalar reference while staying bit-identical across widths.

@@ -69,6 +69,10 @@ def superpose_states(
         raise ValueError("superpose needs at least one node result")
     reference = times[0]
     for t in times[1:]:
+        # Nodes share the scheduler's grid, so the bytewise test settles
+        # almost every call; the tolerant one only sees grids that differ.
+        if np.array_equal(t, reference):
+            continue
         if t.shape != reference.shape or not np.allclose(
             t, reference, rtol=1e-12, atol=0.0
         ):

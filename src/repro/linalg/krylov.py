@@ -481,7 +481,7 @@ class KrylovExpmOperator:
         accounting charges one forward/backward pair per column, and
         each output column is bit-for-bit identical to a scalar
         :meth:`apply` of that column: CSC products scatter
-        column-by-column, and the level-scheduled substitution kernel
+        column-by-column, and the in-place block substitution sweep
         (:mod:`repro.linalg.triangular`) reproduces the scalar sweep's
         accumulation order per column at any batch width.  This is the
         primitive the lockstep Arnoldi builds on.

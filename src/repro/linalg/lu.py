@@ -114,7 +114,7 @@ class SparseLU:
 
         Substitutes through the exported column-sweep kernel
         (:mod:`repro.linalg.triangular`) — the arithmetic definition the
-        multi-RHS level kernel matches bit-for-bit per column — falling
+        multi-RHS block sweep matches bit-for-bit per column — falling
         back to SuperLU's own solve only when the export could not be
         verified.  A 2-D right-hand side is routed through
         :meth:`solve_many` (one counted pair per column).
@@ -139,27 +139,28 @@ class SparseLU:
         float64 ``(n, k)`` block; a 1-D input returns a 1-D float64
         vector bit-identical to :meth:`solve`.
 
-        All columns are substituted in lockstep by the level-scheduled
-        kernel (:class:`repro.linalg.triangular.TriangularFactors`):
-        SuperLU's factors are exported once per factorisation, each
-        triangular factor is scheduled into topological levels of its
-        dependency DAG, and every level applies one CSR block-matvec
-        whose per-row accumulation order is exactly the scalar column
-        sweep's (ascending original columns for ``L``, descending for
-        ``U``).  Each output column is therefore **bit-for-bit
-        identical** to :meth:`solve` of that column *by construction* —
-        at any batch width and any offset within the batch — which is
-        the invariant the lockstep block march (and the scenario sweeps
-        stacked on top of it) is built on, while the batch runs ~3×
-        faster than substituting column by column.  Handing SuperLU the
+        All columns are substituted in lockstep by the in-place block
+        sweep of :class:`repro.linalg.triangular.TriangularFactors`:
+        SuperLU's factors are exported once per factorisation, and each
+        triangular factor is one row-ordered CSR block-matvec with its
+        output aliased onto its input, whose per-row accumulation order
+        is exactly the scalar column sweep's (ascending original
+        columns for ``L``, descending for ``U``).  Each output column
+        is therefore **bit-for-bit identical** to :meth:`solve` of that
+        column *by construction* (and by a byte-equality probe when the
+        sweeps are built) — at any batch width and any offset within
+        the batch — which is the invariant the lockstep block march
+        (and the scenario sweeps stacked on top of it) is built on,
+        while the batch runs several times faster than substituting
+        column by column.  Handing SuperLU the
         whole block instead would not be per-column deterministic: its
         supernodal BLAS kernels change accumulation order with the RHS
         count (bit-stable on pg1t's ``G``, divergent at nrhs = 8 on
         pg4t's pencil).
 
-        A one-column block goes through the scalar sweep (no schedule
-        to build), and a factor whose export fails verification is
-        answered by SuperLU's own solve, column by column.
+        A one-column block goes through the scalar sweep (no sweep
+        matrices to build), and a factor whose export or sweep check
+        fails is answered by SuperLU's own solve, column by column.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 1:
@@ -168,7 +169,7 @@ class SparseLU:
         self.n_solves += n_cols
         if n_cols == 0:
             return np.empty((n, 0), dtype=float, order="F")
-        tri = self._tri.get(self._lu, self.matrix, schedule=n_cols > 1)
+        tri = self._tri.get(self._lu, self.matrix, wide=n_cols > 1)
         if tri is not None and n_cols > 1:
             return tri.solve_many(rhs)
         pair = self._lu.solve if tri is None else tri.solve
@@ -180,20 +181,20 @@ class SparseLU:
     def prime_kernel(self, wide: bool = True) -> bool:
         """Eagerly export the substitution kernel for later solves.
 
-        ``wide`` also builds the level schedules the multi-RHS kernel
-        runs on.  Called at plan-compile time so a scenario sweep's
-        first lockstep round pays no export latency.  Returns ``False``
-        when the export failed verification (SuperLU's own solve serves
-        the factor).
+        ``wide`` also builds and checks the two sweep matrices the
+        multi-RHS kernel runs on.  Called at plan-compile time so a
+        scenario sweep's first lockstep round pays no export latency.
+        Returns ``False`` when the export or the sweep check failed
+        (SuperLU's own solve serves the factor).
         """
-        return self._tri.get(self._lu, self.matrix, schedule=wide) is not None
+        return self._tri.get(self._lu, self.matrix, wide=wide) is not None
 
     def resident_bytes(self) -> int:
         """Estimated bytes pinned by this factorisation right now.
 
         12 bytes per stored nonzero (8 data + 4 index) for the CSC
         matrix and the SuperLU L+U fill, plus the *actual* bytes of the
-        exported triangular factors and level schedules once they are
+        exported triangular factors and sweep matrices once they are
         built — the quantity :class:`FactorizationCache` budgets with.
         """
         factor_nnz = getattr(self._lu, "nnz", self.matrix.nnz)
@@ -214,7 +215,7 @@ class SparseLU:
         counters belong to the new consumer, and ``factor_seconds`` is
         zero because the hit paid no factorisation — which is exactly the
         amortisation the cache exists to demonstrate.  The triangular
-        holder is shared too: exports and level schedules are built once
+        holder is shared too: exports and sweep matrices are built once
         per factorisation, never per view.
         """
         view = object.__new__(cls)
@@ -344,8 +345,8 @@ class FactorizationCache:
 
     Residency is bounded two ways: at most ``max_entries`` factors, and
     at most ``max_bytes`` of estimated factor + matrix storage (SuperLU
-    reports its L+U fill, and the exported triangular factors / level
-    schedules of :mod:`repro.linalg.triangular` are measured exactly
+    reports its L+U fill, and the exported triangular factors / sweep
+    matrices of :mod:`repro.linalg.triangular` are measured exactly
     and re-measured on every size-based decision, so the estimate
     tracks reality even though exports build lazily).  Sweeps over
     many large pencils therefore evict old factors instead of pinning
@@ -387,7 +388,7 @@ class FactorizationCache:
         """Resident bytes of one entry (factors + matrix + exports).
 
         Delegates to :meth:`SparseLU.resident_bytes`, which includes the
-        exported triangular factors and level schedules — without them
+        exported triangular factors and sweep matrices — without them
         the limits would undercount true memory by roughly the L+U fill
         once a consumer triggers the export.
         """
@@ -396,7 +397,7 @@ class FactorizationCache:
     def _refresh_bytes_locked(self) -> None:
         """Re-measure every entry's residency (caller holds the lock).
 
-        Kernel exports and level schedules are built lazily *after* an
+        Kernel exports and sweep matrices are built lazily *after* an
         entry is inserted, so the recorded sizes go stale; refreshing
         before any size-based decision keeps the byte limit honest.
         """

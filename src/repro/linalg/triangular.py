@@ -1,4 +1,4 @@
-"""Level-scheduled deterministic triangular substitution kernels.
+"""Deterministic triangular substitution kernels: one in-place sweep per factor.
 
 The paper denominates its whole complexity argument (Sec. 3.4) in
 forward/backward substitution pairs against factors computed **once**, so
@@ -25,20 +25,26 @@ This module restores the headroom without giving up a single bit:
   column-sweep kernel (the one :func:`scipy.sparse.linalg.
   spsolve_triangular` uses) on the exported factors: ascending-column
   sweeps for ``L``, descending for ``U``, one axpy per stored entry.
-* The **multi-RHS** path builds a *level schedule* over each factor —
-  topological levels of the triangular dependency DAG, rows relabelled
-  into level order — and substitutes all columns in lockstep: each level
-  is one CSR block-matvec (``Y += A @ X``) over the previous levels'
-  rows.  Per output row, contributions accumulate in exactly the order
-  the scalar column sweep applies them (ascending original columns for
-  ``L``, descending for ``U``), and that order never depends on how many
-  columns ride in the block.  ``solve_many(B)[:, i]`` is therefore
-  bit-for-bit ``solve(B[:, i])`` **by construction**, while the level
-  kernel runs the batch at C speed (~3x faster than the column loop at
-  march widths).
+* The **multi-RHS** path is one CSR block-matvec (``Y += A @ X``) per
+  factor with ``Y`` aliased onto ``X``.  SciPy's ``csr_matvecs`` walks
+  rows strictly in order and, within a row, stored entries in order,
+  so on the strictly-lower part of ``L`` in its natural row order —
+  which is a topological order of the dependency DAG: row ``i`` only
+  reads rows ``j < i``, all final by the time it is reached — the call
+  *is* a complete in-place forward substitution of every column.  The
+  backward sweep is the same call on the strictly-upper part with rows
+  relabelled ``i → n−1−i`` and every row mirrored.  Per output row,
+  contributions accumulate in exactly the order the scalar column sweep
+  applies them (ascending original columns for ``L``, descending for
+  ``U``), and that order never depends on how many columns ride in the
+  block.  ``solve_many(B)[:, i]`` is therefore bit-for-bit
+  ``solve(B[:, i])`` **by construction** — and, because the
+  construction leans on a private kernel's traversal order, **by
+  check**: building the sweeps pushes a two-column probe through them
+  and requires byte equality with the scalar path.
 
-There is no switch between kernels: a factor whose export fails
-verification is served by SuperLU's own solve automatically
+There is no switch between kernels: a factor whose export or sweep
+check fails is served by SuperLU's own solve automatically
 (:class:`TriangularHolder` records why), and nothing else selects it.
 """
 
@@ -74,105 +80,43 @@ class TriangularExportError(RuntimeError):
     Raised (and swallowed by :class:`TriangularHolder`, which then
     serves SuperLU's own solve) when the export verification probe fails —
     e.g. a SuperLU build that equilibrated the matrix with scalings the
-    handle does not expose.
+    handle does not expose — or when the block sweep is not byte-equal
+    to the scalar one.
     """
 
 
-def _topological_levels(dep_csr: sp.csr_matrix) -> np.ndarray:
-    """Longest-path level of every node of a triangular dependency DAG.
+def _strict_csr(data, indices, indptr, n, diag_last):
+    """Negated strictly-triangular CSR of one CSC factor.
 
-    ``dep_csr`` row ``i`` lists the nodes row ``i`` depends on (the
-    strictly-triangular entries of one factor).  Vectorised frontier
-    peeling: nodes whose remaining in-degree is zero form level ``k``;
-    removing their outgoing edges exposes level ``k + 1``.  O(nnz) plus
-    one ``O(n)`` scan per level.
+    Returns ``(indptr, indices, -data)``, the kernel's argument order.
+    The CSC → CSR conversion walks columns in order, so every row comes
+    out with ascending columns and the stored diagonal is its last entry
+    (``L``) or its first (``U``).  Data is negated once here so the
+    kernel's ``y += a·x`` is bit-for-bit the scalar sweep's ``y -= a·x``.
     """
-    n = dep_csr.shape[0]
-    indeg = np.diff(dep_csr.indptr).astype(np.int64)
-    dep_csc = dep_csr.tocsc()
-    cp, ci = dep_csc.indptr, dep_csc.indices
-    level = np.zeros(n, dtype=np.int64)
-    frontier = np.flatnonzero(indeg == 0)
-    lvl = 0
-    while frontier.size:
-        level[frontier] = lvl
-        lens = cp[frontier + 1] - cp[frontier]
-        total = int(lens.sum())
-        if total == 0:
-            break
-        keep = lens > 0
-        starts = cp[frontier[keep]]
-        lens = lens[keep]
-        offsets = np.repeat(
-            starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens
-        )
-        dependents = ci[offsets + np.arange(total)]
-        dec = np.bincount(dependents, minlength=n)
-        indeg -= dec
-        frontier = np.flatnonzero((dec > 0) & (indeg == 0))
-        lvl += 1
-    return level
-
-
-def _reverse_rows(csr: sp.csr_matrix) -> sp.csr_matrix:
-    """Same CSR matrix with every row's entries mirrored in place.
-
-    The U sweep applies contributions in *descending* column order;
-    storing each row reversed lets the level kernel walk storage order.
-    """
-    indptr = csr.indptr
-    lens = np.diff(indptr)
-    pos = np.arange(csr.nnz)
-    mirror = 2 * np.repeat(indptr[:-1], lens) + np.repeat(lens, lens) - 1 - pos
-    return sp.csr_matrix(
-        (csr.data[mirror], csr.indices[mirror], indptr.copy()),
-        shape=csr.shape,
+    csr = sp.csc_array((data, indices, indptr), shape=(n, n)).tocsr()
+    diag = csr.indptr[1:] - 1 if diag_last else csr.indptr[:-1]
+    if not np.array_equal(csr.indices[diag], np.arange(n)):
+        raise TriangularExportError("factor rows do not store their diagonal")
+    keep = np.ones(csr.nnz, dtype=bool)
+    keep[diag] = False
+    return (
+        (csr.indptr - np.arange(n + 1)).astype(np.intc),
+        csr.indices[keep].astype(np.intc, copy=False),
+        -csr.data[keep],
     )
 
 
-def _level_blocks(tri_csr, level, n):
-    """Relabelled per-level CSR blocks of one strictly-triangular factor.
-
-    Returns ``(perm, pos, blocks)``: ``perm`` maps level order → factor
-    order, ``pos`` is its inverse, and each block is
-    ``(r0, r1, indptr, indices, neg_data)`` — the level's rows as a
-    local CSR whose (relabelled) column indices all point *before*
-    ``r0``, so an in-place ``Y += A @ X`` over the shared work array is
-    race-free.  Data is negated once here so the kernel's ``y += a·x``
-    is bit-for-bit the scalar sweep's ``y -= a·x``.  Row storage order
-    is preserved (it encodes the sweep's accumulation order).
-    """
-    perm = np.argsort(level, kind="stable")
-    pos = np.empty(n, dtype=np.intp)
-    pos[perm] = np.arange(n)
-    counts = np.bincount(level, minlength=int(level.max()) + 1 if n else 1)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    permuted = tri_csr[perm]
-    remapped = pos[permuted.indices]
-    blocks = []
-    for k in range(len(counts)):
-        r0, r1 = int(bounds[k]), int(bounds[k + 1])
-        j0, j1 = int(permuted.indptr[r0]), int(permuted.indptr[r1])
-        if j0 == j1:
-            continue  # no stored entries: the block-matvec is a no-op
-        blocks.append((
-            r0,
-            r1,
-            (permuted.indptr[r0:r1 + 1] - permuted.indptr[r0]).astype(np.intc),
-            remapped[j0:j1].astype(np.intc),
-            -permuted.data[j0:j1],
-        ))
-    return perm, pos, blocks
-
-
 class TriangularFactors:
-    """SuperLU's factors, exported once, with a level-scheduled kernel.
+    """SuperLU's factors, exported once, with an in-place block sweep.
 
     Stage 1 (construction) exports the scalar-path arrays and verifies
     them against one reference SuperLU solve; stage 2
-    (:meth:`ensure_schedule`, lazy — only multi-RHS consumers pay it)
-    builds the level schedules.  Both stages are built at most once and
-    shared by every cache view of the owning factorisation.
+    (:meth:`ensure_sweeps`, lazy — only multi-RHS consumers pay it)
+    builds the two row-ordered sweep matrices and checks the block
+    kernel byte-for-byte against the scalar one.  Both stages are built
+    at most once and shared by every cache view of the owning
+    factorisation.
     """
 
     def __init__(self, superlu, matrix: sp.csc_matrix):
@@ -189,27 +133,25 @@ class TriangularFactors:
         invd = 1.0 / U.diagonal()
         # Column-scale U to unit diagonal: U = (I + Uoff·D⁻¹)·D, so the
         # backward sweep runs on the strictly-upper scaled part (the
-        # explicit zero diagonal keeps the sweep's skip-the-pivot entry
-        # bookkeeping intact) and the solution is post-scaled by D⁻¹.
-        Us = (U @ sp.diags_array(invd)).tocsc()
-        Us.setdiag(0)
-        Us.sort_indices()
-        self._L_csc = L
-        self._Us_csc = Us
+        # explicit zero diagonal — the last entry of each sorted column —
+        # keeps the sweep's skip-the-pivot entry bookkeeping intact) and
+        # the solution is post-scaled by D⁻¹.
+        Us_data = U.data * np.repeat(invd, np.diff(U.indptr))
+        Us_data[U.indptr[1:] - 1] = 0.0
         self._L_nnz = int(L.nnz)
         self._L_data = L.data
-        self._L_indices = L.indices.astype(np.intc)
-        self._L_indptr = L.indptr.astype(np.intc)
-        self._U_nnz = int(Us.nnz)
-        self._U_data = Us.data
-        self._U_indices = Us.indices.astype(np.intc)
-        self._U_indptr = Us.indptr.astype(np.intc)
+        self._L_indices = L.indices.astype(np.intc, copy=False)
+        self._L_indptr = L.indptr.astype(np.intc, copy=False)
+        self._U_nnz = int(U.nnz)
+        self._U_data = Us_data
+        self._U_indices = U.indices.astype(np.intc, copy=False)
+        self._U_indptr = U.indptr.astype(np.intc, copy=False)
         take_in = np.empty(n, dtype=np.intp)
         take_in[superlu.perm_r] = np.arange(n)
         self._take_in = take_in          # w = b[perm_r⁻¹]
         self._take_out = np.asarray(superlu.perm_c, dtype=np.intp)
         self._invd_out = invd[self._take_out].copy()
-        self._schedule = None
+        self._sweeps = None
         self._lock = threading.Lock()
         self._verify(superlu, matrix)
 
@@ -235,12 +177,31 @@ class TriangularFactors:
                 f"factorisation (probe mismatch {num:.3e} vs ‖x‖={den:.3e})"
             )
 
+    def _verify_sweep(self, sweeps) -> None:
+        """Two probe columns through the block sweep, byte-equal to :meth:`solve`.
+
+        The sweep leans on a SciPy-private kernel walking rows strictly
+        in order with its output aliased onto its input; a build that
+        does not (or that rounds ``y += a·x`` differently from the
+        scalar sweep's ``y -= a·x``) must be served by SuperLU's own
+        solve rather than move a bit.
+        """
+        t = np.arange(self.n, dtype=float)
+        probe = np.column_stack((np.cos(t), np.sin(t)))
+        got = self._substitute(sweeps, probe)
+        for i in range(probe.shape[1]):
+            if got[:, i].tobytes() != self.solve(probe[:, i]).tobytes():
+                raise TriangularExportError(
+                    f"block sweep check failed: probe column {i} is not "
+                    "byte-equal to the scalar column sweep"
+                )
+
     # -- scalar path ---------------------------------------------------------
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """One substitution pair through the column-sweep kernel.
 
-        This is the arithmetic definition of a pair: the level kernel
+        This is the arithmetic definition of a pair: the block sweep
         reproduces it bit-for-bit per column.
         """
         w = np.ascontiguousarray(b[self._take_in], dtype=np.float64)
@@ -258,76 +219,55 @@ class TriangularFactors:
         with np.errstate(over="ignore", invalid="ignore"):
             return x[self._take_out] * self._invd_out
 
-    # -- level-scheduled multi-RHS path --------------------------------------
+    # -- in-place multi-RHS sweep --------------------------------------------
 
-    def ensure_schedule(self) -> None:
-        """Build the level schedules (idempotent, thread-safe, lazy)."""
-        if self._schedule is not None:
+    def ensure_sweeps(self) -> None:
+        """Build and check the sweep matrices (idempotent, thread-safe, lazy)."""
+        if self._sweeps is not None:
             return
         with self._lock:
-            if self._schedule is not None:
+            if self._sweeps is not None:
                 return
             n = self.n
-            lower = sp.tril(self._L_csc, k=-1).tocsr()
-            lower.sort_indices()  # ascending columns = the L sweep order
-            level_l = _topological_levels(lower)
-            p, posp, l_blocks = _level_blocks(lower, level_l, n)
-            upper = sp.triu(self._Us_csc, k=1).tocsr()
-            upper.sort_indices()
-            level_u = _topological_levels(upper)
-            q, posq, u_blocks = _level_blocks(
-                _reverse_rows(upper), level_u, n
+            lower = _strict_csr(
+                self._L_data, self._L_indices, self._L_indptr, n, diag_last=True
             )
-            self._schedule = {
-                "l_blocks": l_blocks,
-                "u_blocks": u_blocks,
-                "take_in_p": self._take_in[p],
-                "m_lu": posp[q],                 # L ordering → U ordering
-                "take_out_q": posq[self._take_out],
-                "n_levels": (
-                    int(level_l.max()) + 1,
-                    int(level_u.max()) + 1,
-                ),
-            }
-            # The CSC factors only feed the schedule build; drop them so
-            # long-lived cache entries hold one copy of each array.
-            self._L_csc = None
-            self._Us_csc = None
-
-    @property
-    def has_schedule(self) -> bool:
-        return self._schedule is not None
-
-    @property
-    def n_levels(self) -> tuple[int, int] | None:
-        """``(L, U)`` level counts once the schedule exists."""
-        return self._schedule["n_levels"] if self._schedule else None
+            indptr, indices, data = _strict_csr(
+                self._U_data, self._U_indices, self._U_indptr, n, diag_last=False
+            )
+            # The backward sweep visits rows n-1 … 0 and applies each
+            # row's entries in descending column order.  Relabelling
+            # i → n-1-i turns it into a forward sweep; reversing the
+            # whole entry stream reverses the row order and every row's
+            # storage order at once.
+            upper = (
+                indptr[-1] - indptr[::-1],
+                (n - 1) - indices[::-1],
+                data[::-1].copy(),
+            )
+            sweeps = (lower, upper, n - 1 - self._take_out)
+            self._verify_sweep(sweeps)
+            self._sweeps = sweeps
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
         """All columns in lockstep; per column bit-for-bit :meth:`solve`.
 
-        Returns an F-ordered ``(n, k)`` block.  Requires
-        :meth:`ensure_schedule`.
+        Returns an F-ordered ``(n, k)`` block.
         """
-        self.ensure_schedule()
-        sched = self._schedule
+        self.ensure_sweeps()
+        return self._substitute(self._sweeps, B)
+
+    def _substitute(self, sweeps, B: np.ndarray) -> np.ndarray:
+        lower, upper, take_out = sweeps
         n, w = B.shape
-        W = np.ascontiguousarray(B[sched["take_in_p"]], dtype=np.float64)
+        W = np.ascontiguousarray(B[self._take_in], dtype=np.float64)
         flat = W.reshape(-1)
-        for r0, r1, indptr, indices, data in sched["l_blocks"]:
-            _sparsetools.csr_matvecs(
-                r1 - r0, n, w, indptr, indices, data,
-                flat, flat[r0 * w:r1 * w],
-            )
-        Z = np.ascontiguousarray(W[sched["m_lu"]])
+        _sparsetools.csr_matvecs(n, n, w, *lower, flat, flat)
+        Z = np.ascontiguousarray(W[::-1])
         flat = Z.reshape(-1)
-        for r0, r1, indptr, indices, data in sched["u_blocks"]:
-            _sparsetools.csr_matvecs(
-                r1 - r0, n, w, indptr, indices, data,
-                flat, flat[r0 * w:r1 * w],
-            )
+        _sparsetools.csr_matvecs(n, n, w, *upper, flat, flat)
         out = np.empty((n, w), order="F")
-        out[...] = Z[sched["take_out_q"]]
+        out[...] = Z[take_out]
         with np.errstate(over="ignore", invalid="ignore"):
             out *= self._invd_out[:, None]
         return out
@@ -335,23 +275,15 @@ class TriangularFactors:
     # -- accounting ----------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Actual bytes held by the export and (if built) the schedules."""
+        """Actual bytes held by the export and (if built) the sweeps."""
         arrays = [
             self._L_data, self._L_indices, self._L_indptr,
             self._U_data, self._U_indices, self._U_indptr,
             self._take_in, self._take_out, self._invd_out,
         ]
-        for csc in (self._L_csc, self._Us_csc):
-            if csc is not None:
-                arrays.extend((csc.data, csc.indices, csc.indptr))
-        sched = self._schedule
-        if sched is not None:
-            arrays.extend(
-                (sched["take_in_p"], sched["m_lu"], sched["take_out_q"])
-            )
-            for blocks in (sched["l_blocks"], sched["u_blocks"]):
-                for _, _, indptr, indices, data in blocks:
-                    arrays.extend((indptr, indices, data))
+        if self._sweeps is not None:
+            lower, upper, take_out = self._sweeps
+            arrays.extend((*lower, *upper, take_out))
         return int(sum(a.nbytes for a in arrays))
 
 
@@ -360,7 +292,7 @@ class TriangularHolder:
 
     One holder per factorisation, shared by every
     :meth:`~repro.linalg.lu.SparseLU._shared_view` of a cache entry, so
-    exports and level schedules are built at most once per factor no
+    exports and sweeps are built at most once per factor no
     matter how many consumers the :data:`~repro.linalg.lu.
     FACTORIZATION_CACHE` hands out.  Any export failure is recorded and
     all consumers permanently fall back to SuperLU's own solve —
@@ -379,11 +311,12 @@ class TriangularHolder:
         """Why the export fell back to SuperLU's own solve, if it did."""
         return self._failure
 
-    def get(self, superlu, matrix, schedule: bool = False):
+    def get(self, superlu, matrix, wide: bool = False):
         """The shared export, building (stages of) it on first demand.
 
-        Returns ``None`` when the kernel cannot serve this factor —
-        the caller must use SuperLU's own solve.
+        ``wide`` also builds and checks the multi-RHS sweeps.  Returns
+        ``None`` when the kernel cannot serve this factor — the caller
+        must use SuperLU's own solve.
         """
         if self._failure is not None:
             return None
@@ -398,10 +331,10 @@ class TriangularHolder:
                 tri = self._factors
             if tri is None:
                 return None
-        if schedule and not tri.has_schedule:
+        if wide:
             try:
-                tri.ensure_schedule()
-            except Exception as exc:  # pragma: no cover - defensive
+                tri.ensure_sweeps()
+            except Exception as exc:
                 with self._lock:
                     self._failure = f"{type(exc).__name__}: {exc}"
                     self._factors = None

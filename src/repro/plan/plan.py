@@ -115,10 +115,10 @@ def prime_factorizations(system: MNASystem, options: SolverOptions) -> float:
     in this process gets a hit instead of a factorisation.
 
     The pencil's substitution kernel is primed along with the factors:
-    the triangular export *and* its level schedules
-    (:mod:`repro.linalg.triangular`) are built here, once, so the block
-    Arnoldi's first multi-RHS round in every sweep session is served by
-    the already-scheduled kernel.
+    the triangular export *and* its two in-place sweep matrices
+    (:mod:`repro.linalg.triangular`) are built and checked here, once,
+    so the block Arnoldi's first multi-RHS round in every sweep session
+    is served by the already-built kernel.
     """
     op = make_krylov_operator(
         options.method, system.C, system.G, gamma=options.gamma
@@ -273,8 +273,8 @@ class SimulationPlan:
         if prime:
             factor_seconds += prime_factorizations(self.system, self.options)
             # The lockstep rounds feed ``G`` wide RHS blocks too (the
-            # fused ETD substitutions); schedule its kernel at compile
-            # time so no sweep session pays the one-off level build.
+            # fused ETD substitutions); build its sweeps at compile
+            # time so no sweep session pays the one-off export.
             t_kernel = time.perf_counter()
             lu_g.prime_kernel(wide=True)
             factor_seconds += time.perf_counter() - t_kernel

@@ -11,7 +11,7 @@ a low-dimensional subspace spanned by
   ``(C + γG)^-1 C (C + γG)^-1 B``, … — the transient responses of the
   γ-shifted pencil, the same pencil the full-order R-MATEX march
   factors (so building the basis reuses the cached factorisation and
-  its level-scheduled multi-RHS substitution kernel).
+  its in-place multi-RHS substitution sweep).
 
 The blocks are heavily rank-deficient for realistic PDNs — hundreds of
 load currents injected into one stiff grid excite far fewer independent

@@ -64,7 +64,7 @@ class TestMultiRhsBitStability:
     BLAS kernels whose accumulation order depends on the RHS count and
     the factor's supernode shapes — bit-stable on some matrices,
     divergent at single-digit widths on others (pg4t's pencil).
-    SparseLU.solve_many therefore runs the level-scheduled kernel of
+    SparseLU.solve_many therefore runs the in-place block sweep of
     :mod:`repro.linalg.triangular`, whose per-row accumulation order is
     the scalar column sweep's by construction and never depends on the
     batch; this is the invariant the lockstep block march (and the
@@ -165,7 +165,7 @@ class TestSolveManyContract:
 class TestStructureMatchedOrdering:
     """Fill is a count that repeats exactly, so it is pinned as one:
     minimum degree on ``A + Aᵀ`` suits the pattern-symmetric MNA
-    pencils (COLAMD left 42 682 non-zeros and 227 levels here)."""
+    pencils (COLAMD left 42 682 non-zeros here)."""
 
     def test_pg1t_fill_and_level_depth(self):
         from repro.pdn import build_case
@@ -174,5 +174,3 @@ class TestStructureMatchedOrdering:
         for matrix in (system.G, system.C + 1e-10 * system.G):
             lu = SparseLU(matrix)
             assert lu._lu.L.nnz + lu._lu.U.nnz <= 30_000
-            tri = lu._tri.get(lu._lu, lu.matrix, schedule=True)
-            assert max(tri.n_levels) <= 125

@@ -65,6 +65,17 @@ class TestSuperposition:
                             np.zeros((2, s.dim)), dummy)
         with pytest.raises(ValueError, match="aligned"):
             superpose(np.zeros(s.dim), [a, b])
+        short = TransientResult(s, np.array([0.0]), np.zeros((1, s.dim)), dummy)
+        with pytest.raises(ValueError, match="aligned"):
+            superpose(np.zeros(s.dim), [a, short])
+        # Equal within 1e-12 but not bytewise (a grid rebuilt through
+        # another arithmetic order) is still the same grid.
+        near = TransientResult(s, a.times * (1.0 + 1e-13),
+                               np.ones((2, s.dim)), dummy)
+        assert not np.array_equal(near.times, a.times)
+        combined = superpose(np.zeros(s.dim), [a, near])
+        assert np.array_equal(combined.times, a.times)
+        assert np.array_equal(combined.states, np.ones((2, s.dim)))
 
     def test_empty_rejected(self, mesh_system):
         with pytest.raises(ValueError, match="at least one"):

@@ -1,14 +1,18 @@
-"""Tests for the level-scheduled deterministic substitution kernel.
+"""Tests for the deterministic substitution kernel (one sweep per factor).
 
 The batched march, the scenario sweeps and the per-node/block parity web
 all rest on one invariant: ``solve_many(B)[:, i]`` is bit-for-bit
 ``solve(B[:, i])`` at any batch width, at any offset, under any column
 permutation.  This module pins that invariant directly against the
-kernel (property-based over random batch shapes), exercises the
-automatic SuperLU path of a factor whose export fails verification, and
-checks that the factor cache's byte accounting sees the exported factors
-and schedules.
+kernel (property-based over random batch shapes, then on the factor
+shapes and input forms a random pencil never produces), exercises the
+automatic SuperLU path of a factor whose export or sweep check fails,
+and checks that the factor cache's byte accounting sees the exported
+factors and sweep matrices.
 """
+
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import SparseLU
+from repro.linalg import SparseLU, triangular
 from repro.linalg.triangular import (
     TriangularExportError,
     TriangularFactors,
@@ -50,14 +54,23 @@ class TestExport:
         assert tri is not None
         assert pencil_lu._tri.failure is None
 
-    def test_schedule_levels_cover_all_rows(self, pencil_lu):
-        tri = pencil_lu._tri.get(
-            pencil_lu._lu, pencil_lu.matrix, schedule=True
-        )
-        assert tri.has_schedule
-        n_l, n_u = tri.n_levels
-        assert 1 <= n_l <= tri.n
-        assert 1 <= n_u <= tri.n
+    def test_sweep_rows_only_read_earlier_rows(self, pencil_lu):
+        """What makes one aliased pass a substitution: row ``i`` reads
+        only rows ``< i``, in ascending order, and every strictly
+        triangular entry of the factor is in exactly one row."""
+        tri = pencil_lu._tri.get(pencil_lu._lu, pencil_lu.matrix, wide=True)
+        lower, upper, take_out = tri._sweeps
+        n = tri.n
+        for (indptr, indices, data), nnz in (
+            (lower, tri._L_nnz - n),
+            (upper, tri._U_nnz - n),
+        ):
+            assert indptr[0] == 0 and indptr[-1] == nnz == data.size
+            for i in range(n):
+                cols = indices[indptr[i]:indptr[i + 1]]
+                assert np.all(cols < i)
+                assert np.all(np.diff(cols) > 0)
+        assert sorted(take_out) == list(range(n))
 
     def test_scalar_path_solves_the_system(self, pencil, pencil_lu):
         tri = pencil_lu._tri.get(pencil_lu._lu, pencil_lu.matrix)
@@ -114,6 +127,40 @@ class TestExport:
         assert "probe mismatch (injected)" in lu._tri.failure
         assert lu.n_solves == 8
 
+    def test_failed_sweep_check_is_served_by_superlu(
+        self, pencil, rng, monkeypatch
+    ):
+        """A block kernel that moves one bit is never used.
+
+        The sweep relies on a SciPy-private kernel's traversal order;
+        if a build breaks it, the byte-equality probe at sweep build
+        time catches it and every consumer gets SuperLU's own solve.
+        """
+        real = triangular._sparsetools.csr_matvecs
+
+        def off_by_one_ulp(n_row, n_col, n_vecs, ap, aj, ax, x, y):
+            real(n_row, n_col, n_vecs, ap, aj, ax, x, y)
+            y[-1] = np.nextafter(y[-1], np.inf)
+
+        monkeypatch.setattr(
+            triangular,
+            "_sparsetools",
+            types.SimpleNamespace(csr_matvecs=off_by_one_ulp),
+        )
+        lu = SparseLU(pencil)
+        assert lu.prime_kernel(wide=False) is True  # the export is fine
+        assert lu.prime_kernel() is False
+        assert "block sweep check failed" in lu._tri.failure
+        assert lu._tri.nbytes() == 0
+        block = rng.normal(size=(pencil.shape[0], 5))
+        ref = np.empty_like(block, order="F")
+        for i in range(5):
+            ref[:, i] = lu._lu.solve(block[:, i].copy())
+        out = lu.solve_many(block)
+        assert out.flags.f_contiguous
+        assert out.tobytes(order="F") == ref.tobytes(order="F")
+        assert lu.solve(block[:, 0]).tobytes() == ref[:, 0].tobytes()
+
 
 class TestPerColumnBitwiseParity:
     """The core invariant, property-based over batch geometry."""
@@ -150,7 +197,7 @@ class TestPerColumnBitwiseParity:
         pg4t's pencil ``C + γG`` mixes ~1e-15 capacitances with ~1e10
         voltage-row entries; SuperLU's supernodal kernels switch BLAS
         shapes at nrhs = 8 and change accumulation order there.  The
-        level kernel must hold per-column parity on the same kind of
+        block sweep must hold per-column parity on the same kind of
         ill-scaled pencil at exactly that width.
         """
         from repro.pdn import build_case
@@ -174,27 +221,138 @@ class TestPerColumnBitwiseParity:
         assert out[:, 1].tobytes() == ref.tobytes()
 
 
-class TestCacheByteAccounting:
-    """Exports and schedules must show up in the factor-cache budget."""
+def _ladder(n: int) -> sp.csc_matrix:
+    """Tridiagonal RC-ladder pencil: every row depends on the previous."""
+    return sp.diags_array(
+        [-np.ones(n - 1), np.linspace(2.5, 3.5, n), -np.ones(n - 1)],
+        offsets=[-1, 0, 1],
+    ).tocsc()
 
-    def test_resident_bytes_grow_with_export_and_schedule(self, pencil):
+
+def _pivoting(n: int = 40) -> sp.csc_matrix:
+    """Tiny diagonal under a dominant cyclic shift: SuperLU must pivot."""
+    shift = sp.csc_matrix(
+        (np.linspace(2.0, 3.0, n), (np.arange(n), (np.arange(n) + 1) % n)),
+        shape=(n, n),
+    )
+    return (sp.eye_array(n) * 1e-3 + shift + 0.1 * _ladder(n)).tocsc()
+
+
+STRUCTURED = {
+    "ladder": _ladder(400),  # dependency depth = n
+    "diagonal": sp.diags_array(np.linspace(1.0, 2.0, 30)).tocsc(),
+    "n=1": sp.csc_matrix(np.array([[2.5]])),
+    "n=2": sp.csc_matrix(np.array([[2.0, -1.0], [-0.5, 3.0]])),
+    "pivoting": _pivoting(),
+}
+
+
+def assert_columns_match_scalar(lu: SparseLU, block) -> np.ndarray:
+    """``solve_many(block)[:, i]`` is byte-equal to ``solve(block[:, i])``."""
+    out = lu.solve_many(block)
+    cols = np.asarray(block, dtype=float)
+    assert out.flags.f_contiguous and out.dtype == np.float64
+    assert lu._tri.failure is None
+    for i in range(cols.shape[1]):
+        assert out[:, i].tobytes() == lu.solve(cols[:, i]).tobytes(), i
+    return out
+
+
+class TestParityBeyondTheRandomPencil:
+    """Factor shapes and input forms the hypothesis pencil never draws."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURED))
+    def test_structured_factors(self, name, rng):
+        matrix = STRUCTURED[name]
+        lu = SparseLU(matrix, label=name)
+        assert lu.prime_kernel(wide=True)
+        for width in (2, 9):
+            block = rng.normal(size=(matrix.shape[0], width))
+            out = assert_columns_match_scalar(lu, block)
+            assert np.allclose(matrix @ out, block, rtol=1e-9, atol=1e-12)
+
+    def test_pivoting_case_really_pivots(self):
+        lu = SparseLU(STRUCTURED["pivoting"])
+        assert not np.array_equal(lu._lu.perm_r, np.arange(lu.shape[0]))
+
+    def test_empty_strict_triangles(self):
+        lu = SparseLU(STRUCTURED["diagonal"])
+        tri = lu._tri.get(lu._lu, lu.matrix, wide=True)
+        lower, upper, _ = tri._sweeps
+        assert lower[2].size == 0 and upper[2].size == 0
+
+    def test_input_forms(self, pencil_lu, rng):
+        n = pencil_lu.shape[0]
+        wide = rng.normal(size=(n, 12))
+        forms = {
+            "fortran": np.asfortranarray(wide),
+            "column-sliced": wide[:, 3:10:2],
+            "row-strided": rng.normal(size=(2 * n, 4))[::2],
+            "float32": wide.astype(np.float32),
+            "list": wide[:, :3].tolist(),
+        }
+        for block in forms.values():
+            assert_columns_match_scalar(pencil_lu, block)
+
+    def test_nonfinite_columns_do_not_leak(self, pencil_lu, rng):
+        """``inf``/``nan`` columns ride next to finite ones untouched.
+
+        Forward Euler past its stability limit pushes these through the
+        march; the finite columns keep their bytes, the others keep the
+        scalar path's values, and nothing warns.
+        """
+        n = pencil_lu.shape[0]
+        block = rng.normal(size=(n, 5))
+        block[3, 1] = np.inf
+        block[:, 2] = np.nan
+        block[n // 2, 3] = -np.inf
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            out = pencil_lu.solve_many(block)
+            refs = [pencil_lu.solve(block[:, i]) for i in range(5)]
+        for i in (0, 4):
+            assert np.all(np.isfinite(out[:, i]))
+            assert out[:, i].tobytes() == refs[i].tobytes()
+        for i in (1, 2, 3):
+            assert not np.all(np.isfinite(out[:, i]))
+            assert np.array_equal(out[:, i], refs[i], equal_nan=True)
+
+
+def _held_bytes(obj) -> int:
+    """Sum of ``.nbytes`` over every distinct array reachable from ``obj``."""
+    seen: dict[int, int] = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            seen[id(value)] = value.nbytes
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+
+    for value in vars(obj).values():
+        walk(value)
+    return sum(seen.values())
+
+
+class TestCacheByteAccounting:
+    """Exports and sweeps must show up in the factor-cache budget."""
+
+    def test_nbytes_is_the_sum_of_held_arrays(self, pencil):
         from repro.linalg.lu import FactorizationCache
 
         cache = FactorizationCache(max_entries=4, max_bytes=1 << 30)
         lu = cache.factor(pencil, label="tri-bytes")
         base = cache.resident_bytes
         assert base >= 12 * 2 * pencil.nnz  # matrix + at least its fill
+        assert lu._tri.nbytes() == 0
 
-        assert lu.prime_kernel(wide=False)
-        exported = cache.resident_bytes
-        assert exported > base
-
-        assert lu.prime_kernel(wide=True)
-        scheduled = cache.resident_bytes
-        assert scheduled > exported
-
-        stats = cache.stats()
-        assert stats["resident_bytes"] == scheduled
+        for wide in (False, True):
+            assert lu.prime_kernel(wide=wide)
+            tri = lu._tri.get(lu._lu, lu.matrix)
+            assert (tri._sweeps is not None) == wide
+            assert tri.nbytes() == _held_bytes(tri) > 0
+            assert cache.resident_bytes == base + tri.nbytes()
+            assert cache.stats()["resident_bytes"] == base + tri.nbytes()
 
     def test_shared_views_share_one_export(self, pencil):
         from repro.linalg.lu import FactorizationCache
@@ -204,6 +362,6 @@ class TestCacheByteAccounting:
         first.prime_kernel(wide=True)
         view = cache.factor(pencil, label="b")
         assert view._tri is first._tri
-        # The view serves the already-built schedule, no rebuild.
-        tri = view._tri.get(view._lu, view.matrix, schedule=True)
+        # The view serves the already-built sweeps, no rebuild.
+        tri = view._tri.get(view._lu, view.matrix, wide=True)
         assert tri is first._tri.get(first._lu, first.matrix)
