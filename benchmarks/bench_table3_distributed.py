@@ -18,9 +18,9 @@ import numpy as np
 from repro.baselines import simulate_trapezoidal
 from repro.core import MatexSolver, SolverOptions
 from repro.dist import Executor, MatexScheduler
-from repro.dist.worker import run_task
 from repro.experiments.table3 import run_table3
 from repro.linalg.lu import FACTORIZATION_CACHE
+from tests.scalar_oracle import run_task
 
 OPTS = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-6)
 
@@ -58,9 +58,10 @@ def test_distributed_matex(benchmark, pg1t, record_metric):
 
 
 class ScalarReferenceExecutor(Executor):
-    """The scalar march (``run_task``) of every task, one Python step
-    per grid point — what ``batch="off"`` ran before per-node execution
-    became the block runner at width 1, kept as the fixed denominator."""
+    """The scalar march (``run_task`` of ``tests/scalar_oracle.py``) of
+    every task, one Python step per grid point — what ``batch="off"``
+    ran before per-node execution became the block runner at width 1,
+    kept as the fixed denominator."""
 
     def __init__(self, system, options):
         self.solver = MatexSolver(system, options, deviation_mode=True)

@@ -7,7 +7,7 @@ from repro.core.decomposition import (
     decompose_by_source,
     merge_to_limit,
 )
-from repro.core.etd import EtdSegment, EtdWorkspace
+from repro.core.etd import EtdWorkspace
 from repro.core.options import SolverOptions
 from repro.core.results import TransientResult
 from repro.core.solver import MatexSolver
@@ -16,7 +16,6 @@ from repro.core.superposition import superpose
 from repro.core.transition import TransitionSchedule, build_schedule
 
 __all__ = [
-    "EtdSegment",
     "EtdWorkspace",
     "MatexSolver",
     "SolverOptions",

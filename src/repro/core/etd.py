@@ -18,11 +18,17 @@ regularization-free property of paper Sec. 3.3.3)::
 algebra behind Krylov-basis reuse at snapshots: the basis built on
 ``v = x(t) + F`` serves every step length until the next local transition
 spot, at the cost of re-evaluating one small matrix exponential.
+
+The march computes these vectors for every segment round in
+:class:`~repro.dist.block_runner.BlockNodeRunner` (three scalar solves
+at width 1, three multi-RHS solves otherwise) against the
+:class:`EtdWorkspace`'s ``G`` factors; the tests' scalar oracle keeps
+the per-segment form (``tests/scalar_oracle.py``) and checks it against
+the dense formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,39 +36,17 @@ import numpy as np
 from repro.circuit.mna import MNASystem
 from repro.linalg.lu import FACTORIZATION_CACHE, SparseLU
 
-__all__ = ["EtdSegment", "EtdWorkspace"]
-
-
-@dataclass(frozen=True)
-class EtdSegment:
-    """Frozen ETD data of one input segment ``[t, next local LTS)``.
-
-    Attributes
-    ----------
-    t_start:
-        Segment start time (a local transition spot).
-    F:
-        The constant offset added to the state before Krylov projection.
-    w2:
-        ``G⁻¹ B s_u`` — the slope response; ``P(h) = F − h·w2``.
-    """
-
-    t_start: float
-    F: np.ndarray
-    w2: np.ndarray
-
-    def P(self, h: float) -> np.ndarray:
-        """The subtractive term of Eq. (5) at local step ``h``."""
-        return self.F - h * self.w2
+__all__ = ["EtdWorkspace"]
 
 
 class EtdWorkspace:
-    """Computes ETD segment vectors and DC operating points.
+    """Owns (or shares) the LU factorisation of ``G``.
 
-    Owns (or shares) the LU factorisation of ``G``.  The I-MATEX solver
-    already factors ``G`` for its Krylov operator, in which case the same
-    :class:`~repro.linalg.lu.SparseLU` is shared and each substitution is
-    counted once, exactly as a real implementation would behave.
+    The ETD vectors and the DC operating point are ``G`` solves.  The
+    I-MATEX solver already factors ``G`` for its Krylov operator, in
+    which case the same :class:`~repro.linalg.lu.SparseLU` is shared and
+    each substitution is counted once, exactly as a real implementation
+    would behave.
 
     Parameters
     ----------
@@ -70,85 +54,17 @@ class EtdWorkspace:
         Assembled MNA system.
     lu_g:
         Optional pre-existing factorisation of ``G`` to share.
-    deviation_mode:
-        When true, inputs are evaluated as ``u(t) − u(0)`` — the
-        superposition decomposition simulates each node against the
-        *deviation* from the DC operating point with a zero initial
-        state (see :mod:`repro.core.superposition`).
     """
 
-    def __init__(
-        self,
-        system: MNASystem,
-        lu_g: SparseLU | None = None,
-        deviation_mode: bool = False,
-    ):
+    def __init__(self, system: MNASystem, lu_g: SparseLU | None = None):
         self.system = system
         if lu_g is None:
             lu_g = FACTORIZATION_CACHE.factor(system.G, label="G")
         self.lu_g = lu_g
-        self.deviation_mode = deviation_mode
-        self._u0_cache: dict[tuple[int, ...] | None, np.ndarray] = {}
-
-    # -- input evaluation ------------------------------------------------------
-
-    def _bu(self, t: float, active: Sequence[int] | None) -> np.ndarray:
-        bu = self.system.bu(t, active=active)
-        if self.deviation_mode:
-            key = None if active is None else tuple(active)
-            bu0 = self._u0_cache.get(key)
-            if bu0 is None:
-                bu0 = self.system.bu(0.0, active=active)
-                self._u0_cache[key] = bu0
-            bu = bu - bu0
-        return bu
-
-    # -- public API -----------------------------------------------------------------
 
     def dc_solution(self, active: Sequence[int] | None = None) -> np.ndarray:
         """DC operating point: solve ``G x = B u(0)`` (one solve)."""
         return self.lu_g.solve(self.system.bu(0.0, active=active))
-
-    def segment(
-        self,
-        t: float,
-        t_probe: float,
-        active: Sequence[int] | None = None,
-    ) -> EtdSegment:
-        """Build the ETD vectors for the input segment starting at ``t``.
-
-        Exactly three forward/backward substitution pairs against ``G``
-        (the paper's ``Pk``/``Fk`` precomputation of Alg. 2's inputs).
-
-        Parameters
-        ----------
-        t:
-            Segment start (a local transition spot).
-        t_probe:
-            Any point strictly inside the linear segment — typically the
-            next global transition spot.  The input slope is taken as the
-            finite difference over ``[t, t_probe]``, which is exact for
-            PWL inputs and immune to ulp noise at breakpoints.
-        active:
-            Input columns driving this node.
-        """
-        bu = self._bu(t, active)
-        su = self.system.b_slope_fd(t, t_probe, active=active)
-        return self.segment_from_vectors(t, bu, su)
-
-    def segment_from_vectors(
-        self, t: float, bu: np.ndarray, su: np.ndarray
-    ) -> EtdSegment:
-        """Build an :class:`EtdSegment` from precomputed input vectors.
-
-        ``bu`` is ``B·u(t)`` (already deviation-shifted if applicable)
-        and ``su`` the segment slope ``B·du/dt``.  The solver uses this
-        fast path with inputs evaluated once over the whole schedule.
-        """
-        w1 = self.lu_g.solve(bu)
-        w2 = self.lu_g.solve(su)
-        w3 = self.lu_g.solve(self.system.C @ w2)
-        return EtdSegment(t_start=float(t), F=-w1 + w3, w2=w2)
 
     @property
     def n_solves(self) -> int:

@@ -16,12 +16,17 @@ the LTS.  For the inverted/rational subspaces this is the conservative
 choice: their approximation error *decreases* as ``h`` grows (paper
 Fig. 5, re-verified by ``benchmarks/bench_fig5_error_surface.py``), so
 later snapshots served with larger ``ha`` are at least as accurate.
+
+:meth:`MatexSolver.simulate` owns no time loop: it is the width-1 march
+of :class:`~repro.dist.block_runner.BlockNodeRunner` on this solver's
+own factorisations — a whole span of snapshots per basis — with each
+span's rows streamed to the run's :class:`~repro.engine.sinks.ResultSink`
+as the span closes.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +35,8 @@ from repro.circuit.mna import MNASystem
 from repro.core.etd import EtdWorkspace
 from repro.core.options import SolverOptions
 from repro.core.results import TransientResult
-from repro.core.stats import SolverStats
 from repro.core.transition import TransitionSchedule, build_schedule
-from repro.engine.loop import SteppingLoop
-from repro.engine.sinks import ResultSink
+from repro.engine.sinks import MemorySink, ResultSink
 from repro.linalg.krylov import make_krylov_operator
 from repro.linalg.lu import FACTORIZATION_CACHE
 
@@ -41,20 +44,50 @@ __all__ = ["MatexSolver", "REUSE_SAFETY"]
 
 #: Basis reuse is accepted while the re-evaluated posterior error stays
 #: within this factor of the generation-time budget (Fig. 5 says it
-#: normally *shrinks* with h; the guard catches exceptions).  Shared
-#: with the block-batched runner so reuse decisions coincide.
+#: normally *shrinks* with h; the guard catches exceptions).
 REUSE_SAFETY = 10.0
 
 
-@dataclass
-class _Alg2State:
-    """Mutable cross-step state of one Alg. 2 run (basis + segment)."""
+class _SinkFeed:
+    """Streams a factored trajectory into a sink, span by span.
 
-    eps_segment: float
-    alts: float                 # time of the last Krylov generation
-    basis: object = None        # current KrylovBasis (None before t=0 LTS)
-    segment: object = None      # current EtdSegment
-    v_alts: np.ndarray | None = None  # Krylov start vector at `alts`
+    The march hands over each closed ``(row0, A, B)`` span through
+    :meth:`append`; its rows are formed as ``B`` or ``A @ B`` exactly as
+    :meth:`FactoredStates.dense <repro.dist.messages.FactoredStates.dense>`
+    forms them and go to the sink at once, so no whole-trajectory block
+    exists beyond what the sink itself keeps.  Row 0 is the start state;
+    rows no span covers (quiescent segments) are ``+0.0``.  The sink is
+    opened with the first row, so a march that fails its grid check
+    leaves it untouched.
+    """
+
+    def __init__(self, sink: ResultSink, times: np.ndarray, x0: np.ndarray):
+        self.sink = sink
+        self.times = times
+        self.x0 = x0
+        self._zero = np.zeros(len(x0))
+        self._next = 0
+
+    def _fill(self, stop: int) -> None:
+        if self._next == 0:
+            self.sink.open(len(self.x0), len(self.times))
+            self.sink.append(self.times[0], self.x0)
+            self._next = 1
+        for k in range(self._next, stop):
+            self.sink.append(self.times[k], self._zero)
+        self._next = stop
+
+    def append(self, span: tuple) -> None:
+        row0, a, b = span
+        self._fill(row0)
+        rows = b if a is None else a @ b
+        for k, row in enumerate(rows, start=row0):
+            self.sink.append(self.times[k], row)
+        self._next = row0 + len(rows)
+
+    def close(self) -> tuple[np.ndarray, np.ndarray]:
+        self._fill(len(self.times))
+        return self.sink.finalize()
 
 
 class MatexSolver:
@@ -92,20 +125,13 @@ class MatexSolver:
             self.options.method, system.C, system.G, gamma=self.options.gamma
         )
         shared_lu = self.op.lu if self.options.method == "inverted" else None
-        self.workspace = EtdWorkspace(
-            system, lu_g=shared_lu, deviation_mode=deviation_mode
-        )
+        self.workspace = EtdWorkspace(system, lu_g=shared_lu)
         hits1, misses1 = FACTORIZATION_CACHE.counters()
         #: factorisations this construction reused from / added to the
         #: process-wide cache (the paper's shared-pencil amortisation).
         self.construction_cache_hits = hits1 - hits0
         self.construction_cache_misses = misses1 - misses0
         self.deviation_mode = deviation_mode
-        # Reusable input-grid buffer: the scalar reference march
-        # (repro.dist.worker.run_task) calls simulate once per task over
-        # one shared grid shape, and bu_series fills a caller-held
-        # buffer bit-identically to a fresh allocation.
-        self._bu_buffer: np.ndarray | None = None
 
     # -- public API ---------------------------------------------------------------
 
@@ -139,15 +165,19 @@ class MatexSolver:
         t_end:
             Simulation horizon.
         x0:
-            Initial state.  Defaults to the DC operating point (or zeros
-            in deviation mode).
+            Initial state.  Defaults to the DC operating point of the
+            active inputs (or zeros in deviation mode).
         active_inputs:
-            Input columns driving this run (``None`` = all).  The
-            schedule marks their slope changes as LTS; all other global
-            transition spots become snapshots.
+            Input columns driving this run (``None`` = all; empty = a
+            free response from ``x0``).  The schedule marks their slope
+            changes as LTS; all other global transition spots become
+            snapshots.
         schedule:
             Pre-built marching schedule; shared across nodes by the
             distributed scheduler so all results align for superposition.
+            Its points must strictly increase (``ValueError`` naming the
+            first repeated point otherwise); point 0 always builds a
+            basis, whatever its LTS flag.
         waveform_overrides:
             Optional ``{column: waveform}`` replacements evaluated
             instead of the originals (split-bump decomposition).  The
@@ -160,127 +190,54 @@ class MatexSolver:
         Returns
         -------
         TransientResult
-            States at every schedule point, plus statistics.
+            States at every schedule point, plus statistics.  In
+            deviation mode the states are byte-identical to the
+            :class:`~repro.dist.block_runner.BlockNodeRunner` answer of
+            the same task (``FactoredStates.dense()``).
         """
-        opts = self.options
-        stats = SolverStats(factor_seconds=self.factor_seconds)
+        # Imported here: the runner builds on this module's solver.
+        from repro.dist.block_runner import BlockNodeRunner
 
         input_system = self.system
         if waveform_overrides:
             input_system = self.system.with_waveforms(waveform_overrides)
-
         if schedule is None:
             schedule = build_schedule(
                 input_system, t_end, local_inputs=active_inputs
             )
 
+        dc_seconds, n_solves_dc = 0.0, 0
         if x0 is None:
             if self.deviation_mode:
                 x0 = np.zeros(self.system.dim)
             else:
                 dc_t0 = time.perf_counter()
-                x0 = self.workspace.dc_solution()
-                stats.dc_seconds = time.perf_counter() - dc_t0
-                stats.n_solves_dc += 1
-        x = np.asarray(x0, dtype=float).copy()
+                x0 = self.workspace.dc_solution(active=active_inputs)
+                dc_seconds = time.perf_counter() - dc_t0
+                n_solves_dc = 1
 
-        points = schedule.points
-
-        state = _Alg2State(eps_segment=opts.eps_abs, alts=points[0])
-        reuse_safety = REUSE_SAFETY
-
-        # Solve counts are taken as deltas around each call so the
-        # shared-LU case (inverted method) attributes every substitution
-        # pair exactly once.
-        etd_lu = self.workspace.lu_g
-
-        # Evaluate all inputs over the schedule once (vectorised across
-        # pulse sources); segment slopes are exact finite differences of
-        # these columns.  In deviation mode the t=0 column is subtracted
-        # (constant offsets cancel in the slopes).
-        grid_shape = (self.system.dim, len(points))
-        if self._bu_buffer is None or self._bu_buffer.shape != grid_shape:
-            self._bu_buffer = np.empty(grid_shape)
-        bu_grid = input_system.bu_series(
-            np.asarray(points), active=active_inputs, out=self._bu_buffer
+        cols = (
+            range(self.system.n_inputs) if active_inputs is None
+            else active_inputs
         )
-        if self.deviation_mode:
-            bu0 = bu_grid[:, 0].copy()
-            bu_grid -= bu0[:, None]
+        runner = BlockNodeRunner._on(self)
+        march = runner._prepare(
+            schedule, input_system, cols, x0, deviation=self.deviation_mode
+        )
+        feed = _SinkFeed(sink if sink is not None else MemorySink(),
+                         np.asarray(schedule.points), march.x)
+        march.spans = feed
+        runner._march([march], "schedule")
+        times, states = feed.close()
 
-        def finish_step(y: np.ndarray, h: float, out: np.ndarray | None):
-            """``y − P(h)`` — in place when the loop provides a buffer.
-
-            The ufunc ``out=`` chain performs the identical operations
-            (``h·w2``, ``F − ·``, ``y − ·``) as the allocating
-            ``y − segment.P(h)``, so the results are bit-for-bit equal.
-            """
-            seg = state.segment
-            if out is None:
-                return y - seg.P(h)
-            np.multiply(seg.w2, h, out=out)
-            np.subtract(seg.F, out, out=out)
-            np.subtract(y, out, out=out)
-            return out
-
-        def advance(
-            i: int, t: float, t_next: float, x: np.ndarray,
-            out: np.ndarray | None = None,
-        ):
-            """One Alg. 2 step: fresh basis at an LTS, reuse at a snapshot."""
-            h = t_next - t
-            if schedule.is_lts[i] or state.basis is None:
-                # Fresh input segment: new ETD vectors + new Krylov basis.
-                before_etd = etd_lu.n_solves
-                su = (bu_grid[:, i + 1] - bu_grid[:, i]) / h
-                state.segment = self.workspace.segment_from_vectors(
-                    t, bu_grid[:, i], su
-                )
-                stats.n_solves_etd += etd_lu.n_solves - before_etd
-
-                v = x + state.segment.F
-                state.eps_segment = (
-                    opts.eps_rel * float(np.linalg.norm(v)) + opts.eps_abs
-                )
-                before_kry = self.op.n_solves
-                state.basis = self.op.build_basis(
-                    v, h, tol=state.eps_segment,
-                    m_max=opts.m_max, min_dim=opts.m_min,
-                )
-                stats.n_solves_krylov += self.op.n_solves - before_kry
-                stats.n_krylov_bases += 1
-                stats.krylov_dims.append(state.basis.m)
-                state.alts = t
-                state.v_alts = v
-                return finish_step(state.basis.evaluate(h), h, out)
-
-            # Snapshot: reuse the basis generated at `alts`, after
-            # re-checking its posterior error at the longer step.
-            ha = t_next - state.alts
-            y, reuse_err = state.basis.evaluate_with_error(ha)
-            if reuse_err > reuse_safety * state.eps_segment:
-                before_kry = self.op.n_solves
-                state.basis = self.op.build_basis(
-                    state.v_alts, ha, tol=state.eps_segment,
-                    m_max=opts.m_max, min_dim=opts.m_min,
-                )
-                stats.n_solves_krylov += self.op.n_solves - before_kry
-                stats.n_krylov_bases += 1
-                stats.krylov_dims.append(state.basis.m)
-                y = state.basis.evaluate(ha)
-            else:
-                stats.n_reuses += 1
-            return finish_step(y, ha, out)
-
-        advance.supports_out = True
-        loop = SteppingLoop(self.system.dim, stats, sink=sink)
-        times, states = loop.march_grid(points, x, advance)
-
+        stats = march.stats
+        stats.dc_seconds = dc_seconds
+        stats.n_solves_dc = n_solves_dc
         return TransientResult(
             system=self.system,
             times=times,
             states=states,
             stats=stats,
-            method=f"matex-{opts.method}",
+            method=f"matex-{self.options.method}",
             sink=sink,
         )

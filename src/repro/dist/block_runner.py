@@ -2,14 +2,16 @@
 
 Every task of a decomposed run shares the full system's MNA pencil and
 the same global-transition-spot grid (paper Sec. 3.4) — only the *input
-columns* differ.  :class:`BlockNodeRunner` is the one march the
-executors run.  At **width 1** it is the paper's per-node execution
-(Alg. 2): a node builds a basis at each of its local transition spots
-and only re-evaluates it at the snapshots in between — ≈5 rounds of
-three scalar ``G`` solves, one 1-column Arnoldi and one span of small
-Hessenberg exponentials instead of one Python step per grid point.  At
-width N it fuses N such marches into block linear algebra without
-changing a single bit of the results:
+columns* differ.  :class:`BlockNodeRunner` is the one Alg. 2 march in
+the package: the executors run it at any width, and
+:meth:`MatexSolver.simulate <repro.core.solver.MatexSolver.simulate>`
+runs it at width 1 on its own factorisations.  At **width 1** it is the
+paper's per-node execution: a node builds a basis at each of its local
+transition spots and only re-evaluates it at the snapshots in between —
+≈5 rounds of three scalar ``G`` solves, one 1-column Arnoldi and one
+span of small Hessenberg exponentials instead of one Python step per
+grid point.  At width N it fuses N such marches into block linear
+algebra without changing a single bit of the results:
 
 * **Round lockstep.**  Node ``k``'s march is a chain over its *own*
   local transition spots; between two consecutive LTS every snapshot
@@ -18,10 +20,9 @@ changing a single bit of the results:
   in round ``r`` every task builds its ``r``-th ETD segment and Krylov
   basis together — three multi-RHS ``G`` substitutions
   (:meth:`~repro.linalg.lu.SparseLU.solve_many`) and one call of the
-  Arnoldi build (:func:`~repro.linalg.block_krylov.build_bases_block`,
-  the same routine ``MatexSolver.simulate`` reaches through
-  ``op.build_basis`` at one column) instead of ``width`` scalar
-  sequences.
+  Arnoldi build (:func:`~repro.linalg.block_krylov.build_bases_block`)
+  instead of ``width`` scalar sequences.  Grid point 0 always opens a
+  segment, whatever its LTS flag.
 * **A node's answer is its factors.**  Alg. 2 reuses one basis for every
   snapshot of a segment, so the deviation there has rank ``m + 2``.
   The runner never writes that ``(K × dim)`` block: per span it keeps
@@ -29,19 +30,23 @@ changing a single bit of the results:
   <repro.linalg.krylov.KrylovBasis.coefficients>`, which also yields
   every snapshot's posterior error) and the vectors ``B = [V_mᵀ; F;
   w_2]``, carries ``x(t_i1) = A[-1] @ B`` into the next segment, and
-  returns a :class:`~repro.dist.messages.FactoredStates`.  A
-  snapshot-triggered rebuild closes one span and opens the next; a
-  quiescent segment emits nothing.  The dense rows first exist inside
-  the scenario sum (:func:`~repro.core.superposition.superpose_states`),
-  so forming them is charged to ``superpose_seconds``, not to a node's
+  hands each closed span to the task's span destination — a list packed
+  into a :class:`~repro.dist.messages.FactoredStates` for a node task,
+  a streaming sink feed for ``simulate``.  A snapshot-triggered rebuild
+  closes one span and opens the next; a quiescent segment emits
+  nothing.  A node's dense rows first exist inside the scenario sum
+  (:func:`~repro.core.superposition.superpose_states`), so forming them
+  is charged to ``superpose_seconds``, not to a node's
   ``transient_seconds``.
 
-A batch's grid must increase strictly and be shared by its tasks (the
-scheduler and compiled plans guarantee it); :meth:`BlockNodeRunner.run`
-raises ``ValueError`` otherwise.  The tests' scalar oracle agrees with the
-runner to round-off on states and exactly on every convergence decision
-(``tests/test_block_runner.py``); the runner's own bits are identical at
-every width and pinned by ``tests/test_golden_digests.py``.
+A node task marches ``u(t) − u(0)`` from a zero state; ``simulate``
+may start anywhere and march the inputs as they are.  A grid must
+increase strictly and a batch's grid be shared by its tasks, or the
+runner raises ``ValueError``.  The tests' scalar oracle
+(``tests/scalar_oracle.py``) agrees with the runner to round-off on
+states and exactly on every convergence decision; the runner's own bits
+are identical at every width and pinned by
+``tests/test_golden_digests.py``.
 """
 
 from __future__ import annotations
@@ -71,10 +76,11 @@ class _TaskState:
     only the MNA rows its ``B`` columns actually touch (a handful per
     source group), with values bit-identical to the corresponding rows
     of the dense ``MNASystem.bu_series`` grid — all other rows of that
-    grid are exactly ``+0.0`` and never materialised.
+    grid are exactly ``+0.0`` and never materialised.  ``spans``
+    receives each closed ``(row0, A, B)`` span through its ``append``:
+    a list for a node task, ``simulate``'s sink feed otherwise.
     """
 
-    task: SimulationTask
     schedule: TransitionSchedule
     rows: np.ndarray
     bu_comp: np.ndarray
@@ -111,11 +117,23 @@ class BlockNodeRunner:
     """
 
     def __init__(self, system: MNASystem, options: SolverOptions | None = None):
-        self.system = system
-        self.options = options if options is not None else SolverOptions()
-        self.solver = MatexSolver(system, self.options, deviation_mode=True)
+        self._bind(MatexSolver(system, options, deviation_mode=True))
         self._pending_cache_hits = self.solver.construction_cache_hits
         self._pending_cache_misses = self.solver.construction_cache_misses
+
+    @classmethod
+    def _on(cls, solver: MatexSolver) -> "BlockNodeRunner":
+        """A runner on ``solver``'s own factorisations: no second solver,
+        no factor-cache traffic (``MatexSolver.simulate``'s march)."""
+        runner = cls.__new__(cls)
+        runner._bind(solver)
+        runner._pending_cache_hits = runner._pending_cache_misses = 0
+        return runner
+
+    def _bind(self, solver: MatexSolver) -> None:
+        self.system = solver.system
+        self.options = solver.options
+        self.solver = solver
         # Reusable (dim, 2·width) RHS buffer for the segment rounds and
         # the entries written into it last round (see _build_segments).
         self._busu: np.ndarray | None = None
@@ -157,26 +175,18 @@ class BlockNodeRunner:
 
     # -- lockstep march ---------------------------------------------------------
 
-    def _prepare(self, task: SimulationTask) -> _TaskState:
-        """Schedule, input grid and marching state of one task.
+    def _prepare(
+        self, schedule: TransitionSchedule, input_system: MNASystem,
+        cols: Sequence[int], x0: np.ndarray, deviation: bool,
+    ) -> _TaskState:
+        """Input grid and marching state of one march.
 
-        Identical pre-march arithmetic to ``MatexSolver.simulate``: the
-        inputs are evaluated once over the whole grid (vectorised across
-        the task's column set) and deviation-shifted by the t=0 column.
+        ``cols`` are the input columns driving it (empty: a free
+        response from ``x0``); with ``deviation`` their grid is shifted
+        by its t=0 column, so the march follows ``u(t) − u(0)`` — what
+        a node task runs, from ``x0 = 0``.  The inputs are evaluated
+        once over the whole grid, vectorised across the column set.
         """
-        overrides = task.group.overrides_dict() or None
-        schedule = task.schedule
-        if schedule is None:
-            schedule = build_schedule(
-                self.system,
-                task.t_end,
-                local_inputs=task.group.input_columns,
-                global_points=task.global_points,
-                waveform_overrides=overrides,
-            )
-        input_system = self.system
-        if overrides:
-            input_system = self.system.with_waveforms(overrides)
         pts = np.asarray(schedule.points)
 
         # Compact input grid: the same scatter accumulation as
@@ -186,7 +196,6 @@ class BlockNodeRunner:
         # of the dense grid are exactly +0.0.
         B = input_system.B
         indptr, indices = B.indptr, B.indices
-        cols = task.group.input_columns
         col_rows = [indices[indptr[c]:indptr[c + 1]] for c in cols]
         rows = (
             np.unique(np.concatenate(col_rows))
@@ -196,37 +205,77 @@ class BlockNodeRunner:
         for term_rows, vals, u_row in input_system.bu_scatter_terms(pts, cols):
             local = np.searchsorted(rows, term_rows)
             bu_comp[local] += vals[:, None] * u_row[None, :]
-        bu0 = bu_comp[:, 0].copy()
-        bu_comp -= bu0[:, None]
+        if deviation:
+            bu0 = bu_comp[:, 0].copy()
+            bu_comp -= bu0[:, None]
 
-        lts = [i for i in range(len(pts) - 1) if schedule.is_lts[i]]
+        lts = [
+            i for i in range(len(pts) - 1) if i == 0 or schedule.is_lts[i]
+        ]
         return _TaskState(
-            task=task,
             schedule=schedule,
             rows=rows,
             bu_comp=bu_comp,
             lts=lts,
             stats=SolverStats(factor_seconds=self.solver.factor_seconds),
-            x=np.zeros(self.system.dim),
+            x=np.asarray(x0, dtype=float),
         )
 
     def _run_grid_batch(self, tasks: list[SimulationTask]) -> list[NodeResult]:
-        tstates = [self._prepare(t) for t in tasks]
+        tstates = []
+        for task in tasks:
+            overrides = task.group.overrides_dict() or None
+            schedule = task.schedule
+            if schedule is None:
+                schedule = build_schedule(
+                    self.system,
+                    task.t_end,
+                    local_inputs=task.group.input_columns,
+                    global_points=task.global_points,
+                    waveform_overrides=overrides,
+                )
+            input_system = self.system
+            if overrides:
+                input_system = self.system.with_waveforms(overrides)
+            tstates.append(self._prepare(
+                schedule, input_system, task.group.input_columns,
+                np.zeros(self.system.dim), deviation=True,
+            ))
 
         pts_ref = np.asarray(tstates[0].schedule.points)
-        stalled = np.flatnonzero(~(np.diff(pts_ref) > 0.0))
+        for pos, (task, t) in enumerate(zip(tasks, tstates)):
+            if not np.array_equal(np.asarray(t.schedule.points), pts_ref):
+                raise ValueError(
+                    f"task {task.task_id} (position {pos} of its grid batch): "
+                    f"schedule points differ from task {tasks[0].task_id}'s"
+                )
+        self._march(tstates, f"task {tasks[0].task_id}")
+
+        return [
+            NodeResult(
+                task_id=task.task_id,
+                group_id=task.group.group_id,
+                label=task.group.label,
+                times=pts_ref.copy(),
+                states=FactoredStates.from_spans(
+                    (len(pts_ref), self.system.dim), t.spans
+                ),
+                stats=t.stats,
+            )
+            for task, t in zip(tasks, tstates)
+        ]
+
+    def _march(self, tstates: list[_TaskState], owner: str) -> None:
+        """Lockstep segment rounds over marches on one grid (``owner``
+        names it in the error raised when it does not strictly increase)."""
+        pts = np.asarray(tstates[0].schedule.points)
+        stalled = np.flatnonzero(~(np.diff(pts) > 0.0))
         if stalled.size:
             k = int(stalled[0]) + 1
             raise ValueError(
-                f"task {tasks[0].task_id}: grid point {k} (t={pts_ref[k]!r}) "
+                f"{owner}: grid point {k} (t={pts[k]!r}) "
                 f"does not exceed point {k - 1}; the grid must strictly increase"
             )
-        for pos, t in enumerate(tstates):
-            if not np.array_equal(np.asarray(t.schedule.points), pts_ref):
-                raise ValueError(
-                    f"task {t.task.task_id} (position {pos} of its grid batch): "
-                    f"schedule points differ from task {tasks[0].task_id}'s"
-                )
 
         t_march = time.perf_counter()
         round_idx = 0
@@ -234,10 +283,10 @@ class BlockNodeRunner:
             builders = [t for t in tstates if round_idx < len(t.lts)]
             if not builders:
                 break
-            self._build_segments(builders, pts_ref, round_idx)
-            self._build_bases(builders, pts_ref)
+            self._build_segments(builders, pts, round_idx)
+            self._build_bases(builders, pts)
             for t in builders:
-                self._evaluate_span(t, pts_ref)
+                self._evaluate_span(t, pts)
             round_idx += 1
         march_seconds = time.perf_counter() - t_march
 
@@ -254,20 +303,6 @@ class BlockNodeRunner:
                 share = 1.0 / len(tstates)
             t.stats.transient_seconds = march_seconds * share
             t.stats.krylov_dims = t.krylov_dims
-
-        return [
-            NodeResult(
-                task_id=t.task.task_id,
-                group_id=t.task.group.group_id,
-                label=t.task.group.label,
-                times=pts_ref.copy(),
-                states=FactoredStates.from_spans(
-                    (len(pts_ref), self.system.dim), t.spans
-                ),
-                stats=t.stats,
-            )
-            for t in tstates
-        ]
 
     def _build_segments(
         self, builders: list[_TaskState], pts: np.ndarray, round_idx: int

@@ -181,11 +181,11 @@ class NodeResult:
     ----------
     states:
         The node's ``(K × dim)`` deviation trajectory: a
-        :class:`FactoredStates` from the block runner (every executor),
-        a dense array from the scalar ``run_task`` march — unless the
-        worker already superposed the node's scenario: then the carrier
-        (``covers`` non-empty) holds the dense scenario sum and every
-        other node result of that scenario an empty ``(0, dim)`` block.
+        :class:`FactoredStates` from the block runner (every executor)
+        — unless the worker already superposed the node's scenario: then
+        the carrier (``covers`` non-empty) holds the dense scenario sum
+        and every other node result of that scenario an empty
+        ``(0, dim)`` block.
     covers:
         Ids of the tasks, in summation order, whose trajectories the
         worker summed onto their scenario's DC state to produce

@@ -7,7 +7,8 @@ refactor:
   baselines) is a strategy object resolved by name through
   :func:`get_integrator`;
 * :mod:`repro.engine.loop` — one :class:`SteppingLoop` owns marching
-  mechanics (recording, acceptance, statistics) for every integrator;
+  mechanics (recording, acceptance, statistics) for every time-stepping
+  baseline (the MATEX flavours march in :mod:`repro.dist.block_runner`);
 * :mod:`repro.engine.sinks` — recorded states stream to a
   :class:`ResultSink` (in-memory, downsampling, or NPZ-on-disk), so
   million-step runs stop holding dense trajectories in RAM.

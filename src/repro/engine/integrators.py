@@ -17,8 +17,8 @@ name           implementation                                 kind
 =============  =============================================  ==========
 
 The MATEX entries are thin strategies over :class:`MatexSolver` with the
-Krylov flavour pinned; everything else about the solver (the shared
-stepping loop, the factorisation cache, sinks) is inherited.
+Krylov flavour pinned; everything else about the solver (the width-1
+block march, the factorisation cache, sinks) is inherited.
 """
 
 from __future__ import annotations

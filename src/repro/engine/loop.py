@@ -1,34 +1,28 @@
-"""The shared stepping loop every integrator marches through.
+"""The shared stepping loop of the time-stepping baselines.
 
-Historically ``MatexSolver`` and each baseline owned a private copy of
-the same mechanics — iterate the time axis, record accepted states,
-count steps, time the transient part.  :class:`SteppingLoop` owns those
-mechanics once, for both axis shapes:
+:class:`SteppingLoop` owns the mechanics every fixed- or adaptive-step
+integrator needs — iterate the time axis, record accepted states, count
+steps, time the transient part — for both axis shapes:
 
 * :meth:`march_grid` — a fixed sequence of points (a uniform baseline
-  grid or a MATEX :class:`~repro.core.transition.TransitionSchedule`);
-  the strategy supplies one ``advance`` callback producing the next
-  state (or ``None`` to truncate, e.g. explicit-Euler divergence);
+  grid); the strategy supplies one ``advance`` callback producing the
+  next state (or ``None`` to truncate, e.g. explicit-Euler divergence);
 * :meth:`march_adaptive` — a controller-driven axis with step
   acceptance/rejection (adaptive trapezoidal); the loop owns the
   accept/reject bookkeeping and recording, the controller owns the
   step-size policy and trial states.
 
+The MATEX solvers do not step here: Alg. 2 is one lockstep march over
+segment rounds (:mod:`repro.dist.block_runner`), which hands whole
+spans of snapshots to the sink at once.
+
 Recorded states go to a :class:`~repro.engine.sinks.ResultSink`
-(defaulting to the in-memory sink, which reproduces the historical
-dense-array behaviour bit-for-bit).  The loop mutates the caller's
+(defaulting to the in-memory sink).  The loop mutates the caller's
 ``SolverStats``: ``n_steps`` counts attempted solver advances and
 ``transient_seconds`` accumulates the pure marching wall time — the
 paper's "pure transient computing" (Table 3), excluding input
 pre-evaluation and factorisations, which strategies perform before
 entering the loop.
-
-Strategies that mark their ``advance`` callback with
-``supports_out = True`` march **allocation-free**: the loop owns a pair
-of preallocated state buffers and hands one to every call as ``out=``;
-the callback fills it in place (ufunc ``out=`` arithmetic is
-bit-identical to the allocating form) and the loop double-buffers, so
-the hot loop creates no arrays per step.
 """
 
 from __future__ import annotations
@@ -101,8 +95,8 @@ class SteppingLoop:
         ----------
         points:
             Monotone time axis; ``advance`` is called once per positive
-            interval (zero-length intervals — duplicated transition
-            spots — are recorded without a step, as Alg. 2 does).
+            interval (zero-length intervals are recorded without a
+            step).
         x0:
             State at ``points[0]``.
         advance:
@@ -128,28 +122,15 @@ class SteppingLoop:
         if keep is None or 0 in keep:
             self.sink.append(pts[0], x)
 
-        # Strategies advertising `supports_out` write each new state
-        # into a loop-owned scratch buffer; double-buffering (the old
-        # state array becomes the next scratch) keeps the hot loop free
-        # of per-step allocations.
-        use_out = bool(getattr(advance, "supports_out", False))
-        scratch = np.empty(self.dim) if use_out else None
-
         t_loop = time.perf_counter()
         for i in range(len(pts) - 1):
             t, t_next = pts[i], pts[i + 1]
             if t_next - t > 0.0:
                 self.stats.n_steps += 1
-                if use_out:
-                    x_new = advance(i, t, t_next, x, out=scratch)
-                else:
-                    x_new = advance(i, t, t_next, x)
+                x_new = advance(i, t, t_next, x)
                 if x_new is None:
                     break  # truncate where the strategy gave up
-                if x_new is scratch:
-                    scratch, x = x, x_new
-                else:
-                    x = x_new
+                x = x_new
             if keep is None or (i + 1) in keep:
                 self.sink.append(t_next, x)
         self.stats.transient_seconds += time.perf_counter() - t_loop

@@ -12,9 +12,9 @@ name instead of importing concrete solver classes:
 The pattern follows the solver-registry architecture of simulation
 codebases like SHARPy: integrators are thin strategy objects behind one
 :class:`Integrator` interface, and the shared
-:class:`~repro.engine.loop.SteppingLoop` owns the marching mechanics
-(recording, acceptance, statistics), so adding an integrator never means
-writing another stepping loop.
+:class:`~repro.engine.loop.SteppingLoop` owns the baselines' marching
+mechanics (recording, acceptance, statistics), so adding a time-stepping
+integrator never means writing another stepping loop.
 
 Built-in integrators live in :mod:`repro.core.solver` (MATEX) and
 :mod:`repro.baselines`; they are imported lazily on first lookup so the

@@ -6,9 +6,10 @@ Arnoldi with classical Gram-Schmidt + one reorthogonalisation pass
 of Eqs. (7)/(8)/(10), returning one reusable
 :class:`~repro.linalg.krylov.KrylovBasis` per start vector.
 :meth:`KrylovExpmOperator.build_basis
-<repro.linalg.krylov.KrylovExpmOperator.build_basis>` — what
-``MatexSolver.simulate`` calls at every local transition spot — is its
-one-column call.
+<repro.linalg.krylov.KrylovExpmOperator.build_basis>` is its one-column
+call, and the march (:mod:`repro.dist.block_runner`, which
+``MatexSolver.simulate`` runs at width 1) calls it once per segment
+round for every task that opens a segment.
 
 What batching adds.  The distributed decomposition (paper Sec. 3.4)
 gives every node task the *same* MNA pencil, so all their bases are

@@ -165,7 +165,7 @@ class KrylovBasis:
         The accumulation is an explicit rank-1 loop over the basis
         columns so each output column is **bit-for-bit identical**
         whether evaluated alone (``K = 1``, a step-by-step march such as
-        ``MatexSolver.simulate``) or as part of a span batch (the block
+        the tests' scalar oracle) or as part of a span batch (the block
         runner, at any width): elementwise broadcasting never changes
         the per-element operation order, whereas BLAS gemm and gemv
         kernels disagree in the last ulp.
@@ -199,11 +199,14 @@ class KrylovBasis:
         is ``β V_m exp(hs[k]·Hm) e_1`` — and ``errs`` the posterior
         error estimate per step (zeros when the basis carries no error
         row, or when ``with_errors`` is false).  This is the dense
-        evaluation of the scalar march (``MatexSolver.simulate``,
-        ``run_task``): :meth:`evaluate` / :meth:`evaluate_with_error`
-        delegate here with ``K = 1``, so batched and per-step
-        evaluations are bit-for-bit interchangeable.  The block runner
-        ships :meth:`coefficients` instead and never forms ``Y``.
+        evaluation of a step-by-step march — the tests' scalar oracle
+        (``tests/scalar_oracle.py``) steps through it, and
+        ``bench/layer_trace.py`` times it: :meth:`evaluate` /
+        :meth:`evaluate_with_error` delegate here with ``K = 1``, so
+        batched and per-step evaluations are bit-for-bit
+        interchangeable.  The march (:mod:`repro.dist.block_runner`,
+        ``MatexSolver.simulate`` included) ships :meth:`coefficients`
+        instead and never forms ``Y``.
         """
         hs = np.asarray(hs, dtype=float)
         K = hs.shape[0]

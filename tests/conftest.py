@@ -20,7 +20,7 @@ import pytest
 from repro.circuit import Netlist, Pulse, assemble
 from repro.core import MatexSolver
 from repro.dist import Executor
-from repro.dist.worker import run_task
+from tests.scalar_oracle import run_task
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -59,10 +59,10 @@ def shm_leak_sanitizer():
 class ScalarOracleExecutor(Executor):
     """The scalar reference march, task by task: the parity oracle.
 
-    :func:`repro.dist.worker.run_task` walks a task's grid one Python
-    step at a time through ``MatexSolver.simulate`` — no block runner,
-    no span batching, dense rank-1 evaluation — which is the per-node
-    path as it was before the executors collapsed onto width-1
+    :func:`tests.scalar_oracle.run_task` walks a task's grid one Python
+    step at a time — no block runner, no span batching, dense rank-1
+    evaluation — which is the per-node path as it was before the
+    executors, and then ``MatexSolver.simulate``, collapsed onto width-1
     lockstep.  It is a *tolerance* oracle: every executor, at every
     width, must reproduce its ``SolverStats`` counters exactly and its
     states to round-off (1e-12 of the response scale).

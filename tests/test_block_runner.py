@@ -6,7 +6,7 @@ a :class:`~repro.dist.block_runner.BlockNodeRunner` produces is
 included — on the serial executor, on the multiprocess executor, through
 the scheduler's ``batch`` policy, across decompositions (including
 split-bump waveform overrides) and Krylov flavours.  The scalar
-reference march :func:`repro.dist.worker.run_task` is the *tolerance*
+reference march :func:`tests.scalar_oracle.run_task` is the *tolerance*
 oracle of all of them: a runner result is a factored trajectory whose
 rows are BLAS dots over ``m + 2`` terms where the scalar march runs an
 ordered rank-1 loop, so the two agree to 1e-12 of the response scale on

@@ -11,9 +11,9 @@ from repro.dist import (
     SerialExecutor,
     SimulationTask,
 )
-from repro.dist.worker import run_task
 from repro.core.decomposition import SourceGroup
 from repro.linalg import exact_transient
+from tests.scalar_oracle import run_task
 
 OPTS = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-8)
 

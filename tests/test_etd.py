@@ -1,10 +1,18 @@
-"""Unit tests for the ETD segment vectors (Eq. 5 machinery)."""
+"""Unit tests for the ETD segment vectors (Eq. 5 machinery).
+
+The per-segment form lives in the scalar oracle
+(:class:`tests.scalar_oracle.OracleEtd`); the march computes the same
+three ``G`` solves per segment round against the solver's
+:class:`~repro.core.etd.EtdWorkspace`, whose DC point and ``G`` sharing
+are checked here too.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import EtdWorkspace
 from repro.linalg import SparseLU, dense_a_matrix
+from tests.scalar_oracle import OracleEtd
 
 
 def dense_f(system, t, t_probe, active=None):
@@ -26,14 +34,14 @@ def dense_f(system, t, t_probe, active=None):
 class TestSegmentVectors:
     def test_f_matches_dense_formula(self, rc_ladder_system):
         s = rc_ladder_system
-        ws = EtdWorkspace(s)
+        ws = OracleEtd(s)
         t, t_probe = 1.2e-10, 1.4e-10  # inside the pulse rise
         seg = ws.segment(t, t_probe)
         f_dense = dense_f(s, t, t_probe)
         assert np.allclose(seg.F, f_dense, rtol=1e-9, atol=1e-18)
 
     def test_p_is_affine_in_h(self, rc_ladder_system):
-        ws = EtdWorkspace(rc_ladder_system)
+        ws = OracleEtd(rc_ladder_system)
         seg = ws.segment(1.2e-10, 1.4e-10)
         h1, h2 = 1e-11, 3e-11
         p1, p2 = seg.P(h1), seg.P(h2)
@@ -43,29 +51,29 @@ class TestSegmentVectors:
         assert np.allclose(seg.P(h3), p3_expected)
 
     def test_p_at_zero_is_f(self, rc_ladder_system):
-        ws = EtdWorkspace(rc_ladder_system)
+        ws = OracleEtd(rc_ladder_system)
         seg = ws.segment(1.2e-10, 1.4e-10)
         assert np.allclose(seg.P(0.0), seg.F)
 
-    def test_segment_from_vectors_equivalent(self, rc_ladder_system):
+    def test_segment_from_input_vectors_equivalent(self, rc_ladder_system):
         s = rc_ladder_system
-        ws = EtdWorkspace(s)
+        ws = OracleEtd(s)
         t, t_probe = 1.2e-10, 1.4e-10
         direct = ws.segment(t, t_probe)
-        via_vectors = ws.segment_from_vectors(
+        via_vectors = ws.from_vectors(
             t, s.bu(t), s.b_slope_fd(t, t_probe)
         )
         assert np.allclose(direct.F, via_vectors.F)
         assert np.allclose(direct.w2, via_vectors.w2)
 
     def test_three_solves_per_segment(self, rc_ladder_system):
-        ws = EtdWorkspace(rc_ladder_system)
+        ws = OracleEtd(rc_ladder_system)
         before = ws.n_solves
         ws.segment(1.2e-10, 1.4e-10)
         assert ws.n_solves - before == 3
 
     def test_flat_segment_has_zero_w2(self, rc_ladder_system):
-        ws = EtdWorkspace(rc_ladder_system)
+        ws = OracleEtd(rc_ladder_system)
         # Pulse flat top: [1.5e-10, 3.5e-10].
         seg = ws.segment(2e-10, 2.5e-10)
         assert np.allclose(seg.w2, 0.0)
@@ -74,7 +82,7 @@ class TestSegmentVectors:
 class TestDeviationMode:
     def test_deviation_subtracts_initial_input(self, small_pdn_system):
         s = small_pdn_system
-        ws_dev = EtdWorkspace(s, deviation_mode=True)
+        ws_dev = OracleEtd(s, deviation_mode=True)
         # At t=0 the deviation input is exactly zero, so F must vanish
         # (pulse sources start at 0 but the V pad does not).
         seg = ws_dev.segment(0.0, 5e-11)
@@ -82,8 +90,8 @@ class TestDeviationMode:
 
     def test_deviation_same_slope(self, small_pdn_system):
         s = small_pdn_system
-        ws = EtdWorkspace(s)
-        ws_dev = EtdWorkspace(s, deviation_mode=True)
+        ws = OracleEtd(s)
+        ws_dev = OracleEtd(s, deviation_mode=True)
         t, tp = 1.1e-10, 1.15e-10  # inside I0's rise
         assert np.allclose(
             ws.segment(t, tp).w2, ws_dev.segment(t, tp).w2
@@ -102,6 +110,6 @@ class TestDcAndSharing:
     def test_shared_lu_counts_once(self, rc_ladder_system):
         lu = SparseLU(rc_ladder_system.G, label="G")
         ws = EtdWorkspace(rc_ladder_system, lu_g=lu)
-        ws.segment(1.2e-10, 1.4e-10)
-        assert lu.n_solves == 3
+        OracleEtd(rc_ladder_system, lu_g=ws.lu_g).segment(1.2e-10, 1.4e-10)
+        assert lu.n_solves == ws.n_solves == 3
         assert ws.lu_g is lu

@@ -12,10 +12,10 @@ folds the factors into the scenario sum in task order wherever the
 tasks meet.
 
 **Oracles.**  The bits are the block path's own, so two independent
-checks keep them honest.  The scalar :func:`repro.dist.worker.run_task`
-march (one ``MatexSolver.simulate`` step per grid point, dense rank-1
-evaluation) is a *tolerance* oracle: it must agree with the block path
-to 1e-12 of the response scale on states — the two differ only in how a
+checks keep them honest.  The scalar :func:`tests.scalar_oracle.run_task`
+march (one Alg. 2 step per grid point, dense rank-1 evaluation) is a
+*tolerance* oracle: it must agree with the block path to 1e-12 of the
+response scale on states — the two differ only in how a
 snapshot row is accumulated, an ordered rank-1 loop there, a BLAS dot
 over ``m + 2`` terms here — and **exactly** on every convergence
 decision (steps, bases, reuses, solves, per-basis dimensions).  And

@@ -15,7 +15,7 @@ relative, as it always was.
 The file also carries one ``method="standard"`` scheduler state digest
 (``tests/golden/state_digests.json`` covers rational and inverted only),
 recorded by ``MatexScheduler(batch="off")``; the scalar
-:func:`repro.dist.worker.run_task` march is its tolerance oracle.
+:func:`tests.scalar_oracle.run_task` march is its tolerance oracle.
 
 Same determinism boundary and skip-with-reason as
 ``tests/test_golden_digests.py``.  Regenerate (from the repository root,
