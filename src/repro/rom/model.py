@@ -64,7 +64,6 @@ import scipy.sparse as sp
 
 from repro.circuit.mna import MNASystem
 from repro.core.options import SolverOptions
-from repro.linalg.lu import FACTORIZATION_CACHE
 from repro.rom.projector import BasisInfo, RomBuildError, rational_krylov_basis
 
 __all__ = ["RomConfig", "RomAnswer", "ReducedModel", "build_reduced_model"]
@@ -96,8 +95,9 @@ class RomConfig:
         Rational Krylov moment blocks in the basis (see
         :func:`repro.rom.projector.rational_krylov_basis`).
     deflation_tol:
-        Relative pivot threshold for QR deflation of dependent
-        candidate columns.
+        Relative pivot threshold for deflating dependent candidate
+        columns; the test runs on the diagonal of the projector's
+        sketch, ``|R_jj| > deflation_tol·|R_00|``.
     safety:
         Multiplier on the raw residual indicator; the *reported* bound
         is ``safety × max‖G^-1 r‖∞``.  The indicator empirically tracks
@@ -311,8 +311,8 @@ class ReducedModel:
         b = self.basis
         return (
             f"reduced model: q={self.dim} of n={self.n_full} "
-            f"({b.n_candidates} candidates, {b.n_deflated} deflated"
-            f"{', capped' if b.truncated else ''}), "
+            f"({b.n_candidates} candidates, {b.n_deflated} deflated "
+            f"in the sketch{', capped' if b.truncated else ''}), "
             f"{self.n_inputs} inputs in {self.n_shapes} shapes, "
             f"{len(self.widths)} segment widths, "
             f"tol {self.config.tol:g}, safety {self.config.safety:g}, "
@@ -444,7 +444,7 @@ def build_reduced_model(
     p = system.n_inputs
     C, G = system.C, system.G
 
-    V, info, W = rational_krylov_basis(
+    V, info, W, lu_g = rational_krylov_basis(
         C, G, system.B, gamma,
         moments=config.moments,
         q_max=config.q_max,
@@ -487,7 +487,6 @@ def build_reduced_model(
     lam = (1.0 - 1.0 / mu_c) / gamma
     lam = np.where(lam.real > 0.0, 1j * lam.imag, lam)
 
-    lu_g = FACTORIZATION_CACHE.factor(G, label="G(rom)")
     Z = np.asarray(lu_g.solve_many(CV))
 
     grid = np.asarray(system.global_transition_spots(t_end), dtype=float)

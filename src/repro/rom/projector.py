@@ -15,14 +15,30 @@ a low-dimensional subspace spanned by
 
 The blocks are heavily rank-deficient for realistic PDNs — hundreds of
 load currents injected into one stiff grid excite far fewer independent
-responses — so the projector deflates them: candidate columns are
-normalised and passed through one **pivoted QR**, and columns whose
-pivoted diagonal falls below ``deflation_tol`` relative to the leading
-pivot are dropped (the same breakdown treatment block-Arnoldi codes
-apply per iteration, applied across the whole candidate set so the
-``q_max`` budget is spent on the *globally* most independent
-directions, not on whichever block happened to be orthogonalised
-first).
+responses — and on the benchmark grids still far wider than the
+``q_max`` columns kept (pg1t: 2 412 candidates, numerical rank ≈ 1 000,
+200 kept).  The projector therefore picks its columns from a **sketch**
+(sketched column-pivoting selection: Halko, Martinsson & Tropp, SIAM
+Review 53(2), 2011, §5):
+
+1. **sketch** — the normalised candidates are compressed by a seeded
+   Gaussian ``Ω`` of ``k = q_max + SKETCH_OVERSAMPLE`` rows into
+   ``Y = Ω·cand``, ``k × N`` instead of ``n × N``;
+2. **select** — one pivoted QR of ``Y`` orders the candidates by
+   independence; columns whose pivoted diagonal falls below
+   ``deflation_tol`` relative to the leading pivot are dependent, and
+   the first ``q_max`` of the rest are kept;
+3. **thin QR** — one unpivoted QR of the ``n × keep`` selected columns
+   is ``V``.
+
+The selection is *global*: every block competes in the one pivoted QR,
+so the ``q_max`` budget goes to the most independent directions of the
+whole candidate set, not to whichever block happened to be
+orthogonalised first (the per-iteration breakdown test of a block
+Arnoldi code).  The Gaussian sketch preserves the column geometry the
+pivoting ranks, to within the oversampling's distortion, at a fraction
+of the cost; the posterior bound of the reduced model, not the
+selection, certifies the accuracy that results.
 """
 
 from __future__ import annotations
@@ -33,9 +49,18 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from repro.linalg.lu import FACTORIZATION_CACHE, canonical_shift
+from repro.linalg.lu import FACTORIZATION_CACHE, SparseLU, canonical_shift
 
 __all__ = ["BasisInfo", "RomBuildError", "rational_krylov_basis"]
+
+#: Seed of the Gaussian sketch.  Fixed, so two builds of one system
+#: select the same columns and produce the same bits.
+SKETCH_SEED = 20110601
+
+#: Sketch rows beyond ``q_max``: enough that the sketch still sees a
+#: numerical rank above the cap (and so reports the truncation), and
+#: that its distortion of the column geometry stays small.
+SKETCH_OVERSAMPLE = 20
 
 
 class RomBuildError(RuntimeError):
@@ -51,14 +76,20 @@ class BasisInfo:
     n_candidates:
         Candidate columns generated (``(1 + moments) * n_inputs``).
     n_deflated:
-        Candidates dropped as numerically dependent (pivoted-QR
-        deflation), *before* the ``q_max`` cap.
+        Dependent candidates among those the sketch ranked.  A sketch
+        of ``k`` rows ranks the first ``min(k, nonzero candidates)``
+        pivots; of those, the ones whose pivot falls below
+        ``deflation_tol`` are counted here, *before* the ``q_max`` cap.
+        Candidates past the sketch's ``k`` pivots are not measured and
+        not counted (0 on pg1t, where the rank exceeds ``k``).
     rank:
         Columns kept — the reduced dimension ``q``.
     truncated:
-        True when the numerical rank exceeded ``q_max`` and the basis
-        was capped (the error bound, not the builder, polices the
-        resulting accuracy).
+        True when the sketch's numerical rank exceeded ``q_max`` and
+        the basis was capped (the error bound, not the builder,
+        polices the resulting accuracy).  The sketch measures rank up
+        to its ``k = q_max + SKETCH_OVERSAMPLE`` rows, so this is
+        exact whether or not the cap bites.
     """
 
     n_candidates: int
@@ -82,7 +113,7 @@ def rational_krylov_basis(
     moments: int = 2,
     q_max: int = 200,
     deflation_tol: float = 1e-10,
-) -> tuple[np.ndarray, BasisInfo, np.ndarray]:
+) -> tuple[np.ndarray, BasisInfo, np.ndarray, SparseLU]:
     """Orthonormal basis ``V`` for the reduced space, with deflation.
 
     Parameters
@@ -102,14 +133,16 @@ def rational_krylov_basis(
         Hard cap on the reduced dimension.
     deflation_tol:
         Relative pivot threshold below which a candidate column is
-        deflated as linearly dependent.
+        deflated as linearly dependent; the test runs on the diagonal
+        of the sketch's pivoted QR, ``|R_jj| > deflation_tol·|R_00|``.
 
     Returns
     -------
-    (V, info, W):
+    (V, info, W, lu_g):
         ``V`` is ``(n, q)`` with orthonormal columns, ``q <= q_max``;
-        ``W = G^-1 B`` is the quasi-static candidate block, handed back
-        because the reduced model needs it again (one solve, not two).
+        ``W = G^-1 B`` is the quasi-static candidate block and
+        ``lu_g`` the factorisation of ``G`` that produced it, both
+        handed back because the reduced model needs them again.
 
     Raises
     ------
@@ -160,12 +193,15 @@ def rational_krylov_basis(
     norms = np.linalg.norm(cand, axis=0)
     dead = norms == 0.0  # repro: allow[RPL005] exactly-zero columns only; near-zero must keep their scale
     norms[dead] = 1.0
-    n_candidates = cand.shape[1]
+    cand /= norms
+    n, n_candidates = cand.shape
 
+    k = min(q_max + SKETCH_OVERSAMPLE, n)
+    omega = np.random.default_rng(SKETCH_SEED).standard_normal((k, n))
     try:
-        Q, R, _ = sla.qr(cand / norms, mode="economic", pivoting=True)
+        R, perm = sla.qr(omega @ cand, mode="r", pivoting=True)
     except Exception as exc:
-        raise RomBuildError(f"pivoted QR failed: {exc}") from exc
+        raise RomBuildError(f"pivoted QR of the sketch failed: {exc}") from exc
 
     diag = np.abs(np.diag(R))
     lead = diag[0] if diag.size else 0.0
@@ -175,12 +211,12 @@ def rational_krylov_basis(
             "not excite the system"
         )
     rank = int(np.sum(diag > deflation_tol * lead))
-    n_deflated = n_candidates - rank - int(np.sum(dead))
+    ranked = min(diag.size, n_candidates - int(np.sum(dead)))
     keep = min(q_max, rank)
-    V = np.ascontiguousarray(Q[:, :keep])
-    return V, BasisInfo(
+    Q, _ = sla.qr(cand[:, perm[:keep]], mode="economic", overwrite_a=True)
+    return np.ascontiguousarray(Q), BasisInfo(
         n_candidates=n_candidates,
-        n_deflated=max(n_deflated, 0),
+        n_deflated=ranked - rank,
         rank=keep,
         truncated=rank > q_max,
-    ), W
+    ), W, lu_g

@@ -13,6 +13,11 @@ Covers the ISSUE-7 contracts:
   bit-identically after the roundtrip,
 * a build failure degrades the compile gracefully (``rom_error``),
 
+the certification of the sketched basis on pg1t under the bench's
+options (every accepted answer inside its bound against the full-order
+sweep, two load-pattern seeds) with its determinism (byte-identical
+rebuilds, no new ``RomConfig`` knob),
+
 and the ISSUE-17 one: the shipped real-arithmetic, shape-factored
 ``answer`` agrees with ``dense_complex_answer`` — the formula evaluated
 over every input row with complex ``(n, q)`` lifts — on inputs that do
@@ -49,7 +54,7 @@ def _compile(system, rom=None):
 
 class TestProjectorDeflation:
     def test_orthonormal_basis(self, mesh_system):
-        V, info, _ = rational_krylov_basis(
+        V, info, _, _ = rational_krylov_basis(
             mesh_system.C, mesh_system.G, mesh_system.B, GAMMA
         )
         assert V.shape == (mesh_system.dim, info.rank)
@@ -61,10 +66,10 @@ class TestProjectorDeflation:
         """Repeating every input column must not grow the basis."""
         Bd = np.asarray(mesh_system.B.todense())
         Bdup = np.concatenate([Bd, Bd, Bd], axis=1)
-        V1, info1, _ = rational_krylov_basis(
+        V1, info1, _, _ = rational_krylov_basis(
             mesh_system.C, mesh_system.G, Bd, GAMMA
         )
-        V3, info3, _ = rational_krylov_basis(
+        V3, info3, _, _ = rational_krylov_basis(
             mesh_system.C, mesh_system.G, Bdup, GAMMA
         )
         assert info3.rank == info1.rank
@@ -80,7 +85,7 @@ class TestProjectorDeflation:
         for r in (1, 2, 4):
             for _ in range(3):
                 B = rng.normal(size=(n, r)) @ rng.normal(size=(r, 11))
-                V, info, _ = rational_krylov_basis(
+                V, info, _, _ = rational_krylov_basis(
                     mesh_system.C, mesh_system.G, B, GAMMA, moments=2
                 )
                 assert info.rank == V.shape[1]
@@ -98,7 +103,7 @@ class TestProjectorDeflation:
             )
 
     def test_hands_back_the_quasi_static_block(self, mesh_system):
-        _, _, W = rational_krylov_basis(
+        _, _, W, _ = rational_krylov_basis(
             mesh_system.C, mesh_system.G, mesh_system.B, GAMMA
         )
         np.testing.assert_allclose(
@@ -106,7 +111,7 @@ class TestProjectorDeflation:
         )
 
     def test_q_max_caps_and_reports_truncation(self, mesh_system):
-        V, info, _ = rational_krylov_basis(
+        V, info, _, _ = rational_krylov_basis(
             mesh_system.C, mesh_system.G, mesh_system.B, GAMMA, q_max=2
         )
         assert V.shape[1] == 2 and info.rank == 2 and info.truncated
@@ -534,3 +539,74 @@ class TestModelInternals:
         )
         widths = {float(w) for w in np.diff(model.grid)}
         assert widths == set(model.tables)
+
+
+#: The sweep bench's solver options (``bench/workloads.py``).
+BENCH_OPTS = replace(OPTS, eps_rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def pg1t_rom():
+    """pg1t compiled with the default reduced model, as the bench does."""
+    from repro.pdn import build_case
+
+    system, case = build_case("pg1t")
+    compiled = SimulationPlan(
+        system, BENCH_OPTS, t_end=case.t_end
+    ).compile(rom=RomConfig())
+    assert compiled.rom is not None, compiled.rom_error
+    return system, case, compiled
+
+
+class TestCertification:
+    @pytest.mark.parametrize("seed", (7, 11))
+    def test_pg1t_bound_dominates_the_full_order_error(self, pg1t_rom, seed):
+        """Every accepted answer on the bench's load patterns sits inside
+        its absolute bound against the full-order sweep, and at least
+        95 % are accepted."""
+        from repro.pdn import load_pattern_scenarios
+
+        system, _, compiled = pg1t_rom
+        model = compiled.rom
+        scenarios = load_pattern_scenarios(
+            system, n=32, seed=seed, spread=0.5
+        )
+        with Session(compiled) as session:
+            full = session.sweep(scenarios, rom=False)
+        accepted = 0
+        for sc, f in zip(scenarios, full):
+            ans = model.answer(model.input_matrix(sc, None))
+            if not ans.accepted:
+                continue
+            accepted += 1
+            err = float(np.abs(ans.states - f.result.states).max())
+            assert err <= ans.bound_abs, (sc.name, err, ans.bound_abs)
+        assert accepted >= 0.95 * len(scenarios)
+
+
+class TestDeterminism:
+    def test_two_builds_are_byte_identical(self, pg1t_rom):
+        system, case, compiled = pg1t_rom
+        a = compiled.rom
+        b = build_reduced_model(system, BENCH_OPTS, case.t_end, RomConfig())
+        assert a.basis.truncated and a.dim == RomConfig().q_max
+        for name in ("Vt", "mu", "input_map"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.basis == b.basis
+
+    def test_pickled_plan_answers_bit_identically(self, pg1t_rom):
+        from repro.pdn import load_pattern_scenarios
+
+        system, _, compiled = pg1t_rom
+        clone = pickle.loads(pickle.dumps(compiled))
+        for sc in load_pattern_scenarios(system, n=2, seed=7, spread=0.5):
+            x = compiled.rom.answer(compiled.rom.input_matrix(sc, None))
+            y = clone.rom.answer(clone.rom.input_matrix(sc, None))
+            assert x.states.tobytes() == y.states.tobytes()
+            assert x.bound_abs == y.bound_abs
+
+    def test_rom_config_has_no_new_field(self):
+        """The sketch's seed and size are module constants, not knobs."""
+        assert [f.name for f in fields(RomConfig)] == [
+            "tol", "q_max", "moments", "deflation_tol", "safety",
+        ]
