@@ -30,7 +30,6 @@ setup(
     extras_require={
         "test": [
             "pytest>=7",
-            "pytest-benchmark>=4",
             "hypothesis>=6",
         ],
     },

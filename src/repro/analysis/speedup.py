@@ -11,9 +11,9 @@ evaluation cost ``TH + Te`` and serial part ``Tserial``::
              / (k·m·Tbs + K·(TH+Te) + Tserial)                    (12)
 
 Eq. 11 is distributed-MATEX over single-node MATEX; Eq. 12 is over the
-fixed-step baseline with ``N`` steps.  The ``bench_speedup_model``
-benchmark fits the constants from measured runs and checks the model
-against measured speedups.
+fixed-step baseline with ``N`` steps.  ``repro.experiments.speedup_model``
+fits the constants from measured runs and compares the model with
+measured speedups (``results/speedup_model.txt``).
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ full :class:`Netlist`).
 Memory stays bounded by the *result* size (node map + matrix triplets +
 one waveform object per source), never by the card count: peak RSS for
 a 100k-node deck is dominated by the CSC matrices themselves (the
-``bench_ingest`` benchmark records it).  The one per-card structure kept
+bench's ``deck_cold`` records it).  The one per-card structure kept
 is a set of element names for duplicate detection — same asymptotic
 size as the triplet arrays, and the same malformed decks are rejected
 as in the object path.

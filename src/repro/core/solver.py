@@ -14,7 +14,7 @@ One matrix factorisation at the start, then adaptive time stepping with
 The Arnoldi convergence test is run at the *first* sub-step length after
 the LTS.  For the inverted/rational subspaces this is the conservative
 choice: their approximation error *decreases* as ``h`` grows (paper
-Fig. 5, re-verified by ``benchmarks/bench_fig5_error_surface.py``), so
+Fig. 5, re-verified by ``tests/test_experiments.py::TestFig5``), so
 later snapshots served with larger ``ha`` are at least as accurate.
 
 :meth:`MatexSolver.simulate` owns no time loop: it is the width-1 march

@@ -6,8 +6,8 @@ Regenerates the paper's tables and figure from the command line::
     python -m repro.experiments.runner table3 --cases pg1t pg4t
     python -m repro.experiments.runner all
 
-Each experiment prints a paper-style ASCII table; see EXPERIMENTS.md for
-the recorded paper-vs-measured comparison.
+Each experiment prints a paper-style ASCII table; the committed ones are
+in ``results/*.txt``, with the exact commands in README.md.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Expected shape (paper Table 1): MEXP's basis grows with stiffness into
 the tens/hundreds while I-MATEX and R-MATEX stay around 5-20 and run
 orders of magnitude faster; all methods hit comparable accuracy.
 Absolute speedups are smaller here than the paper's 229X-2735X because
-both the mesh and MEXP's basis are scaled down (see EXPERIMENTS.md).
+both the mesh and MEXP's basis are scaled down (``results/table1.txt``).
 """
 
 from __future__ import annotations

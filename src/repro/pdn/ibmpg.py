@@ -12,7 +12,7 @@ cards when asked.
 so that streaming it back through :func:`repro.circuit.ingest.ingest_file`
 reproduces the in-memory generator path **bit-identically** (same node
 index assignment, same stamp sequence, same matrices) — the property
-``bench_ingest`` and the round-trip tests assert.
+the bench's ``deck_cold`` check and the round-trip tests assert.
 """
 
 from __future__ import annotations

@@ -101,8 +101,8 @@ class RomConfig:
     safety:
         Multiplier on the raw residual indicator; the *reported* bound
         is ``safety × max‖G^-1 r‖∞``.  The indicator empirically tracks
-        the true error to within a few percent on PDN workloads
-        (``benchmarks/bench_rom.py`` asserts it), so the default 2.0 is
+        the true error to within a few percent on PDN workloads (bound
+        ≈ 2.0 × error on pg1t, ``tests/test_rom.py``), so the default 2.0 is
         a conservative margin, not a fudge looking for tuning.
     """
 

@@ -20,8 +20,7 @@ oracle's own business: :func:`oracle_spread` measures how far the
 oracle moves under seeded ±1-ulp perturbations of its evaluations.
 
 :func:`run_task` is the oracle's answer to one node task (the
-``ScalarOracleExecutor`` of ``tests/conftest.py`` and the scalar
-reference wall of ``benchmarks/bench_table3_distributed.py``).
+``ScalarOracleExecutor`` of ``tests/conftest.py``).
 """
 
 from __future__ import annotations
