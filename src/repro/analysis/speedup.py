@@ -14,6 +14,10 @@ Eq. 11 is distributed-MATEX over single-node MATEX; Eq. 12 is over the
 fixed-step baseline with ``N`` steps.  ``repro.experiments.speedup_model``
 fits the constants from measured runs and compares the model with
 measured speedups (``results/speedup_model.txt``).
+
+A node issues ``k·m + 2q`` substitution pairs for Eq. 12's ``k·m``: the
+ETD vectors cost two ``G`` solves per input shape of the node (``q``,
+one per bump group on pg1t), not Alg. 2's three per transition spot.
 """
 
 from __future__ import annotations

@@ -302,65 +302,27 @@ class MNASystem:
         du = self.input_vector(t1, active) - self.input_vector(t0, active)
         return np.asarray(self.B @ (du / (t1 - t0))).ravel()
 
-    def bu_scatter_terms(self, times: np.ndarray, cols):
-        """Per-column scatter terms of ``B @ u(t)`` over a time grid.
-
-        Yields ``(rows, vals, u_row)`` per non-empty ``B`` column in
-        the order of ``cols``.  This generator is the **single source
-        of the scatter accumulation order**: both the dense
-        :meth:`bu_series` and the block runner's compact per-task input
-        grids accumulate these exact terms in this exact order, which
-        is what keeps the two representations bit-for-bit consistent.
-        """
-        indptr, indices, data = self.B.indptr, self.B.indices, self.B.data
-        for col in cols:
-            lo, hi = indptr[col], indptr[col + 1]
-            if lo == hi:
-                continue
-            yield (
-                indices[lo:hi],
-                data[lo:hi],
-                self.waveforms[col].values_array(times),
-            )
-
     def bu_series(
-        self,
-        times: np.ndarray,
-        active: Sequence[int] | None = None,
-        out: np.ndarray | None = None,
+        self, times: np.ndarray, active: Sequence[int] | None = None
     ) -> np.ndarray:
         """``B @ u(t)`` for a whole time grid at once, shape ``(dim, k)``.
 
-        Used by the fixed-step baselines and the block node runner,
-        which would otherwise evaluate thousands of waveforms per step
-        in Python loops.  Each input column is evaluated over the whole
-        grid (``values_array``) and scattered through its ``B`` column
-        directly — the same per-element accumulation order a CSC
-        mat-mat product performs, without materialising the ``B[:,
-        cols]`` slice (sparse fancy indexing costs more than the
-        product for the small per-node column sets).
-
-        ``out`` reuses a caller-held ``(dim, k)`` float64 buffer for the
-        result instead of allocating one per call — the marching hot
-        paths call this per segment.  It is zero-filled first (``+0.0``
-        everywhere, exactly like a fresh allocation), so the scatter
-        accumulation — and therefore every bit of the result — is
-        identical with or without buffer reuse.
+        Used by the fixed-step baselines, which would otherwise evaluate
+        thousands of waveforms per step in Python loops.  Each input
+        column is evaluated over the whole grid (``values_array``) and
+        scattered through its ``B`` column directly — the same
+        per-element accumulation order a CSC mat-mat product performs,
+        without materialising the ``B[:, cols]`` slice (sparse fancy
+        indexing costs more than the product for small column sets).
         """
         times = np.asarray(times, dtype=float)
-        k = times.shape[0]
-        if out is None:
-            out = np.zeros((self.dim, k))
-        else:
-            if out.shape != (self.dim, k) or out.dtype != np.float64:
-                raise ValueError(
-                    f"out must be a float64 buffer of shape "
-                    f"{(self.dim, k)}, got {out.dtype} {out.shape}"
-                )
-            out[...] = 0.0
-        cols = range(self.n_inputs) if active is None else active
-        for rows, vals, u_row in self.bu_scatter_terms(times, cols):
-            out[rows] += vals[:, None] * u_row[None, :]
+        out = np.zeros((self.dim, times.shape[0]))
+        indptr, indices, data = self.B.indptr, self.B.indices, self.B.data
+        for col in range(self.n_inputs) if active is None else active:
+            lo, hi = indptr[col], indptr[col + 1]
+            if lo < hi:
+                u_row = self.waveforms[col].values_array(times)
+                out[indices[lo:hi]] += data[lo:hi, None] * u_row[None, :]
         return out
 
     # -- transition spots -----------------------------------------------------------

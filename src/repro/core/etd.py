@@ -19,12 +19,13 @@ algebra behind Krylov-basis reuse at snapshots: the basis built on
 ``v = x(t) + F`` serves every step length until the next local transition
 spot, at the cost of re-evaluating one small matrix exponential.
 
-The march computes these vectors for every segment round in
-:class:`~repro.dist.block_runner.BlockNodeRunner` (three scalar solves
-at width 1, three multi-RHS solves otherwise) against the
-:class:`EtdWorkspace`'s ``G`` factors; the tests' scalar oracle keeps
-the per-segment form (``tests/scalar_oracle.py``) and checks it against
-the dense formula.
+The march does not solve per segment: ``B u`` is linear in a node's few
+input shapes, so :class:`~repro.dist.block_runner.BlockNodeRunner`
+solves ``G⁻¹b_j`` and ``G⁻¹CG⁻¹b_j`` once per shape against the
+:class:`EtdWorkspace`'s ``G`` factors and forms every segment's ``w2``
+and ``F`` as their combinations.  The tests' scalar oracle keeps the
+per-segment form (``tests/scalar_oracle.py``) and checks it against the
+dense formula.
 """
 
 from __future__ import annotations

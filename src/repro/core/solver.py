@@ -4,8 +4,9 @@ One matrix factorisation at the start, then adaptive time stepping with
 **no further factorisations**:
 
 * at a **Local Transition Spot** the input slope changes, so the solver
-  rebuilds the ETD segment vectors (three ``G⁻¹`` solves) and generates a
-  fresh Krylov basis from ``v = x(t) + F`` (Alg. 1);
+  forms the segment's ETD vectors (Alg. 2's three ``G⁻¹`` solves, here
+  combinations of two solves per input shape made once per run) and
+  generates a fresh Krylov basis from ``v = x(t) + F`` (Alg. 1);
 * at a **Snapshot** (a global transition spot belonging to *other*
   nodes' sources) it reuses the most recent basis, re-evaluating only the
   small-matrix exponential with the elapsed time ``ha = t + h − alts``

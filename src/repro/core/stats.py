@@ -33,7 +33,8 @@ class SolverStats:
         Substitution pairs consumed inside Arnoldi iterations.
     n_solves_etd:
         Substitution pairs consumed building the ETD auxiliary vectors
-        F/P (three ``G⁻¹`` solves per input segment).
+        F/P: two ``G⁻¹`` solves per input shape (Alg. 2 literally takes
+        three per input segment).
     n_solves_dc:
         Substitution pairs for the DC operating point.
     factor_seconds:

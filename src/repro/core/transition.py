@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.circuit.mna import MNASystem
@@ -68,6 +69,15 @@ class TransitionSchedule:
     def n_snapshots(self) -> int:
         """Points served by Krylov-basis reuse."""
         return self.n_points - self.n_lts
+
+    @cached_property
+    def segment_starts(self) -> list[int]:
+        """Points that open a marching segment: point 0 and every later
+        LTS but the last point.  Computed once per schedule, so a
+        compiled plan's schedules carry it to every scenario."""
+        return [
+            i for i in range(len(self.points) - 1) if i == 0 or self.is_lts[i]
+        ]
 
     def segments(self) -> list[tuple[float, float, bool]]:
         """Steps as ``(t_from, t_to, from_is_lts)`` triples."""

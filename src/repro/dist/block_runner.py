@@ -8,21 +8,30 @@ the package: the executors run it at any width, and
 runs it at width 1 on its own factorisations.  At **width 1** it is the
 paper's per-node execution: a node builds a basis at each of its local
 transition spots and only re-evaluates it at the snapshots in between —
-≈5 rounds of three scalar ``G`` solves, one 1-column Arnoldi and one
-span of small Hessenberg exponentials instead of one Python step per
-grid point.  At width N it fuses N such marches into block linear
-algebra without changing a single bit of the results:
+≈5 rounds of one 1-column Arnoldi and one span of small Hessenberg
+exponentials instead of one Python step per grid point.  At width N it
+fuses N such marches into block linear algebra without changing a
+single bit of the results:
 
+* **ETD vectors by input shape.**  Alg. 2 solves ``G`` three times per
+  local transition spot for ``F`` and ``w_2``.  But a node's thousands
+  of load inputs are a few shapes at different amplitudes (Sec. 3.1,
+  :mod:`repro.core.shapes`): ``B·u(t) = B·u(0) + Σ_j σ_j(t)·b_j`` over
+  its ``q`` shapes.  So the runner solves ``G1 = G⁻¹[b_1 … b_q]`` and
+  ``G2 = G⁻¹C·G1`` once per grid batch — two multi-RHS substitutions
+  (:meth:`~repro.linalg.lu.SparseLU.solve_many`) before round 0, ``2q``
+  pairs a node — and each segment only combines them: ``w_2 = G1·κ_s``
+  and ``F = G2·κ_s − G1·κ_0`` with ``κ_0 = σ(t_i0)`` and ``κ_s`` its
+  slope.  A node pays ``k·m + 2q`` substitution pairs, not ``k·(m + 3)``.
 * **Round lockstep.**  Node ``k``'s march is a chain over its *own*
   local transition spots; between two consecutive LTS every snapshot
   state depends only on the segment's Krylov basis, never on the
   previous snapshot.  So the runner iterates over *segment rounds*:
-  in round ``r`` every task builds its ``r``-th ETD segment and Krylov
-  basis together — three multi-RHS ``G`` substitutions
-  (:meth:`~repro.linalg.lu.SparseLU.solve_many`) and one call of the
-  Arnoldi build (:func:`~repro.linalg.block_krylov.build_bases_block`)
-  instead of ``width`` scalar sequences.  Grid point 0 always opens a
-  segment, whatever its LTS flag.
+  in round ``r`` every task combines its ``r``-th ETD segment and builds
+  its Krylov basis together — one call of the Arnoldi build
+  (:func:`~repro.linalg.block_krylov.build_bases_block`) instead of
+  ``width`` scalar sequences.  Grid point 0 always opens a segment,
+  whatever its LTS flag.
 * **A node's answer is its factors.**  Alg. 2 reuses one basis for every
   snapshot of a segment, so the deviation there has rank ``m + 2``.
   The runner never writes that ``(K × dim)`` block: per span it keeps
@@ -43,10 +52,10 @@ A node task marches ``u(t) − u(0)`` from a zero state; ``simulate``
 may start anywhere and march the inputs as they are.  A grid must
 increase strictly and a batch's grid be shared by its tasks, or the
 runner raises ``ValueError``.  The tests' scalar oracle
-(``tests/scalar_oracle.py``) agrees with the runner to round-off on
-states and exactly on every convergence decision; the runner's own bits
-are identical at every width and pinned by
-``tests/test_golden_digests.py``.
+(``tests/scalar_oracle.py``, three ``G`` solves per segment) agrees with
+the runner to round-off on states and exactly on every convergence
+decision; the runner's own bits are identical at every width and pinned
+by ``tests/test_golden_digests.py``.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ import numpy as np
 
 from repro.circuit.mna import MNASystem
 from repro.core.options import SolverOptions
+from repro.core.shapes import _input_shapes
 from repro.core.solver import MatexSolver, REUSE_SAFETY
 from repro.core.stats import SolverStats
 from repro.core.transition import TransitionSchedule, build_schedule
@@ -72,22 +82,28 @@ __all__ = ["BlockNodeRunner"]
 class _TaskState:
     """Per-task marching state across lockstep rounds.
 
-    ``rows``/``bu_comp`` hold the task's input grid in compact form:
-    only the MNA rows its ``B`` columns actually touch (a handful per
-    source group), with values bit-identical to the corresponding rows
-    of the dense ``MNASystem.bu_series`` grid — all other rows of that
-    grid are exactly ``+0.0`` and never materialised.  ``spans``
-    receives each closed ``(row0, A, B)`` span through its ``append``:
-    a list for a node task, ``simulate``'s sink feed otherwise.
+    The input the march follows is held factored over its ``q`` shapes,
+    ``Σ_j shapes[j, i]·b_j`` at grid point ``i`` (``B·(u − u(0))`` for a
+    node task; otherwise a last, constant shape carries a non-zero
+    ``B·u(0)``), with
+    the non-zeros of ``[b_1 … b_q]`` in ``b`` as (MNA row, shape, value)
+    triples.
+    ``G1``/``G2`` are the ``(q, dim)`` rows ``G⁻¹b_j`` and
+    ``G⁻¹CG⁻¹b_j``, solved once per grid batch; each segment's ``F``
+    and ``w2`` are combinations of them.  ``spans`` receives each closed
+    ``(row0, A, B)`` span through its ``append``: a list for a node
+    task, ``simulate``'s sink feed otherwise.
     """
 
     schedule: TransitionSchedule
-    rows: np.ndarray
-    bu_comp: np.ndarray
+    b: tuple[np.ndarray, np.ndarray, np.ndarray]
+    shapes: np.ndarray
     lts: list[int]
     stats: SolverStats
     x: np.ndarray
     spans: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
+    G1: np.ndarray | None = None
+    G2: np.ndarray | None = None
     eps_segment: float = 0.0
     basis: object = None
     v_alts: np.ndarray | None = None
@@ -134,10 +150,9 @@ class BlockNodeRunner:
         self.system = solver.system
         self.options = solver.options
         self.solver = solver
-        # Reusable (dim, 2·width) RHS buffer for the segment rounds and
-        # the entries written into it last round (see _build_segments).
-        self._busu: np.ndarray | None = None
-        self._busu_dirty: list[tuple[np.ndarray, int]] = []
+        # Column set -> its B entries as (row, column position, value):
+        # a sweep prepares the same groups scenario after scenario.
+        self._b_entries: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -179,44 +194,43 @@ class BlockNodeRunner:
         self, schedule: TransitionSchedule, input_system: MNASystem,
         cols: Sequence[int], x0: np.ndarray, deviation: bool,
     ) -> _TaskState:
-        """Input grid and marching state of one march.
+        """Input shapes and marching state of one march.
 
         ``cols`` are the input columns driving it (empty: a free
-        response from ``x0``); with ``deviation`` their grid is shifted
-        by its t=0 column, so the march follows ``u(t) − u(0)`` — what
-        a node task runs, from ``x0 = 0``.  The inputs are evaluated
-        once over the whole grid, vectorised across the column set.
+        response from ``x0``).  Their waveforms are evaluated once over
+        the whole grid and factored over their distinct shapes
+        (:func:`~repro.core.shapes._input_shapes`), which turns
+        ``B·(u(t) − u(0))`` into ``Σ_j shapes[j, t]·b_j``.  With
+        ``deviation`` the march follows ``u(t) − u(0)`` — what a node
+        task runs, from ``x0 = 0``; otherwise ``B·u(0)`` rides along as
+        one more, constant, shape.
         """
         pts = np.asarray(schedule.points)
+        key = tuple(cols)
+        if key not in self._b_entries:
+            B = self.system.B
+            at = [np.arange(B.indptr[c], B.indptr[c + 1]) for c in key]
+            nz = np.concatenate(at) if at else np.empty(0, dtype=np.intp)
+            src = np.repeat(np.arange(len(at)), [len(a) for a in at])
+            self._b_entries[key] = B.indices[nz], src, B.data[nz]
+        rows, src, vals = self._b_entries[key]
+        U = np.array(
+            [input_system.waveforms[c].values_array(pts) for c in key]
+        ).reshape(len(key), len(pts))
 
-        # Compact input grid: the same scatter accumulation as
-        # MNASystem.bu_series (shared through bu_scatter_terms, which
-        # owns the accumulation order), restricted to the rows the
-        # task's B columns touch — bit-identical values; untouched rows
-        # of the dense grid are exactly +0.0.
-        B = input_system.B
-        indptr, indices = B.indptr, B.indices
-        col_rows = [indices[indptr[c]:indptr[c + 1]] for c in cols]
-        rows = (
-            np.unique(np.concatenate(col_rows))
-            if col_rows else np.empty(0, dtype=indices.dtype)
-        )
-        bu_comp = np.zeros((len(rows), len(pts)))
-        for term_rows, vals, u_row in input_system.bu_scatter_terms(pts, cols):
-            local = np.searchsorted(rows, term_rows)
-            bu_comp[local] += vals[:, None] * u_row[None, :]
-        if deviation:
-            bu0 = bu_comp[:, 0].copy()
-            bu_comp -= bu0[:, None]
-
-        lts = [
-            i for i in range(len(pts) - 1) if i == 0 or schedule.is_lts[i]
-        ]
+        shapes, shape_of, pivot = _input_shapes(U)
+        amp = U[np.arange(len(key)), pivot] - U[:, 0]
+        on = amp[src].nonzero()[0]  # entries of inputs that move
+        b = rows[on], shape_of[src[on]], vals[on] * amp[src[on]]
+        if not deviation and U[:, 0].any():
+            const = rows, np.full(len(rows), len(shapes)), vals * U[src, 0]
+            b = tuple(np.concatenate(pair) for pair in zip(b, const))
+            shapes = np.vstack([shapes, np.ones(len(pts))])
         return _TaskState(
             schedule=schedule,
-            rows=rows,
-            bu_comp=bu_comp,
-            lts=lts,
+            b=b,
+            shapes=shapes,
+            lts=schedule.segment_starts,
             stats=SolverStats(factor_seconds=self.solver.factor_seconds),
             x=np.asarray(x0, dtype=float),
         )
@@ -278,6 +292,7 @@ class BlockNodeRunner:
             )
 
         t_march = time.perf_counter()
+        self._solve_shapes(tstates)
         round_idx = 0
         while True:
             builders = [t for t in tstates if round_idx < len(t.lts)]
@@ -304,67 +319,44 @@ class BlockNodeRunner:
             t.stats.transient_seconds = march_seconds * share
             t.stats.krylov_dims = t.krylov_dims
 
+    def _solve_shapes(self, tstates: list[_TaskState]) -> None:
+        """``G⁻¹b_j`` and ``G⁻¹CG⁻¹b_j`` for every shape of every march:
+        two multi-RHS ``G`` solves per grid batch, ``2q`` pairs a task.
+
+        Each column is an independent pair, so a task's rows do not
+        depend on its batch; and ``solve_many`` answers F-ordered, so
+        each task's ``(q, dim)`` transposed slice is C-contiguous at any
+        width — the layout its per-segment products see.
+        """
+        lu_g = self.solver.workspace.lu_g
+        bounds = np.cumsum([0] + [len(t.shapes) for t in tstates])
+        rhs = np.zeros((self.system.dim, bounds[-1]))
+        for t, lo in zip(tstates, bounds):
+            rows, shape, value = t.b
+            np.add.at(rhs, (rows, lo + shape), value)
+        G1 = lu_g.solve_many(rhs)
+        G2 = lu_g.solve_many(self.system.C @ G1)
+        for t, lo, hi in zip(tstates, bounds, bounds[1:]):
+            t.G1, t.G2 = G1[:, lo:hi].T, G2[:, lo:hi].T
+            t.stats.n_solves_etd += 2 * int(hi - lo)
+
     def _build_segments(
         self, builders: list[_TaskState], pts: np.ndarray, round_idx: int
     ) -> None:
-        """Batched ETD vectors: three multi-RHS ``G`` solves per round."""
-        lu_g = self.solver.workspace.lu_g
-        C = self.system.C
-        width = len(builders)
+        """ETD vectors of each builder's new segment, combined from its
+        shape solves: ``w2 = G⁻¹B·s_u`` and ``F = G⁻¹CG⁻¹B·s_u −
+        G⁻¹B·u(t_i0)`` (:mod:`repro.core.etd`) with no substitution."""
         for t in builders:
-            t.i0 = t.lts[round_idx]
+            i0 = t.i0 = t.lts[round_idx]
             t.i1 = (
                 t.lts[round_idx + 1]
                 if round_idx + 1 < len(t.lts)
                 else len(pts) - 1
             )
-        n = self.system.dim
-        if width == 1:
-            t = builders[0]
-            h = pts[t.i0 + 1] - pts[t.i0]
-            bu = np.zeros(n)
-            su = np.zeros(n)
-            bu[t.rows] = t.bu_comp[:, t.i0]
-            su[t.rows] = (t.bu_comp[:, t.i0 + 1] - t.bu_comp[:, t.i0]) / h
-            w1 = lu_g.solve(bu)
-            w2 = lu_g.solve(su)
-            w3 = lu_g.solve(C @ w2)
-            t.F = -w1 + w3
-            t.w2 = w2
-            t.stats.n_solves_etd += 3
-            return
-        # One fused multi-RHS substitution serves both the value (BU)
-        # and slope (SU) vectors — each column is an independent pair,
-        # so fusing changes call count, not numbers.  The RHS block is
-        # scattered into one runner-held buffer reused across rounds:
-        # only the entries written last round are re-zeroed (``= 0.0``
-        # stores the same ``+0.0`` a fresh allocation holds), so reuse
-        # is bit-identical to allocating a (dim, 2·width) block per
-        # round while eliminating that hot-path allocation.
-        need = 2 * width
-        if self._busu is None or self._busu.shape[1] < need:
-            self._busu = np.zeros((n, need))
-            self._busu_dirty = []
-        for rows, col in self._busu_dirty:
-            self._busu[rows, col] = 0.0
-        dirty = []
-        BUSU = self._busu[:, :need]
-        for c, t in enumerate(builders):
-            h = pts[t.i0 + 1] - pts[t.i0]
-            BUSU[t.rows, c] = t.bu_comp[:, t.i0]
-            BUSU[t.rows, width + c] = (
-                t.bu_comp[:, t.i0 + 1] - t.bu_comp[:, t.i0]
-            ) / h
-            dirty.append((t.rows, c))
-            dirty.append((t.rows, width + c))
-        self._busu_dirty = dirty
-        W12 = lu_g.solve_many(BUSU)
-        W1, W2 = W12[:, :width], W12[:, width:]
-        W3 = lu_g.solve_many(C @ W2)
-        for c, t in enumerate(builders):
-            t.F = -W1[:, c] + W3[:, c]
-            t.w2 = np.ascontiguousarray(W2[:, c])
-            t.stats.n_solves_etd += 3
+            at_i0 = t.shapes[:, i0]
+            slope = (t.shapes[:, i0 + 1] - at_i0) / (pts[i0 + 1] - pts[i0])
+            t.w2 = slope @ t.G1
+            t.F = slope @ t.G2 - at_i0 @ t.G1
 
     def _build_bases(self, builders: list[_TaskState], pts: np.ndarray) -> None:
         """One lockstep Arnoldi build for every task's new segment."""

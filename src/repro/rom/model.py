@@ -64,6 +64,7 @@ import scipy.sparse as sp
 
 from repro.circuit.mna import MNASystem
 from repro.core.options import SolverOptions
+from repro.core.shapes import _input_shapes, _shape_rows
 from repro.rom.projector import BasisInfo, RomBuildError, rational_krylov_basis
 
 __all__ = ["RomConfig", "RomAnswer", "ReducedModel", "build_reduced_model"]
@@ -72,11 +73,6 @@ __all__ = ["RomConfig", "RomAnswer", "ReducedModel", "build_reduced_model"]
 #: exponent is floored (λ ~ -1/(γ·μ_floor)) so the propagators evaluate
 #: in their quasi-static limit instead of overflowing.
 MU_FLOOR = 1e-8
-
-#: A deviation-input row counts as ``c · shape`` when every sample
-#: matches to this fraction of the row's own magnitude: the round-off of
-#: a rescaled waveform, orders below the error the bound polices.
-SHAPE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -326,66 +322,6 @@ def _absmax(x: np.ndarray) -> float:
     return max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
 
 
-def _shape_rows(U, Ut, shapes, shape_of, pivot):
-    """Factor deviation inputs ``Ut = diag(c)·S[of]`` over known shapes.
-
-    ``c[j]`` is row ``j`` read where its assigned shape equals one, and
-    the product is *checked*: it must reproduce the row to
-    :data:`SHAPE_RTOL` of the magnitude of ``U[j]`` (the scale its
-    round-off lives on).  Rows that fail (waveform overrides, hand-built
-    inputs) ride along as extra rows of ``S`` with coefficient one, so
-    nothing is assumed about ``U``; the worst case is a shape per row.
-    """
-    c = Ut[np.arange(Ut.shape[0]), pivot]
-    miss = shapes[shape_of]
-    miss *= c[:, None]
-    miss -= Ut
-    np.abs(miss, out=miss)
-    tol = SHAPE_RTOL * np.abs(U).max(axis=1, initial=0.0)
-    extra = np.flatnonzero(~(miss.max(axis=1, initial=0.0) <= tol))
-    of = shape_of.copy()
-    of[extra] = shapes.shape[0] + np.arange(extra.size)
-    c[extra] = 1.0
-    return c, of, np.concatenate([shapes, Ut[extra]])
-
-
-def _input_shapes(U_base: np.ndarray):
-    """Factor the base deviation inputs ``Ũ = diag(a)·S[shape_of]``.
-
-    Paper Sec. 3.1 / Fig. 3: thousands of load sources share a few
-    bump shapes.  Rows are normalised to one at their largest sample
-    (``pivot``) and grouped on the values rounded to nine digits; a row
-    :func:`_shape_rows` then fails to reproduce gets a shape of its
-    own, so on return *every* base row passes.  Constant rows
-    (``a = 0``) need no shape: any one times zero is exact.
-    """
-    Ut = U_base - U_base[:, :1]
-    p = Ut.shape[0]
-    peak = np.abs(Ut).argmax(axis=1)
-    amp = Ut[np.arange(p), peak]
-    live = np.flatnonzero(amp)
-    if live.size == 0:
-        raise RomBuildError(
-            "every input is constant on the grid: nothing to reduce"
-        )
-    unit = Ut[live] / amp[live, None]
-    _, first, inverse = np.unique(
-        np.round(unit, 9) + 0.0, axis=0,
-        return_index=True, return_inverse=True,
-    )
-    shape_of = np.zeros(p, dtype=np.intp)
-    pivot = np.zeros(p, dtype=np.intp)
-    shape_of[live] = inverse.ravel()
-    pivot[live] = peak[live[first]][shape_of[live]]
-    _, shape_of, shapes = _shape_rows(
-        U_base, Ut, unit[first], shape_of, pivot
-    )
-    own = shape_of >= first.size
-    pivot[own] = peak[own]
-    shapes[first.size:] /= amp[own, None]
-    return shapes, shape_of, pivot
-
-
 def _segment_tables(
     grid: np.ndarray, lam: np.ndarray, mu: np.ndarray, gamma: float
 ):
@@ -494,6 +430,10 @@ def build_reduced_model(
     for k, w in enumerate(system.waveforms):
         U_base[k] = w.values_array(grid)
     shapes, shape_of, pivot = _input_shapes(U_base)
+    if not len(shapes):
+        raise RomBuildError(
+            "every input is constant on the grid: nothing to reduce"
+        )
 
     widths, propagators, segment = _segment_tables(grid, lam, mu_c, gamma)
 

@@ -64,8 +64,9 @@ class ScalarOracleExecutor(Executor):
     evaluation — which is the per-node path as it was before the
     executors, and then ``MatexSolver.simulate``, collapsed onto width-1
     lockstep.  It is a *tolerance* oracle: every executor, at every
-    width, must reproduce its ``SolverStats`` counters exactly and its
-    states to round-off (1e-12 of the response scale).
+    width, must reproduce its ``SolverStats`` decisions exactly (not its
+    ETD pair count) and its states to round-off
+    (``tests.scalar_oracle.oracle_budget``).
     """
 
     def __init__(self, system, options):

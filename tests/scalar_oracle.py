@@ -10,14 +10,16 @@ between reuse and a rebuild.  It is what ``MatexSolver.simulate`` ran
 before the solver became the width-1 lockstep march of
 :mod:`repro.dist.block_runner`; it shares the Arnoldi build and the
 small-matrix exponentials with that march, but not its span batching,
-its factored rows or its ETD round.
+its factored rows or its ETD vectors by input shape.
 
 So it is a *tolerance* oracle: it makes the same convergence decisions
-(every ``SolverStats`` counter and ``krylov_dims`` exactly) and agrees
+(every ``SolverStats`` counter but ``n_solves_etd``, and ``krylov_dims``,
+exactly) and agrees
 on states to round-off — an ordered rank-1 loop here, a BLAS product
 over ``m + 2`` terms there.  How much round-off a case may show is the
 oracle's own business: :func:`oracle_spread` measures how far the
-oracle moves under seeded ±1-ulp perturbations of its evaluations.
+oracle moves under seeded ±1-ulp perturbations of its evaluations and
+of its ETD ``G`` solves.
 
 :func:`run_task` is the oracle's answer to one node task (the
 ``ScalarOracleExecutor`` of ``tests/conftest.py``).
@@ -46,10 +48,11 @@ from repro.linalg.lu import SparseLU
 __all__ = [
     "OracleEtd",
     "OracleSegment",
+    "oracle_budget",
     "oracle_spread",
     "run_task",
     "scalar_simulate",
-    "ulp_perturbed_evaluations",
+    "ulp_perturbed_oracle",
 ]
 
 
@@ -115,10 +118,14 @@ class OracleEtd:
     ) -> OracleSegment:
         """The segment of ``B·u(t)`` (deviation-shifted if applicable)
         and slope ``B·du/dt``."""
-        w1 = self.lu_g.solve(bu)
-        w2 = self.lu_g.solve(su)
-        w3 = self.lu_g.solve(self.system.C @ w2)
+        w1 = self._solve(bu)
+        w2 = self._solve(su)
+        w3 = self._solve(self.system.C @ w2)
         return OracleSegment(t_start=float(t), F=-w1 + w3, w2=w2)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """One ``G`` solve (the hook :func:`ulp_perturbed_oracle` moves)."""
+        return self.lu_g.solve(rhs)
 
 
 @dataclass
@@ -280,26 +287,35 @@ def run_task(solver: MatexSolver, task: SimulationTask) -> NodeResult:
 
 
 @contextmanager
-def ulp_perturbed_evaluations(seed: int):
-    """Move every ``KrylovBasis.evaluate_many`` value one ulp up or down.
+def ulp_perturbed_oracle(seed: int):
+    """Move the oracle's computed values one ulp up or down.
 
-    The direction of each entry is drawn from ``seed``; the posterior
-    errors are left alone, so the oracle's decisions do not move — only
-    the states it steps through.
+    Every non-zero entry of each ``KrylovBasis.evaluate_many`` block and
+    of each :class:`OracleEtd` ``G`` solve moves by one ulp, in a
+    direction drawn from ``seed`` (an exact zero is a structural zero,
+    not a rounded value, and stays).  The posterior errors are left
+    alone, so the evaluations move only the states the oracle steps
+    through; a moved ETD vector also moves the next Krylov start vector.
     """
     rng = np.random.default_rng(seed)
-    original = KrylovBasis.evaluate_many
+    evaluate_many, solve = KrylovBasis.evaluate_many, OracleEtd._solve
 
-    def perturbed(self, hs, with_errors=True):
-        Y, errs = original(self, hs, with_errors)
+    def nudge(Y):
         up = rng.random(Y.shape) < 0.5
-        return np.where(up, np.nextafter(Y, np.inf), np.nextafter(Y, -np.inf)), errs
+        moved = np.where(up, np.nextafter(Y, np.inf), np.nextafter(Y, -np.inf))
+        return np.where(Y == 0.0, Y, moved)
 
-    KrylovBasis.evaluate_many = perturbed
+    def perturbed_evaluations(self, hs, with_errors=True):
+        Y, errs = evaluate_many(self, hs, with_errors)
+        return nudge(Y), errs
+
+    KrylovBasis.evaluate_many = perturbed_evaluations
+    OracleEtd._solve = lambda self, rhs: nudge(solve(self, rhs))
     try:
         yield
     finally:
-        KrylovBasis.evaluate_many = original
+        KrylovBasis.evaluate_many = evaluate_many
+        OracleEtd._solve = solve
 
 
 def oracle_spread(
@@ -308,12 +324,19 @@ def oracle_spread(
     """Largest state change of ``run()`` over ``n_runs`` perturbed runs.
 
     ``run`` marches the oracle and returns its states; each repetition
-    runs it under :func:`ulp_perturbed_evaluations` with its own seed.
+    runs it under :func:`ulp_perturbed_oracle` with its own seed.
     """
     base = np.asarray(run())
     spread = 0.0
     for k in range(n_runs):
-        with ulp_perturbed_evaluations(seed + k):
+        with ulp_perturbed_oracle(seed + k):
             moved = np.abs(np.asarray(run()) - base).max()
         spread = max(spread, float(moved))
     return spread
+
+
+def oracle_budget(scale: float, spread: float, rtol: float = 1e-12) -> float:
+    """How far a state may sit from the oracle's: ``rtol`` of the
+    response scale, or four times the oracle's own spread when that is
+    larger — six seeds sample the spread, they do not bound it."""
+    return max(rtol * scale, 4.0 * spread)

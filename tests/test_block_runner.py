@@ -9,8 +9,12 @@ split-bump waveform overrides) and Krylov flavours.  The scalar
 reference march :func:`tests.scalar_oracle.run_task` is the *tolerance*
 oracle of all of them: a runner result is a factored trajectory whose
 rows are BLAS dots over ``m + 2`` terms where the scalar march runs an
-ordered rank-1 loop, so the two agree to 1e-12 of the response scale on
-states and exactly on every operation count and basis dimension.  On
+ordered rank-1 loop, so the two agree on states to ``max(1e-12·scale,
+4 × spread)`` — ``spread`` being the oracle's own movement under ±1-ulp
+perturbations (:func:`tests.scalar_oracle.oracle_spread`) — and exactly
+on every convergence decision and basis dimension (not on ETD pairs:
+the oracle solves ``G`` three times per segment, the runner twice per
+input shape).  On
 top, the shared-memory result transport round-trips arrays exactly and
 reclaims its segments, including after worker death.
 """
@@ -37,6 +41,7 @@ from repro.dist.shm import (
     to_shared,
 )
 from tests.conftest import ScalarOracleExecutor
+from tests.scalar_oracle import oracle_budget, oracle_spread
 
 OPTS = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-8)
 
@@ -56,18 +61,31 @@ def scalar_oracle(system, tasks, opts=OPTS):
     return ScalarOracleExecutor(system, opts).run(tasks)
 
 
-STAT_FIELDS = ("n_steps", "n_krylov_bases", "n_reuses", "krylov_dims",
-               "n_solves_krylov", "n_solves_etd", "n_solves_dc")
+def oracle_with_spread(system, tasks, opts=OPTS):
+    """:func:`scalar_oracle` and its ±1-ulp spread over every task."""
+    spread = oracle_spread(
+        lambda: np.stack([r.states for r in scalar_oracle(system, tasks, opts)])
+    )
+    return scalar_oracle(system, tasks, opts), spread
 
 
-def _assert_same_work(ref, blk):
+#: The convergence decisions: the oracle makes exactly these.
+DECISIONS = ("n_steps", "n_krylov_bases", "n_reuses", "krylov_dims",
+             "n_solves_krylov", "n_solves_dc")
+#: Everything two executions of the block path count.  The ETD pairs
+#: are not a decision: the oracle solves three per segment, the block
+#: path two per input shape.
+STAT_FIELDS = DECISIONS + ("n_solves_etd",)
+
+
+def _assert_same_work(ref, blk, fields=STAT_FIELDS):
     assert len(ref) == len(blk)
     for r, b in zip(ref, blk):
         assert r.task_id == b.task_id
         assert r.group_id == b.group_id
         assert r.label == b.label
         assert r.times.tobytes() == b.times.tobytes()
-        for f in STAT_FIELDS:
+        for f in fields:
             assert getattr(r.stats, f) == getattr(b.stats, f), f
 
 
@@ -78,49 +96,52 @@ def assert_results_identical(ref, blk):
         assert np.asarray(r.states).tobytes() == np.asarray(b.states).tobytes()
 
 
-def assert_matches_oracle(oracle, blk, rtol=1e-12):
-    """Block path vs the scalar ``run_task`` march: the same work,
-    states equal to ``rtol`` of the task's response scale."""
-    _assert_same_work(oracle, blk)
+def assert_matches_oracle(oracle, blk, spread, rtol=1e-12):
+    """Block path vs the scalar ``run_task`` march: the same decisions,
+    states inside ``max(rtol·scale, 4 × spread)`` of each task's, its
+    response scale and the oracle's ±1-ulp spread."""
+    _assert_same_work(oracle, blk, DECISIONS)
     for r, b in zip(oracle, blk):
         scale = max(np.abs(r.states).max(), np.finfo(float).tiny)
-        assert np.abs(np.asarray(b.states) - r.states).max() <= rtol * scale
+        diff = np.abs(np.asarray(b.states) - r.states).max()
+        assert diff <= oracle_budget(scale, spread, rtol)
 
 
 class TestRunnerParity:
     def test_mesh_bitwise_parity(self, mesh_system):
         tasks = tasks_for(mesh_system)
-        ref = scalar_oracle(mesh_system, tasks)
+        ref, spread = oracle_with_spread(mesh_system, tasks)
         blk = BlockNodeRunner(mesh_system, OPTS).run(tasks)
-        assert_matches_oracle(ref, blk)
+        assert_matches_oracle(ref, blk, spread)
 
     def test_singular_c_pdn_parity(self, small_pdn_system):
         tasks = tasks_for(small_pdn_system)
-        ref = scalar_oracle(small_pdn_system, tasks)
+        ref, spread = oracle_with_spread(small_pdn_system, tasks)
         blk = BlockNodeRunner(small_pdn_system, OPTS).run(tasks)
-        assert_matches_oracle(ref, blk)
+        assert_matches_oracle(ref, blk, spread)
 
     @pytest.mark.parametrize("method", ["rational", "inverted"])
     def test_methods_parity(self, mesh_system, method):
         opts = SolverOptions(method=method, gamma=1e-10, eps_rel=1e-8)
         tasks = tasks_for(mesh_system)
-        ref = scalar_oracle(mesh_system, tasks, opts)
+        ref, spread = oracle_with_spread(mesh_system, tasks, opts)
         blk = BlockNodeRunner(mesh_system, opts).run(tasks)
-        assert_matches_oracle(ref, blk)
+        assert_matches_oracle(ref, blk, spread)
 
     def test_bump_split_overrides_parity(self, mesh_system):
         tasks = tasks_for(mesh_system, decomposition="bump-split")
         assert any(t.group.waveform_overrides for t in tasks)
-        ref = scalar_oracle(mesh_system, tasks)
+        ref, spread = oracle_with_spread(mesh_system, tasks)
         blk = BlockNodeRunner(mesh_system, OPTS).run(tasks)
-        assert_matches_oracle(ref, blk)
+        assert_matches_oracle(ref, blk, spread)
 
     def test_width_one_chunks_match_the_oracle(self, mesh_system):
         """Per-node execution: one task per ``run`` call."""
         tasks = tasks_for(mesh_system, decomposition="source")
         runner = BlockNodeRunner(mesh_system, OPTS)
         blk = [runner.run([t])[0] for t in tasks]
-        assert_matches_oracle(scalar_oracle(mesh_system, tasks), blk)
+        ref, spread = oracle_with_spread(mesh_system, tasks)
+        assert_matches_oracle(ref, blk, spread)
         assert_results_identical(runner.run(tasks), blk)
 
     @pytest.mark.parametrize("where", ["interior", "t=0"])
@@ -191,9 +212,9 @@ class TestRunnerParity:
 class TestExecutorParity:
     def test_serial_batched_matches_per_node(self, mesh_system):
         tasks = tasks_for(mesh_system)
-        oracle = scalar_oracle(mesh_system, tasks)
+        oracle, spread = oracle_with_spread(mesh_system, tasks)
         ref = SerialExecutor(mesh_system, OPTS).run(tasks)
-        assert_matches_oracle(oracle, ref)
+        assert_matches_oracle(oracle, ref, spread)
         for width in ("off", 1, 2, "auto"):
             blk = SerialExecutor(
                 mesh_system, OPTS, batch_width=width

@@ -1,8 +1,9 @@
 """Unit tests for the ETD segment vectors (Eq. 5 machinery).
 
-The per-segment form lives in the scalar oracle
-(:class:`tests.scalar_oracle.OracleEtd`); the march computes the same
-three ``G`` solves per segment round against the solver's
+The per-segment form — three ``G`` solves per segment — lives in the
+scalar oracle (:class:`tests.scalar_oracle.OracleEtd`); the march forms
+the same vectors from two solves per input shape
+(``tests/test_shape_etd.py``) against the solver's
 :class:`~repro.core.etd.EtdWorkspace`, whose DC point and ``G`` sharing
 are checked here too.
 """

@@ -4,8 +4,8 @@ The block runner ships, per Krylov basis, a ``(K, m+2)`` coefficient
 block and the ``(m+2, dim)`` vectors it multiplies
 (:class:`repro.dist.messages.FactoredStates`); the dense rows first
 exist inside :func:`repro.core.superposition.superpose_states`.  Pinned
-here: the factors stand for the block the scalar march materialises (to
-round-off), the fold is task-major and the only accumulation there is,
+here: the factors stand for the block the scalar march materialises
+(inside the oracle's calibrated budget), the fold is task-major and the only accumulation there is,
 transport is bit-exact and small, a quiescent task adds exactly
 ``+0.0``, a warm sweep's allocation peak, and that the bits do not
 depend on the BLAS thread count.
@@ -45,7 +45,13 @@ from repro.dist.shm import (
 from repro.pdn import build_case
 from repro.plan import Scenario, Session, SimulationPlan
 from tests.conftest import ScalarOracleExecutor, build_multi_source_mesh
-from tests.test_golden_digests import CASES, GOLDEN_PATH, fingerprint
+from tests.scalar_oracle import oracle_budget
+from tests.test_golden_digests import (
+    CASES,
+    GOLDEN_PATH,
+    fingerprint,
+    recorded_spread,
+)
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory needed"
@@ -72,15 +78,17 @@ def _total(compiled, results):
 
 class TestFactorsStandForTheBlock:
     def test_dense_equals_the_scalar_marchs_block(self, marched):
-        """Per task, to 1e-12 of the case's response scale."""
-        _name, system, opts, compiled, tasks, results = marched
+        """Per task, inside the case's oracle budget: 1e-12 of its
+        response scale, or four times its recorded oracle spread."""
+        name, system, opts, compiled, tasks, results = marched
         oracle = ScalarOracleExecutor(system, opts).run(tasks)
         scale = np.abs(_total(compiled, results)).max()
+        budget = oracle_budget(scale, recorded_spread(name))
         for ref, got in zip(oracle, results):
             assert isinstance(got.states, FactoredStates)
             assert got.states.shape == ref.states.shape
             dense = got.states.dense()
-            assert np.abs(dense - ref.states).max() <= 1e-12 * scale
+            assert np.abs(dense - ref.states).max() <= budget
             assert np.asarray(got.states).tobytes() == dense.tobytes()
 
     def test_rebuilds_split_segments_into_spans(self, marched):

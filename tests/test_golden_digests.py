@@ -14,11 +14,16 @@ tasks meet.
 **Oracles.**  The bits are the block path's own, so two independent
 checks keep them honest.  The scalar :func:`tests.scalar_oracle.run_task`
 march (one Alg. 2 step per grid point, dense rank-1 evaluation) is a
-*tolerance* oracle: it must agree with the block path to 1e-12 of the
-response scale on states — the two differ only in how a
-snapshot row is accumulated, an ordered rank-1 loop there, a BLAS dot
-over ``m + 2`` terms here — and **exactly** on every convergence
-decision (steps, bases, reuses, solves, per-basis dimensions).  And
+*tolerance* oracle: it must agree with the block path on states to
+``max(1e-12·scale, 4 × spread)`` (``tests.scalar_oracle.oracle_budget``), where
+``spread`` is the oracle's own movement under ±1-ulp perturbations of
+its evaluations and ``G`` solves, recorded per case beside the digests
+— the two differ in how a snapshot row is accumulated, an ordered
+rank-1 loop there, a BLAS dot over ``m + 2`` terms here, and in how the
+ETD vectors are formed, three ``G`` solves per segment there, two per
+input shape combined per segment here — and **exactly** on every
+convergence decision (steps, bases, reuses, Krylov solves, per-basis
+dimensions).  And
 each case stays within its posterior error budget of a reference that
 shares no code with the Krylov machinery: the dense exact-ETD solver
 (:func:`repro.linalg.exact_transient`) where ``C`` is invertible and the
@@ -35,7 +40,8 @@ stated — the modes still have to agree with *each other* there, which
 check without golden values.
 
 Regenerate (from the repository root, only when the numbers are meant
-to change): ``python -m tests.test_golden_digests``.
+to change): ``python -m tests.test_golden_digests``.  It re-measures the
+spreads too (about a minute: six perturbed oracle runs per case).
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from repro.baselines import simulate_trapezoidal
 from repro.circuit import assemble
 from repro.core import SolverOptions
 from repro.core.solver import REUSE_SAFETY
+from repro.core.superposition import superpose_states
 from repro.dist import MatexScheduler, MultiprocessExecutor
 from repro.dist.shm import shm_available
 from repro.linalg import exact_transient
@@ -64,6 +71,7 @@ from repro.pdn import (
 )
 from repro.plan import Session, SimulationPlan
 from tests.conftest import ScalarOracleExecutor, build_multi_source_mesh
+from tests.scalar_oracle import oracle_budget, oracle_spread
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "state_digests.json"
 
@@ -209,17 +217,28 @@ def test_pool_reproduces_scalar_digests(golden, case, batch, transport):
 
 
 #: ``SolverStats`` fields that record convergence decisions: the scalar
-#: oracle must reproduce them exactly.
-DECISIONS = COUNTERS + ("n_solves_dc", "krylov_dims")
+#: oracle must reproduce them exactly.  Its ETD pairs are its own: three
+#: ``G`` solves per segment, where the block path solves two per input
+#: shape (``n_solves_etd`` stays in the digests, which pin that count).
+DECISIONS = tuple(c for c in COUNTERS if c != "n_solves_etd") + (
+    "n_solves_dc", "krylov_dims",
+)
 
 
-def assert_oracle_agrees(oracle, block, rtol=1e-12) -> None:
-    """``run_task`` vs the block path: states to ``rtol`` of the response
-    scale, every convergence decision exactly."""
+def recorded_spread(name: str) -> float:
+    """The oracle spread recorded for a golden case (see ``_regenerate``).
+
+    A calibration, not a digest: it is read on any numerical stack."""
+    return json.loads(GOLDEN_PATH.read_text())["oracle_spread"]["cases"][name]
+
+
+def assert_oracle_agrees(oracle, block, spread: float) -> None:
+    """``run_task`` vs the block path: states inside
+    :func:`oracle_budget`, every convergence decision exactly."""
     assert oracle.result.times.tobytes() == block.result.times.tobytes()
     scale = np.abs(block.result.states).max()
     diff = np.abs(oracle.result.states - block.result.states).max()
-    assert diff <= rtol * scale
+    assert diff <= oracle_budget(scale, spread)
     assert len(oracle.node_stats) == len(block.node_stats)
     for ref, got in zip(oracle.node_stats, block.node_stats):
         for name in DECISIONS:
@@ -228,13 +247,14 @@ def assert_oracle_agrees(oracle, block, rtol=1e-12) -> None:
 
 def test_scalar_oracle_reproduces_its_own_digests(golden, case):
     """``run_task`` — what is left of the scalar path — is a tolerance
-    oracle: same decisions, states equal to round-off."""
+    oracle: same decisions, states inside the budget its recorded spread
+    calibrates."""
     name, system, opts, t_end, decomposition = case
     scheduler = MatexScheduler(system, opts, decomposition=decomposition)
     block = scheduler.run(t_end)
     assert digest([block]) == golden[name]
     oracle = scheduler.run(t_end, executor=ScalarOracleExecutor(system, opts))
-    assert_oracle_agrees(oracle, block)
+    assert_oracle_agrees(oracle, block, recorded_spread(name))
 
 
 def _reference(system, x_dc, times):
@@ -285,15 +305,34 @@ def test_rebuild_case_really_rebuilds(golden):
     assert golden["rlc-rebuild"]["counters"]["n_krylov_bases"] > n_lts
 
 
+def _oracle_spread(system, opts, t_end, decomposition) -> float:
+    """:func:`~tests.scalar_oracle.oracle_spread` of one case, over the
+    scalar oracle's node answers and their superposed sum."""
+    compiled = SimulationPlan(
+        system, opts, t_end=t_end, decomposition=decomposition
+    ).compile(prime=False)
+    tasks = Session(compiled)._scenario_tasks(0, None)
+
+    def run():
+        nodes = ScalarOracleExecutor(system, opts).run(tasks)
+        total = superpose_states(
+            compiled.x_dc, [r.times for r in nodes], [r.states for r in nodes]
+        )
+        return np.stack([r.states for r in nodes] + [total])
+
+    return oracle_spread(run)
+
+
 def _regenerate() -> None:
     """Rewrite the golden file from the per-node serial path."""
-    cases = {}
+    cases, spreads = {}, {}
     for name, build in CASES.items():
         system, opts, t_end, decomposition = build()
         dres = MatexScheduler(
             system, opts, decomposition=decomposition, batch="off"
         ).run(t_end)
         cases[name] = digest([dres])
+        spreads[name] = _oracle_spread(system, opts, t_end, decomposition)
     cases[CHAOS_CASE] = digest(_chaos_sweep("off"))
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(
@@ -305,6 +344,15 @@ def _regenerate() -> None:
             ),
             "fingerprint": fingerprint(),
             "cases": cases,
+            "oracle_spread": {
+                "measured_by": (
+                    "tests.scalar_oracle.oracle_spread: largest change, in "
+                    "volts, of the scalar oracle's node answers and their "
+                    "sum over six seeded runs with every evaluation and "
+                    "ETD G solve moved by one ulp"
+                ),
+                "cases": spreads,
+            },
         },
         indent=2,
     ) + "\n")

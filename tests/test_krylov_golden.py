@@ -40,6 +40,7 @@ from repro.linalg.block_krylov import build_bases_block
 from repro.linalg.krylov import make_krylov_operator
 from repro.pdn import stiff_rc_mesh
 from tests.conftest import ScalarOracleExecutor, build_multi_source_mesh
+from tests.scalar_oracle import oracle_spread
 from tests.test_golden_digests import assert_oracle_agrees, digest, fingerprint
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "krylov_digests.json"
@@ -248,9 +249,14 @@ def test_standard_method_reproduces_scalar_state_digest(golden, batch):
 
 
 def test_scalar_oracle_reproduces_standard_state_digest(golden):
-    """``run_task`` agrees to round-off, and exactly on every decision."""
+    """``run_task`` agrees inside its calibrated round-off budget, and
+    exactly on every decision."""
+    def oracle():
+        return _standard_state(executor=ScalarOracleExecutor)
+
     assert_oracle_agrees(
-        _standard_state(executor=ScalarOracleExecutor), _standard_state()
+        oracle(), _standard_state(),
+        oracle_spread(lambda: oracle().result.states),
     )
 
 

@@ -41,7 +41,7 @@ from repro.rom import (
     build_reduced_model,
     rational_krylov_basis,
 )
-from repro.rom.model import _shape_rows
+from repro.core.shapes import _shape_rows
 
 OPTS = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-8)
 T_END = 1e-9

@@ -5,9 +5,9 @@
 lockstep width 1 in one place.  These tests cover what the old twin
 covered implicitly: the width mapping, the shape of what a width-1 pool
 returns, degenerate inputs (no tasks, one task), per-task timing and
-cache accounting, and counter-for-counter parity with the scalar oracle
-(states to round-off: it is a tolerance oracle) on a run that rebuilds
-bases at snapshots.
+cache accounting, and decision-for-decision parity with the scalar
+oracle (states inside its calibrated round-off budget: it is a
+tolerance oracle) on a run that rebuilds bases at snapshots.
 """
 
 import time
@@ -20,12 +20,17 @@ from repro.dist.executors import _resolve_batch_width
 from repro.linalg.lu import FACTORIZATION_CACHE
 from repro.plan import Scenario, Session, SimulationPlan
 from tests.conftest import ScalarOracleExecutor
+from tests.scalar_oracle import oracle_spread
 from tests.test_block_runner import (
     assert_matches_oracle,
     assert_results_identical,
     tasks_for,
 )
-from tests.test_golden_digests import CASES, assert_oracle_agrees
+from tests.test_golden_digests import (
+    CASES,
+    assert_oracle_agrees,
+    recorded_spread,
+)
 
 OPTS = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-8)
 T_END = 1e-9
@@ -100,15 +105,20 @@ class TestDegenerateSubmissions:
     @pytest.mark.parametrize("width", [None, "off", 1, "auto"])
     def test_single_task_plan(self, mesh_system, width):
         """max_nodes=1 merges every group into one node task."""
-        ref = MatexScheduler(mesh_system, OPTS, max_nodes=1).run(
-            T_END, executor=ScalarOracleExecutor(mesh_system, OPTS)
-        )
+        def oracle():
+            return MatexScheduler(mesh_system, OPTS, max_nodes=1).run(
+                T_END, executor=ScalarOracleExecutor(mesh_system, OPTS)
+            )
+
+        ref = oracle()
         assert ref.n_nodes == 1
         got = MatexScheduler(mesh_system, OPTS, max_nodes=1).run(
             T_END,
             executor=SerialExecutor(mesh_system, OPTS, batch_width=width),
         )
-        assert_oracle_agrees(ref, got)
+        assert_oracle_agrees(
+            ref, got, oracle_spread(lambda: oracle().result.states)
+        )
         pooled = MatexScheduler(mesh_system, OPTS, max_nodes=1).run(
             T_END,
             executor=MultiprocessExecutor(
@@ -155,7 +165,8 @@ class TestPerTaskAccounting:
 class TestRebuildParity:
     def test_every_counter_matches_the_oracle_through_rebuilds(self):
         """Per task, not just in sum: a run whose snapshots regenerate
-        bases (RLC, loose γ) keeps every SolverStats counter."""
+        bases (RLC, loose γ) keeps every SolverStats decision counter
+        (all but the ETD pairs, which the oracle counts per segment)."""
         system, opts, t_end, _ = CASES["rlc-rebuild"]()
         compiled = SimulationPlan(
             system, opts, t_end=t_end, batch="off"
@@ -175,5 +186,7 @@ class TestRebuildParity:
             # loose-γ Krylov terms ≈ 9× that, and each rebuilt basis
             # starts from a carried state that already differs in the
             # last ulp (worst task 3e-11; posterior budget 1e-6).
-            assert_matches_oracle(oracle, got, rtol=1e-10)
+            assert_matches_oracle(
+                oracle, got, recorded_spread("rlc-rebuild"), rtol=1e-10
+            )
             assert_results_identical(got, reference)
