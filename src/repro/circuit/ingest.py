@@ -8,24 +8,27 @@ through :func:`repro.circuit.parser.parse_file` would materialise one
 400k-card deck that is hundreds of MB of Python objects built only to be
 walked once by the stamper and thrown away.
 
-This module is the industrial-scale path: a **two-pass streaming
-parser** that goes from file to assembled :class:`MNASystem` without a
-per-element object list.
+This module is the industrial-scale path: **one streaming pass** over
+the cards into compact columns, then a numpy assembly step — file to
+assembled :class:`MNASystem` with no per-element object list.
 
-* **Pass 1** (:func:`_scan`) streams the card lines once, interning node
-  names into a ``{name: row}`` map in first-appearance order (pos before
-  neg, ground excluded — byte-for-byte the assignment
-  :meth:`Netlist._register_node` would produce over the same card
-  sequence) and counting cards per element type.
-* **Pass 2** (:func:`_stamp`) preallocates exact-capacity COO triplet
-  blocks from those counts and streams the file again, stamping ``G``,
-  ``C`` and ``B`` entries directly into the arrays.  Blocks are kept per
-  element type and concatenated in the same order
-  :func:`repro.circuit.mna.assemble` emits its stamps (resistors,
-  voltage sources, inductors for ``G``; capacitors, inductors for ``C``;
-  current then voltage sources for ``B``), so the triplet *sequence* —
-  and therefore the duplicate-summation order inside
-  ``coo_matrix.tocsc`` — is identical to the in-memory path.
+* **Text pass** (:func:`_read`) tokenises each logical card once.  It
+  interns the card's nodes into a ``{name: row}`` map in first-appearance
+  order (pos before neg, ground excluded — byte-for-byte the assignment
+  :meth:`Netlist._register_node` makes over the same card sequence),
+  parses its value and appends ``(kind, i, j, value)`` to four
+  ``array`` columns (ground is row ``-1``; source waveforms go to two
+  lists).  Each card meets the object parser's checks in the object
+  parser's order, so a bad deck fails on the line
+  :func:`~repro.circuit.parser.parse_netlist` names.
+* **Assembly** (:func:`_assemble`) expands each kind's columns into
+  :func:`repro.circuit.mna.assemble`'s per-element stamp pattern
+  (ground entries masked out, order kept), offsets branch rows by the
+  final node count and concatenates the blocks in ``assemble()``'s
+  stamp order: resistors, voltage sources, inductors for ``G``;
+  capacitors, inductors for ``C``; current then voltage sources for
+  ``B``.  The triplet *sequence* — and therefore the duplicate-summation
+  order inside ``coo_matrix.tocsc`` — is the in-memory path's.
 
 Consequently a deck written in element **insertion order**
 (``write_file(..., order="insertion")``) round-trips to an
@@ -35,13 +38,12 @@ Consequently a deck written in element **insertion order**
 :class:`~repro.circuit.netlist.StreamedNetlist` node view instead of a
 full :class:`Netlist`).
 
-Memory stays bounded by the *result* size (node map + matrix triplets +
-one waveform object per source), never by the card count: peak RSS for
-a 100k-node deck is dominated by the CSC matrices themselves (the
-bench's ``deck_cold`` records it).  The one per-card structure kept
-is a set of element names for duplicate detection — same asymptotic
-size as the triplet arrays, and the same malformed decks are rejected
-as in the object path.
+Memory stays bounded by the *result* size (node map + 25 bytes of
+column per card + one waveform object per source), never by the text:
+the file is read once through a bounded line buffer, and peak RSS for a
+100k-node deck is dominated by the CSC matrices themselves (the bench's
+``deck_cold`` records it).  The one other per-card structure kept is a
+set of element names for duplicate detection.
 
 Dialect (the ibmpg subset plus what the in-memory parser accepts):
 ``R``/``C``/``L``/``I``/``V`` cards, ``_X_Y``-style node names, ``*``
@@ -54,7 +56,9 @@ the suggested horizon), other ``.``-directives tolerated and ignored,
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -76,6 +80,10 @@ from repro.circuit.waveforms import Waveform
 __all__ = ["IngestError", "IngestResult", "IngestStats", "ingest_file", "ingest_text"]
 
 _KINDS = ("r", "c", "l", "v", "i")
+_R, _C, _L, _V, _I, _OTHER = range(6)
+_KIND = {ch: k for k, kind in enumerate(_KINDS) for ch in (kind, kind.upper())}
+_NOUNS = ("resistor", "capacitor", "inductor")
+_INCIDENCE = (1.0, -1.0, 1.0, -1.0)
 
 
 class IngestError(ParseError):
@@ -84,7 +92,12 @@ class IngestError(ParseError):
 
 @dataclass
 class IngestStats:
-    """Size and timing record of one streamed ingestion."""
+    """Size and timing record of one streamed ingestion.
+
+    ``scan_seconds`` is the text pass (read, tokenise, intern, parse
+    values); ``stamp_seconds`` is the array assembly, the CSC build and
+    the DC-connectivity check; ``parse_seconds`` is their sum.
+    """
 
     n_cards: int = 0
     n_nodes: int = 0
@@ -103,7 +116,7 @@ class IngestStats:
 
     @property
     def parse_seconds(self) -> float:
-        """Total wall time of both streaming passes."""
+        """Total wall time: text pass plus assembly."""
         return self.scan_seconds + self.stamp_seconds
 
     def summary(self) -> str:
@@ -124,323 +137,256 @@ class IngestResult:
     stats: IngestStats
 
 
-# -- pass 1: scan ------------------------------------------------------------------
+# -- text pass ---------------------------------------------------------------------
 
 
 @dataclass
-class _Scan:
-    """Everything pass 2 needs to preallocate and stamp."""
+class _Deck:
+    """The columns of one text pass, in card order."""
 
     title: str
-    node_order: list[str]
     node_index: dict[str, int]
-    counts: dict[str, int]
-    n_cards: int
+    kinds: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    values: np.ndarray  # R/C/L value; 0.0 for sources
+    currents: list[Waveform]
+    vsources: list[Waveform]
     tran_step: float | None
     tran_stop: float | None
 
 
-def _scan(lines: Iterable[str], default_title: str) -> _Scan:
-    node_index: dict[str, int] = {}
-    node_order: list[str] = []
-    counts = dict.fromkeys(_KINDS, 0)
-    seen_names: set[str] = set()
+def _read(lines: Iterable[str], default_title: str) -> _Deck:
+    """The one text pass: check, intern and append each card in turn."""
+    cards = iter_logical_cards(lines)
     title = default_title
+    first = next(cards, None)
+    if first is not None:
+        if is_title_line(first[1]):
+            title = first[1]
+        else:
+            cards = chain((first,), cards)
+
+    # Ground names are pre-interned at row -1; every later key is a node
+    # and gets the next row, so insertion order is node order.
+    lookup = dict.fromkeys(GROUND_NAMES, -1)
+    n_ground = len(lookup)
+    get = lookup.get
+    names: set[str] = set()
+    kinds, pos_col, neg_col = array("b"), array("q"), array("q")
+    values = array("d")
+    currents: list[Waveform] = []
+    vsources: list[Waveform] = []
     tran_step: float | None = None
     tran_stop: float | None = None
-    n_cards = 0
-    first = True
 
-    for lineno, line in iter_logical_cards(lines):
-        if first:
-            first = False
-            if is_title_line(line):
-                title = line
-                continue
-        parts = line.split(None, 3)  # one tokenization per card
-        head = parts[0]
-        kind = head[0].lower()
-        if kind == ".":
-            directive = head.lower()
-            if directive == ".end":
-                break
-            if directive == ".tran":
-                args = line.split()[1:]
-                try:
-                    if len(args) >= 2:
-                        tran_step = parse_value(args[0])
-                        tran_stop = parse_value(args[1])
-                    elif len(args) == 1:
-                        tran_stop = parse_value(args[0])
-                except ValueError as exc:
-                    raise IngestError(f"line {lineno}: {exc}") from exc
-            continue  # other directives tolerated, ignored
-        if kind not in _KINDS:
-            raise IngestError(
-                f"line {lineno}: unsupported element type {head!r} "
-                f"(only R, C, L, V, I are in the PDN dialect)"
-            )
-        if len(parts) < 4:
-            raise IngestError(f"line {lineno}: malformed card {line!r}")
-        name, pos, neg = parts[0], parts[1], parts[2]
-        if name in seen_names:
-            raise IngestError(f"line {lineno}: duplicate element name {name!r}")
-        seen_names.add(name)
-        grounded = 0
-        for node in (pos, neg):
-            if node in GROUND_NAMES:
-                grounded += 1
-            elif node not in node_index:
-                node_index[node] = len(node_index)
-                node_order.append(node)
-        if grounded == 2:
-            raise IngestError(
-                f"line {lineno}: element {name!r} has both terminals grounded"
-            )
-        counts[kind] += 1
-        n_cards += 1
+    try:
+        for lineno, line in cards:
+            kind = _KIND.get(line[0], _OTHER)
+            if kind < _V:  # R/C/L: the value is the fourth token
+                parts = line.split(None, 4)
+                if len(parts) < 4:
+                    raise IngestError(f"line {lineno}: malformed card {line!r}")
+                name, pos, neg = parts[0], parts[1], parts[2]
+                value = parse_value(parts[3])
+                if value <= 0.0:
+                    raise IngestError(
+                        f"line {lineno}: {_NOUNS[kind]} {name!r}: value must "
+                        f"be positive, got {value!r}"
+                    )
+            else:
+                parts = line.split(None, 3)
+                head = parts[0]
+                if head[0] == ".":
+                    directive = head.lower()
+                    if directive == ".end":
+                        break
+                    if directive == ".tran":
+                        args = line.split()[1:]
+                        if len(args) >= 2:
+                            tran_step = parse_value(args[0])
+                            tran_stop = parse_value(args[1])
+                        elif args:
+                            tran_stop = parse_value(args[0])
+                    continue  # other directives tolerated, ignored
+                if len(parts) < 4:
+                    raise IngestError(f"line {lineno}: malformed card {line!r}")
+                if kind == _OTHER:
+                    raise IngestError(
+                        f"line {lineno}: unsupported element type {head!r} "
+                        f"(only R, C, L, V, I are in the PDN dialect)"
+                    )
+                name, pos, neg, rest = parts
+                (vsources if kind == _V else currents).append(
+                    parse_waveform(rest, lineno)
+                )
+                value = 0.0
+            if name in names:
+                raise IngestError(f"line {lineno}: duplicate element name {name!r}")
+            names.add(name)
+            i = get(pos)
+            if i is None:
+                i = lookup[pos] = len(lookup) - n_ground
+            j = get(neg)
+            if j is None:
+                j = lookup[neg] = len(lookup) - n_ground
+            if i < 0 and j < 0:
+                raise IngestError(
+                    f"line {lineno}: element {name!r} has both terminals grounded"
+                )
+            kinds.append(kind)
+            pos_col.append(i)
+            neg_col.append(j)
+            values.append(value)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise IngestError(f"line {lineno}: {exc}") from exc
 
-    return _Scan(
+    for g in GROUND_NAMES:
+        del lookup[g]
+    return _Deck(
         title=title,
-        node_order=node_order,
-        node_index=node_index,
-        counts=counts,
-        n_cards=n_cards,
+        node_index=lookup,
+        kinds=np.frombuffer(kinds, dtype=np.int8),
+        pos=np.frombuffer(pos_col, dtype=np.int64),
+        neg=np.frombuffer(neg_col, dtype=np.int64),
+        values=np.frombuffer(values, dtype=np.float64),
+        currents=currents,
+        vsources=vsources,
         tran_step=tran_step,
         tran_stop=tran_stop,
     )
 
 
-# -- pass 2: stamp -----------------------------------------------------------------
+# -- assembly ----------------------------------------------------------------------
 
 
-class _TripletBlock:
-    """Preallocated COO triplet buffer with ground-row skipping.
+def _triplets(rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element-major stamp triplets, ground entries (-1) dropped in order.
 
-    The exact-capacity arrays are sized from the pass-1 counts (4 stamps
-    per two-terminal element is the worst case; grounded terminals stamp
-    fewer), so pass 2 performs no list growth and no per-stamp object
-    allocation.
+    Stamp ``k`` of every element is ``(rows[k], cols[k], vals[k])``; the
+    result lists element 0's stamps, then element 1's, exactly the
+    sequence of ``assemble()``'s per-element ``add`` calls.
     """
-
-    __slots__ = ("rows", "cols", "vals", "n")
-
-    def __init__(self, capacity: int):
-        self.rows = np.empty(capacity, dtype=np.int64)
-        self.cols = np.empty(capacity, dtype=np.int64)
-        self.vals = np.empty(capacity, dtype=np.float64)
-        self.n = 0
-
-    def add(self, i: int, j: int, v: float) -> None:
-        """Stamp ``v`` at ``(i, j)``; silently skips ground rows (-1)."""
-        if i < 0 or j < 0:
-            return
-        n = self.n
-        self.rows[n] = i
-        self.cols[n] = j
-        self.vals[n] = v
-        self.n = n + 1
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.rows[: self.n], self.cols[: self.n], self.vals[: self.n]
+    n = len(rows[0])
+    r = np.stack(rows, axis=1).ravel()
+    c = np.stack(cols, axis=1).ravel()
+    v = np.stack([np.broadcast_to(x, (n,)) for x in vals], axis=1).ravel()
+    keep = (r >= 0) & (c >= 0)
+    return r[keep], c[keep], v[keep]
 
 
-def _build(blocks: list[_TripletBlock], dim: int, n_cols: int) -> sp.csc_matrix:
+def _csc(blocks, shape: tuple[int, int]) -> sp.csc_matrix:
     """Concatenate triplet blocks (in stamp order) into one CSC matrix.
 
     The concatenation order is the single thing that keeps duplicate
     summation inside ``tocsc`` bit-identical to the in-memory
     ``_Stamper``: both paths hand scipy the same triplet sequence.
     """
-    parts = [b.arrays() for b in blocks]
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    vals = np.concatenate([p[2] for p in parts])
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(dim, n_cols), dtype=float)
-    return m.tocsc()
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=float).tocsc()
 
 
-class _GroundDsu:
-    """Union-find over interned node rows (slot ``n`` is ground).
+def _floating_nodes(deck: _Deck, n_nodes: int) -> np.ndarray:
+    """Rows with no R/L/V path to ground (slot ``n_nodes``), ascending."""
+    # Imported here: csgraph costs ~60 ms and ~1 MiB RSS at import, and
+    # every process that imports repro.circuit would pay it.
+    from scipy.sparse.csgraph import connected_components
 
-    Replaces :meth:`Netlist._check_dc_connectivity`'s string-keyed BFS
-    with integer path-halving so validating a 100k-node deck costs
-    milliseconds, not a dict-of-sets the size of the circuit.
-    """
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n_nodes: int):
-        self.parent = list(range(n_nodes + 1))
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    dc =(deck.kinds != _C) & (deck.kinds != _I)
+    a = np.where(deck.pos[dc] < 0, n_nodes, deck.pos[dc])
+    b = np.where(deck.neg[dc] < 0, n_nodes, deck.neg[dc])
+    graph = sp.coo_matrix(
+        (np.ones(a.size), (a, b)), shape=(n_nodes + 1, n_nodes + 1)
+    )
+    _, labels = connected_components(graph, directed=False)
+    return np.flatnonzero(labels[:n_nodes] != labels[n_nodes])
 
 
-def _positive(value: float, what: str, name: str, lineno: int) -> float:
-    if value <= 0.0:
-        raise IngestError(
-            f"line {lineno}: {what} {name!r}: value must be positive, "
-            f"got {value!r}"
-        )
-    return value
-
-
-def _stamp(
-    lines: Iterable[str], scan: _Scan, validate: bool
-) -> tuple[MNASystem, IngestStats]:
-    counts = scan.counts
-    n_nodes = len(scan.node_order)
-    n_vsrc, n_ind, n_currents = counts["v"], counts["l"], counts["i"]
-    dim = n_nodes + n_vsrc + n_ind
+def _assemble(deck: _Deck, validate: bool) -> tuple[MNASystem, IngestStats]:
+    kinds = deck.kinds
+    counts = dict(zip(_KINDS, np.bincount(kinds, minlength=len(_KINDS)).tolist()))
+    node_order = list(deck.node_index)
+    n = len(node_order)
+    n_vsrc, n_ind, n_cur = counts["v"], counts["l"], counts["i"]
+    dim = n + n_vsrc + n_ind
 
     if validate:
-        if scan.n_cards == 0:
+        if kinds.size == 0:
             raise NetlistError("empty netlist")
-        if n_nodes == 0:
+        if n == 0:
             raise NetlistError("netlist has no non-ground nodes")
-
-    # One block per (matrix, element type), concatenated later in
-    # assemble()'s stamp order.
-    g_res = _TripletBlock(4 * counts["r"])
-    g_vsrc = _TripletBlock(4 * n_vsrc)
-    g_ind = _TripletBlock(4 * n_ind)
-    c_cap = _TripletBlock(4 * counts["c"])
-    c_ind = _TripletBlock(n_ind)
-    b_cur = _TripletBlock(2 * n_currents)
-    b_vsrc = _TripletBlock(n_vsrc)
-
-    wave_cur: list[Waveform] = []
-    wave_vsrc: list[Waveform] = []
-
-    node_index = scan.node_index
-    ground = n_nodes
-    dsu = _GroundDsu(n_nodes) if validate else None
-
-    k_vsrc = k_ind = 0
-    first = True
-    for lineno, line in iter_logical_cards(lines):
-        if first:
-            first = False
-            if is_title_line(line):
-                continue
-        parts = line.split(None, 3)  # one tokenization per card
-        head = parts[0]
-        kind = head[0].lower()
-        if kind == ".":
-            if head.lower() == ".end":
-                break
-            continue
-        name, pos, neg, rest = parts  # 4-token shape checked in pass 1
-        i = -1 if pos in GROUND_NAMES else node_index[pos]
-        j = -1 if neg in GROUND_NAMES else node_index[neg]
-        try:
-            if kind == "r":
-                cond = 1.0 / _positive(
-                    parse_value(rest.split(None, 1)[0]), "resistor", name, lineno
-                )
-                g_res.add(i, i, cond)
-                g_res.add(j, j, cond)
-                g_res.add(i, j, -cond)
-                g_res.add(j, i, -cond)
-                if dsu is not None:
-                    dsu.union(i if i >= 0 else ground, j if j >= 0 else ground)
-            elif kind == "c":
-                cap = _positive(
-                    parse_value(rest.split(None, 1)[0]), "capacitor", name, lineno
-                )
-                c_cap.add(i, i, cap)
-                c_cap.add(j, j, cap)
-                c_cap.add(i, j, -cap)
-                c_cap.add(j, i, -cap)
-            elif kind == "l":
-                ind = _positive(
-                    parse_value(rest.split(None, 1)[0]), "inductor", name, lineno
-                )
-                row = n_nodes + n_vsrc + k_ind
-                g_ind.add(i, row, +1.0)
-                g_ind.add(j, row, -1.0)
-                g_ind.add(row, i, +1.0)
-                g_ind.add(row, j, -1.0)
-                c_ind.add(row, row, -ind)
-                k_ind += 1
-                if dsu is not None:
-                    dsu.union(i if i >= 0 else ground, j if j >= 0 else ground)
-            elif kind == "v":
-                row = n_nodes + k_vsrc
-                g_vsrc.add(i, row, +1.0)
-                g_vsrc.add(j, row, -1.0)
-                g_vsrc.add(row, i, +1.0)
-                g_vsrc.add(row, j, -1.0)
-                b_vsrc.add(row, n_currents + k_vsrc, 1.0)
-                wave_vsrc.append(parse_waveform(rest, lineno))
-                k_vsrc += 1
-                if dsu is not None:
-                    dsu.union(i if i >= 0 else ground, j if j >= 0 else ground)
-            else:  # kind == "i"
-                col = len(wave_cur)
-                b_cur.add(i, col, -1.0)
-                b_cur.add(j, col, +1.0)
-                wave_cur.append(parse_waveform(rest, lineno))
-        except ParseError:
-            raise
-        except (ValueError, ZeroDivisionError) as exc:
-            raise IngestError(f"line {lineno}: {exc}") from exc
-
-    if dsu is not None:
-        root = dsu.find(ground)
-        floating = [
-            name
-            for idx, name in enumerate(scan.node_order)
-            if dsu.find(idx) != root
-        ]
-        if floating:
+        floating = _floating_nodes(deck, n)
+        if floating.size:
             raise NetlistError(
-                f"{len(floating)} node(s) have no DC path to ground, "
-                f"e.g. {floating[:5]!r}; G would be singular"
+                f"{floating.size} node(s) have no DC path to ground, "
+                f"e.g. {[node_order[k] for k in floating[:5]]!r}; "
+                f"G would be singular"
             )
 
-    netlist = StreamedNetlist(
-        title=scan.title,
-        node_order=scan.node_order,
-        node_index=scan.node_index,
-        counts=scan.counts,
-    )
-    G = _build([g_res, g_vsrc, g_ind], dim, dim)
-    C = _build([c_cap, c_ind], dim, dim)
-    B = _build([b_cur, b_vsrc], dim, n_currents + n_vsrc)
+    def columns(kind: int):
+        sel = kinds == kind
+        return deck.pos[sel], deck.neg[sel], deck.values[sel]
+
+    i, j, res = columns(_R)
+    cond = 1.0 / res
+    g_res = _triplets((i, j, i, j), (i, j, j, i), (cond, cond, -cond, -cond))
+    i, j, cap = columns(_C)
+    c_cap = _triplets((i, j, i, j), (i, j, j, i), (cap, cap, -cap, -cap))
+    i, j, _ = columns(_V)
+    row = n + np.arange(n_vsrc, dtype=np.int64)
+    g_vsrc = _triplets((i, j, row, row), (row, row, i, j), _INCIDENCE)
+    b_vsrc = _triplets((row,), (n_cur + np.arange(n_vsrc, dtype=np.int64),), (1.0,))
+    i, j, ind = columns(_L)
+    row = n + n_vsrc + np.arange(n_ind, dtype=np.int64)
+    g_ind = _triplets((i, j, row, row), (row, row, i, j), _INCIDENCE)
+    c_ind = _triplets((row,), (row,), (-ind,))
+    i, j, _ = columns(_I)
+    col = np.arange(n_cur, dtype=np.int64)
+    b_cur = _triplets((i, j), (col, col), (-1.0, 1.0))
+
+    G = _csc([g_res, g_vsrc, g_ind], (dim, dim))
+    C = _csc([c_cap, c_ind], (dim, dim))
+    B = _csc([b_cur, b_vsrc], (dim, n_cur + n_vsrc))
     system = MNASystem(
-        netlist=netlist,
+        netlist=StreamedNetlist(
+            title=deck.title,
+            node_order=node_order,
+            node_index=deck.node_index,
+            counts=counts,
+        ),
         C=C,
         G=G,
         B=B,
-        waveforms=tuple(wave_cur + wave_vsrc),
-        n_current_inputs=n_currents,
+        waveforms=tuple(deck.currents + deck.vsources),
+        n_current_inputs=n_cur,
     )
     stats = IngestStats(
-        n_cards=scan.n_cards,
-        n_nodes=n_nodes,
+        n_cards=int(kinds.size),
+        n_nodes=n,
         n_resistors=counts["r"],
         n_capacitors=counts["c"],
-        n_inductors=counts["l"],
+        n_inductors=n_ind,
         n_vsources=n_vsrc,
-        n_isources=n_currents,
+        n_isources=n_cur,
         dim=dim,
         nnz_g=G.nnz,
         nnz_c=C.nnz,
-        tran_step=scan.tran_step,
-        tran_stop=scan.tran_stop,
+        tran_step=deck.tran_step,
+        tran_stop=deck.tran_stop,
     )
     return system, stats
+
+
+def _ingest(lines: Iterable[str], title: str, validate: bool) -> IngestResult:
+    t0 = time.perf_counter()
+    deck = _read(lines, title)
+    t1 = time.perf_counter()
+    system, stats = _assemble(deck, validate)
+    stats.scan_seconds = t1 - t0
+    stats.stamp_seconds = time.perf_counter() - t1
+    return IngestResult(system=system, stats=stats)
 
 
 # -- public API --------------------------------------------------------------------
@@ -454,36 +400,28 @@ def ingest_file(
     Parameters
     ----------
     path:
-        The netlist file; it is read twice (scan pass, stamp pass) with
-        a bounded line buffer — the text is never held in memory.
+        The netlist file; it is read once with a bounded line buffer —
+        the text is never held in memory.
     title:
         Default circuit title when the deck has no title line
         (defaults to the filename stem, matching ``parse_file``).
     validate:
         When true (default), reject empty decks and nodes without a DC
         path to ground, exactly like :meth:`Netlist.validate` — but via
-        an integer union-find instead of a string-keyed BFS.
+        one ``connected_components`` over the R/L/V edges instead of a
+        string-keyed BFS.
 
     Returns
     -------
     IngestResult
         ``result.system`` is ready for the MNA → decomposition → dist
         pipeline; ``result.stats`` records sizes, the deck's ``.tran``
-        horizon (if any) and per-pass wall times.
+        horizon (if any) and the text-pass and assembly wall times.
     """
     path = Path(path)
     default_title = title if title is not None else path.stem
-
-    t0 = time.perf_counter()
     with open(path, buffering=1 << 20) as f:
-        scan = _scan(f, default_title)
-    t1 = time.perf_counter()
-    with open(path, buffering=1 << 20) as f:
-        system, stats = _stamp(f, scan, validate)
-    t2 = time.perf_counter()
-    stats.scan_seconds = t1 - t0
-    stats.stamp_seconds = t2 - t1
-    return IngestResult(system=system, stats=stats)
+        return _ingest(f, default_title, validate)
 
 
 def ingest_text(
@@ -491,16 +429,7 @@ def ingest_text(
 ) -> IngestResult:
     """Ingest netlist source held in memory (tests, generated decks).
 
-    Uses the same two-pass streaming machinery as :func:`ingest_file`;
-    for large decks prefer the file variant, which never materialises
-    the text.
+    Uses the same streaming pass as :func:`ingest_file`; for large decks
+    prefer the file variant, which never materialises the text.
     """
-    lines = text.splitlines()
-    t0 = time.perf_counter()
-    scan = _scan(lines, title)
-    t1 = time.perf_counter()
-    system, stats = _stamp(lines, scan, validate)
-    t2 = time.perf_counter()
-    stats.scan_seconds = t1 - t0
-    stats.stamp_seconds = t2 - t1
-    return IngestResult(system=system, stats=stats)
+    return _ingest(text.splitlines(), title, validate)

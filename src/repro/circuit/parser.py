@@ -20,6 +20,7 @@ operation lives in :mod:`repro.circuit.writer`.
 from __future__ import annotations
 
 import re
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -67,7 +68,19 @@ def parse_value(token: str) -> float:
     4700.0
     >>> parse_value("10p")
     1e-11
+
+    A plain finite number takes ``float`` directly.  ``float`` also
+    accepts ``nan``, ``inf``, ``infinity`` and ``1_000``, which the
+    grammar rejects, so non-finite results and underscores fall through
+    to the regex and raise there.
     """
+    try:
+        value = float(token)
+    except ValueError:
+        pass
+    else:
+        if isfinite(value) and "_" not in token:
+            return value
     m = _NUM_RE.match(token.strip())
     if not m:
         raise ValueError(f"not a SPICE number: {token!r}")
@@ -92,23 +105,26 @@ def iter_logical_cards(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     this single generator defines the card dialect for **both** the
     in-memory parser and the streaming ingester
     (:mod:`repro.circuit.ingest`); their bit-identical round-trip
-    guarantee depends on agreeing card-for-card.
+    guarantee depends on agreeing card-for-card.  A card without
+    continuations is yielded as its stripped line, with no join.
     """
-    pending: tuple[int, list[str]] | None = None
+    start, card, pieces = 0, None, None  # pieces: card + continuations
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("*"):
+        if not stripped or stripped[0] == "*":
             continue
-        if stripped.startswith("+"):
-            if pending is None:
-                raise ParseError(f"line {lineno}: continuation without a card")
-            pending[1].append(stripped[1:].strip())
+        if stripped[0] != "+":
+            if card is not None:
+                yield start, card if pieces is None else " ".join(pieces)
+            start, card, pieces = lineno, stripped, None
+        elif card is None:
+            raise ParseError(f"line {lineno}: continuation without a card")
+        elif pieces is None:
+            pieces = [card, stripped[1:].strip()]
         else:
-            if pending is not None:
-                yield pending[0], " ".join(pending[1])
-            pending = (lineno, [stripped])
-    if pending is not None:
-        yield pending[0], " ".join(pending[1])
+            pieces.append(stripped[1:].strip())
+    if card is not None:
+        yield start, card if pieces is None else " ".join(pieces)
 
 
 def is_title_line(line: str) -> bool:

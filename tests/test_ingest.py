@@ -6,8 +6,12 @@ arrays are byte-for-byte equal to ``assemble(netlist)`` — node index
 assignment, stamp sequence and duplicate-summation order all preserved.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import (
     DC,
@@ -20,7 +24,9 @@ from repro.circuit import (
     format_netlist,
     ingest_file,
     ingest_text,
+    parse_netlist,
 )
+from repro.circuit.elements import GROUND_NAMES
 from repro.core import SolverOptions
 from repro.dist import MatexScheduler
 from repro.pdn import PdnConfig, WorkloadSpec, synthesize_ibmpg
@@ -38,6 +44,12 @@ def assert_bit_identical(ref, streamed):
     assert ref.netlist.node_names() == streamed.netlist.node_names()
     assert ref.waveforms == streamed.waveforms
     assert ref.n_current_inputs == streamed.n_current_inputs
+
+
+def _error_line(exc: Exception) -> int | None:
+    """The 1-based line an error message names, if it names one."""
+    m = re.match(r"line (\d+):", str(exc))
+    return int(m.group(1)) if m else None
 
 
 class TestRoundTripBitIdentity:
@@ -159,6 +171,133 @@ class TestErrors:
     def test_empty_netlist(self):
         with pytest.raises(NetlistError, match="empty netlist"):
             ingest_text("* nothing here\n")
+
+    @pytest.mark.parametrize("deck, line", [
+        ("R1 a 0 -1\nR1 a 0 2\n", 1),              # value before duplicate
+        ("R1 a 0 xx\nQ1 a b c m\n", 1),            # value before unsupported
+        ("C1 a 0 0\nR2 0 0 1\n", 1),               # value before both-grounded
+        ("R1 a 0 1\nI1 a 0 PWL(0 1 2)\nR3 b\n", 2),  # waveform before malformed
+    ])
+    def test_first_faulty_line_matches_object_parser(self, deck, line):
+        with pytest.raises(ParseError) as ref:
+            parse_netlist(deck)
+        with pytest.raises(ParseError) as got:  # waveform errors stay ParseError
+            ingest_text(deck)
+        assert _error_line(got.value) == _error_line(ref.value) == line
+
+    @pytest.mark.parametrize("kind", ["R", "C", "L"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "infinity", "1_000"])
+    def test_float_spellings_outside_the_grammar(self, kind, token):
+        # float() accepts these; the SPICE number grammar does not.
+        with pytest.raises(IngestError, match=r"^line 2: not a SPICE number"):
+            ingest_text(f"R0 a 0 1\n{kind}1 a 0 {token}\n")
+
+    def test_floating_nodes_listed_in_first_appearance_order(self):
+        floating = ["f6", "f2", "f0", "f5", "f1", "f4", "f3"]
+        deck = "R0 a 0 1\n" + "".join(
+            f"C{k} {node} 0 1p\n" for k, node in enumerate(floating)
+        )
+        with pytest.raises(NetlistError) as exc:
+            ingest_text(deck)
+        assert str(exc.value) == (
+            f"7 node(s) have no DC path to ground, e.g. {floating[:5]!r}; "
+            f"G would be singular"
+        )
+        with pytest.raises(NetlistError) as ref:
+            assemble(parse_netlist(deck))
+        assert str(ref.value) == str(exc.value)
+        assert ingest_text(deck, validate=False).system.dim == 8
+
+    def test_floating_through_a_chain_and_an_inductor(self):
+        # a-b-c reach ground only through a capacitor; d through L and V.
+        deck = ("R1 a b 1\nR2 b c 1\nC1 c 0 1p\n"
+                "L1 d e 1n\nV1 e 0 1\nR3 g 0 1\n")
+        with pytest.raises(NetlistError, match=r"3 node\(s\).*\['a', 'b', 'c'\]"):
+            ingest_text(deck)
+
+
+# -- differential grammar fuzz: streaming pass vs parse_netlist + assemble -----------
+
+_FUZZ_NODES = ["a", "b", "n1_2"]
+_FUZZ_TERMINALS = _FUZZ_NODES * 6 + sorted(GROUND_NAMES)  # ground ~1 in 5
+_GOOD_VALUES = ["1", "2.5", "4.7k", "10p", "1meg", "3e-3", ".5u", "2MEG", "7ohm"]
+_BAD_VALUES = ["nan", "inf", "1_0", "-1", "0"]
+_GOOD_SOURCES = ["1.8", "DC 1.8", "dc 0", "PULSE(0 1m 1n 1n 1n 2n)",
+                 "pulse(0 2m 0 1p 1p 1n 4n)", "PWL(0 0 1n 1m)", "PWL(1n 1m 2n 0)"]
+_BAD_SOURCES = ["PWL(0 1 2)", "nan", "DC inf", "PULSE(1)", "DC 1_0"]
+_DIRECTIVES = [".op", ".tran 1p 1n", ".tran 2n", ".print tran v(a)", ".end",
+               ".tran nan 1n"]  # the last: see test_streamed_and_object_paths_agree
+
+
+@st.composite
+def fuzz_decks(draw) -> str:
+    """Small decks over the whole card dialect, good and bad tokens mixed."""
+    rare = st.integers(0, 15).map(lambda k: k == 0)
+    terminal = st.sampled_from(_FUZZ_TERMINALS)
+    lines: list[str] = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["pdn fuzz deck", "R grid", "* header"])))
+    for k, node in enumerate(_FUZZ_NODES):  # ground ties, so some decks pass
+        if draw(st.integers(0, 3)):
+            lines.append(f"Rb{k} {node} {draw(terminal)} 1k")
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.integers(0, 19))
+        if shape == 0:
+            card = "Q1 a b c model"
+        elif shape == 1:
+            card = f"R{draw(st.integers(0, 5))} a"
+        elif shape == 2:
+            card = draw(st.sampled_from(_DIRECTIVES))
+        else:
+            letter = draw(st.sampled_from("RCLVIrclvi"))
+            if letter in "RCLrcl":
+                spec = draw(st.sampled_from(_BAD_VALUES if draw(rare) else _GOOD_VALUES))
+            else:
+                spec = draw(st.sampled_from(_BAD_SOURCES if draw(rare) else _GOOD_SOURCES))
+            sep = draw(st.sampled_from([" ", "\t", "  "]))
+            card = sep.join([f"{letter}{draw(st.integers(0, 5))}",
+                             draw(terminal), draw(terminal), spec])
+        tokens = card.split()
+        if len(tokens) > 1 and draw(rare):  # fold the tail onto '+' lines
+            cut = draw(st.integers(1, len(tokens) - 1))
+            card = " ".join(tokens[:cut]) + "\n+ " + " ".join(tokens[cut:])
+        if draw(rare):
+            lines.append(draw(st.sampled_from(["", "   ", "* comment"])))
+        lines.append(card)
+    return "\n".join(lines) + "\n"
+
+
+class TestGrammarFuzz:
+    @given(deck=fuzz_decks())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_streamed_and_object_paths_agree(self, deck):
+        """Same typed error on the same line, or the same bits.
+
+        One known divergence: the streaming pass parses ``.tran`` (it is
+        the deck's default horizon) and raises on a bad value there,
+        while ``parse_netlist`` ignores every ``.tran`` card.
+        """
+        got = ref = None
+        try:
+            streamed = ingest_text(deck).system
+        except (ParseError, NetlistError) as exc:
+            got = exc
+        try:
+            assembled = assemble(parse_netlist(deck))
+        except (ParseError, NetlistError) as exc:
+            ref = exc
+        line = None if got is None else _error_line(got)
+        if line is not None and deck.splitlines()[line - 1].startswith(".tran"):
+            ref_line = None if ref is None else _error_line(ref)
+            assert ref_line is None or ref_line > line, (got, ref)
+            return
+        assert (got is None) == (ref is None), (got, ref)
+        if got is None:
+            assert_bit_identical(assembled, streamed)
+        else:
+            assert line == _error_line(ref), (got, ref)
+            if isinstance(got, NetlistError):  # validation: same message
+                assert str(got) == str(ref)
 
 
 class TestStreamedNetlist:
