@@ -38,7 +38,10 @@ single bit of the results:
   the coefficient rows ``A`` (:meth:`KrylovBasis.coefficients
   <repro.linalg.krylov.KrylovBasis.coefficients>`, which also yields
   every snapshot's posterior error) and the vectors ``B = [V_mᵀ; F;
-  w_2]``, carries ``x(t_i1) = A[-1] @ B`` into the next segment, and
+  w_2]`` — the basis's own Arnoldi workspace, with ``F`` and ``w_2``
+  written into its spare rows (:meth:`KrylovBasis.stacked
+  <repro.linalg.krylov.KrylovBasis.stacked>`), so no basis vector is
+  ever copied — carries ``x(t_i1) = A[-1] @ B`` into the next segment, and
   hands each closed span to the task's span destination — a list packed
   into a :class:`~repro.dist.messages.FactoredStates` for a node task,
   a streaming sink feed for ``simulate``.  A snapshot-triggered rebuild
@@ -422,15 +425,13 @@ class BlockNodeRunner:
             stop = int(failed[0]) + 1 if failed.size else len(hs)
             # Both factors C-ordered by construction: numpy picks its
             # BLAS call from the operand strides, and the bits follow.
+            # B is the basis's own workspace rows (no vector copied).
             m = t.basis.m
             A = np.empty((stop, m + 2))
             A[:, :m] = coeffs[:stop]
             A[:, m] = -1.0
             A[:, m + 1] = hs[:stop]
-            B = np.empty((m + 2, len(t.x)))
-            B[:m] = t.basis.Vm.T
-            B[m] = t.F
-            B[m + 1] = t.w2
+            B = t.basis.stacked(t.F, t.w2)
             if stop * B.shape[1] <= A.size + B.size:
                 # Too short a span is smaller as the rows themselves.
                 t.spans.append((t.i0 + 1 + start, None, A @ B))

@@ -99,9 +99,14 @@ class FactoredStates:
     to be the smaller form (``K ≲ m + 2``: merged groups, whose every
     grid point is a transition spot) carries its ``K`` rows as they are,
     ``A = None``.  Rows no span covers (``t = 0``, quiescent segments)
-    are exactly ``+0.0``.  Everything lives in one flat buffer — ``A``
-    then ``B``, span after span — so the block pickles, or moves through
-    shared memory, as a single array, and the products see the same
+    are exactly ``+0.0``.
+
+    The spans are held as the march handed them over — each ``B`` is
+    its basis's Arnoldi workspace — and are packed into one flat buffer
+    (:attr:`data`: ``A`` then ``B``, span after span) only to cross a
+    process boundary: pickling and shared memory move that single array
+    and rebuild the spans as views into it (:meth:`from_flat`).  Every
+    factor is C-ordered either way, so the products see the same
     operand layout wherever they are formed: inside the write-back
     (:func:`repro.core.superposition.superpose_states`) or on request
     (:meth:`dense`, ``np.asarray``).
@@ -110,49 +115,55 @@ class FactoredStates:
     ----------
     shape:
         ``(n_points, dim)`` of the dense block this stands for.
-    layout:
-        ``(row0, K, m + 2)`` per span in marching order; ``(row0, K, 0)``
-        for a span of plain rows.
-    data:
-        The flat ``float64`` buffer.
+    spans:
+        ``(row0, A, B)`` per span in marching order (``A`` may be
+        ``None``).
     """
 
     shape: tuple[int, int]
-    layout: tuple[tuple[int, int, int], ...]
-    data: np.ndarray
+    spans: tuple[tuple[int, np.ndarray | None, np.ndarray], ...]
 
     @classmethod
     def from_spans(cls, shape, spans) -> "FactoredStates":
-        """Pack ``(row0, A, B)`` spans (``A`` may be ``None``)."""
-        parts = [
-            m.ravel() for _row0, a, b in spans for m in (a, b)
-            if m is not None
-        ]
-        return cls(
-            shape=tuple(shape),
-            layout=tuple(
-                (row0, len(b), 0) if a is None else (row0, *a.shape)
-                for row0, a, b in spans
-            ),
-            data=np.concatenate(parts) if parts else np.empty(0),
+        """Hold ``(row0, A, B)`` spans (``A`` may be ``None``) as they are."""
+        return cls(shape=tuple(shape), spans=tuple(spans))
+
+    @classmethod
+    def from_flat(cls, shape, layout, data: np.ndarray) -> "FactoredStates":
+        """The spans of a packed buffer (:attr:`layout`, :attr:`data`),
+        as views into it."""
+        spans, pos = [], 0
+        for row0, k, r in layout:
+            a = data[pos:pos + k * r].reshape(k, r) if r else None
+            pos += k * r
+            n_b = (r or k) * shape[1]
+            spans.append((row0, a, data[pos:pos + n_b].reshape(-1, shape[1])))
+            pos += n_b
+        return cls(shape=tuple(shape), spans=tuple(spans))
+
+    @property
+    def layout(self) -> tuple[tuple[int, int, int], ...]:
+        """``(row0, K, m + 2)`` per span; ``(row0, K, 0)`` for plain rows."""
+        return tuple(
+            (row0, len(b), 0) if a is None else (row0, *a.shape)
+            for row0, a, b in self.spans
         )
 
     @property
-    def spans(self) -> list[tuple[int, np.ndarray | None, np.ndarray]]:
-        """``(row0, A, B)`` per span: views into :attr:`data`."""
-        dim = self.shape[1]
-        out, pos = [], 0
-        for row0, k, r in self.layout:
-            a = self.data[pos:pos + k * r].reshape(k, r) if r else None
-            pos += k * r
-            n_b = (r or k) * dim
-            out.append((row0, a, self.data[pos:pos + n_b].reshape(-1, dim)))
-            pos += n_b
-        return out
+    def data(self) -> np.ndarray:
+        """The spans packed into one new flat ``float64`` buffer."""
+        parts = [
+            m.ravel() for _row0, a, b in self.spans for m in (a, b)
+            if m is not None
+        ]
+        return np.concatenate(parts) if parts else np.empty(0)
 
     @property
     def nbytes(self) -> int:
-        return self.data.nbytes
+        return sum(
+            m.nbytes for _row0, a, b in self.spans for m in (a, b)
+            if m is not None
+        )
 
     def dense(self) -> np.ndarray:
         """The ``(n_points × dim)`` block, materialised."""
@@ -164,6 +175,9 @@ class FactoredStates:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self.dense(), dtype=dtype)
+
+    def __reduce__(self):
+        return FactoredStates.from_flat, (self.shape, self.layout, self.data)
 
 
 @dataclass(frozen=True, eq=False)

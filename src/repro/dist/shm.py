@@ -209,7 +209,7 @@ def to_shared(result: NodeResult, prefix: str) -> NodeResult:
     """
     states, factors = result.states, None
     if isinstance(states, FactoredStates):
-        # A per-node result: its spans already sit in one flat buffer.
+        # A per-node result: its spans cross as one flat buffer.
         states, factors = states.data, (states.shape, states.layout)
     states = np.ascontiguousarray(states)
     if not states.size:
@@ -287,7 +287,7 @@ def from_shared(result: NodeResult) -> NodeResult:
     except FileNotFoundError:  # pragma: no cover - swept concurrently
         pass
     weakref.finalize(arr, _close_segment, seg)
-    states = arr if ref.factors is None else FactoredStates(*ref.factors, arr)
+    states = arr if ref.factors is None else FactoredStates.from_flat(*ref.factors, arr)
     return dataclasses.replace(result, states=states)
 
 

@@ -34,11 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.arnoldi import (
-    ArnoldiBreakdown,
-    _ensure_capacity,
-    _initial_capacity,
-)
+from repro.linalg.arnoldi import ArnoldiBreakdown, _ensure_capacity, _workspace
 from repro.linalg.krylov import (
     HessenbergFactors,
     KrylovBasis,
@@ -186,10 +182,8 @@ def build_bases_block(
     for c in cols:
         if c.beta == 0.0:  # repro: allow[RPL005] exact Krylov-breakdown sentinel (norm of the zero vector)
             continue
-        c.cap = _initial_capacity(m_cap)
-        c.V = np.empty((c.cap + 1, n))
-        c.H = np.zeros((c.cap + 1, c.cap))
-        c.V[0] = c.v / c.beta
+        c.V, c.H, c.cap = _workspace(m_cap, n)
+        np.divide(c.v, c.beta, out=c.V[0])
         c.active = True
 
     for j in range(m_cap):
@@ -253,7 +247,7 @@ def build_bases_block(
                 c.active = False
                 continue
 
-            c.V[j + 1] = w / h_next
+            np.divide(w, h_next, out=c.V[j + 1])
 
             if c.m >= min_dim and not (
                 c.m > _TEST_THROTTLE_DIM and c.m % _TEST_THROTTLE_EVERY
@@ -305,8 +299,9 @@ def _finalize_basis(op: KrylovExpmOperator, c: _Column) -> KrylovBasis:
             )
         h_next = float(c.H[c.m, c.m - 1])
         err_row = op._error_row(h_square, factors=factors)
+    # The workspace rows are the basis: no copy of a vector is made.
     return KrylovBasis(
-        Vm=c.V[: c.m].copy().T, Hm=heff, beta=c.beta,
+        Vm=c.V[: c.m].T, Hm=heff, beta=c.beta,
         h_built=c.h, m=c.m, error_estimate=err, method=op.method,
-        h_next=h_next, err_row=err_row,
+        h_next=h_next, err_row=err_row, _rows=c.V,
     )

@@ -44,7 +44,7 @@ second set of arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
@@ -122,6 +122,10 @@ class KrylovBasis:
     err_row:
         Row functional of the posterior estimate, so the error can be
         re-checked at any reuse step via :meth:`error_at`.
+
+    A basis from the Arnoldi build does not own a copy of its vectors:
+    ``Vm`` is the transposed view of the build's workspace rows
+    (:mod:`repro.linalg.arnoldi`), which :meth:`stacked` hands on.
     """
 
     Vm: np.ndarray
@@ -134,6 +138,9 @@ class KrylovBasis:
     h_next: float = 0.0
     err_row: np.ndarray | None = None
     _eig: tuple | None = None
+    #: The build's workspace (``Vmᵀ`` in its leading rows, then at least
+    #: two spare rows) until :meth:`stacked` has handed it on.
+    _rows: np.ndarray | None = field(default=None, repr=False)
 
     #: Above this basis dimension the rank-1 accumulation kernel would
     #: cost more Python round-trips than it saves; fall back to one BLAS
@@ -158,6 +165,27 @@ class KrylovBasis:
                 pass
             object.__setattr__(self, "_eig", (usable, payload))
         return self._eig
+
+    def stacked(self, *rows: np.ndarray) -> np.ndarray:
+        """``[V_mᵀ; rows…]``: one C-ordered ``(m + len(rows), n)`` block.
+
+        The first call writes ``rows`` into the spare workspace rows
+        behind the basis vectors and returns the workspace's leading
+        rows, so the vectors are not copied (the march's span factor
+        ``B = [V_mᵀ; F; w_2]`` is built this way).  ``Vm`` stays valid;
+        a later call, or a basis without a workspace, gets a new block.
+        """
+        m, n = self.m, self.Vm.shape[0]
+        out = self._rows
+        if out is None or out.shape[0] < m + len(rows):
+            out = np.empty((m + len(rows), n))
+            out[:m] = self.Vm.T
+        else:
+            out = out[: m + len(rows)]
+        self._rows = None
+        for k, row in enumerate(rows, start=m):
+            out[k] = row
+        return out
 
     def _expm_e1_many(self, hs: np.ndarray) -> np.ndarray:
         """``exp(h·Hm) e_1`` for a whole vector of steps, shape ``(m, K)``.

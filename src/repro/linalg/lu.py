@@ -36,13 +36,13 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.linalg.triangular import TriangularHolder
+from repro.linalg.triangular import TriangularFactors
 
 __all__ = [
     "SparseLU",
@@ -67,66 +67,89 @@ class FactorizationError(RuntimeError):
 class SparseLU:
     """LU factorisation of a sparse matrix with solve counting.
 
+    The factor is kept in one form only.  SuperLU factors the matrix,
+    the substitution kernel (:class:`~repro.linalg.triangular.
+    TriangularFactors`) is exported from it and verified against one
+    SuperLU solve, and then SuperLU's object — its own copy of L+U —
+    and the factored matrix are dropped: every pair runs on the
+    verified kernel.  Only a factor whose export fails verification
+    keeps SuperLU's object, whose own solve then serves it.
+
     Parameters
     ----------
     matrix:
-        Square sparse matrix to factor (converted to CSC).
+        Square sparse matrix to factor (converted to CSC; not kept).
     label:
         Human-readable tag used in error messages and stats, e.g. ``"G"``
         or ``"C+gamma*G"``.
 
     Attributes
     ----------
+    shape:
+        Shape of the factored matrix.
     factor_seconds:
-        Wall-clock time spent inside the factorisation.
+        Wall-clock time spent factoring and exporting the kernel.
     n_solves:
         Number of forward/backward substitution pairs performed so far.
     """
 
-    matrix: sp.spmatrix
+    matrix: InitVar[sp.spmatrix]
     label: str = "A"
+    shape: tuple[int, int] = field(init=False, default=(0, 0))
     factor_seconds: float = field(init=False, default=0.0)
     n_solves: int = field(init=False, default=0)
-    _lu: spla.SuperLU = field(init=False, repr=False, default=None)
-    _tri: TriangularHolder = field(init=False, repr=False, default=None)
+    _kernel: TriangularFactors | None = field(init=False, repr=False, default=None)
+    _superlu: spla.SuperLU | None = field(init=False, repr=False, default=None)
+    _export_failure: str | None = field(init=False, repr=False, default=None)
 
-    def __post_init__(self):
-        m = sp.csc_matrix(self.matrix)
+    def __post_init__(self, matrix):
+        m = sp.csc_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"{self.label}: matrix must be square, got {m.shape}")
         t0 = time.perf_counter()
         try:
-            self._lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A")
+            superlu = spla.splu(m, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise FactorizationError(
                 f"LU factorisation of {self.label} failed: {exc}"
             ) from exc
+        try:
+            self._kernel = TriangularFactors(superlu)
+        except Exception as exc:
+            self._superlu = superlu
+            self._export_failure = f"{type(exc).__name__}: {exc}"
         self.factor_seconds = time.perf_counter() - t0
-        self.matrix = m
-        self._tri = TriangularHolder()
+        self.shape = m.shape
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+    def failure(self) -> str | None:
+        """Why a kernel stage does not serve this factor, if one does not.
+
+        An export failure means SuperLU's own solve answers every pair;
+        a sweep failure means :meth:`solve_many` substitutes its columns
+        one by one through the scalar kernel.
+        """
+        if self._kernel is None:
+            return self._export_failure
+        return self._kernel.sweep_failure
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """One forward/backward substitution pair: return ``A⁻¹ rhs``.
 
         Substitutes through the exported column-sweep kernel
         (:mod:`repro.linalg.triangular`) — the arithmetic definition the
-        multi-RHS block sweep matches bit-for-bit per column — falling
-        back to SuperLU's own solve only when the export could not be
-        verified.  A 2-D right-hand side is routed through
-        :meth:`solve_many` (one counted pair per column).
+        multi-RHS block sweep matches bit-for-bit per column — or, when
+        the export could not be verified, through SuperLU's own solve.
+        A 2-D right-hand side is routed through :meth:`solve_many` (one
+        counted pair per column).
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim != 1:
             return self.solve_many(rhs)
         self.n_solves += 1
-        tri = self._tri.get(self._lu, self.matrix)
-        if tri is None:
-            return self._lu.solve(rhs)
-        return tri.solve(rhs)
+        if self._kernel is None:
+            return self._superlu.solve(rhs)
+        return self._kernel.solve(rhs)
 
     def solve_many(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against a dense block of right-hand sides (columns).
@@ -141,10 +164,9 @@ class SparseLU:
 
         All columns are substituted in lockstep by the in-place block
         sweep of :class:`repro.linalg.triangular.TriangularFactors`:
-        SuperLU's factors are exported once per factorisation, and each
-        triangular factor is one row-ordered CSR block-matvec with its
-        output aliased onto its input, whose per-row accumulation order
-        is exactly the scalar column sweep's (ascending original
+        each triangular factor is one row-ordered CSR block-matvec with
+        its output aliased onto its input, whose per-row accumulation
+        order is exactly the scalar column sweep's (ascending original
         columns for ``L``, descending for ``U``).  Each output column
         is therefore **bit-for-bit identical** to :meth:`solve` of that
         column *by construction* (and by a byte-equality probe when the
@@ -158,50 +180,47 @@ class SparseLU:
         count (bit-stable on pg1t's ``G``, divergent at nrhs = 8 on
         pg4t's pencil).
 
-        A one-column block goes through the scalar sweep (no sweep
-        matrices to build), and a factor whose export or sweep check
-        fails is answered by SuperLU's own solve, column by column.
+        A one-column block, and every block of a factor whose sweep
+        check failed, goes column by column through :meth:`solve`'s
+        path (no sweep matrices to build), which keeps the invariant.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 1:
             return self.solve(rhs)
         n, n_cols = rhs.shape
         self.n_solves += n_cols
-        if n_cols == 0:
-            return np.empty((n, 0), dtype=float, order="F")
-        tri = self._tri.get(self._lu, self.matrix, wide=n_cols > 1)
-        if tri is not None and n_cols > 1:
-            return tri.solve_many(rhs)
-        pair = self._lu.solve if tri is None else tri.solve
+        kernel = self._kernel
+        if kernel is not None and n_cols > 1 and kernel.ensure_sweeps():
+            return kernel.solve_many(rhs)
+        pair = self._superlu.solve if kernel is None else kernel.solve
         out = np.empty((n, n_cols), dtype=float, order="F")
         for i in range(n_cols):
             out[:, i] = pair(rhs[:, i])
         return out
 
     def prime_kernel(self, wide: bool = True) -> bool:
-        """Eagerly export the substitution kernel for later solves.
+        """Eagerly build the multi-RHS sweeps for later solves.
 
-        ``wide`` also builds and checks the two sweep matrices the
-        multi-RHS kernel runs on.  Called at plan-compile time so a
-        scenario sweep's first lockstep round pays no export latency.
-        Returns ``False`` when the export or the sweep check failed
-        (SuperLU's own solve serves the factor).
+        ``wide=False`` only reports whether the kernel (exported at
+        factorisation) serves this factor.  Called at plan-compile time
+        so a scenario sweep's first lockstep round pays no build
+        latency.  Returns ``False`` when the export or the sweep check
+        failed (see :attr:`failure`).
         """
-        return self._tri.get(self._lu, self.matrix, wide=wide) is not None
+        kernel = self._kernel
+        return kernel is not None and (not wide or kernel.ensure_sweeps())
 
     def resident_bytes(self) -> int:
-        """Estimated bytes pinned by this factorisation right now.
+        """Bytes pinned by this factorisation right now.
 
-        12 bytes per stored nonzero (8 data + 4 index) for the CSC
-        matrix and the SuperLU L+U fill, plus the *actual* bytes of the
-        exported triangular factors and sweep matrices once they are
-        built — the quantity :class:`FactorizationCache` budgets with.
+        The kernel's actual arrays — the export, plus the sweep
+        matrices once built — the quantity :class:`FactorizationCache`
+        budgets with.  A factor SuperLU's own solve serves is estimated
+        at 12 bytes (8 data + 4 index) per stored L+U non-zero.
         """
-        factor_nnz = getattr(self._lu, "nnz", self.matrix.nnz)
-        return (
-            12 * (int(factor_nnz) + int(self.matrix.nnz))
-            + self._tri.nbytes()
-        )
+        if self._kernel is not None:
+            return self._kernel.nbytes()
+        return 12 * int(self._superlu.nnz)
 
     def reset_counters(self) -> None:
         """Zero the solve counter (factor time is kept)."""
@@ -214,17 +233,18 @@ class SparseLU:
         Used by :class:`FactorizationCache` on a hit: the substitution
         counters belong to the new consumer, and ``factor_seconds`` is
         zero because the hit paid no factorisation — which is exactly the
-        amortisation the cache exists to demonstrate.  The triangular
-        holder is shared too: exports and sweep matrices are built once
-        per factorisation, never per view.
+        amortisation the cache exists to demonstrate.  The kernel is
+        shared too: sweep matrices are built once per factorisation,
+        never per view.
         """
         view = object.__new__(cls)
-        view.matrix = origin.matrix
         view.label = label
+        view.shape = origin.shape
         view.factor_seconds = 0.0
         view.n_solves = 0
-        view._lu = origin._lu
-        view._tri = origin._tri
+        view._kernel = origin._kernel
+        view._superlu = origin._superlu
+        view._export_failure = origin._export_failure
         return view
 
 
@@ -344,11 +364,10 @@ class FactorizationCache:
     reuse shows up as hits.
 
     Residency is bounded two ways: at most ``max_entries`` factors, and
-    at most ``max_bytes`` of estimated factor + matrix storage (SuperLU
-    reports its L+U fill, and the exported triangular factors / sweep
-    matrices of :mod:`repro.linalg.triangular` are measured exactly
-    and re-measured on every size-based decision, so the estimate
-    tracks reality even though exports build lazily).  Sweeps over
+    at most ``max_bytes`` of factor storage (the exported triangular
+    factors and sweep matrices of :mod:`repro.linalg.triangular`,
+    measured exactly and re-measured on every size-based decision, so
+    the figure tracks reality even though sweeps build lazily).  Sweeps over
     many large pencils therefore evict old factors instead of pinning
     multi-GB of LU data for the life of the process; call :meth:`clear`
     to release everything eagerly.
@@ -385,13 +404,7 @@ class FactorizationCache:
 
     @staticmethod
     def _entry_bytes(lu: "SparseLU") -> int:
-        """Resident bytes of one entry (factors + matrix + exports).
-
-        Delegates to :meth:`SparseLU.resident_bytes`, which includes the
-        exported triangular factors and sweep matrices — without them
-        the limits would undercount true memory by roughly the L+U fill
-        once a consumer triggers the export.
-        """
+        """Resident bytes of one entry (:meth:`SparseLU.resident_bytes`)."""
         return lu.resident_bytes()
 
     def _refresh_bytes_locked(self) -> None:

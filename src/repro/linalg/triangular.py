@@ -15,12 +15,15 @@ batched-march headroom.
 
 This module restores the headroom without giving up a single bit:
 
-* :class:`TriangularFactors` exports SuperLU's factors once per
-  :class:`~repro.linalg.lu.SparseLU` — ``L`` (unit lower), the
+* :class:`TriangularFactors` exports SuperLU's factors once, when
+  :class:`~repro.linalg.lu.SparseLU` factors — ``L`` (unit lower), the
   column-scaled strictly-upper part of ``U``, both row/column
   permutations and the diagonal scaling — after *verifying* that the
-  export reproduces the factorisation (equilibrated factorisations fall
-  back to SuperLU's own solve instead of being silently wrong).
+  export reproduces the factorisation.  A verified export is the only
+  form the factor is kept in: the ``SparseLU`` drops SuperLU's own
+  object (its L+U storage) and the matrix it factored.  An export that
+  fails verification (e.g. an equilibrated factorisation) keeps
+  SuperLU's own solve instead of being silently wrong.
 * The **scalar** path substitutes through SuperLU's non-supernodal
   column-sweep kernel (the one :func:`scipy.sparse.linalg.
   spsolve_triangular` uses) on the exported factors: ascending-column
@@ -43,9 +46,11 @@ This module restores the headroom without giving up a single bit:
   check**: building the sweeps pushes a two-column probe through them
   and requires byte equality with the scalar path.
 
-There is no switch between kernels: a factor whose export or sweep
-check fails is served by SuperLU's own solve automatically
-(:class:`TriangularHolder` records why), and nothing else selects it.
+There is no switch between kernels.  A factor whose export fails
+verification is served by SuperLU's own solve; a factor whose sweep
+check fails substitutes its columns one by one through the verified
+scalar path, so ``solve`` keeps its bits either way
+(``SparseLU.failure`` records why).  Nothing else selects a path.
 """
 
 from __future__ import annotations
@@ -70,18 +75,17 @@ except ImportError:  # pragma: no cover - exotic scipy builds
 __all__ = [
     "TriangularExportError",
     "TriangularFactors",
-    "TriangularHolder",
 ]
 
 
 class TriangularExportError(RuntimeError):
     """The exported factors do not reproduce SuperLU's factorisation.
 
-    Raised (and swallowed by :class:`TriangularHolder`, which then
-    serves SuperLU's own solve) when the export verification probe fails —
-    e.g. a SuperLU build that equilibrated the matrix with scalings the
-    handle does not expose — or when the block sweep is not byte-equal
-    to the scalar one.
+    Raised when the export verification probe fails — e.g. a SuperLU
+    build that equilibrated the matrix with scalings the handle does not
+    expose (:class:`~repro.linalg.lu.SparseLU` then keeps SuperLU's own
+    solve) — or when the block sweep is not byte-equal to the scalar one
+    (recorded as :attr:`TriangularFactors.sweep_failure`).
     """
 
 
@@ -111,22 +115,24 @@ class TriangularFactors:
     """SuperLU's factors, exported once, with an in-place block sweep.
 
     Stage 1 (construction) exports the scalar-path arrays and verifies
-    them against one reference SuperLU solve; stage 2
+    them against one reference SuperLU solve; nothing it keeps refers
+    to the SuperLU object, which the caller may then drop.  Stage 2
     (:meth:`ensure_sweeps`, lazy — only multi-RHS consumers pay it)
     builds the two row-ordered sweep matrices and checks the block
-    kernel byte-for-byte against the scalar one.  Both stages are built
-    at most once and shared by every cache view of the owning
+    kernel byte-for-byte against the scalar one; a failed check is
+    recorded in :attr:`sweep_failure` and never retried.  Both stages
+    are built at most once and shared by every cache view of the owning
     factorisation.
     """
 
-    def __init__(self, superlu, matrix: sp.csc_matrix):
+    def __init__(self, superlu):
         if not _KERNELS_AVAILABLE:
             raise TriangularExportError("scipy substitution kernels unavailable")
-        if matrix.dtype != np.float64:
-            raise TriangularExportError(f"unsupported dtype {matrix.dtype}")
         n = superlu.shape[0]
         self.n = n
         L = superlu.L.tocsc()
+        if L.dtype != np.float64:
+            raise TriangularExportError(f"unsupported dtype {L.dtype}")
         L.sort_indices()
         U = superlu.U.tocsc()
         U.sort_indices()
@@ -149,15 +155,18 @@ class TriangularFactors:
         take_in = np.empty(n, dtype=np.intp)
         take_in[superlu.perm_r] = np.arange(n)
         self._take_in = take_in          # w = b[perm_r⁻¹]
-        self._take_out = np.asarray(superlu.perm_c, dtype=np.intp)
+        # A copy: SuperLU's perm arrays are views that keep it alive.
+        self._take_out = np.array(superlu.perm_c, dtype=np.intp)
         self._invd_out = invd[self._take_out].copy()
         self._sweeps = None
+        #: Why the block sweep is not used, if its check failed.
+        self.sweep_failure: str | None = None
         self._lock = threading.Lock()
-        self._verify(superlu, matrix)
+        self._verify(superlu)
 
     # -- verification --------------------------------------------------------
 
-    def _verify(self, superlu, matrix: sp.csc_matrix) -> None:
+    def _verify(self, superlu) -> None:
         """One probe solve against SuperLU's own answer.
 
         Catches exports that do not reproduce the factorisation (e.g. a
@@ -221,40 +230,52 @@ class TriangularFactors:
 
     # -- in-place multi-RHS sweep --------------------------------------------
 
-    def ensure_sweeps(self) -> None:
-        """Build and check the sweep matrices (idempotent, thread-safe, lazy)."""
-        if self._sweeps is not None:
-            return
+    def ensure_sweeps(self) -> bool:
+        """Build and check the sweep matrices once (thread-safe, lazy).
+
+        Returns whether the block sweep serves this factor; ``False``
+        when its check failed (see :attr:`sweep_failure`).
+        """
+        if self._sweeps is not None or self.sweep_failure is not None:
+            return self._sweeps is not None
         with self._lock:
-            if self._sweeps is not None:
-                return
-            n = self.n
-            lower = _strict_csr(
-                self._L_data, self._L_indices, self._L_indptr, n, diag_last=True
-            )
-            indptr, indices, data = _strict_csr(
-                self._U_data, self._U_indices, self._U_indptr, n, diag_last=False
-            )
-            # The backward sweep visits rows n-1 … 0 and applies each
-            # row's entries in descending column order.  Relabelling
-            # i → n-1-i turns it into a forward sweep; reversing the
-            # whole entry stream reverses the row order and every row's
-            # storage order at once.
-            upper = (
-                indptr[-1] - indptr[::-1],
-                (n - 1) - indices[::-1],
-                data[::-1].copy(),
-            )
-            sweeps = (lower, upper, n - 1 - self._take_out)
-            self._verify_sweep(sweeps)
-            self._sweeps = sweeps
+            if self._sweeps is None and self.sweep_failure is None:
+                try:
+                    self._sweeps = self._build_sweeps()
+                except Exception as exc:
+                    self.sweep_failure = f"{type(exc).__name__}: {exc}"
+        return self._sweeps is not None
+
+    def _build_sweeps(self):
+        n = self.n
+        lower = _strict_csr(
+            self._L_data, self._L_indices, self._L_indptr, n, diag_last=True
+        )
+        indptr, indices, data = _strict_csr(
+            self._U_data, self._U_indices, self._U_indptr, n, diag_last=False
+        )
+        # The backward sweep visits rows n-1 … 0 and applies each
+        # row's entries in descending column order.  Relabelling
+        # i → n-1-i turns it into a forward sweep; reversing the
+        # whole entry stream reverses the row order and every row's
+        # storage order at once.
+        upper = (
+            indptr[-1] - indptr[::-1],
+            (n - 1) - indices[::-1],
+            data[::-1].copy(),
+        )
+        sweeps = (lower, upper, n - 1 - self._take_out)
+        self._verify_sweep(sweeps)
+        return sweeps
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
         """All columns in lockstep; per column bit-for-bit :meth:`solve`.
 
-        Returns an F-ordered ``(n, k)`` block.
+        Returns an F-ordered ``(n, k)`` block.  Raises
+        :class:`TriangularExportError` if the sweep check failed.
         """
-        self.ensure_sweeps()
+        if not self.ensure_sweeps():
+            raise TriangularExportError(self.sweep_failure)
         return self._substitute(self._sweeps, B)
 
     def _substitute(self, sweeps, B: np.ndarray) -> np.ndarray:
@@ -285,63 +306,3 @@ class TriangularFactors:
             lower, upper, take_out = self._sweeps
             arrays.extend((*lower, *upper, take_out))
         return int(sum(a.nbytes for a in arrays))
-
-
-class TriangularHolder:
-    """Lazily-exported :class:`TriangularFactors`, shared across views.
-
-    One holder per factorisation, shared by every
-    :meth:`~repro.linalg.lu.SparseLU._shared_view` of a cache entry, so
-    exports and sweeps are built at most once per factor no
-    matter how many consumers the :data:`~repro.linalg.lu.
-    FACTORIZATION_CACHE` hands out.  Any export failure is recorded and
-    all consumers permanently fall back to SuperLU's own solve —
-    wrong bits are never an option, slow bits are.
-    """
-
-    __slots__ = ("_factors", "_failure", "_lock")
-
-    def __init__(self):
-        self._factors: TriangularFactors | None = None
-        self._failure: str | None = None
-        self._lock = threading.Lock()
-
-    @property
-    def failure(self) -> str | None:
-        """Why the export fell back to SuperLU's own solve, if it did."""
-        return self._failure
-
-    def get(self, superlu, matrix, wide: bool = False):
-        """The shared export, building (stages of) it on first demand.
-
-        ``wide`` also builds and checks the multi-RHS sweeps.  Returns
-        ``None`` when the kernel cannot serve this factor — the caller
-        must use SuperLU's own solve.
-        """
-        if self._failure is not None:
-            return None
-        tri = self._factors
-        if tri is None:
-            with self._lock:
-                if self._factors is None and self._failure is None:
-                    try:
-                        self._factors = TriangularFactors(superlu, matrix)
-                    except Exception as exc:
-                        self._failure = f"{type(exc).__name__}: {exc}"
-                tri = self._factors
-            if tri is None:
-                return None
-        if wide:
-            try:
-                tri.ensure_sweeps()
-            except Exception as exc:
-                with self._lock:
-                    self._failure = f"{type(exc).__name__}: {exc}"
-                    self._factors = None
-                return None
-        return tri
-
-    def nbytes(self) -> int:
-        """Bytes pinned by the export (0 until one is built)."""
-        tri = self._factors
-        return tri.nbytes() if tri is not None else 0

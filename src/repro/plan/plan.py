@@ -115,10 +115,10 @@ def prime_factorizations(system: MNASystem, options: SolverOptions) -> float:
     in this process gets a hit instead of a factorisation.
 
     The pencil's substitution kernel is primed along with the factors:
-    the triangular export *and* its two in-place sweep matrices
-    (:mod:`repro.linalg.triangular`) are built and checked here, once,
-    so the block Arnoldi's first multi-RHS round in every sweep session
-    is served by the already-built kernel.
+    the triangular export comes with the factorisation, and its two
+    in-place sweep matrices (:mod:`repro.linalg.triangular`) are built
+    and checked here, once, so the block Arnoldi's first multi-RHS round
+    in every sweep session is served by the already-built kernel.
     """
     op = make_krylov_operator(
         options.method, system.C, system.G, gamma=options.gamma
@@ -274,7 +274,7 @@ class SimulationPlan:
             factor_seconds += prime_factorizations(self.system, self.options)
             # The lockstep rounds feed ``G`` wide RHS blocks too (the
             # fused ETD substitutions); build its sweeps at compile
-            # time so no sweep session pays the one-off export.
+            # time so no sweep session pays the one-off build.
             t_kernel = time.perf_counter()
             lu_g.prime_kernel(wide=True)
             factor_seconds += time.perf_counter() - t_kernel

@@ -165,8 +165,10 @@ def rational_krylov_basis(
     try:
         lu_g = FACTORIZATION_CACHE.factor(G, label="G(rom)")
         S = (C + gamma * G).tocsc()
+        # RationalKrylov's key: a plan's R-MATEX pencil is this matrix,
+        # so the build reuses that factor instead of holding a second.
         lu_s = FACTORIZATION_CACHE.factor(
-            S, label="S(rom)", key_extra=canonical_shift(gamma)
+            S, label="S(rom)", key_extra=("gamma", canonical_shift(gamma))
         )
     except Exception as exc:  # singular G / S: no reduced model
         raise RomBuildError(

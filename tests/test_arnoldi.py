@@ -4,6 +4,8 @@ The generic-matrix operator is ``StandardKrylov(identity, A)``: it
 factors ``C = I`` and applies ``C⁻¹G = A``, and its exponent map is just
 ``Hm = -H``.  Every property is checked at one column and at four (the
 column under test rides at position 1 of a 4-column lockstep build).
+``TestWorkspace`` pins the memory contract: a basis's vectors exist
+once, in its workspace, which is sized for R-MATEX's small bases.
 """
 
 import numpy as np
@@ -161,3 +163,53 @@ class TestConvergenceControl:
         for width in WIDTHS:
             with pytest.raises(ValueError):
                 build(np.eye(5), rng.normal(size=5), width, m_max=0)
+
+
+class TestWorkspace:
+    """The workspace is the basis's only copy of its vectors."""
+
+    def test_small_bases_fit_the_initial_workspace(self, rng):
+        """m ≤ 4 (R-MATEX's usual size): four vectors plus two spare
+        rows, and ``Vm`` is a view of them."""
+        a = rng.normal(size=(30, 30))
+        v = rng.normal(size=30)
+        for width in WIDTHS:
+            basis, _ = build(a, v, width, m_max=4)
+            assert basis.m == 4
+            assert basis._rows.shape == (4 + 2, 30)
+            assert np.shares_memory(basis.Vm, basis._rows)
+
+    def test_workspace_doubles_up_to_the_cap(self, rng):
+        a = rng.normal(size=(40, 40))
+        v = rng.normal(size=40)
+        for width in WIDTHS:
+            basis, _ = build(a, v, width, m_max=13)  # 4 -> 8 -> 13
+            assert basis.m == 13
+            assert basis._rows.shape == (13 + 2, 40)
+            vtv = basis.Vm.T @ basis.Vm
+            assert np.allclose(vtv, np.eye(13), atol=1e-12)
+
+    def test_stacked_writes_behind_the_vectors_once(self, rng):
+        a = rng.normal(size=(30, 30))
+        v = rng.normal(size=30)
+        f, w = rng.normal(size=30), rng.normal(size=30)
+        basis, _ = build(a, v, 1, m_max=3)
+        before = basis.Vm.copy()
+        block = basis.stacked(f, w)
+        assert block.shape == (5, 30) and block.flags.c_contiguous
+        assert np.shares_memory(block, basis.Vm)
+        assert np.array_equal(block[:3], before.T)
+        assert np.array_equal(block[3], f) and np.array_equal(block[4], w)
+        assert basis.Vm.tobytes() == before.tobytes()
+        # The spare rows are handed on once: a second block is new.
+        again = basis.stacked(w, f)
+        assert not np.shares_memory(again, block)
+        assert np.array_equal(again[:3], before.T)
+        assert np.array_equal(block[3], f)
+
+    def test_empty_basis_stacks_the_rows_alone(self, rng):
+        basis, _ = build(np.eye(5), np.zeros(5), 1, m_max=3)
+        f = rng.normal(size=5)
+        block = basis.stacked(f, -f)
+        assert block.shape == (2, 5)
+        assert np.array_equal(block, np.stack([f, -f]))

@@ -46,7 +46,7 @@ class TestCacheBehaviour:
         second = cache.factor(m.copy(), label="second")
         assert cache.hits == 1 and cache.misses == 1
         assert second is not first
-        assert second._lu is first._lu  # the factors are shared
+        assert second._kernel is first._kernel  # the factors are shared
         assert second.factor_seconds == 0.0  # the hit cost nothing
         assert first.factor_seconds >= 0.0
 
@@ -147,7 +147,7 @@ class TestGammaCanonicalisation:
         assert op1.gamma == op2.gamma  # canonicalised before the pencil
         hits, misses = FACTORIZATION_CACHE.counters()
         assert (hits, misses) == (1, 1)
-        assert op2.lu._lu is op1.lu._lu  # shared factors
+        assert op2.lu._kernel is op1.lu._kernel  # shared factors
 
     def test_distinct_gammas_still_separate(self, mesh_system):
         FACTORIZATION_CACHE.clear()

@@ -247,6 +247,25 @@ class TestTransport:
         dense = sum(int(np.prod(r.states.shape)) * 8 for r in per_node)
         assert factored < 0.3 * dense
 
+    def test_spans_are_the_bases_workspaces_until_shipped(self, marched):
+        """In process a span's ``B`` is its basis's Arnoldi workspace,
+        not a copy; a pickle packs every span into one flat buffer."""
+        name, system, _opts, _compiled, _tasks, results = marched
+        spans = [
+            s for r in results for s in r.states.spans
+            if s[1] is not None and s[1].shape[1] > 2
+        ]
+        # (The small cases' spans are short enough to ship as rows.)
+        assert spans or name != "pg1t"
+        for _row0, _a, b in spans:
+            assert b.base is not None and b.base.ndim == 2
+            assert b.base.shape[1] == system.dim
+            assert b.base.shape[0] >= b.shape[0]
+        for r in results:
+            back = pickle.loads(pickle.dumps(r.states))
+            assert len({id(b.base) for _r, _a, b in back.spans}) <= 1
+            assert back.nbytes == r.states.nbytes == r.states.data.nbytes
+
     def test_payload_type_passes_the_picklability_lint(self):
         assert picklable.check_modules(["repro.dist.messages"]) == []
         assert picklable.check_modules(["repro.dist.shm"]) == []
@@ -256,7 +275,9 @@ def test_warm_sweep_allocation_peak():
     """A warm serial 2-scenario pg1t sweep: 200 node tasks in one
     lockstep march.  332 MB at the commit that still wrote a dense
     ``(145 × 1058)`` block per task; ≈ 118 MB as factors (55 MB of it the
-    200 Arnoldi workspaces of one lockstep round)."""
+    200 33-row Arnoldi workspaces of one lockstep round, and each span
+    factor copied twice more); ≈ 64 MB once each span factor *is* its
+    basis's 6-row workspace, held as is."""
     system, case = build_case("pg1t")
     opts = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-6)
     compiled = SimulationPlan(
@@ -272,7 +293,7 @@ def test_warm_sweep_allocation_peak():
         finally:
             tracemalloc.stop()
     assert len(results) == 2
-    assert peak < 170e6
+    assert peak < 85e6
 
 
 _DIGEST_SCRIPT = """

@@ -4,7 +4,8 @@
 ``Vm`` / ``Hm`` / ``err_row`` bytes of one :class:`KrylovBasis` plus its
 ``m``, ``beta``, ``h_next`` and ``error_estimate``, recorded by
 ``op.build_basis`` — the one-column call of the lockstep routine, on its
-vector-major ``(cap+1, n)`` workspace.  :func:`build_bases_block` at
+vector-major workspace (one contiguous row per vector; the number of
+rows it starts with moves no bit).  :func:`build_bases_block` at
 widths 1, 3 and 7 must reproduce them.  (Before the workspace turned
 vector-major the file held the bits of the deleted scalar twin; the
 layout change moved them in the last ulp — the CGS2 ``gemv`` sees

@@ -173,4 +173,4 @@ class TestStructureMatchedOrdering:
         system, _case = build_case("pg1t")
         for matrix in (system.G, system.C + 1e-10 * system.G):
             lu = SparseLU(matrix)
-            assert lu._lu.L.nnz + lu._lu.U.nnz <= 30_000
+            assert lu._kernel._L_nnz + lu._kernel._U_nnz <= 30_000

@@ -158,6 +158,14 @@ class TestCompileWiring:
             result = session.run()  # the full-order path still works
             assert result.rom_dim is None
 
+    def test_build_reuses_the_plans_pencil_factor(self, mesh_system):
+        """The projector's ``G`` and ``C + γG`` are the plan's own
+        factors: a cold compile with a model factors two matrices."""
+        FACTORIZATION_CACHE.clear()
+        compiled = _compile(mesh_system, rom=RomConfig())
+        assert compiled.rom is not None
+        assert compiled.cache_misses == 2
+
     def test_model_bytes_in_external_ledger(self, mesh_system):
         compiled = _compile(mesh_system, rom=RomConfig())
         assert (FACTORIZATION_CACHE.stats()["external_bytes"]

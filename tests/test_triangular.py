@@ -6,9 +6,10 @@ all rest on one invariant: ``solve_many(B)[:, i]`` is bit-for-bit
 permutation.  This module pins that invariant directly against the
 kernel (property-based over random batch shapes, then on the factor
 shapes and input forms a random pencil never produces), exercises the
-automatic SuperLU path of a factor whose export or sweep check fails,
-and checks that the factor cache's byte accounting sees the exported
-factors and sweep matrices.
+fallbacks of a factor whose export (SuperLU's own solve) or sweep check
+(the scalar kernel, column by column) fails, and checks that a verified
+factor is held as its kernel alone and that the factor cache's byte
+accounting sees exactly the kernel's arrays.
 """
 
 import types
@@ -21,11 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import SparseLU, triangular
-from repro.linalg.triangular import (
-    TriangularExportError,
-    TriangularFactors,
-    TriangularHolder,
-)
+from repro.linalg.triangular import TriangularExportError, TriangularFactors
 
 
 def build_pencil(n: int = 60, seed: int = 7) -> sp.csc_matrix:
@@ -50,15 +47,26 @@ def pencil_lu(pencil):
 
 class TestExport:
     def test_export_verifies_on_suite_pencil(self, pencil_lu):
-        tri = pencil_lu._tri.get(pencil_lu._lu, pencil_lu.matrix)
-        assert tri is not None
-        assert pencil_lu._tri.failure is None
+        assert pencil_lu._kernel is not None
+        assert pencil_lu.failure is None
+        assert pencil_lu.prime_kernel(wide=False)
+
+    def test_verified_factor_is_held_as_its_kernel_alone(self, pencil):
+        """Neither SuperLU's object (its own L+U) nor the factored
+        matrix outlives a verified export: the kernel's arrays are the
+        factor's whole footprint."""
+        lu = SparseLU(pencil)
+        assert lu._superlu is None
+        assert not hasattr(lu, "matrix")
+        assert lu.shape == pencil.shape
+        assert lu.resident_bytes() == lu._kernel.nbytes() == _held_bytes(lu._kernel)
 
     def test_sweep_rows_only_read_earlier_rows(self, pencil_lu):
         """What makes one aliased pass a substitution: row ``i`` reads
         only rows ``< i``, in ascending order, and every strictly
         triangular entry of the factor is in exactly one row."""
-        tri = pencil_lu._tri.get(pencil_lu._lu, pencil_lu.matrix, wide=True)
+        tri = pencil_lu._kernel
+        assert tri.ensure_sweeps()
         lower, upper, take_out = tri._sweeps
         n = tri.n
         for (indptr, indices, data), nnz in (
@@ -73,42 +81,25 @@ class TestExport:
         assert sorted(take_out) == list(range(n))
 
     def test_scalar_path_solves_the_system(self, pencil, pencil_lu):
-        tri = pencil_lu._tri.get(pencil_lu._lu, pencil_lu.matrix)
+        tri = pencil_lu._kernel
         b = np.cos(np.arange(pencil.shape[0], dtype=float))
         x = tri.solve(b)
         assert np.allclose(pencil @ x, b, rtol=1e-10, atol=1e-12)
 
-    def test_holder_failure_falls_back_permanently(self, pencil):
-        class _Broken:
-            shape = pencil.shape
-
-            def __getattr__(self, name):
-                raise RuntimeError("no factors here")
-
-        holder = TriangularHolder()
-        assert holder.get(_Broken(), pencil) is None
-        assert holder.failure is not None
-        # Permanent: a later call with a *good* factorisation still
-        # declines — wrong-once means SuperLU-forever for this holder.
-        good = SparseLU(pencil)
-        assert holder.get(good._lu, good.matrix) is None
-        assert holder.nbytes() == 0
-
     def test_non_float64_matrix_rejected(self, pencil):
-        lu = SparseLU(pencil)
-        complex_matrix = pencil.astype(np.complex128)
-        with pytest.raises(TriangularExportError, match="dtype"):
-            TriangularFactors(lu._lu, complex_matrix)
+        lu = SparseLU(pencil.astype(np.complex128))
+        assert lu._kernel is None and lu._superlu is not None
+        assert "unsupported dtype complex128" in lu.failure
 
     def test_unverified_export_is_served_by_superlu(
         self, pencil, rng, monkeypatch
     ):
         """The one path to SuperLU's own solve: a failed verification.
 
-        Every answer is then ``lu._lu.solve`` of that column, nothing is
-        exported, and the holder says why.
+        Every answer is then SuperLU's own solve of that column, no
+        kernel is kept, and ``failure`` says why.
         """
-        def refuse(self, superlu, matrix):
+        def refuse(self, superlu):
             raise TriangularExportError("probe mismatch (injected)")
 
         monkeypatch.setattr(TriangularFactors, "_verify", refuse)
@@ -116,25 +107,28 @@ class TestExport:
         block = rng.normal(size=(pencil.shape[0], 6))
         ref = np.empty_like(block, order="F")
         for i in range(6):
-            ref[:, i] = lu._lu.solve(block[:, i].copy())
+            ref[:, i] = lu._superlu.solve(block[:, i].copy())
         assert lu.solve(block[:, 0]).tobytes() == ref[:, 0].tobytes()
         out = lu.solve_many(block)
         assert out.flags.f_contiguous
         assert out.tobytes(order="F") == ref.tobytes(order="F")
         assert lu.solve_many(block[:, :1]).tobytes() == ref[:, 0].tobytes()
         assert lu.prime_kernel() is False
-        assert lu._tri.nbytes() == 0
-        assert "probe mismatch (injected)" in lu._tri.failure
+        assert lu._kernel is None
+        assert lu.resident_bytes() == 12 * lu._superlu.nnz
+        assert "probe mismatch (injected)" in lu.failure
         assert lu.n_solves == 8
 
-    def test_failed_sweep_check_is_served_by_superlu(
+    def test_failed_sweep_check_is_served_by_the_scalar_kernel(
         self, pencil, rng, monkeypatch
     ):
         """A block kernel that moves one bit is never used.
 
         The sweep relies on a SciPy-private kernel's traversal order;
         if a build breaks it, the byte-equality probe at sweep build
-        time catches it and every consumer gets SuperLU's own solve.
+        time catches it, and every block is substituted column by
+        column through the verified scalar kernel — so ``solve`` keeps
+        its bits before and after the failed build.
         """
         real = triangular._sparsetools.csr_matvecs
 
@@ -148,14 +142,17 @@ class TestExport:
             types.SimpleNamespace(csr_matvecs=off_by_one_ulp),
         )
         lu = SparseLU(pencil)
-        assert lu.prime_kernel(wide=False) is True  # the export is fine
-        assert lu.prime_kernel() is False
-        assert "block sweep check failed" in lu._tri.failure
-        assert lu._tri.nbytes() == 0
         block = rng.normal(size=(pencil.shape[0], 5))
         ref = np.empty_like(block, order="F")
         for i in range(5):
-            ref[:, i] = lu._lu.solve(block[:, i].copy())
+            ref[:, i] = lu.solve(block[:, i])
+        assert lu.prime_kernel(wide=False) is True  # the export is fine
+        assert lu.prime_kernel() is False
+        assert "block sweep check failed" in lu.failure
+        assert lu._kernel._sweeps is None
+        assert lu.resident_bytes() == _held_bytes(lu._kernel)
+        with pytest.raises(TriangularExportError, match="block sweep"):
+            lu._kernel.solve_many(block)
         out = lu.solve_many(block)
         assert out.flags.f_contiguous
         assert out.tobytes(order="F") == ref.tobytes(order="F")
@@ -252,7 +249,7 @@ def assert_columns_match_scalar(lu: SparseLU, block) -> np.ndarray:
     out = lu.solve_many(block)
     cols = np.asarray(block, dtype=float)
     assert out.flags.f_contiguous and out.dtype == np.float64
-    assert lu._tri.failure is None
+    assert lu.failure is None
     for i in range(cols.shape[1]):
         assert out[:, i].tobytes() == lu.solve(cols[:, i]).tobytes(), i
     return out
@@ -273,12 +270,12 @@ class TestParityBeyondTheRandomPencil:
 
     def test_pivoting_case_really_pivots(self):
         lu = SparseLU(STRUCTURED["pivoting"])
-        assert not np.array_equal(lu._lu.perm_r, np.arange(lu.shape[0]))
+        assert not np.array_equal(lu._kernel._take_in, np.arange(lu.shape[0]))
 
     def test_empty_strict_triangles(self):
         lu = SparseLU(STRUCTURED["diagonal"])
-        tri = lu._tri.get(lu._lu, lu.matrix, wide=True)
-        lower, upper, _ = tri._sweeps
+        assert lu.prime_kernel(wide=True)
+        lower, upper, _ = lu._kernel._sweeps
         assert lower[2].size == 0 and upper[2].size == 0
 
     def test_input_forms(self, pencil_lu, rng):
@@ -335,24 +332,20 @@ def _held_bytes(obj) -> int:
 
 
 class TestCacheByteAccounting:
-    """Exports and sweeps must show up in the factor-cache budget."""
+    """The kernel's arrays, sweeps included, are the factor-cache budget."""
 
     def test_nbytes_is_the_sum_of_held_arrays(self, pencil):
         from repro.linalg.lu import FactorizationCache
 
         cache = FactorizationCache(max_entries=4, max_bytes=1 << 30)
         lu = cache.factor(pencil, label="tri-bytes")
-        base = cache.resident_bytes
-        assert base >= 12 * 2 * pencil.nnz  # matrix + at least its fill
-        assert lu._tri.nbytes() == 0
-
+        tri = lu._kernel
         for wide in (False, True):
             assert lu.prime_kernel(wide=wide)
-            tri = lu._tri.get(lu._lu, lu.matrix)
             assert (tri._sweeps is not None) == wide
-            assert tri.nbytes() == _held_bytes(tri) > 0
-            assert cache.resident_bytes == base + tri.nbytes()
-            assert cache.stats()["resident_bytes"] == base + tri.nbytes()
+            assert tri.nbytes() == _held_bytes(tri) >= 12 * pencil.nnz
+            assert cache.resident_bytes == tri.nbytes()
+            assert cache.stats()["resident_bytes"] == tri.nbytes()
 
     def test_shared_views_share_one_export(self, pencil):
         from repro.linalg.lu import FactorizationCache
@@ -361,7 +354,8 @@ class TestCacheByteAccounting:
         first = cache.factor(pencil, label="a")
         first.prime_kernel(wide=True)
         view = cache.factor(pencil, label="b")
-        assert view._tri is first._tri
+        assert view._kernel is first._kernel
         # The view serves the already-built sweeps, no rebuild.
-        tri = view._tri.get(view._lu, view.matrix, wide=True)
-        assert tri is first._tri.get(first._lu, first.matrix)
+        sweeps = first._kernel._sweeps
+        assert view.prime_kernel(wide=True)
+        assert view._kernel._sweeps is sweeps
