@@ -120,7 +120,7 @@ def _match_sorted_many(haystack: Sequence[float], needles: Sequence[float]):
     for off in (-1, 0, 1):
         j = i + off
         valid = (j >= 0) & (j < hs.size)
-        a = hs[np.clip(j, 0, hs.size - 1)]
+        a = np.take(hs, j, mode="clip")
         close = np.abs(a - nd) <= np.maximum(
             _MATCH_RTOL * np.maximum(np.abs(a), np.abs(nd)), 1e-30
         )
@@ -134,6 +134,8 @@ def build_schedule(
     local_inputs: Sequence[int] | None = None,
     global_points: Sequence[float] | None = None,
     waveform_overrides: dict | None = None,
+    *,
+    grid: tuple[float, ...] | None = None,
 ) -> TransitionSchedule:
     """Build the LTS/GTS schedule for a (possibly decomposed) solver run.
 
@@ -150,6 +152,12 @@ def build_schedule(
         Pre-computed GTS (so the scheduler computes them once and every
         node shares the identical grid for superposition).  Computed from
         the full system when omitted.
+    grid:
+        Instead of ``global_points`` (passing both is a ``ValueError``):
+        the ``points`` of a schedule ``build_schedule`` already made, so
+        sorted, inside ``[0, t_end]`` and ending on both; it is marched
+        as is, unvalidated (a compiled plan validates its shared grid
+        once, not once per group).
     waveform_overrides:
         Optional ``{column: waveform}`` replacements (split-bump
         decomposition); the local transition spots come from the
@@ -163,21 +171,25 @@ def build_schedule(
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
+    if grid is not None and global_points is not None:
+        raise ValueError("pass global_points or grid, not both")
     if waveform_overrides:
         system = system.with_waveforms(waveform_overrides)
 
-    if global_points is None:
-        gts = system.global_transition_spots(t_end)
+    if grid is not None:
+        gts = grid
+    elif global_points is None:
+        gts = tuple(system.global_transition_spots(t_end))
     else:
         gts = sorted(float(t) for t in global_points if 0.0 <= t <= t_end)
         if not gts or gts[0] > 0.0:
             gts.insert(0, 0.0)
         if gts[-1] < t_end:
             gts.append(t_end)
+        gts = tuple(gts)
 
     if local_inputs is None:
-        flags = [True] * len(gts)
-        return TransitionSchedule(tuple(gts), tuple(flags), t_end)
+        return TransitionSchedule(gts, (True,) * len(gts), t_end)
 
     # Collect the raw slope-change times of the local group only; the
     # horizon t_end is a marching point but not a slope change, so it
@@ -187,6 +199,6 @@ def build_schedule(
         raw_lts.update(system.local_transition_spots(k, t_end))
     lts_sorted = sorted(raw_lts)
 
-    flags = [bool(f) for f in _match_sorted_many(lts_sorted, gts)]
+    flags = _match_sorted_many(lts_sorted, gts).tolist()
     flags[0] = True  # the initial basis is always generated at t = 0
-    return TransitionSchedule(tuple(gts), tuple(flags), t_end)
+    return TransitionSchedule(gts, tuple(flags), t_end)

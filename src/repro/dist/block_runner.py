@@ -369,7 +369,7 @@ class BlockNodeRunner:
             v = t.x + t.F
             t.v_alts = v
             t.eps_segment = (
-                opts.eps_rel * float(np.linalg.norm(v)) + opts.eps_abs
+                opts.eps_rel * float(np.sqrt(v.dot(v))) + opts.eps_abs
             )
             vs.append(v)
             hs.append(pts[t.i0 + 1] - pts[t.i0])

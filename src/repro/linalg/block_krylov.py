@@ -19,8 +19,8 @@ routine marches their Arnoldi iterations **in lockstep**: at iteration
 sparse mat-mat product and one multi-RHS substitution
 (``SparseLU.solve_many``) instead of one solve per column, and the
 columns that test for convergence share one stacked small-matrix
-exponential (:meth:`KrylovExpmOperator.error_estimates
-<repro.linalg.krylov.KrylovExpmOperator.error_estimates>`).  Everything
+exponential (:meth:`KrylovExpmOperator.posterior_tests
+<repro.linalg.krylov.KrylovExpmOperator.posterior_tests>`).  Everything
 else runs per column on that column's own workspace, and both batched
 steps return per column exactly what they return for a column alone, so
 a basis does not depend on which columns it was built next to.
@@ -35,11 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.linalg.arnoldi import ArnoldiBreakdown, _ensure_capacity, _workspace
-from repro.linalg.krylov import (
-    HessenbergFactors,
-    KrylovBasis,
-    KrylovExpmOperator,
-)
+from repro.linalg.krylov import KrylovBasis, KrylovExpmOperator, eig_payloads
 
 __all__ = ["build_bases_block", "prime_eig_payloads"]
 
@@ -60,30 +56,23 @@ def prime_eig_payloads(bases: list[KrylovBasis]) -> None:
     its ``Hm`` on first evaluation (``eig`` + a condition estimate + one
     small solve — the dominant per-basis setup cost).  Bases built in a
     lockstep round share their dimension, so the whole round primes
-    through three stacked gufunc calls whose per-slice results are
-    bit-for-bit the single-matrix ones.  Bases that cannot be primed
-    (LAPACK non-convergence anywhere in a stack) are simply left lazy —
-    the scalar fallback computes the identical payload per basis.
+    through one :func:`~repro.linalg.krylov.eig_payloads` call, whose
+    per-slice results are bit-for-bit the lazy single-matrix ones.  A
+    stack that cannot be primed (a non-finite block, LAPACK
+    non-convergence anywhere in it) is simply left lazy — each basis then
+    computes its own payload.
     """
     groups: dict[int, list[KrylovBasis]] = {}
     for b in bases:
         if b.m > 0 and b._eig is None:
             groups.setdefault(b.m, []).append(b)
-    for m, group in groups.items():
-        stack = np.stack([b.Hm for b in group])
+    for group in groups.values():
         try:
-            d, s = np.linalg.eig(stack)
-            e1 = np.zeros(m)
-            e1[0] = 1.0
-            s_inv_e1 = np.linalg.solve(s, np.tile(e1, (len(group), 1))[..., None])[..., 0]
-            conds = np.linalg.cond(s)
+            eigs = eig_payloads(np.array([b.Hm for b in group]))
         except np.linalg.LinAlgError:
             continue
-        for i, b in enumerate(group):
-            usable = bool(np.isfinite(conds[i]) and conds[i] < 1e10)
-            object.__setattr__(
-                b, "_eig", (usable, (d[i], s[i], s_inv_e1[i]))
-            )
+        for b, eig in zip(group, eigs):
+            object.__setattr__(b, "_eig", eig)
 
 
 # -- lockstep Arnoldi -------------------------------------------------------------------
@@ -104,12 +93,10 @@ class _Column:
     m: int = 0
     active: bool = False
     happy: bool = False
-    #: Estimate/factors of the most recent convergence test, reused by
-    #: the finalisation when it happened at the final dimension (getrf
-    #: is deterministic: recomputing would give the identical value).
-    last_est: float | None = None
-    last_est_m: int = -1
-    last_factors: HessenbergFactors | None = None
+    #: ``(estimate, heff, row)`` of the most recent convergence test and
+    #: its dimension: a basis finished there keeps them as they are.
+    last_test: tuple | None = None
+    last_test_m: int = -1
 
 
 def build_bases_block(
@@ -166,12 +153,13 @@ def build_bases_block(
     cols: list[_Column] = []
     n = None
     for k in range(n_cols):
-        v = np.asarray(vs[k], dtype=float)
+        v = np.ascontiguousarray(vs[k], dtype=float)
         if n is None:
             n = v.shape[0]
         elif v.shape[0] != n:
             raise ValueError("all start vectors must share one dimension")
-        beta = float(np.linalg.norm(v))
+        # ``np.linalg.norm``'s formula for a contiguous real vector.
+        beta = float(np.sqrt(v.dot(v)))
         cols.append(
             _Column(idx=k, v=v, h=float(hs[k]), tol=float(tols[k]), beta=beta)
         )
@@ -204,7 +192,7 @@ def build_bases_block(
                 block[:, i] = c.V[j]
             W = op.apply_block(block)
 
-        if not np.all(np.isfinite(W)):
+        if not np.isfinite(W).all():
             bad = [
                 c.idx for i, c in enumerate(active)
                 if not np.all(np.isfinite(W[:, i]))
@@ -258,16 +246,14 @@ def build_bases_block(
             # All lockstep columns test at the same dimension, so their
             # posterior estimates share one stacked expm.
             m = j + 1
-            factors = [op._hess_factors(c.H[:m, :m]) for c in testing]
-            ests = op.error_estimates(
+            tests = op.posterior_tests(
                 [c.h for c in testing],
                 [c.H[: m + 1, :m] for c in testing],
                 [c.beta for c in testing],
-                factors,
             )
-            for c, est, fac in zip(testing, ests, factors):
-                c.last_est, c.last_est_m, c.last_factors = est, m, fac
-                if est < c.tol:
+            for c, test in zip(testing, tests):
+                c.last_test, c.last_test_m = test, m
+                if test[0] < c.tol:
                     c.active = False
 
     return [_finalize_basis(op, c) for c in cols]
@@ -280,25 +266,24 @@ def _finalize_basis(op: KrylovExpmOperator, c: _Column) -> KrylovBasis:
             Vm=np.zeros((c.v.shape[0], 0)), Hm=np.zeros((0, 0)), beta=0.0,
             h_built=c.h, m=0, error_estimate=0.0, method=op.method,
         )
-    # One LU of the final Hessenberg block serves the effective
-    # exponent, the posterior estimate and the reuse error row.
-    h_square = np.ascontiguousarray(c.H[: c.m, : c.m])
-    tested_here = c.last_est_m == c.m
-    factors = c.last_factors if tested_here else op._hess_factors(h_square)
-    heff = op.effective_hm(h_square, factors=factors)
     if c.happy:
-        err = 0.0
-        h_next = 0.0
-        err_row = None
+        # An invariant subspace: the projection is exact.
+        heff = op.effective_hm(c.H[: c.m, : c.m])
+        err, h_next, err_row = 0.0, 0.0, None
     else:
-        if tested_here:
-            err = c.last_est
-        else:
-            err = op.error_estimate(
-                c.h, c.H[: c.m + 1, : c.m], c.beta, factors=factors
+        # The test at the final dimension already holds the effective
+        # exponent, the estimate and the reuse error row; a dimension
+        # that was not tested (below ``min_dim``, or throttled) is now.
+        if c.last_test_m != c.m:
+            (c.last_test,) = op.posterior_tests(
+                [c.h], [c.H[: c.m + 1, : c.m]], [c.beta]
+            )
+        err, heff, err_row = c.last_test
+        if heff is None:
+            raise np.linalg.LinAlgError(
+                "singular Hessenberg block has no H^{-1} row"
             )
         h_next = float(c.H[c.m, c.m - 1])
-        err_row = op._error_row(h_square, factors=factors)
     # The workspace rows are the basis: no copy of a vector is made.
     return KrylovBasis(
         Vm=c.V[: c.m].T, Hm=heff, beta=c.beta,

@@ -35,6 +35,22 @@ from scipy.linalg import get_lapack_funcs
 
 __all__ = ["expm", "expm_e1"]
 
+#: Read-only identities of the m ≈ 3…30 blocks, one per size: ``np.eye``
+#: per call was a visible slice of every small exponential and estimate.
+_EYE_CACHE: dict[int, np.ndarray] = {}
+
+
+def _eye(m: int) -> np.ndarray:
+    """Cached identity — callers must not mutate the returned array
+    (its last row doubles as the unit vector ``e_m``)."""
+    ident = _EYE_CACHE.get(m)
+    if ident is None:
+        ident = np.eye(m)
+        ident.setflags(write=False)
+        _EYE_CACHE[m] = ident
+    return ident
+
+
 #: The one LAPACK binding of the small dense kernels (no input validation:
 #: at m ≈ 10 SciPy's ``lu_factor``/``lu_solve`` wrappers cost several
 #: times the LAPACK work).
@@ -55,7 +71,7 @@ _THETA13 = 5.371920351148152
 
 def _pade13(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numerator/denominator split (U, V) of the [13/13] Padé, per slice."""
-    ident = np.eye(a.shape[-1])
+    ident = _eye(a.shape[-1])
     b = _PADE13
     a2 = a @ a
     a4 = a2 @ a2
@@ -130,7 +146,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     # large positive eigenvalues (spurious Ritz values on RLC systems);
     # callers treat a non-finite result as "not converged", so overflow
     # is allowed to produce inf silently rather than spam warnings.
-    fewest, most = int(s.min()), int(s.max())
+    powers = s.tolist()
+    fewest, most = int(min(powers)), int(max(powers))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(fewest):
             r = r @ r

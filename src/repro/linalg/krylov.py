@@ -36,21 +36,25 @@ Arnoldi iteration that produces a basis exists once, in
 :func:`repro.linalg.block_krylov.build_bases_block`, for any number of
 start vectors; :meth:`KrylovExpmOperator.build_basis` is its one-column
 call.  The estimates follow the same rule:
-:meth:`KrylovExpmOperator.error_estimates` serves a batch of columns
-through one stacked :func:`~repro.linalg.expm.expm`, and the single
-``error_estimate`` is a batch of one — batching adds throughput, never a
-second set of arithmetic.
+:meth:`KrylovExpmOperator.posterior_tests` serves a batch of columns
+through one stacked :func:`~repro.linalg.expm.expm`, and a single
+column's test is a batch of one — batching adds throughput, never a
+second set of arithmetic.  So does the evaluation eigendecomposition
+(:func:`eig_payloads`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import _umath_linalg
+from scipy.sparse import _sparsetools
 
-from repro.linalg.expm import GETRF, GETRS, expm, expm_e1
+from repro.linalg.expm import GETRF, GETRS, _eye, expm, expm_e1
 from repro.linalg.lu import (
     FACTORIZATION_CACHE,
     FactorizationError,
@@ -66,6 +70,7 @@ __all__ = [
     "InvertedKrylov",
     "RationalKrylov",
     "RegularizationRequiredError",
+    "eig_payloads",
     "make_krylov_operator",
     "METHOD_NAMES",
 ]
@@ -87,6 +92,36 @@ class RegularizationRequiredError(FactorizationError):
     regularization pass (Chen et al., TCAD'12) or — MATEX's answer —
     switching to the inverted/rational subspaces (Sec. 3.3.3).
     """
+
+
+def _linalg_failed(err, flag):
+    raise np.linalg.LinAlgError("small eigendecomposition failed")
+
+
+def eig_payloads(hms: np.ndarray) -> list[tuple]:
+    """``(usable, (d, s, s_inv_e1))`` with ``Hm = s·diag(d)·s⁻¹`` for each
+    slice of a ``(B, m, m)`` stack — the one diagonalisation routine.
+
+    It calls the ``eig``/``solve1``/``svd`` gufuncs that ``np.linalg.eig``/
+    ``solve``/``cond`` call, under their floating-point policy, and does
+    per slice what they do per call: an all-real spectrum gets real ``d``
+    and ``s``; ``usable`` is ``cond(s) < 1e10``, which NaN fails as inf
+    does.  A slice's payload does not depend on its stack.  Raises
+    ``LinAlgError`` where the wrappers would, for any slice.
+    """
+    if not np.isfinite(hms).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    e1 = _eye(hms.shape[-1])[0]
+    out = []
+    with np.errstate(call=_linalg_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        w, vt = _umath_linalg.eig(hms, signature="d->DD")
+        for i, real in enumerate((~w.imag.any(axis=-1)).tolist()):
+            d, s, t = (w[i].real, vt[i].real, "d") if real else (w[i], vt[i], "D")
+            s_inv_e1 = _umath_linalg.solve1(s, e1, signature=t + t + "->" + t)
+            sv = _umath_linalg.svd(s, signature=t + "->d")
+            out.append((bool(sv[0] / sv[-1] < 1e10), (d, s, s_inv_e1)))
+    return out
 
 
 @dataclass
@@ -151,19 +186,14 @@ class KrylovBasis:
         """Cached eigendecomposition of ``Hm`` (diagonalise once, O(m³)),
         so each evaluation costs O(m²) instead of a fresh Padé ``expm``.
         ``usable`` is False when the eigenvector matrix is ill-conditioned
-        (defective ``Hm``) and evaluations must fall back to Padé."""
+        (defective ``Hm``) and evaluations must fall back to Padé; the
+        payload is :func:`eig_payloads`' for a stack of one."""
         if self._eig is None:
-            usable = False
-            payload = None
             try:
-                d, s = np.linalg.eig(self.Hm)
-                s_inv_e1 = np.linalg.solve(s, np.eye(self.m)[:, 0])
-                cond = np.linalg.cond(s)
-                usable = np.isfinite(cond) and cond < 1e10
-                payload = (d, s, s_inv_e1)
+                (eig,) = eig_payloads(self.Hm[None])
             except np.linalg.LinAlgError:
-                pass
-            object.__setattr__(self, "_eig", (usable, payload))
+                eig = (False, None)
+            object.__setattr__(self, "_eig", eig)
         return self._eig
 
     def stacked(self, *rows: np.ndarray) -> np.ndarray:
@@ -310,22 +340,6 @@ class KrylovBasis:
         return Y[0], float(errs[0])
 
 
-#: Read-only identity cache for the m ≈ 10 Hessenberg blocks: np.eye in
-#: the per-iteration estimates was a visible slice of the build loop.
-_EYE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _eye(m: int) -> np.ndarray:
-    """Cached identity — callers must not mutate the returned array
-    (its last row doubles as the unit vector ``e_m``)."""
-    ident = _EYE_CACHE.get(m)
-    if ident is None:
-        ident = np.eye(m)
-        ident.setflags(write=False)
-        _EYE_CACHE[m] = ident
-    return ident
-
-
 class HessenbergFactors:
     """LU factors of one small Hessenberg block — factor once, solve many.
 
@@ -352,9 +366,10 @@ class HessenbergFactors:
     def __init__(self, h_square: np.ndarray):
         self.h_square = h_square
         self.m = h_square.shape[0]
-        lu, piv, _info = GETRF(h_square)
+        lu, piv, info = GETRF(h_square)
         self._factors = (lu, piv)
-        self.singular = bool((lu.diagonal() == 0.0).any())  # repro: allow[RPL005] exact zero pivot is the singularity sentinel
+        # getrf's info > 0 names the first exactly-zero pivot of U.
+        self.singular = info > 0
 
     def _shifted_factors(self):
         """Factors of the identity-shifted block (singular fallback)."""
@@ -450,14 +465,12 @@ class KrylovExpmOperator:
         return HessenbergFactors(h_square)
 
     def _estimate_terms(
-        self,
-        h: float,
-        H: np.ndarray,
-        beta: float,
-        factors: HessenbergFactors | None,
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
-        """The small matrix one posterior estimate exponentiates, and the
-        map from its exponential to the estimate.
+        self, h: float, H: np.ndarray, beta: float
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], float], np.ndarray, np.ndarray]:
+        """``(exponent, readout, heff, row)`` of one posterior test: the
+        small matrix the estimate exponentiates, the map from its
+        exponential to the estimate, and the subspace's effective
+        exponent and error row.
 
         Default: ``β |h_{m+1,m} · e_m^T H⁻¹ exp(h·Hm) e_1|``, the
         regularization-free specialisation of Eqs. (8)/(10): the leading
@@ -478,11 +491,10 @@ class KrylovExpmOperator:
         m = H.shape[1]
         h_next = float(H[m, m - 1])
         h_square = H[:m, :m]
-        if factors is None:
-            factors = self._hess_factors(h_square)
+        factors = self._hess_factors(h_square)
         row = self._error_row(h_square, factors=factors)
         heff = self.effective_hm(h_square, factors=factors)
-        return h * heff, lambda r: beta * abs(h_next * float(row @ r[:, 0].copy()))
+        return h * heff, (lambda r: beta * abs(h_next * float(row @ r[:, 0].copy()))), heff, row
 
     # -- shared machinery --------------------------------------------------------
 
@@ -502,8 +514,12 @@ class KrylovExpmOperator:
         return self._lu.factor_seconds
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """One Arnoldi operator application: ``X1⁻¹ (X2 v)``."""
-        return self._lu.solve(self._x2 @ v)
+        """One Arnoldi operator application: ``X1⁻¹ (X2 v)``, with ``X2 v``
+        the ``csc_matvec`` call SciPy's ``@`` makes, minus its dispatch."""
+        x2 = self._x2
+        w = np.zeros(x2.shape[0])
+        _sparsetools.csc_matvec(*x2.shape, x2.indptr, x2.indices, x2.data, v, w)
+        return self._lu.solve(w)
 
     def apply_block(self, V: np.ndarray) -> np.ndarray:
         """Batched operator application over a dense ``(n, k)`` block.
@@ -517,59 +533,42 @@ class KrylovExpmOperator:
         accumulation order per column at any batch width.  This is the
         primitive the lockstep Arnoldi builds on.
         """
-        return self._lu.solve_many(self._x2 @ V)
+        x2, k = self._x2, V.shape[1]
+        W = np.zeros((x2.shape[0], k))
+        _sparsetools.csc_matvecs(*x2.shape, k, x2.indptr, x2.indices, x2.data, V.ravel(), W.ravel())
+        return self._lu.solve_many(W)
 
-    def error_estimates(
-        self,
-        hs: list[float],
-        Hs: list[np.ndarray],
-        betas: list[float],
-        factors: list[HessenbergFactors | None] | None = None,
-    ) -> list[float]:
-        """Posterior errors of several subspaces of one dimension ``m``.
+    def posterior_tests(
+        self, hs: list[float], Hs: list[np.ndarray], betas: list[float]
+    ) -> list[tuple[float, np.ndarray | None, np.ndarray | None]]:
+        """Posterior tests ``(estimate, heff, row)`` of several subspaces
+        of one dimension ``m``: what a basis finished there keeps.
 
         Column ``k`` is the ``(m+1) × m`` Hessenberg block ``Hs[k]``
-        tested at step ``hs[k]``; the small exponentials — the bulk of
-        an estimate — go through one stacked :func:`expm`.  A column's
-        value does not depend on its companions.  ``inf`` means "not
-        converged": an exactly singular block (no ``e_m^T H⁻¹`` row), or
-        a non-finite value — a spurious positive Ritz value (oblique
-        projection artefact, possible mid-iteration on RLC systems)
-        overflows the small exponential, and Arnoldi must keep going.
+        tested at step ``hs[k]``; the small exponentials — the bulk of a
+        test — go through one stacked :func:`expm`, and a column's result
+        does not depend on its companions.  ``inf`` means "not
+        converged": an exactly singular block (no ``e_m^T H⁻¹`` row, so
+        ``heff`` and ``row`` are ``None``), or a non-finite value — a
+        spurious positive Ritz value (oblique projection artefact,
+        possible mid-iteration on RLC systems) overflows the small
+        exponential, and Arnoldi must keep going.
         """
-        n_cols = len(Hs)
-        if factors is None:
-            factors = [None] * n_cols
-        ests = [np.inf] * n_cols
-        live, exponents, readouts = [], [], []
+        tests: list[tuple] = [(np.inf, None, None)] * len(Hs)
+        live, exponents, terms = [], [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_cols):
+            for k, (h, H, beta) in enumerate(zip(hs, Hs, betas)):
                 try:
-                    exponent, readout = self._estimate_terms(
-                        hs[k], Hs[k], betas[k], factors[k]
-                    )
+                    exponent, *rest = self._estimate_terms(h, H, beta)
                 except np.linalg.LinAlgError:
                     continue
                 live.append(k)
                 exponents.append(exponent)
-                readouts.append(readout)
-            for k, readout, r in zip(live, readouts, _expm_each(exponents)):
-                if r is not None:
-                    est = readout(r)
-                    if np.isfinite(est):
-                        ests[k] = est
-        return ests
-
-    def error_estimate(
-        self,
-        h: float,
-        H: np.ndarray,
-        beta: float,
-        factors: HessenbergFactors | None = None,
-    ) -> float:
-        """Posterior error of the current subspace at step ``h`` — the
-        one-column call of :meth:`error_estimates`."""
-        return self.error_estimates([h], [H], [beta], [factors])[0]
+                terms.append(rest)
+            for k, (readout, heff, row), r in zip(live, terms, _expm_each(exponents)):
+                est = np.inf if r is None else readout(r)
+                tests[k] = (est if math.isfinite(est) else np.inf, heff, row)
+        return tests
 
     def _error_row(
         self,
@@ -662,12 +661,8 @@ class StandardKrylov(KrylovExpmOperator):
         return -H
 
     def _estimate_terms(
-        self,
-        h: float,
-        H: np.ndarray,
-        beta: float,
-        factors: HessenbergFactors | None,
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
+        self, h: float, H: np.ndarray, beta: float
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], float], np.ndarray, np.ndarray]:
         """Integrated (hump-aware) version of the Eq. (7) residual.
 
         On stiff circuits the point residual at τ = h underflows long
@@ -684,11 +679,13 @@ class StandardKrylov(KrylovExpmOperator):
         """
         m = H.shape[1]
         h_next = float(H[m, m - 1])
+        heff = self.effective_hm(H[:m, :m])
         # exp([[hH, h e1],[0, 0]]) has top-right column h·φ1(hH)·e1.
         aug = np.zeros((m + 1, m + 1))
-        aug[:m, :m] = h * self.effective_hm(H[:m, :m])
+        aug[:m, :m] = h * heff
         aug[0, m] = h
-        return aug, lambda r: beta * abs(h_next) * abs(r[m - 1, m])
+        row = self._error_row(H[:m, :m])
+        return aug, (lambda r: beta * abs(h_next) * abs(r[m - 1, m])), heff, row
 
     def _error_row(
         self,

@@ -213,18 +213,20 @@ class TriangularFactors:
         This is the arithmetic definition of a pair: the block sweep
         reproduces it bit-for-bit per column.
         """
-        w = np.ascontiguousarray(b[self._take_in], dtype=np.float64)
+        # ``b`` is a float64 vector (``SparseLU.solve`` converts), so the
+        # gather is the kernel's contiguous float64 input as it stands.
         x, info = _superlu.gstrs(
             "N",
             self.n, self._L_nnz, self._L_data, self._L_indices, self._L_indptr,
             self.n, self._U_nnz, self._U_data, self._U_indices, self._U_indptr,
-            w,
+            b[self._take_in],
         )
         if info != 0:  # pragma: no cover - factors are nonsingular
             raise TriangularExportError(f"gstrs failed with info={info}")
         # Divergent consumers (e.g. forward Euler past its stability
-        # limit) legitimately push inf through here; SuperLU's C solve
-        # is silent about it, so the kernel is too.
+        # limit) legitimately push inf through here, and a huge finite
+        # entry overflows in the D⁻¹ scaling; SuperLU's C solve is silent
+        # about both, so the kernel is too.
         with np.errstate(over="ignore", invalid="ignore"):
             return x[self._take_out] * self._invd_out
 

@@ -245,13 +245,14 @@ class SimulationPlan:
                 "solution, no transient nodes are needed"
             )
         gts = tuple(self.system.global_transition_spots(self.t_end))
+        grid = build_schedule(self.system, self.t_end, global_points=gts).points
         schedules = tuple(
             build_schedule(
                 self.system,
                 self.t_end,
                 local_inputs=g.input_columns,
-                global_points=gts,
                 waveform_overrides=g.overrides_dict() or None,
+                grid=grid,
             )
             for g in groups
         )

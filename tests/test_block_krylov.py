@@ -142,6 +142,11 @@ def reference_estimate(op, h, H, beta):
     return beta * abs(h_next * (inv[m - 1] @ sla.expm(h * heff)[:, 0]))
 
 
+def estimates(op, hs, Hs, betas):
+    """The posterior estimates of one batch of tests."""
+    return [test[0] for test in op.posterior_tests(hs, Hs, betas)]
+
+
 class TestFastEstimator:
     @pytest.mark.parametrize("method", METHODS)
     def test_estimates_bitwise(self, method):
@@ -160,13 +165,13 @@ class TestFastEstimator:
                 H[m, m - 1] = abs(H[m, m - 1]) + 0.1
                 Hs.append(H)
             alone = [
-                [op.error_estimate(h, H, beta) for h in steps] for H in Hs
+                [estimates(op, [h], [H], [beta])[0] for h in steps] for H in Hs
             ]
             for k, h in enumerate(steps):
-                batch = op.error_estimates([h] * 3, Hs, [beta] * 3)
+                batch = estimates(op, [h] * 3, Hs, [beta] * 3)
                 assert batch == [alone[i][k] for i in range(3)]
                 # Mixed steps and a reversed order change nothing either.
-                mixed = op.error_estimates(steps[::-1], Hs[::-1], [beta] * 3)
+                mixed = estimates(op, steps[::-1], Hs[::-1], [beta] * 3)
                 assert mixed == [alone[2 - i][2 - i] for i in range(3)]
             for i, H in enumerate(Hs):
                 for k, h in enumerate(steps):
@@ -189,10 +194,10 @@ class TestFastEstimator:
         unstable = -(1e15 if method == "standard" else 1e-15) * good
         unstable[m, m - 1] = 1.0
         h, beta = 1e-9, 1.0
-        alone = op.error_estimate(h, good, beta)
+        (alone,) = estimates(op, [h], [good], [beta])
         assert np.isfinite(alone)
-        ests = op.error_estimates(
-            [h] * 4, [singular, good, unstable, good], [beta] * 4
+        ests = estimates(
+            op, [h] * 4, [singular, good, unstable, good], [beta] * 4
         )
         assert ests[1] == ests[3] == alone
         assert ests[2] == np.inf
