@@ -1,9 +1,8 @@
 """Traditional integrators MATEX is compared against.
 
-Each baseline is a strategy object registered in the
-:mod:`repro.engine` integrator registry (``"tr"``, ``"be"``, ``"fe"``,
-``"tr-adaptive"``); the ``simulate_*`` functions remain as thin
-conveniences over the classes.
+Fixed-step trapezoidal and backward Euler, adaptive trapezoidal, and the
+accuracy references; the ``simulate_*`` functions are thin conveniences
+over the classes.
 """
 
 from repro.baselines.adaptive_tr import (
@@ -18,10 +17,6 @@ from repro.baselines.fixed_step import (
     FixedStepImplicitIntegrator,
     dc_operating_point,
 )
-from repro.baselines.forward_euler import (
-    ForwardEulerIntegrator,
-    simulate_forward_euler,
-)
 from repro.baselines.reference import reference_backward_euler, reference_exact
 from repro.baselines.trapezoidal import (
     TrapezoidalIntegrator,
@@ -32,13 +27,11 @@ __all__ = [
     "AdaptiveTrapezoidalIntegrator",
     "BackwardEulerIntegrator",
     "FixedStepImplicitIntegrator",
-    "ForwardEulerIntegrator",
     "TrapezoidalIntegrator",
     "dc_operating_point",
     "reference_backward_euler",
     "reference_exact",
     "simulate_adaptive_trapezoidal",
     "simulate_backward_euler",
-    "simulate_forward_euler",
     "simulate_trapezoidal",
 ]

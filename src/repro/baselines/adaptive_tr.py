@@ -18,9 +18,8 @@ Controller
 * factorisations are cached by step size — the controller typically
   bounces between a few sizes, and real implementations cache too.
 
-Registered in the integrator registry as ``"tr-adaptive"``.  The
-step-size *policy* lives in :class:`_LteController`; the accept/reject
-marching itself is the shared
+The step-size *policy* lives in :class:`_LteController`; the
+accept/reject marching itself is the shared
 :meth:`~repro.engine.loop.SteppingLoop.march_adaptive`.
 """
 
@@ -36,7 +35,6 @@ from repro.circuit.mna import MNASystem
 from repro.core.results import TransientResult
 from repro.core.stats import SolverStats
 from repro.engine.loop import SteppingLoop
-from repro.engine.registry import Integrator, register_integrator
 from repro.engine.sinks import ResultSink
 from repro.linalg.lu import SparseLU
 
@@ -174,9 +172,8 @@ class _LteController:
             self.good_streak = 0
 
 
-@register_integrator("tr-adaptive", "adaptive-tr", "tr-lte")
-class AdaptiveTrapezoidalIntegrator(Integrator):
-    """Adaptive-step TR strategy; see module docstring.
+class AdaptiveTrapezoidalIntegrator:
+    """Adaptive-step TR integrator; see module docstring.
 
     Parameters
     ----------

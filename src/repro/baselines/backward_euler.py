@@ -6,10 +6,8 @@ First-order A-stable (indeed L-stable) companion baseline::
 
 Its strong damping makes it the paper's accuracy *reference* when run at
 a tiny step (Table 1 uses BE at 0.05ps); see
-:mod:`repro.baselines.reference`.
-
-Registered in the integrator registry as ``"be"``; the marching loop is
-the shared :class:`~repro.engine.loop.SteppingLoop`.
+:mod:`repro.baselines.reference`.  The marching loop is the shared
+:class:`~repro.engine.loop.SteppingLoop`.
 """
 
 from __future__ import annotations
@@ -21,15 +19,13 @@ import numpy as np
 from repro.baselines.fixed_step import FixedStepImplicitIntegrator
 from repro.circuit.mna import MNASystem
 from repro.core.results import TransientResult
-from repro.engine.registry import register_integrator
 from repro.engine.sinks import ResultSink
 
 __all__ = ["BackwardEulerIntegrator", "simulate_backward_euler"]
 
 
-@register_integrator("be", "backward-euler", "be-fixed")
 class BackwardEulerIntegrator(FixedStepImplicitIntegrator):
-    """Fixed-step BE strategy; see module docstring."""
+    """Fixed-step BE integrator; see module docstring."""
 
     method_label = "be-fixed"
 

@@ -6,13 +6,11 @@ TAU power-grid-contest solvers that the paper benchmarks against
 (Sec. 2.1): ``N`` uniform steps cost ``N`` substitution pairs after one
 LU (paper Eq. 12's ``N·Tbs + Tserial``).
 
-Since the engine refactor the baselines are thin strategy objects: the
-subclass supplies the shifted left-hand side and the per-step right-hand
-side, the factorisation is served by the process-wide
+The subclass supplies the shifted left-hand side and the per-step
+right-hand side, the factorisation is served by the process-wide
 :data:`~repro.linalg.lu.FACTORIZATION_CACHE`, and the marching itself —
-recording, statistics, truncation — lives in the shared
-:class:`~repro.engine.loop.SteppingLoop`.  No baseline owns a stepping
-loop anymore.
+recording, statistics — lives in the shared
+:class:`~repro.engine.loop.SteppingLoop`.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from repro.circuit.mna import MNASystem
 from repro.core.results import TransientResult
 from repro.core.stats import SolverStats
 from repro.engine.loop import SteppingLoop
-from repro.engine.registry import Integrator
 from repro.engine.sinks import ResultSink
 from repro.linalg.lu import FACTORIZATION_CACHE, SparseLU
 
@@ -66,8 +63,8 @@ def select_record_indices(
     return np.array(sorted(idx))
 
 
-class FixedStepImplicitIntegrator(Integrator):
-    """Strategy base for one-LU fixed-step implicit schemes (TR, BE).
+class FixedStepImplicitIntegrator:
+    """Base for one-LU fixed-step implicit schemes (TR, BE).
 
     Parameters
     ----------
@@ -85,7 +82,6 @@ class FixedStepImplicitIntegrator(Integrator):
     """
 
     method_label: ClassVar[str] = "fixed"
-    needs_step_size = True
 
     def __init__(self, system: MNASystem, h: float):
         if h <= 0.0:

@@ -7,9 +7,7 @@ solvers in the 2012 TAU PG simulation contest" (Sec. 2.1): one LU of
     (C/h + G/2) x(t+h) = (C/h − G/2) x(t) + B (u(t) + u(t+h)) / 2
 
 Table 3 pits MATEX against this with ``h = 10ps`` over 1000 steps.
-
-Registered in the integrator registry as ``"tr"``; the marching loop is
-the shared :class:`~repro.engine.loop.SteppingLoop`.
+The marching loop is the shared :class:`~repro.engine.loop.SteppingLoop`.
 """
 
 from __future__ import annotations
@@ -21,15 +19,13 @@ import numpy as np
 from repro.baselines.fixed_step import FixedStepImplicitIntegrator
 from repro.circuit.mna import MNASystem
 from repro.core.results import TransientResult
-from repro.engine.registry import register_integrator
 from repro.engine.sinks import ResultSink
 
 __all__ = ["TrapezoidalIntegrator", "simulate_trapezoidal"]
 
 
-@register_integrator("tr", "trapezoidal", "tr-fixed")
 class TrapezoidalIntegrator(FixedStepImplicitIntegrator):
-    """Fixed-step TR strategy; see module docstring."""
+    """Fixed-step TR integrator; see module docstring."""
 
     method_label = "tr-fixed"
 

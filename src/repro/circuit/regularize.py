@@ -18,8 +18,8 @@ into the dynamic block yields the regularized ODE system
 
     Cd xd' = -(G11 − G12 G22⁻¹ G21) xd + (Bd − G12 G22⁻¹ Ba) u
 
-with non-singular ``Cd`` — exactly what MEXP (or forward Euler, or the
-dense oracle) needs.  :class:`RegularizedSystem` keeps the recovery map
+with non-singular ``Cd`` — exactly what MEXP (or the dense oracle)
+needs.  :class:`RegularizedSystem` keeps the recovery map
 so full-state trajectories can be reconstructed.
 
 The Schur complement ``G12 G22⁻¹ G21`` is formed explicitly; it is dense

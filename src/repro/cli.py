@@ -30,11 +30,10 @@ patterns, and ``--rom tol[:q_max]`` answers them from a rational-Krylov
 reduced-order model with a certified posterior bound and transparent
 per-scenario full-order fallback (:mod:`repro.rom`).
 
-``--method`` resolves through the :mod:`repro.engine` integrator
-registry — MATEX flavours (``r-matex``, ``i-matex``, ``mexp``) and the
-traditional baselines (``tr``, ``be``, ``fe`` with ``--h``;
-``tr-adaptive``) are all drop-ins.  ``--sink`` selects where the
-trajectory is recorded (``memory``, ``downsample:<stride>``,
+``--method`` is a key of :data:`METHODS`: the MATEX flavours
+(``r-matex``, ``i-matex``, ``mexp``) and the traditional baselines
+(``tr``, ``be`` with ``--h``; ``tr-adaptive``).  ``--sink`` selects
+where the trajectory is recorded (``memory``, ``downsample:<stride>``,
 ``npz:<path>`` for bounded-RAM streaming).
 
 Times accept SPICE suffixes (``10n``, ``50p``).  Output formats: ``.csv``
@@ -52,22 +51,36 @@ import numpy as np
 
 from repro.analysis.droop import droop_report
 from repro.analysis.lint.cli import add_lint_arguments, run_lint
-from repro.baselines.fixed_step import dc_operating_point
+from repro.baselines import (
+    AdaptiveTrapezoidalIntegrator,
+    BackwardEulerIntegrator,
+    TrapezoidalIntegrator,
+    dc_operating_point,
+)
 from repro.circuit.ingest import ingest_file
 from repro.circuit.mna import assemble
 from repro.circuit.parser import parse_file, parse_value
 from repro.core.options import SolverOptions
 from repro.core.results import TransientResult
+from repro.core.solver import MatexSolver
 from repro.dist.scheduler import MatexScheduler
-from repro.engine import (
-    NpzStreamSink,
-    available_integrators,
-    get_integrator,
-    make_sink,
-)
+from repro.engine import NpzStreamSink, make_sink
 from repro.linalg.lu import FACTORIZATION_CACHE, parse_byte_size
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "METHODS"]
+
+#: ``--method`` spelling -> (canonical name, MATEX Krylov flavour or
+#: baseline class, whether ``--h`` is required).
+METHODS = {
+    "r-matex": ("r-matex", "rational", False),
+    "rmatex": ("r-matex", "rational", False),
+    "i-matex": ("i-matex", "inverted", False),
+    "imatex": ("i-matex", "inverted", False),
+    "mexp": ("mexp", "standard", False),
+    "tr": ("tr", TrapezoidalIntegrator, True),
+    "be": ("be", BackwardEulerIntegrator, True),
+    "tr-adaptive": ("tr-adaptive", AdaptiveTrapezoidalIntegrator, False),
+}
 
 
 def _keyword_or_posint(value: str, keywords: tuple[str, ...], noun: str):
@@ -223,7 +236,8 @@ def _add_plan_options(
     p.add_argument("--t-end", default=None,
                    help="simulation horizon (SPICE suffixes ok); "
                         "defaults to the deck's .tran stop time")
-    p.add_argument("--method", default="r-matex",
+    p.add_argument("--method", default="r-matex", choices=METHODS,
+                   metavar="METHOD",
                    help="MATEX integrator (r-matex | i-matex | mexp)")
     p.add_argument("--gamma", default="1e-10",
                    help="rational-Krylov shift")
@@ -343,12 +357,10 @@ def _add_cache_options(p: argparse.ArgumentParser) -> None:
 def _add_sim_options(sim: argparse.ArgumentParser) -> None:
     """Simulation options shared by ``simulate`` and ``run``."""
     sim.add_argument(
-        "--method", default="r-matex",
-        help="integrator, resolved via the registry: "
-             + " | ".join(available_integrators())
-             + " (default r-matex; paper aliases like rmatex work too)")
+        "--method", default="r-matex", choices=METHODS, metavar="METHOD",
+        help="integrator: " + " | ".join(METHODS) + " (default r-matex)")
     sim.add_argument("--h", default=None,
-                     help="fixed step size for tr/be/fe (SPICE suffixes ok)")
+                     help="fixed step size for tr/be (SPICE suffixes ok)")
     sim.add_argument("--gamma", default="1e-10",
                      help="rational-Krylov shift")
     sim.add_argument("--eps", type=float, default=1e-7,
@@ -453,22 +465,22 @@ class _UsageError(Exception):
 def _resolve_plan(args):
     """Validate everything derivable from argv alone, before the load.
 
-    A streamed 100k-node deck takes seconds to minutes to ingest; an
-    unknown method, a contradictory flag combination or an unparseable
-    numeric option must fail before that work, not after.  Returns the
-    resolved ``(integrator_cls, matex_method)`` plan so the simulation
-    body never re-derives (and cannot drift from) these checks.
-    ``_UsageError`` exits with a usage message; ValueErrors raise
-    through ``main()``, as the seed tests assert.
+    A streamed 100k-node deck takes seconds to minutes to ingest; a
+    contradictory flag combination or an unparseable numeric option
+    must fail before that work, not after (argparse already rejected an
+    unknown ``--method``).  Returns the ``(name, runs)`` of the
+    :data:`METHODS` row so the simulation body never re-derives (and
+    cannot drift from) these checks.  ``_UsageError`` exits with a
+    usage message; ValueErrors raise through ``main()``, as the seed
+    tests assert.
     """
-    cls = get_integrator(args.method)  # unknown method raises here
-    matex_method = getattr(cls, "krylov_method", None)
+    name, runs, needs_h = METHODS[args.method]
     if args.batch != "off" and not args.distributed:
         raise _UsageError(
             f"--batch {args.batch} only applies to --distributed runs"
         )
     if args.distributed:
-        if matex_method is None:
+        if not isinstance(runs, str):
             raise ValueError(
                 f"--distributed needs a MATEX method (r-matex, i-matex, "
                 f"mexp), got {args.method!r}"
@@ -480,23 +492,21 @@ def _resolve_plan(args):
                 "in memory"
             )
     else:
-        needs_h = getattr(cls, "needs_step_size", False)
         if args.h is not None and not needs_h:
             raise ValueError(
-                f"integrator {cls.name!r} chooses its own time axis; "
-                f"--h only applies to fixed-grid methods "
-                f"(tr, be, fe)"
+                f"integrator {name!r} chooses its own time axis; "
+                f"--h only applies to fixed-grid methods (tr, be)"
             )
         if needs_h and args.h is None:
             raise ValueError(
-                f"integrator {cls.name!r} marches a fixed grid; "
+                f"integrator {name!r} marches a fixed grid; "
                 f"pass the step size with --h (e.g. --h 10p)"
             )
     # Numeric options fail on argv content, not after the deck load.
     for value in (args.gamma, args.h, args.vdd, args.t_end):
         if value is not None:
             parse_value(value)
-    return cls, matex_method
+    return name, runs
 
 
 def _cmd_simulate(args) -> int:
@@ -528,14 +538,14 @@ def _cmd_run(args) -> int:
 
 def _simulate_system(system, t_end: float, args, plan) -> int:
     """Run a :func:`_resolve_plan`-validated plan on a loaded system."""
-    cls, matex_method = plan
+    name, runs = plan
+    if isinstance(runs, str):  # a MATEX Krylov flavour
+        opts = SolverOptions(
+            method=runs, gamma=parse_value(args.gamma), eps_rel=args.eps,
+        )
 
     if args.distributed:
         sink = None
-        opts = SolverOptions(
-            method=matex_method, gamma=parse_value(args.gamma),
-            eps_rel=args.eps,
-        )
         dres = MatexScheduler(
             system, opts, decomposition=args.decomposition, batch=args.batch
         ).run(t_end)
@@ -546,16 +556,14 @@ def _simulate_system(system, t_end: float, args, plan) -> int:
               f"LU cache hits {dres.factor_cache_hits}")
     else:
         sink = make_sink(args.sink)
-        if matex_method is not None:
-            integrator = cls(
-                system, gamma=parse_value(args.gamma), eps_rel=args.eps
-            )
-        elif getattr(cls, "needs_step_size", False):
-            integrator = cls(system, parse_value(args.h))
+        if isinstance(runs, str):
+            integrator = MatexSolver(system, opts)
+        elif args.h is not None:  # fixed grid: _resolve_plan required --h
+            integrator = runs(system, parse_value(args.h))
         else:
-            integrator = cls(system)  # adaptive: owns its step policy
+            integrator = runs(system)  # adaptive: owns its step policy
         result = integrator.simulate(t_end, sink=sink)
-        print(f"single node [{cls.name}]: {result.stats.summary()}")
+        print(f"single node [{name}]: {result.stats.summary()}")
 
     if isinstance(sink, NpzStreamSink):
         print(f"states streamed to {sink.path}")
@@ -625,11 +633,11 @@ def _resolve_plan_options(args):
 
     Runs before the (potentially minutes-long) deck load and installs
     the ``--faults`` plan and the shm signal sweep.  Returns
-    ``(integrator_cls, rom_config, retry_policy)``.
+    ``(krylov_method, rom_config, retry_policy)``.
     """
     serving = args.command == "serve"
-    cls = get_integrator(args.method)
-    if getattr(cls, "krylov_method", None) is None:
+    _, method, _ = METHODS[args.method]
+    if not isinstance(method, str):
         raise _UsageError(
             f"{args.command} needs a MATEX method (r-matex, i-matex, "
             f"mexp), got {args.method!r}"
@@ -659,7 +667,7 @@ def _resolve_plan_options(args):
     from repro.dist.shm import install_signal_sweep
 
     install_signal_sweep()
-    return cls, rom_cfg, retry
+    return method, rom_cfg, retry
 
 
 def _cmd_sweep(args) -> int:
@@ -671,7 +679,7 @@ def _cmd_sweep(args) -> int:
     )
 
     source = _parse_scenario_source(args.scenarios)
-    cls, rom_cfg, retry = _resolve_plan_options(args)
+    method, rom_cfg, retry = _resolve_plan_options(args)
     if args.faults is not None:
         print(f"fault injection active: {args.faults}")
     system, t_end = _ingest(args)
@@ -687,7 +695,7 @@ def _cmd_sweep(args) -> int:
           f"{', ...' if len(scenarios) > 4 else ''})")
 
     opts = SolverOptions(
-        method=cls.krylov_method, gamma=parse_value(args.gamma),
+        method=method, gamma=parse_value(args.gamma),
         eps_rel=args.eps,
     )
     plan = SimulationPlan(
@@ -765,7 +773,7 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import PlanServer, ServeConfig
 
-    cls, rom_cfg, retry = _resolve_plan_options(args)
+    method, rom_cfg, retry = _resolve_plan_options(args)
     try:
         config = ServeConfig(
             socket_path=str(args.socket),
@@ -782,7 +790,7 @@ def _cmd_serve(args) -> int:
         args.plan_name,
         args.netlist,
         t_end=parse_value(args.t_end) if args.t_end is not None else None,
-        method=cls.krylov_method,
+        method=method,
         gamma=parse_value(args.gamma),
         eps_rel=args.eps,
         decomposition=args.decomposition,

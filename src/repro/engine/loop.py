@@ -6,7 +6,7 @@ steps, time the transient part — for both axis shapes:
 
 * :meth:`march_grid` — a fixed sequence of points (a uniform baseline
   grid); the strategy supplies one ``advance`` callback producing the
-  next state (or ``None`` to truncate, e.g. explicit-Euler divergence);
+  next state;
 * :meth:`march_adaptive` — a controller-driven axis with step
   acceptance/rejection (adaptive trapezoidal); the loop owns the
   accept/reject bookkeeping and recording, the controller owns the
@@ -36,8 +36,8 @@ from repro.engine.sinks import MemorySink, ResultSink
 
 __all__ = ["SteppingLoop", "StepController"]
 
-#: advance(i, t, t_next, x) -> next state, or None to truncate the run.
-AdvanceFn = Callable[[int, float, float, np.ndarray], "np.ndarray | None"]
+#: advance(i, t, t_next, x) -> next state.
+AdvanceFn = Callable[[int, float, float, np.ndarray], np.ndarray]
 
 
 class StepController(Protocol):
@@ -100,9 +100,7 @@ class SteppingLoop:
         x0:
             State at ``points[0]``.
         advance:
-            ``advance(i, t, t_next, x) -> x_next``; returning ``None``
-            truncates the run at the last accepted point (explicit
-            instability).
+            ``advance(i, t, t_next, x) -> x_next``.
         record:
             Indices of ``points`` to hand to the sink (``None`` = all).
             Index 0 and the final point should normally be included;
@@ -127,10 +125,7 @@ class SteppingLoop:
             t, t_next = pts[i], pts[i + 1]
             if t_next - t > 0.0:
                 self.stats.n_steps += 1
-                x_new = advance(i, t, t_next, x)
-                if x_new is None:
-                    break  # truncate where the strategy gave up
-                x = x_new
+                x = advance(i, t, t_next, x)
             if keep is None or (i + 1) in keep:
                 self.sink.append(t_next, x)
         self.stats.transient_seconds += time.perf_counter() - t_loop

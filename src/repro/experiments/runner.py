@@ -41,16 +41,9 @@ EXPERIMENTS = {
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro.engine import available_integrators
-
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner",
         description="Regenerate the MATEX paper's tables and figure.",
-        epilog=(
-            "Integrators compared by the tables are resolved through the "
-            "repro.engine registry: "
-            + ", ".join(available_integrators())
-        ),
     )
     parser.add_argument(
         "experiment",

@@ -223,10 +223,10 @@ class TriangularFactors:
         )
         if info != 0:  # pragma: no cover - factors are nonsingular
             raise TriangularExportError(f"gstrs failed with info={info}")
-        # Divergent consumers (e.g. forward Euler past its stability
-        # limit) legitimately push inf through here, and a huge finite
-        # entry overflows in the D⁻¹ scaling; SuperLU's C solve is silent
-        # about both, so the kernel is too.
+        # Non-finite input columns legitimately push inf/nan through
+        # here, and a huge finite entry overflows in the D⁻¹ scaling;
+        # SuperLU's C solve is silent about both, so the kernel is too
+        # (test_triangular.py::test_nonfinite_columns_do_not_leak).
         with np.errstate(over="ignore", invalid="ignore"):
             return x[self._take_out] * self._invd_out
 

@@ -3,7 +3,7 @@
 from repro.pdn.grid import PdnConfig, generate_power_grid
 from repro.pdn.ibmpg import synthesize_ibmpg
 from repro.pdn.rc_mesh import mesh_node, stiff_rc_mesh
-from repro.pdn.scenarios import corner_scenarios, load_pattern_scenarios
+from repro.pdn.scenarios import load_pattern_scenarios
 from repro.pdn.stiffness import eigenvalue_extremes, stiffness
 from repro.pdn.suite import SUITE, SuiteCase, build_case, build_netlist, case_names
 from repro.pdn.workloads import WorkloadSpec, attach_pulse_loads, make_bump_library
@@ -17,7 +17,6 @@ __all__ = [
     "build_case",
     "build_netlist",
     "case_names",
-    "corner_scenarios",
     "eigenvalue_extremes",
     "generate_power_grid",
     "load_pattern_scenarios",

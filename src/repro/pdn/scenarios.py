@@ -22,7 +22,7 @@ import numpy as np
 from repro.circuit.mna import MNASystem
 from repro.plan.scenario import Scenario
 
-__all__ = ["load_pattern_scenarios", "corner_scenarios"]
+__all__ = ["load_pattern_scenarios"]
 
 
 def _varying_load_columns(system: MNASystem) -> list[int]:
@@ -78,33 +78,3 @@ def load_pattern_scenarios(
         )
     return scenarios
 
-
-def corner_scenarios(
-    system: MNASystem,
-    deratings: tuple[float, ...] = (0.5, 0.8, 1.0, 1.2, 1.5),
-) -> list[Scenario]:
-    """Uniform activity-corner scenarios (every load scaled alike).
-
-    The classic sign-off sweep: bound the rail droop across global
-    activity corners.  ``1.0`` produces the baseline scenario (executed
-    from the plan's own pre-computed DC state).
-    """
-    cols = _varying_load_columns(system)
-    if not cols:
-        raise ValueError(
-            "system has no varying load-current inputs to rescale"
-        )
-    scenarios = []
-    for d in deratings:
-        if d <= 0.0:
-            raise ValueError(f"derating factors must be positive, got {d}")
-        if d == 1.0:  # repro: allow[RPL005] derating exactly 1.0 means the untouched nominal corner
-            scenarios.append(Scenario(name="corner-nominal"))
-        else:
-            scenarios.append(
-                Scenario(
-                    name=f"corner-{d:g}x",
-                    scales={c: float(d) for c in cols},
-                )
-            )
-    return scenarios

@@ -193,14 +193,6 @@ class ReducedModel:
         """Distinct base input shapes ``r`` (rows equal up to amplitude)."""
         return int(self.shapes.shape[0])
 
-    @property
-    def tables(self) -> dict:
-        """``h -> (a, b, c)`` view of the stacked propagators."""
-        return {
-            float(h): tuple(self.propagators[:, k])
-            for k, h in enumerate(self.widths)
-        }
-
     def resident_bytes(self) -> int:
         """Bytes pinned by the model's dense operators and tables."""
         return int(sum(

@@ -1,17 +1,17 @@
-"""Unit tests for the fixed-step baselines (TR, BE, FE) and references."""
+"""Unit tests for the fixed-step baselines (TR, BE) and references."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
+    TrapezoidalIntegrator,
     dc_operating_point,
     reference_backward_euler,
     reference_exact,
     simulate_backward_euler,
-    simulate_forward_euler,
     simulate_trapezoidal,
 )
-from repro.linalg import FactorizationError, exact_transient
+from repro.linalg import exact_transient
 
 
 def max_err_vs_exact(result, system, t_end):
@@ -68,6 +68,15 @@ class TestTrapezoidal:
         res = simulate_trapezoidal(small_pdn_system, 1e-11, 1e-9)
         assert np.all(np.isfinite(res.states))
 
+    def test_reused_instance_reports_factor_time_once(self, mesh_system):
+        """A reused integrator must not re-bill factorisation wall time."""
+        tr = TrapezoidalIntegrator(mesh_system, 1e-11)
+        x0 = np.zeros(mesh_system.dim)
+        first = tr.simulate(1e-9, x0=x0)
+        second = tr.simulate(1e-9, x0=x0)
+        assert first.stats.factor_seconds >= 0.0
+        assert second.stats.factor_seconds == 0.0  # nothing was factored
+
 
 class TestBackwardEuler:
     def test_accuracy_first_order(self, mesh_system):
@@ -90,24 +99,6 @@ class TestBackwardEuler:
     def test_reference_wrapper_label(self, mesh_system):
         ref = reference_backward_euler(mesh_system, 1e-10, 1e-12)
         assert ref.method == "reference-be"
-
-
-class TestForwardEuler:
-    def test_diverges_beyond_stability_limit(self, mesh_system):
-        res = simulate_forward_euler(mesh_system, 1e-12, 1e-9,
-                                     x0=np.zeros(mesh_system.dim))
-        assert res.times[-1] < 1e-9  # truncated at divergence
-
-    def test_stable_at_tiny_step(self, rc_ladder_system):
-        # lam_max of the ladder is ~1e13 1/s: h = 1e-15 is safely inside.
-        res = simulate_forward_euler(rc_ladder_system, 1e-15, 2e-13,
-                                     x0=np.zeros(rc_ladder_system.dim))
-        assert res.times[-1] == pytest.approx(2e-13)
-        assert np.all(np.isfinite(res.states))
-
-    def test_singular_c_rejected(self, small_pdn_system):
-        with pytest.raises(FactorizationError, match="non-singular C"):
-            simulate_forward_euler(small_pdn_system, 1e-15, 1e-13)
 
 
 class TestDcAndExactReference:

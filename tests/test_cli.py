@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import format_netlist
-from repro.cli import main
+from repro.cli import METHODS, main
 
 
 @pytest.fixture
@@ -109,6 +109,51 @@ class TestSimulate:
         a = np.loadtxt(single, delimiter=",", skiprows=1)
         b = np.loadtxt(dist, delimiter=",", skiprows=1)
         assert np.allclose(a, b, atol=1e-6)
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--method", "rmatex"], "r-matex"),
+        (["--method", "imatex"], "i-matex"),
+        (["--method", "tr", "--h", "10p"], "tr"),
+        (["--method", "be", "--h", "10p"], "be"),
+        (["--method", "tr-adaptive"], "tr-adaptive"),
+    ])
+    def test_method_prints_canonical_name(self, deck, capsys, argv, name):
+        assert main(["simulate", str(deck), "--t-end", "500p", *argv]) == 0
+        assert f"single node [{name}]:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "missing.spice", "--t-end", "1n"],
+        ["run", "--netlist", "missing.spice"],
+        ["sweep", "--netlist", "missing.spice", "--scenarios", "random:2"],
+    ])
+    @pytest.mark.parametrize("method", ["rk4", "fe", "trapezoidal", "RMATEX"])
+    def test_unknown_method_exits_before_the_deck_opens(
+        self, capsys, command, method
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--method", method])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: {method!r}" in err
+        for spelling in METHODS:
+            assert spelling in err
+
+    @pytest.mark.parametrize("method", ["tr", "be"])
+    def test_fixed_grid_methods_need_h(self, method):
+        with pytest.raises(ValueError, match="pass the step size with --h"):
+            main(["simulate", "missing.spice", "--t-end", "1n",
+                  "--method", method])
+
+    @pytest.mark.parametrize("method", ["r-matex", "tr-adaptive"])
+    def test_h_rejected_for_own_time_axis(self, method):
+        with pytest.raises(ValueError, match="chooses its own time axis"):
+            main(["simulate", "missing.spice", "--t-end", "1n",
+                  "--method", method, "--h", "10p"])
+
+    def test_distributed_baseline_rejected(self):
+        with pytest.raises(ValueError, match="needs a MATEX method"):
+            main(["simulate", "missing.spice", "--t-end", "1n",
+                  "--distributed", "--method", "tr", "--h", "10p"])
 
 
 class TestRun:
@@ -274,6 +319,20 @@ class TestSweep:
         assert main(["sweep", "--netlist", str(ibmpg_deck),
                      "--scenarios", "random:2", "--method", "tr"]) == 2
         assert "MATEX method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--scenarios", "random:2"],
+        ["serve", "--socket", "unused.sock"],
+    ])
+    @pytest.mark.parametrize("method", ["be", "tr-adaptive"])
+    def test_baseline_method_is_usage_error_before_the_deck_opens(
+        self, capsys, command, method
+    ):
+        assert main([*command, "--netlist", "missing.spice",
+                     "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert "MATEX method" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", [
         ["--retries", "2"], ["--job-timeout", "30"], ["--backoff", "0.1"],

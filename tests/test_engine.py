@@ -1,145 +1,18 @@
-"""Tests for the integrator engine: registry, sinks, stepping loop.
-
-The bit-for-bit tests pin the refactor contract: resolving an
-integrator through the registry must produce *exactly* the trajectory
-of the long-standing ``simulate_*`` / ``MatexSolver`` entry points —
-same arithmetic, same order, no drift.
-"""
+"""Tests for the integrator engine: sinks and the stepping loop."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    simulate_adaptive_trapezoidal,
-    simulate_backward_euler,
-    simulate_forward_euler,
-    simulate_trapezoidal,
-)
+from repro.baselines import simulate_trapezoidal
 from repro.core import MatexSolver, SolverOptions
 from repro.engine import (
     DownsamplingSink,
     MemorySink,
     NpzStreamSink,
     SteppingLoop,
-    available_integrators,
-    get_integrator,
-    integrator_aliases,
     make_sink,
 )
 from repro.core.stats import SolverStats
-
-
-class TestRegistry:
-    def test_all_integrators_registered(self):
-        names = available_integrators()
-        for expected in ("r-matex", "i-matex", "mexp", "tr", "be", "fe",
-                         "tr-adaptive"):
-            assert expected in names
-
-    def test_unknown_name_lists_registered(self):
-        with pytest.raises(ValueError) as exc:
-            get_integrator("rk4")
-        message = str(exc.value)
-        assert "registered integrators" in message
-        for name in available_integrators():
-            assert name in message
-
-    def test_paper_aliases_resolve(self):
-        assert get_integrator("rmatex") is get_integrator("r-matex")
-        assert get_integrator("imatex") is get_integrator("i-matex")
-        assert get_integrator("standard") is get_integrator("mexp")
-        assert get_integrator("trapezoidal") is get_integrator("tr")
-        assert get_integrator("BE-Fixed") is get_integrator("be")
-
-    def test_alias_map_covers_canonicals(self):
-        aliases = integrator_aliases()
-        for name in available_integrators():
-            assert aliases[name] == name
-
-    def test_name_attribute_set(self):
-        assert get_integrator("tr").name == "tr"
-        assert get_integrator("adaptive-tr").name == "tr-adaptive"
-
-
-class TestBitForBitParity:
-    """Registry strategies reproduce the legacy entry points exactly."""
-
-    def test_tr_matches_wrapper(self, mesh_system):
-        x0 = np.zeros(mesh_system.dim)
-        legacy = simulate_trapezoidal(mesh_system, 1e-11, 1e-9, x0=x0)
-        via_registry = get_integrator("tr")(mesh_system, 1e-11).simulate(
-            1e-9, x0=x0
-        )
-        np.testing.assert_array_equal(via_registry.states, legacy.states)
-        np.testing.assert_array_equal(via_registry.times, legacy.times)
-        assert via_registry.method == legacy.method == "tr-fixed"
-
-    def test_be_matches_wrapper(self, mesh_system):
-        x0 = np.zeros(mesh_system.dim)
-        legacy = simulate_backward_euler(mesh_system, 2e-12, 1e-10, x0=x0)
-        via_registry = get_integrator("be")(mesh_system, 2e-12).simulate(
-            1e-10, x0=x0
-        )
-        np.testing.assert_array_equal(via_registry.states, legacy.states)
-
-    def test_fe_matches_wrapper(self, rc_ladder_system):
-        x0 = np.zeros(rc_ladder_system.dim)
-        legacy = simulate_forward_euler(rc_ladder_system, 1e-15, 2e-13, x0=x0)
-        via_registry = get_integrator("fe")(
-            rc_ladder_system, 1e-15
-        ).simulate(2e-13, x0=x0)
-        np.testing.assert_array_equal(via_registry.states, legacy.states)
-        np.testing.assert_array_equal(via_registry.times, legacy.times)
-
-    def test_adaptive_tr_matches_wrapper(self, mesh_system):
-        x0 = np.zeros(mesh_system.dim)
-        legacy = simulate_adaptive_trapezoidal(
-            mesh_system, 1e-9, tol=1e-5, x0=x0
-        )
-        via_registry = get_integrator("tr-adaptive")(
-            mesh_system, tol=1e-5
-        ).simulate(1e-9, x0=x0)
-        np.testing.assert_array_equal(via_registry.states, legacy.states)
-        np.testing.assert_array_equal(via_registry.times, legacy.times)
-        assert (via_registry.stats.n_krylov_bases
-                == legacy.stats.n_krylov_bases)
-
-    @pytest.mark.parametrize("name,method", [
-        ("r-matex", "rational"),
-        ("i-matex", "inverted"),
-        ("mexp", "standard"),
-    ])
-    def test_matex_flavours_match_solver(self, name, method, mesh_system):
-        x0 = np.zeros(mesh_system.dim)
-        opts = SolverOptions(method=method, gamma=1e-10, eps_rel=1e-8)
-        legacy = MatexSolver(mesh_system, opts).simulate(1e-9, x0=x0)
-        via_registry = get_integrator(name)(
-            mesh_system, gamma=1e-10, eps_rel=1e-8
-        ).simulate(1e-9, x0=x0)
-        np.testing.assert_array_equal(via_registry.states, legacy.states)
-        assert via_registry.method == legacy.method
-
-    def test_reused_instance_reports_factor_time_once(self, mesh_system):
-        """A reused integrator must not re-bill factorisation wall time."""
-        tr = get_integrator("tr")(mesh_system, 1e-11)
-        x0 = np.zeros(mesh_system.dim)
-        first = tr.simulate(1e-9, x0=x0)
-        second = tr.simulate(1e-9, x0=x0)
-        assert first.stats.factor_seconds >= 0.0
-        assert second.stats.factor_seconds == 0.0  # nothing was factored
-
-    def test_matex_accepts_full_options(self, mesh_system):
-        # A SolverOptions with the "wrong" method is overridden by the
-        # strategy's pinned flavour.
-        opts = SolverOptions(method="standard", gamma=1e-10)
-        solver = get_integrator("r-matex")(mesh_system, options=opts)
-        assert solver.options.method == "rational"
-
-    def test_matex_rejects_options_plus_fields(self, mesh_system):
-        opts = SolverOptions(method="rational", gamma=1e-10)
-        with pytest.raises(TypeError, match="not both"):
-            get_integrator("r-matex")(mesh_system, options=opts,
-                                      eps_rel=1e-9)
 
 
 class TestSinks:
@@ -249,22 +122,6 @@ class TestSinks:
 
 
 class TestSteppingLoop:
-    def test_grid_truncation_on_none(self):
-        stats = SolverStats()
-        loop = SteppingLoop(1, stats)
-
-        def advance(i, t, t_next, x):
-            if i == 2:
-                return None  # give up on the third step
-            return x + 1.0
-
-        times, states = loop.march_grid(
-            np.arange(5.0), np.zeros(1), advance
-        )
-        np.testing.assert_array_equal(times, [0.0, 1.0, 2.0])
-        assert states[-1][0] == 2.0
-        assert stats.n_steps == 3  # the failed attempt is still counted
-
     def test_grid_zero_length_interval_recorded(self):
         stats = SolverStats()
         loop = SteppingLoop(1, stats)

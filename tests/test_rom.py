@@ -336,7 +336,11 @@ def dense_complex_answer(model, U):
     X = (model.X[0::2] - 1j * model.X[1::2]).T
     lift_v = model.Vt.T.astype(complex) @ X
     lift_z = model.Zt.T @ X
-    tables, grid = model.tables, model.grid
+    tables = {
+        float(h): tuple(model.propagators[:, k])
+        for k, h in enumerate(model.widths)
+    }
+    grid = model.grid
 
     Ut = U - U[:, :1]
     qs = W @ Ut
@@ -546,7 +550,7 @@ class TestModelInternals:
             mesh_system, OPTS, T_END, RomConfig()
         )
         widths = {float(w) for w in np.diff(model.grid)}
-        assert widths == set(model.tables)
+        assert widths == {float(h) for h in model.widths}
 
 
 #: The sweep bench's solver options (``bench/workloads.py``).

@@ -294,9 +294,9 @@ class TestParityBeyondTheRandomPencil:
     def test_nonfinite_columns_do_not_leak(self, pencil_lu, rng):
         """``inf``/``nan`` columns ride next to finite ones untouched.
 
-        Forward Euler past its stability limit pushes these through the
-        march; the finite columns keep their bytes, the others keep the
-        scalar path's values, and nothing warns.
+        Non-finite input columns reach the kernel as they are; the
+        finite columns keep their bytes, the others keep the scalar
+        path's values, and nothing warns.
         """
         n = pencil_lu.shape[0]
         block = rng.normal(size=(n, 5))
