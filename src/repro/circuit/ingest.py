@@ -9,7 +9,7 @@ through :func:`repro.circuit.parser.parse_file` would materialise one
 walked once by the stamper and thrown away.
 
 This module is the industrial-scale path: **one streaming pass** over
-the cards into compact columns, then a numpy assembly step — file to
+the cards into compact columns, then the one numpy MNA stamp — file to
 assembled :class:`MNASystem` with no per-element object list.
 
 * **Text pass** (:func:`_read`) tokenises each logical card once.  It
@@ -21,14 +21,12 @@ assembled :class:`MNASystem` with no per-element object list.
   lists).  Each card meets the object parser's checks in the object
   parser's order, so a bad deck fails on the line
   :func:`~repro.circuit.parser.parse_netlist` names.
-* **Assembly** (:func:`_assemble`) expands each kind's columns into
-  :func:`repro.circuit.mna.assemble`'s per-element stamp pattern
-  (ground entries masked out, order kept), offsets branch rows by the
-  final node count and concatenates the blocks in ``assemble()``'s
-  stamp order: resistors, voltage sources, inductors for ``G``;
-  capacitors, inductors for ``C``; current then voltage sources for
-  ``B``.  The triplet *sequence* — and therefore the duplicate-summation
-  order inside ``coo_matrix.tocsc`` — is the in-memory path's.
+* **Stamp**: the columns go to :func:`repro.circuit.mna.stamp`, the one
+  MNA stamp, which :func:`~repro.circuit.mna.assemble` also calls on a
+  lowered :class:`~repro.circuit.netlist.Netlist`.  Within each kind the
+  columns keep card order, so the triplet sequence — and therefore the
+  duplicate-summation order inside ``coo_matrix.tocsc`` — is the
+  in-memory path's.
 
 Consequently a deck written in element **insertion order**
 (``write_file(..., order="insertion")``) round-trips to an
@@ -63,11 +61,10 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.circuit.elements import GROUND_NAMES
-from repro.circuit.mna import MNASystem
-from repro.circuit.netlist import NetlistError, StreamedNetlist
+from repro.circuit.mna import MNASystem, stamp
+from repro.circuit.netlist import KIND_V, KINDS, Columns, StreamedNetlist
 from repro.circuit.parser import (
     ParseError,
     is_title_line,
@@ -79,11 +76,9 @@ from repro.circuit.waveforms import Waveform
 
 __all__ = ["IngestError", "IngestResult", "IngestStats", "ingest_file", "ingest_text"]
 
-_KINDS = ("r", "c", "l", "v", "i")
-_R, _C, _L, _V, _I, _OTHER = range(6)
-_KIND = {ch: k for k, kind in enumerate(_KINDS) for ch in (kind, kind.upper())}
+_OTHER = len(KINDS)
+_KIND = {ch: k for k, kind in enumerate(KINDS) for ch in (kind, kind.upper())}
 _NOUNS = ("resistor", "capacitor", "inductor")
-_INCIDENCE = (1.0, -1.0, 1.0, -1.0)
 
 
 class IngestError(ParseError):
@@ -95,8 +90,8 @@ class IngestStats:
     """Size and timing record of one streamed ingestion.
 
     ``scan_seconds`` is the text pass (read, tokenise, intern, parse
-    values); ``stamp_seconds`` is the array assembly, the CSC build and
-    the DC-connectivity check; ``parse_seconds`` is their sum.
+    values); ``stamp_seconds`` is the DC-connectivity check and the MNA
+    stamp into CSC matrices; ``parse_seconds`` is their sum.
     """
 
     n_cards: int = 0
@@ -146,10 +141,7 @@ class _Deck:
 
     title: str
     node_index: dict[str, int]
-    kinds: np.ndarray
-    pos: np.ndarray
-    neg: np.ndarray
-    values: np.ndarray  # R/C/L value; 0.0 for sources
+    columns: Columns
     currents: list[Waveform]
     vsources: list[Waveform]
     tran_step: float | None
@@ -183,7 +175,7 @@ def _read(lines: Iterable[str], default_title: str) -> _Deck:
     try:
         for lineno, line in cards:
             kind = _KIND.get(line[0], _OTHER)
-            if kind < _V:  # R/C/L: the value is the fourth token
+            if kind < KIND_V:  # R/C/L: the value is the fourth token
                 parts = line.split(None, 4)
                 if len(parts) < 4:
                     raise IngestError(f"line {lineno}: malformed card {line!r}")
@@ -217,7 +209,7 @@ def _read(lines: Iterable[str], default_title: str) -> _Deck:
                         f"(only R, C, L, V, I are in the PDN dialect)"
                     )
                 name, pos, neg, rest = parts
-                (vsources if kind == _V else currents).append(
+                (vsources if kind == KIND_V else currents).append(
                     parse_waveform(rest, lineno)
                 )
                 value = 0.0
@@ -248,10 +240,12 @@ def _read(lines: Iterable[str], default_title: str) -> _Deck:
     return _Deck(
         title=title,
         node_index=lookup,
-        kinds=np.frombuffer(kinds, dtype=np.int8),
-        pos=np.frombuffer(pos_col, dtype=np.int64),
-        neg=np.frombuffer(neg_col, dtype=np.int64),
-        values=np.frombuffer(values, dtype=np.float64),
+        columns=Columns(
+            kinds=np.frombuffer(kinds, dtype=np.int8),
+            pos=np.frombuffer(pos_col, dtype=np.int64),
+            neg=np.frombuffer(neg_col, dtype=np.int64),
+            values=np.frombuffer(values, dtype=np.float64),
+        ),
         currents=currents,
         vsources=vsources,
         tran_step=tran_step,
@@ -259,120 +253,25 @@ def _read(lines: Iterable[str], default_title: str) -> _Deck:
     )
 
 
-# -- assembly ----------------------------------------------------------------------
-
-
-def _triplets(rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Element-major stamp triplets, ground entries (-1) dropped in order.
-
-    Stamp ``k`` of every element is ``(rows[k], cols[k], vals[k])``; the
-    result lists element 0's stamps, then element 1's, exactly the
-    sequence of ``assemble()``'s per-element ``add`` calls.
-    """
-    n = len(rows[0])
-    r = np.stack(rows, axis=1).ravel()
-    c = np.stack(cols, axis=1).ravel()
-    v = np.stack([np.broadcast_to(x, (n,)) for x in vals], axis=1).ravel()
-    keep = (r >= 0) & (c >= 0)
-    return r[keep], c[keep], v[keep]
-
-
-def _csc(blocks, shape: tuple[int, int]) -> sp.csc_matrix:
-    """Concatenate triplet blocks (in stamp order) into one CSC matrix.
-
-    The concatenation order is the single thing that keeps duplicate
-    summation inside ``tocsc`` bit-identical to the in-memory
-    ``_Stamper``: both paths hand scipy the same triplet sequence.
-    """
-    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=float).tocsc()
-
-
-def _floating_nodes(deck: _Deck, n_nodes: int) -> np.ndarray:
-    """Rows with no R/L/V path to ground (slot ``n_nodes``), ascending."""
-    # Imported here: csgraph costs ~60 ms and ~1 MiB RSS at import, and
-    # every process that imports repro.circuit would pay it.
-    from scipy.sparse.csgraph import connected_components
-
-    dc =(deck.kinds != _C) & (deck.kinds != _I)
-    a = np.where(deck.pos[dc] < 0, n_nodes, deck.pos[dc])
-    b = np.where(deck.neg[dc] < 0, n_nodes, deck.neg[dc])
-    graph = sp.coo_matrix(
-        (np.ones(a.size), (a, b)), shape=(n_nodes + 1, n_nodes + 1)
-    )
-    _, labels = connected_components(graph, directed=False)
-    return np.flatnonzero(labels[:n_nodes] != labels[n_nodes])
+# -- stamp -------------------------------------------------------------------------
 
 
 def _assemble(deck: _Deck, validate: bool) -> tuple[MNASystem, IngestStats]:
-    kinds = deck.kinds
-    counts = dict(zip(_KINDS, np.bincount(kinds, minlength=len(_KINDS)).tolist()))
-    node_order = list(deck.node_index)
-    n = len(node_order)
-    n_vsrc, n_ind, n_cur = counts["v"], counts["l"], counts["i"]
-    dim = n + n_vsrc + n_ind
-
-    if validate:
-        if kinds.size == 0:
-            raise NetlistError("empty netlist")
-        if n == 0:
-            raise NetlistError("netlist has no non-ground nodes")
-        floating = _floating_nodes(deck, n)
-        if floating.size:
-            raise NetlistError(
-                f"{floating.size} node(s) have no DC path to ground, "
-                f"e.g. {[node_order[k] for k in floating[:5]]!r}; "
-                f"G would be singular"
-            )
-
-    def columns(kind: int):
-        sel = kinds == kind
-        return deck.pos[sel], deck.neg[sel], deck.values[sel]
-
-    i, j, res = columns(_R)
-    cond = 1.0 / res
-    g_res = _triplets((i, j, i, j), (i, j, j, i), (cond, cond, -cond, -cond))
-    i, j, cap = columns(_C)
-    c_cap = _triplets((i, j, i, j), (i, j, j, i), (cap, cap, -cap, -cap))
-    i, j, _ = columns(_V)
-    row = n + np.arange(n_vsrc, dtype=np.int64)
-    g_vsrc = _triplets((i, j, row, row), (row, row, i, j), _INCIDENCE)
-    b_vsrc = _triplets((row,), (n_cur + np.arange(n_vsrc, dtype=np.int64),), (1.0,))
-    i, j, ind = columns(_L)
-    row = n + n_vsrc + np.arange(n_ind, dtype=np.int64)
-    g_ind = _triplets((i, j, row, row), (row, row, i, j), _INCIDENCE)
-    c_ind = _triplets((row,), (row,), (-ind,))
-    i, j, _ = columns(_I)
-    col = np.arange(n_cur, dtype=np.int64)
-    b_cur = _triplets((i, j), (col, col), (-1.0, 1.0))
-
-    G = _csc([g_res, g_vsrc, g_ind], (dim, dim))
-    C = _csc([c_cap, c_ind], (dim, dim))
-    B = _csc([b_cur, b_vsrc], (dim, n_cur + n_vsrc))
-    system = MNASystem(
-        netlist=StreamedNetlist(
-            title=deck.title,
-            node_order=node_order,
-            node_index=deck.node_index,
-            counts=counts,
-        ),
-        C=C,
-        G=G,
-        B=B,
-        waveforms=tuple(deck.currents + deck.vsources),
-        n_current_inputs=n_cur,
-    )
+    kinds = deck.columns.kinds
+    counts = dict(zip(KINDS, np.bincount(kinds, minlength=len(KINDS)).tolist()))
+    view = StreamedNetlist(deck.title, deck.node_index, counts)
+    system = stamp(view, deck.columns, deck.currents + deck.vsources, validate)
     stats = IngestStats(
         n_cards=int(kinds.size),
-        n_nodes=n,
+        n_nodes=view.n_nodes,
         n_resistors=counts["r"],
         n_capacitors=counts["c"],
-        n_inductors=n_ind,
-        n_vsources=n_vsrc,
-        n_isources=n_cur,
-        dim=dim,
-        nnz_g=G.nnz,
-        nnz_c=C.nnz,
+        n_inductors=counts["l"],
+        n_vsources=counts["v"],
+        n_isources=counts["i"],
+        dim=system.dim,
+        nnz_g=system.G.nnz,
+        nnz_c=system.C.nnz,
         tran_step=deck.tran_step,
         tran_stop=deck.tran_stop,
     )
@@ -407,9 +306,7 @@ def ingest_file(
         (defaults to the filename stem, matching ``parse_file``).
     validate:
         When true (default), reject empty decks and nodes without a DC
-        path to ground, exactly like :meth:`Netlist.validate` — but via
-        one ``connected_components`` over the R/L/V edges instead of a
-        string-keyed BFS.
+        path to ground with the check :meth:`Netlist.validate` runs.
 
     Returns
     -------

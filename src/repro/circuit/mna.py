@@ -4,7 +4,7 @@ Builds the sparse descriptor system of paper Eq. (1)::
 
     C x'(t) = -G x(t) + B u(t)
 
-from a :class:`repro.circuit.netlist.Netlist`:
+from a circuit in :class:`~repro.circuit.netlist.Columns` form:
 
 * ``G`` — conductance matrix (resistors, source/inductor incidence),
 * ``C`` — capacitance/inductance matrix (possibly *singular*: nodes without
@@ -12,6 +12,12 @@ from a :class:`repro.circuit.netlist.Netlist`:
   explicitly regularization-free in this case, paper Sec. 3.3.3),
 * ``B`` — input selector mapping the stacked input vector
   ``u(t) = [i_loads..., v_supplies...]`` onto MNA rows.
+
+:func:`stamp` is the one stamp: :func:`assemble` lowers a
+:class:`~repro.circuit.netlist.Netlist` into columns and calls it, and
+the streaming deck ingester (:mod:`repro.circuit.ingest`) calls it on
+the columns of its text pass.  A deck written in element insertion order
+therefore yields byte-identical matrices on both paths.
 
 The input vector ordering is **current sources first** (insertion order),
 then voltage sources; :class:`MNASystem` carries the index maps and the
@@ -26,35 +32,16 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import (
+    KIND_C, KIND_I, KIND_L, KIND_R, KIND_V, Columns, Netlist, NodeView,
+)
 from repro.circuit.waveforms import Waveform, merge_transition_spots
 
-__all__ = ["MNASystem", "assemble"]
+__all__ = ["MNASystem", "assemble", "stamp"]
 
-
-class _Stamper:
-    """Accumulates COO triplets for one sparse matrix."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-
-    def add(self, i: int, j: int, v: float) -> None:
-        """Stamp ``v`` at ``(i, j)``; silently skips ground rows (-1)."""
-        if i < 0 or j < 0:
-            return
-        self.rows.append(i)
-        self.cols.append(j)
-        self.vals.append(v)
-
-    def build(self, n_cols: int | None = None) -> sp.csc_matrix:
-        shape = (self.dim, n_cols if n_cols is not None else self.dim)
-        m = sp.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=shape, dtype=float
-        )
-        return m.tocsc()
+#: Stamp pattern of a two-terminal branch row: KCL coupling of the branch
+#: current into its terminals, then the branch equation v(pos) - v(neg).
+_INCIDENCE = (1.0, -1.0, 1.0, -1.0)
 
 
 @dataclass
@@ -64,7 +51,10 @@ class MNASystem:
     Attributes
     ----------
     netlist:
-        The source circuit (kept for node names and reporting).
+        The source circuit's node view (node names and reporting): the
+        caller's :class:`Netlist` for :func:`assemble`, a
+        :class:`~repro.circuit.netlist.StreamedNetlist` for an ingested
+        deck.
     C, G:
         Square sparse matrices of dimension :attr:`dim`.
     B:
@@ -76,7 +66,7 @@ class MNASystem:
         Number of leading columns of ``B`` that are load currents.
     """
 
-    netlist: Netlist
+    netlist: NodeView
     C: sp.csc_matrix
     G: sp.csc_matrix
     B: sp.csc_matrix
@@ -105,26 +95,6 @@ class MNASystem:
         """Columns of ``B`` that correspond to supply-voltage sources."""
         return range(self.n_current_inputs, self.n_inputs)
 
-    def with_waveforms(self, overrides: dict[int, Waveform]) -> "MNASystem":
-        """A shallow derivative system with some input waveforms replaced.
-
-        Matrices (and therefore factorisations held elsewhere) are
-        shared; only the waveform tuple changes.  Used by the split-bump
-        decomposition, where one node simulates a *masked* version of a
-        source (a single bump of a periodic pulse, paper Fig. 3).
-        """
-        new_waveforms = list(self.waveforms)
-        for col, w in overrides.items():
-            if not 0 <= col < self.n_inputs:
-                raise IndexError(f"input column {col} out of range")
-            new_waveforms[col] = w
-        return MNASystem(
-            netlist=self.netlist,
-            C=self.C, G=self.G, B=self.B,
-            waveforms=tuple(new_waveforms),
-            n_current_inputs=self.n_current_inputs,
-        )
-
     def rebind_sources(
         self,
         overrides: dict[int, Waveform] | None = None,
@@ -137,6 +107,9 @@ class MNASystem:
         waveform tuple changes.  This is the binding step of the
         plan/compile/execute layering (:mod:`repro.plan`): one compiled
         topology serves many "same system, different sources" scenarios.
+        The split-bump decomposition binds its overrides the same way:
+        one node simulates a *masked* version of a source (a single bump
+        of a periodic pulse, paper Fig. 3).
 
         Parameters
         ----------
@@ -379,91 +352,99 @@ class MNASystem:
         }
 
 
+def _triplets(rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element-major stamp triplets, ground entries (-1) dropped in order.
+
+    Stamp ``k`` of every element is ``(rows[k], cols[k], vals[k])``; the
+    result lists element 0's stamps, then element 1's, and so on.
+    """
+    n = len(rows[0])
+    r = np.stack(rows, axis=1).ravel()
+    c = np.stack(cols, axis=1).ravel()
+    v = np.stack([np.broadcast_to(x, (n,)) for x in vals], axis=1).ravel()
+    keep = (r >= 0) & (c >= 0)
+    return r[keep], c[keep], v[keep]
+
+
+def _csc(blocks, shape: tuple[int, int]) -> sp.csc_matrix:
+    """Concatenate triplet blocks (in stamp order) into one CSC matrix.
+
+    The concatenation order fixes the duplicate-summation order inside
+    ``tocsc``, and with it the bits of every summed entry.
+    """
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=float).tocsc()
+
+
+def stamp(
+    view: NodeView,
+    cols: Columns,
+    waveforms: Sequence[Waveform],
+    validate: bool = True,
+) -> MNASystem:
+    """The one MNA stamp: a circuit's columns into its :class:`MNASystem`.
+
+    ``view`` counts ``cols`` and becomes the system's ``netlist``;
+    ``waveforms`` has one entry per input column, current sources first.
+    With ``validate``, :meth:`NodeView.validate_columns` runs first, so a
+    singular ``G`` is reported as a netlist problem, not an LU failure.
+    Each kind expands into its per-element stamp pattern (ground entries
+    dropped, order kept) and the blocks concatenate resistors, voltage
+    sources, inductors for ``G``; capacitors, inductors for ``C``;
+    current then voltage sources for ``B``.
+    """
+    if validate:
+        view.validate_columns(cols)
+    u = view.unknowns
+    n, n_vsrc, n_ind = u.n_nodes, u.n_vsrc, u.n_ind
+    n_cur = view.counts["i"]
+
+    def columns(kind: int):
+        sel = cols.kinds == kind
+        return cols.pos[sel], cols.neg[sel], cols.values[sel]
+
+    i, j, res = columns(KIND_R)
+    cond = 1.0 / res
+    g_res = _triplets((i, j, i, j), (i, j, j, i), (cond, cond, -cond, -cond))
+    i, j, cap = columns(KIND_C)
+    c_cap = _triplets((i, j, i, j), (i, j, j, i), (cap, cap, -cap, -cap))
+    # Voltage sources: branch rows after the node block, v(pos) - v(neg) = u.
+    i, j, _ = columns(KIND_V)
+    row = n + np.arange(n_vsrc, dtype=np.int64)
+    g_vsrc = _triplets((i, j, row, row), (row, row, i, j), _INCIDENCE)
+    b_vsrc = _triplets((row,), (n_cur + np.arange(n_vsrc, dtype=np.int64),), (1.0,))
+    # Inductors: branch rows after the voltage sources,
+    # v(pos) - v(neg) - L di/dt = 0.
+    i, j, ind = columns(KIND_L)
+    row = n + n_vsrc + np.arange(n_ind, dtype=np.int64)
+    g_ind = _triplets((i, j, row, row), (row, row, i, j), _INCIDENCE)
+    c_ind = _triplets((row,), (row,), (-ind,))
+    # Current sources: columns [0, n_cur).  SPICE convention: a positive
+    # source value draws current out of `pos` and injects it into `neg`,
+    # so the RHS contribution is -u at pos and +u at neg.
+    i, j, _ = columns(KIND_I)
+    col = np.arange(n_cur, dtype=np.int64)
+    b_cur = _triplets((i, j), (col, col), (-1.0, 1.0))
+
+    dim = u.dim
+    return MNASystem(
+        netlist=view,
+        C=_csc([c_cap, c_ind], (dim, dim)),
+        G=_csc([g_res, g_vsrc, g_ind], (dim, dim)),
+        B=_csc([b_cur, b_vsrc], (dim, n_cur + n_vsrc)),
+        waveforms=tuple(waveforms),
+        n_current_inputs=n_cur,
+    )
+
+
 def assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
     """Assemble the MNA descriptor system for a netlist.
 
-    Parameters
-    ----------
-    netlist:
-        The circuit to stamp.
-    validate:
-        When true (default), run :meth:`Netlist.validate` first so that a
-        singular ``G`` is reported as a netlist problem rather than a
-        mysterious LU failure later.
-
-    Returns
-    -------
-    MNASystem
-        The assembled system with ``C``, ``G``, ``B`` in CSC format.
+    The netlist is lowered to :meth:`Netlist.columns` and stamped by
+    :func:`stamp` (checked first when ``validate``); it is kept as the
+    system's ``netlist``.
     """
-    if validate:
-        netlist.validate()
-
-    u = netlist.unknowns
-    dim = u.dim
-    g = _Stamper(dim)
-    c = _Stamper(dim)
-    b = _Stamper(dim)
-
-    ni = netlist.node_index
-
-    for r in netlist.resistors:
-        i, j = ni(r.pos), ni(r.neg)
-        cond = r.conductance
-        g.add(i, i, cond)
-        g.add(j, j, cond)
-        g.add(i, j, -cond)
-        g.add(j, i, -cond)
-
-    for cap in netlist.capacitors:
-        i, j = ni(cap.pos), ni(cap.neg)
-        c.add(i, i, cap.capacitance)
-        c.add(j, j, cap.capacitance)
-        c.add(i, j, -cap.capacitance)
-        c.add(j, i, -cap.capacitance)
-
-    waveforms: list[Waveform] = []
-    n_currents = len(netlist.current_sources)
-
-    # Current sources: columns [0, n_currents).  SPICE convention: a
-    # positive source value draws current out of `pos` and injects it into
-    # `neg`, so the RHS contribution is -u at pos and +u at neg.
-    for col, src in enumerate(netlist.current_sources):
-        i, j = ni(src.pos), ni(src.neg)
-        b.add(i, col, -1.0)
-        b.add(j, col, +1.0)
-        waveforms.append(src.waveform)
-
-    # Voltage sources: extra branch-current rows after the node block.
-    for k, src in enumerate(netlist.voltage_sources):
-        row = netlist.n_nodes + k
-        i, j = ni(src.pos), ni(src.neg)
-        # KCL coupling of the branch current into its terminal nodes.
-        g.add(i, row, +1.0)
-        g.add(j, row, -1.0)
-        # Branch equation v(pos) - v(neg) = u.
-        g.add(row, i, +1.0)
-        g.add(row, j, -1.0)
-        b.add(row, n_currents + k, 1.0)
-        waveforms.append(src.waveform)
-
-    # Inductors: branch rows after the voltage sources,
-    # v(pos) - v(neg) - L di/dt = 0.
-    for k, ind in enumerate(netlist.inductors):
-        row = netlist.n_nodes + len(netlist.voltage_sources) + k
-        i, j = ni(ind.pos), ni(ind.neg)
-        g.add(i, row, +1.0)
-        g.add(j, row, -1.0)
-        g.add(row, i, +1.0)
-        g.add(row, j, -1.0)
-        c.add(row, row, -ind.inductance)
-
-    n_inputs = n_currents + len(netlist.voltage_sources)
-    return MNASystem(
-        netlist=netlist,
-        C=c.build(),
-        G=g.build(),
-        B=b.build(n_cols=n_inputs),  # 0 columns for a source-free circuit
-        waveforms=tuple(waveforms),
-        n_current_inputs=n_currents,
+    sources = netlist.current_sources + netlist.voltage_sources
+    return stamp(
+        netlist, netlist.columns(), [s.waveform for s in sources], validate
     )

@@ -3,13 +3,19 @@
 A :class:`Netlist` collects elements, assigns matrix indices to nodes and
 MNA branch unknowns, and offers the convenience constructors used by the
 generators in :mod:`repro.pdn` and the parser in
-:mod:`repro.circuit.parser`.
+:mod:`repro.circuit.parser`.  :class:`StreamedNetlist` is the same node
+view without element objects, for decks streamed by
+:mod:`repro.circuit.ingest`; both share :class:`NodeView`.
 
 Index layout (fixed, relied upon by :mod:`repro.circuit.mna`):
 
 * rows ``0 .. n_nodes-1``     — node voltages (ground excluded),
 * next ``n_vsrc`` rows        — voltage-source branch currents,
 * next ``n_ind`` rows         — inductor branch currents.
+
+Both circuit forms reach the MNA stamp as :class:`Columns` — one array
+entry per element — and are checked for DC paths to ground by the one
+rule, :meth:`NodeView.validate_columns`.
 
 Element and node insertion order is deterministic, so two identically
 built netlists produce identical matrices (important for superposition
@@ -19,7 +25,10 @@ tests and the distributed scheduler, which ships netlist copies to nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
+
+import numpy as np
+import scipy.sparse as sp
 
 from repro.circuit.elements import (
     GROUND_NAMES,
@@ -32,7 +41,11 @@ from repro.circuit.elements import (
 )
 from repro.circuit.waveforms import DC, Waveform
 
-__all__ = ["Netlist", "NetlistError", "StreamedNetlist"]
+__all__ = ["KINDS", "Columns", "Netlist", "NetlistError", "NodeView", "StreamedNetlist"]
+
+#: Element kinds of :class:`Columns`; a kind's code is its index here.
+KINDS = ("r", "c", "l", "v", "i")
+KIND_R, KIND_C, KIND_L, KIND_V, KIND_I = range(len(KINDS))
 
 
 class NetlistError(ValueError):
@@ -56,7 +69,112 @@ class _Unknowns:
         return self.n_nodes + self.n_vsrc + self.n_ind
 
 
-class Netlist:
+class Columns(NamedTuple):
+    """A circuit as four parallel per-element arrays: what MNA stamps.
+
+    Within each kind, elements appear in insertion (card) order, which
+    is their stamp order and the order of their branch rows and input
+    columns; different kinds may interleave.
+    """
+
+    kinds: np.ndarray  # int8 code, an index into KINDS
+    pos: np.ndarray  # int64 node row, -1 for ground
+    neg: np.ndarray
+    values: np.ndarray  # resistance / capacitance / inductance; 0.0 for sources
+
+
+class NodeView:
+    """Node bookkeeping shared by :class:`Netlist` and :class:`StreamedNetlist`.
+
+    A subclass sets ``title``, ``_node_index`` (non-ground node name to
+    row; insertion order is row order) and ``counts`` (elements of each
+    kind, keyed by :data:`KINDS`).
+    """
+
+    title: str
+    _node_index: dict[str, int]
+    counts: dict[str, int]
+
+    @property
+    def n_nodes(self) -> int:
+        """Number of non-ground nodes."""
+        return len(self._node_index)
+
+    @property
+    def unknowns(self) -> _Unknowns:
+        """Block sizes of the MNA unknown vector."""
+        counts = self.counts
+        return _Unknowns(
+            n_nodes=self.n_nodes, n_vsrc=counts["v"], n_ind=counts["l"]
+        )
+
+    @property
+    def dim(self) -> int:
+        """Total MNA system dimension."""
+        return self.unknowns.dim
+
+    def node_index(self, node: str) -> int:
+        """Matrix row of a node voltage; ``-1`` for ground."""
+        if _is_ground(node):
+            return -1
+        try:
+            return self._node_index[node]
+        except KeyError:
+            raise NetlistError(f"unknown node {node!r}") from None
+
+    def node_names(self) -> tuple[str, ...]:
+        """Non-ground node names in index order."""
+        return tuple(self._node_index)
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+    def validate_columns(self, cols: Columns) -> None:
+        """Check structural well-formedness; raise :class:`NetlistError`.
+
+        Detects empty circuits and nodes with no DC path to ground through
+        resistive/source elements (which make ``G`` singular and break the
+        regularization-free formulation of paper Sec. 3.3.3): one
+        ``connected_components`` over the R/L/V edges, ground as an extra
+        vertex.  Floating nodes are named in row order.
+        """
+        if cols.kinds.size == 0:
+            raise NetlistError("empty netlist")
+        n = self.n_nodes
+        if n == 0:
+            raise NetlistError("netlist has no non-ground nodes")
+        # Imported here: csgraph costs ~60 ms and ~1 MiB RSS at import, and
+        # every process that imports repro.circuit would pay it.
+        from scipy.sparse.csgraph import connected_components
+
+        dc = (cols.kinds != KIND_C) & (cols.kinds != KIND_I)
+        a = np.where(cols.pos[dc] < 0, n, cols.pos[dc])
+        b = np.where(cols.neg[dc] < 0, n, cols.neg[dc])
+        graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
+        _, labels = connected_components(graph, directed=False)
+        floating = np.flatnonzero(labels[:n] != labels[n])
+        if floating.size:
+            names = self.node_names()
+            raise NetlistError(
+                f"{floating.size} node(s) have no DC path to ground, "
+                f"e.g. {[names[k] for k in floating[:5]]!r}; "
+                f"G would be singular"
+            )
+
+    def summary(self) -> str:
+        """One-line human-readable size summary."""
+        c = self.counts
+        u = self.unknowns
+        return (
+            f"{self.title}: {u.n_nodes} nodes, {c['r']} R, {c['c']} C, "
+            f"{c['l']} L, {c['v']} V, {c['i']} I (dim {u.dim})"
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} {self.summary()}>"
+
+
+class Netlist(NodeView):
     """A linear circuit: elements plus deterministic index assignment.
 
     Parameters
@@ -161,12 +279,19 @@ class Netlist:
     def current_sources(self) -> tuple[CurrentSource, ...]:
         return tuple(self._isources)
 
+    @property
+    def _groups(self) -> tuple[list[Element], ...]:
+        """The element lists in :data:`KINDS` order."""
+        return (self._resistors, self._capacitors, self._inductors,
+                self._vsources, self._isources)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return {kind: len(group) for kind, group in zip(KINDS, self._groups)}
+
     def elements(self) -> Iterator[Element]:
         """Iterate over all elements in insertion order."""
         return iter(self._elements.values())
-
-    def __len__(self) -> int:
-        return len(self._elements)
 
     def __contains__(self, name: str) -> bool:
         return name in self._elements
@@ -175,38 +300,6 @@ class Netlist:
         return self._elements[name]
 
     # -- index assignment ----------------------------------------------------------
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of non-ground nodes."""
-        return len(self._node_index)
-
-    @property
-    def unknowns(self) -> _Unknowns:
-        """Block sizes of the MNA unknown vector."""
-        return _Unknowns(
-            n_nodes=self.n_nodes,
-            n_vsrc=len(self._vsources),
-            n_ind=len(self._inductors),
-        )
-
-    @property
-    def dim(self) -> int:
-        """Total MNA system dimension."""
-        return self.unknowns.dim
-
-    def node_index(self, node: str) -> int:
-        """Matrix row of a node voltage; ``-1`` for ground."""
-        if _is_ground(node):
-            return -1
-        try:
-            return self._node_index[node]
-        except KeyError:
-            raise NetlistError(f"unknown node {node!r}") from None
-
-    def node_names(self) -> tuple[str, ...]:
-        """Non-ground node names in index order."""
-        return tuple(self._node_index)
 
     def vsource_index(self, name: str) -> int:
         """Matrix row of a voltage-source branch current."""
@@ -222,77 +315,40 @@ class Netlist:
                 return self.n_nodes + len(self._vsources) + k
         raise NetlistError(f"unknown inductor {name!r}")
 
+    def columns(self) -> Columns:
+        """The elements as :class:`Columns`, kind by kind in :data:`KINDS` order."""
+        row = dict.fromkeys(GROUND_NAMES, -1)
+        row.update(self._node_index)
+        groups = self._groups
+        elements = [e for group in groups for e in group]
+        n = len(elements)
+        values = (
+            [r.resistance for r in self._resistors]
+            + [c.capacitance for c in self._capacitors]
+            + [ind.inductance for ind in self._inductors]
+            + [0.0] * (len(self._vsources) + len(self._isources))
+        )
+        return Columns(
+            kinds=np.repeat(np.arange(len(KINDS), dtype=np.int8), [len(g) for g in groups]),
+            pos=np.fromiter((row[e.pos] for e in elements), np.int64, n),
+            neg=np.fromiter((row[e.neg] for e in elements), np.int64, n),
+            values=np.array(values, dtype=np.float64),
+        )
+
     # -- validation ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check structural well-formedness; raise :class:`NetlistError`.
-
-        Detects empty circuits and nodes with no DC path to ground through
-        resistive/source elements (which make ``G`` singular and break the
-        regularization-free formulation of paper Sec. 3.3.3).
-        """
-        if not self._elements:
-            raise NetlistError("empty netlist")
-        if not any(True for _ in self._node_index):
-            raise NetlistError("netlist has no non-ground nodes")
-        self._check_dc_connectivity()
-
-    def _check_dc_connectivity(self) -> None:
-        """Every node must reach ground through R/L/V elements."""
-        adjacency: dict[str, set[str]] = {n: set() for n in self._node_index}
-        ground = "0"
-        adjacency[ground] = set()
-
-        def canon(node: str) -> str:
-            return ground if _is_ground(node) else node
-
-        dc_paths: Iterable[Element] = (
-            list(self._resistors) + list(self._inductors) + list(self._vsources)
-        )
-        for e in dc_paths:
-            a, b = canon(e.pos), canon(e.neg)
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
-
-        seen = {ground}
-        stack = [ground]
-        while stack:
-            for nxt in adjacency.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        floating = [n for n in self._node_index if n not in seen]
-        if floating:
-            raise NetlistError(
-                f"{len(floating)} node(s) have no DC path to ground, "
-                f"e.g. {floating[:5]!r}; G would be singular"
-            )
-
-    # -- misc ---------------------------------------------------------------------------
-
-    def summary(self) -> str:
-        """One-line human-readable size summary."""
-        u = self.unknowns
-        return (
-            f"{self.title}: {u.n_nodes} nodes, {len(self._resistors)} R, "
-            f"{len(self._capacitors)} C, {len(self._inductors)} L, "
-            f"{len(self._vsources)} V, {len(self._isources)} I "
-            f"(dim {u.dim})"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Netlist {self.summary()}>"
+        """:meth:`NodeView.validate_columns` on this netlist's elements."""
+        self.validate_columns(self.columns())
 
 
-class StreamedNetlist:
-    """Index-and-name view of a circuit ingested without element objects.
+class StreamedNetlist(NodeView):
+    """Node view of a circuit ingested without element objects.
 
     The streaming parser (:mod:`repro.circuit.ingest`) stamps matrices
-    directly from the file and never materialises :class:`Element`
-    instances, but the rest of the pipeline only ever needs the *node
-    bookkeeping* half of :class:`Netlist` — the index layout documented
-    at the top of this module, name lookups and the size summary.  This
-    class carries exactly that, sharing the same contract:
+    from array columns and never materialises :class:`Element`
+    instances; the rest of the pipeline only needs the node bookkeeping
+    of :class:`NodeView`, under the same contract:
 
     * ``node_index`` rows follow first-appearance order (pos before neg,
       ground excluded) — identical to :meth:`Netlist._register_node`
@@ -301,65 +357,7 @@ class StreamedNetlist:
       after, each in card order.
     """
 
-    def __init__(
-        self,
-        title: str,
-        node_order: list[str],
-        node_index: dict[str, int],
-        counts: dict[str, int],
-    ):
+    def __init__(self, title: str, node_index: dict[str, int], counts: dict[str, int]):
         self.title = title
-        self._node_order = tuple(node_order)
         self._node_index = node_index
-        self._counts = dict(counts)
-
-    # -- Netlist read-only interface ------------------------------------------------
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of non-ground nodes."""
-        return len(self._node_order)
-
-    @property
-    def unknowns(self) -> _Unknowns:
-        """Block sizes of the MNA unknown vector."""
-        return _Unknowns(
-            n_nodes=self.n_nodes,
-            n_vsrc=self._counts.get("v", 0),
-            n_ind=self._counts.get("l", 0),
-        )
-
-    @property
-    def dim(self) -> int:
-        """Total MNA system dimension."""
-        return self.unknowns.dim
-
-    def node_index(self, node: str) -> int:
-        """Matrix row of a node voltage; ``-1`` for ground."""
-        if _is_ground(node):
-            return -1
-        try:
-            return self._node_index[node]
-        except KeyError:
-            raise NetlistError(f"unknown node {node!r}") from None
-
-    def node_names(self) -> tuple[str, ...]:
-        """Non-ground node names in index order."""
-        return self._node_order
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
-
-    def summary(self) -> str:
-        """One-line human-readable size summary (Netlist-compatible)."""
-        c = self._counts
-        u = self.unknowns
-        return (
-            f"{self.title}: {u.n_nodes} nodes, {c.get('r', 0)} R, "
-            f"{c.get('c', 0)} C, {c.get('l', 0)} L, "
-            f"{c.get('v', 0)} V, {c.get('i', 0)} I "
-            f"(dim {u.dim})"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StreamedNetlist {self.summary()}>"
+        self.counts = dict(counts)

@@ -201,7 +201,7 @@ class MatexSolver:
 
         input_system = self.system
         if waveform_overrides:
-            input_system = self.system.with_waveforms(waveform_overrides)
+            input_system = self.system.rebind_sources(overrides=waveform_overrides)
         if schedule is None:
             schedule = build_schedule(
                 input_system, t_end, local_inputs=active_inputs

@@ -174,7 +174,7 @@ def build_schedule(
     if grid is not None and global_points is not None:
         raise ValueError("pass global_points or grid, not both")
     if waveform_overrides:
-        system = system.with_waveforms(waveform_overrides)
+        system = system.rebind_sources(overrides=waveform_overrides)
 
     if grid is not None:
         gts = grid

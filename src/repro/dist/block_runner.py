@@ -253,7 +253,7 @@ class BlockNodeRunner:
                 )
             input_system = self.system
             if overrides:
-                input_system = self.system.with_waveforms(overrides)
+                input_system = self.system.rebind_sources(overrides=overrides)
             tstates.append(self._prepare(
                 schedule, input_system, task.group.input_columns,
                 np.zeros(self.system.dim), deviation=True,

@@ -160,7 +160,7 @@ def scalar_simulate(
 
     input_system = solver.system
     if waveform_overrides:
-        input_system = solver.system.with_waveforms(waveform_overrides)
+        input_system = solver.system.rebind_sources(overrides=waveform_overrides)
 
     if schedule is None:
         schedule = build_schedule(

@@ -1,0 +1,153 @@
+"""Per-element MNA stamping: the tests' independent oracle for ``G``/``C``/``B``.
+
+:func:`repro.circuit.mna.stamp` builds the descriptor system from array
+columns with numpy, for generated netlists and streamed decks alike.
+This module keeps the element-at-a-time formulation it replaced — one
+``add`` per matrix entry, walked over the :class:`Netlist` element
+lists, and a string-keyed breadth-first search for nodes without a DC
+path to ground — so the columnar stamp and its connectivity check are
+compared against code that shares nothing with them but the result
+type.  The triplet order is the same, so the two agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import scipy.sparse as sp
+
+from repro.circuit.elements import GROUND_NAMES
+from repro.circuit.mna import MNASystem
+from repro.circuit.netlist import Netlist, NetlistError
+
+
+class _Triplets:
+    """Accumulates COO triplets for one sparse matrix."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.vals: list[float] = []
+
+    def add(self, i: int, j: int, v: float) -> None:
+        """Stamp ``v`` at ``(i, j)``; silently skips ground rows (-1)."""
+        if i < 0 or j < 0:
+            return
+        self.rows.append(i)
+        self.cols.append(j)
+        self.vals.append(v)
+
+    def build(self, n_cols: int | None = None) -> sp.csc_matrix:
+        shape = (self.dim, n_cols if n_cols is not None else self.dim)
+        m = sp.coo_matrix(
+            (self.vals, (self.rows, self.cols)), shape=shape, dtype=float
+        )
+        return m.tocsc()
+
+
+def check_dc_paths(netlist: Netlist) -> None:
+    """Raise :class:`NetlistError` as ``Netlist.validate`` does, by BFS."""
+    if len(netlist) == 0:
+        raise NetlistError("empty netlist")
+    nodes = netlist.node_names()
+    if not nodes:
+        raise NetlistError("netlist has no non-ground nodes")
+    ground = "0"
+    adjacency: dict[str, set[str]] = {n: set() for n in nodes}
+    adjacency[ground] = set()
+
+    def canon(node: str) -> str:
+        return ground if node in GROUND_NAMES else node
+
+    dc_paths = netlist.resistors + netlist.inductors + netlist.voltage_sources
+    for e in dc_paths:
+        a, b = canon(e.pos), canon(e.neg)
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+
+    seen = {ground}
+    stack = [ground]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    floating = [n for n in nodes if n not in seen]
+    if floating:
+        raise NetlistError(
+            f"{len(floating)} node(s) have no DC path to ground, "
+            f"e.g. {floating[:5]!r}; G would be singular"
+        )
+
+
+def oracle_assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
+    """``assemble(netlist, validate)``, one element and one entry at a time."""
+    if validate:
+        check_dc_paths(netlist)
+
+    dim = netlist.dim
+    g = _Triplets(dim)
+    c = _Triplets(dim)
+    b = _Triplets(dim)
+
+    ni = netlist.node_index
+
+    for r in netlist.resistors:
+        i, j = ni(r.pos), ni(r.neg)
+        cond = r.conductance
+        g.add(i, i, cond)
+        g.add(j, j, cond)
+        g.add(i, j, -cond)
+        g.add(j, i, -cond)
+
+    for cap in netlist.capacitors:
+        i, j = ni(cap.pos), ni(cap.neg)
+        c.add(i, i, cap.capacitance)
+        c.add(j, j, cap.capacitance)
+        c.add(i, j, -cap.capacitance)
+        c.add(j, i, -cap.capacitance)
+
+    waveforms = []
+    n_currents = len(netlist.current_sources)
+
+    # Current sources: columns [0, n_currents).  SPICE convention: a
+    # positive source value draws current out of `pos` and injects it into
+    # `neg`, so the RHS contribution is -u at pos and +u at neg.
+    for col, src in enumerate(netlist.current_sources):
+        i, j = ni(src.pos), ni(src.neg)
+        b.add(i, col, -1.0)
+        b.add(j, col, +1.0)
+        waveforms.append(src.waveform)
+
+    # Voltage sources: extra branch-current rows after the node block.
+    for k, src in enumerate(netlist.voltage_sources):
+        row = netlist.n_nodes + k
+        i, j = ni(src.pos), ni(src.neg)
+        # KCL coupling of the branch current into its terminal nodes.
+        g.add(i, row, +1.0)
+        g.add(j, row, -1.0)
+        # Branch equation v(pos) - v(neg) = u.
+        g.add(row, i, +1.0)
+        g.add(row, j, -1.0)
+        b.add(row, n_currents + k, 1.0)
+        waveforms.append(src.waveform)
+
+    # Inductors: branch rows after the voltage sources,
+    # v(pos) - v(neg) - L di/dt = 0.
+    for k, ind in enumerate(netlist.inductors):
+        row = netlist.n_nodes + len(netlist.voltage_sources) + k
+        i, j = ni(ind.pos), ni(ind.neg)
+        g.add(i, row, +1.0)
+        g.add(j, row, -1.0)
+        g.add(row, i, +1.0)
+        g.add(row, j, -1.0)
+        c.add(row, row, -ind.inductance)
+
+    n_inputs = n_currents + len(netlist.voltage_sources)
+    return MNASystem(
+        netlist=netlist,
+        C=c.build(),
+        G=g.build(),
+        B=b.build(n_cols=n_inputs),  # 0 columns for a source-free circuit
+        waveforms=tuple(waveforms),
+        n_current_inputs=n_currents,
+    )

@@ -49,11 +49,6 @@ class TestSplitBumpDistributed:
 
     def test_derived_system_shares_matrices(self, periodic_system):
         s = periodic_system
-        derived = s.with_waveforms({0: s.waveforms[1]})
+        derived = s.rebind_sources(overrides={0: s.waveforms[1]})
         assert derived.C is s.C and derived.G is s.G and derived.B is s.B
         assert derived.waveforms[0] is s.waveforms[1]
-
-    def test_with_waveforms_bounds_checked(self, periodic_system):
-        s = periodic_system
-        with pytest.raises(IndexError):
-            s.with_waveforms({99: s.waveforms[0]})

@@ -4,6 +4,8 @@ The load-bearing property is **bit-identity**: a deck written in element
 insertion order must stream back into an :class:`MNASystem` whose CSC
 arrays are byte-for-byte equal to ``assemble(netlist)`` — node index
 assignment, stamp sequence and duplicate-summation order all preserved.
+Both paths share one columnar stamp, so each is also held against the
+per-element oracle of ``tests/stamp_oracle.py``.
 """
 
 import re
@@ -17,6 +19,7 @@ from repro.circuit import (
     DC,
     PWL,
     IngestError,
+    Netlist,
     NetlistError,
     ParseError,
     Pulse,
@@ -29,8 +32,23 @@ from repro.circuit import (
 from repro.circuit.elements import GROUND_NAMES
 from repro.core import SolverOptions
 from repro.dist import MatexScheduler
-from repro.pdn import PdnConfig, WorkloadSpec, synthesize_ibmpg
+from repro.pdn import (
+    PdnConfig,
+    WorkloadSpec,
+    attach_pulse_loads,
+    generate_power_grid,
+    synthesize_ibmpg,
+)
 from tests.conftest import build_multi_source_mesh, build_small_pdn
+from tests.stamp_oracle import oracle_assemble
+
+
+def build_inductor_pdn():
+    """A package-inductor PDN built through the API, never parsed."""
+    net = generate_power_grid(PdnConfig(rows=6, cols=6, l_package=5e-10, n_pads=3))
+    attach_pulse_loads(net, WorkloadSpec(n_sources=5, n_shapes=2, time_grid_points=8))
+    assert net.inductors
+    return net
 
 
 def assert_bit_identical(ref, streamed):
@@ -53,12 +71,15 @@ def _error_line(exc: Exception) -> int | None:
 
 
 class TestRoundTripBitIdentity:
-    @pytest.mark.parametrize("build", [build_small_pdn, build_multi_source_mesh])
+    @pytest.mark.parametrize(
+        "build", [build_small_pdn, build_multi_source_mesh, build_inductor_pdn]
+    )
     def test_insertion_order_roundtrip(self, build):
         net = build()
         text = format_netlist(net, t_end=1e-9, order="insertion")
         res = ingest_text(text)
         assert_bit_identical(assemble(net), res.system)
+        assert_bit_identical(oracle_assemble(net), res.system)
         assert res.stats.tran_stop == 1e-9
 
     def test_pdn_with_inductors_roundtrip(self, tmp_path):
@@ -69,6 +90,7 @@ class TestRoundTripBitIdentity:
         net = synthesize_ibmpg(path, cfg, wl)
         res = ingest_file(path)
         assert_bit_identical(assemble(net), res.system)
+        assert_bit_identical(oracle_assemble(net), res.system)
         # The deck advertises its own horizon.
         assert res.stats.tran_stop == pytest.approx(1e-9)
         assert res.stats.n_inductors == 3
@@ -207,13 +229,38 @@ class TestErrors:
             assemble(parse_netlist(deck))
         assert str(ref.value) == str(exc.value)
         assert ingest_text(deck, validate=False).system.dim == 8
+        # The same circuit built through the API, not parsed: validate(),
+        # assemble(), its insertion-order deck and the oracle all agree.
+        net = Netlist("api")
+        net.add_resistor("R0", "a", "0", 1.0)
+        for k, node in enumerate(floating):
+            net.add_capacitor(f"C{k}", node, "0", 1e-12)
+        for build in (net.validate, lambda: assemble(net),
+                      lambda: ingest_text(format_netlist(net, order="insertion")),
+                      lambda: oracle_assemble(net)):
+            with pytest.raises(NetlistError) as api:
+                build()
+            assert str(api.value) == str(exc.value)
 
     def test_floating_through_a_chain_and_an_inductor(self):
         # a-b-c reach ground only through a capacitor; d through L and V.
         deck = ("R1 a b 1\nR2 b c 1\nC1 c 0 1p\n"
                 "L1 d e 1n\nV1 e 0 1\nR3 g 0 1\n")
-        with pytest.raises(NetlistError, match=r"3 node\(s\).*\['a', 'b', 'c'\]"):
+        message = r"3 node\(s\).*\['a', 'b', 'c'\]"
+        with pytest.raises(NetlistError, match=message):
             ingest_text(deck)
+        net = Netlist("api")
+        net.add_resistor("R1", "a", "b", 1.0)
+        net.add_resistor("R2", "b", "c", 1.0)
+        net.add_capacitor("C1", "c", "0", 1e-12)
+        net.add_inductor("L1", "d", "e", 1e-9)
+        net.add_voltage_source("V1", "e", "0", 1.0)
+        net.add_resistor("R3", "g", "0", 1.0)
+        for build in (net.validate, lambda: assemble(net),
+                      lambda: ingest_text(format_netlist(net, order="insertion")),
+                      lambda: oracle_assemble(net)):
+            with pytest.raises(NetlistError, match=message):
+                build()
 
 
 # -- differential grammar fuzz: streaming pass vs parse_netlist + assemble -----------
@@ -273,9 +320,11 @@ class TestGrammarFuzz:
     def test_streamed_and_object_paths_agree(self, deck):
         """Same typed error on the same line, or the same bits.
 
-        One known divergence: the streaming pass parses ``.tran`` (it is
-        the deck's default horizon) and raises on a bad value there,
-        while ``parse_netlist`` ignores every ``.tran`` card.
+        The object path is ``parse_netlist`` then both ``assemble`` and
+        the per-element oracle, which must agree with each other on
+        every deck.  One known divergence: the streaming pass parses
+        ``.tran`` (it is the deck's default horizon) and raises on a bad
+        value there, while ``parse_netlist`` ignores every ``.tran`` card.
         """
         got = ref = None
         try:
@@ -283,9 +332,20 @@ class TestGrammarFuzz:
         except (ParseError, NetlistError) as exc:
             got = exc
         try:
-            assembled = assemble(parse_netlist(deck))
+            net = parse_netlist(deck)
         except (ParseError, NetlistError) as exc:
             ref = exc
+        else:
+            try:
+                oracle = oracle_assemble(net)
+            except NetlistError as exc:
+                ref = exc
+                with pytest.raises(NetlistError) as same:
+                    assemble(net)
+                assert str(same.value) == str(exc)
+            else:
+                assembled = assemble(net)
+                assert_bit_identical(oracle, assembled)
         line = None if got is None else _error_line(got)
         if line is not None and deck.splitlines()[line - 1].startswith(".tran"):
             ref_line = None if ref is None else _error_line(ref)

@@ -83,6 +83,8 @@ class TestRebindSources:
     def test_out_of_range_column(self, mesh_system):
         with pytest.raises(IndexError, match="out of range"):
             mesh_system.rebind_sources(scales={99: 2.0})
+        with pytest.raises(IndexError, match="out of range"):
+            mesh_system.rebind_sources(overrides={99: mesh_system.waveforms[0]})
 
 
 class TestScenario:
