@@ -121,12 +121,13 @@ class MNASystem:
             never moves transition spots.
         """
         new_waveforms = list(self.waveforms)
+        n_inputs = self.n_inputs
         for col, w in (overrides or {}).items():
-            if not 0 <= col < self.n_inputs:
+            if not 0 <= col < n_inputs:
                 raise IndexError(f"input column {col} out of range")
             new_waveforms[col] = w
         for col, factor in (scales or {}).items():
-            if not 0 <= col < self.n_inputs:
+            if not 0 <= col < n_inputs:
                 raise IndexError(f"input column {col} out of range")
             new_waveforms[col] = new_waveforms[col].scaled(factor)
         return MNASystem(
@@ -303,20 +304,11 @@ class MNASystem:
     def local_transition_spots(self, k: int, t_end: float) -> list[float]:
         """LTS of input column ``k`` (paper Sec. 3.1 definition).
 
-        Cached per ``(column, t_end)``: a decomposed run builds one
-        schedule per node task over the same horizon, and pulse spot
-        generation in Python is a measurable slice of that.
+        No cache here: a pulse memoises its spots and shares the memo
+        with its scaled copies (:mod:`repro.circuit.waveforms`), so the
+        plan's schedules and scenario validation read one memo a source.
         """
-        cache = getattr(self, "_lts_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_lts_cache", cache)
-        key = (k, t_end)
-        spots = cache.get(key)
-        if spots is None:
-            spots = self.waveforms[k].transition_spots(t_end)
-            cache[key] = spots
-        return list(spots)
+        return self.waveforms[k].transition_spots(t_end)
 
     def global_transition_spots(
         self, t_end: float, active: Sequence[int] | None = None

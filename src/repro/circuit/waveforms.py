@@ -27,6 +27,12 @@ All waveforms expose:
   slope changes (the Local Transition Spots of this source).
 
 Times and values are plain floats in SI units (seconds, amps, volts).
+
+A :class:`Pulse` memoises its transition spots per ``t_end`` and
+:meth:`Pulse.scaled` hands that memo to its copy, because a pulse's
+spots read only its timing fields: a rescaled scenario re-uses the spots
+its compiled plan computed.  A :class:`PWL`'s spots follow its *slopes*
+(a zero factor collapses them), so a scaled PWL computes its own.
 """
 
 from __future__ import annotations
@@ -405,6 +411,14 @@ class Pulse(Waveform):
         return np.interp(tau, xp, fp, left=self.v1, right=self.v1)
 
     def transition_spots(self, t_end: float) -> list[float]:
+        # Memoised per t_end; the memo is shared with scaled() copies.
+        memo = self.__dict__.setdefault("_spots", {})
+        spots = memo.get(t_end)
+        if spots is None:
+            spots = memo[t_end] = self._compute_spots(t_end)
+        return list(spots)
+
+    def _compute_spots(self, t_end: float) -> list[float]:
         spots = [0.0]
         bump = [0.0, self.t_rise, self.t_rise + self.t_width,
                 self.t_rise + self.t_width + self.t_fall]
@@ -426,13 +440,23 @@ class Pulse(Waveform):
         return self.v1 == self.v2
 
     def scaled(self, factor: float) -> "Pulse":
+        """Equal to ``Pulse(v1*f, v2*f, <same timing>)``, built at copy
+        cost: the seven fields are set directly (``__post_init__`` still
+        checks them) and the copy shares this pulse's spot memo, since
+        a pulse's spots read only its timing fields.  Its interpolation
+        table is its own: each copy evaluates its own ``v1``/``v2``.
+        """
         f = float(factor)
-        return Pulse(
+        new = object.__new__(Pulse)
+        new.__dict__.update(
             v1=self.v1 * f, v2=self.v2 * f,
             t_delay=self.t_delay, t_rise=self.t_rise,
             t_width=self.t_width, t_fall=self.t_fall,
             t_period=self.t_period,
+            _spots=self.__dict__.setdefault("_spots", {}),
         )
+        new.__post_init__()
+        return new
 
     # -- MATEX-specific helpers -----------------------------------------------
 

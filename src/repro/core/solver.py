@@ -199,12 +199,10 @@ class MatexSolver:
         # Imported here: the runner builds on this module's solver.
         from repro.dist.block_runner import BlockNodeRunner
 
-        input_system = self.system
-        if waveform_overrides:
-            input_system = self.system.rebind_sources(overrides=waveform_overrides)
         if schedule is None:
             schedule = build_schedule(
-                input_system, t_end, local_inputs=active_inputs
+                self.system, t_end, local_inputs=active_inputs,
+                waveform_overrides=waveform_overrides,
             )
 
         dc_seconds, n_solves_dc = 0.0, 0
@@ -223,7 +221,8 @@ class MatexSolver:
         )
         runner = BlockNodeRunner._on(self)
         march = runner._prepare(
-            schedule, input_system, cols, x0, deviation=self.deviation_mode
+            schedule, waveform_overrides, cols, x0,
+            deviation=self.deviation_mode,
         )
         feed = _SinkFeed(sink if sink is not None else MemorySink(),
                          np.asarray(schedule.points), march.x)

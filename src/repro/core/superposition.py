@@ -61,7 +61,10 @@ def superpose_states(
     part of the contract, because it fixes the result's bits.  A dense
     block is added whole; a factored block (anything with ``spans``) is
     folded span by span as ``total[row0:row0 + K] += A @ B`` — the only
-    place a factored trajectory meets a sum.  ``times`` holds each
+    place a factored trajectory meets a sum (``A @ B`` formed into one
+    reused C-ordered buffer the size of the longest span, then added in
+    place: the same GEMM call, the same two-step ``+=``, and no
+    ``(K × dim)`` buffer for huge pages to back).  ``times`` holds each
     block's time grid; all must equal the first (the scheduler hands
     every node the same GTS schedule).
     """
@@ -81,14 +84,18 @@ def superpose_states(
                 "pass the scheduler's shared schedule to every node"
             )
     total = np.tile(np.asarray(dc_state, dtype=float), (len(reference), 1))
+    buf = np.empty((0, total.shape[1]))
     for block in states:
         spans = getattr(block, "spans", None)
         if spans is None:
             total += block
             continue
         for row0, a, b in spans:
-            rows = b if a is None else a @ b
-            total[row0:row0 + len(rows)] += rows
+            if a is not None and len(a) > len(buf):
+                buf = np.empty((len(a), total.shape[1]))
+            rows = b if a is None else np.matmul(a, b, out=buf[:len(a)])
+            seg = total[row0:row0 + len(rows)]
+            np.add(seg, rows, out=seg)
     return total
 
 

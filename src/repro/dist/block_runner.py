@@ -70,6 +70,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.circuit.mna import MNASystem
+from repro.circuit.waveforms import Waveform
 from repro.core.options import SolverOptions
 from repro.core.shapes import _input_shapes
 from repro.core.solver import MatexSolver, REUSE_SAFETY
@@ -194,15 +195,17 @@ class BlockNodeRunner:
     # -- lockstep march ---------------------------------------------------------
 
     def _prepare(
-        self, schedule: TransitionSchedule, input_system: MNASystem,
+        self, schedule: TransitionSchedule,
+        overrides: dict[int, Waveform] | None,
         cols: Sequence[int], x0: np.ndarray, deviation: bool,
     ) -> _TaskState:
         """Input shapes and marching state of one march.
 
         ``cols`` are the input columns driving it (empty: a free
-        response from ``x0``).  Their waveforms are evaluated once over
-        the whole grid and factored over their distinct shapes
-        (:func:`~repro.core.shapes._input_shapes`), which turns
+        response from ``x0``).  Their waveforms (an ``overrides`` entry,
+        else the system's own) are evaluated once over the whole grid,
+        with no system bound per task, and factored over their distinct
+        shapes (:func:`~repro.core.shapes._input_shapes`), which turns
         ``B·(u(t) − u(0))`` into ``Σ_j shapes[j, t]·b_j``.  With
         ``deviation`` the march follows ``u(t) − u(0)`` — what a node
         task runs, from ``x0 = 0``; otherwise ``B·u(0)`` rides along as
@@ -217,8 +220,9 @@ class BlockNodeRunner:
             src = np.repeat(np.arange(len(at)), [len(a) for a in at])
             self._b_entries[key] = B.indices[nz], src, B.data[nz]
         rows, src, vals = self._b_entries[key]
+        waves, overrides = self.system.waveforms, overrides or {}
         U = np.array(
-            [input_system.waveforms[c].values_array(pts) for c in key]
+            [overrides.get(c, waves[c]).values_array(pts) for c in key]
         ).reshape(len(key), len(pts))
 
         shapes, shape_of, pivot = _input_shapes(U)
@@ -251,11 +255,8 @@ class BlockNodeRunner:
                     global_points=task.global_points,
                     waveform_overrides=overrides,
                 )
-            input_system = self.system
-            if overrides:
-                input_system = self.system.rebind_sources(overrides=overrides)
             tstates.append(self._prepare(
-                schedule, input_system, task.group.input_columns,
+                schedule, overrides, task.group.input_columns,
                 np.zeros(self.system.dim), deviation=True,
             ))
 

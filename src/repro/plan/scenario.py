@@ -12,9 +12,10 @@ compiled plan stays valid.
 
 The contract that keeps a scenario compatible with a compiled plan is
 **transition-grid preservation**: replacement waveforms must transition
-at exactly the times the original did (amplitude scalings preserve this
-by construction).  :class:`~repro.plan.session.Session` validates it and
-rejects structurally different inputs with a clear
+at exactly the times the original did.  Amplitude scalings preserve this
+by construction, and a scaled pulse shares its source's transition-spot
+memo, so :class:`~repro.plan.session.Session` checks them at memo cost;
+it rejects structurally different inputs with a clear
 :class:`~repro.plan.plan.PlanError`.
 """
 

@@ -139,11 +139,6 @@ class Session:
             )
         self.executor = executor
         self._prepared = False
-        # Base-waveform transition spots, computed lazily once per
-        # column: scenario validation compares every rebound column's
-        # spots against these, and a wide sweep would otherwise rescan
-        # the same unchanged base waveforms once per scenario.
-        self._base_spots: dict[int, list[float]] = {}
         # Compile-time cost (cache traffic, factorisation + kernel
         # export seconds) is reported once, on the session's first
         # result — mirroring how workers attribute construction traffic.
@@ -186,6 +181,10 @@ class Session:
 
         Returns the bound system, or ``None`` for baseline scenarios
         (which reuse the plan's system and pre-computed DC state).
+        Every changed column must keep its base waveform's transition
+        spots and constancy.  For a scaled pulse the spot check is a
+        memo hit: the copy shares the base pulse's spot memo, which
+        ``compile()`` already filled; overrides and PWLs compute theirs.
         """
         if scenario.is_baseline:
             return None
@@ -201,12 +200,9 @@ class Session:
         base = compiled.system.waveforms
         for col in scenario.changed_columns:
             old, new = base[col], bound.waveforms[col]
-            old_spots = self._base_spots.get(col)
-            if old_spots is None:
-                old_spots = old.transition_spots(compiled.t_end)
-                self._base_spots[col] = old_spots
             if new.is_constant() != old.is_constant() or (
-                new.transition_spots(compiled.t_end) != old_spots
+                new.transition_spots(compiled.t_end)
+                != old.transition_spots(compiled.t_end)
             ):
                 raise PlanError(
                     f"scenario {scenario.name!r} changes the transition "

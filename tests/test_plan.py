@@ -318,6 +318,40 @@ class TestScenarioValidation:
         cold = cold_run(mesh_system, sc)
         assert res.result.states.tobytes() == cold.result.states.tobytes()
 
+    def test_zero_scaled_pwl_is_rejected(self, mesh_system):
+        """A PWL's spots follow its slopes: a zero factor collapses them,
+        so validation's spot check (not its constancy check) rejects it."""
+        pwl = mesh_system.waveforms[0].to_pwl(T_END)
+        compiled = SimulationPlan(mesh_system, OPTS, t_end=T_END).compile()
+        with Session(compiled) as session:
+            assert session._validate(
+                Scenario("pwl", overrides={0: pwl}, scales={0: 0.5})
+            ) is not None
+            with pytest.raises(PlanError, match="transition grid"):
+                session.run(
+                    Scenario("flat", overrides={0: pwl}, scales={0: 0.0})
+                )
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_overridden_and_scaled_column_checks_override_spots(
+        self, mesh_system, moved
+    ):
+        """The scaled copy shares its *override's* spot memo, not the
+        base pulse's: a moved override stays rejected after scaling."""
+        base = mesh_system.waveforms[0]
+        delay = base.t_delay * 1.3 if moved else base.t_delay
+        wave = Pulse(base.v1, base.v2 * 2.0, delay, base.t_rise,
+                     base.t_width, base.t_fall, t_period=base.t_period)
+        sc = Scenario("both", overrides={0: wave}, scales={0: 1.5})
+        compiled = SimulationPlan(mesh_system, OPTS, t_end=T_END).compile()
+        with Session(compiled) as session:
+            if moved:
+                with pytest.raises(PlanError, match="transition grid"):
+                    session._validate(sc)
+            else:
+                bound = session._validate(sc)
+                assert bound.waveforms[0] == wave.scaled(1.5)
+
     def test_bump_split_plans_reject_scenarios(self, mesh_system):
         compiled = SimulationPlan(
             mesh_system, OPTS, t_end=T_END, decomposition="bump-split"

@@ -11,6 +11,8 @@ scenario machinery both lean on two contracts:
   the matrices.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,10 @@ WAVEFORMS = [
     PWL([(0.0, 0.0), (1e-10, 1e-3), (3e-10, 5e-4)]),
     Pulse(1e-3, 2.5e-3, 1e-10, 2e-11, 1e-10, 3e-11),
 ]
+
+#: Scale factors of the copy-cost ``Pulse.scaled`` cases: ordinary,
+#: negative, zero (constant copy, spots kept) and subnormal-producing.
+FACTORS = [1.3, -2.0, 0.0, 1e-300]
 
 
 class TestZeroScaling:
@@ -89,6 +95,55 @@ class TestScaledOfScaled:
         )
         assert (twice.transition_spots(1e-9)
                 == wave.transition_spots(1e-9))
+
+    @pytest.mark.parametrize("f", FACTORS)
+    def test_scaled_pulse_equals_fresh_construction(self, f):
+        """The copy-cost ``Pulse.scaled`` builds what the constructor
+        would: equal fields and hash, the same evaluated bytes (its own
+        interpolation table, not the source's cached one) and the same
+        spots (read from the shared memo)."""
+        pulse = Pulse(1e-3, 2.5e-3, 1e-10, 2e-11, 1e-10, 3e-11, 4e-10)
+        pulse.values_array(TIMES)  # caches pulse's own interp table
+        pulse.transition_spots(1e-9)  # fills the memo the copy shares
+        copy = pulse.scaled(f)
+        fresh = Pulse(pulse.v1 * f, pulse.v2 * f,
+                      1e-10, 2e-11, 1e-10, 3e-11, 4e-10)
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert (copy.values_array(TIMES).tobytes()
+                == fresh.values_array(TIMES).tobytes())
+        for t_end in (1e-9, 3e-10):
+            assert (copy.transition_spots(t_end)
+                    == fresh.transition_spots(t_end))
+
+    @pytest.mark.parametrize("f", FACTORS)
+    def test_mutating_returned_spots_leaves_memo_intact(self, f):
+        pulse = Pulse(1e-3, 2.5e-3, 1e-10, 2e-11, 1e-10, 3e-11, 4e-10)
+        copy = pulse.scaled(f)
+        expected = list(pulse.transition_spots(1e-9))
+        for wave in (pulse, copy):
+            spots = wave.transition_spots(1e-9)
+            spots.append(7.0)
+            spots[0] = -1.0
+        assert pulse.transition_spots(1e-9) == expected
+        assert copy.transition_spots(1e-9) == expected
+
+    @pytest.mark.parametrize("f", FACTORS)
+    def test_pickled_scaled_pulse_round_trips(self, f):
+        pulse = Pulse(1e-3, 2.5e-3, 1e-10, 2e-11, 1e-10, 3e-11, 4e-10)
+        pulse.transition_spots(1e-9)
+        copy = pulse.scaled(f)
+        back = pickle.loads(pickle.dumps(copy))
+        assert back == copy and hash(back) == hash(copy)
+        assert back.transition_spots(1e-9) == copy.transition_spots(1e-9)
+        assert back.transition_spots(2e-10) == copy.transition_spots(2e-10)
+
+    @pytest.mark.parametrize("f", FACTORS)
+    def test_scaling_invalid_timing_still_raises(self, f):
+        bad = object.__new__(Pulse)
+        bad.__dict__.update(v1=0.0, v2=1e-3, t_delay=1e-10, t_rise=0.0,
+                            t_width=1e-10, t_fall=2e-11, t_period=None)
+        with pytest.raises(ValueError, match="rise/fall"):
+            bad.scaled(f)
 
     def test_scaled_of_scaled_type_preserved(self):
         for wave, cls in zip(WAVEFORMS, (DC, PWL, Pulse)):
