@@ -86,6 +86,10 @@ class _SinkFeed:
             self.sink.append(self.times[k], row)
         self._next = row0 + len(rows)
 
+    def advance(self, row: int) -> None:
+        """Rows below ``row`` are final (a quiescent segment: zeros)."""
+        self._fill(row)
+
     def close(self) -> tuple[np.ndarray, np.ndarray]:
         self._fill(len(self.times))
         return self.sink.finalize()

@@ -53,6 +53,12 @@ class SolverStats:
         (Sec. 3.4's shared-pencil claim, made measurable).
     n_factor_cache_misses:
         Factorisations this run actually performed (and cached).
+    posterior_sum, posterior_max:
+        The posterior ledger: sum and largest of the posterior error
+        estimates (Eqs. 7/8/10) of every step the march committed.
+    eps_sum:
+        Sum of the generation budgets ``ε = eps_rel·‖v‖ + eps_abs`` of
+        every Krylov basis built — what the ledger is allowed.
     """
 
     n_steps: int = 0
@@ -67,6 +73,9 @@ class SolverStats:
     transient_seconds: float = 0.0
     n_factor_cache_hits: int = 0
     n_factor_cache_misses: int = 0
+    posterior_sum: float = 0.0
+    posterior_max: float = 0.0
+    eps_sum: float = 0.0
 
     @property
     def n_solves_transient(self) -> int:
@@ -114,6 +123,9 @@ class SolverStats:
             n_factor_cache_misses=(
                 self.n_factor_cache_misses + other.n_factor_cache_misses
             ),
+            posterior_sum=self.posterior_sum + other.posterior_sum,
+            posterior_max=max(self.posterior_max, other.posterior_max),
+            eps_sum=self.eps_sum + other.eps_sum,
         )
 
     def summary(self) -> str:

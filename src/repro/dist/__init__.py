@@ -4,7 +4,8 @@ The subsystem splits a transient simulation by *input sources*: the
 :class:`MatexScheduler` decomposes the inputs into groups, a
 :class:`BlockNodeRunner` simulates each group's deviation from the
 operating point against its process's (amortised) factorisations, and
-the scheduler superposes the per-node trajectories.  Executors choose
+each closed span is added to its scenario's sum as the march goes
+(:class:`~repro.core.superposition.SpanFold`).  Executors choose
 where the runners live: in-process (:class:`SerialExecutor`) or a real
 process pool (:class:`MultiprocessExecutor`) with pickled task messages
 and optional zero-copy shared-memory result transport.

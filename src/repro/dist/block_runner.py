@@ -42,14 +42,21 @@ single bit of the results:
   written into its spare rows (:meth:`KrylovBasis.stacked
   <repro.linalg.krylov.KrylovBasis.stacked>`), so no basis vector is
   ever copied — carries ``x(t_i1) = A[-1] @ B`` into the next segment, and
-  hands each closed span to the task's span destination — a list packed
+  hands each closed span to the task's span destination: its
+  scenario's :class:`~repro.core.superposition.SpanFold` when the
+  caller passes one, so the span is added to the scenario sum as soon
+  as the earlier nodes allow and then dropped; otherwise a list packed
   into a :class:`~repro.dist.messages.FactoredStates` for a node task,
-  a streaming sink feed for ``simulate``.  A snapshot-triggered rebuild
-  closes one span and opens the next; a quiescent segment emits
-  nothing.  A node's dense rows first exist inside the scenario sum
-  (:func:`~repro.core.superposition.superpose_states`), so forming them
-  is charged to ``superpose_seconds``, not to a node's
-  ``transient_seconds``.
+  or a streaming sink feed for ``simulate``.  A snapshot-triggered
+  rebuild closes one span and opens the next; a quiescent segment emits
+  nothing and only tells the destination that its rows are final.  A
+  node's dense rows first exist inside the scenario sum, so forming
+  them is charged to ``superpose_seconds``, not to a node's
+  ``transient_seconds``: the march subtracts the fold's own time.
+* **A posterior ledger.**  Every committed step's posterior estimate
+  is summed (and its maximum kept) in the task's
+  :class:`~repro.core.stats.SolverStats`, beside the ``ε`` of every
+  basis built; it costs one reduction per span and moves no bit.
 
 A node task marches ``u(t) − u(0)`` from a zero state; ``simulate``
 may start anywhere and march the inputs as they are.  A grid must
@@ -75,11 +82,19 @@ from repro.core.options import SolverOptions
 from repro.core.shapes import _input_shapes
 from repro.core.solver import MatexSolver, REUSE_SAFETY
 from repro.core.stats import SolverStats
+from repro.core.superposition import SpanFold
 from repro.core.transition import TransitionSchedule, build_schedule
 from repro.dist.messages import FactoredStates, NodeResult, SimulationTask
 from repro.linalg.block_krylov import build_bases_block, prime_eig_payloads
 
 __all__ = ["BlockNodeRunner"]
+
+
+class _SpanList(list):
+    """The span destination of a task whose answer is its factors."""
+
+    def advance(self, row: int) -> None:
+        """Rows below ``row`` are final: nothing to do for a list."""
 
 
 @dataclass
@@ -95,8 +110,11 @@ class _TaskState:
     ``G1``/``G2`` are the ``(q, dim)`` rows ``G⁻¹b_j`` and
     ``G⁻¹CG⁻¹b_j``, solved once per grid batch; each segment's ``F``
     and ``w2`` are combinations of them.  ``spans`` receives each closed
-    ``(row0, A, B)`` span through its ``append``: a list for a node
-    task, ``simulate``'s sink feed otherwise.
+    ``(row0, A, B)`` span through its ``append``, and ``advance(row)``
+    after a quiescent segment (no row below ``row`` will follow): a list
+    for a node task that answers with its factors, a
+    :class:`~repro.core.superposition.SpanFold` node for one that is
+    summed as it marches, ``simulate``'s sink feed otherwise.
     """
 
     schedule: TransitionSchedule
@@ -105,7 +123,7 @@ class _TaskState:
     lts: list[int]
     stats: SolverStats
     x: np.ndarray
-    spans: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
+    spans: object = field(default_factory=_SpanList)
     G1: np.ndarray | None = None
     G2: np.ndarray | None = None
     eps_segment: float = 0.0
@@ -160,8 +178,20 @@ class BlockNodeRunner:
 
     # -- public API ---------------------------------------------------------------
 
-    def run(self, tasks: Sequence[SimulationTask]) -> list[NodeResult]:
+    def run(
+        self,
+        tasks: Sequence[SimulationTask],
+        fold: SpanFold | None = None,
+        first: int = 0,
+    ) -> list[NodeResult]:
         """Simulate every task; results in input order.
+
+        With ``fold``, task ``i`` is position ``first + i`` of the
+        fold's submission: a task the fold sums sends its spans there as
+        they close, and its result carries an empty ``(0, dim)``
+        ``states`` (its trajectory is in the fold's scenario total).
+        The time the fold spends is not charged to any task's
+        ``transient_seconds``.
 
         Tasks sharing one ``(global_points, t_end)`` grid march
         together; mixed batches are grouped by grid and each group
@@ -180,7 +210,10 @@ class BlockNodeRunner:
             groups.setdefault((task.global_points, task.t_end), []).append(pos)
         results: dict[int, NodeResult] = {}
         for positions in groups.values():
-            batch = self._run_grid_batch([tasks[p] for p in positions])
+            batch = self._run_grid_batch(
+                [tasks[p] for p in positions], fold,
+                [first + p for p in positions],
+            )
             for p, res in zip(positions, batch):
                 results[p] = res
         ordered = [results[p] for p in range(len(tasks))]
@@ -242,7 +275,10 @@ class BlockNodeRunner:
             x=np.asarray(x0, dtype=float),
         )
 
-    def _run_grid_batch(self, tasks: list[SimulationTask]) -> list[NodeResult]:
+    def _run_grid_batch(
+        self, tasks: list[SimulationTask], fold: SpanFold | None,
+        positions: list[int],
+    ) -> list[NodeResult]:
         tstates = []
         for task in tasks:
             overrides = task.group.overrides_dict() or None
@@ -267,25 +303,38 @@ class BlockNodeRunner:
                     f"task {task.task_id} (position {pos} of its grid batch): "
                     f"schedule points differ from task {tasks[0].task_id}'s"
                 )
-        self._march(tstates, f"task {tasks[0].task_id}")
+        if fold is not None:
+            for t, pos in zip(tstates, positions):
+                sink = fold.sink(pos, pts_ref)
+                if sink is not None:
+                    t.spans = sink
+        self._march(tstates, f"task {tasks[0].task_id}", fold)
 
+        folded = np.empty((0, self.system.dim))
         return [
             NodeResult(
                 task_id=task.task_id,
                 group_id=task.group.group_id,
                 label=task.group.label,
                 times=pts_ref.copy(),
-                states=FactoredStates.from_spans(
-                    (len(pts_ref), self.system.dim), t.spans
+                states=(
+                    FactoredStates.from_spans(
+                        (len(pts_ref), self.system.dim), t.spans
+                    )
+                    if isinstance(t.spans, _SpanList) else folded
                 ),
                 stats=t.stats,
             )
             for task, t in zip(tasks, tstates)
         ]
 
-    def _march(self, tstates: list[_TaskState], owner: str) -> None:
+    def _march(
+        self, tstates: list[_TaskState], owner: str,
+        fold: SpanFold | None = None,
+    ) -> None:
         """Lockstep segment rounds over marches on one grid (``owner``
-        names it in the error raised when it does not strictly increase)."""
+        names it in the error raised when it does not strictly increase;
+        ``fold``'s time inside the march is not the march's)."""
         pts = np.asarray(tstates[0].schedule.points)
         stalled = np.flatnonzero(~(np.diff(pts) > 0.0))
         if stalled.size:
@@ -295,6 +344,7 @@ class BlockNodeRunner:
                 f"does not exceed point {k - 1}; the grid must strictly increase"
             )
 
+        folded0 = fold.seconds if fold is not None else 0.0
         t_march = time.perf_counter()
         self._solve_shapes(tstates)
         round_idx = 0
@@ -308,6 +358,8 @@ class BlockNodeRunner:
                 self._evaluate_span(t, pts)
             round_idx += 1
         march_seconds = time.perf_counter() - t_march
+        if fold is not None:
+            march_seconds -= fold.seconds - folded0
 
         # At width 1 this is the task's own measured march — the paper's
         # per-node "pure transient computing".  A fused march has no
@@ -383,6 +435,7 @@ class BlockNodeRunner:
         for t, basis in zip(builders, bases):
             t.basis = basis
             t.stats.n_krylov_bases += 1
+            t.stats.eps_sum += t.eps_segment
             t.stats.n_solves_krylov += basis.m
             t.krylov_dims.append(basis.m)
 
@@ -394,6 +447,7 @@ class BlockNodeRunner:
         )
         t.basis = basis
         t.stats.n_krylov_bases += 1
+        t.stats.eps_sum += t.eps_segment
         t.stats.n_solves_krylov += basis.m
         t.krylov_dims.append(basis.m)
 
@@ -415,6 +469,7 @@ class BlockNodeRunner:
             # step lands exactly on +0.0 — no span is emitted.
             t.stats.n_reuses += n_span - 1
             t.x = np.zeros_like(t.x)
+            t.spans.advance(t.i1 + 1)
             return
         threshold = REUSE_SAFETY * t.eps_segment
         start = 0
@@ -424,6 +479,11 @@ class BlockNodeRunner:
             # The first step of a (re)built basis is committed unchecked.
             failed = np.flatnonzero(errs[1:] > threshold)
             stop = int(failed[0]) + 1 if failed.size else len(hs)
+            committed = errs[:stop]
+            t.stats.posterior_sum += float(committed.sum())
+            t.stats.posterior_max = max(
+                t.stats.posterior_max, float(committed.max())
+            )
             # Both factors C-ordered by construction: numpy picks its
             # BLAS call from the operand strides, and the bits follow.
             # B is the basis's own workspace rows (no vector copied).

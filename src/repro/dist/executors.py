@@ -26,27 +26,36 @@ different code path.  ``"auto"`` is one chunk per worker and an integer
 a fixed width.  The results are bit-for-bit the same at every width
 (``tests/test_golden_digests.py`` pins them to recorded digests).
 
+**The sum is the march's span destination.**  MATEX's only cross-node
+communication is the final sum ``x = x_dc + Σ_k y_k``.  When ``run`` is
+given ``dc_states`` (one per scenario, as a
+:class:`~repro.plan.Session` does), the runner hands each closed span
+straight to a :class:`~repro.core.superposition.SpanFold`, which adds it
+to its scenario's total as soon as the scenario's earlier nodes have
+added those rows — the same additions in the same node order as
+summing whole node results, hence the same bits — so a run holds one
+trajectory per scenario plus the spans still waiting, not every node's
+factors.  The scenario's first result is then the carrier of the sum
+(``covers``) and the other summed results carry empty ``states``.  The
+serial executor folds every scenario across all its chunks (at width 1
+no span ever waits for an earlier node).
+
 What crosses the process boundary.  In: one pickled
 :class:`~repro.dist.messages.SimulationTask` per node (≈2.3 kB with a
-plan-frozen schedule) plus, when the caller passes ``dc_states``, one
-``dim``-float DC vector per scenario.  Out: MATEX's only cross-node
-communication is the final sum ``x = x_dc + Σ_k y_k``, so a worker whose
-lockstep chunk holds **all** node tasks of a scenario performs that sum
-itself — through :func:`~repro.core.superposition.superpose_states`, the
-very routine the parent-side ``superpose`` runs, adding the same blocks
-in the same task order, hence bit-for-bit the same trajectory — and
-returns one ``(K × dim)`` block per scenario plus every node's
-:class:`~repro.core.stats.SolverStats`; the per-node blocks never leave
-the worker.  ``"auto"`` chunks are cut on scenario boundaries whenever a
-submission holds at least as many scenarios as workers, so a
-session-driven sweep is reduced this way throughout.  Per-node
-trajectories still travel — as their factors
+plan-frozen schedule) plus one ``dim``-float DC vector per scenario that
+starts in the chunk.  Out: a pool chunk folds every scenario *prefix* it
+holds — a whole scenario, or the leading nodes of one that continues in
+the next chunk — and returns one ``(K × dim)`` block per prefix plus
+every node's :class:`~repro.core.stats.SolverStats`.  Only the nodes
+after a chunk border travel as their own factors
 (:class:`~repro.dist.messages.FactoredStates`, ≈ a sixth of the dense
-block), which the parent folds into the sum with that same routine —
-for a scenario that straddles two chunks (fewer scenarios than workers, e.g. a
-one-scenario ``repro sweep --processes N``; every multi-node scenario
-of a width-1 pool), and whenever ``run`` is called without
-``dc_states`` (the paper's per-node view).
+block), and the parent's ``superpose`` resumes the carrier's sum with
+them.  A prefix of one node of a longer scenario is not folded: its
+dense block would be larger than its factors, so a width-1 pool ships
+per-node factors.  ``"auto"`` chunks are cut on scenario boundaries
+whenever a submission holds at least as many scenarios as workers.
+Without ``dc_states`` every node keeps its own factors (the paper's
+per-node view).
 
 Both executors are deterministic: a task's floating-point trajectory
 depends only on the task itself, never on which worker ran it, in what
@@ -70,7 +79,7 @@ import numpy as np
 from repro import faults
 from repro.circuit.mna import MNASystem
 from repro.core.options import SolverOptions
-from repro.core.superposition import superpose_states
+from repro.core.superposition import SpanFold
 from repro.dist.block_runner import BlockNodeRunner
 from repro.dist.messages import NodeResult, SimulationTask
 from repro.dist.shm import (
@@ -134,9 +143,11 @@ def _chunks(tasks: list, width: int) -> list[list]:
 
 
 def _march_chunk(
-    runner: BlockNodeRunner, chunk: list[SimulationTask]
+    runner: BlockNodeRunner, chunk: list[SimulationTask],
+    fold: SpanFold | None = None, first: int = 0,
 ) -> list[NodeResult]:
-    """March one lockstep chunk — the single run path of both executors.
+    """March one lockstep chunk — the single run path of both executors
+    (``fold``/``first``: see :meth:`BlockNodeRunner.run`).
 
     The fault hook fires here, once per task, immediately before the
     chunk marches: in the host process, in a pool worker, and in the
@@ -144,29 +155,61 @@ def _march_chunk(
     """
     for task in chunk:
         faults.on_task_start(task.task_id)
-    return runner.run(chunk)
+    return runner.run(chunk, fold, first)
 
 
-def _whole_scenarios(
+def _per_scenario(tasks: list, dc_states: Sequence | None) -> int:
+    """Tasks per scenario of a submission with ``dc_states`` (0 without)."""
+    if dc_states is None:
+        return 0
+    if not len(dc_states) or len(tasks) % len(dc_states):
+        raise ValueError(
+            f"{len(tasks)} task(s) do not split into "
+            f"{len(dc_states)} equally long scenario(s)"
+        )
+    return len(tasks) // len(dc_states)
+
+
+def _scenario_prefixes(
     start: int, length: int, per_scenario: int, dc_states: Sequence | None
 ) -> list[tuple[int, int, np.ndarray]]:
-    """Scenarios lying wholly inside the chunk ``tasks[start:start+length]``.
+    """Scenarios that start inside the chunk ``tasks[start:start+length]``.
 
     Scenario ``j`` owns tasks ``[j·per_scenario, (j+1)·per_scenario)`` of
-    the submission.  Returns ``(lo, hi, dc_state)`` per contained
-    scenario, ``lo``/``hi`` relative to the chunk — what the worker that
-    marches the chunk needs to superpose them itself (nothing when the
-    submission came without ``dc_states``).
+    the submission.  Returns ``(lo, count, dc_state)`` per scenario whose
+    first node lies in the chunk, ``lo`` relative to the chunk and
+    ``count`` the nodes of it the chunk holds — what the worker needs to
+    fold that prefix itself.  A one-node prefix of a longer scenario is
+    left out: folded, it would ship a dense block instead of one node's
+    smaller factors.
     """
     if not dc_states:
         return []
-    first = -(-start // per_scenario)
-    stop = (start + length) // per_scenario
-    return [
-        (j * per_scenario - start, (j + 1) * per_scenario - start,
-         dc_states[j])
-        for j in range(first, stop)
-    ]
+    out = []
+    for j in range(-(-start // per_scenario), len(dc_states)):
+        lo = j * per_scenario - start
+        if lo >= length:
+            break
+        count = min(per_scenario, length - lo)
+        if count > 1 or count == per_scenario:
+            out.append((lo, count, dc_states[j]))
+    return out
+
+
+def _carry(fold: SpanFold, results: list[NodeResult]) -> list[NodeResult]:
+    """Hand each folded scenario prefix its carrier: the first node's
+    result with the sum as ``states`` (the others' are already empty)."""
+    results = list(results)
+    for lo, count, total, seconds in fold.totals():
+        share = results[lo:lo + count]
+        results[lo] = dataclasses.replace(
+            share[0],
+            states=total,
+            covers=tuple(r.task_id for r in share),
+            superpose_seconds=seconds,
+            peak_held_bytes=fold.peak_held_bytes,
+        )
+    return results
 
 
 class Executor:
@@ -191,8 +234,8 @@ class Executor:
 
         ``dc_states`` — one DC operating point per scenario, the tasks
         being that many equal-length consecutive runs — allows (never
-        obliges) an executor to superpose a scenario where its nodes
-        were marched; see :class:`NodeResult` ``covers``.
+        obliges) an executor to sum a scenario's leading nodes where
+        they were marched; see :class:`NodeResult` ``covers``.
         """
         raise NotImplementedError
 
@@ -268,14 +311,20 @@ class SerialExecutor(Executor):
         tasks: Sequence[SimulationTask],
         dc_states: Sequence[np.ndarray] | None = None,
     ) -> list[NodeResult]:
-        """Per-node results; ``dc_states`` is ignored (nothing is
-        transported, so the caller superposes in place)."""
+        """One result per task; with ``dc_states`` every scenario is
+        folded as it marches and comes back as its carrier."""
         tasks = list(tasks)
+        per = _per_scenario(tasks, dc_states)
+        fold = None
+        if per:
+            fold = SpanFold([
+                (j * per, per, dc) for j, dc in enumerate(dc_states)
+            ])
         width = _resolve_batch_width(self.batch_width, len(tasks))
         out: list[NodeResult] = []
-        for chunk in _chunks(tasks, width):
-            out.extend(_march_chunk(self.runner, chunk))
-        return out
+        for i, chunk in enumerate(_chunks(tasks, width)):
+            out.extend(_march_chunk(self.runner, chunk, fold, i * width))
+        return out if fold is None else _carry(fold, out)
 
 
 # -- multiprocess backend ----------------------------------------------------------
@@ -322,43 +371,19 @@ def _maybe_share(result: NodeResult) -> NodeResult:
     return to_shared(result, shm_prefix)
 
 
-def _superpose_in_worker(
-    dc_state: np.ndarray, share: list[NodeResult]
-) -> list[NodeResult]:
-    """Fold one scenario's node results into a carrier (worker side).
-
-    The first result becomes the carrier of ``x_dc + Σ_k y_k`` — summed
-    by the same routine, in the same task order, as the parent-side
-    ``superpose`` — and the rest keep everything but their trajectory.
-    """
-    t0 = time.perf_counter()
-    total = superpose_states(
-        dc_state, [r.times for r in share], [r.states for r in share]
-    )
-    seconds = time.perf_counter() - t0
-    carrier = dataclasses.replace(
-        share[0],
-        states=total,
-        covers=tuple(r.task_id for r in share),
-        superpose_seconds=seconds,
-    )
-    folded = np.empty((0, total.shape[1]))
-    return [carrier] + [
-        dataclasses.replace(r, states=folded) for r in share[1:]
-    ]
-
-
 def _run_chunk_in_process(
     tasks: list[SimulationTask],
-    scenarios: Sequence[tuple[int, int, np.ndarray]] = (),
+    prefixes: Sequence[tuple[int, int, np.ndarray]] = (),
 ) -> list[NodeResult]:
+    """March one pool chunk, folding the scenario prefixes it holds."""
     global _PROCESS_RUNNER
     assert _PROCESS_CONFIG is not None, "pool initializer did not run"
     if _PROCESS_RUNNER is None:
         _PROCESS_RUNNER = BlockNodeRunner(*_PROCESS_CONFIG[:2])
-    results = _march_chunk(_PROCESS_RUNNER, tasks)
-    for lo, hi, dc_state in scenarios:
-        results[lo:hi] = _superpose_in_worker(dc_state, results[lo:hi])
+    fold = SpanFold(prefixes) if prefixes else None
+    results = _march_chunk(_PROCESS_RUNNER, tasks, fold)
+    if fold is not None:
+        results = _carry(fold, results)
     return [_maybe_share(r) for r in results]
 
 
@@ -381,8 +406,8 @@ class MultiprocessExecutor(Executor):
         process's :class:`BlockNodeRunner`; when :meth:`run` is given
         ``dc_states`` for at least as many scenarios as workers, the
         chunks are cut on scenario boundaries.  ``int`` — fixed chunk
-        width.  Either way a chunk that holds a whole scenario returns
-        it superposed (see the module docstring).
+        width.  Either way a chunk folds the scenario prefixes it holds
+        (see the module docstring).
     transport:
         ``"auto"`` (default) — trajectory arrays return through
         ``multiprocessing.shared_memory`` when the platform supports
@@ -544,7 +569,7 @@ class MultiprocessExecutor(Executor):
     ) -> list[NodeResult]:
         """Cut ``tasks`` into pool jobs and gather the raw results."""
         n_scenarios = len(dc_states) if dc_states is not None else 0
-        per_scenario = len(tasks) // n_scenarios if n_scenarios else 0
+        per_scenario = _per_scenario(tasks, dc_states)
         width = self.batch_width
         if width == "auto":
             # One lockstep chunk per worker process — of whole scenarios
@@ -557,14 +582,14 @@ class MultiprocessExecutor(Executor):
                 width = -(-len(tasks) // n_chunks)
         width = _resolve_batch_width(width, len(tasks))
         chunks = _chunks(tasks, width)
-        scenarios = [
-            _whole_scenarios(i * width, len(chunk), per_scenario, dc_states)
+        prefixes = [
+            _scenario_prefixes(i * width, len(chunk), per_scenario, dc_states)
             for i, chunk in enumerate(chunks)
         ]
         return [
             r
             for chunk_results in self._pool.map(
-                _run_chunk_in_process, chunks, scenarios, timeout=timeout
+                _run_chunk_in_process, chunks, prefixes, timeout=timeout
             )
             for r in chunk_results
         ]
@@ -607,12 +632,13 @@ class MultiprocessExecutor(Executor):
         """Run ``tasks`` on the pool; one result per task, in task order.
 
         With ``dc_states`` (one DC operating point per scenario; the
-        tasks are that many consecutive, equally long scenarios) every
-        scenario whose tasks all land in one lockstep chunk comes back
-        already superposed: its first result is the carrier of
-        ``x_dc + Σ_k y_k`` (``covers`` set) and the others have empty
-        ``states``.  Without it every result holds its node's own
-        deviation trajectory.
+        tasks are that many consecutive, equally long scenarios) the
+        nodes of a scenario that share its first node's chunk come back
+        already summed: its first result is the carrier of ``x_dc`` plus
+        those nodes (``covers`` set) and the others have empty
+        ``states``; nodes in later chunks keep their own factors.
+        Without it every result holds its node's own deviation
+        trajectory.
 
         The batch is attempted under :attr:`retry` (class docstring);
         on give-up a policy raises :class:`JobError`, ``None`` the cause.
@@ -620,16 +646,10 @@ class MultiprocessExecutor(Executor):
         tasks = list(tasks)
         if not tasks:
             return []
-        if dc_states is not None and (
-            not len(dc_states) or len(tasks) % len(dc_states)
-        ):
-            raise ValueError(
-                f"{len(tasks)} task(s) do not split into "
-                f"{len(dc_states)} equally long scenario(s)"
-            )
+        _per_scenario(tasks, dc_states)
         if self._degraded:
             self.supervision.degraded_runs += 1
-            return self._degraded_executor().run(tasks)
+            return self._degraded_executor().run(tasks, dc_states)
         policy = self.retry if self.retry is not None else _NO_RETRY
         start = time.monotonic()
         attempts = 0
@@ -650,7 +670,7 @@ class MultiprocessExecutor(Executor):
                 ):
                     self._degrade(exc)
                     self.supervision.degraded_runs += 1
-                    return self._degraded_executor().run(tasks)
+                    return self._degraded_executor().run(tasks, dc_states)
                 if attempts > policy.max_retries:
                     if self.retry is None:
                         raise

@@ -18,18 +18,21 @@ The protocol mirrors the paper's Fig. 4:
 * the scheduler superposes and reports a :class:`DistributedResult` with
   the Sec. 3.4 timing split.
 
-One refinement on the way back: a pool worker that marched *every* node
-of a scenario superposes them itself and answers with one trajectory for
-the scenario instead of one per node.  The scenario's first result is
-the **carrier** — its ``states`` hold the dense ``x_dc + Σ_k y_k`` and
-``covers`` lists the summed task ids — and the other node results keep
-their statistics but travel with an empty ``(0, dim)`` ``states`` block
-(see :mod:`repro.dist.executors` for when this happens).
+One refinement on the way back: an executor given the scenarios' DC
+states sums each scenario's leading nodes as it marches them
+(:class:`~repro.core.superposition.SpanFold`) and answers with one
+trajectory for them instead of one per node.  The scenario's first
+result is the **carrier** — its ``states`` hold ``x_dc`` plus the
+summed nodes and ``covers`` lists their task ids — and the other summed
+node results keep their statistics but travel with an empty
+``(0, dim)`` ``states`` block; nodes after a chunk border travel as
+their own factors (see :mod:`repro.dist.executors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +46,7 @@ __all__ = [
     "FactoredStates",
     "NodeResult",
     "DistributedResult",
+    "ErrorBudget",
 ]
 
 
@@ -108,7 +112,7 @@ class FactoredStates:
     and rebuild the spans as views into it (:meth:`from_flat`).  Every
     factor is C-ordered either way, so the products see the same
     operand layout wherever they are formed: inside the write-back
-    (:func:`repro.core.superposition.superpose_states`) or on request
+    (:mod:`repro.core.superposition`) or on request
     (:meth:`dense`, ``np.asarray``).
 
     Attributes
@@ -196,16 +200,20 @@ class NodeResult:
     states:
         The node's ``(K × dim)`` deviation trajectory: a
         :class:`FactoredStates` from the block runner (every executor)
-        — unless the worker already superposed the node's scenario: then
-        the carrier (``covers`` non-empty) holds the dense scenario sum
-        and every other node result of that scenario an empty
+        — unless the executor summed the node into its scenario as it
+        marched: then the carrier (``covers`` non-empty) holds the dense
+        partial sum and every other summed node result an empty
         ``(0, dim)`` block.
     covers:
-        Ids of the tasks, in summation order, whose trajectories the
-        worker summed onto their scenario's DC state to produce
-        ``states``.  Empty for an ordinary per-node result.
+        Ids of the tasks, in summation order, whose trajectories were
+        summed onto their scenario's DC state to produce ``states``:
+        the scenario's first nodes, all of them unless a chunk border
+        split it.  Empty for an ordinary per-node result.
     superpose_seconds:
-        Wall time of that worker-side sum (0 for per-node results).
+        Wall time of that sum (0 for per-node results).
+    peak_held_bytes:
+        The most bytes of closed spans the summing fold held queued at
+        once (a count, not RSS; 0 for per-node results).
     """
 
     task_id: int
@@ -216,6 +224,7 @@ class NodeResult:
     stats: SolverStats = field(default_factory=SolverStats)
     covers: tuple[int, ...] = ()
     superpose_seconds: float = 0.0
+    peak_held_bytes: int = 0
 
     @property
     def transient_seconds(self) -> float:
@@ -240,6 +249,22 @@ class NodeResult:
         )
 
 
+class ErrorBudget(NamedTuple):
+    """The posterior ledger of a run, against what it was allowed.
+
+    ``spent`` sums the posterior estimates of every step every node
+    committed, ``largest`` is the largest of them, and ``allowed`` sums
+    the generation budget ``ε`` of every Krylov basis built (``k·ε``
+    for ``k`` bases of equal ``ε``).  All in state units (volts).  A
+    reused step may spend up to ``REUSE_SAFETY·ε``, so ``spent`` is not
+    capped by ``allowed``; and an estimate is not a bound.
+    """
+
+    spent: float
+    largest: float
+    allowed: float
+
+
 @dataclass(frozen=True, eq=False)
 class DistributedResult:
     """The combined outcome of one distributed run (paper Sec. 3.4).
@@ -257,7 +282,8 @@ class DistributedResult:
     factor_seconds:
         Max per-node factorisation time (nodes factor concurrently).
     superpose_seconds:
-        Wall time of the final write-back/superposition.
+        Wall time of the final write-back/superposition, wherever it
+        ran: folded during the march, in a pool worker, or here.
     factor_cache_hits:
         Factorisations this run reused from the process-wide
         :data:`~repro.linalg.lu.FACTORIZATION_CACHE` (scheduler DC +
@@ -299,6 +325,12 @@ class DistributedResult:
         Batches answered by the in-process degradation fallback after
         the executor stopped trusting process pools (see
         ``RetryPolicy.degrade_after``).
+    peak_held_bytes:
+        The most bytes of closed node spans the fold that summed this
+        scenario held queued — waiting for earlier nodes, or for enough
+        of them to be worth allocating the dense total — a count, not
+        RSS.  A fold that summed several stacked scenarios reports its
+        peak over all of them.
     """
 
     result: TransientResult
@@ -316,6 +348,7 @@ class DistributedResult:
     rom_fallback: bool = False
     retries: int = 0
     degraded_runs: int = 0
+    peak_held_bytes: int = 0
 
     @property
     def node_transient_seconds(self) -> list[float]:
@@ -332,6 +365,17 @@ class DistributedResult:
         """Paper MATEX total: serial parts + slowest node + write-back."""
         return (self.dc_seconds + self.factor_seconds
                 + self.tr_matex + self.superpose_seconds)
+
+    @property
+    def error_bound(self) -> ErrorBudget:
+        """The run's posterior ledger (:class:`ErrorBudget`), merged over
+        its nodes in node order."""
+        return ErrorBudget(
+            spent=sum(s.posterior_sum for s in self.node_stats),
+            largest=max((s.posterior_max for s in self.node_stats),
+                        default=0.0),
+            allowed=sum(s.eps_sum for s in self.node_stats),
+        )
 
     @property
     def total_substitution_pairs(self) -> int:

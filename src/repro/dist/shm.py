@@ -10,12 +10,12 @@ a :class:`ShmArrayRef`) travels through the pipe.  The parent maps the
 segment and hands numpy a zero-copy view.
 
 Only results that still hold trajectory bytes get a segment.  When a
-worker superposed a whole scenario itself (see
-:mod:`repro.dist.executors`), that is the scenario's carrier alone — one
-``K·dim·8``-byte segment per scenario, named after the carrier's task
-id — and the other node results, whose ``states`` are empty, travel as
-plain pickled metadata.  A per-node result (a scenario straddling two
-chunks) holds a :class:`~repro.dist.messages.FactoredStates`: its flat
+worker folded a scenario prefix itself (see
+:mod:`repro.dist.executors`), that is the prefix's carrier alone — one
+``K·dim·8``-byte segment, named after the carrier's task id — and the
+other summed node results, whose ``states`` are empty, travel as plain
+pickled metadata.  A per-node result (a node after a chunk border)
+holds a :class:`~repro.dist.messages.FactoredStates`: its flat
 factor buffer is what the segment carries, and the ref's ``factors``
 field the shape and span layout that turn the mapped buffer back into
 the same factored trajectory, still zero-copy.

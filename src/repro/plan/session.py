@@ -17,16 +17,16 @@ objects through one :class:`~repro.plan.plan.CompiledPlan` against a
   run on the scenario-bound system (enforced by ``tests/test_plan.py``)
   — the sweep is purely an amortisation, never an approximation;
 * the session hands the executor each scenario's DC state along with
-  its tasks, so a process pool superposes a scenario **in the worker
-  that marched it** and ships one trajectory per scenario instead of
-  one per node (:mod:`repro.dist.executors` says when); the session
-  takes such a sum as it comes and superposes itself — through the same
-  accumulation routine, in the same node order, hence the same bits —
-  only the scenarios that came back per node (in-process executors,
-  scenarios split over several workers, degraded batches).  Node
-  results arrive as factored trajectories and are handed to that
-  routine as they are: the dense rows are formed inside the sum, so
-  ``superpose_seconds`` includes their evaluation.
+  its tasks, so the executor sums each scenario **as its nodes march**
+  (:class:`~repro.core.superposition.SpanFold`) — in process, or in
+  the pool worker that holds the scenario's first nodes — and hands
+  back a carrier of that sum instead of every node's factors
+  (:mod:`repro.dist.executors` says when); the session finishes every
+  scenario with one routine, :func:`~repro.core.superposition.superpose`,
+  which resumes the carrier's sum with any nodes that came back on
+  their own (a scenario split over workers) in node order, hence the
+  same bits.  ``superpose_seconds`` is the executor's fold time plus
+  that finishing step.
 
 A worker death mid-sweep does not poison the session: the persistent
 executor disposes the broken pool (sweeping the dead worker's
@@ -45,11 +45,7 @@ import numpy as np
 from repro.circuit.mna import MNASystem
 from repro.core.results import TransientResult
 from repro.core.stats import SolverStats
-from repro.core.superposition import (
-    SUPERPOSED_METHOD,
-    merge_node_stats,
-    superpose,
-)
+from repro.core.superposition import superpose
 from repro.dist.executors import Executor, SerialExecutor
 from repro.dist.messages import DistributedResult, SimulationTask
 from repro.linalg.lu import FACTORIZATION_CACHE
@@ -295,10 +291,10 @@ class Session:
             :data:`AUTO_STACK_TASK_TARGET` lockstep tasks per
             submission — deep stacking for narrow plans, shallow for
             wide ones; an explicit integer overrides it (each stacked
-            scenario holds its ``n_nodes`` factored trajectories —
-            ≈ ``(m + 2)·(K + dim)`` floats per Krylov basis, about a
-            sixth of a dense ``(K × dim)`` block on pg1t — until
-            superposition forms the one dense sum).
+            scenario holds its dense ``(K × dim)`` sum, plus the
+            factored spans of its nodes that wait for an earlier node
+            to fold the same rows — ≈ ``(m + 2)·(K + dim)`` floats per
+            Krylov basis).
         rom:
             Reduced-order tier policy.  ``None`` (default) answers from
             the compiled plan's :class:`~repro.rom.ReducedModel` when
@@ -493,24 +489,13 @@ class Session:
             share = node_results[slot * n:(slot + 1) * n]
             system = bound if bound is not None else compiled.system
             node_stats = tuple(r.stats for r in share)
-            carrier = share[0]
-            if carrier.covers:
-                # The worker that marched the whole scenario already
-                # superposed it (same routine, same node order).
-                combined = TransientResult(
-                    system=system,
-                    times=carrier.times,
-                    states=carrier.states,
-                    stats=merge_node_stats(node_stats),
-                    method=SUPERPOSED_METHOD,
-                )
-                superpose_seconds = carrier.superpose_seconds
-            else:
-                t0 = time.perf_counter()
-                # The node results themselves, not TransientResults:
-                # rehydrating would densify their factored states.
-                combined = superpose(dc_states[slot], share, system=system)
-                superpose_seconds = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            # The node results themselves, not TransientResults:
+            # rehydrating would densify their factored states.
+            combined = superpose(dc_states[slot], share, system=system)
+            superpose_seconds = (
+                share[0].superpose_seconds + time.perf_counter() - t0
+            )
 
             hits = dc_hits[slot] + sum(
                 s.n_factor_cache_hits for s in node_stats
@@ -541,6 +526,7 @@ class Session:
                     # submission, so the chunk's first result carries it.
                     retries=chunk_retries if slot == 0 else 0,
                     degraded_runs=chunk_degraded if slot == 0 else 0,
+                    peak_held_bytes=share[0].peak_held_bytes,
                 )
             )
         if self.n_scenarios_run == 0 and results:

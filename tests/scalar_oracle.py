@@ -22,7 +22,10 @@ oracle moves under seeded ±1-ulp perturbations of its evaluations and
 of its ETD ``G`` solves.
 
 :func:`run_task` is the oracle's answer to one node task (the
-``ScalarOracleExecutor`` of ``tests/conftest.py``).
+``ScalarOracleExecutor`` of ``tests/conftest.py``).  It keeps the
+posterior ledger step by step too (``SolverStats.posterior_sum``,
+``posterior_max``, ``eps_sum``): the oracle for the runner's span-wise
+ledger.
 """
 
 from __future__ import annotations
@@ -197,6 +200,11 @@ def scalar_simulate(
         bu0 = bu_grid[:, 0].copy()
         bu_grid -= bu0[:, None]
 
+    def commit(err: float) -> None:
+        """The posterior ledger: one committed step's estimate."""
+        stats.posterior_sum += err
+        stats.posterior_max = max(stats.posterior_max, err)
+
     def advance(i: int, t: float, t_next: float, x: np.ndarray):
         """One Alg. 2 step: fresh basis at an LTS, reuse at a snapshot."""
         h = t_next - t
@@ -218,10 +226,13 @@ def scalar_simulate(
             )
             stats.n_solves_krylov += solver.op.n_solves - before_kry
             stats.n_krylov_bases += 1
+            stats.eps_sum += state.eps_segment
             stats.krylov_dims.append(state.basis.m)
             state.alts = t
             state.v_alts = v
-            return state.basis.evaluate(h) - state.segment.P(h)
+            y, err = state.basis.evaluate_with_error(h)
+            commit(err)
+            return y - state.segment.P(h)
 
         # Snapshot: reuse the basis generated at `alts`, after
         # re-checking its posterior error at the longer step.
@@ -235,10 +246,12 @@ def scalar_simulate(
             )
             stats.n_solves_krylov += solver.op.n_solves - before_kry
             stats.n_krylov_bases += 1
+            stats.eps_sum += state.eps_segment
             stats.krylov_dims.append(state.basis.m)
-            y = state.basis.evaluate(ha)
+            y, reuse_err = state.basis.evaluate_with_error(ha)
         else:
             stats.n_reuses += 1
+        commit(reuse_err)
         return y - state.segment.P(ha)
 
     loop = SteppingLoop(solver.system.dim, stats, sink=sink)

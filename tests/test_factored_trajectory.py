@@ -208,10 +208,11 @@ class TestTransport:
     @needs_shm
     def test_straddling_scenarios_ship_factors_not_blocks(self, monkeypatch):
         """Three pg1t scenarios over two workers in chunks of 150 tasks:
-        scenarios 0 and 2 are reduced by the worker that holds them,
-        scenario 1 straddles the chunk border and comes back per node —
-        as factors, well under a third of the dense bytes it used to
-        ship — for the parent to fold."""
+        scenarios 0 and 2 are folded by the worker that holds them, and
+        so are the first 50 nodes of scenario 1, which straddles the
+        chunk border.  Its other 50 nodes come back per node — as
+        factors, well under a third of the dense bytes — for the parent
+        to resume the fold with."""
         system, opts, t_end, _ = CASES["pg1t"]()
         compiled = SimulationPlan(
             system, opts, t_end=t_end, batch="auto"
@@ -240,8 +241,9 @@ class TestTransport:
                 got = session.sweep(scenarios, stack=3)
         for ref, res in zip(reference, got):
             assert res.result.states.tobytes() == ref.result.states.tobytes()
-        assert [r.task_id for r in shipped if r.covers] == [0, 2 * n]
-        per_node = shipped[n:2 * n]
+        assert [r.task_id for r in shipped if r.covers] == [0, n, 2 * n]
+        assert shipped[n].covers == tuple(range(n, n + n // 2))
+        per_node = shipped[n + n // 2:2 * n]
         assert all(isinstance(r.states, FactoredStates) for r in per_node)
         factored = sum(r.states.nbytes for r in per_node)
         dense = sum(int(np.prod(r.states.shape)) * 8 for r in per_node)

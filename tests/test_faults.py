@@ -328,9 +328,9 @@ class TestHooksOnEveryRunPath:
         )
         real_run = BlockNodeRunner.run
 
-        def recording_run(runner, chunk):
+        def recording_run(runner, chunk, *fold):
             events.append(("march", [t.task_id for t in chunk]))
-            return real_run(runner, chunk)
+            return real_run(runner, chunk, *fold)
 
         monkeypatch.setattr(BlockNodeRunner, "run", recording_run)
         tasks = tasks_for(mesh_system, decomposition="source")

@@ -6,10 +6,10 @@ trajectories (and the summed ``SolverStats`` counters) recorded by
 runner at width 1, the paper's per-node execution.  ``batch ∈ {"off",
 1, 7, "auto"}`` on the serial executor and on a process pool over both
 transports must all reproduce them: a node's answer is a factored
-trajectory (:class:`repro.dist.messages.FactoredStates`) whatever the
-width, and one routine (:func:`repro.core.superposition.superpose_states`)
-folds the factors into the scenario sum in task order wherever the
-tasks meet.
+trajectory whatever the width, and one addition
+(``repro.core.superposition._add_span``) folds its spans into the
+scenario sum in task order wherever the tasks meet — in the march's
+span fold or in ``superpose``.
 
 **Oracles.**  The bits are the block path's own, so two independent
 checks keep them honest.  The scalar :func:`tests.scalar_oracle.run_task`

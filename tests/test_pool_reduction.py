@@ -1,16 +1,18 @@
-"""ISSUE-12: a pool sweep ships one trajectory per scenario, not per node.
+"""A pool sweep ships one trajectory per scenario, not per node.
 
-When every node task of a scenario lands in one worker's lockstep chunk
-the worker superposes the scenario itself (same accumulation routine,
-same node order as the parent-side ``superpose``) and returns a single
-``(K × dim)`` block.  These tests pin, against the serial ``Session``
-as oracle:
+A worker folds every scenario prefix its lockstep chunk holds as it
+marches (same additions, same node order as the parent-side
+``superpose``) and returns a single ``(K × dim)`` block for it; nodes
+after a chunk border come back as their own factors, and ``superpose``
+resumes the carrier with them.  These tests pin, against the serial
+``Session`` as oracle:
 
 * byte-equal states and equal node counters over aligned, straddling and
   fewer-scenarios-than-workers submissions, both transports, with and
   without a retry policy, and through a ROM-fallback splice;
 * what actually crosses the process boundary (one non-empty segment of
-  ``K·dim·8`` bytes per wholly-contained scenario);
+  ``K·dim·8`` bytes per wholly-contained scenario, one per node after a
+  chunk border);
 * that a worker killed between marching and hand-over leaks no segment.
 """
 
@@ -182,8 +184,11 @@ class TestWhatCrossesTheBoundary:
         self, system, compiled, reference, monkeypatch
     ):
         """Fixed chunk width 4 over 3 scenarios × 3 nodes: scenario 0
-        sits wholly in chunk 0 (reduced); 1 and 2 straddle chunk
-        borders and come back per node for the parent to superpose."""
+        sits wholly in chunk 0 (folded there).  Scenario 1 starts with
+        one node at the end of chunk 0 (a one-node prefix is not folded)
+        and scenario 2 with two nodes at the end of chunk 1 (folded
+        there); the nodes after each border come back per node for the
+        parent to add."""
         rec = Recorder(monkeypatch)
         with MultiprocessExecutor(
             system, OPTS, max_workers=2, batch_width=4, transport="shm",
@@ -191,8 +196,10 @@ class TestWhatCrossesTheBoundary:
             with Session(compiled, executor=ex) as session:
                 got = session.sweep(make_scenarios(3), stack=3)
         assert_same(reference[:3], got)
-        assert [r.covers for r in rec.raw] == [(0, 1, 2)] + [()] * 8
-        assert [r.task_id for r in rec.segments()] == [0, 3, 4, 5, 6, 7, 8]
+        assert [r.covers for r in rec.raw] == (
+            [(0, 1, 2)] + [()] * 5 + [(6, 7)] + [()] * 2
+        )
+        assert [r.task_id for r in rec.segments()] == [0, 3, 4, 5, 6, 8]
 
     def test_fewer_scenarios_than_workers_split_the_scenario(
         self, system, compiled, reference, monkeypatch
