@@ -59,6 +59,10 @@ class SolverStats:
     eps_sum:
         Sum of the generation budgets ``ε = eps_rel·‖v‖ + eps_abs`` of
         every Krylov basis built — what the ledger is allowed.
+    gc_collections:
+        Cyclic-GC passes that ran inside the timed march (counted once
+        per march, on its first task).  The march pauses the collector,
+        so this is 0 unless something inside it collects explicitly.
     """
 
     n_steps: int = 0
@@ -76,6 +80,7 @@ class SolverStats:
     posterior_sum: float = 0.0
     posterior_max: float = 0.0
     eps_sum: float = 0.0
+    gc_collections: int = 0
 
     @property
     def n_solves_transient(self) -> int:
@@ -126,6 +131,7 @@ class SolverStats:
             posterior_sum=self.posterior_sum + other.posterior_sum,
             posterior_max=max(self.posterior_max, other.posterior_max),
             eps_sum=self.eps_sum + other.eps_sum,
+            gc_collections=self.gc_collections + other.gc_collections,
         )
 
     def summary(self) -> str:

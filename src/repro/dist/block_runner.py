@@ -70,6 +70,7 @@ by ``tests/test_golden_digests.py``.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -134,6 +135,11 @@ class _TaskState:
     i0: int = 0
     i1: int = 0
     krylov_dims: list[int] = field(default_factory=list)
+
+
+def _gc_collections() -> int:
+    """Cyclic-GC passes run in this process so far, all generations."""
+    return sum(gen["collections"] for gen in gc.get_stats())
 
 
 class BlockNodeRunner:
@@ -345,19 +351,32 @@ class BlockNodeRunner:
             )
 
         folded0 = fold.seconds if fold is not None else 0.0
-        t_march = time.perf_counter()
-        self._solve_shapes(tstates)
-        round_idx = 0
-        while True:
-            builders = [t for t in tstates if round_idx < len(t.lts)]
-            if not builders:
-                break
-            self._build_segments(builders, pts, round_idx)
-            self._build_bases(builders, pts)
-            for t in builders:
-                self._evaluate_span(t, pts)
-            round_idx += 1
-        march_seconds = time.perf_counter() - t_march
+        # A cyclic-GC pass inside the timed window would be charged to
+        # the march: a gen-2 pass over a large heap takes tens of ms,
+        # several width-1 node windows.  The march makes no reference
+        # cycles, so the collector is paused for it (and the caller's
+        # setting restored); any pass that still lands here is counted.
+        gc_was_on = gc.isenabled()
+        gc.disable()
+        collections0 = _gc_collections()
+        try:
+            t_march = time.perf_counter()
+            self._solve_shapes(tstates)
+            round_idx = 0
+            while True:
+                builders = [t for t in tstates if round_idx < len(t.lts)]
+                if not builders:
+                    break
+                self._build_segments(builders, pts, round_idx)
+                self._build_bases(builders, pts)
+                for t in builders:
+                    self._evaluate_span(t, pts)
+                round_idx += 1
+            march_seconds = time.perf_counter() - t_march
+        finally:
+            tstates[0].stats.gc_collections += _gc_collections() - collections0
+            if gc_was_on:
+                gc.enable()
         if fold is not None:
             march_seconds -= fold.seconds - folded0
 

@@ -68,12 +68,12 @@ class SparseLU:
     """LU factorisation of a sparse matrix with solve counting.
 
     The factor is kept in one form only.  SuperLU factors the matrix,
-    the substitution kernel (:class:`~repro.linalg.triangular.
-    TriangularFactors`) is exported from it and verified against one
-    SuperLU solve, and then SuperLU's object — its own copy of L+U —
-    and the factored matrix are dropped: every pair runs on the
-    verified kernel.  Only a factor whose export fails verification
-    keeps SuperLU's object, whose own solve then serves it.
+    its L and U become the in-place sweep matrices of
+    :class:`~repro.linalg.triangular.TriangularFactors`, verified
+    against one SuperLU solve, and then SuperLU's object — its own copy
+    of L+U — and the factored matrix are dropped: every pair runs on
+    the sweeps.  Only a factor whose export fails verification keeps
+    SuperLU's object, whose own solve then serves it.
 
     Parameters
     ----------
@@ -88,7 +88,7 @@ class SparseLU:
     shape:
         Shape of the factored matrix.
     factor_seconds:
-        Wall-clock time spent factoring and exporting the kernel.
+        Wall-clock time spent factoring and building the sweep kernel.
     n_solves:
         Number of forward/backward substitution pairs performed so far.
     """
@@ -123,11 +123,11 @@ class SparseLU:
 
     @property
     def failure(self) -> str | None:
-        """Why a kernel stage does not serve this factor, if one does not.
+        """Why a kernel check does not pass for this factor, if one does not.
 
         An export failure means SuperLU's own solve answers every pair;
         a sweep failure means :meth:`solve_many` substitutes its columns
-        one by one through the scalar kernel.
+        one by one through the one-column sweep.
         """
         if self._kernel is None:
             return self._export_failure
@@ -136,10 +136,10 @@ class SparseLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """One forward/backward substitution pair: return ``A⁻¹ rhs``.
 
-        Substitutes through the exported column-sweep kernel
-        (:mod:`repro.linalg.triangular`) — the arithmetic definition the
-        multi-RHS block sweep matches bit-for-bit per column — or, when
-        the export could not be verified, through SuperLU's own solve.
+        Substitutes through the one-column in-place sweep
+        (:mod:`repro.linalg.triangular`), which the multi-RHS block
+        sweep matches bit-for-bit per column — or, when the export could
+        not be verified, through SuperLU's own solve.
         A 2-D right-hand side is routed through :meth:`solve_many` (one
         counted pair per column).
         """
@@ -170,7 +170,7 @@ class SparseLU:
         columns for ``L``, descending for ``U``).  Each output column
         is therefore **bit-for-bit identical** to :meth:`solve` of that
         column *by construction* (and by a byte-equality probe when the
-        sweeps are built) — at any batch width and any offset within
+        factor is built) — at any batch width and any offset within
         the batch — which is the invariant the lockstep block march
         (and the scenario sweeps stacked on top of it) is built on,
         while the batch runs several times faster than substituting
@@ -182,7 +182,7 @@ class SparseLU:
 
         A one-column block, and every block of a factor whose sweep
         check failed, goes column by column through :meth:`solve`'s
-        path (no sweep matrices to build), which keeps the invariant.
+        path, which keeps the invariant.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 1:
@@ -190,7 +190,7 @@ class SparseLU:
         n, n_cols = rhs.shape
         self.n_solves += n_cols
         kernel = self._kernel
-        if kernel is not None and n_cols > 1 and kernel.ensure_sweeps():
+        if kernel is not None and n_cols > 1 and kernel.sweep_failure is None:
             return kernel.solve_many(rhs)
         pair = self._superlu.solve if kernel is None else kernel.solve
         out = np.empty((n, n_cols), dtype=float, order="F")
@@ -199,22 +199,21 @@ class SparseLU:
         return out
 
     def prime_kernel(self, wide: bool = True) -> bool:
-        """Eagerly build the multi-RHS sweeps for later solves.
+        """Whether the sweep kernel serves this factor.
 
-        ``wide=False`` only reports whether the kernel (exported at
-        factorisation) serves this factor.  Called at plan-compile time
-        so a scenario sweep's first lockstep round pays no build
-        latency.  Returns ``False`` when the export or the sweep check
-        failed (see :attr:`failure`).
+        ``wide=True`` asks about blocks (the block sweep's check too),
+        ``wide=False`` about single columns.  Both are settled when the
+        factor is built; ``False`` names a failed check (see
+        :attr:`failure`).
         """
         kernel = self._kernel
-        return kernel is not None and (not wide or kernel.ensure_sweeps())
+        return kernel is not None and (not wide or kernel.sweep_failure is None)
 
     def resident_bytes(self) -> int:
         """Bytes pinned by this factorisation right now.
 
-        The kernel's actual arrays — the export, plus the sweep
-        matrices once built — the quantity :class:`FactorizationCache`
+        The kernel's actual arrays — both sweep matrices and the
+        permutations — the quantity :class:`FactorizationCache`
         budgets with.  A factor SuperLU's own solve serves is estimated
         at 12 bytes (8 data + 4 index) per stored L+U non-zero.
         """
@@ -364,10 +363,8 @@ class FactorizationCache:
     reuse shows up as hits.
 
     Residency is bounded two ways: at most ``max_entries`` factors, and
-    at most ``max_bytes`` of factor storage (the exported triangular
-    factors and sweep matrices of :mod:`repro.linalg.triangular`,
-    measured exactly and re-measured on every size-based decision, so
-    the figure tracks reality even though sweeps build lazily).  Sweeps over
+    at most ``max_bytes`` of factor storage (the sweep matrices of
+    :mod:`repro.linalg.triangular`, measured exactly).  Sweeps over
     many large pencils therefore evict old factors instead of pinning
     multi-GB of LU data for the life of the process; call :meth:`clear`
     to release everything eagerly.
@@ -407,16 +404,6 @@ class FactorizationCache:
         """Resident bytes of one entry (:meth:`SparseLU.resident_bytes`)."""
         return lu.resident_bytes()
 
-    def _refresh_bytes_locked(self) -> None:
-        """Re-measure every entry's residency (caller holds the lock).
-
-        Kernel exports and sweep matrices are built lazily *after* an
-        entry is inserted, so the recorded sizes go stale; refreshing
-        before any size-based decision keeps the byte limit honest.
-        """
-        for key, lu in self._entries.items():
-            self._bytes[key] = self._entry_bytes(lu)
-
     def factor(
         self,
         matrix: sp.spmatrix,
@@ -448,7 +435,7 @@ class FactorizationCache:
         lu = SparseLU(matrix, label=label)
         with self._lock:
             self._entries[key] = lu
-            self._refresh_bytes_locked()
+            self._bytes[key] = self._entry_bytes(lu)
             self._evict_to_limits_locked()
         return lu
 
@@ -487,7 +474,6 @@ class FactorizationCache:
                 self.max_entries = max_entries
             if max_bytes is not None:
                 self.max_bytes = max_bytes
-            self._refresh_bytes_locked()
             self._evict_to_limits_locked()
 
     def register_external(self, key: str, nbytes: int) -> None:
@@ -516,7 +502,6 @@ class FactorizationCache:
     def stats(self) -> dict[str, int]:
         """One consistent snapshot of counters, residency and limits."""
         with self._lock:
-            self._refresh_bytes_locked()
             return {
                 "hits": self.hits,
                 "misses": self.misses,
@@ -537,7 +522,6 @@ class FactorizationCache:
     def resident_bytes(self) -> int:
         """Estimated bytes currently pinned by cached factors."""
         with self._lock:
-            self._refresh_bytes_locked()
             return sum(self._bytes.values())
 
     def __len__(self) -> int:

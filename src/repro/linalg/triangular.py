@@ -1,4 +1,4 @@
-"""Deterministic triangular substitution kernels: one in-place sweep per factor.
+"""Deterministic triangular substitution: one in-place sweep per factor.
 
 The paper denominates its whole complexity argument (Sec. 3.4) in
 forward/backward substitution pairs against factors computed **once**, so
@@ -10,66 +10,61 @@ deterministic*: the parity web (``tests/test_block_runner.py``,
 ``solve(B[:, i])`` at any batch width and offset.  Handing SuperLU a
 multi-RHS block breaks that — its supernodal BLAS kernels change
 accumulation order with the RHS count (divergent at nrhs = 8 on pg4t's
-pencil) — which is why PR 5 fell back to a per-column loop and lost the
-batched-march headroom.
+pencil).
 
-This module restores the headroom without giving up a single bit:
+:class:`TriangularFactors` keeps SuperLU's factors in one form, built
+when :class:`~repro.linalg.lu.SparseLU` factors: two row-ordered CSR
+sweep matrices — the negated strictly-lower part of ``L`` (unit lower),
+and the negated, column-scaled strictly-upper part of ``U`` with rows
+relabelled ``i → n−1−i`` and every row mirrored — plus both
+permutations and the diagonal scaling ``D⁻¹``.  One substitution pair is
+one SciPy CSR matvec per factor with its output aliased onto its input.
+SciPy's CSR kernels walk rows strictly in order and, within a row,
+stored entries in order; on the strictly-lower part of ``L`` in its
+natural row order — a topological order of the dependency DAG: row
+``i`` only reads rows ``j < i``, all final by the time it is reached —
+the aliased call *is* a complete in-place forward substitution.  The
+backward sweep is the same call on the relabelled upper part.  Per
+output row, contributions accumulate in ascending original columns for
+``L`` and descending for ``U``: the order of SuperLU's own column sweep,
+which the first check below compares against.
 
-* :class:`TriangularFactors` exports SuperLU's factors once, when
-  :class:`~repro.linalg.lu.SparseLU` factors — ``L`` (unit lower), the
-  column-scaled strictly-upper part of ``U``, both row/column
-  permutations and the diagonal scaling — after *verifying* that the
-  export reproduces the factorisation.  A verified export is the only
-  form the factor is kept in: the ``SparseLU`` drops SuperLU's own
-  object (its L+U storage) and the matrix it factored.  An export that
-  fails verification (e.g. an equilibrated factorisation) keeps
-  SuperLU's own solve instead of being silently wrong.
-* The **scalar** path substitutes through SuperLU's non-supernodal
-  column-sweep kernel (the one :func:`scipy.sparse.linalg.
-  spsolve_triangular` uses) on the exported factors: ascending-column
-  sweeps for ``L``, descending for ``U``, one axpy per stored entry.
-* The **multi-RHS** path is one CSR block-matvec (``Y += A @ X``) per
-  factor with ``Y`` aliased onto ``X``.  SciPy's ``csr_matvecs`` walks
-  rows strictly in order and, within a row, stored entries in order,
-  so on the strictly-lower part of ``L`` in its natural row order —
-  which is a topological order of the dependency DAG: row ``i`` only
-  reads rows ``j < i``, all final by the time it is reached — the call
-  *is* a complete in-place forward substitution of every column.  The
-  backward sweep is the same call on the strictly-upper part with rows
-  relabelled ``i → n−1−i`` and every row mirrored.  Per output row,
-  contributions accumulate in exactly the order the scalar column sweep
-  applies them (ascending original columns for ``L``, descending for
-  ``U``), and that order never depends on how many columns ride in the
-  block.  ``solve_many(B)[:, i]`` is therefore bit-for-bit
-  ``solve(B[:, i])`` **by construction** — and, because the
-  construction leans on a private kernel's traversal order, **by
-  check**: building the sweeps pushes a two-column probe through them
-  and requires byte equality with the scalar path.
+The kernel has two call shapes and no switch:
 
-There is no switch between kernels.  A factor whose export fails
-verification is served by SuperLU's own solve; a factor whose sweep
-check fails substitutes its columns one by one through the verified
-scalar path, so ``solve`` keeps its bits either way
-(``SparseLU.failure`` records why).  Nothing else selects a path.
+* one column — :meth:`TriangularFactors.solve`, through
+  ``csr_matvec`` (``y[i] = y[i] + Σ a·x``, one running sum per row);
+* a block — :meth:`TriangularFactors.solve_many`, through
+  ``csr_matvecs`` (``Y[i, :] += a·X[j, :]``, one axpy per entry).
+
+Both apply the same products in the same order to every column, so
+``solve_many(B)[:, i]`` is bit-for-bit ``solve(B[:, i])`` at any width.
+Because that leans on private kernels' traversal and rounding, it is
+also **checked** at construction, twice:
+
+* the one-column sweep must reproduce SuperLU's own solve of a probe to
+  a relative 1e-6 (:meth:`TriangularFactors._verify`), else the export is
+  refused and :class:`~repro.linalg.lu.SparseLU` keeps SuperLU's solve;
+* the block sweep of two probe columns must be byte-equal to the
+  one-column sweep (:meth:`TriangularFactors._verify_sweep`), else
+  :attr:`TriangularFactors.sweep_failure` is set and blocks are
+  substituted column by column.
+
+``SparseLU.failure`` records which check failed.  Nothing else selects a
+path.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
-import scipy.sparse as sp
 
 try:  # SciPy-private kernels; absence degrades to SuperLU's own solve.
     from scipy.sparse import _sparsetools
-    from scipy.sparse.linalg._dsolve import _superlu
 
-    _KERNELS_AVAILABLE = hasattr(_superlu, "gstrs") and hasattr(
+    _KERNELS_AVAILABLE = hasattr(_sparsetools, "csr_matvec") and hasattr(
         _sparsetools, "csr_matvecs"
     )
 except ImportError:  # pragma: no cover - exotic scipy builds
     _sparsetools = None
-    _superlu = None
     _KERNELS_AVAILABLE = False
 
 __all__ = [
@@ -79,26 +74,26 @@ __all__ = [
 
 
 class TriangularExportError(RuntimeError):
-    """The exported factors do not reproduce SuperLU's factorisation.
+    """The sweep matrices do not reproduce SuperLU's factorisation.
 
-    Raised when the export verification probe fails — e.g. a SuperLU
-    build that equilibrated the matrix with scalings the handle does not
-    expose (:class:`~repro.linalg.lu.SparseLU` then keeps SuperLU's own
-    solve) — or when the block sweep is not byte-equal to the scalar one
+    Raised when the export probe fails — e.g. a SuperLU build that
+    equilibrated the matrix with scalings the handle does not expose
+    (:class:`~repro.linalg.lu.SparseLU` then keeps SuperLU's own solve)
+    — or when the block sweep is not byte-equal to the one-column sweep
     (recorded as :attr:`TriangularFactors.sweep_failure`).
     """
 
 
-def _strict_csr(data, indices, indptr, n, diag_last):
-    """Negated strictly-triangular CSR of one CSC factor.
+def _strict_rows(csr, diag_last):
+    """Negated strictly-triangular part of one CSR factor.
 
-    Returns ``(indptr, indices, -data)``, the kernel's argument order.
-    The CSC → CSR conversion walks columns in order, so every row comes
-    out with ascending columns and the stored diagonal is its last entry
-    (``L``) or its first (``U``).  Data is negated once here so the
-    kernel's ``y += a·x`` is bit-for-bit the scalar sweep's ``y -= a·x``.
+    Returns ``(indptr, indices, -data)``, the kernels' argument order.
+    SciPy's CSC → CSR conversion walks columns in order, so every row
+    comes out with ascending columns and the stored diagonal is its
+    last entry (``L``) or its first (``U``).  Data is negated once here
+    so the kernel's ``y += a·x`` is bit-for-bit a sweep's ``y -= a·x``.
     """
-    csr = sp.csc_array((data, indices, indptr), shape=(n, n)).tocsr()
+    n = csr.shape[0]
     diag = csr.indptr[1:] - 1 if diag_last else csr.indptr[:-1]
     if not np.array_equal(csr.indices[diag], np.arange(n)):
         raise TriangularExportError("factor rows do not store their diagonal")
@@ -112,17 +107,11 @@ def _strict_csr(data, indices, indptr, n, diag_last):
 
 
 class TriangularFactors:
-    """SuperLU's factors, exported once, with an in-place block sweep.
+    """SuperLU's factors as one pair of in-place sweep matrices.
 
-    Stage 1 (construction) exports the scalar-path arrays and verifies
-    them against one reference SuperLU solve; nothing it keeps refers
-    to the SuperLU object, which the caller may then drop.  Stage 2
-    (:meth:`ensure_sweeps`, lazy — only multi-RHS consumers pay it)
-    builds the two row-ordered sweep matrices and checks the block
-    kernel byte-for-byte against the scalar one; a failed check is
-    recorded in :attr:`sweep_failure` and never retried.  Both stages
-    are built at most once and shared by every cache view of the owning
-    factorisation.
+    Built and checked once, at construction; nothing it keeps refers to
+    the SuperLU object, which the caller may then drop.  Shared by
+    every cache view of the owning factorisation.
     """
 
     def __init__(self, superlu):
@@ -130,52 +119,57 @@ class TriangularFactors:
             raise TriangularExportError("scipy substitution kernels unavailable")
         n = superlu.shape[0]
         self.n = n
-        L = superlu.L.tocsc()
+        L = superlu.L.tocsr()
         if L.dtype != np.float64:
             raise TriangularExportError(f"unsupported dtype {L.dtype}")
-        L.sort_indices()
-        U = superlu.U.tocsc()
-        U.sort_indices()
-        invd = 1.0 / U.diagonal()
+        lower = _strict_rows(L, diag_last=True)
+        del L
+        U = superlu.U.tocsr()
+        invd = 1.0 / U.data[U.indptr[:-1]]
         # Column-scale U to unit diagonal: U = (I + Uoff·D⁻¹)·D, so the
-        # backward sweep runs on the strictly-upper scaled part (the
-        # explicit zero diagonal — the last entry of each sorted column —
-        # keeps the sweep's skip-the-pivot entry bookkeeping intact) and
-        # the solution is post-scaled by D⁻¹.
-        Us_data = U.data * np.repeat(invd, np.diff(U.indptr))
-        Us_data[U.indptr[1:] - 1] = 0.0
-        self._L_nnz = int(L.nnz)
-        self._L_data = L.data
-        self._L_indices = L.indices.astype(np.intc, copy=False)
-        self._L_indptr = L.indptr.astype(np.intc, copy=False)
-        self._U_nnz = int(U.nnz)
-        self._U_data = Us_data
-        self._U_indices = U.indices.astype(np.intc, copy=False)
-        self._U_indptr = U.indptr.astype(np.intc, copy=False)
+        # backward sweep runs on the strictly-upper scaled part and the
+        # solution is post-scaled by D⁻¹.
+        U.data *= invd[U.indices]
+        indptr, indices, data = _strict_rows(U, diag_last=False)
+        del U
+        # The backward sweep visits rows n-1 … 0 and applies each row's
+        # entries in descending column order.  Relabelling i → n-1-i
+        # turns it into a forward sweep; reversing the whole entry
+        # stream reverses the row order and every row's storage order
+        # at once.
+        upper = (
+            indptr[-1] - indptr[::-1],
+            (n - 1) - indices[::-1],
+            data[::-1].copy(),
+        )
+        del indptr, indices, data
         take_in = np.empty(n, dtype=np.intp)
         take_in[superlu.perm_r] = np.arange(n)
         self._take_in = take_in          # w = b[perm_r⁻¹]
-        # A copy: SuperLU's perm arrays are views that keep it alive.
-        self._take_out = np.array(superlu.perm_c, dtype=np.intp)
-        self._invd_out = invd[self._take_out].copy()
-        self._sweeps = None
+        # Row perm_c[k] of the answer is row n-1-perm_c[k] of the
+        # relabelled backward sweep's output.
+        perm_c = np.asarray(superlu.perm_c, dtype=np.intp)
+        self._sweeps = (lower, upper, (n - 1) - perm_c)
+        self._invd_out = invd[perm_c]
         #: Why the block sweep is not used, if its check failed.
         self.sweep_failure: str | None = None
-        self._lock = threading.Lock()
         self._verify(superlu)
+        try:
+            self._verify_sweep()
+        except Exception as exc:
+            self.sweep_failure = f"{type(exc).__name__}: {exc}"
 
-    # -- verification --------------------------------------------------------
+    # -- checks --------------------------------------------------------------
 
     def _verify(self, superlu) -> None:
         """One probe solve against SuperLU's own answer.
 
-        Catches exports that do not reproduce the factorisation (e.g. a
+        Catches sweeps that do not reproduce the factorisation (e.g. a
         SuperLU that equilibrated with scalings the Python handle does
         not expose): those must fall back to SuperLU's own solve rather
         than return silently wrong answers.
         """
-        n = self.n
-        probe = np.cos(np.arange(n, dtype=float))
+        probe = np.cos(np.arange(self.n, dtype=float))
         ref = superlu.solve(probe)
         got = self.solve(probe)
         num = float(np.linalg.norm(got - ref))
@@ -186,89 +180,42 @@ class TriangularFactors:
                 f"factorisation (probe mismatch {num:.3e} vs ‖x‖={den:.3e})"
             )
 
-    def _verify_sweep(self, sweeps) -> None:
+    def _verify_sweep(self) -> None:
         """Two probe columns through the block sweep, byte-equal to :meth:`solve`.
 
-        The sweep leans on a SciPy-private kernel walking rows strictly
-        in order with its output aliased onto its input; a build that
-        does not (or that rounds ``y += a·x`` differently from the
-        scalar sweep's ``y -= a·x``) must be served by SuperLU's own
-        solve rather than move a bit.
+        The two call shapes lean on two SciPy-private kernels agreeing
+        in traversal and rounding; a build where they do not must
+        substitute blocks column by column rather than move a bit.
         """
         t = np.arange(self.n, dtype=float)
         probe = np.column_stack((np.cos(t), np.sin(t)))
-        got = self._substitute(sweeps, probe)
+        got = self._substitute(probe)
         for i in range(probe.shape[1]):
             if got[:, i].tobytes() != self.solve(probe[:, i]).tobytes():
                 raise TriangularExportError(
                     f"block sweep check failed: probe column {i} is not "
-                    "byte-equal to the scalar column sweep"
+                    "byte-equal to the one-column sweep"
                 )
 
-    # -- scalar path ---------------------------------------------------------
+    # -- the two call shapes -------------------------------------------------
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """One substitution pair through the column-sweep kernel.
+        """One substitution pair: ``csr_matvec`` per factor, in place.
 
-        This is the arithmetic definition of a pair: the block sweep
-        reproduces it bit-for-bit per column.
+        ``b`` is a float64 vector (``SparseLU.solve`` converts).
         """
-        # ``b`` is a float64 vector (``SparseLU.solve`` converts), so the
-        # gather is the kernel's contiguous float64 input as it stands.
-        x, info = _superlu.gstrs(
-            "N",
-            self.n, self._L_nnz, self._L_data, self._L_indices, self._L_indptr,
-            self.n, self._U_nnz, self._U_data, self._U_indices, self._U_indptr,
-            b[self._take_in],
-        )
-        if info != 0:  # pragma: no cover - factors are nonsingular
-            raise TriangularExportError(f"gstrs failed with info={info}")
+        n = self.n
+        lower, upper, take_out = self._sweeps
+        w = b[self._take_in]
+        _sparsetools.csr_matvec(n, n, *lower, w, w)
+        z = w[::-1].copy()
+        _sparsetools.csr_matvec(n, n, *upper, z, z)
         # Non-finite input columns legitimately push inf/nan through
         # here, and a huge finite entry overflows in the D⁻¹ scaling;
         # SuperLU's C solve is silent about both, so the kernel is too
         # (test_triangular.py::test_nonfinite_columns_do_not_leak).
         with np.errstate(over="ignore", invalid="ignore"):
-            return x[self._take_out] * self._invd_out
-
-    # -- in-place multi-RHS sweep --------------------------------------------
-
-    def ensure_sweeps(self) -> bool:
-        """Build and check the sweep matrices once (thread-safe, lazy).
-
-        Returns whether the block sweep serves this factor; ``False``
-        when its check failed (see :attr:`sweep_failure`).
-        """
-        if self._sweeps is not None or self.sweep_failure is not None:
-            return self._sweeps is not None
-        with self._lock:
-            if self._sweeps is None and self.sweep_failure is None:
-                try:
-                    self._sweeps = self._build_sweeps()
-                except Exception as exc:
-                    self.sweep_failure = f"{type(exc).__name__}: {exc}"
-        return self._sweeps is not None
-
-    def _build_sweeps(self):
-        n = self.n
-        lower = _strict_csr(
-            self._L_data, self._L_indices, self._L_indptr, n, diag_last=True
-        )
-        indptr, indices, data = _strict_csr(
-            self._U_data, self._U_indices, self._U_indptr, n, diag_last=False
-        )
-        # The backward sweep visits rows n-1 … 0 and applies each
-        # row's entries in descending column order.  Relabelling
-        # i → n-1-i turns it into a forward sweep; reversing the
-        # whole entry stream reverses the row order and every row's
-        # storage order at once.
-        upper = (
-            indptr[-1] - indptr[::-1],
-            (n - 1) - indices[::-1],
-            data[::-1].copy(),
-        )
-        sweeps = (lower, upper, n - 1 - self._take_out)
-        self._verify_sweep(sweeps)
-        return sweeps
+            return z[take_out] * self._invd_out
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
         """All columns in lockstep; per column bit-for-bit :meth:`solve`.
@@ -276,12 +223,12 @@ class TriangularFactors:
         Returns an F-ordered ``(n, k)`` block.  Raises
         :class:`TriangularExportError` if the sweep check failed.
         """
-        if not self.ensure_sweeps():
+        if self.sweep_failure is not None:
             raise TriangularExportError(self.sweep_failure)
-        return self._substitute(self._sweeps, B)
+        return self._substitute(B)
 
-    def _substitute(self, sweeps, B: np.ndarray) -> np.ndarray:
-        lower, upper, take_out = sweeps
+    def _substitute(self, B: np.ndarray) -> np.ndarray:
+        lower, upper, take_out = self._sweeps
         n, w = B.shape
         W = np.ascontiguousarray(B[self._take_in], dtype=np.float64)
         flat = W.reshape(-1)
@@ -298,13 +245,7 @@ class TriangularFactors:
     # -- accounting ----------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Actual bytes held by the export and (if built) the sweeps."""
-        arrays = [
-            self._L_data, self._L_indices, self._L_indptr,
-            self._U_data, self._U_indices, self._U_indptr,
-            self._take_in, self._take_out, self._invd_out,
-        ]
-        if self._sweeps is not None:
-            lower, upper, take_out = self._sweeps
-            arrays.extend((*lower, *upper, take_out))
+        """Actual bytes held: both sweep matrices and the permutations."""
+        lower, upper, take_out = self._sweeps
+        arrays = (*lower, *upper, take_out, self._take_in, self._invd_out)
         return int(sum(a.nbytes for a in arrays))

@@ -105,7 +105,7 @@ def prime_factorizations(system: MNASystem, options: SolverOptions) -> float:
     """Factor the method pencil into the process-wide cache.
 
     Returns the seconds this call actually spent factorising and
-    exporting the kernel (≈0 when the cache already held both).
+    building the sweep kernel (≈0 when the cache already held it).
 
     Performs exactly the cache-keyed factor call a node solver's
     construction performs (``C + γG`` for rational, ``G`` for inverted,
@@ -113,19 +113,11 @@ def prime_factorizations(system: MNASystem, options: SolverOptions) -> float:
     stay resident in :data:`~repro.linalg.lu.FACTORIZATION_CACHE`, so
     every later :class:`~repro.dist.block_runner.BlockNodeRunner` built
     in this process gets a hit instead of a factorisation.
-
-    The pencil's substitution kernel is primed along with the factors:
-    the triangular export comes with the factorisation, and its two
-    in-place sweep matrices (:mod:`repro.linalg.triangular`) are built
-    and checked here, once, so the block Arnoldi's first multi-RHS round
-    in every sweep session is served by the already-built kernel.
     """
     op = make_krylov_operator(
         options.method, system.C, system.G, gamma=options.gamma
     )
-    t0 = time.perf_counter()
-    op.lu.prime_kernel(wide=True)
-    return op.lu.factor_seconds + (time.perf_counter() - t0)
+    return op.lu.factor_seconds
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,12 +265,6 @@ class SimulationPlan:
         factor_seconds = 0.0
         if prime:
             factor_seconds += prime_factorizations(self.system, self.options)
-            # The lockstep rounds feed ``G`` wide RHS blocks too (the
-            # fused ETD substitutions); build its sweeps at compile
-            # time so no sweep session pays the one-off build.
-            t_kernel = time.perf_counter()
-            lu_g.prime_kernel(wide=True)
-            factor_seconds += time.perf_counter() - t_kernel
 
         reduced = None
         rom_error: str | None = None

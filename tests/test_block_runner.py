@@ -19,6 +19,7 @@ top, the shared-memory result transport round-trips arrays exactly and
 reclaims its segments, including after worker death.
 """
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -207,6 +208,37 @@ class TestRunnerParity:
             r.stats.n_factor_cache_hits + r.stats.n_factor_cache_misses == 0
             for r in again
         )
+
+
+class TestTimedWindow:
+    """The cyclic GC is paused inside the timed march and restored
+    after it, and a pass that still lands inside is counted."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_gc_paused_restored_and_counted(
+        self, mesh_system, monkeypatch, enabled, collect
+    ):
+        seen = []
+        real = BlockNodeRunner._solve_shapes
+
+        def spy(self, tstates):
+            seen.append(gc.isenabled())
+            if collect:
+                gc.collect()
+            return real(self, tstates)
+
+        monkeypatch.setattr(BlockNodeRunner, "_solve_shapes", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            blk = BlockNodeRunner(mesh_system, OPTS).run(tasks_for(mesh_system))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen and not any(seen)
+        counted = sum(r.stats.gc_collections for r in blk)
+        assert counted == (len(seen) if collect else 0)
 
 
 class TestExecutorParity:

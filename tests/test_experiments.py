@@ -50,7 +50,7 @@ class TestTable1:
     def test_speedups_positive(self, rows):
         assert all(r.speedup_vs_mexp > 0 for r in rows)
         # Both spectral transforms beat MEXP at every stiffness
-        # (smallest of the four ratios: 3.7 … 4.5 over ten runs).
+        # (smallest of the four ratios: 4.2 … 5.1 over ten runs).
         assert all(r.speedup_vs_mexp > 1.0 for r in rows
                    if r.method != "standard")
 
@@ -85,12 +85,12 @@ class TestTable3Shape:
         assert pg1t.n_groups == 100
         assert pg1t.avg_node_pairs < 100  # ~60 pairs/node in the paper
         for row in rows:
-            # Ten runs: Spdp4 5.5 … 12.5 (pg1t), 11.4 … 25.2 (pg4t).
+            # Ten runs: Spdp4 4.8 … 13.9 (pg1t), 16.4 … 39.4 (pg4t).
             assert row.spdp4 > 2.0      # transient-part speedup
-            # Ten runs: Spdp5 2.5 … 3.4 (pg1t), 8.8 … 15.4 (pg4t).
+            # Ten runs: Spdp5 1.5 … 2.3 (pg1t), 7.4 … 13.0 (pg4t).
             assert row.spdp5 > 1.0      # total speedup
             assert row.max_err < 1e-3   # agrees with the TR baseline
-        # The few-GTS case wins biggest: pg4t / pg1t Spdp4 is 1.5 … 3.9
+        # The few-GTS case wins biggest: pg4t / pg1t Spdp4 is 1.5 … 6.2
         # over ten runs.
         assert pg4t.spdp4 > pg1t.spdp4
 
@@ -100,7 +100,7 @@ class TestTable2Shape:
         # pg4t: few transition spots — the paper's best case.
         _, rows = run_table2(cases=["pg4t"])
         row = rows[0]
-        # Ten runs: Spdp1 7.6 … 12.5, Spdp2 8.4 … 12.0.
+        # Ten runs: Spdp1 12.5 … 25.8, Spdp2 14.9 … 28.1.
         assert row.spdp1 > 1.0
         assert row.spdp2 > 1.0
         assert row.tr_adaptive_factorizations > 2
@@ -121,11 +121,11 @@ class TestAncillary:
         one, natural = samples
         assert [s.n_nodes for s in samples] == [1, 100]
         assert one.k_max > natural.k_max              # 144 -> 5 LTS
-        # Ten runs: measured Spdp4 0.39 … 0.56 at one node, 3.5 … 13.4
+        # Ten runs: measured Spdp4 0.37 … 0.45 at one node, 4.6 … 14.6
         # at 100.
         assert natural.measured_spdp4 > one.measured_spdp4
         # Eq. 12 lands within a small factor of the measurement
-        # (predicted / measured at 100 nodes: 0.64 … 2.4 over ten runs).
+        # (predicted / measured at 100 nodes: 0.24 … 0.69 over ten runs).
         assert 0.2 < natural.predicted_spdp4 / natural.measured_spdp4 < 5.0
 
     def test_gamma_ablation_flat_near_step_scale(self):

@@ -173,4 +173,7 @@ class TestStructureMatchedOrdering:
         system, _case = build_case("pg1t")
         for matrix in (system.G, system.C + 1e-10 * system.G):
             lu = SparseLU(matrix)
-            assert lu._kernel._L_nnz + lu._kernel._U_nnz <= 30_000
+            lower, upper, _ = lu._kernel._sweeps
+            # Strict parts from the sweep arrays, plus both diagonals.
+            nnz = lower[2].size + upper[2].size + 2 * lu.shape[0]
+            assert nnz <= 30_000

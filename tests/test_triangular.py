@@ -5,11 +5,13 @@ all rest on one invariant: ``solve_many(B)[:, i]`` is bit-for-bit
 ``solve(B[:, i])`` at any batch width, at any offset, under any column
 permutation.  This module pins that invariant directly against the
 kernel (property-based over random batch shapes, then on the factor
-shapes and input forms a random pencil never produces), exercises the
-fallbacks of a factor whose export (SuperLU's own solve) or sweep check
-(the scalar kernel, column by column) fails, and checks that a verified
-factor is held as its kernel alone and that the factor cache's byte
-accounting sees exactly the kernel's arrays.
+shapes and input forms a random pencil never produces), pins both call
+shapes byte-for-byte to SuperLU's column sweep on the exported CSC
+factors (``tests/triangular_oracle.py``), exercises the fallbacks of a
+factor whose export (SuperLU's own solve) or sweep check (the
+one-column sweep, column by column) fails, and checks that a verified
+factor is held as one copy of its sweep matrices and that the factor
+cache's byte accounting sees exactly those arrays.
 """
 
 import types
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.linalg import SparseLU, triangular
 from repro.linalg.triangular import TriangularExportError, TriangularFactors
+from tests.triangular_oracle import ColumnSweepOracle
 
 
 def build_pencil(n: int = 60, seed: int = 7) -> sp.csc_matrix:
@@ -61,17 +64,18 @@ class TestExport:
         assert lu.shape == pencil.shape
         assert lu.resident_bytes() == lu._kernel.nbytes() == _held_bytes(lu._kernel)
 
-    def test_sweep_rows_only_read_earlier_rows(self, pencil_lu):
+    def test_sweep_rows_only_read_earlier_rows(self, pencil, pencil_lu):
         """What makes one aliased pass a substitution: row ``i`` reads
         only rows ``< i``, in ascending order, and every strictly
-        triangular entry of the factor is in exactly one row."""
+        triangular entry of the factor is in exactly one row (counted
+        on the oracle's CSC export of the same factorisation)."""
         tri = pencil_lu._kernel
-        assert tri.ensure_sweeps()
         lower, upper, take_out = tri._sweeps
         n = tri.n
+        oracle = ColumnSweepOracle(pencil)
         for (indptr, indices, data), nnz in (
-            (lower, tri._L_nnz - n),
-            (upper, tri._U_nnz - n),
+            (lower, oracle._lower[0] - n),
+            (upper, oracle._upper[0] - n),
         ):
             assert indptr[0] == 0 and indptr[-1] == nnz == data.size
             for i in range(n):
@@ -124,32 +128,34 @@ class TestExport:
     ):
         """A block kernel that moves one bit is never used.
 
-        The sweep relies on a SciPy-private kernel's traversal order;
-        if a build breaks it, the byte-equality probe at sweep build
-        time catches it, and every block is substituted column by
-        column through the verified scalar kernel — so ``solve`` keeps
-        its bits before and after the failed build.
+        The block sweep relies on a second SciPy-private kernel agreeing
+        with the one-column one in traversal and rounding; if a build
+        breaks that, the byte-equality probe at factorisation catches
+        it, and every block is substituted column by column through the
+        verified one-column sweep — so ``solve`` keeps its bits.
         """
-        real = triangular._sparsetools.csr_matvecs
+        real = triangular._sparsetools
 
         def off_by_one_ulp(n_row, n_col, n_vecs, ap, aj, ax, x, y):
-            real(n_row, n_col, n_vecs, ap, aj, ax, x, y)
+            real.csr_matvecs(n_row, n_col, n_vecs, ap, aj, ax, x, y)
             y[-1] = np.nextafter(y[-1], np.inf)
 
         monkeypatch.setattr(
             triangular,
             "_sparsetools",
-            types.SimpleNamespace(csr_matvecs=off_by_one_ulp),
+            types.SimpleNamespace(
+                csr_matvec=real.csr_matvec, csr_matvecs=off_by_one_ulp
+            ),
         )
         lu = SparseLU(pencil)
+        oracle = ColumnSweepOracle(pencil)
         block = rng.normal(size=(pencil.shape[0], 5))
         ref = np.empty_like(block, order="F")
         for i in range(5):
-            ref[:, i] = lu.solve(block[:, i])
+            ref[:, i] = oracle.solve(block[:, i])
         assert lu.prime_kernel(wide=False) is True  # the export is fine
         assert lu.prime_kernel() is False
         assert "block sweep check failed" in lu.failure
-        assert lu._kernel._sweeps is None
         assert lu.resident_bytes() == _held_bytes(lu._kernel)
         with pytest.raises(TriangularExportError, match="block sweep"):
             lu._kernel.solve_many(block)
@@ -157,6 +163,19 @@ class TestExport:
         assert out.flags.f_contiguous
         assert out.tobytes(order="F") == ref.tobytes(order="F")
         assert lu.solve(block[:, 0]).tobytes() == ref[:, 0].tobytes()
+
+    def test_refused_sweep_check_keeps_the_one_column_sweep(
+        self, pencil, monkeypatch
+    ):
+        """The column-by-column fallback is reachable by making
+        ``_verify_sweep`` refuse (``_verify``: see above)."""
+        def refuse(self):
+            raise TriangularExportError("refused (injected)")
+
+        monkeypatch.setattr(TriangularFactors, "_verify_sweep", refuse)
+        lu = SparseLU(pencil)
+        assert lu.prime_kernel(wide=False) and not lu.prime_kernel()
+        assert "refused (injected)" in lu.failure
 
 
 class TestPerColumnBitwiseParity:
@@ -216,6 +235,63 @@ class TestPerColumnBitwiseParity:
             out = pencil_lu.solve_many(block)
             ref = pencil_lu.solve(block[:, 1])
         assert out[:, 1].tobytes() == ref.tobytes()
+
+
+ORACLE_PENCILS = (
+    "pg1t-G", "pg1t-C+gG", "pg4t-G", "pg4t-C+gG", "pencil60", "rlc-C+gG",
+)
+
+
+def _suite_pencil(name: str) -> sp.csc_matrix:
+    """``G`` or ``C + γG`` of pg1t or pg4t, the 60×60 test pencil, or an
+    RLC grid's pencil (package inductors add branch rows)."""
+    from repro.circuit import assemble
+    from repro.pdn import (
+        PdnConfig, WorkloadSpec, attach_pulse_loads, build_case,
+        generate_power_grid,
+    )
+
+    if name == "pencil60":
+        return build_pencil()
+    if name.startswith("rlc"):
+        net = generate_power_grid(PdnConfig(
+            rows=8, cols=8, n_pads=2, l_package=2e-10, seed=9,
+        ))
+        attach_pulse_loads(net, WorkloadSpec(
+            n_sources=12, n_shapes=4, t_end=2e-9, time_grid_points=12, seed=9,
+        ))
+        system = assemble(net)
+        return system.C + 1e-12 * system.G
+    system, _ = build_case(name.split("-")[0])
+    return system.G if name.endswith("-G") else system.C + 1e-10 * system.G
+
+
+class TestBitOracle:
+    """Both call shapes are byte-equal to SuperLU's column sweep.
+
+    The oracle is the arithmetic the sweep matrices replaced: ``gstrs``
+    on the CSC export of the same factorisation.  64 right-hand sides
+    spanning 16 decades go through ``solve`` one by one and through
+    ``solve_many`` in blocks of 1, 2, 7 and 64 columns.
+    """
+
+    @pytest.mark.parametrize("name", ORACLE_PENCILS)
+    def test_every_column_matches_the_column_sweep(self, name):
+        matrix = _suite_pencil(name)
+        lu = SparseLU(matrix, label=name)
+        assert lu.failure is None
+        oracle = ColumnSweepOracle(matrix)
+        n = matrix.shape[0]
+        rng = np.random.default_rng(36)
+        block = rng.standard_normal((n, 64)) * np.logspace(-8, 8, 64)
+        ref = [oracle.solve(block[:, i]).tobytes() for i in range(64)]
+        for i in range(64):
+            assert lu.solve(block[:, i]).tobytes() == ref[i], i
+        for width in (1, 2, 7, 64):
+            for lo in range(0, 64, width):
+                out = lu.solve_many(block[:, lo:lo + width])
+                for j in range(out.shape[1]):
+                    assert out[:, j].tobytes() == ref[lo + j], (width, lo + j)
 
 
 def _ladder(n: int) -> sp.csc_matrix:
@@ -332,20 +408,26 @@ def _held_bytes(obj) -> int:
 
 
 class TestCacheByteAccounting:
-    """The kernel's arrays, sweeps included, are the factor-cache budget."""
+    """The sweep matrices and permutations are the factor-cache budget."""
 
     def test_nbytes_is_the_sum_of_held_arrays(self, pencil):
+        """One copy of each factor: 8 data + 4 index bytes per strictly
+        triangular entry, two row pointers, two permutations and
+        ``D⁻¹`` — the bytes a verified factor holds, all of them."""
         from repro.linalg.lu import FactorizationCache
 
         cache = FactorizationCache(max_entries=4, max_bytes=1 << 30)
         lu = cache.factor(pencil, label="tri-bytes")
         tri = lu._kernel
+        n = pencil.shape[0]
+        lower, upper, _ = tri._sweeps
+        strict = lower[2].size + upper[2].size
         for wide in (False, True):
             assert lu.prime_kernel(wide=wide)
-            assert (tri._sweeps is not None) == wide
-            assert tri.nbytes() == _held_bytes(tri) >= 12 * pencil.nnz
-            assert cache.resident_bytes == tri.nbytes()
-            assert cache.stats()["resident_bytes"] == tri.nbytes()
+        assert tri.nbytes() == _held_bytes(tri) >= 12 * pencil.nnz
+        assert tri.nbytes() == 12 * strict + 8 * (n + 1) + 24 * n
+        assert cache.resident_bytes == tri.nbytes()
+        assert cache.stats()["resident_bytes"] == tri.nbytes()
 
     def test_shared_views_share_one_export(self, pencil):
         from repro.linalg.lu import FactorizationCache
