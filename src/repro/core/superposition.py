@@ -27,11 +27,12 @@ which is why there is exactly one fold.
 
 The fold has two entry points:
 
-* :class:`SpanFold` is the march's span destination.  Node ``k``'s span
-  is added as soon as nodes ``0 … k−1`` have folded its rows;
-  until then it waits in node ``k``'s queue.  A run therefore holds one
-  trajectory per scenario plus the spans still waiting, not every
-  node's factors.  At width 1 no span is ever blocked.
+* :class:`ScenarioTotals` keeps an executor's running scenario sums.
+  As soon as a lockstep chunk has marched, the executor hands it the
+  chunk's node results, and it adds their factors to their scenarios'
+  totals in node order and drops them.  A run therefore holds one
+  trajectory per scenario plus one chunk's factors, not every node's:
+  at width 1 a chunk is one node.  It then builds the carriers.
 * :func:`superpose` finishes a scenario from node results: it resumes
   from a *carrier* (a result whose ``covers`` says which leading nodes
   are already summed into its ``states``) or starts from ``x_dc``, and
@@ -42,7 +43,8 @@ The fold has two entry points:
 from __future__ import annotations
 
 import time
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from repro.core.stats import SolverStats
 
 __all__ = [
     "SUPERPOSED_METHOD",
-    "SpanFold",
+    "ScenarioTotals",
     "superpose",
     "superpose_states",
     "merge_node_stats",
@@ -200,231 +202,85 @@ def superpose(
     )
 
 
-class _Queued(NamedTuple):
-    end: int
-    span: tuple
-    nbytes: int
-
-
-class _ScenarioSum:
-    """One scenario's running sum and its nodes' fold frontiers.
-
-    ``frontier[k]``: node ``k`` will add nothing below this row (its
-    last closed span's end, or a quiescent segment's).  ``ready[k]``:
-    every node before ``k`` has added — or is cleared to add —
-    everything below this row: the minimum, over ``j < k``, of ``j``'s
-    frontier or of its first queued span not yet cleared.  ``cleared[k]``
-    counts node ``k``'s leading queued spans that are cleared but wait
-    for the total: while several nodes march at once (``marching``), it
-    is allocated only once the cleared spans (``cleared_bytes``) are at
-    least as large as it is.
-    """
-
-    def __init__(self, lo: int, count: int, dc_state: np.ndarray):
-        self.lo, self.count, self.dc_state = lo, count, dc_state
-        self.times: np.ndarray | None = None
-        self.total: np.ndarray | None = None
-        self.frontier = [0] * count
-        self.ready = [0] * count
-        self.queues: list[list[_Queued]] = [[] for _ in range(count)]
-        self.cleared = [0] * count
-        self.cleared_bytes = 0
-        self.marching = 0
-        self.seconds = 0.0
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes of the dense ``(K × dim)`` total."""
-        return len(self.times) * len(self.dc_state) * 8
-
-    def folded(self, k: int) -> int:
-        """Rows below this are added, or cleared to add, for node ``k``."""
-        q, c = self.queues[k], self.cleared[k]
-        return q[c].span[0] if c < len(q) else self.frontier[k]
-
-
-class _NodeSink:
-    """Node ``k``'s span destination inside a :class:`SpanFold`."""
-
-    __slots__ = ("fold", "sum", "k")
-
-    def __init__(self, fold: "SpanFold", scenario: _ScenarioSum, k: int):
-        self.fold, self.sum, self.k = fold, scenario, k
-
-    def append(self, span: tuple) -> None:
-        """A closed ``(row0, A, B)`` span (``A`` may be ``None``)."""
-        self.fold._emit(self.sum, self.k, span)
-
-    def advance(self, row: int) -> None:
-        """The node adds nothing below ``row`` (a quiescent segment)."""
-        self.fold._advance(self.sum, self.k, row)
-
-
-class SpanFold:
-    """Scenario sums ``x_dc + Σ_k y_k``, folded as a march closes spans.
+class ScenarioTotals:
+    """Running sums ``x_dc + Σ_k y_k`` of a submission's scenarios, fed
+    one marched chunk at a time.
 
     Parameters
     ----------
     scenarios:
-        ``(lo, count, dc_state)`` per scenario: its nodes ``0 …
-        count − 1`` are the tasks at positions ``lo … lo + count − 1``
-        of the submission this fold serves (a pool chunk folds the
-        leading nodes of a scenario that continues in the next chunk).
-
-    :meth:`sink` hands the march one destination per folded task.  A
-    span is *cleared* once every earlier node of its scenario has added
-    or cleared those rows, and queues until then; a cleared span is
-    added to the scenario's total at once.  The total itself, a dense
-    ``(K × dim)`` block, is allocated as soon as a node marches alone
-    (at width 1 nothing can wait behind it).  While several of the
-    scenario's nodes march in lockstep it is allocated only once the
-    spans cleared to go into it are at least as large, so a round whose
-    spans are mostly blocked never holds the total on top of them; the
-    cleared spans are then added in node order.  Either way the
-    additions into every element come in node order, as in
-    :func:`superpose_states`, and the result is bit-for-bit the same.
+        ``(lo, count, dc_state)`` per scenario: its nodes ``0 … count −
+        1`` are the results at positions ``lo … lo + count − 1`` of the
+        submission (a pool chunk sums the leading nodes of a scenario
+        that continues in the next chunk).
 
     Attributes
     ----------
-    seconds:
-        Wall time spent folding (adding and queue bookkeeping).  The
-        march subtracts it from its own time: it is write-back,
-        ``superpose_seconds``, not a node's ``transient_seconds``.
-    held_bytes, peak_held_bytes:
-        Bytes of spans queued now / at most, a count (not RSS).  At
-        width 1 every earlier node has finished before a node starts,
-        so no span ever waits and the peak is 0.
+    peak_held_bytes:
+        The most node-factor bytes one :meth:`add` was handed to sum (a
+        count, not RSS): one chunk's worth, the largest single node's
+        factors at width 1.
     """
 
     def __init__(self, scenarios: Sequence[tuple[int, int, np.ndarray]]):
-        self.scenarios = [_ScenarioSum(*s) for s in scenarios]
+        self._scenarios = list(scenarios)
         self._where = {
-            sc.lo + k: (sc, k) for sc in self.scenarios for k in range(sc.count)
+            lo + k: j
+            for j, (lo, count, _dc) in enumerate(self._scenarios)
+            for k in range(count)
         }
+        self._totals: list = [None] * len(self._scenarios)
+        self._times: list = [None] * len(self._scenarios)
+        self._seconds = [0.0] * len(self._scenarios)
         self._buf = np.empty((0, 0))
-        self.seconds = 0.0
-        self.held_bytes = 0
         self.peak_held_bytes = 0
 
-    def sink(self, pos: int, times: np.ndarray) -> _NodeSink | None:
-        """The span destination of the task at ``pos`` marching on
-        ``times`` (``None``: this fold does not sum that task)."""
-        where = self._where.get(pos)
-        if where is None:
-            return None
-        sc, k = where
-        if sc.times is None:
-            sc.times = times
-            sc.ready[0] = len(times)
-        else:
-            _check_grids([sc.times, times])
-        sc.marching += 1
-        return _NodeSink(self, sc, k)
+    def add(self, first: int, results: Sequence) -> list:
+        """Add a marched chunk — the results at positions ``first,
+        first + 1, …`` — to the scenario totals, in node order.
 
-    def totals(self) -> list[tuple[int, int, np.ndarray, float]]:
-        """``(lo, count, total, seconds)`` per scenario, once every node
-        has reached the end of the grid and every span is added."""
-        out = []
-        for sc in self.scenarios:
-            n_rows = -1 if sc.times is None else len(sc.times)
-            if sc.total is None and n_rows > 0:
-                t0 = time.perf_counter()
-                self._allocate(sc)
-                self._charge(sc, t0)
-            if any(f != n_rows for f in sc.frontier) or any(sc.queues):
-                raise RuntimeError(
-                    f"scenario at position {sc.lo}: the march did not "
-                    f"close every node's spans through the last grid point"
-                )
-            out.append((sc.lo, sc.count, sc.total, sc.seconds))
+        Returns the results with every summed node's factors replaced by
+        an empty ``(0, dim)`` block; results outside every scenario are
+        returned as they are.  A node whose grid differs from its
+        scenario's first node raises ``ValueError``.
+        """
+        out, held = [], 0
+        for pos, res in enumerate(results, first):
+            j = self._where.get(pos)
+            if j is None:
+                out.append(res)
+                continue
+            t0 = time.perf_counter()
+            total = self._totals[j]
+            if total is None:
+                dc = np.asarray(self._scenarios[j][2], dtype=float)
+                total = self._totals[j] = np.tile(dc, (len(res.times), 1))
+                self._times[j] = res.times
+            else:
+                _check_grids([self._times[j], res.times])
+            for span in res.states.spans:
+                self._buf = _add_span(total, span, self._buf)
+            held += res.states.nbytes
+            self._seconds[j] += time.perf_counter() - t0
+            out.append(replace(res, states=np.empty((0, total.shape[1]))))
+        self.peak_held_bytes = max(self.peak_held_bytes, held)
         return out
 
-    # -- the fold ------------------------------------------------------------
-
-    def _emit(self, sc: _ScenarioSum, k: int, span: tuple) -> None:
-        t0 = time.perf_counter()
-        row0, a, b = span
-        end = row0 + len(b if a is None else a)
-        folded = sc.folded(k)
-        self._move(sc, k, end)
-        q = sc.queues[k]
-        if sc.total is None and sc.marching <= 1:
-            self._allocate(sc)
-        if sc.total is not None and not q and end <= sc.ready[k]:
-            self._buf = _add_span(sc.total, span, self._buf)
-        else:
-            nbytes = b.nbytes + (0 if a is None else a.nbytes)
-            q.append(_Queued(end, span, nbytes))
-            self.held_bytes += nbytes
-            self.peak_held_bytes = max(self.peak_held_bytes, self.held_bytes)
-            self._clear(sc, k)
-        if sc.folded(k) != folded:
-            self._release(sc, k)
-        self._charge(sc, t0)
-
-    def _advance(self, sc: _ScenarioSum, k: int, row: int) -> None:
-        if row <= sc.frontier[k]:
-            return
-        t0 = time.perf_counter()
-        folded = sc.folded(k)
-        self._move(sc, k, row)
-        if sc.folded(k) != folded:
-            self._release(sc, k)
-        self._charge(sc, t0)
-
-    @staticmethod
-    def _move(sc: _ScenarioSum, k: int, row: int) -> None:
-        """Node ``k``'s frontier moves to ``row``; at the last grid
-        point the node stops marching."""
-        if row == len(sc.times) > sc.frontier[k]:
-            sc.marching -= 1
-        sc.frontier[k] = row
-
-    def _clear(self, sc: _ScenarioSum, k: int) -> None:
-        """Add (or, before the total exists, clear) node ``k``'s queued
-        spans that end at or below its ``ready`` row."""
-        q, ready = sc.queues[k], sc.ready[k]
-        while sc.cleared[k] < len(q) and q[sc.cleared[k]].end <= ready:
-            if sc.total is not None:
-                self._add(sc, q.pop(0))
-                continue
-            sc.cleared_bytes += q[sc.cleared[k]].nbytes
-            sc.cleared[k] += 1
-        if sc.total is None and (
-            sc.marching <= 1 or sc.cleared_bytes >= sc.total_bytes
+    def carriers(self, results: Sequence) -> list:
+        """``results`` (the submission's, as :meth:`add` returned them)
+        with each scenario's first result carrying its total: ``covers``
+        names the summed nodes, ``superpose_seconds`` is their sum's
+        time."""
+        results = list(results)
+        for (lo, count, _dc), total, seconds in zip(
+            self._scenarios, self._totals, self._seconds
         ):
-            self._allocate(sc)
-
-    def _release(self, sc: _ScenarioSum, k: int) -> None:
-        """Node ``k``'s folded rows may have grown: move the later nodes'
-        ``ready`` rows up and clear what they queued below them."""
-        for i in range(k + 1, sc.count):
-            ready = min(sc.ready[i - 1], sc.folded(i - 1))
-            if ready == sc.ready[i]:
-                return
-            sc.ready[i] = ready
-            if sc.cleared[i] < len(sc.queues[i]):
-                self._clear(sc, i)
-
-    def _allocate(self, sc: _ScenarioSum) -> None:
-        """The scenario's total, with every cleared span added in node
-        order (each was cleared after all earlier nodes' spans on its
-        rows, so each element still sees node order)."""
-        sc.total = np.tile(
-            np.asarray(sc.dc_state, dtype=float), (len(sc.times), 1)
-        )
-        for k, q in enumerate(sc.queues):
-            for queued in q[:sc.cleared[k]]:
-                self._add(sc, queued)
-            del q[:sc.cleared[k]]
-            sc.cleared[k] = 0
-        sc.cleared_bytes = 0
-
-    def _add(self, sc: _ScenarioSum, queued: _Queued) -> None:
-        self._buf = _add_span(sc.total, queued.span, self._buf)
-        self.held_bytes -= queued.nbytes
-
-    def _charge(self, sc: _ScenarioSum, t0: float) -> None:
-        dt = time.perf_counter() - t0
-        sc.seconds += dt
-        self.seconds += dt
+            share = results[lo:lo + count]
+            results[lo] = replace(
+                share[0],
+                states=total,
+                covers=tuple(r.task_id for r in share),
+                superpose_seconds=seconds,
+                peak_held_bytes=self.peak_held_bytes,
+            )
+        return results

@@ -4,11 +4,13 @@ The subsystem splits a transient simulation by *input sources*: the
 :class:`MatexScheduler` decomposes the inputs into groups, a
 :class:`BlockNodeRunner` simulates each group's deviation from the
 operating point against its process's (amortised) factorisations, and
-each closed span is added to its scenario's sum as the march goes
-(:class:`~repro.core.superposition.SpanFold`).  Executors choose
+each chunk's node factors are added to their scenario's sum as soon as
+the chunk has marched
+(:class:`~repro.core.superposition.ScenarioTotals`).  Executors choose
 where the runners live: in-process (:class:`SerialExecutor`) or a real
 process pool (:class:`MultiprocessExecutor`) with pickled task messages
-and optional zero-copy shared-memory result transport.
+and zero-copy shared-memory result transport where the platform has
+it.
 
 There is one march.  ``batch`` on the scheduler (``batch_width`` on the
 executors) only sets how many node tasks advance in lockstep: ``"off"``

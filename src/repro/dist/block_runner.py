@@ -42,17 +42,15 @@ single bit of the results:
   written into its spare rows (:meth:`KrylovBasis.stacked
   <repro.linalg.krylov.KrylovBasis.stacked>`), so no basis vector is
   ever copied — carries ``x(t_i1) = A[-1] @ B`` into the next segment, and
-  hands each closed span to the task's span destination: its
-  scenario's :class:`~repro.core.superposition.SpanFold` when the
-  caller passes one, so the span is added to the scenario sum as soon
-  as the earlier nodes allow and then dropped; otherwise a list packed
+  hands each closed span to the task's span destination: a list packed
   into a :class:`~repro.dist.messages.FactoredStates` for a node task,
   or a streaming sink feed for ``simulate``.  A snapshot-triggered
   rebuild closes one span and opens the next; a quiescent segment emits
   nothing and only tells the destination that its rows are final.  A
-  node's dense rows first exist inside the scenario sum, so forming
-  them is charged to ``superpose_seconds``, not to a node's
-  ``transient_seconds``: the march subtracts the fold's own time.
+  node's dense rows first exist inside the scenario sum, which the
+  executor adds to once the chunk has marched
+  (:class:`~repro.core.superposition.ScenarioTotals`), so forming them
+  is ``superpose_seconds``, never a node's ``transient_seconds``.
 * **A posterior ledger.**  Every committed step's posterior estimate
   is summed (and its maximum kept) in the task's
   :class:`~repro.core.stats.SolverStats`, beside the ``ε`` of every
@@ -83,7 +81,6 @@ from repro.core.options import SolverOptions
 from repro.core.shapes import _input_shapes
 from repro.core.solver import MatexSolver, REUSE_SAFETY
 from repro.core.stats import SolverStats
-from repro.core.superposition import SpanFold
 from repro.core.transition import TransitionSchedule, build_schedule
 from repro.dist.messages import FactoredStates, NodeResult, SimulationTask
 from repro.linalg.block_krylov import build_bases_block, prime_eig_payloads
@@ -113,9 +110,8 @@ class _TaskState:
     and ``w2`` are combinations of them.  ``spans`` receives each closed
     ``(row0, A, B)`` span through its ``append``, and ``advance(row)``
     after a quiescent segment (no row below ``row`` will follow): a list
-    for a node task that answers with its factors, a
-    :class:`~repro.core.superposition.SpanFold` node for one that is
-    summed as it marches, ``simulate``'s sink feed otherwise.
+    for a node task, which answers with its factors, ``simulate``'s
+    sink feed otherwise.
     """
 
     schedule: TransitionSchedule
@@ -184,20 +180,9 @@ class BlockNodeRunner:
 
     # -- public API ---------------------------------------------------------------
 
-    def run(
-        self,
-        tasks: Sequence[SimulationTask],
-        fold: SpanFold | None = None,
-        first: int = 0,
-    ) -> list[NodeResult]:
-        """Simulate every task; results in input order.
-
-        With ``fold``, task ``i`` is position ``first + i`` of the
-        fold's submission: a task the fold sums sends its spans there as
-        they close, and its result carries an empty ``(0, dim)``
-        ``states`` (its trajectory is in the fold's scenario total).
-        The time the fold spends is not charged to any task's
-        ``transient_seconds``.
+    def run(self, tasks: Sequence[SimulationTask]) -> list[NodeResult]:
+        """Simulate every task; results in input order, each holding its
+        node's :class:`~repro.dist.messages.FactoredStates`.
 
         Tasks sharing one ``(global_points, t_end)`` grid march
         together; mixed batches are grouped by grid and each group
@@ -216,19 +201,14 @@ class BlockNodeRunner:
             groups.setdefault((task.global_points, task.t_end), []).append(pos)
         results: dict[int, NodeResult] = {}
         for positions in groups.values():
-            batch = self._run_grid_batch(
-                [tasks[p] for p in positions], fold,
-                [first + p for p in positions],
-            )
+            batch = self._run_grid_batch([tasks[p] for p in positions])
             for p, res in zip(positions, batch):
                 results[p] = res
         ordered = [results[p] for p in range(len(tasks))]
-        if ordered:
-            first = ordered[0]
-            first.stats.n_factor_cache_hits += self._pending_cache_hits
-            first.stats.n_factor_cache_misses += self._pending_cache_misses
-            self._pending_cache_hits = 0
-            self._pending_cache_misses = 0
+        first = ordered[0].stats
+        first.n_factor_cache_hits += self._pending_cache_hits
+        first.n_factor_cache_misses += self._pending_cache_misses
+        self._pending_cache_hits = self._pending_cache_misses = 0
         return ordered
 
     # -- lockstep march ---------------------------------------------------------
@@ -281,10 +261,7 @@ class BlockNodeRunner:
             x=np.asarray(x0, dtype=float),
         )
 
-    def _run_grid_batch(
-        self, tasks: list[SimulationTask], fold: SpanFold | None,
-        positions: list[int],
-    ) -> list[NodeResult]:
+    def _run_grid_batch(self, tasks: list[SimulationTask]) -> list[NodeResult]:
         tstates = []
         for task in tasks:
             overrides = task.group.overrides_dict() or None
@@ -309,38 +286,25 @@ class BlockNodeRunner:
                     f"task {task.task_id} (position {pos} of its grid batch): "
                     f"schedule points differ from task {tasks[0].task_id}'s"
                 )
-        if fold is not None:
-            for t, pos in zip(tstates, positions):
-                sink = fold.sink(pos, pts_ref)
-                if sink is not None:
-                    t.spans = sink
-        self._march(tstates, f"task {tasks[0].task_id}", fold)
+        self._march(tstates, f"task {tasks[0].task_id}")
 
-        folded = np.empty((0, self.system.dim))
         return [
             NodeResult(
                 task_id=task.task_id,
                 group_id=task.group.group_id,
                 label=task.group.label,
                 times=pts_ref.copy(),
-                states=(
-                    FactoredStates.from_spans(
-                        (len(pts_ref), self.system.dim), t.spans
-                    )
-                    if isinstance(t.spans, _SpanList) else folded
+                states=FactoredStates.from_spans(
+                    (len(pts_ref), self.system.dim), t.spans
                 ),
                 stats=t.stats,
             )
             for task, t in zip(tasks, tstates)
         ]
 
-    def _march(
-        self, tstates: list[_TaskState], owner: str,
-        fold: SpanFold | None = None,
-    ) -> None:
+    def _march(self, tstates: list[_TaskState], owner: str) -> None:
         """Lockstep segment rounds over marches on one grid (``owner``
-        names it in the error raised when it does not strictly increase;
-        ``fold``'s time inside the march is not the march's)."""
+        names it in the error raised when it does not strictly increase)."""
         pts = np.asarray(tstates[0].schedule.points)
         stalled = np.flatnonzero(~(np.diff(pts) > 0.0))
         if stalled.size:
@@ -350,7 +314,6 @@ class BlockNodeRunner:
                 f"does not exceed point {k - 1}; the grid must strictly increase"
             )
 
-        folded0 = fold.seconds if fold is not None else 0.0
         # A cyclic-GC pass inside the timed window would be charged to
         # the march: a gen-2 pass over a large heap takes tens of ms,
         # several width-1 node windows.  The march makes no reference
@@ -377,8 +340,6 @@ class BlockNodeRunner:
             tstates[0].stats.gc_collections += _gc_collections() - collections0
             if gc_was_on:
                 gc.enable()
-        if fold is not None:
-            march_seconds -= fold.seconds - folded0
 
         # At width 1 this is the task's own measured march — the paper's
         # per-node "pure transient computing".  A fused march has no

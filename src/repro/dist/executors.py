@@ -11,9 +11,11 @@ Two interchangeable backends run a batch of
 * :class:`MultiprocessExecutor` — a ``concurrent.futures`` process pool;
   each worker process builds its own solver state once (its own
   factorisations, like a physical node).  Tasks travel as pickled
-  messages; results can travel back **zero-copy** through
-  ``multiprocessing.shared_memory`` (trajectory arrays stay in shared
-  segments, only metadata is pickled — see :mod:`repro.dist.messages`).
+  messages; results travel back **zero-copy** through
+  ``multiprocessing.shared_memory`` wherever
+  :func:`~repro.dist.shm.shm_available` (trajectory arrays stay in
+  shared segments, only metadata is pickled — see
+  :mod:`repro.dist.messages`), and pickled whole elsewhere.
 
 **One run path.**  Both backends cut their tasks into lockstep chunks
 (:func:`_chunks`) and march every chunk with a
@@ -26,19 +28,18 @@ different code path.  ``"auto"`` is one chunk per worker and an integer
 a fixed width.  The results are bit-for-bit the same at every width
 (``tests/test_golden_digests.py`` pins them to recorded digests).
 
-**The sum is the march's span destination.**  MATEX's only cross-node
-communication is the final sum ``x = x_dc + Σ_k y_k``.  When ``run`` is
-given ``dc_states`` (one per scenario, as a
-:class:`~repro.plan.Session` does), the runner hands each closed span
-straight to a :class:`~repro.core.superposition.SpanFold`, which adds it
-to its scenario's total as soon as the scenario's earlier nodes have
-added those rows — the same additions in the same node order as
+**One fold rule.**  MATEX's only cross-node communication is the final
+sum ``x = x_dc + Σ_k y_k``.  When ``run`` is given ``dc_states`` (one
+per scenario, as a :class:`~repro.plan.Session` does), each chunk's
+node factors are added to their scenario totals
+(:class:`~repro.core.superposition.ScenarioTotals`) as soon as the chunk
+has marched, in node order — the same additions in the same order as
 summing whole node results, hence the same bits — so a run holds one
-trajectory per scenario plus the spans still waiting, not every node's
-factors.  The scenario's first result is then the carrier of the sum
-(``covers``) and the other summed results carry empty ``states``.  The
-serial executor folds every scenario across all its chunks (at width 1
-no span ever waits for an earlier node).
+trajectory per scenario plus one chunk's factors, not every node's (at
+width 1, one node's).  The scenario's first result is then the carrier
+of the sum (``covers``) and the other summed results carry empty
+``states``.  The serial executor sums every scenario across all its
+chunks.
 
 What crosses the process boundary.  In: one pickled
 :class:`~repro.dist.messages.SimulationTask` per node (≈2.3 kB with a
@@ -65,7 +66,6 @@ runs all agree bit-for-bit.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import signal
 import time
@@ -79,7 +79,7 @@ import numpy as np
 from repro import faults
 from repro.circuit.mna import MNASystem
 from repro.core.options import SolverOptions
-from repro.core.superposition import SpanFold
+from repro.core.superposition import ScenarioTotals
 from repro.dist.block_runner import BlockNodeRunner
 from repro.dist.messages import NodeResult, SimulationTask
 from repro.dist.shm import (
@@ -143,11 +143,9 @@ def _chunks(tasks: list, width: int) -> list[list]:
 
 
 def _march_chunk(
-    runner: BlockNodeRunner, chunk: list[SimulationTask],
-    fold: SpanFold | None = None, first: int = 0,
+    runner: BlockNodeRunner, chunk: list[SimulationTask]
 ) -> list[NodeResult]:
-    """March one lockstep chunk — the single run path of both executors
-    (``fold``/``first``: see :meth:`BlockNodeRunner.run`).
+    """March one lockstep chunk — the single run path of both executors.
 
     The fault hook fires here, once per task, immediately before the
     chunk marches: in the host process, in a pool worker, and in the
@@ -155,7 +153,7 @@ def _march_chunk(
     """
     for task in chunk:
         faults.on_task_start(task.task_id)
-    return runner.run(chunk, fold, first)
+    return runner.run(chunk)
 
 
 def _per_scenario(tasks: list, dc_states: Sequence | None) -> int:
@@ -194,22 +192,6 @@ def _scenario_prefixes(
         if count > 1 or count == per_scenario:
             out.append((lo, count, dc_states[j]))
     return out
-
-
-def _carry(fold: SpanFold, results: list[NodeResult]) -> list[NodeResult]:
-    """Hand each folded scenario prefix its carrier: the first node's
-    result with the sum as ``states`` (the others' are already empty)."""
-    results = list(results)
-    for lo, count, total, seconds in fold.totals():
-        share = results[lo:lo + count]
-        results[lo] = dataclasses.replace(
-            share[0],
-            states=total,
-            covers=tuple(r.task_id for r in share),
-            superpose_seconds=seconds,
-            peak_held_bytes=fold.peak_held_bytes,
-        )
-    return results
 
 
 class Executor:
@@ -311,20 +293,20 @@ class SerialExecutor(Executor):
         tasks: Sequence[SimulationTask],
         dc_states: Sequence[np.ndarray] | None = None,
     ) -> list[NodeResult]:
-        """One result per task; with ``dc_states`` every scenario is
-        folded as it marches and comes back as its carrier."""
+        """One result per task; with ``dc_states`` each chunk is added
+        to its scenarios' sums once it has marched, and every scenario
+        comes back as its carrier."""
         tasks = list(tasks)
         per = _per_scenario(tasks, dc_states)
-        fold = None
-        if per:
-            fold = SpanFold([
-                (j * per, per, dc) for j, dc in enumerate(dc_states)
-            ])
+        totals = ScenarioTotals(
+            [(j * per, per, dc) for j, dc in enumerate(dc_states)]
+        ) if per else None
         width = _resolve_batch_width(self.batch_width, len(tasks))
         out: list[NodeResult] = []
         for i, chunk in enumerate(_chunks(tasks, width)):
-            out.extend(_march_chunk(self.runner, chunk, fold, i * width))
-        return out if fold is None else _carry(fold, out)
+            results = _march_chunk(self.runner, chunk)
+            out.extend(totals.add(i * width, results) if totals else results)
+        return totals.carriers(out) if totals else out
 
 
 # -- multiprocess backend ----------------------------------------------------------
@@ -375,15 +357,15 @@ def _run_chunk_in_process(
     tasks: list[SimulationTask],
     prefixes: Sequence[tuple[int, int, np.ndarray]] = (),
 ) -> list[NodeResult]:
-    """March one pool chunk, folding the scenario prefixes it holds."""
+    """March one pool chunk, then sum the scenario prefixes it holds."""
     global _PROCESS_RUNNER
     assert _PROCESS_CONFIG is not None, "pool initializer did not run"
     if _PROCESS_RUNNER is None:
         _PROCESS_RUNNER = BlockNodeRunner(*_PROCESS_CONFIG[:2])
-    fold = SpanFold(prefixes) if prefixes else None
-    results = _march_chunk(_PROCESS_RUNNER, tasks, fold)
-    if fold is not None:
-        results = _carry(fold, results)
+    results = _march_chunk(_PROCESS_RUNNER, tasks)
+    if prefixes:
+        totals = ScenarioTotals(prefixes)
+        results = totals.carriers(totals.add(0, results))
     return [_maybe_share(r) for r in results]
 
 
@@ -408,11 +390,6 @@ class MultiprocessExecutor(Executor):
         chunks are cut on scenario boundaries.  ``int`` — fixed chunk
         width.  Either way a chunk folds the scenario prefixes it holds
         (see the module docstring).
-    transport:
-        ``"auto"`` (default) — trajectory arrays return through
-        ``multiprocessing.shared_memory`` when the platform supports
-        it, with only metadata pickled; ``"shm"`` forces it, and
-        ``"pickle"`` forces the classic pipe transport.
     retry:
         Every batch runs in one supervised attempt loop.  ``None``
         (default) is its zero-retry policy: a failure disposes the pool
@@ -427,6 +404,11 @@ class MultiprocessExecutor(Executor):
 
     Notes
     -----
+    Trajectory arrays return through ``multiprocessing.shared_memory``
+    when :func:`~repro.dist.shm.shm_available` says the platform supports
+    it, with only metadata pickled; otherwise the results are pickled
+    whole.
+
     Outside a ``with`` block the pool is created per :meth:`run` call
     and torn down afterwards, so no processes linger between
     experiments.  As a context manager (or after an explicit
@@ -455,22 +437,10 @@ class MultiprocessExecutor(Executor):
         options: SolverOptions | None = None,
         max_workers: int | None = None,
         batch_width=None,
-        transport: str = "auto",
         retry: RetryPolicy | None = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(
-                f"transport must be 'auto', 'shm' or 'pickle', "
-                f"got {transport!r}"
-            )
-        if transport == "shm" and not shm_available():
-            raise ValueError(
-                "transport='shm' requires POSIX shared memory with a "
-                "/dev/shm namespace (for crash cleanup); use 'auto' "
-                "(falls back to pickle) on this platform"
-            )
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise TypeError(
                 f"retry must be a RetryPolicy or None, got {retry!r}"
@@ -479,7 +449,6 @@ class MultiprocessExecutor(Executor):
         self.options = options if options is not None else SolverOptions()
         self.max_workers = max_workers
         self.batch_width = batch_width
-        self.transport = transport
         self.retry = retry
         #: Lifetime resilience counters (see
         #: :class:`~repro.dist.supervision.SupervisionStats`).
@@ -491,13 +460,6 @@ class MultiprocessExecutor(Executor):
         self._consecutive_failures = 0
         self._degraded = False
         self._serial: SerialExecutor | None = None
-
-    def _use_shm(self) -> bool:
-        if self.transport == "pickle":
-            return False
-        if self.transport == "shm":
-            return True
-        return shm_available()
 
     # -- pool lifecycle ---------------------------------------------------------
 
@@ -520,7 +482,7 @@ class MultiprocessExecutor(Executor):
         self._pool_workers = self.max_workers or os.cpu_count() or 1
         if n_tasks is not None:
             self._pool_workers = min(self._pool_workers, n_tasks)
-        self._prefix = new_segment_prefix() if self._use_shm() else None
+        self._prefix = new_segment_prefix() if shm_available() else None
         self._pool = ProcessPoolExecutor(
             max_workers=self._pool_workers,
             initializer=_init_process_worker,

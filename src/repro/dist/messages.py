@@ -19,14 +19,14 @@ The protocol mirrors the paper's Fig. 4:
   the Sec. 3.4 timing split.
 
 One refinement on the way back: an executor given the scenarios' DC
-states sums each scenario's leading nodes as it marches them
-(:class:`~repro.core.superposition.SpanFold`) and answers with one
-trajectory for them instead of one per node.  The scenario's first
-result is the **carrier** — its ``states`` hold ``x_dc`` plus the
-summed nodes and ``covers`` lists their task ids — and the other summed
-node results keep their statistics but travel with an empty
-``(0, dim)`` ``states`` block; nodes after a chunk border travel as
-their own factors (see :mod:`repro.dist.executors`).
+states adds each chunk's nodes to their scenario's sum as soon as the
+chunk has marched (:class:`~repro.core.superposition.ScenarioTotals`)
+and answers with one trajectory for them instead of one per node.  The
+scenario's first result is the **carrier** — its ``states`` hold
+``x_dc`` plus the summed nodes and ``covers`` lists their task ids —
+and the other summed node results keep their statistics but travel
+with an empty ``(0, dim)`` ``states`` block; nodes after a chunk border
+travel as their own factors (see :mod:`repro.dist.executors`).
 """
 
 from __future__ import annotations
@@ -200,9 +200,9 @@ class NodeResult:
     states:
         The node's ``(K × dim)`` deviation trajectory: a
         :class:`FactoredStates` from the block runner (every executor)
-        — unless the executor summed the node into its scenario as it
-        marched: then the carrier (``covers`` non-empty) holds the dense
-        partial sum and every other summed node result an empty
+        — unless the executor summed the node into its scenario after
+        marching it: then the carrier (``covers`` non-empty) holds the
+        dense partial sum and every other summed node result an empty
         ``(0, dim)`` block.
     covers:
         Ids of the tasks, in summation order, whose trajectories were
@@ -212,8 +212,9 @@ class NodeResult:
     superpose_seconds:
         Wall time of that sum (0 for per-node results).
     peak_held_bytes:
-        The most bytes of closed spans the summing fold held queued at
-        once (a count, not RSS; 0 for per-node results).
+        The most node-factor bytes the executor held before adding them
+        to the sum — one chunk's worth (a count, not RSS; 0 for per-node
+        results).
     """
 
     task_id: int
@@ -283,7 +284,8 @@ class DistributedResult:
         Max per-node factorisation time (nodes factor concurrently).
     superpose_seconds:
         Wall time of the final write-back/superposition, wherever it
-        ran: folded during the march, in a pool worker, or here.
+        ran: in the executor after each chunk, in a pool worker, or
+        here.
     factor_cache_hits:
         Factorisations this run reused from the process-wide
         :data:`~repro.linalg.lu.FACTORIZATION_CACHE` (scheduler DC +
@@ -326,11 +328,10 @@ class DistributedResult:
         the executor stopped trusting process pools (see
         ``RetryPolicy.degrade_after``).
     peak_held_bytes:
-        The most bytes of closed node spans the fold that summed this
-        scenario held queued — waiting for earlier nodes, or for enough
-        of them to be worth allocating the dense total — a count, not
-        RSS.  A fold that summed several stacked scenarios reports its
-        peak over all of them.
+        The most node-factor bytes the executor that summed this
+        scenario held before adding them — one chunk's worth, a count,
+        not RSS.  An executor that summed several stacked scenarios
+        reports its peak over all of them.
     """
 
     result: TransientResult

@@ -36,7 +36,12 @@ from repro.core.decomposition import SourceGroup
 from repro.core.options import SolverOptions
 from repro.dist.executors import Executor
 from repro.dist.messages import DistributedResult
-from repro.plan.plan import DECOMPOSITIONS, SimulationPlan, build_groups
+from repro.plan.plan import (
+    DECOMPOSITIONS,
+    SimulationPlan,
+    build_groups,
+    check_plan_args,
+)
 
 __all__ = ["MatexScheduler", "DECOMPOSITIONS"]
 
@@ -83,20 +88,7 @@ class MatexScheduler:
         max_nodes: int | None = None,
         batch="off",
     ):
-        if decomposition not in DECOMPOSITIONS:
-            raise ValueError(
-                f"unknown decomposition {decomposition!r}; "
-                f"choose from {sorted(DECOMPOSITIONS)}"
-            )
-        if max_nodes is not None and max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-        if batch not in ("off", "auto") and not (
-            isinstance(batch, int) and not isinstance(batch, bool) and batch >= 1
-        ):
-            raise ValueError(
-                f"batch must be 'off', 'auto' or a positive width, "
-                f"got {batch!r}"
-            )
+        check_plan_args(decomposition, max_nodes, batch)
         self.system = system
         self.options = options if options is not None else SolverOptions()
         self.decomposition = decomposition

@@ -55,6 +55,7 @@ __all__ = [
     "SimulationPlan",
     "CompiledPlan",
     "build_groups",
+    "check_plan_args",
     "prime_factorizations",
 ]
 
@@ -64,6 +65,25 @@ DECOMPOSITIONS = ("bump", "source", "bump-split")
 
 class PlanError(ValueError):
     """A scenario (or plan configuration) violates a compiled contract."""
+
+
+def check_plan_args(decomposition: str, max_nodes: int | None, batch) -> None:
+    """Raise ``ValueError`` unless the decomposition, node cap and
+    lockstep width are valid (a :class:`SimulationPlan`'s and a
+    :class:`~repro.dist.scheduler.MatexScheduler`'s one check)."""
+    if decomposition not in DECOMPOSITIONS:
+        raise ValueError(
+            f"unknown decomposition {decomposition!r}; "
+            f"choose from {sorted(DECOMPOSITIONS)}"
+        )
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    if batch not in ("off", "auto") and not (
+        isinstance(batch, int) and not isinstance(batch, bool) and batch >= 1
+    ):
+        raise ValueError(
+            f"batch must be 'off', 'auto' or a positive width, got {batch!r}"
+        )
 
 
 def build_groups(
@@ -167,24 +187,7 @@ class SimulationPlan:
             raise ValueError(
                 f"t_end must be positive, got {self.t_end!r}"
             )
-        if self.decomposition not in DECOMPOSITIONS:
-            raise ValueError(
-                f"unknown decomposition {self.decomposition!r}; "
-                f"choose from {sorted(DECOMPOSITIONS)}"
-            )
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError(
-                f"max_nodes must be >= 1, got {self.max_nodes}"
-            )
-        if self.batch not in ("off", "auto") and not (
-            isinstance(self.batch, int)
-            and not isinstance(self.batch, bool)
-            and self.batch >= 1
-        ):
-            raise ValueError(
-                f"batch must be 'off', 'auto' or a positive width, "
-                f"got {self.batch!r}"
-            )
+        check_plan_args(self.decomposition, self.max_nodes, self.batch)
 
     def groups(self) -> list[SourceGroup]:
         """The plan's source groups (see :func:`build_groups`)."""

@@ -17,16 +17,17 @@ objects through one :class:`~repro.plan.plan.CompiledPlan` against a
   run on the scenario-bound system (enforced by ``tests/test_plan.py``)
   — the sweep is purely an amortisation, never an approximation;
 * the session hands the executor each scenario's DC state along with
-  its tasks, so the executor sums each scenario **as its nodes march**
-  (:class:`~repro.core.superposition.SpanFold`) — in process, or in
-  the pool worker that holds the scenario's first nodes — and hands
+  its tasks, so the executor adds each chunk's nodes to their
+  scenario's sum **as soon as the chunk has marched**
+  (:class:`~repro.core.superposition.ScenarioTotals`) — in process, or
+  in the pool worker that holds the scenario's first nodes — and hands
   back a carrier of that sum instead of every node's factors
   (:mod:`repro.dist.executors` says when); the session finishes every
   scenario with one routine, :func:`~repro.core.superposition.superpose`,
   which resumes the carrier's sum with any nodes that came back on
   their own (a scenario split over workers) in node order, hence the
-  same bits.  ``superpose_seconds`` is the executor's fold time plus
-  that finishing step.
+  same bits.  ``superpose_seconds`` is the executor's summing time
+  plus that finishing step.
 
 A worker death mid-sweep does not poison the session: the persistent
 executor disposes the broken pool (sweeping the dead worker's

@@ -41,6 +41,7 @@ from repro.dist.shm import (
     shm_available,
     to_shared,
 )
+from repro.dist import executors as executors_mod
 from tests.conftest import ScalarOracleExecutor
 from tests.scalar_oracle import oracle_budget, oracle_spread
 
@@ -276,17 +277,18 @@ class TestExecutorParity:
         ).run(tasks)
         assert_results_identical(ref, mp)
 
-    def test_multiprocess_pickle_transport_matches(self, mesh_system):
+    def test_multiprocess_pickle_transport_matches(
+        self, mesh_system, monkeypatch
+    ):
+        """Without shared memory the pool falls back to pickling."""
+        monkeypatch.setattr(executors_mod, "shm_available", lambda: False)
         tasks = tasks_for(mesh_system)
         ref = SerialExecutor(mesh_system, OPTS).run(tasks)
-        mp = MultiprocessExecutor(
-            mesh_system, OPTS, max_workers=2, transport="pickle"
-        ).run(tasks)
-        assert_results_identical(ref, mp)
+        with MultiprocessExecutor(mesh_system, OPTS, max_workers=2) as mp:
+            assert mp._prefix is None  # no shared-memory namespace
+            assert_results_identical(ref, mp.run(tasks))
 
     def test_bad_executor_args(self, mesh_system):
-        with pytest.raises(ValueError, match="transport"):
-            MultiprocessExecutor(mesh_system, OPTS, transport="carrier-pigeon")
         with pytest.raises(ValueError, match="batch_width"):
             SerialExecutor(mesh_system, OPTS, batch_width=0).run(
                 tasks_for(mesh_system)
@@ -343,7 +345,7 @@ class TestShmTransport:
 
         before = {p.name for p in Path("/dev/shm").glob("repro*")}
         ex = MultiprocessExecutor(
-            mesh_system, OPTS, max_workers=2, transport="shm"
+            mesh_system, OPTS, max_workers=2
         )
         with pytest.raises(BrokenProcessPool):
             ex.run([killer_task(mesh_system)])
@@ -356,7 +358,7 @@ class TestShmTransport:
             1e-9,
             executor=MultiprocessExecutor(
                 mesh_system, OPTS, max_workers=2,
-                batch_width="auto", transport="shm",
+                batch_width="auto",
             ),
         )
         assert (ref.result.states.tobytes()

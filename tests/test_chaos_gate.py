@@ -76,7 +76,7 @@ def test_chaos_gate_pg1t_sweep_is_bit_identical(tmp_path):
     retry = RetryPolicy(max_retries=4, backoff=0.01, jitter=0.0)
     with MultiprocessExecutor(
         system, OPTS, max_workers=2, batch_width="auto",
-        transport="shm", retry=retry,
+        retry=retry,
     ) as ex:
         with Session(compiled, executor=ex) as session:
             faulted = session.sweep(scenarios_seed7(), stack=STACK)

@@ -235,7 +235,6 @@ class TestTransport:
         monkeypatch.setattr(executors_mod, "from_shared", recording)
         with MultiprocessExecutor(
             system, opts, max_workers=2, batch_width=n + n // 2,
-            transport="shm",
         ) as ex:
             with Session(compiled, executor=ex) as session:
                 got = session.sweep(scenarios, stack=3)

@@ -223,7 +223,7 @@ class TestInjectedFaultsHeal:
         faults.install("shmfail@0", str(tmp_path / "faults"))
         retry = RetryPolicy(max_retries=2, backoff=0.0, jitter=0.0)
         with MultiprocessExecutor(
-            mesh_system, OPTS, max_workers=2, transport="shm", retry=retry
+            mesh_system, OPTS, max_workers=2, retry=retry
         ) as ex:
             with Session(compiled, executor=ex) as session:
                 healed = session.run(scenario)

@@ -59,7 +59,7 @@ from repro.circuit import assemble
 from repro.core import SolverOptions
 from repro.core.solver import REUSE_SAFETY
 from repro.core.superposition import superpose_states
-from repro.dist import MatexScheduler, MultiprocessExecutor
+from repro.dist import MatexScheduler, MultiprocessExecutor, executors
 from repro.dist.shm import shm_available
 from repro.linalg import exact_transient
 from repro.pdn import (
@@ -201,15 +201,17 @@ def test_serial_reproduces_scalar_digests(golden, case, batch):
     assert digest([dres]) == golden[name]
 
 
-@pytest.mark.parametrize("transport", ["shm", "pickle"])
+@pytest.mark.parametrize("channel", ["shm", "pickle"])
 @pytest.mark.parametrize("batch", BATCHES)
-def test_pool_reproduces_scalar_digests(golden, case, batch, transport):
-    if transport == "shm" and not shm_available():
+def test_pool_reproduces_scalar_digests(
+    golden, case, batch, channel, monkeypatch
+):
+    if channel == "shm" and not shm_available():
         pytest.skip("POSIX shared memory needed")
+    if channel == "pickle":
+        monkeypatch.setattr(executors, "shm_available", lambda: False)
     name, system, opts, t_end, decomposition = case
-    executor = MultiprocessExecutor(
-        system, opts, max_workers=2, batch_width=batch, transport=transport
-    )
+    executor = MultiprocessExecutor(system, opts, max_workers=2, batch_width=batch)
     dres = MatexScheduler(system, opts, decomposition=decomposition).run(
         t_end, executor=executor
     )

@@ -113,6 +113,18 @@ class TestSimulationPlanValidation:
         with pytest.raises(ValueError, match="batch must be"):
             SimulationPlan(mesh_system, OPTS, t_end=T_END, batch=0)
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"decomposition": "magic"}, "unknown decomposition 'magic'"),
+        ({"max_nodes": 0}, "max_nodes must be >= 1, got 0"),
+        ({"batch": True}, "batch must be 'off', 'auto' or a positive width"),
+    ])
+    def test_scheduler_raises_the_plans_message(self, mesh_system, bad, match):
+        """One check serves both front doors, at construction."""
+        with pytest.raises(ValueError, match=match):
+            SimulationPlan(mesh_system, OPTS, t_end=T_END, **bad)
+        with pytest.raises(ValueError, match=match):
+            MatexScheduler(mesh_system, OPTS, **bad)
+
     def test_all_constant_inputs_rejected_at_compile(self):
         net = Netlist("dc-only")
         net.add_resistor("R1", "a", "0", 1.0)

@@ -108,16 +108,17 @@ def shm_entries() -> set:
 @pytest.mark.parametrize("retry", [
     None, RetryPolicy(max_retries=1, backoff=0.0, jitter=0.0),
 ], ids=["no-retry", "retry"])
-@pytest.mark.parametrize("transport", ["shm", "pickle"])
+@pytest.mark.parametrize("channel", ["shm", "pickle"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_pool_sweep_equals_serial_session(
-    system, compiled, reference, workers, transport, retry
+    system, compiled, reference, workers, channel, retry, monkeypatch
 ):
-    if transport == "shm" and not shm_available():
+    if channel == "shm" and not shm_available():
         pytest.skip("POSIX shared memory needed")
+    if channel == "pickle":
+        monkeypatch.setattr(executors_mod, "shm_available", lambda: False)
     with MultiprocessExecutor(
-        system, OPTS, max_workers=workers, batch_width="auto",
-        transport=transport, retry=retry,
+        system, OPTS, max_workers=workers, batch_width="auto", retry=retry,
     ) as ex:
         with Session(compiled, executor=ex) as session:
             # One submission per sweep: aligned when scenarios >=
@@ -154,7 +155,6 @@ class TestWhatCrossesTheBoundary:
         rec = Recorder(monkeypatch)
         with MultiprocessExecutor(
             system, OPTS, max_workers=2, batch_width="auto",
-            transport="shm",
         ) as ex:
             ex_prefix = ex._prefix
             with Session(compiled, executor=ex) as session:
@@ -191,7 +191,7 @@ class TestWhatCrossesTheBoundary:
         parent to add."""
         rec = Recorder(monkeypatch)
         with MultiprocessExecutor(
-            system, OPTS, max_workers=2, batch_width=4, transport="shm",
+            system, OPTS, max_workers=2, batch_width=4,
         ) as ex:
             with Session(compiled, executor=ex) as session:
                 got = session.sweep(make_scenarios(3), stack=3)
@@ -207,7 +207,6 @@ class TestWhatCrossesTheBoundary:
         rec = Recorder(monkeypatch)
         with MultiprocessExecutor(
             system, OPTS, max_workers=3, batch_width="auto",
-            transport="shm",
         ) as ex:
             with Session(compiled, executor=ex) as session:
                 got = session.sweep(make_scenarios(1))
@@ -284,7 +283,7 @@ def test_worker_killed_before_handover_leaks_nothing(
     before = shm_entries()
     monkeypatch.setattr(executors_mod, "to_shared", _share_then_die)
     with MultiprocessExecutor(
-        system, OPTS, max_workers=2, batch_width="auto", transport="shm",
+        system, OPTS, max_workers=2, batch_width="auto",
     ) as ex:
         with Session(compiled, executor=ex) as session:
             with pytest.raises(BrokenProcessPool):

@@ -114,7 +114,7 @@ class TestSessionSurvivesWorkerDeath:
     def test_dead_workers_segments_are_swept(self, mesh_system, compiled):
         """The shm prefix sweep reclaims whatever the massacre left."""
         with MultiprocessExecutor(
-            mesh_system, OPTS, max_workers=2, transport="shm"
+            mesh_system, OPTS, max_workers=2
         ) as ex:
             prefix = ex._prefix
             assert prefix is not None

@@ -1,37 +1,40 @@
-"""The scenario sum is the march's span destination.
+"""One fold rule: a chunk's node factors join the scenario sum as the
+chunk ends.
 
-:class:`repro.core.superposition.SpanFold` adds node ``k``'s closed span
-to its scenario's total as soon as nodes ``0 … k−1`` have added those
-rows, and queues it until then.  Pinned here:
+:class:`repro.core.superposition.ScenarioTotals` adds every node of a
+marched chunk to its scenario's total, in node order, and the executors
+feed it chunk by chunk.  Pinned here:
 
-* the fold's bits equal :func:`superpose_states` over whole node
-  results, whatever order the spans arrive in (unit level, on blocks
-  whose sum changes under any reassociation) and on the golden cases,
-  in process at every width and through a 2-worker pool that splits the
-  scenario across workers;
-* its held-span count: 0 at width 1, below the bytes of all spans on a
-  2-scenario pg1t lockstep sweep;
-* the timing split: fold work inside the march is ``superpose_seconds``,
-  never ``transient_seconds``;
+* its bits equal :func:`superpose_states` over whole node results,
+  whatever the chunking (unit level, on blocks whose sum changes under
+  any reassociation) and on the golden cases, in process at every width
+  and through a 2-worker pool that splits the scenario across workers;
+* its held-factor count, exactly: the largest node's factor bytes at
+  width 1, the chunk's summed factor bytes in lockstep;
+* the timing split: the sum's work is ``superpose_seconds``, never
+  ``transient_seconds``;
 * the posterior ledger: the same in every execution mode, and no state
   bit moves.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import SolverOptions
 from repro.core import superposition
-from repro.core.superposition import SpanFold, superpose, superpose_states
+from repro.core.superposition import ScenarioTotals, superpose, superpose_states
 from repro.dist import (
     FactoredStates,
     MatexScheduler,
     MultiprocessExecutor,
     SerialExecutor,
 )
-from repro.dist.messages import DistributedResult
+from repro.dist.messages import DistributedResult, NodeResult
 from repro.plan import Scenario, Session, SimulationPlan
 from tests.conftest import ScalarOracleExecutor, build_multi_source_mesh
+from tests.test_block_runner import OPTS, tasks_for
 from tests.test_golden_digests import CASES
 
 
@@ -70,94 +73,64 @@ def _reference(dc, nodes, n_rows, dim):
     return superpose_states(dc, [np.arange(n_rows)] * len(nodes), blocks)
 
 
-@pytest.mark.parametrize("order", [
-    [0, 0, 1, 2, 2],          # node by node: width 1
-    [2, 1, 0, 2, 0],          # last node first
-    [1, 2, 0, 0, 2],
+def _node(k, times, spans, dim):
+    return NodeResult(
+        k, k, f"n{k}", times, FactoredStates.from_spans((len(times), dim), spans)
+    )
+
+
+@pytest.mark.parametrize("chunks", [
+    [[0], [1], [2]],          # width 1
+    [[0, 1], [2]],
+    [[0, 1, 2]],              # one lockstep chunk
 ])
-def test_fold_equals_superpose_states_in_any_arrival_order(order):
+def test_chunk_totals_equal_superpose_states(chunks):
+    """Whatever the chunking, each node's factors are added in node
+    order as its chunk ends: the bits of the whole-list sum."""
     nodes, n_rows, dim = _blocks()
     dc = np.array([0.5, -0.25, 7.0])
-    times = np.arange(n_rows)
-    fold = SpanFold([(0, 3, dc)])
-    sinks = [fold.sink(k, times) for k in range(3)]
-    pending = [list(spans) for spans in nodes]
-    for k in order:
-        sinks[k].append(pending[k].pop(0))
-    for k in range(3):
-        sinks[k].advance(n_rows)
-    ((lo, count, total, _seconds),) = fold.totals()
-    assert (lo, count) == (0, 3)
-    assert total.tobytes() == _reference(dc, nodes, n_rows, dim).tobytes()
-    assert fold.held_bytes == 0
+    times = np.arange(n_rows, dtype=float)
+    totals = ScenarioTotals([(0, 3, dc)])
+    out = []
+    for chunk in chunks:
+        results = [_node(k, times, nodes[k], dim) for k in chunk]
+        out.extend(totals.add(chunk[0], results))
+    assert all(r.states.shape == (0, dim) for r in out)
+    carrier, *rest = totals.carriers(out)
+    assert carrier.covers == (0, 1, 2)
+    assert carrier.states.tobytes() == _reference(dc, nodes, n_rows, dim).tobytes()
+    assert [r.states.shape for r in rest] == [(0, dim)] * 2
 
 
-def test_spans_wait_for_earlier_nodes_and_for_a_total_that_pays():
-    """Three nodes march at once, none reaches the last of the 8 rows,
-    and the 8 × 3 total is 192 B: it is allocated only once the spans
-    cleared to go into it are at least that large."""
-    times = np.arange(8)
-    fold = SpanFold([(0, 3, np.zeros(3))])
-    s0, s1, s2 = (fold.sink(k, times) for k in range(3))
-    s1.append((1, None, np.ones((5, 3))))  # rows 1-5: node 0 added nothing
-    assert fold.held_bytes == 120
-    s0.append((1, None, np.ones((2, 3))))  # rows 1-2: cleared, 48 B < 192 B
-    assert fold.held_bytes == 168
-    # Rows 3-5 clear node 1's span too: 240 B ≥ 192 B, so the total is
-    # allocated and everything cleared is added.
-    s0.append((3, None, np.ones((3, 3))))
-    assert fold.held_bytes == 0
-    assert fold.peak_held_bytes == 240
-    # With the total there, node 2's cleared span is added at once.
-    s2.append((1, None, np.ones((5, 3))))
-    assert fold.held_bytes == 0
-    for sink in (s0, s1, s2):
-        sink.append((6, None, np.ones((2, 3))))
-    ((_lo, _n, total, _s),) = fold.totals()
-    assert total.tolist() == [[0] * 3] + [[3] * 3] * 7
-    assert fold.peak_held_bytes == 240
+def test_results_outside_every_scenario_keep_their_factors():
+    """Only the nodes of the listed scenarios are summed (a pool chunk
+    lists the scenario prefixes it holds); the others keep their
+    factors, and only the summed bytes count as held."""
+    nodes, n_rows, dim = _blocks()
+    times = np.arange(n_rows, dtype=float)
+    results = [_node(k, times, nodes[k], dim) for k in range(3)]
+    totals = ScenarioTotals([(1, 1, np.zeros(dim))])
+    out = totals.add(0, results)
+    assert out[0] is results[0] and out[2] is results[2]
+    assert out[1].states.shape == (0, dim)
+    assert totals.peak_held_bytes == results[1].states.nbytes
 
 
-def test_a_quiescent_node_advances_without_emitting():
-    """Node 0 idles through row 3 (its quiescent segment), so node 1's
-    span over rows 1-3 (120 B of factors, more than the 96 B total)
-    folds when node 0 advances, before node 0's first span arrives."""
-    times = np.arange(6)
-    fold = SpanFold([(0, 2, np.zeros(2))])
-    s0, s1 = fold.sink(0, times), fold.sink(1, times)
-    s1.append((1, np.eye(3), np.ones((3, 2))))
-    assert fold.held_bytes == 120
-    s0.advance(4)
-    assert fold.held_bytes == 0
-    s0.append((4, None, np.ones((2, 2))))
-    s1.append((4, None, np.ones((2, 2))))
-    ((_lo, _n, total, _s),) = fold.totals()
-    assert total.tolist() == [[0, 0]] + [[1, 1]] * 3 + [[2, 2]] * 2
-
-
-def test_an_unfinished_march_is_not_a_total():
-    times = np.arange(4)
-    fold = SpanFold([(0, 2, np.zeros(2))])
-    fold.sink(0, times).append((1, None, np.ones((3, 2))))
-    fold.sink(1, times).append((1, None, np.ones((2, 2))))
-    with pytest.raises(RuntimeError, match="did not close"):
-        fold.totals()
-
-
-def test_positions_outside_the_fold_have_no_sink_and_grids_must_agree():
-    fold = SpanFold([(2, 2, np.zeros(2))])
-    assert fold.sink(0, np.arange(4)) is None
-    assert fold.sink(4, np.arange(4)) is None
-    fold.sink(2, np.arange(4))
+def test_a_node_off_its_scenario_grid_is_rejected(mesh_system):
+    """The executor's fold checks every node's grid against its
+    scenario's first node."""
+    first, second = tasks_for(mesh_system)[:2]
+    longer = tuple(mesh_system.global_transition_spots(2e-9))
+    second = replace(second, t_end=2e-9, global_points=longer)
     with pytest.raises(ValueError, match="aligned"):
-        fold.sink(3, np.arange(5))
+        SerialExecutor(mesh_system, OPTS).run(
+            [first, second], [np.zeros(mesh_system.dim)]
+        )
 
 
 def test_superpose_resumes_a_carrier_in_node_order(mesh_system):
     """A carrier that covers the first node, plus per-node blocks after
     it, sums to the same bits as the whole list from ``x_dc``."""
-    from repro.dist.messages import NodeResult
-
     nodes, n_rows, dim = _blocks()
     dc = np.array([0.5, -0.25, 7.0])
     times = np.arange(n_rows, dtype=float)
@@ -203,8 +176,6 @@ def test_in_process_fold_equals_superpose_states(golden_case, width):
     assert carrier.covers == tuple(t.task_id for t in tasks)
     assert carrier.states.tobytes() == reference.tobytes()
     assert all(r.states.shape == (0, system.dim) for r in results[1:])
-    if width is None:
-        assert carrier.peak_held_bytes == 0
 
 
 def test_pool_fold_split_across_workers_equals_superpose_states(golden_case):
@@ -227,18 +198,23 @@ def test_pool_fold_split_across_workers_equals_superpose_states(golden_case):
     assert total.states.tobytes() == reference.tobytes()
 
 
-# -- held spans: a count that cannot flake --------------------------------------
+# -- held factors: a count that cannot flake -----------------------------------
 
 
-def test_width_one_holds_no_span():
-    """At width 1 a node marches alone: its scenario's total exists from
-    its first span on, and no span ever waits."""
+def test_width_one_holds_one_node():
+    """At width 1 a chunk is one node: the executor holds the largest
+    single node's factors, and never two nodes' at once."""
     system, opts, t_end, _ = CASES["pg1t"]()
     dres = MatexScheduler(system, opts, batch="off").run(t_end)
-    assert dres.peak_held_bytes == 0
+    compiled = SimulationPlan(system, opts, t_end=t_end).compile(prime=False)
+    tasks = Session(compiled)._scenario_tasks(0, None)
+    nodes = SerialExecutor(system, opts).run(tasks)
+    assert dres.peak_held_bytes == max(r.states.nbytes for r in nodes)
 
 
-def test_lockstep_sweep_holds_less_than_all_spans():
+def test_lockstep_sweep_holds_one_chunk():
+    """Two stacked scenarios march as one ``"auto"`` chunk: the executor
+    holds that chunk's summed factor bytes, once."""
     system, opts, t_end, _ = CASES["pg1t"]()
     compiled = SimulationPlan(
         system, opts, t_end=t_end, batch="auto"
@@ -251,10 +227,9 @@ def test_lockstep_sweep_holds_less_than_all_spans():
             for t in session._scenario_tasks(slot, session._validate(s))
         ]
     nodes = SerialExecutor(system, opts, batch_width="auto").run(tasks)
-    all_spans = sum(r.states.nbytes for r in nodes)
-    # One fold summed both stacked scenarios: both report its peak.
+    # One executor summed both stacked scenarios: both report its peak.
     assert got[0].peak_held_bytes == got[1].peak_held_bytes
-    assert 0 < got[0].peak_held_bytes < all_spans
+    assert got[0].peak_held_bytes == sum(r.states.nbytes for r in nodes)
 
 
 # -- the timing split -----------------------------------------------------------

@@ -15,7 +15,12 @@ import time
 import pytest
 
 from repro.core import SolverOptions
-from repro.dist import MatexScheduler, MultiprocessExecutor, SerialExecutor
+from repro.dist import (
+    MatexScheduler,
+    MultiprocessExecutor,
+    SerialExecutor,
+    executors,
+)
 from repro.dist.executors import _resolve_batch_width
 from repro.linalg.lu import FACTORIZATION_CACHE
 from repro.plan import Scenario, Session, SimulationPlan
@@ -51,12 +56,14 @@ class TestWidthPolicy:
 
 
 class TestWidthOnePool:
-    @pytest.mark.parametrize("transport", ["auto", "pickle"])
+    @pytest.mark.parametrize("channel", ["auto", "pickle"])
     def test_per_task_pool_returns_per_node_trajectories(
-        self, mesh_system, transport
+        self, mesh_system, channel, monkeypatch
     ):
         """Width 1 never holds a whole multi-node scenario, so nothing
         is superposed in a worker: one full trajectory per task."""
+        if channel == "pickle":
+            monkeypatch.setattr(executors, "shm_available", lambda: False)
         compiled = SimulationPlan(
             mesh_system, OPTS, t_end=T_END, decomposition="source",
             batch="off",
@@ -67,7 +74,6 @@ class TestWidthOnePool:
         serial = SerialExecutor(mesh_system, OPTS).run(tasks)
         pooled = MultiprocessExecutor(
             mesh_system, OPTS, max_workers=2, batch_width=None,
-            transport=transport,
         ).run(tasks, [compiled.x_dc])
         assert not any(r.covers for r in pooled)
         assert all(
