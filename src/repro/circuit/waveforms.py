@@ -78,10 +78,6 @@ class Waveform:
         """
         raise NotImplementedError
 
-    def values(self, times: Sequence[float]) -> list[float]:
-        """Vector convenience wrapper around :meth:`value`."""
-        return [self.value(t) for t in times]
-
     def values_array(self, times) -> "np.ndarray":
         """Vectorised evaluation over a numpy array of times.
 

@@ -235,6 +235,7 @@ class MatexSolver:
         times, states = feed.close()
 
         stats = march.stats
+        stats.factor_seconds = self.factor_seconds
         stats.dc_seconds = dc_seconds
         stats.n_solves_dc = n_solves_dc
         return TransientResult(

@@ -25,19 +25,16 @@ part of ``superpose_seconds``.  An in-place ``dgemm(β=1)`` into the
 total and the two-step ``+= A @ B`` used here differ in the last ulp,
 which is why there is exactly one fold.
 
-The fold has two entry points:
-
-* :class:`ScenarioTotals` keeps an executor's running scenario sums.
-  As soon as a lockstep chunk has marched, the executor hands it the
-  chunk's node results, and it adds their factors to their scenarios'
-  totals in node order and drops them.  A run therefore holds one
-  trajectory per scenario plus one chunk's factors, not every node's:
-  at width 1 a chunk is one node.  It then builds the carriers.
-* :func:`superpose` finishes a scenario from node results: it resumes
-  from a *carrier* (a result whose ``covers`` says which leading nodes
-  are already summed into its ``states``) or starts from ``x_dc``, and
-  adds the remaining nodes' blocks.  :func:`superpose_states` is the
-  same fold over plain blocks.
+That fold is :class:`ScenarioTotals`, the running sums of a
+submission's scenarios.  As soon as a lockstep chunk has marched, an
+executor hands it the chunk's node results, and it adds them to their
+scenarios' totals in node order and drops their factors.  A run
+therefore holds one trajectory per scenario plus one chunk's factors,
+not every node's: at width 1 a chunk is one node.  It then builds the
+*carriers* — a scenario's first result holding its total, with
+``covers`` naming the summed nodes.  :func:`superpose` is the same fold
+for one scenario: it starts from a carrier (or from ``x_dc``) and adds
+the node results after it, factored or dense.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ __all__ = [
     "SUPERPOSED_METHOD",
     "ScenarioTotals",
     "superpose",
-    "superpose_states",
     "merge_node_stats",
 ]
 
@@ -80,54 +76,19 @@ def _add_span(total: np.ndarray, span, buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _check_grids(times: Sequence[np.ndarray]) -> None:
+def _check_grid(reference: np.ndarray, t: np.ndarray) -> None:
     """Every node of a scenario must share the first one's time grid."""
-    reference = times[0]
-    for t in times[1:]:
-        # Nodes share the scheduler's grid, so the bytewise test settles
-        # almost every call; the tolerant one only sees grids that differ.
-        if np.array_equal(t, reference):
-            continue
-        if t.shape != reference.shape or not np.allclose(
-            t, reference, rtol=1e-12, atol=0.0
-        ):
-            raise ValueError(
-                "node results are not aligned on a common time grid; "
-                "pass the scheduler's shared schedule to every node"
-            )
-
-
-def _fold_blocks(total: np.ndarray, states: Iterable) -> np.ndarray:
-    """Add ``(K × dim)`` blocks onto ``total`` in order: a dense block
-    whole, a factored one (anything with ``spans``) span by span."""
-    buf = np.empty((0, total.shape[1]))
-    for block in states:
-        spans = getattr(block, "spans", None)
-        if spans is None:
-            total += block
-            continue
-        for span in spans:
-            buf = _add_span(total, span, buf)
-    return total
-
-
-def superpose_states(
-    dc_state: np.ndarray,
-    times: Sequence[np.ndarray],
-    states: Sequence[np.ndarray],
-) -> np.ndarray:
-    """``x_dc + Σ_k y_k`` over whole blocks, **in list order**.
-
-    Starts from ``dc_state`` tiled over the grid and adds each
-    ``(K × dim)`` block of ``states`` — the order is part of the
-    contract, because it fixes the result's bits.  ``times`` holds each
-    block's time grid; all must equal the first.
-    """
-    if not states:
-        raise ValueError("superpose needs at least one node result")
-    _check_grids(times)
-    total = np.tile(np.asarray(dc_state, dtype=float), (len(times[0]), 1))
-    return _fold_blocks(total, states)
+    # Nodes share the scheduler's grid, so the bytewise test settles
+    # almost every call; the tolerant one only sees grids that differ.
+    if np.array_equal(t, reference):
+        return
+    if t.shape != reference.shape or not np.allclose(
+        t, reference, rtol=1e-12, atol=0.0
+    ):
+        raise ValueError(
+            "node results are not aligned on a common time grid; "
+            "pass the scheduler's shared schedule to every node"
+        )
 
 
 def merge_node_stats(node_stats: Iterable[SolverStats]) -> SolverStats:
@@ -142,10 +103,9 @@ def merge_node_stats(node_stats: Iterable[SolverStats]) -> SolverStats:
 def superpose(
     dc_state: np.ndarray,
     node_results: list,
-    method: str = SUPERPOSED_METHOD,
     system=None,
 ) -> TransientResult:
-    """Finish one scenario's sum from its node results.
+    """One scenario's total ``x_dc + Σ_k y_k`` from its node results.
 
     Parameters
     ----------
@@ -157,14 +117,11 @@ def superpose(
         :class:`~repro.dist.messages.NodeResult` objects (``times``,
         ``states``, ``stats``).  If the first is a carrier — its
         ``covers`` names the leading results already summed onto
-        ``x_dc`` into its ``states`` — the fold resumes from it;
-        otherwise it starts from ``x_dc``.  Either way the remaining
-        results' blocks (factored ones stay factored) are added in
-        order, so every element sees the same additions in the same
-        order wherever the fold was started.  All must share the
-        identical time grid.
-    method:
-        Label recorded on the combined result.
+        ``x_dc`` into its ``states`` — the total starts from it;
+        otherwise from ``x_dc``.  Either way the remaining results are
+        added in node order by :class:`ScenarioTotals`, so every element
+        sees the same additions in the same order wherever the sum was
+        started.  All must share the identical time grid.
     system:
         The simulated system; defaults to the first result's.
 
@@ -173,32 +130,23 @@ def superpose(
     TransientResult
         The full-system trajectory; statistics are merged across nodes
         (wall-clock aggregation for the paper's max-over-nodes timing is
-        done by the scheduler, which knows per-node runtimes).
+        done by the scheduler, which knows per-node runtimes).  A
+        carrier that covers every node is returned as its own states.
     """
     if not node_results:
         raise ValueError("superpose needs at least one node result")
     first = node_results[0]
     done = len(getattr(first, "covers", ()))
+    totals = ScenarioTotals([(0, len(node_results), dc_state)])
     if done:
-        rest = node_results[done:]
-        # The fold that built the carrier checked the grids it covers.
-        _check_grids([first.times] + [r.times for r in rest])
-        # A resumed carrier is copied, not added to in place: it is the
-        # caller's message (possibly a shared-memory view).
-        total = np.array(first.states) if rest else first.states
-        total = _fold_blocks(total, (r.states for r in rest))
-    else:
-        total = superpose_states(
-            dc_state,
-            [r.times for r in node_results],
-            [r.states for r in node_results],
-        )
+        totals.resume(0, first)
+    totals.add(done, node_results[done:])
     return TransientResult(
         system=first.system if system is None else system,
         times=first.times.copy(),
-        states=total,
+        states=totals.total(0),
         stats=merge_node_stats(r.stats for r in node_results),
-        method=method,
+        method=SUPERPOSED_METHOD,
     )
 
 
@@ -212,7 +160,9 @@ class ScenarioTotals:
         ``(lo, count, dc_state)`` per scenario: its nodes ``0 … count −
         1`` are the results at positions ``lo … lo + count − 1`` of the
         submission (a pool chunk sums the leading nodes of a scenario
-        that continues in the next chunk).
+        that continues in the next chunk).  A scenario starts from
+        ``dc_state`` tiled over its first node's grid, or from a carrier
+        (:meth:`resume`).
 
     Attributes
     ----------
@@ -232,17 +182,36 @@ class ScenarioTotals:
         self._totals: list = [None] * len(self._scenarios)
         self._times: list = [None] * len(self._scenarios)
         self._seconds = [0.0] * len(self._scenarios)
+        self._borrowed: set[int] = set()
         self._buf = np.empty((0, 0))
         self.peak_held_bytes = 0
+
+    def resume(self, j: int, carrier) -> None:
+        """Start scenario ``j`` from ``carrier``, whose ``states`` hold
+        the sum of its leading (``covers``) nodes.
+
+        The states are borrowed, not copied: the carrier is the caller's
+        message (possibly a shared-memory view), so they are copied only
+        before the first node is added to them.
+        """
+        self._totals[j] = carrier.states
+        self._times[j] = carrier.times
+        self._borrowed.add(j)
+
+    def total(self, j: int) -> np.ndarray:
+        """Scenario ``j``'s sum so far."""
+        return self._totals[j]
 
     def add(self, first: int, results: Sequence) -> list:
         """Add a marched chunk — the results at positions ``first,
         first + 1, …`` — to the scenario totals, in node order.
 
-        Returns the results with every summed node's factors replaced by
-        an empty ``(0, dim)`` block; results outside every scenario are
-        returned as they are.  A node whose grid differs from its
-        scenario's first node raises ``ValueError``.
+        A factored result is added span by span, a dense block as one
+        span of plain rows.  Returns the results with every summed
+        node's factors replaced by an empty ``(0, dim)`` block; dense
+        results (the caller's own arrays) and results outside every
+        scenario are returned as they are.  A node whose grid differs
+        from its scenario's first node raises ``ValueError``.
         """
         out, held = [], 0
         for pos, res in enumerate(results, first):
@@ -257,12 +226,18 @@ class ScenarioTotals:
                 total = self._totals[j] = np.tile(dc, (len(res.times), 1))
                 self._times[j] = res.times
             else:
-                _check_grids([self._times[j], res.times])
-            for span in res.states.spans:
+                _check_grid(self._times[j], res.times)
+                if j in self._borrowed:
+                    self._borrowed.discard(j)
+                    total = self._totals[j] = np.array(total)
+            spans = getattr(res.states, "spans", None)
+            for span in ((0, None, res.states),) if spans is None else spans:
                 self._buf = _add_span(total, span, self._buf)
             held += res.states.nbytes
             self._seconds[j] += time.perf_counter() - t0
-            out.append(replace(res, states=np.empty((0, total.shape[1]))))
+            if spans is not None:
+                res = replace(res, states=np.empty((0, total.shape[1])))
+            out.append(res)
         self.peak_held_bytes = max(self.peak_held_bytes, held)
         return out
 

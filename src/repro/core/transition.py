@@ -15,7 +15,6 @@ starts a new input segment (generate a Krylov basis) or is a snapshot
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -87,27 +86,15 @@ class TransitionSchedule:
         ]
 
 
-def _match_sorted(haystack: Sequence[float], needle: float) -> bool:
-    """Binary-search membership with relative tolerance."""
-    import bisect
-
-    i = bisect.bisect_left(haystack, needle)
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(haystack) and math.isclose(
-            haystack[j], needle, rel_tol=_MATCH_RTOL, abs_tol=1e-30
-        ):
-            return True
-    return False
-
-
 def _match_sorted_many(haystack: Sequence[float], needles: Sequence[float]):
-    """Vectorised :func:`_match_sorted` over a whole needle grid.
+    """Which ``needles`` lie in sorted ``haystack``, to a relative
+    tolerance.
 
-    Same ``math.isclose`` arithmetic (``|a−b| ≤ max(rtol·max(|a|,|b|),
-    atol)``) applied to the bisection neighbours of every needle at
-    once; decomposed runs call this once per node task with ~10² grid
-    points, where the scalar loop was a measurable slice of the
-    schedule-building cost.
+    A needle matches when one of its bisection neighbours ``a`` passes
+    ``math.isclose(a, needle, rel_tol=_MATCH_RTOL, abs_tol=1e-30)``,
+    that is ``|a−b| ≤ max(rtol·max(|a|,|b|), atol)``; every needle is
+    tested at once (decomposed runs call this once per node task with
+    ~10² grid points).
     """
     import numpy as np
 

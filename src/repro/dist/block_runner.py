@@ -145,8 +145,9 @@ class BlockNodeRunner:
     the factorisations (usually served by the process-wide
     :data:`~repro.linalg.lu.FACTORIZATION_CACHE`, since every task of a
     distributed run shares the full system's pencil); construction is
-    the runner's one-off cost, and its cache traffic is attributed to
-    the first task result of the first :meth:`run` call.
+    the runner's one-off cost, and its cache traffic and factorisation
+    seconds are charged to the first task result of the first
+    :meth:`run` call only.
 
     Parameters
     ----------
@@ -160,6 +161,7 @@ class BlockNodeRunner:
         self._bind(MatexSolver(system, options, deviation_mode=True))
         self._pending_cache_hits = self.solver.construction_cache_hits
         self._pending_cache_misses = self.solver.construction_cache_misses
+        self._pending_factor_seconds = self.solver.factor_seconds
 
     @classmethod
     def _on(cls, solver: MatexSolver) -> "BlockNodeRunner":
@@ -168,6 +170,7 @@ class BlockNodeRunner:
         runner = cls.__new__(cls)
         runner._bind(solver)
         runner._pending_cache_hits = runner._pending_cache_misses = 0
+        runner._pending_factor_seconds = 0.0
         return runner
 
     def _bind(self, solver: MatexSolver) -> None:
@@ -208,7 +211,9 @@ class BlockNodeRunner:
         first = ordered[0].stats
         first.n_factor_cache_hits += self._pending_cache_hits
         first.n_factor_cache_misses += self._pending_cache_misses
+        first.factor_seconds += self._pending_factor_seconds
         self._pending_cache_hits = self._pending_cache_misses = 0
+        self._pending_factor_seconds = 0.0
         return ordered
 
     # -- lockstep march ---------------------------------------------------------
@@ -257,7 +262,7 @@ class BlockNodeRunner:
             b=b,
             shapes=shapes,
             lts=schedule.segment_starts,
-            stats=SolverStats(factor_seconds=self.solver.factor_seconds),
+            stats=SolverStats(),
             x=np.asarray(x0, dtype=float),
         )
 

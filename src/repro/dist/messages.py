@@ -234,7 +234,8 @@ class NodeResult:
 
     @property
     def factor_seconds(self) -> float:
-        """Wall time of the node's one-off matrix factorisations."""
+        """Wall time of the one-off matrix factorisations charged to
+        this result: its runner's, on that runner's first result only."""
         return self.stats.factor_seconds
 
     def as_transient_result(self, system) -> TransientResult:

@@ -280,24 +280,9 @@ class SimulationPlan:
                 )
             except RomBuildError as exc:
                 rom_error = str(exc)
-            else:
-                # Reduced models live outside the LRU (dense NumPy
-                # state, not SuperLU factors) but belong in the same
-                # byte ledger; re-compiling the same pencil/config
-                # overwrites its ledger entry instead of accumulating.
-                FACTORIZATION_CACHE.register_external(
-                    "rom:" + "-".join((
-                        matrix_fingerprint(self.system.C)[:16],
-                        matrix_fingerprint(self.system.G)[:16],
-                        matrix_fingerprint(self.system.B)[:16],
-                        f"{self.options.gamma:.12e}",
-                        f"q{rom.q_max}m{rom.moments}",
-                    )),
-                    reduced.resident_bytes(),
-                )
 
         stats1 = FACTORIZATION_CACHE.stats()
-        return CompiledPlan(
+        compiled = CompiledPlan(
             system=self.system,
             options=self.options,
             t_end=self.t_end,
@@ -318,6 +303,17 @@ class SimulationPlan:
             rom=reduced,
             rom_error=rom_error,
         )
+        if reduced is not None:
+            # Reduced models live outside the LRU (dense NumPy state,
+            # not SuperLU factors) but belong in the same byte ledger;
+            # re-compiling the same pencil/config overwrites its ledger
+            # entry instead of accumulating.
+            FACTORIZATION_CACHE.register_external(
+                f"rom:{compiled.system_fingerprint()}"
+                f"-q{rom.q_max}m{rom.moments}",
+                reduced.resident_bytes(),
+            )
+        return compiled
 
 
 @dataclass(frozen=True, eq=False)

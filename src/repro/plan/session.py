@@ -292,9 +292,9 @@ class Session:
             :data:`AUTO_STACK_TASK_TARGET` lockstep tasks per
             submission — deep stacking for narrow plans, shallow for
             wide ones; an explicit integer overrides it (each stacked
-            scenario holds its dense ``(K × dim)`` sum, plus the
-            factored spans of its nodes that wait for an earlier node
-            to fold the same rows — ≈ ``(m + 2)·(K + dim)`` floats per
+            scenario holds its dense ``(K × dim)`` sum, and the
+            executor holds at most one marched chunk's node factors
+            until they are added — ≈ ``(m + 2)·(K + dim)`` floats per
             Krylov basis).
         rom:
             Reduced-order tier policy.  ``None`` (default) answers from

@@ -26,7 +26,6 @@ from repro.analysis.lint.rules import picklable
 from repro.circuit import Pulse, assemble
 from repro.core import SolverOptions
 from repro.core.decomposition import SourceGroup
-from repro.core.superposition import superpose_states
 from repro.dist import (
     BlockNodeRunner,
     FactoredStates,
@@ -46,6 +45,7 @@ from repro.pdn import build_case
 from repro.plan import Scenario, Session, SimulationPlan
 from tests.conftest import ScalarOracleExecutor, build_multi_source_mesh
 from tests.scalar_oracle import oracle_budget
+from tests.superpose_oracle import superpose_states
 from tests.test_golden_digests import (
     CASES,
     GOLDEN_PATH,

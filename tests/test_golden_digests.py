@@ -58,7 +58,6 @@ from repro.baselines import simulate_trapezoidal
 from repro.circuit import assemble
 from repro.core import SolverOptions
 from repro.core.solver import REUSE_SAFETY
-from repro.core.superposition import superpose_states
 from repro.dist import MatexScheduler, MultiprocessExecutor, executors
 from repro.dist.shm import shm_available
 from repro.linalg import exact_transient
@@ -72,6 +71,7 @@ from repro.pdn import (
 from repro.plan import Session, SimulationPlan
 from tests.conftest import ScalarOracleExecutor, build_multi_source_mesh
 from tests.scalar_oracle import oracle_budget, oracle_spread
+from tests.superpose_oracle import superpose_states
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "state_digests.json"
 

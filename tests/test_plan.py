@@ -8,6 +8,7 @@ an amortisation, never an approximation.  Plus: pickle round-trips of
 scheduler's delegation (including the ``batch=`` UserWarning satellite).
 """
 
+import contextlib
 import pickle
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from repro.circuit import Netlist, Pulse, assemble
 from repro.circuit.waveforms import DC, PWL, Waveform
 from repro.core import SolverOptions
-from repro.dist import MatexScheduler, SerialExecutor
+from repro.dist import MatexScheduler, MultiprocessExecutor, SerialExecutor
 from repro.linalg.lu import FACTORIZATION_CACHE
 from repro.plan import (
     PlanError,
@@ -270,6 +271,32 @@ class TestSessionParity:
             prime=False
         )
         assert unprimed.factor_seconds == 0.0
+
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_runner_factor_time_is_charged_once(
+        self, mesh_system, scenarios, workers
+    ):
+        """An unprimed plan leaves the method pencil to the runner
+        (0 workers: the session's own serial runner; otherwise one per
+        pool process), which charges its factorisation once, to its
+        first result — not to every result of every sweep."""
+        FACTORIZATION_CACHE.clear()
+        compiled = SimulationPlan(mesh_system, OPTS, t_end=T_END).compile(
+            prime=False
+        )
+        pool = MultiprocessExecutor(
+            mesh_system, OPTS, max_workers=workers, batch_width="auto"
+        ) if workers else contextlib.nullcontext()
+        with pool as executor, Session(compiled, executor) as session:
+            first = session.sweep(scenarios)
+            second = session.sweep(scenarios)
+        charged = [r.factor_seconds > 0.0 for r in first + second]
+        assert charged[0]
+        # Which process marches which chunk is the pool's choice: each
+        # of the two may build its runner in either sweep.
+        assert sum(charged) <= max(workers, 1)
+        if workers < 2:
+            assert not any(r.factor_seconds for r in second)
 
 
 class TestCompiledPlanPickle:

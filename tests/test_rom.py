@@ -167,9 +167,17 @@ class TestCompileWiring:
         assert compiled.cache_misses == 2
 
     def test_model_bytes_in_external_ledger(self, mesh_system):
-        compiled = _compile(mesh_system, rom=RomConfig())
+        config = RomConfig()
+        compiled = _compile(mesh_system, rom=config)
         assert (FACTORIZATION_CACHE.stats()["external_bytes"]
                 >= compiled.rom.resident_bytes())
+        # Keyed by the plan's own (C, G, B, γ) digest, so a re-compile
+        # of the same pencil and config overwrites its entry.
+        key = (f"rom:{compiled.system_fingerprint()}"
+               f"-q{config.q_max}m{config.moments}")
+        assert FACTORIZATION_CACHE._external[key] == (
+            compiled.rom.resident_bytes()
+        )
 
     def test_register_external_overwrites_and_unregisters(self):
         stats = FACTORIZATION_CACHE.stats

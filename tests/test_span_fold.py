@@ -24,7 +24,7 @@ import pytest
 
 from repro.core import SolverOptions
 from repro.core import superposition
-from repro.core.superposition import ScenarioTotals, superpose, superpose_states
+from repro.core.superposition import ScenarioTotals, superpose
 from repro.dist import (
     FactoredStates,
     MatexScheduler,
@@ -34,6 +34,7 @@ from repro.dist import (
 from repro.dist.messages import DistributedResult, NodeResult
 from repro.plan import Scenario, Session, SimulationPlan
 from tests.conftest import ScalarOracleExecutor, build_multi_source_mesh
+from tests.superpose_oracle import superpose_states
 from tests.test_block_runner import OPTS, tasks_for
 from tests.test_golden_digests import CASES
 
@@ -147,6 +148,23 @@ def test_superpose_resumes_a_carrier_in_node_order(mesh_system):
     )
     # The carrier's own block is left as it was.
     assert head.tobytes() == superpose_states(dc, [times], blocks[:1]).tobytes()
+
+
+def test_superpose_wraps_a_complete_carrier(mesh_system):
+    """A carrier that covers every node already is the scenario total:
+    ``superpose`` wraps its states, with no copy and no tile."""
+    nodes, n_rows, dim = _blocks()
+    dc = np.array([0.5, -0.25, 7.0])
+    times = np.arange(n_rows, dtype=float)
+    totals = ScenarioTotals([(0, 3, dc)])
+    results = totals.carriers(
+        totals.add(0, [_node(k, times, nodes[k], dim) for k in range(3)])
+    )
+    combined = superpose(dc, results, system=mesh_system)
+    assert np.shares_memory(combined.states, results[0].states)
+    assert combined.states.tobytes() == (
+        _reference(dc, nodes, n_rows, dim).tobytes()
+    )
 
 
 # -- the golden cases ------------------------------------------------------------

@@ -11,8 +11,8 @@ from repro.core import (
     superpose,
 )
 from repro.core.stats import SolverStats
-from repro.core.superposition import superpose_states
 from repro.linalg import exact_transient
+from tests.superpose_oracle import superpose_states
 
 
 def _node_results(system, t_end, groups, opts):
