@@ -43,6 +43,7 @@ Times accept SPICE suffixes (``10n``, ``50p``).  Output formats: ``.csv``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 from pathlib import Path
@@ -57,15 +58,16 @@ from repro.baselines import (
     TrapezoidalIntegrator,
     dc_operating_point,
 )
-from repro.circuit.ingest import ingest_file
 from repro.circuit.mna import assemble
 from repro.circuit.parser import parse_file, parse_value
-from repro.core.options import SolverOptions
+from repro.core.options import BATCH_KEYWORDS, STACK_KEYWORDS, SolverOptions
+from repro.core.options import check_batch, check_stack
 from repro.core.results import TransientResult
 from repro.core.solver import MatexSolver
 from repro.dist.scheduler import MatexScheduler
 from repro.engine import NpzStreamSink, make_sink
 from repro.linalg.lu import FACTORIZATION_CACHE, parse_byte_size
+from repro.plan.plan import DECOMPOSITIONS, PlanError, compile_deck, given, load_deck, run_options
 
 __all__ = ["main", "build_parser", "METHODS"]
 
@@ -81,36 +83,25 @@ METHODS = {
     "be": ("be", BackwardEulerIntegrator, True),
     "tr-adaptive": ("tr-adaptive", AdaptiveTrapezoidalIntegrator, False),
 }
+#: Krylov flavour -> canonical ``--method`` name.
+_MATEX_NAMES = {row[1]: row[0] for row in METHODS.values() if isinstance(row[1], str)}
 
 
-def _keyword_or_posint(value: str, keywords: tuple[str, ...], noun: str):
-    """argparse type body: one of ``keywords``, or a positive integer."""
-    if value in keywords:
-        return value
-    try:
-        width = int(value)
-    except ValueError:
-        expected = " or ".join(
-            (", ".join(f"'{k}'" for k in keywords), "a positive integer")
-        )
-        raise argparse.ArgumentTypeError(
-            f"expected {expected}, got {value!r}"
-        ) from None
-    if width < 1:
-        raise argparse.ArgumentTypeError(
-            f"{noun} must be >= 1, got {width}"
-        )
-    return width
-
-
-def _batch_policy(value: str):
-    """argparse type for ``--batch``: off | auto | positive int."""
-    return _keyword_or_posint(value, ("off", "auto"), "batch width")
-
-
-def _stack_policy(value: str):
-    """argparse type for ``--stack``: auto | positive int."""
-    return _keyword_or_posint(value, ("auto",), "stack size")
+def _policy_type(check, keywords: tuple[str, ...]):
+    """argparse type: one of ``keywords`` or an integer, then ``check``."""
+    def parse(value: str):
+        try:
+            value = value if value in keywords else int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {', '.join(map(repr, keywords))} or a positive "
+                f"integer, got {value!r}"
+            ) from None
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _byte_size(value: str) -> int:
@@ -161,11 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "is stamped directly into sparse matrices without "
                     "per-element objects.",
     )
-    run.add_argument("--netlist", type=Path, required=True,
-                     help="ibmpg-style SPICE deck to stream")
-    run.add_argument("--t-end", default=None,
-                     help="simulation horizon (SPICE suffixes ok); "
-                          "defaults to the deck's .tran stop time")
+    _add_deck_options(run)
     _add_sim_options(run)
 
     sweep = sub.add_parser(
@@ -200,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "SIGTERM shutdown.  Results return as SHA-256 "
                     "digests plus summary scalars.",
     )
-    _add_plan_options(serve, serving=True)
+    _add_plan_options(serve)
     serve.add_argument("--socket", type=Path, required=True,
                        help="stream-socket path to listen on")
     serve.add_argument("--plan-name", default="default",
                        help="catalogue name of the preloaded plan")
     serve.add_argument(
-        "--max-queue", type=int, default=16,
+        "--max-queue", type=int,
         help="bounded job-queue depth; a full queue rejects "
              "immediately with kind=busy (default 16)")
     _add_supervision_options(serve, serving=True)
@@ -225,57 +212,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_plan_options(
-    p: argparse.ArgumentParser, serving: bool = False
-) -> None:
-    """Deck, solver and execution options of ``sweep`` and ``serve``."""
+def _add_deck_options(p: argparse.ArgumentParser) -> None:
+    """The streamed deck and its horizon (``run``, ``sweep``, ``serve``)."""
     p.add_argument("--netlist", type=Path, required=True,
-                   help="ibmpg-style SPICE deck to stream"
-                        + (" and preload as the 'default' plan"
-                           if serving else ""))
-    p.add_argument("--t-end", default=None,
-                   help="simulation horizon (SPICE suffixes ok); "
-                        "defaults to the deck's .tran stop time")
-    p.add_argument("--method", default="r-matex", choices=METHODS,
-                   metavar="METHOD",
-                   help="MATEX integrator (r-matex | i-matex | mexp)")
-    p.add_argument("--gamma", default="1e-10",
-                   help="rational-Krylov shift")
-    p.add_argument("--eps", type=float, default=1e-7,
-                   help="relative Arnoldi error budget")
-    p.add_argument("--decomposition", default="bump",
-                   choices=["bump", "source", "bump-split"])
+                   help="ibmpg-style SPICE deck to stream")
+    p.add_argument("--t-end", help="simulation horizon (SPICE suffixes "
+                                   "ok); defaults to the deck's .tran stop time")
+
+
+def _add_plan_options(p: argparse.ArgumentParser) -> None:
+    """Deck, solver and execution options of ``sweep`` and ``serve``."""
+    _add_deck_options(p)
+    _add_method_options(p, "MATEX integrator (r-matex | i-matex | mexp)")
     p.add_argument(
-        "--batch", default="auto", type=_batch_policy,
-        help="lockstep policy for the preloaded plan (default auto)"
-        if serving else
-        "lockstep policy (default auto: one block march per "
-        "stacked submission)")
+        "--batch", type=_policy_type(check_batch, BATCH_KEYWORDS),
+        help="lockstep policy (default auto: one block march per "
+             "stacked submission)")
     p.add_argument(
-        "--stack", default="auto", type=_stack_policy,
-        help="scenarios per executor submission for sweep jobs"
-        if serving else
-        "scenarios per executor submission: auto (default, whole "
-        "sweep in one stacked lockstep march) or an integer to "
-        "bound resident node trajectories")
+        "--stack", type=_policy_type(check_stack, STACK_KEYWORDS),
+        help="scenarios per executor submission: auto (default) or an "
+             "integer to bound resident node trajectories")
     p.add_argument(
         "--processes", type=int, default=0,
-        help="persistent worker processes per plan (0 = in-process)"
-        if serving else
-        "run node tasks on a persistent pool of this many worker "
-        "processes (0 = in-process serial emulation); export "
-        "OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 first — unpinned "
-        "BLAS threads oversubscribe the pool")
+        help="persistent worker processes (0 = in-process); export "
+             "OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 first — unpinned "
+             "BLAS threads oversubscribe the pool")
     p.add_argument(
         "--rom", default=None, metavar="TOL[:QMAX]",
-        help="bake a reduced-order model into the preloaded plan "
-             "(see sweep --rom)"
-        if serving else
-        "answer scenarios from a reduced-order model: accept a "
-        "scenario when its posterior relative error bound is "
-        "<= TOL (QMAX caps the reduced dimension, default 200); "
-        "scenarios above the bound transparently re-run "
-        "full-order")
+        help="compile a reduced-order model into the plan: a scenario is "
+             "answered from it when its posterior relative error bound "
+             "is <= TOL (QMAX caps the reduced dimension, default 200), "
+             "else re-run full-order")
+
+
+def _add_method_options(p: argparse.ArgumentParser, method_help: str) -> None:
+    """The run settings of every run command; unset (``None``) keeps the
+    library default (:class:`SolverOptions`, the plan, the scheduler)."""
+    p.add_argument("--method", choices=METHODS, metavar="METHOD", help=method_help)
+    p.add_argument("--gamma", help="rational-Krylov shift")
+    p.add_argument("--eps", type=float, help="relative Arnoldi error budget")
+    p.add_argument("--decomposition", choices=DECOMPOSITIONS)
 
 
 def _add_supervision_options(
@@ -283,31 +259,32 @@ def _add_supervision_options(
 ) -> None:
     """Retry/timeout/backoff/fault knobs (sweep --processes and serve).
 
-    ``sweep`` defaults every knob to ``None`` — no flag, no policy, a
-    pool failure raises through.  ``serve`` defaults to a live policy
-    (2 retries, 50 ms backoff): a daemon exists to stay up.
+    Every knob defaults to ``None``.  A sweep without one builds no
+    policy: a pool failure raises through.  ``serve`` always builds one
+    from :class:`~repro.dist.supervision.RetryPolicy`'s defaults (2
+    retries, 50 ms backoff): a daemon exists to stay up.
     """
     p.add_argument(
-        "--retries", type=int, default=2 if serving else None,
+        "--retries", type=int,
         help="max retries per failed task batch (bounded self-heal; "
              "exhaustion raises a structured JobError)"
              + ("; default 2" if serving else
                 "; default: no retry policy, failures raise through"))
     p.add_argument(
-        "--job-timeout", type=float, default=120.0 if serving else None,
+        "--job-timeout", type=float,
         help=("per-job deadline in seconds: queued jobs past it are "
               "rejected unrun (default 120)" if serving else
               "per-batch wall-clock budget in seconds; expiry "
               "force-kills the hung workers and counts as a failure"))
     p.add_argument(
-        "--backoff", type=float, default=0.05 if serving else None,
+        "--backoff", type=float,
         help="base delay before the first retry, seconds (doubled per "
              "retry, deterministically jittered); default 0.05")
     p.add_argument(
-        "--degrade-after", type=int, default=0 if serving else None,
+        "--degrade-after", type=int,
         help="after this many consecutive pool failures, degrade to "
              "in-process execution with a warning instead of failing "
-             "(0 = never degrade)")
+             "(default 0 = never degrade)")
     p.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="deterministic fault injection for chaos testing: "
@@ -320,24 +297,21 @@ def _retry_policy_from_args(args, serving: bool):
     """Build the RetryPolicy encoded by the supervision flags.
 
     Returns ``None`` when no flag was given on a sweep (failures raise
-    through); ``serve`` always builds one (its defaults are live).
-    Range errors surface as usage errors via ``_UsageError``.
+    through); ``serve`` always builds one.  serve's ``--job-timeout`` is
+    the queue deadline, enforced by the daemon itself, so its per-batch
+    budget stays unbounded.  Range errors surface as usage errors.
     """
     from repro.dist.supervision import RetryPolicy
 
-    knobs = (args.retries, args.job_timeout, args.backoff,
-             args.degrade_after)
-    if not serving and all(k is None for k in knobs):
+    knobs = given(
+        max_retries=args.retries, backoff=args.backoff,
+        degrade_after=args.degrade_after,
+        timeout=None if serving else args.job_timeout,
+    )
+    if not serving and not knobs:
         return None
     try:
-        return RetryPolicy(
-            max_retries=args.retries if args.retries is not None else 2,
-            # serve's --job-timeout is the queue deadline, enforced by
-            # the daemon itself; the per-batch budget stays unbounded.
-            timeout=None if serving else args.job_timeout,
-            backoff=args.backoff if args.backoff is not None else 0.05,
-            degrade_after=args.degrade_after or 0,
-        )
+        return RetryPolicy(**knobs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -356,15 +330,9 @@ def _add_cache_options(p: argparse.ArgumentParser) -> None:
 
 def _add_sim_options(sim: argparse.ArgumentParser) -> None:
     """Simulation options shared by ``simulate`` and ``run``."""
-    sim.add_argument(
-        "--method", default="r-matex", choices=METHODS, metavar="METHOD",
-        help="integrator: " + " | ".join(METHODS) + " (default r-matex)")
+    _add_method_options(sim, "integrator: " + " | ".join(METHODS))
     sim.add_argument("--h", default=None,
                      help="fixed step size for tr/be (SPICE suffixes ok)")
-    sim.add_argument("--gamma", default="1e-10",
-                     help="rational-Krylov shift")
-    sim.add_argument("--eps", type=float, default=1e-7,
-                     help="relative Arnoldi error budget")
     sim.add_argument(
         "--sink", default="memory",
         help="trajectory sink: memory (default) | downsample:<stride> | "
@@ -372,10 +340,8 @@ def _add_sim_options(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--distributed", action="store_true",
                      help="use the bump-decomposition scheduler "
                           "(MATEX methods only)")
-    sim.add_argument("--decomposition", default="bump",
-                     choices=["bump", "source", "bump-split"])
     sim.add_argument(
-        "--batch", default="off", type=_batch_policy,
+        "--batch", type=_policy_type(check_batch, BATCH_KEYWORDS),
         help="lockstep width for --distributed: off (width 1, the "
              "paper's per-node execution, default) | auto (one lockstep "
              "block march, bit-identical and several times faster) | "
@@ -390,8 +356,7 @@ def _add_sim_options(sim: argparse.ArgumentParser) -> None:
 
 
 def _load(path: Path):
-    system = assemble(parse_file(path))
-    return system
+    return assemble(parse_file(path))
 
 
 def _cache_stats_line() -> str:
@@ -462,29 +427,49 @@ class _UsageError(Exception):
     """An argv problem :func:`main` reports as a usage message, exit 2."""
 
 
+def _t_end(args) -> float | None:
+    return parse_value(args.t_end) if args.t_end is not None else None
+
+
+def _run_options(args, needs_matex: str | None):
+    """argv → ``(METHODS row, SolverOptions, plan kwargs)`` before any deck
+    opens (:func:`repro.plan.plan.run_options`); ``ValueError`` otherwise,
+    also for a baseline method when ``needs_matex`` names what needs MATEX."""
+    name, runs, needs_h = METHODS[args.method or _MATEX_NAMES[SolverOptions.method]]
+    matex = isinstance(runs, str)
+    if needs_matex and not matex:
+        raise ValueError(
+            f"{needs_matex} needs a MATEX method (r-matex, i-matex, "
+            f"mexp), got {args.method!r}"
+        )
+    options, plan_kwargs = run_options(
+        method=runs if matex else None,
+        gamma=parse_value(args.gamma) if args.gamma is not None else None,
+        eps=args.eps,
+        decomposition=args.decomposition,
+        batch=args.batch,
+    )
+    _t_end(args)  # the horizon fails on argv content too
+    return (name, runs, needs_h), options, plan_kwargs
+
+
 def _resolve_plan(args):
-    """Validate everything derivable from argv alone, before the load.
+    """Validate everything ``simulate``/``run`` derive from argv alone.
 
     A streamed 100k-node deck takes seconds to minutes to ingest; a
     contradictory flag combination or an unparseable numeric option
-    must fail before that work, not after (argparse already rejected an
-    unknown ``--method``).  Returns the ``(name, runs)`` of the
-    :data:`METHODS` row so the simulation body never re-derives (and
-    cannot drift from) these checks.  ``_UsageError`` exits with a
-    usage message; ValueErrors raise through ``main()``, as the seed
-    tests assert.
+    must fail before that work, not after.  Returns the
+    :func:`_run_options` tuple so the simulation body never re-derives
+    (and cannot drift from) these checks.  ``_UsageError`` exits with a
+    usage message; ValueErrors raise through ``main()``.
     """
-    name, runs, needs_h = METHODS[args.method]
-    if args.batch != "off" and not args.distributed:
+    if args.batch not in (None, "off") and not args.distributed:
         raise _UsageError(
             f"--batch {args.batch} only applies to --distributed runs"
         )
+    plan = _run_options(args, "--distributed" if args.distributed else None)
+    name, _, needs_h = plan[0]
     if args.distributed:
-        if not isinstance(runs, str):
-            raise ValueError(
-                f"--distributed needs a MATEX method (r-matex, i-matex, "
-                f"mexp), got {args.method!r}"
-            )
         if args.sink != "memory":
             raise ValueError(
                 "--sink is not supported with --distributed: the "
@@ -502,11 +487,10 @@ def _resolve_plan(args):
                 f"integrator {name!r} marches a fixed grid; "
                 f"pass the step size with --h (e.g. --h 10p)"
             )
-    # Numeric options fail on argv content, not after the deck load.
-    for value in (args.gamma, args.h, args.vdd, args.t_end):
+    for value in (args.h, args.vdd):
         if value is not None:
             parse_value(value)
-    return name, runs
+    return plan
 
 
 def _cmd_simulate(args) -> int:
@@ -515,40 +499,26 @@ def _cmd_simulate(args) -> int:
     return _simulate_system(system, parse_value(args.t_end), args, plan)
 
 
-def _ingest(args):
-    """Stream the deck; ``--t-end``, else its ``.tran`` stop, else usage error."""
-    res = ingest_file(args.netlist)
-    print(res.stats.summary())
-    if args.t_end is not None:
-        return res.system, parse_value(args.t_end)
-    if res.stats.tran_stop is None:
-        raise _UsageError(
-            f"deck {args.netlist} has no .tran directive; pass --t-end"
-        )
-    print(f"t_end = {res.stats.tran_stop:g} s "
-          f"(from the deck's .tran directive)")
-    return res.system, res.stats.tran_stop
+def _report_deck(args, stats, t_end: float) -> None:
+    print(stats.summary())
+    if args.t_end is None:
+        print(f"t_end = {t_end:g} s (from the deck's .tran directive)")
 
 
 def _cmd_run(args) -> int:
     plan = _resolve_plan(args)
-    system, t_end = _ingest(args)
-    return _simulate_system(system, t_end, args, plan)
+    res, t_end = load_deck(args.netlist, _t_end(args))
+    _report_deck(args, res.stats, t_end)
+    return _simulate_system(res.system, t_end, args, plan)
 
 
 def _simulate_system(system, t_end: float, args, plan) -> int:
     """Run a :func:`_resolve_plan`-validated plan on a loaded system."""
-    name, runs = plan
-    if isinstance(runs, str):  # a MATEX Krylov flavour
-        opts = SolverOptions(
-            method=runs, gamma=parse_value(args.gamma), eps_rel=args.eps,
-        )
+    (name, runs, _), opts, plan_kwargs = plan
 
     if args.distributed:
         sink = None
-        dres = MatexScheduler(
-            system, opts, decomposition=args.decomposition, batch=args.batch
-        ).run(t_end)
+        dres = MatexScheduler(system, opts, **plan_kwargs).run(t_end)
         result = dres.result
         print(f"distributed: {dres.n_nodes} nodes, "
               f"trmatex {dres.tr_matex * 1e3:.1f} ms, "
@@ -633,15 +603,13 @@ def _resolve_plan_options(args):
 
     Runs before the (potentially minutes-long) deck load and installs
     the ``--faults`` plan and the shm signal sweep.  Returns
-    ``(krylov_method, rom_config, retry_policy)``.
+    ``(options, plan_kwargs, rom_config, retry_policy)``.
     """
     serving = args.command == "serve"
-    _, method, _ = METHODS[args.method]
-    if not isinstance(method, str):
-        raise _UsageError(
-            f"{args.command} needs a MATEX method (r-matex, i-matex, "
-            f"mexp), got {args.method!r}"
-        )
+    try:
+        _, options, plan_kwargs = _run_options(args, args.command)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     rom_cfg = _parse_rom(args.rom) if args.rom is not None else None
     if args.processes < 0:
         raise _UsageError(f"--processes must be >= 0, got {args.processes}")
@@ -659,30 +627,27 @@ def _resolve_plan_options(args):
             _faults.install(args.faults)
         except _faults.FaultError as exc:
             raise _UsageError(str(exc)) from None
-    for value in (args.gamma, args.t_end):
-        if value is not None:
-            parse_value(value)
+        print(f"fault injection active: {args.faults}", flush=True)
     # A killed sweep or daemon (Ctrl-C, SIGTERM, plain exit) must not
     # leak /dev/shm segments; a SIGKILLed one cannot drain.
     from repro.dist.shm import install_signal_sweep
 
     install_signal_sweep()
-    return method, rom_cfg, retry
+    return options, plan_kwargs, rom_cfg, retry
 
 
 def _cmd_sweep(args) -> int:
     from repro.pdn.scenarios import load_pattern_scenarios
-    from repro.plan import (
-        Session,
-        SimulationPlan,
-        load_scenarios_json,
-    )
+    from repro.plan import Session, load_scenarios_json
 
     source = _parse_scenario_source(args.scenarios)
-    method, rom_cfg, retry = _resolve_plan_options(args)
-    if args.faults is not None:
-        print(f"fault injection active: {args.faults}")
-    system, t_end = _ingest(args)
+    opts, plan_kwargs, rom_cfg, retry = _resolve_plan_options(args)
+    compiled, stats = compile_deck(
+        args.netlist, opts, _t_end(args),
+        prime=args.processes == 0, rom=rom_cfg, **plan_kwargs,
+    )
+    _report_deck(args, stats, compiled.t_end)
+    system = compiled.system
 
     if source[0] == "random":
         scenarios = load_pattern_scenarios(
@@ -693,16 +658,6 @@ def _cmd_sweep(args) -> int:
     print(f"{len(scenarios)} scenarios "
           f"({', '.join(s.name for s in scenarios[:4])}"
           f"{', ...' if len(scenarios) > 4 else ''})")
-
-    opts = SolverOptions(
-        method=method, gamma=parse_value(args.gamma),
-        eps_rel=args.eps,
-    )
-    plan = SimulationPlan(
-        system, opts, t_end=t_end,
-        decomposition=args.decomposition, batch=args.batch,
-    )
-    compiled = plan.compile(prime=args.processes == 0, rom=rom_cfg)
     print(compiled.summary())
 
     import time as _time
@@ -713,14 +668,11 @@ def _cmd_sweep(args) -> int:
 
         executor = MultiprocessExecutor(
             system, opts, max_workers=args.processes,
-            batch_width=args.batch,
-            retry=retry,
+            batch_width=compiled.batch, retry=retry,
         )
-        with executor, Session(compiled, executor=executor) as session:
-            results = session.sweep(scenarios, stack=args.stack)
-    else:
-        with Session(compiled) as session:
-            results = session.sweep(scenarios, stack=args.stack)
+    with executor or contextlib.nullcontext(), \
+            Session(compiled, executor=executor) as session:
+        results = session.sweep(scenarios, **given(stack=args.stack))
     wall = _time.perf_counter() - t0
 
     used_names: set[str] = set()
@@ -773,36 +725,23 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import PlanServer, ServeConfig
 
-    method, rom_cfg, retry = _resolve_plan_options(args)
+    opts, plan_kwargs, rom_cfg, retry = _resolve_plan_options(args)
     try:
         config = ServeConfig(
-            socket_path=str(args.socket),
-            max_queue=args.max_queue,
-            job_timeout=args.job_timeout,
-            processes=args.processes,
-            retry=retry,
-            stack=args.stack,
+            socket_path=str(args.socket), processes=args.processes,
+            retry=retry, stack=args.stack,
+            **given(max_queue=args.max_queue, job_timeout=args.job_timeout),
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     server = PlanServer(config)
     entry = server.load_plan(
-        args.plan_name,
-        args.netlist,
-        t_end=parse_value(args.t_end) if args.t_end is not None else None,
-        method=method,
-        gamma=parse_value(args.gamma),
-        eps_rel=args.eps,
-        decomposition=args.decomposition,
-        batch=args.batch,
-        rom=rom_cfg,
+        args.plan_name, args.netlist, opts, _t_end(args), rom=rom_cfg, **plan_kwargs
     )
     print(f"plan {entry.name!r} ready: {entry.compiled.summary()}",
           flush=True)
-    if args.faults is not None:
-        print(f"fault injection active: {args.faults}", flush=True)
     print(f"repro serve: listening on {args.socket} "
-          f"(queue {args.max_queue}, deadline {args.job_timeout:g}s, "
+          f"(queue {config.max_queue}, deadline {config.job_timeout:g}s, "
           f"{args.processes or 'in-process'} workers)", flush=True)
     asyncio.run(server.serve())
     print(f"repro serve: drained ({server.jobs_done} done, "
@@ -831,7 +770,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, PlanError) as exc:  # PlanError: e.g. no horizon
         print(f"repro.cli: error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,9 @@ distributed framework, mirroring the paper's experimental knobs:
   during the simulation", Sec. 4.3 uses 1e-10 for 10ps-scale stepping),
 * the Arnoldi error budget ε of Alg. 1,
 * basis-size limits.
+
+It also holds the one validator of each lockstep policy (``batch``,
+``stack``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ from dataclasses import dataclass, replace
 
 from repro.linalg.krylov import METHOD_NAMES
 
-__all__ = ["SolverOptions"]
+__all__ = [
+    "BATCH_KEYWORDS", "STACK_KEYWORDS", "SolverOptions", "check_batch", "check_stack",
+]
+
+#: Keyword spellings of the lockstep width and of the scenarios per
+#: sweep submission; any other policy is a positive integer.
+BATCH_KEYWORDS = ("off", "auto")
+STACK_KEYWORDS = ("auto",)
 
 
 @dataclass(frozen=True)
@@ -70,3 +80,26 @@ class SolverOptions:
     def with_method(self, method: str) -> "SolverOptions":
         """Copy of these options with another Krylov flavour."""
         return replace(self, method=method)
+
+
+def _check_policy(value, keywords: tuple[str, ...], name: str, noun: str):
+    """Return ``value`` if it is one of ``keywords`` or a positive int."""
+    if isinstance(value, str) and value in keywords:
+        return value
+    rule = f"{name} must be {', '.join(map(repr, keywords))} or a positive width"
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{rule}, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{rule}; a {noun} must be >= 1, got {value}")
+    return value
+
+
+def check_batch(batch, name: str = "batch"):
+    """Validate a lockstep policy: ``"off"``, ``"auto"`` or a width >= 1
+    (``name`` is the parameter the message names)."""
+    return _check_policy(batch, BATCH_KEYWORDS, name, "batch width")
+
+
+def check_stack(stack):
+    """Validate a stacking policy: ``"auto"`` or scenarios >= 1."""
+    return _check_policy(stack, STACK_KEYWORDS, "stack", "stack size")

@@ -27,12 +27,11 @@ from repro.dist.messages import (
     NodeResult,
     SimulationTask,
 )
-from repro.dist.scheduler import DECOMPOSITIONS, MatexScheduler
+from repro.dist.scheduler import MatexScheduler
 from repro.dist.supervision import JobError, RetryPolicy, SupervisionStats
 
 __all__ = [
     "BlockNodeRunner",
-    "DECOMPOSITIONS",
     "DistributedResult",
     "Executor",
     "FactoredStates",

@@ -78,7 +78,7 @@ import numpy as np
 
 from repro import faults
 from repro.circuit.mna import MNASystem
-from repro.core.options import SolverOptions
+from repro.core.options import SolverOptions, check_batch
 from repro.core.superposition import ScenarioTotals
 from repro.dist.block_runner import BlockNodeRunner
 from repro.dist.messages import NodeResult, SimulationTask
@@ -128,14 +128,11 @@ def _resolve_batch_width(batch_width, n_tasks: int) -> int:
     (per-node execution), ``"auto"`` → one lockstep batch over all
     tasks, an integer → fixed-width chunks.
     """
-    if batch_width in (None, "off"):
+    if batch_width is None or check_batch(batch_width, "batch_width") == "off":
         return 1
     if batch_width == "auto":
         return max(n_tasks, 1)
-    width = int(batch_width)
-    if width < 1:
-        raise ValueError(f"batch_width must be >= 1, got {batch_width!r}")
-    return width
+    return batch_width
 
 
 def _chunks(tasks: list, width: int) -> list[list]:

@@ -36,14 +36,9 @@ from repro.core.decomposition import SourceGroup
 from repro.core.options import SolverOptions
 from repro.dist.executors import Executor
 from repro.dist.messages import DistributedResult
-from repro.plan.plan import (
-    DECOMPOSITIONS,
-    SimulationPlan,
-    build_groups,
-    check_plan_args,
-)
+from repro.plan.plan import SimulationPlan, build_groups, check_plan_args
 
-__all__ = ["MatexScheduler", "DECOMPOSITIONS"]
+__all__ = ["MatexScheduler"]
 
 
 class MatexScheduler:
@@ -84,7 +79,7 @@ class MatexScheduler:
         self,
         system: MNASystem,
         options: SolverOptions | None = None,
-        decomposition: str = "bump",
+        decomposition: str = SimulationPlan.decomposition,
         max_nodes: int | None = None,
         batch="off",
     ):

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.circuit.ingest import ingest_file
 from repro.circuit.mna import MNASystem
 from repro.core.decomposition import (
     SourceGroup,
@@ -44,7 +45,7 @@ from repro.core.decomposition import (
     decompose_by_source,
     merge_to_limit,
 )
-from repro.core.options import SolverOptions
+from repro.core.options import SolverOptions, check_batch
 from repro.core.transition import TransitionSchedule, build_schedule
 from repro.linalg.krylov import make_krylov_operator
 from repro.linalg.lu import FACTORIZATION_CACHE, matrix_fingerprint
@@ -56,7 +57,11 @@ __all__ = [
     "CompiledPlan",
     "build_groups",
     "check_plan_args",
+    "compile_deck",
+    "given",
+    "load_deck",
     "prime_factorizations",
+    "run_options",
 ]
 
 #: Recognised decomposition strategy names.
@@ -78,12 +83,49 @@ def check_plan_args(decomposition: str, max_nodes: int | None, batch) -> None:
         )
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-    if batch not in ("off", "auto") and not (
-        isinstance(batch, int) and not isinstance(batch, bool) and batch >= 1
-    ):
-        raise ValueError(
-            f"batch must be 'off', 'auto' or a positive width, got {batch!r}"
-        )
+    check_batch(batch)
+
+
+def given(**settings) -> dict:
+    """The settings that were set: ``None`` keeps the library default."""
+    return {k: v for k, v in settings.items() if v is not None}
+
+
+def run_options(
+    method=None, gamma=None, eps=None, decomposition=None, batch=None
+) -> tuple[SolverOptions, dict]:
+    """User run settings → ``(SolverOptions, plan_kwargs)``, or ``ValueError``.
+
+    Every front door (the CLI's run commands, the daemon's ``load`` op)
+    calls it before opening a deck.  ``None`` keeps the library default;
+    ``plan_kwargs`` holds the ``decomposition``/``batch`` that were set.
+    """
+    options = SolverOptions(**given(method=method, gamma=gamma, eps_rel=eps))
+    plan_kwargs = given(decomposition=decomposition, batch=batch)
+    # The plan's one check, run on the given settings over its defaults.
+    defaults = {"decomposition": SimulationPlan.decomposition, "batch": SimulationPlan.batch}
+    check_plan_args(max_nodes=None, **{**defaults, **plan_kwargs})
+    return options, plan_kwargs
+
+
+def load_deck(netlist, t_end: float | None = None):
+    """Stream a deck: ``(IngestResult, t_end or the deck's .tran stop)``."""
+    res = ingest_file(netlist)
+    t_end = res.stats.tran_stop if t_end is None else t_end
+    if t_end is None:
+        raise PlanError(f"deck {netlist} has no .tran directive; pass --t-end "
+                        f"(t_end in a load request)")
+    return res, t_end
+
+
+def compile_deck(netlist, options=None, t_end=None, prime=True, rom=None, **plan_kwargs):
+    """The one deck → :class:`CompiledPlan` path (``repro sweep``,
+    :meth:`repro.serve.PlanServer.load_plan`): :func:`load_deck`, a
+    :class:`SimulationPlan`, its :meth:`~SimulationPlan.compile`.
+    Returns ``(compiled, ingest_stats)``."""
+    res, t_end = load_deck(netlist, t_end)
+    plan = SimulationPlan(res.system, options, t_end=t_end, **plan_kwargs)
+    return plan.compile(prime=prime, rom=rom), res.stats
 
 
 def build_groups(
@@ -97,13 +139,10 @@ def build_groups(
     Single definition shared by :class:`SimulationPlan` and
     :class:`~repro.dist.scheduler.MatexScheduler`.  ``"bump-split"``
     unrolls periodic pulses over the simulation window, so it needs the
-    horizon; the other strategies ignore ``t_end``.
+    horizon; the other strategies ignore ``t_end``.  The name is
+    checked where the plan or scheduler is built
+    (:func:`check_plan_args`).
     """
-    if decomposition not in DECOMPOSITIONS:
-        raise ValueError(
-            f"unknown decomposition {decomposition!r}; "
-            f"choose from {sorted(DECOMPOSITIONS)}"
-        )
     if decomposition == "bump-split":
         if t_end is None:
             raise ValueError(

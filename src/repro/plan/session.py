@@ -44,6 +44,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.circuit.mna import MNASystem
+from repro.core.options import check_stack
 from repro.core.results import TransientResult
 from repro.core.stats import SolverStats
 from repro.core.superposition import superpose
@@ -69,13 +70,10 @@ AUTO_STACK_TASK_TARGET = 256
 
 def _resolve_stack(stack, n_scenarios: int, n_nodes: int) -> int:
     """Normalise a stacking policy to a chunk size in scenarios."""
-    if stack == "auto":
+    if check_stack(stack) == "auto":
         per_chunk = max(1, AUTO_STACK_TASK_TARGET // max(n_nodes, 1))
         return min(per_chunk, max(n_scenarios, 1))
-    width = int(stack)
-    if width < 1:
-        raise ValueError(f"stack must be 'auto' or >= 1, got {stack!r}")
-    return width
+    return stack
 
 
 class _CompileCost(NamedTuple):

@@ -41,16 +41,21 @@ import os
 import signal
 from dataclasses import dataclass
 
-from repro.core.options import SolverOptions
+from repro.core.options import SolverOptions, check_stack
 from repro.dist.executors import MultiprocessExecutor
 from repro.dist.messages import DistributedResult
 from repro.dist.supervision import RetryPolicy
-from repro.plan.plan import CompiledPlan, SimulationPlan
+from repro.plan.plan import CompiledPlan, compile_deck, given, run_options
 from repro.plan.scenario import Scenario, scenario_from_spec
 from repro.plan.session import Session
 from repro.serve.protocol import ProtocolError, encode, read_message
 
-__all__ = ["ServeConfig", "PlanServer"]
+__all__ = ["LOAD_KEYS", "ServeConfig", "PlanServer"]
+
+#: The keys a ``load`` request takes besides ``id`` and ``op``: the
+#: plan's name, deck and horizon, then :func:`run_options`' settings.
+RUN_SETTINGS = ("method", "gamma", "eps", "decomposition", "batch")
+LOAD_KEYS = ("name", "netlist", "t_end", *RUN_SETTINGS)
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,8 @@ class ServeConfig:
         daemon survives either way, but without retries a faulted job
         is answered as failed instead of transparently healed.
     stack:
-        Stacking policy handed to :meth:`Session.sweep` for sweep jobs.
+        Stacking policy handed to :meth:`Session.sweep` for sweep jobs
+        (``None``: the session's default).
     """
 
     socket_path: str
@@ -88,7 +94,7 @@ class ServeConfig:
     job_timeout: float | None = 120.0
     processes: int = 0
     retry: RetryPolicy | None = None
-    stack: object = "auto"
+    stack: object = None
 
     def __post_init__(self):
         if self.max_queue < 1:
@@ -104,6 +110,8 @@ class ServeConfig:
             raise ValueError(
                 f"processes must be >= 0, got {self.processes}"
             )
+        if self.stack is not None:
+            check_stack(self.stack)
 
 
 class _PlanEntry:
@@ -189,40 +197,21 @@ class PlanServer:
         self,
         name: str,
         netlist: str,
+        options: SolverOptions | None = None,
         t_end: float | None = None,
-        method: str = "rational",
-        gamma: float = 1e-10,
-        eps_rel: float = 1e-7,
-        decomposition: str = "bump",
-        batch="auto",
         rom=None,
+        **plan_kwargs,
     ) -> _PlanEntry:
         """Ingest a deck and compile it into a catalogue entry.
 
-        The expensive path — streamed ingest, decomposition, DC,
-        schedules, (for in-process entries) factorisation priming —
-        runs exactly once, here; every later job against ``name`` is
-        warm.  ``t_end=None`` falls back to the deck's ``.tran`` stop
-        time.
+        The expensive path (:func:`repro.plan.plan.compile_deck`) runs
+        exactly once, here; every later job against ``name`` is warm.
+        ``options`` and ``plan_kwargs`` are what
+        :func:`repro.plan.plan.run_options` returns.
         """
-        from repro.circuit.ingest import ingest_file
-
-        res = ingest_file(netlist)
-        if t_end is None:
-            t_end = res.stats.tran_stop
-            if t_end is None:
-                raise ValueError(
-                    f"deck {netlist} has no .tran directive; pass t_end"
-                )
-        options = SolverOptions(
-            method=method, gamma=gamma, eps_rel=eps_rel
-        )
-        plan = SimulationPlan(
-            res.system, options, t_end=t_end,
-            decomposition=decomposition, batch=batch,
-        )
-        compiled = plan.compile(
-            prime=self.config.processes == 0, rom=rom
+        compiled, _ = compile_deck(
+            netlist, options, t_end,
+            prime=self.config.processes == 0, rom=rom, **plan_kwargs,
         )
         return self.add_plan(name, compiled)
 
@@ -261,18 +250,21 @@ class PlanServer:
     def _execute(self, op: str, payload: dict) -> dict:
         """One queued job, executed to a response payload (thread body)."""
         if op == "load":
+            unknown = sorted(set(payload) - {"id", "op", *LOAD_KEYS})
+            if unknown:
+                raise ValueError(
+                    f"load got unknown key(s) {unknown}; accepted: "
+                    f"{', '.join(LOAD_KEYS)}"
+                )
             netlist = payload.get("netlist")
             if not netlist:
                 raise ValueError("load needs a 'netlist' path")
+            options, plan_kwargs = run_options(
+                **{k: payload[k] for k in RUN_SETTINGS if k in payload}
+            )
             entry = self.load_plan(
-                payload.get("name", "default"),
-                netlist,
-                t_end=payload.get("t_end"),
-                method=payload.get("method", "rational"),
-                gamma=payload.get("gamma", 1e-10),
-                eps_rel=payload.get("eps", 1e-7),
-                decomposition=payload.get("decomposition", "bump"),
-                batch=payload.get("batch", "auto"),
+                payload.get("name", "default"), netlist, options,
+                t_end=payload.get("t_end"), **plan_kwargs,
             )
             return {"plan": entry.name, "info": entry.describe()}
         entry = self._entry(payload)
@@ -296,7 +288,7 @@ class PlanServer:
                 for i, s in enumerate(specs)
             ]
             results = entry.session.sweep(
-                scenarios, stack=self.config.stack
+                scenarios, **given(stack=self.config.stack)
             )
             entry.jobs_answered += len(results)
             return {

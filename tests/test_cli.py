@@ -334,6 +334,32 @@ class TestSweep:
         assert "MATEX method" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, usage_error", [
+        (["simulate", "missing.spice", "--t-end", "1n"], False),
+        (["run", "--netlist", "missing.spice"], False),
+        (["sweep", "--netlist", "missing.spice", "--scenarios", "random:2"],
+         True),
+        (["serve", "--netlist", "missing.spice", "--socket", "unused.sock"],
+         True),
+    ])
+    @pytest.mark.parametrize("flag, message", [
+        ("--gamma=-1", "gamma must be positive"),
+        ("--eps=-1", "error budgets must be non-negative"),
+    ])
+    def test_bad_gamma_or_eps_fails_before_the_deck_opens(
+        self, capsys, command, usage_error, flag, message
+    ):
+        """SolverOptions rejects the value from argv alone, through each
+        command's argv-error channel, instead of after the deck load."""
+        if usage_error:
+            assert main([*command, flag]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
+        else:
+            with pytest.raises(ValueError, match=message):
+                main([*command, flag])
+
     @pytest.mark.parametrize("flag", [
         ["--retries", "2"], ["--job-timeout", "30"], ["--backoff", "0.1"],
         ["--degrade-after", "3"],

@@ -3,8 +3,10 @@
 The block runner ships, per Krylov basis, a ``(K, m+2)`` coefficient
 block and the ``(m+2, dim)`` vectors it multiplies
 (:class:`repro.dist.messages.FactoredStates`); the dense rows first
-exist inside :func:`repro.core.superposition.superpose_states`.  Pinned
-here: the factors stand for the block the scalar march materialises
+exist inside the library's one fold,
+:class:`repro.core.superposition.ScenarioTotals` (the whole-block
+``superpose_states`` is the tests' oracle, ``tests/superpose_oracle.py``).
+Pinned here: the factors stand for the block the scalar march materialises
 (inside the oracle's calibrated budget), the fold is task-major and the only accumulation there is,
 transport is bit-exact and small, a quiescent task adds exactly
 ``+0.0``, a warm sweep's allocation peak, and that the bits do not

@@ -180,6 +180,43 @@ class TestDaemonBasics:
         assert "drained" in out
         assert not sock.exists()
 
+    def test_load_op_compiles_a_second_plan(self, tmp_path, deck):
+        """The load op compiles the deck under a new name with the
+        request's settings (horizon from the deck's .tran); its baseline
+        digest equals an in-process session over the same plan, and an
+        unknown key answers kind="job" without killing the daemon."""
+        proc, sock = start_daemon(tmp_path, deck)
+        try:
+            with connect(sock, timeout=30.0) as c:
+                loaded = c.load(deck, name="second", eps=1e-6,
+                                decomposition="source", batch="off")
+                assert loaded["plan"] == "second"
+
+                res = ingest_file(str(deck))
+                compiled = SimulationPlan(
+                    res.system, SolverOptions(eps_rel=1e-6),
+                    t_end=res.stats.tran_stop,
+                    decomposition="source", batch="off",
+                ).compile()
+                with Session(compiled) as session:
+                    (expected,) = session.sweep([None])
+                run = c.run(plan="second")
+                assert run["digest"] == hashlib.sha256(
+                    expected.result.states.tobytes()).hexdigest()
+                assert run["digest"] != c.run()["digest"]
+
+                with pytest.raises(ServeError) as excinfo:
+                    c.load(deck, name="third", eps_rel=1e-6)
+                assert excinfo.value.kind == "job"
+                assert "eps_rel" in str(excinfo.value)
+                assert "accepted: name, netlist, t_end" in str(excinfo.value)
+
+                status = c.status()
+                assert sorted(status["plans"]) == ["default", "second"]
+                assert status["jobs"]["failed"] == 1
+        finally:
+            stop_daemon(proc)
+
     def test_busy_rejection_when_queue_is_full(self, tmp_path, deck):
         """--max-queue 1 + a slow in-flight job: the third client is
         rejected immediately with kind="busy"."""

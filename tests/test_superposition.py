@@ -83,8 +83,11 @@ class TestSuperposition:
 
 
 class TestAccumulationKernel:
-    """``superpose_states`` is the one routine every execution mode sums
-    with; these pin that ``superpose`` is exactly it, order included."""
+    """``superpose_states`` (``tests/superpose_oracle.py``) is the
+    whole-block oracle of the library's one fold,
+    :class:`repro.core.superposition.ScenarioTotals`; these pin that
+    ``superpose`` (a one-scenario ``ScenarioTotals``) reproduces it bit
+    for bit, order included."""
 
     @staticmethod
     def _blocks():
