@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-__all__ = ["Waveform", "DC", "PWL", "Pulse", "BumpShape"]
+__all__ = ["Waveform", "DC", "PWL", "Pulse", "BumpShape", "sample_waveforms"]
 
 #: Relative tolerance used when merging nearly-identical transition times.
 _TIME_RTOL = 1e-12
@@ -384,26 +384,38 @@ class Pulse(Waveform):
 
     @cached_property
     def _interp_table(self):
+        return self._breakpoints(), self._levels()
+
+    def _breakpoints(self):
         import numpy as np
 
-        xp = np.array([
+        return np.array([
             0.0,
             self.t_rise,
             self.t_rise + self.t_width,
             self.t_rise + self.t_width + self.t_fall,
         ])
-        fp = np.array([self.v1, self.v2, self.v2, self.v1])
-        return xp, fp
 
-    def values_array(self, times):
+    def _levels(self):
         import numpy as np
 
-        t = np.asarray(times, dtype=float)
+        return np.array([self.v1, self.v2, self.v2, self.v1])
+
+    def _folded(self, t):
+        """Bump-local times ``tau`` of the times array ``t``."""
+        import numpy as np
+
         tau = t - self.t_delay
         if self.t_period is not None:
             positive = tau >= 0.0
             tau = np.where(positive, np.fmod(tau, self.t_period), tau)
+        return tau
+
+    def values_array(self, times):
+        import numpy as np
+
         xp, fp = self._interp_table
+        tau = self._folded(np.asarray(times, dtype=float))
         return np.interp(tau, xp, fp, left=self.v1, right=self.v1)
 
     def transition_spots(self, t_end: float) -> list[float]:
@@ -511,6 +523,34 @@ class Pulse(Waveform):
             if t > out[-1][0]:
                 out.append((t, v))
         return PWL(out)
+
+
+def sample_waveforms(waves: Sequence[Waveform], times) -> "np.ndarray":
+    """``values_array(times)`` of each waveform, one row each, in one pass.
+
+    Pulses that share their timing (a group's loads, a scenario's scaled
+    copies) share their folded times and breakpoints, and each is one
+    call, with its own levels, of the compiled kernel that
+    :meth:`Pulse.values_array`'s ``np.interp`` calls — the same samples,
+    bit for bit, without the per-call wrappers.  Other waveforms sample
+    themselves.
+    """
+    import numpy as np
+    from numpy._core.multiarray import interp
+
+    t = np.asarray(times, dtype=float)
+    grids: dict[tuple, tuple] = {}
+    rows = []
+    for w in waves:
+        if type(w) is Pulse:
+            timing = (w.t_delay, w.t_rise, w.t_width, w.t_fall, w.t_period)
+            grid = grids.get(timing)
+            if grid is None:
+                grid = grids[timing] = w._folded(t), w._breakpoints()
+            rows.append(interp(*grid, w._levels(), w.v1, w.v1))
+        else:
+            rows.append(w.values_array(t))
+    return np.array(rows).reshape(len(rows), t.size)
 
 
 def merge_transition_spots(

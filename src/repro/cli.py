@@ -67,7 +67,9 @@ from repro.core.solver import MatexSolver
 from repro.dist.scheduler import MatexScheduler
 from repro.engine import NpzStreamSink, make_sink
 from repro.linalg.lu import FACTORIZATION_CACHE, parse_byte_size
-from repro.plan.plan import DECOMPOSITIONS, PlanError, compile_deck, given, load_deck, run_options
+from repro.plan.plan import (
+    DECOMPOSITIONS, PlanError, check_horizon, compile_deck, given, load_deck, run_options,
+)
 
 __all__ = ["main", "build_parser", "METHODS"]
 
@@ -428,7 +430,7 @@ class _UsageError(Exception):
 
 
 def _t_end(args) -> float | None:
-    return parse_value(args.t_end) if args.t_end is not None else None
+    return check_horizon(parse_value(args.t_end)) if args.t_end is not None else None
 
 
 def _run_options(args, needs_matex: str | None):
@@ -496,7 +498,7 @@ def _resolve_plan(args):
 def _cmd_simulate(args) -> int:
     plan = _resolve_plan(args)
     system = _load(args.netlist)
-    return _simulate_system(system, parse_value(args.t_end), args, plan)
+    return _simulate_system(system, _t_end(args), args, plan)
 
 
 def _report_deck(args, stats, t_end: float) -> None:

@@ -50,37 +50,75 @@ def _shape_rows(U, Ut, shapes, shape_of, pivot):
 
 
 def _input_shapes(U: np.ndarray):
-    """Factor the deviation rows ``Ũ = U − U[:, :1] = diag(a)·S[shape_of]``.
+    """:func:`_block_shapes` of one block: ``(shapes, shape_of, pivot)``."""
+    (out,) = _block_shapes(U, (0, U.shape[0]))
+    return out
+
+
+def _block_shapes(U: np.ndarray, bounds) -> list[tuple]:
+    """Factor the deviation rows ``Ũ = U − U[:, :1] = diag(a)·S[shape_of]``
+    of each block of rows ``U[bounds[k]:bounds[k + 1]]`` on its own, all
+    blocks in one pass; one ``(shapes, shape_of, pivot)`` per block.
 
     Rows are normalised to one at their largest sample (``pivot``) and
     grouped on the values rounded to nine digits — a dict keyed on the
-    rounded row's bytes, shapes in ascending lexicographic order (the
-    order the ROM's GEMMs have always summed them in); a row
-    :func:`_shape_rows` then fails to reproduce gets a shape of its own,
-    so on return *every* row passes.  Constant rows (``a = 0``) need no
-    shape: any one times zero is exact, and a grid of constant rows has
-    no shapes at all.
+    block and the rounded row's bytes, each block's shapes in ascending
+    lexicographic order (the order the ROM's GEMMs have always summed
+    them in) and represented by their first row in the block; a row the
+    check of :func:`_shape_rows` then fails to reproduce gets a shape of
+    its own, so on return *every* row passes.  Constant rows (``a = 0``)
+    need no shape: any one times zero is exact, and a block of constant
+    rows has no shapes at all.  Every step is row-wise or per block, so
+    a block's factors do not depend on the blocks beside it.
     """
+    bounds = np.asarray(bounds, dtype=np.intp)
     Ut = U - U[:, :1]
-    p, n_points = Ut.shape
+    p = Ut.shape[0]
+    block = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
     peak = np.abs(Ut).argmax(axis=1)
     amp = Ut[np.arange(p), peak]
     live = amp.nonzero()[0]
-    shape_of = np.zeros(p, dtype=np.intp)
-    pivot = np.zeros(p, dtype=np.intp)
-    if live.size == 0:
-        return np.empty((0, n_points)), shape_of, pivot
     unit = Ut[live] / amp[live, None]
     keys = unit.round(9) + 0.0
-    heads: dict[bytes, int] = {}
-    head_of = [heads.setdefault(row.tobytes(), i) for i, row in enumerate(keys)]
-    first = np.array(sorted(heads.values(), key=lambda i: keys[i].tolist()))
+    of_live = block[live].tolist()
+    heads: dict[tuple, int] = {}
+    head_of = np.array([
+        heads.setdefault((k, row.tobytes()), i)
+        for i, (k, row) in enumerate(zip(of_live, keys))
+    ], dtype=np.intp)
+    first = np.array(
+        sorted(heads.values(), key=lambda i: (of_live[i], keys[i].tolist())),
+        dtype=np.intp,
+    )
+    # Shapes per block, and each block's first shape in ``first``.
+    n_shapes = np.bincount(block[live[first]], minlength=bounds.size - 1)
+    start = np.concatenate([[0], np.cumsum(n_shapes)])
     rank = np.empty(live.size, dtype=np.intp)
-    rank[first] = np.arange(first.size)
+    rank[first] = np.arange(first.size) - start[block[live[first]]]
+    shape_of = np.zeros(p, dtype=np.intp)
+    pivot = np.zeros(p, dtype=np.intp)
     shape_of[live] = rank[head_of]
-    pivot[live] = peak[live[first]][shape_of[live]]
-    _, shape_of, shapes = _shape_rows(U, Ut, unit[first], shape_of, pivot)
-    own = shape_of >= first.size
-    pivot[own] = peak[own]
-    shapes[first.size:] /= amp[own, None]
-    return shapes, shape_of, pivot
+    pivot[live] = peak[live[head_of]]
+    # Every row is checked against its shape (a constant row: its
+    # block's first) in one _shape_rows call over all blocks' shapes; a
+    # block without shapes checks nothing.
+    rows = np.flatnonzero(n_shapes[block] > 0)
+    pick = slice(None) if rows.size == p else rows
+    _, of, _ = _shape_rows(
+        U[pick], Ut[pick], unit[first],
+        start[block[pick]] + shape_of[pick], pivot[pick],
+    )
+    extra = rows[of >= first.size]
+    shapes = [unit[first[a:b]] for a, b in zip(start[:-1].tolist(), start[1:].tolist())]
+    # Rows that fail the check get shapes of their own, after their
+    # block's shared ones.
+    for k in np.unique(block[extra]).tolist():
+        own = extra[block[extra] == k]
+        shape_of[own] = shapes[k].shape[0] + np.arange(own.size)
+        pivot[own] = peak[own]
+        shapes[k] = np.concatenate([shapes[k], Ut[own] / amp[own, None]])
+    edges = bounds.tolist()
+    return [
+        (shapes[k], shape_of[lo:hi], pivot[lo:hi])
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:]))
+    ]

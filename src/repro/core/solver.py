@@ -224,8 +224,8 @@ class MatexSolver:
             else active_inputs
         )
         runner = BlockNodeRunner._on(self)
-        march = runner._prepare(
-            schedule, waveform_overrides, cols, x0,
+        (march,) = runner._prepare(
+            [(schedule, waveform_overrides, cols)], x0,
             deviation=self.deviation_mode,
         )
         feed = _SinkFeed(sink if sink is not None else MemorySink(),

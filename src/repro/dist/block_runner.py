@@ -51,6 +51,18 @@ single bit of the results:
   executor adds to once the chunk has marched
   (:class:`~repro.core.superposition.ScenarioTotals`), so forming them
   is ``superpose_seconds``, never a node's ``transient_seconds``.
+* **One array pass per round.**  What a round does for each task is
+  done for the whole round at once: the input columns of a chunk are
+  sampled (:func:`~repro.circuit.waveforms.sample_waveforms`) and
+  factored over their shapes (:func:`~repro.core.shapes._block_shapes`)
+  in one pass, the ETD vectors of all tasks with one shape count come
+  from stacked products (:class:`_ShapeGroup`), the operator block is
+  built and substituted once per Arnoldi iteration, and the fresh
+  bases' span coefficients come from one stacked evaluation
+  (:func:`~repro.linalg.krylov.span_coefficients`).  Each pass is a
+  stack of the single task's arithmetic — the same elementwise
+  operations and the same BLAS calls, slice by slice — so a single
+  task (``simulate``, width 1) is a chunk of one through the same code.
 * **A posterior ledger.**  Every committed step's posterior estimate
   is summed (and its maximum kept) in the task's
   :class:`~repro.core.stats.SolverStats`, beside the ``ε`` of every
@@ -69,6 +81,7 @@ by ``tests/test_golden_digests.py``.
 from __future__ import annotations
 
 import gc
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -76,14 +89,15 @@ from typing import Sequence
 import numpy as np
 
 from repro.circuit.mna import MNASystem
-from repro.circuit.waveforms import Waveform
+from repro.circuit.waveforms import Waveform, sample_waveforms
 from repro.core.options import SolverOptions
-from repro.core.shapes import _input_shapes
+from repro.core.shapes import _block_shapes
 from repro.core.solver import MatexSolver, REUSE_SAFETY
 from repro.core.stats import SolverStats
 from repro.core.transition import TransitionSchedule, build_schedule
 from repro.dist.messages import FactoredStates, NodeResult, SimulationTask
 from repro.linalg.block_krylov import build_bases_block, prime_eig_payloads
+from repro.linalg.krylov import span_coefficients
 
 __all__ = ["BlockNodeRunner"]
 
@@ -104,10 +118,8 @@ class _TaskState:
     node task; otherwise a last, constant shape carries a non-zero
     ``B·u(0)``), with
     the non-zeros of ``[b_1 … b_q]`` in ``b`` as (MNA row, shape, value)
-    triples.
-    ``G1``/``G2`` are the ``(q, dim)`` rows ``G⁻¹b_j`` and
-    ``G⁻¹CG⁻¹b_j``, solved once per grid batch; each segment's ``F``
-    and ``w2`` are combinations of them.  ``spans`` receives each closed
+    triples.  Each segment's ``F`` and ``w2`` combine the shape solves
+    its :class:`_ShapeGroup` holds.  ``spans`` receives each closed
     ``(row0, A, B)`` span through its ``append``, and ``advance(row)``
     after a quiescent segment (no row below ``row`` will follow): a list
     for a node task, which answers with its factors, ``simulate``'s
@@ -121,8 +133,6 @@ class _TaskState:
     stats: SolverStats
     x: np.ndarray
     spans: object = field(default_factory=_SpanList)
-    G1: np.ndarray | None = None
-    G2: np.ndarray | None = None
     eps_segment: float = 0.0
     basis: object = None
     v_alts: np.ndarray | None = None
@@ -131,6 +141,26 @@ class _TaskState:
     i0: int = 0
     i1: int = 0
     krylov_dims: list[int] = field(default_factory=list)
+
+
+@dataclass
+class _ShapeGroup:
+    """The marches of one shape count ``q``, stacked: their shapes
+    ``(T, q, K)`` and shape solves ``G1 = G⁻¹b_j`` and ``G2 =
+    G⁻¹CG⁻¹b_j`` as ``(T, q, dim)`` views of one solve, so a round forms
+    their ETD vectors in stacked products."""
+
+    members: list[_TaskState]
+    shapes: np.ndarray
+    G1: np.ndarray
+    G2: np.ndarray
+    #: Scratch for the round's ``u(t_i0)`` rows, ``(T, 1, q)`` with the
+    #: stride a column of a task's ``(q, K)`` shapes has: BLAS's gemv
+    #: rounds a strided vector apart from a contiguous one.
+    at_i0: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.at_i0 = np.empty(self.shapes.shape)[:, None, :, 0]
 
 
 def _gc_collections() -> int:
@@ -219,55 +249,68 @@ class BlockNodeRunner:
     # -- lockstep march ---------------------------------------------------------
 
     def _prepare(
-        self, schedule: TransitionSchedule,
-        overrides: dict[int, Waveform] | None,
-        cols: Sequence[int], x0: np.ndarray, deviation: bool,
-    ) -> _TaskState:
-        """Input shapes and marching state of one march.
+        self,
+        marches: Sequence[tuple[TransitionSchedule, dict[int, Waveform] | None, Sequence[int]]],
+        x0: np.ndarray, deviation: bool,
+    ) -> list[_TaskState]:
+        """Input shapes and marching state of a chunk of marches on one grid.
 
-        ``cols`` are the input columns driving it (empty: a free
-        response from ``x0``).  Their waveforms (an ``overrides`` entry,
-        else the system's own) are evaluated once over the whole grid,
-        with no system bound per task, and factored over their distinct
-        shapes (:func:`~repro.core.shapes._input_shapes`), which turns
+        Each march is ``(schedule, overrides, cols)``: ``cols`` are the
+        input columns driving it (empty: a free response from ``x0``).
+        Their waveforms (an ``overrides`` entry, else the system's own)
+        are sampled over the grid in one pass for the whole chunk
+        (:func:`~repro.circuit.waveforms.sample_waveforms`), with no
+        system bound per task, and each march's rows are factored over
+        their distinct shapes, all marches in one pass
+        (:func:`~repro.core.shapes._block_shapes`), which turns
         ``B·(u(t) − u(0))`` into ``Σ_j shapes[j, t]·b_j``.  With
         ``deviation`` the march follows ``u(t) − u(0)`` — what a node
         task runs, from ``x0 = 0``; otherwise ``B·u(0)`` rides along as
-        one more, constant, shape.
+        one more, constant, shape.  A single march is a chunk of one.
         """
-        pts = np.asarray(schedule.points)
-        key = tuple(cols)
-        if key not in self._b_entries:
-            B = self.system.B
-            at = [np.arange(B.indptr[c], B.indptr[c + 1]) for c in key]
-            nz = np.concatenate(at) if at else np.empty(0, dtype=np.intp)
-            src = np.repeat(np.arange(len(at)), [len(a) for a in at])
-            self._b_entries[key] = B.indices[nz], src, B.data[nz]
-        rows, src, vals = self._b_entries[key]
-        waves, overrides = self.system.waveforms, overrides or {}
-        U = np.array(
-            [overrides.get(c, waves[c]).values_array(pts) for c in key]
-        ).reshape(len(key), len(pts))
+        pts = np.asarray(marches[0][0].points)
+        waves, columns, entries, bounds = self.system.waveforms, [], [], [0]
+        for _schedule, overrides, cols in marches:
+            key = tuple(cols)
+            if key not in self._b_entries:
+                B = self.system.B
+                at = [np.arange(B.indptr[c], B.indptr[c + 1]) for c in key]
+                nz = np.concatenate(at) if at else np.empty(0, dtype=np.intp)
+                src = np.repeat(np.arange(len(at)), [len(a) for a in at])
+                self._b_entries[key] = B.indices[nz], src, B.data[nz]
+            entries.append(self._b_entries[key])
+            overrides = overrides or {}
+            columns.extend(overrides.get(c, waves[c]) for c in key)
+            bounds.append(bounds[-1] + len(key))
+        U = sample_waveforms(columns, pts)
+        factors = _block_shapes(U, bounds)
+        pivot = np.concatenate([f[2] for f in factors])
+        amp = U[np.arange(len(U)), pivot] - U[:, 0]
 
-        shapes, shape_of, pivot = _input_shapes(U)
-        amp = U[np.arange(len(key)), pivot] - U[:, 0]
-        on = amp[src].nonzero()[0]  # entries of inputs that move
-        b = rows[on], shape_of[src[on]], vals[on] * amp[src[on]]
-        if not deviation and U[:, 0].any():
-            const = rows, np.full(len(rows), len(shapes)), vals * U[src, 0]
-            b = tuple(np.concatenate(pair) for pair in zip(b, const))
-            shapes = np.vstack([shapes, np.ones(len(pts))])
-        return _TaskState(
-            schedule=schedule,
-            b=b,
-            shapes=shapes,
-            lts=schedule.segment_starts,
-            stats=SolverStats(),
-            x=np.asarray(x0, dtype=float),
-        )
+        tstates = []
+        for (schedule, _, _), (rows, src, vals), (shapes, shape_of, _), lo, hi in zip(
+            marches, entries, factors, bounds, bounds[1:]
+        ):
+            a = amp[lo:hi]
+            on = a[src].nonzero()[0]  # entries of inputs that move
+            b = rows[on], shape_of[src[on]], vals[on] * a[src[on]]
+            u0 = U[lo:hi, 0]
+            if not deviation and u0.any():
+                const = rows, np.full(len(rows), len(shapes)), vals * u0[src]
+                b = tuple(np.concatenate(pair) for pair in zip(b, const))
+                shapes = np.vstack([shapes, np.ones(len(pts))])
+            tstates.append(_TaskState(
+                schedule=schedule,
+                b=b,
+                shapes=shapes,
+                lts=schedule.segment_starts,
+                stats=SolverStats(),
+                x=np.asarray(x0, dtype=float),
+            ))
+        return tstates
 
     def _run_grid_batch(self, tasks: list[SimulationTask]) -> list[NodeResult]:
-        tstates = []
+        marches = []
         for task in tasks:
             overrides = task.group.overrides_dict() or None
             schedule = task.schedule
@@ -279,18 +322,16 @@ class BlockNodeRunner:
                     global_points=task.global_points,
                     waveform_overrides=overrides,
                 )
-            tstates.append(self._prepare(
-                schedule, overrides, task.group.input_columns,
-                np.zeros(self.system.dim), deviation=True,
-            ))
+            marches.append((schedule, overrides, task.group.input_columns))
 
-        pts_ref = np.asarray(tstates[0].schedule.points)
-        for pos, (task, t) in enumerate(zip(tasks, tstates)):
-            if not np.array_equal(np.asarray(t.schedule.points), pts_ref):
+        pts_ref = np.asarray(marches[0][0].points)
+        for pos, (task, (schedule, _, _)) in enumerate(zip(tasks, marches)):
+            if not np.array_equal(np.asarray(schedule.points), pts_ref):
                 raise ValueError(
                     f"task {task.task_id} (position {pos} of its grid batch): "
                     f"schedule points differ from task {tasks[0].task_id}'s"
                 )
+        tstates = self._prepare(marches, np.zeros(self.system.dim), deviation=True)
         self._march(tstates, f"task {tasks[0].task_id}")
 
         return [
@@ -329,16 +370,16 @@ class BlockNodeRunner:
         collections0 = _gc_collections()
         try:
             t_march = time.perf_counter()
-            self._solve_shapes(tstates)
+            groups = self._solve_shapes(tstates)
+            steps = np.diff(pts)
             round_idx = 0
             while True:
                 builders = [t for t in tstates if round_idx < len(t.lts)]
                 if not builders:
                     break
-                self._build_segments(builders, pts, round_idx)
+                self._build_segments(groups, steps, round_idx)
                 self._build_bases(builders, pts)
-                for t in builders:
-                    self._evaluate_span(t, pts)
+                self._evaluate_spans(builders, pts)
                 round_idx += 1
             march_seconds = time.perf_counter() - t_march
         finally:
@@ -360,44 +401,79 @@ class BlockNodeRunner:
             t.stats.transient_seconds = march_seconds * share
             t.stats.krylov_dims = t.krylov_dims
 
-    def _solve_shapes(self, tstates: list[_TaskState]) -> None:
+    def _solve_shapes(self, tstates: list[_TaskState]) -> list[_ShapeGroup]:
         """``G⁻¹b_j`` and ``G⁻¹CG⁻¹b_j`` for every shape of every march:
         two multi-RHS ``G`` solves per grid batch, ``2q`` pairs a task.
 
         Each column is an independent pair, so a task's rows do not
-        depend on its batch; and ``solve_many`` answers F-ordered, so
-        each task's ``(q, dim)`` transposed slice is C-contiguous at any
-        width — the layout its per-segment products see.
+        depend on its batch.  The columns are laid out by shape count,
+        and ``solve_many`` answers F-ordered, so each group's rows are a
+        C-ordered ``(T, q, dim)`` view at any width — every task's
+        ``(q, dim)`` slice the layout its per-segment products see.
         """
         lu_g = self.solver.workspace.lu_g
-        bounds = np.cumsum([0] + [len(t.shapes) for t in tstates])
+        by_q: dict[int, list[_TaskState]] = {}
+        for t in tstates:
+            by_q.setdefault(len(t.shapes), []).append(t)
+        order = [t for members in by_q.values() for t in members]
+        bounds = np.cumsum([0] + [len(t.shapes) for t in order])
         rhs = np.zeros((self.system.dim, bounds[-1]))
-        for t, lo in zip(tstates, bounds):
-            rows, shape, value = t.b
-            np.add.at(rhs, (rows, lo + shape), value)
-        G1 = lu_g.solve_many(rhs)
-        G2 = lu_g.solve_many(self.system.C @ G1)
-        for t, lo, hi in zip(tstates, bounds, bounds[1:]):
-            t.G1, t.G2 = G1[:, lo:hi].T, G2[:, lo:hi].T
-            t.stats.n_solves_etd += 2 * int(hi - lo)
+        if order:
+            np.add.at(rhs, (
+                np.concatenate([t.b[0] for t in order]),
+                np.concatenate([lo + t.b[1] for t, lo in zip(order, bounds)]),
+            ), np.concatenate([t.b[2] for t in order]))
+        G1 = lu_g.solve_many(rhs).T
+        G2 = lu_g.solve_many(self.system.C @ G1.T).T
+        groups, lo = [], 0
+        for q, members in by_q.items():
+            hi = lo + q * len(members)
+            stack = (len(members), q, self.system.dim)
+            groups.append(_ShapeGroup(
+                members, np.array([t.shapes for t in members]),
+                G1[lo:hi].reshape(stack), G2[lo:hi].reshape(stack),
+            ))
+            lo = hi
+        for t in tstates:
+            t.stats.n_solves_etd += 2 * len(t.shapes)
+        return groups
 
     def _build_segments(
-        self, builders: list[_TaskState], pts: np.ndarray, round_idx: int
+        self, groups: list[_ShapeGroup], steps: np.ndarray, round_idx: int
     ) -> None:
         """ETD vectors of each builder's new segment, combined from its
         shape solves: ``w2 = G⁻¹B·s_u`` and ``F = G⁻¹CG⁻¹B·s_u −
-        G⁻¹B·u(t_i0)`` (:mod:`repro.core.etd`) with no substitution."""
-        for t in builders:
-            i0 = t.i0 = t.lts[round_idx]
-            t.i1 = (
-                t.lts[round_idx + 1]
-                if round_idx + 1 < len(t.lts)
-                else len(pts) - 1
-            )
-            at_i0 = t.shapes[:, i0]
-            slope = (t.shapes[:, i0 + 1] - at_i0) / (pts[i0 + 1] - pts[i0])
-            t.w2 = slope @ t.G1
-            t.F = slope @ t.G2 - at_i0 @ t.G1
+        G⁻¹B·u(t_i0)`` (:mod:`repro.core.etd`) with no substitution.
+
+        One pass per shape group: each task's shape values and slopes
+        are gathered at its own segment start, and its products are the
+        slices of one stacked ``matmul`` — per slice the gemv that
+        ``slope @ G1`` makes.
+        """
+        for g in groups:
+            live = [k for k, t in enumerate(g.members) if round_idx < len(t.lts)]
+            if not live:
+                continue
+            builders = [g.members[k] for k in live]
+            pick = slice(None) if len(live) == len(g.members) else live
+            shapes, G1, G2 = g.shapes[pick], g.G1[pick], g.G2[pick]
+            i0 = np.array([t.lts[round_idx] for t in builders])
+            for t, i in zip(builders, i0.tolist()):
+                t.i0 = i
+                t.i1 = (
+                    t.lts[round_idx + 1]
+                    if round_idx + 1 < len(t.lts)
+                    else len(steps)
+                )
+            rows = np.arange(len(builders))
+            at_i0 = g.at_i0[: len(builders)]
+            at_i0[:, 0] = shapes[rows, :, i0]
+            slope = (shapes[rows, :, i0 + 1] - at_i0[:, 0]) / steps[i0, None]
+            w2 = np.matmul(slope[:, None], G1)[:, 0]
+            F = np.matmul(slope[:, None], G2)[:, 0]
+            F -= np.matmul(at_i0, G1)[:, 0]
+            for t, a, b in zip(builders, w2, F):
+                t.w2, t.F = a, b
 
     def _build_bases(self, builders: list[_TaskState], pts: np.ndarray) -> None:
         """One lockstep Arnoldi build for every task's new segment."""
@@ -407,7 +483,7 @@ class BlockNodeRunner:
             v = t.x + t.F
             t.v_alts = v
             t.eps_segment = (
-                opts.eps_rel * float(np.sqrt(v.dot(v))) + opts.eps_abs
+                opts.eps_rel * math.sqrt(v.dot(v)) + opts.eps_abs
             )
             vs.append(v)
             hs.append(pts[t.i0 + 1] - pts[t.i0])
@@ -436,31 +512,48 @@ class BlockNodeRunner:
         t.stats.n_solves_krylov += basis.m
         t.krylov_dims.append(basis.m)
 
-    def _evaluate_span(self, t: _TaskState, pts: np.ndarray) -> None:
+    def _evaluate_spans(self, builders: list[_TaskState], pts: np.ndarray) -> None:
+        """Factors of every builder's new segment: the span coefficients
+        of the round's fresh bases come from one stacked evaluation
+        (:func:`~repro.linalg.krylov.span_coefficients`)."""
+        spans, live = [], []
+        for t in builders:
+            spans.append(pts[t.i0 + 1: t.i1 + 1] - pts[t.i0])
+            # Quiescent segment (node idle before its delay): the empty
+            # basis evaluates to zero and P(h) ≡ ±0, so every marching
+            # step lands exactly on +0.0 — no span is emitted.
+            live.append(t.basis.m > 0 or t.F.any() or t.w2.any())
+        first = iter(span_coefficients(
+            [t.basis for t, on in zip(builders, live) if on],
+            [hs for hs, on in zip(spans, live) if on],
+        ))
+        for t, span_hs, on in zip(builders, spans, live):
+            self._evaluate_span(t, span_hs, next(first) if on else None)
+
+    def _evaluate_span(self, t: _TaskState, span_hs: np.ndarray, first) -> None:
         """Factors of one segment: LTS step plus error-checked snapshots.
 
         ``span_hs[0]`` is the fresh segment's own step (taken as is, as
         Alg. 2's LTS branch); every later entry is a snapshot whose
         posterior error is re-checked against the generation budget,
         regenerating the basis exactly where a step-by-step march would
-        — which closes one span and opens the next.
+        — which closes one span and opens the next.  ``first`` is the
+        fresh basis's ``(coeffs, errs)`` over the span, ``None`` for a
+        quiescent segment.
         """
-        span_hs = pts[t.i0 + 1: t.i1 + 1] - pts[t.i0]
         n_span = len(span_hs)
         t.stats.n_steps += n_span
-        if t.basis.m == 0 and not t.F.any() and not t.w2.any():
-            # Quiescent segment (node idle before its delay): the empty
-            # basis evaluates to zero and P(h) ≡ ±0, so every marching
-            # step lands exactly on +0.0 — no span is emitted.
+        if first is None:
             t.stats.n_reuses += n_span - 1
             t.x = np.zeros_like(t.x)
             t.spans.advance(t.i1 + 1)
+            t.F = t.w2 = None
             return
         threshold = REUSE_SAFETY * t.eps_segment
         start = 0
+        coeffs, errs = first
         while True:
             hs = span_hs[start:]
-            coeffs, errs = t.basis.coefficients(hs)
             # The first step of a (re)built basis is committed unchecked.
             failed = np.flatnonzero(errs[1:] > threshold)
             stop = int(failed[0]) + 1 if failed.size else len(hs)
@@ -488,4 +581,8 @@ class BlockNodeRunner:
             if start == n_span:
                 break
             self._rebuild_basis(t, float(span_hs[start]))
+            coeffs, errs = t.basis.coefficients(span_hs[start:])
         t.x = A[-1] @ B
+        # F and w2 now live in the span factors' spare rows; their rows
+        # of the round's stacked products are not held past the round.
+        t.F = t.w2 = None

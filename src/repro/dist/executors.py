@@ -260,6 +260,8 @@ class SerialExecutor(Executor):
         options: SolverOptions | None = None,
         batch_width=None,
     ):
+        if batch_width is not None:
+            check_batch(batch_width, "batch_width")
         self.system = system
         self.options = options if options is not None else SolverOptions()
         self.batch_width = batch_width
@@ -442,6 +444,8 @@ class MultiprocessExecutor(Executor):
             raise TypeError(
                 f"retry must be a RetryPolicy or None, got {retry!r}"
             )
+        if batch_width is not None:
+            check_batch(batch_width, "batch_width")
         self.system = system
         self.options = options if options is not None else SolverOptions()
         self.max_workers = max_workers

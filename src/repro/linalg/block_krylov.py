@@ -30,6 +30,7 @@ a basis does not depend on which columns it was built next to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,9 @@ _BREAKDOWN_TOL = 1e-14
 #: would dominate, so past this dimension only every 5th vector tests.
 _TEST_THROTTLE_DIM = 60
 _TEST_THROTTLE_EVERY = 5
+#: Start vectors per tile of the operator block's transposing copy: a
+#: tile's rows stay in cache while they are written out as columns.
+_TILE_ROWS = 64
 
 
 def prime_eig_payloads(bases: list[KrylovBasis]) -> None:
@@ -159,7 +163,7 @@ def build_bases_block(
         elif v.shape[0] != n:
             raise ValueError("all start vectors must share one dimension")
         # ``np.linalg.norm``'s formula for a contiguous real vector.
-        beta = float(np.sqrt(v.dot(v)))
+        beta = math.sqrt(v.dot(v))
         cols.append(
             _Column(idx=k, v=v, h=float(hs[k]), tol=float(tols[k]), beta=beta)
         )
@@ -187,30 +191,35 @@ def build_bases_block(
         if len(active) == 1:
             W = op.apply(active[0].V[j])[:, None]
         else:
+            # The round's vectors become the block's columns in one
+            # transposing pass, a cache-sized tile of rows at a time.
             block = np.empty((n, len(active)))
-            for i, c in enumerate(active):
-                block[:, i] = c.V[j]
+            for lo in range(0, len(active), _TILE_ROWS):
+                tile = np.array([c.V[j] for c in active[lo:lo + _TILE_ROWS]])
+                block[:, lo:lo + len(tile)] = tile.T
             W = op.apply_block(block)
 
-        if not np.isfinite(W).all():
-            bad = [
-                c.idx for i, c in enumerate(active)
-                if not np.all(np.isfinite(W[:, i]))
-            ]
-            raise ArnoldiBreakdown(
-                f"operator returned non-finite values at iteration "
-                f"{j + 1} (columns {bad})"
-            )
-
         testing: list[_Column] = []
-        for i, c in enumerate(active):
-            w = np.ascontiguousarray(W[:, i])
+        # W is F-ordered: each column is a contiguous row of W.T.
+        for c, w in zip(active, W.T):
             # Breakdown must be judged against the *local* operator
             # scale: e.g. the inverted operator G⁻¹C has tiny norm on
             # fast circuits, so comparing h_{j+1,j} with beta would fire
-            # spuriously.  float(sqrt(w·w)) is numpy's exact norm
-            # formula for 1-d real vectors, minus the wrapper dispatch.
-            w_scale = float(np.sqrt(w.dot(w)))
+            # spuriously.  sqrt(w·w) is numpy's exact norm formula for
+            # 1-d real vectors (one correctly rounded sqrt), minus the
+            # wrapper dispatch.
+            w_scale = math.sqrt(w.dot(w))
+            # A non-finite entry makes the scale non-finite (an overflow
+            # of w·w alone does too, so the block is checked then).
+            if not math.isfinite(w_scale) and not np.isfinite(W).all():
+                bad = [
+                    c.idx for i, c in enumerate(active)
+                    if not np.all(np.isfinite(W[:, i]))
+                ]
+                raise ArnoldiBreakdown(
+                    f"operator returned non-finite values at iteration "
+                    f"{j + 1} (columns {bad})"
+                )
             # Classical Gram-Schmidt in BLAS-2 form; the second pass
             # (CGS2) restores the numerical robustness of the modified
             # variant written in the paper's Alg. 1, at vectorised speed
@@ -218,11 +227,12 @@ def build_bases_block(
             # basis vector is one contiguous workspace row, so both
             # products stream whole vectors.
             basis_block = c.V[: j + 1]
+            h_col = c.H[: j + 1, j]
             for _ in range(2):
                 coeffs = basis_block @ w
                 w = w - coeffs @ basis_block
-                c.H[: j + 1, j] += coeffs
-            h_next = float(np.sqrt(w.dot(w)))
+                h_col += coeffs
+            h_next = math.sqrt(w.dot(w))
             c.H[j + 1, j] = h_next
             c.m = j + 1
 

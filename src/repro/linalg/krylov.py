@@ -40,14 +40,24 @@ call.  The estimates follow the same rule:
 through one stacked :func:`~repro.linalg.expm.expm`, and a single
 column's test is a batch of one — batching adds throughput, never a
 second set of arithmetic.  So does the evaluation eigendecomposition
-(:func:`eig_payloads`).
+(:func:`eig_payloads`), and so do the span coefficients: a lockstep
+round's fresh bases are evaluated by :func:`span_coefficients` in one
+stacked pass per ``(m, payload dtype)``, and
+:meth:`KrylovBasis.coefficients` is that routine on a stack of one.
+
+The stack-of-one rule.  A batched routine is the only copy of its
+arithmetic: every element it returns is formed by the same elementwise
+operations (and the same BLAS call, slice by slice) as for the item
+alone, so a column, a basis or a test never depends on its companions,
+on padding, or on the width of the round.  Only the Python around the
+kernels is shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,6 +82,7 @@ __all__ = [
     "RegularizationRequiredError",
     "eig_payloads",
     "make_krylov_operator",
+    "span_coefficients",
     "METHOD_NAMES",
 ]
 
@@ -106,21 +117,33 @@ def eig_payloads(hms: np.ndarray) -> list[tuple]:
     ``solve``/``cond`` call, under their floating-point policy, and does
     per slice what they do per call: an all-real spectrum gets real ``d``
     and ``s``; ``usable`` is ``cond(s) < 1e10``, which NaN fails as inf
-    does.  A slice's payload does not depend on its stack.  Raises
+    does.  The real and the complex slices each go through one ``solve1``
+    and one ``svd`` call, which run per slice the call made for it alone,
+    so a slice's payload does not depend on its stack.  Raises
     ``LinAlgError`` where the wrappers would, for any slice.
     """
     if not np.isfinite(hms).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     e1 = _eye(hms.shape[-1])[0]
-    out = []
+    out: list = [None] * len(hms)
     with np.errstate(call=_linalg_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         w, vt = _umath_linalg.eig(hms, signature="d->DD")
-        for i, real in enumerate((~w.imag.any(axis=-1)).tolist()):
-            d, s, t = (w[i].real, vt[i].real, "d") if real else (w[i], vt[i], "D")
+        real = ~w.imag.any(axis=-1)
+        # The all-real slices, then the others, each set through one
+        # solve1 and one svd call (per slice the call made for it alone).
+        for idx, t in ((np.flatnonzero(real), "d"), (np.flatnonzero(~real), "D")):
+            if not idx.size:
+                continue
+            rows = idx.tolist()
+            if len(rows) == len(hms):
+                idx = slice(None)  # a view, not a copy, of the whole stack
+            d, s = (w[idx].real, vt[idx].real) if t == "d" else (w[idx], vt[idx])
             s_inv_e1 = _umath_linalg.solve1(s, e1, signature=t + t + "->" + t)
             sv = _umath_linalg.svd(s, signature=t + "->d")
-            out.append((bool(sv[0] / sv[-1] < 1e10), (d, s, s_inv_e1)))
+            usable = (sv[:, 0] / sv[:, -1] < 1e10).tolist()
+            for k, i in enumerate(rows):
+                out[i] = (usable[k], (d[k], s[k], s_inv_e1[k]))
     return out
 
 
@@ -220,16 +243,15 @@ class KrylovBasis:
     def _expm_e1_many(self, hs: np.ndarray) -> np.ndarray:
         """``exp(h·Hm) e_1`` for a whole vector of steps, shape ``(m, K)``.
 
-        The accumulation is an explicit rank-1 loop over the basis
-        columns so each output column is **bit-for-bit identical**
-        whether evaluated alone (``K = 1``, a step-by-step march such as
-        the tests' scalar oracle) or as part of a span batch (the block
-        runner, at any width): elementwise broadcasting never changes
-        the per-element operation order, whereas BLAS gemm and gemv
-        kernels disagree in the last ulp.
+        A usable payload of ``m ≤ _LOOP_KERNEL_MAX_M`` is a stack of one
+        through :func:`_expm_e1_stack`; a larger basis accumulates with
+        one BLAS gemv per step (only MEXP on stiff circuits gets there),
+        and a defective one exponentiates ``h·Hm`` by Padé per step.
         """
         usable, payload = self._eig_payload()
         m = self.m
+        if usable and m <= self._LOOP_KERNEL_MAX_M:
+            return _expm_e1_stack([payload], hs[None])[0]
         if not usable:
             cols = np.empty((m, len(hs)))
             for k, h in enumerate(hs):
@@ -238,14 +260,9 @@ class KrylovBasis:
         d, s, s_inv_e1 = payload
         with np.errstate(over="ignore", invalid="ignore"):
             E = np.exp(np.multiply.outer(d, hs)) * s_inv_e1[:, None]
-            if m <= self._LOOP_KERNEL_MAX_M:
-                acc = s[:, 0:1] * E[0:1, :]
-                for j in range(1, m):
-                    acc += s[:, j:j + 1] * E[j:j + 1, :]
-            else:
-                acc = np.empty((m, len(hs)), dtype=complex)
-                for k in range(E.shape[1]):
-                    acc[:, k] = s @ np.ascontiguousarray(E[:, k])
+            acc = np.empty((m, len(hs)), dtype=complex)
+            for k in range(E.shape[1]):
+                acc[:, k] = s @ np.ascontiguousarray(E[:, k])
             return acc.real
 
     def evaluate_many(
@@ -290,16 +307,7 @@ class KrylovBasis:
                 )
         if not with_errors:
             return Y, np.zeros(K)
-        return Y, self._posterior_errors(cols)
-
-    def _posterior_errors(self, cols: np.ndarray) -> np.ndarray:
-        """Posterior error estimate per column of ``exp(h·Hm) e_1``."""
-        if self.err_row is None or self.h_next == 0.0:  # repro: allow[RPL005] exact happy-breakdown sentinel
-            return np.zeros(cols.shape[1])
-        dots = self.err_row[0] * cols[0, :]
-        for j in range(1, self.m):
-            dots = dots + self.err_row[j] * cols[j, :]
-        return self.beta * np.abs(self.h_next * dots)
+        return Y, _posterior_errors([self], cols[None])[0]
 
     def coefficients(self, hs) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of ``β V_m exp(h·Hm) e_1`` in the basis, per step.
@@ -308,13 +316,11 @@ class KrylovBasis:
         ``β·exp(hs[k]·Hm) e_1``, so the states :meth:`evaluate_many`
         materialises are ``coeffs @ Vmᵀ`` — the factored form the block
         runner ships instead of a dense span — and ``errs`` are the same
-        posterior estimates, from the same small exponentials.
+        posterior estimates, from the same small exponentials.  A stack
+        of one through :func:`span_coefficients`.
         """
-        hs = np.asarray(hs, dtype=float)
-        if self.m == 0:
-            return np.zeros((hs.shape[0], 0)), np.zeros(hs.shape[0])
-        cols = self._expm_e1_many(hs)
-        return self.beta * cols.T, self._posterior_errors(cols)
+        (out,) = span_coefficients([self], [hs])
+        return out
 
     def evaluate(self, h: float) -> np.ndarray:
         """Return ``β V_m exp(h Hm) e_1`` — the reuse step of Alg. 2."""
@@ -338,6 +344,100 @@ class KrylovBasis:
         small-matrix exponential evaluation."""
         Y, errs = self.evaluate_many([h])
         return Y[0], float(errs[0])
+
+
+def _expm_e1_stack(payloads: list[tuple], H: np.ndarray) -> np.ndarray:
+    """``exp(h·Hm) e_1`` of bases with usable payloads ``(d, s, s⁻¹e_1)``
+    of one dimension and dtype, at the steps ``H`` (one row per basis):
+    a real ``(B, m, K)`` stack.
+
+    The accumulation is an explicit rank-1 loop over the basis columns,
+    all elementwise: broadcasting never changes the operations that
+    form one element, so a basis's columns are bit-for-bit the same
+    alone (``B = K = 1``, a step-by-step march such as the tests' scalar
+    oracle), over a span, or beside any other bases in a padded round
+    — whereas BLAS gemm and gemv kernels disagree in the last ulp.
+    """
+    d = np.array([p[0] for p in payloads])
+    s = np.array([p[1] for p in payloads])
+    s_inv_e1 = np.array([p[2] for p in payloads])
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = np.exp(d[:, :, None] * H[:, None, :]) * s_inv_e1[:, :, None]
+        # s_col[j] is s[:, :, j:j+1] and e_row[j] is E[:, j:j+1, :].
+        s_col = s.transpose(2, 0, 1)[:, :, :, None]
+        e_row = E.transpose(1, 0, 2)[:, :, None, :]
+        acc = s_col[0] * e_row[0]
+        for j in range(1, d.shape[1]):
+            acc += s_col[j] * e_row[j]
+    return acc.real
+
+
+def _posterior_errors(bases: list, cols: np.ndarray) -> np.ndarray:
+    """Posterior error estimate per step of same-``m`` bases, from their
+    ``(B, m, K)`` columns of ``exp(h·Hm) e_1``: ``β|h_{m+1,m}·row·col|``,
+    zero for a basis without an error row (happy breakdown)."""
+    live = [
+        i for i, b in enumerate(bases)
+        if b.err_row is not None and b.h_next != 0.0  # repro: allow[RPL005] exact happy-breakdown sentinel
+    ]
+    if len(live) < len(bases):
+        errs = np.zeros(cols.shape[::2])
+        if live:
+            errs[live] = _posterior_errors([bases[i] for i in live], cols[live])
+        return errs
+    # row[j] is the rows' column j, col[j] is cols[:, j, :].
+    row = np.array([b.err_row for b in bases]).T[:, :, None]
+    col = cols.transpose(1, 0, 2)
+    dots = row[0] * col[0]
+    for j in range(1, cols.shape[1]):
+        dots = dots + row[j] * col[j]
+    h_next, beta = np.array([(b.h_next, b.beta) for b in bases]).T[:, :, None]
+    return beta * np.abs(h_next * dots)
+
+
+def span_coefficients(
+    bases: list[KrylovBasis], spans: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:meth:`KrylovBasis.coefficients` of many bases, each over its own
+    steps, in one stacked evaluation per ``(m, payload dtype)``.
+
+    A lockstep round's fresh bases mostly share a few dimensions: each
+    such group pads its steps to its longest span with ``h = 0`` (those
+    columns are dropped) and runs :func:`_expm_e1_stack`, the posterior
+    estimates and the ``β`` scaling once over the stack — the idiom
+    :func:`~repro.linalg.expm.expm` uses.  Each element is formed by the
+    same operations as for the basis alone, so a basis's answer does not
+    depend on its group.  A basis outside the stacked kernel (``m = 0``,
+    a defective payload, ``m > _LOOP_KERNEL_MAX_M``) is evaluated alone.
+    """
+    out: list = [None] * len(bases)
+    groups: dict[tuple, list[int]] = {}
+    spans = [np.asarray(hs, dtype=float) for hs in spans]
+    for i, (b, hs) in enumerate(zip(bases, spans)):
+        if b.m == 0:
+            out[i] = np.zeros((len(hs), 0)), np.zeros(len(hs))
+            continue
+        usable, payload = b._eig_payload()
+        if usable and b.m <= KrylovBasis._LOOP_KERNEL_MAX_M:
+            groups.setdefault((b.m, payload[0].dtype.char), []).append(i)
+        else:
+            cols = b._expm_e1_many(hs)
+            out[i] = b.beta * cols.T, _posterior_errors([b], cols[None])[0]
+    for idx in groups.values():
+        group = [bases[i] for i in idx]
+        lens = [len(spans[i]) for i in idx]
+        if min(lens) == max(lens):
+            H = np.array([spans[i] for i in idx])
+        else:
+            H = np.zeros((len(idx), max(lens)))
+            for row, i, K in zip(H, idx, lens):
+                row[:K] = spans[i]
+        cols = _expm_e1_stack([b._eig[1] for b in group], H)
+        errs = _posterior_errors(group, cols)
+        coeffs = (np.array([b.beta for b in group])[:, None, None] * cols).transpose(0, 2, 1)
+        for g, (i, K) in enumerate(zip(idx, lens)):
+            out[i] = coeffs[g, :K], errs[g, :K]
+    return out
 
 
 class HessenbergFactors:
@@ -399,8 +499,8 @@ class HessenbergFactors:
         return GETRS(lu, piv, rhs, trans=1)[0]
 
 
-def _expm_each(mats: list[np.ndarray]) -> list[np.ndarray | None]:
-    """``exp`` of each same-shaped matrix in one stacked call; ``None``
+def _expm_each(mats: np.ndarray) -> list[np.ndarray | None]:
+    """``exp`` of each matrix of a stack in one stacked call; ``None``
     where it does not exist.
 
     One slice that cannot be exponentiated (non-finite entries, singular
@@ -409,14 +509,14 @@ def _expm_each(mats: list[np.ndarray]) -> list[np.ndarray | None]:
     :func:`~repro.linalg.expm.expm` *is* the single call, so a matrix's
     result does not depend on which route it took.
     """
-    if not mats:
+    if not len(mats):
         return []
     try:
-        return list(expm(np.array(mats)))
+        return list(expm(mats))
     except (ValueError, np.linalg.LinAlgError):
         if len(mats) == 1:
             return [None]
-        return [_expm_each([a])[0] for a in mats]
+        return [_expm_each(a[None])[0] for a in mats]
 
 
 class KrylovExpmOperator:
@@ -443,6 +543,17 @@ class KrylovExpmOperator:
         self._lu: SparseLU | None = None
         self._x2: sp.csc_matrix | None = None
         self._factor()
+        # X2's CSC arrays with its rows relabelled into the order the
+        # substitution reads (``SparseLU.input_order``), so a product
+        # comes out ready to sweep.  Each output row still sums its
+        # entries in ascending column order: the bits of ``X2 @ v``.
+        x2, order = self._x2, self._lu.input_order
+        rows = x2.indices
+        if order is not None:
+            relabel = np.empty_like(order)
+            relabel[order] = np.arange(order.size)
+            rows = relabel[rows].astype(rows.dtype)
+        self._x2_in = (*x2.shape, x2.indptr, rows, x2.data)
 
     # -- subclass hooks --------------------------------------------------------
 
@@ -457,6 +568,13 @@ class KrylovExpmOperator:
         ``factors`` lets callers that already factored ``H`` (the error
         estimates, the basis build) reuse the LU instead of refactoring.
         """
+        if factors is None:
+            factors = self._hess_factors(H)
+        return self._exponent_of_inverse(factors.inverse())
+
+    def _exponent_of_inverse(self, inv: np.ndarray) -> np.ndarray:
+        """The effective exponent from ``H⁻¹``, elementwise, so a stack
+        of inverses maps in one pass."""
         raise NotImplementedError
 
     def _hess_factors(self, h_square: np.ndarray) -> HessenbergFactors | None:
@@ -464,13 +582,14 @@ class KrylovExpmOperator:
         (``None`` for a subspace that never inverts ``H``)."""
         return HessenbergFactors(h_square)
 
-    def _estimate_terms(
-        self, h: float, H: np.ndarray, beta: float
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], float], np.ndarray, np.ndarray]:
-        """``(exponent, readout, heff, row)`` of one posterior test: the
-        small matrix the estimate exponentiates, the map from its
-        exponential to the estimate, and the subspace's effective
-        exponent and error row.
+    def _test_terms(
+        self, hs: list[float], Hs: list[np.ndarray]
+    ) -> tuple[list[int], np.ndarray, np.ndarray, list[np.ndarray]]:
+        """``(live, exponents, heffs, rows)`` of posterior tests of one
+        dimension ``m``: the tests that can run, the ``(L, p, p)`` stack
+        of small matrices their estimates exponentiate, and their
+        effective exponents and error rows.  Each block is factored on
+        its own; the maps to the exponents run once over the stack.
 
         Default: ``β |h_{m+1,m} · e_m^T H⁻¹ exp(h·Hm) e_1|``, the
         regularization-free specialisation of Eqs. (8)/(10): the leading
@@ -481,20 +600,27 @@ class KrylovExpmOperator:
         ``e_m^T H⁻¹`` row is empirically the difference between stopping
         correctly and stopping ~10 orders of magnitude too early on
         stiff PDNs.  One LU of the small block serves both ``H⁻¹``
-        products — the effective exponent and the row.
-
-        Raises
-        ------
-        numpy.linalg.LinAlgError
-            On an exactly singular block (no ``e_m^T H⁻¹`` row).
+        products — the effective exponent and the row.  An exactly
+        singular block has no ``e_m^T H⁻¹`` row, and no test.
         """
+        m = Hs[0].shape[1]
+        live, rows, invs = [], [], []
+        for k, H in enumerate(Hs):
+            factors = self._hess_factors(H[:m, :m])
+            try:
+                rows.append(self._error_row(H[:m, :m], factors=factors))
+            except np.linalg.LinAlgError:
+                continue
+            live.append(k)
+            invs.append(factors.inverse())
+        heffs = self._exponent_of_inverse(np.array(invs).reshape(-1, m, m))
+        exponents = np.array([hs[k] for k in live])[:, None, None] * heffs
+        return live, exponents, heffs, rows
+
+    def _readout(self, r: np.ndarray, H: np.ndarray, beta: float, row) -> float:
+        """A test's estimate from the exponential ``r`` of its matrix."""
         m = H.shape[1]
-        h_next = float(H[m, m - 1])
-        h_square = H[:m, :m]
-        factors = self._hess_factors(h_square)
-        row = self._error_row(h_square, factors=factors)
-        heff = self.effective_hm(h_square, factors=factors)
-        return h * heff, (lambda r: beta * abs(h_next * float(row @ r[:, 0].copy()))), heff, row
+        return beta * abs(float(H[m, m - 1]) * float(row @ r[:, 0].copy()))
 
     # -- shared machinery --------------------------------------------------------
 
@@ -515,11 +641,12 @@ class KrylovExpmOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """One Arnoldi operator application: ``X1⁻¹ (X2 v)``, with ``X2 v``
-        the ``csc_matvec`` call SciPy's ``@`` makes, minus its dispatch."""
-        x2 = self._x2
-        w = np.zeros(x2.shape[0])
-        _sparsetools.csc_matvec(*x2.shape, x2.indptr, x2.indices, x2.data, v, w)
-        return self._lu.solve(w)
+        the ``csc_matvec`` call SciPy's ``@`` makes, minus its dispatch,
+        on X2's rows in the substitution's input order."""
+        x2 = self._x2_in
+        w = np.zeros(x2[0])
+        _sparsetools.csc_matvec(*x2, v, w)
+        return self._lu.solve(w, ordered=True)
 
     def apply_block(self, V: np.ndarray) -> np.ndarray:
         """Batched operator application over a dense ``(n, k)`` block.
@@ -530,13 +657,15 @@ class KrylovExpmOperator:
         :meth:`apply` of that column: CSC products scatter
         column-by-column, and the in-place block substitution sweep
         (:mod:`repro.linalg.triangular`) reproduces the scalar sweep's
-        accumulation order per column at any batch width.  This is the
-        primitive the lockstep Arnoldi builds on.
+        accumulation order per column at any batch width.  The product
+        comes out in the sweep's row order, so the block goes to the
+        sweep as it is.  This is the primitive the lockstep Arnoldi
+        builds on.
         """
-        x2, k = self._x2, V.shape[1]
-        W = np.zeros((x2.shape[0], k))
-        _sparsetools.csc_matvecs(*x2.shape, k, x2.indptr, x2.indices, x2.data, V.ravel(), W.ravel())
-        return self._lu.solve_many(W)
+        (n_row, n_col, *arrays), k = self._x2_in, V.shape[1]
+        W = np.zeros((n_row, k))
+        _sparsetools.csc_matvecs(n_row, n_col, k, *arrays, V.ravel(), W.ravel())
+        return self._lu.solve_many(W, ordered=True)
 
     def posterior_tests(
         self, hs: list[float], Hs: list[np.ndarray], betas: list[float]
@@ -555,18 +684,12 @@ class KrylovExpmOperator:
         exponential, and Arnoldi must keep going.
         """
         tests: list[tuple] = [(np.inf, None, None)] * len(Hs)
-        live, exponents, terms = [], [], []
+        if not Hs:
+            return tests
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, (h, H, beta) in enumerate(zip(hs, Hs, betas)):
-                try:
-                    exponent, *rest = self._estimate_terms(h, H, beta)
-                except np.linalg.LinAlgError:
-                    continue
-                live.append(k)
-                exponents.append(exponent)
-                terms.append(rest)
-            for k, (readout, heff, row), r in zip(live, terms, _expm_each(exponents)):
-                est = np.inf if r is None else readout(r)
+            live, exponents, heffs, rows = self._test_terms(hs, Hs)
+            for k, heff, row, r in zip(live, heffs, rows, _expm_each(exponents)):
+                est = np.inf if r is None else self._readout(r, Hs[k], betas[k], row)
                 tests[k] = (est if math.isfinite(est) else np.inf, heff, row)
         return tests
 
@@ -660,9 +783,9 @@ class StandardKrylov(KrylovExpmOperator):
         # Arnoldi ran on C⁻¹G = -A, so exp(hA) = exp(-h·H) on the subspace.
         return -H
 
-    def _estimate_terms(
-        self, h: float, H: np.ndarray, beta: float
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], float], np.ndarray, np.ndarray]:
+    def _test_terms(
+        self, hs: list[float], Hs: list[np.ndarray]
+    ) -> tuple[list[int], np.ndarray, np.ndarray, list[np.ndarray]]:
         """Integrated (hump-aware) version of the Eq. (7) residual.
 
         On stiff circuits the point residual at τ = h underflows long
@@ -677,15 +800,18 @@ class StandardKrylov(KrylovExpmOperator):
         exactly the basis blow-up the paper's Table 1 reports (m in the
         hundreds where I-/R-MATEX need ~10).
         """
-        m = H.shape[1]
-        h_next = float(H[m, m - 1])
-        heff = self.effective_hm(H[:m, :m])
+        m = Hs[0].shape[1]
+        heffs = self.effective_hm(np.array([H[:m, :m] for H in Hs]))
         # exp([[hH, h e1],[0, 0]]) has top-right column h·φ1(hH)·e1.
-        aug = np.zeros((m + 1, m + 1))
-        aug[:m, :m] = h * heff
-        aug[0, m] = h
-        row = self._error_row(H[:m, :m])
-        return aug, (lambda r: beta * abs(h_next) * abs(r[m - 1, m])), heff, row
+        aug = np.zeros((len(Hs), m + 1, m + 1))
+        aug[:, :m, :m] = np.array(hs)[:, None, None] * heffs
+        aug[:, 0, m] = hs
+        rows = [self._error_row(H[:m, :m]) for H in Hs]
+        return list(range(len(Hs))), aug, heffs, rows
+
+    def _readout(self, r: np.ndarray, H: np.ndarray, beta: float, row) -> float:
+        m = H.shape[1]
+        return beta * abs(float(H[m, m - 1])) * abs(r[m - 1, m])
 
     def _error_row(
         self,
@@ -710,13 +836,9 @@ class InvertedKrylov(KrylovExpmOperator):
         self._lu = FACTORIZATION_CACHE.factor(self.G, label="G")
         self._x2 = self.C
 
-    def effective_hm(
-        self, H: np.ndarray, factors: HessenbergFactors | None = None
-    ) -> np.ndarray:
+    def _exponent_of_inverse(self, inv: np.ndarray) -> np.ndarray:
         # Arnoldi ran on -A⁻¹ ⇒ A ≈ -H⁻¹ on the subspace.
-        if factors is None:
-            factors = self._hess_factors(H)
-        return -factors.inverse()
+        return -inv
 
 
 class RationalKrylov(KrylovExpmOperator):
@@ -752,13 +874,9 @@ class RationalKrylov(KrylovExpmOperator):
         )
         self._x2 = self.C
 
-    def effective_hm(
-        self, H: np.ndarray, factors: HessenbergFactors | None = None
-    ) -> np.ndarray:
+    def _exponent_of_inverse(self, inv: np.ndarray) -> np.ndarray:
         # Arnoldi ran on (I-γA)⁻¹ ⇒ A ≈ (I - H̃⁻¹)/γ on the subspace.
-        if factors is None:
-            factors = self._hess_factors(H)
-        return (_eye(H.shape[0]) - factors.inverse()) / self.gamma
+        return (_eye(inv.shape[-1]) - inv) / self.gamma
 
 
 def make_krylov_operator(

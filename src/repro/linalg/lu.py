@@ -133,7 +133,7 @@ class SparseLU:
             return self._export_failure
         return self._kernel.sweep_failure
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, ordered: bool = False) -> np.ndarray:
         """One forward/backward substitution pair: return ``A⁻¹ rhs``.
 
         Substitutes through the one-column in-place sweep
@@ -141,17 +141,18 @@ class SparseLU:
         sweep matches bit-for-bit per column — or, when the export could
         not be verified, through SuperLU's own solve.
         A 2-D right-hand side is routed through :meth:`solve_many` (one
-        counted pair per column).
+        counted pair per column).  ``ordered``: see :meth:`solve_many`.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim != 1:
-            return self.solve_many(rhs)
+            return self.solve_many(rhs, ordered)
         self.n_solves += 1
-        if self._kernel is None:
+        kernel = self._kernel
+        if kernel is None:
             return self._superlu.solve(rhs)
-        return self._kernel.solve(rhs)
+        return kernel.sweep(rhs if ordered else rhs[kernel.input_order])
 
-    def solve_many(self, rhs: np.ndarray) -> np.ndarray:
+    def solve_many(self, rhs: np.ndarray, ordered: bool = False) -> np.ndarray:
         """Solve against a dense block of right-hand sides (columns).
 
         Counts one substitution pair per column, matching the paper's
@@ -183,20 +184,34 @@ class SparseLU:
         A one-column block, and every block of a factor whose sweep
         check failed, goes column by column through :meth:`solve`'s
         path, which keeps the invariant.
+
+        ``ordered=True`` says the rows of ``rhs`` are already in
+        :attr:`input_order` (a 2-D ``rhs`` then C-ordered float64); the
+        sweeps then skip the gather and overwrite ``rhs``.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 1:
-            return self.solve(rhs)
+            return self.solve(rhs, ordered)
         n, n_cols = rhs.shape
         self.n_solves += n_cols
         kernel = self._kernel
+        if kernel is not None and not ordered:
+            rhs = np.ascontiguousarray(rhs[kernel.input_order])
         if kernel is not None and n_cols > 1 and kernel.sweep_failure is None:
-            return kernel.solve_many(rhs)
-        pair = self._superlu.solve if kernel is None else kernel.solve
+            return kernel.sweep_many(rhs)
+        pair = self._superlu.solve if kernel is None else kernel.sweep
         out = np.empty((n, n_cols), dtype=float, order="F")
         for i in range(n_cols):
-            out[:, i] = pair(rhs[:, i])
+            out[:, i] = pair(np.ascontiguousarray(rhs[:, i]))
         return out
+
+    @property
+    def input_order(self) -> np.ndarray | None:
+        """Row order the sweeps read a right-hand side in (``None``: as
+        given, for SuperLU's own solve).  A caller that forms its
+        right-hand sides as a product can relabel the rows of the
+        product's matrix once and pass ``ordered=True``."""
+        return None if self._kernel is None else self._kernel.input_order
 
     def prime_kernel(self, wide: bool = True) -> bool:
         """Whether the sweep kernel serves this factor.

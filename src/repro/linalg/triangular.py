@@ -38,6 +38,17 @@ The kernel has two call shapes and no switch:
 
 Both apply the same products in the same order to every column, so
 ``solve_many(B)[:, i]`` is bit-for-bit ``solve(B[:, i])`` at any width.
+Each reads its right-hand side in :attr:`TriangularFactors.input_order`
+(``perm_r⁻¹``); :meth:`~TriangularFactors.sweep` and
+:meth:`~TriangularFactors.sweep_many` take one already in that order, so
+a caller that forms its right-hand sides as a product relabels the
+product's rows once (the Krylov operator does,
+:class:`~repro.linalg.krylov.KrylovExpmOperator`) instead of gathering
+every block.  A block then takes one array pass per step: the lower
+sweep in place, the row flip, the upper sweep in place, the answer's
+rows gathered C-ordered and scaled by ``D⁻¹``, and one transposing copy
+into the F-ordered answer (the C-ordered gather runs at copy speed,
+where gathering straight into an F-ordered block does not).
 Because that leans on private kernels' traversal and rounding, it is
 also **checked** at construction, twice:
 
@@ -189,7 +200,7 @@ class TriangularFactors:
         """
         t = np.arange(self.n, dtype=float)
         probe = np.column_stack((np.cos(t), np.sin(t)))
-        got = self._substitute(probe)
+        got = self.solve_many(probe)
         for i in range(probe.shape[1]):
             if got[:, i].tobytes() != self.solve(probe[:, i]).tobytes():
                 raise TriangularExportError(
@@ -199,14 +210,24 @@ class TriangularFactors:
 
     # -- the two call shapes -------------------------------------------------
 
+    @property
+    def input_order(self) -> np.ndarray:
+        """Row order the sweeps read their right-hand side in:
+        ``solve(b)`` is ``sweep(b[input_order])``."""
+        return self._take_in
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """One substitution pair: ``csr_matvec`` per factor, in place.
 
         ``b`` is a float64 vector (``SparseLU.solve`` converts).
         """
+        return self.sweep(b[self._take_in])
+
+    def sweep(self, w: np.ndarray) -> np.ndarray:
+        """:meth:`solve` of a vector whose rows are already in
+        :attr:`input_order`; ``w`` is the sweep's workspace (overwritten)."""
         n = self.n
         lower, upper, take_out = self._sweeps
-        w = b[self._take_in]
         _sparsetools.csr_matvec(n, n, *lower, w, w)
         z = w[::-1].copy()
         _sparsetools.csr_matvec(n, n, *upper, z, z)
@@ -223,24 +244,35 @@ class TriangularFactors:
         Returns an F-ordered ``(n, k)`` block.  Raises
         :class:`TriangularExportError` if the sweep check failed.
         """
+        return self.sweep_many(
+            np.ascontiguousarray(B[self._take_in], dtype=np.float64)
+        )
+
+    def sweep_many(self, W: np.ndarray) -> np.ndarray:
+        """:meth:`solve_many` of a C-ordered float64 block whose rows are
+        already in :attr:`input_order`; ``W`` is overwritten.
+
+        One pass per step over the whole block: the lower sweep in
+        place, the row flip, the upper sweep in place, then the answer
+        rows gathered C-ordered and scaled by ``D⁻¹`` (the products
+        :meth:`sweep` makes), and one transposing copy into the
+        F-ordered answer.
+        """
         if self.sweep_failure is not None:
             raise TriangularExportError(self.sweep_failure)
-        return self._substitute(B)
-
-    def _substitute(self, B: np.ndarray) -> np.ndarray:
         lower, upper, take_out = self._sweeps
-        n, w = B.shape
-        W = np.ascontiguousarray(B[self._take_in], dtype=np.float64)
+        n, w = W.shape
         flat = W.reshape(-1)
         _sparsetools.csr_matvecs(n, n, w, *lower, flat, flat)
         Z = np.ascontiguousarray(W[::-1])
         flat = Z.reshape(-1)
         _sparsetools.csr_matvecs(n, n, w, *upper, flat, flat)
-        out = np.empty((n, w), order="F")
-        out[...] = Z[take_out]
+        Y = Z[take_out]
         with np.errstate(over="ignore", invalid="ignore"):
-            out *= self._invd_out[:, None]
-        return out
+            Y *= self._invd_out[:, None]
+        out = np.empty((w, n))
+        out[...] = Y.T
+        return out.T
 
     # -- accounting ----------------------------------------------------------
 

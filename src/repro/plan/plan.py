@@ -31,6 +31,7 @@ scheduler is built *on top of* plans, not the other way around.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -86,6 +87,15 @@ def check_plan_args(decomposition: str, max_nodes: int | None, batch) -> None:
     check_batch(batch)
 
 
+def check_horizon(t_end: float) -> float:
+    """Return the horizon ``t_end`` if it is a positive, finite time, else
+    raise ``ValueError`` (the plan's check, which every front door runs
+    on a horizon it was given before any deck opens)."""
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    return t_end
+
+
 def given(**settings) -> dict:
     """The settings that were set: ``None`` keeps the library default."""
     return {k: v for k, v in settings.items() if v is not None}
@@ -109,7 +119,10 @@ def run_options(
 
 
 def load_deck(netlist, t_end: float | None = None):
-    """Stream a deck: ``(IngestResult, t_end or the deck's .tran stop)``."""
+    """Stream a deck: ``(IngestResult, t_end or the deck's .tran stop)``.
+    A given horizon is checked before the deck opens."""
+    if t_end is not None:
+        check_horizon(t_end)
     res = ingest_file(netlist)
     t_end = res.stats.tran_stop if t_end is None else t_end
     if t_end is None:
@@ -222,10 +235,7 @@ class SimulationPlan:
     def __post_init__(self):
         if self.options is None:
             object.__setattr__(self, "options", SolverOptions())
-        if self.t_end <= 0.0:
-            raise ValueError(
-                f"t_end must be positive, got {self.t_end!r}"
-            )
+        check_horizon(self.t_end)
         check_plan_args(self.decomposition, self.max_nodes, self.batch)
 
     def groups(self) -> list[SourceGroup]:

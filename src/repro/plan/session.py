@@ -44,6 +44,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.circuit.mna import MNASystem
+from repro.circuit.waveforms import Pulse
 from repro.core.options import check_stack
 from repro.core.results import TransientResult
 from repro.core.stats import SolverStats
@@ -177,9 +178,11 @@ class Session:
         Returns the bound system, or ``None`` for baseline scenarios
         (which reuse the plan's system and pre-computed DC state).
         Every changed column must keep its base waveform's transition
-        spots and constancy.  For a scaled pulse the spot check is a
-        memo hit: the copy shares the base pulse's spot memo, which
-        ``compile()`` already filled; overrides and PWLs compute theirs.
+        spots and constancy.  A scaled base pulse keeps its spots (the
+        copy shares the base pulse's spot memo), so its constancy is all
+        there is to check: ``(v1·f == v2·f) == (v1 == v2)``, one array
+        test over the plan's pulse table for all such columns.
+        Overrides, PWLs and DCs compare their waveform objects.
         """
         if scenario.is_baseline:
             return None
@@ -193,21 +196,41 @@ class Session:
             )
         bound = scenario.bind(compiled.system)
         base = compiled.system.waveforms
+        pulses, _ = compiled.system._pulse_table()
+        overridden = {c for c, _ in scenario.overrides}
+        scaled = [
+            (c, f) for c, f in scenario.scales
+            if c not in overridden and type(base[c]) is Pulse
+        ]
+        failed = []
+        if scaled:
+            cols = np.array([c for c, _ in scaled], dtype=np.intp)
+            f = np.array([f for _, f in scaled])
+            row = np.searchsorted(pulses["cols"], cols)
+            v1, v2 = pulses["v1"][row], pulses["v2"][row]
+            with np.errstate(invalid="ignore", over="ignore"):
+                failed = cols[(v1 * f == v2 * f) != (v1 == v2)].tolist()
+        in_table = {c for c, _ in scaled}
         for col in scenario.changed_columns:
+            if col in in_table:
+                continue
             old, new = base[col], bound.waveforms[col]
             if new.is_constant() != old.is_constant() or (
                 new.transition_spots(compiled.t_end)
                 != old.transition_spots(compiled.t_end)
             ):
-                raise PlanError(
-                    f"scenario {scenario.name!r} changes the transition "
-                    f"grid of input column {col}: a compiled plan "
-                    f"freezes decomposition and schedules on the base "
-                    f"system's transition spots, so scenario waveforms "
-                    f"must preserve each column's spots and constancy "
-                    f"(amplitude scalings always do) — compile a new "
-                    f"plan for structurally different inputs"
-                )
+                failed.append(col)
+                break
+        if failed:
+            raise PlanError(
+                f"scenario {scenario.name!r} changes the transition "
+                f"grid of input column {min(failed)}: a compiled plan "
+                f"freezes decomposition and schedules on the base "
+                f"system's transition spots, so scenario waveforms "
+                f"must preserve each column's spots and constancy "
+                f"(amplitude scalings always do) — compile a new "
+                f"plan for structurally different inputs"
+            )
         return bound
 
     # -- task construction -------------------------------------------------------

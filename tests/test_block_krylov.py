@@ -27,9 +27,11 @@ from repro.linalg.expm import expm
 from repro.linalg.krylov import (
     HessenbergFactors,
     InvertedKrylov,
+    KrylovBasis,
     RationalKrylov,
     StandardKrylov,
     make_krylov_operator,
+    span_coefficients,
 )
 from repro.pdn import stiff_rc_mesh
 
@@ -345,3 +347,59 @@ class TestBlockBases:
             assert bases[0].m == alone.m
             assert bases[0].error_estimate == alone.error_estimate
             assert_bases_equal(alone, bases[0])
+
+
+def _basis(Hm, beta=2.0, h_next=0.5, seed=0):
+    m = Hm.shape[0]
+    rng = np.random.default_rng(seed)
+    return KrylovBasis(
+        Vm=np.linalg.qr(rng.standard_normal((12 + m, m)))[0], Hm=Hm,
+        beta=beta, h_built=1.0, m=m, error_estimate=0.0, method="rational",
+        h_next=h_next, err_row=rng.standard_normal(m) if m else None,
+    )
+
+
+class TestSpanCoefficients:
+    """A round's fresh bases in one stacked evaluation: each basis's
+    answer is its stack of one, whatever its companions and padding."""
+
+    def _round(self):
+        rng = np.random.default_rng(3)
+        real = -np.diag(rng.uniform(1.0, 3.0, 3)) + 0.1 * np.triu(rng.standard_normal((3, 3)), 1)
+        rot = np.array([[-1.0, 4.0, 0.0], [-4.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+        jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        wide = -np.diag(rng.uniform(1.0, 3.0, 40))
+        bases = [
+            _basis(real, seed=1), _basis(rot, seed=2), _basis(jordan, seed=3),
+            _basis(np.zeros((0, 0)), beta=0.0), _basis(real * 1.5, seed=4),
+            _basis(rot * 0.5, seed=5, h_next=0.0), _basis(wide, seed=6),
+        ]
+        spans = [rng.uniform(0.0, 1.0, k) for k in (5, 1, 3, 4, 2, 7, 3)]
+        return bases, spans
+
+    def test_each_basis_is_its_stack_of_one(self):
+        bases, spans = self._round()
+        kinds = {b._eig_payload()[1][0].dtype.char for b in bases if b.m and b._eig_payload()[0]}
+        assert kinds == {"d", "D"} and not bases[2]._eig_payload()[0]
+        for b, hs, (coeffs, errs) in zip(bases, spans, span_coefficients(bases, spans)):
+            alone, alone_errs = b.coefficients(hs)
+            assert coeffs.shape == (len(hs), b.m) and errs.shape == (len(hs),)
+            assert coeffs.tobytes() == np.ascontiguousarray(alone).tobytes()
+            assert errs.tobytes() == alone_errs.tobytes()
+            # ... and one step at a time, as a step-by-step march sees it.
+            for k, h in enumerate(hs):
+                one, one_err = b.coefficients([h])
+                assert one[0].tobytes() == np.ascontiguousarray(coeffs[k]).tobytes()
+                assert one_err.tobytes() == errs[k:k + 1].tobytes()
+
+    def test_coefficients_are_the_small_exponential(self):
+        bases, spans = self._round()
+        for b, hs, (coeffs, errs) in zip(bases, spans, span_coefficients(bases, spans)):
+            for k, h in enumerate(hs):
+                ref = b.beta * sla.expm(h * b.Hm)[:, 0] if b.m else np.zeros(0)
+                np.testing.assert_allclose(coeffs[k], ref, rtol=1e-9, atol=1e-12)
+            if b.m and b.h_next:
+                ref = [b.beta * abs(b.h_next * (b.err_row @ (c / b.beta))) for c in coeffs]
+                np.testing.assert_allclose(errs, ref, rtol=1e-9, atol=1e-300)
+            else:
+                assert not errs.any()

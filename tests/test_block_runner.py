@@ -20,6 +20,7 @@ reclaims its segments, including after worker death.
 """
 
 import gc
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +42,13 @@ from repro.dist.shm import (
     shm_available,
     to_shared,
 )
+from repro.circuit import assemble
+from repro.dist import block_runner as runner_mod
 from repro.dist import executors as executors_mod
+from repro.linalg import block_krylov as block_krylov_mod
+from repro.linalg import krylov as krylov_mod
+from repro.linalg.krylov import eig_payloads, span_coefficients
+from repro.pdn import PdnConfig, WorkloadSpec, attach_pulse_loads, generate_power_grid
 from tests.conftest import ScalarOracleExecutor
 from tests.scalar_oracle import oracle_budget, oracle_spread
 
@@ -293,6 +300,89 @@ class TestExecutorParity:
             SerialExecutor(mesh_system, OPTS, batch_width=0).run(
                 tasks_for(mesh_system)
             )
+
+    @pytest.mark.parametrize("make", [
+        lambda system: SerialExecutor(system, OPTS, batch_width=0),
+        lambda system: MultiprocessExecutor(system, OPTS, batch_width=-3),
+        lambda system: SerialExecutor(system, OPTS, batch_width="wide"),
+    ])
+    def test_bad_batch_width_fails_at_construction(self, mesh_system, make):
+        """A bad width is refused when the executor is built, not when a
+        daemon's or pool's first job marches."""
+        with pytest.raises(ValueError, match="batch_width"):
+            make(mesh_system)
+
+
+def _mixed_round_system():
+    """Package inductance and a loose ε: rounds of real and complex
+    eigen-payloads, quiescent first segments, snapshot rebuilds and
+    segments of unequal length on one grid."""
+    net = generate_power_grid(PdnConfig(
+        rows=8, cols=8, n_pads=2, l_package=5e-10, seed=9,
+    ))
+    attach_pulse_loads(net, WorkloadSpec(
+        n_sources=16, n_shapes=6, t_end=2e-9, time_grid_points=40, seed=9,
+    ))
+    return assemble(net)
+
+
+class TestMixedRound:
+    """One lockstep round mixes every kind of span the stacked round
+    passes group apart; each task is byte-equal to its width-1 run."""
+
+    def test_every_task_matches_its_width_one_march(self, monkeypatch):
+        def some_defective(hms):
+            # Deterministic in the slice's bits, so a basis is flagged
+            # alike at every width: its spans take the Padé path.
+            return [
+                (usable and hashlib.sha256(h.tobytes()).digest()[0] % 3 != 0, payload)
+                for h, (usable, payload) in zip(hms, eig_payloads(hms))
+            ]
+
+        monkeypatch.setattr(krylov_mod, "eig_payloads", some_defective)
+        monkeypatch.setattr(block_krylov_mod, "eig_payloads", some_defective)
+        rounds = []
+
+        def recorded(bases, spans):
+            kinds = set()
+            for b in bases:
+                usable, payload = b._eig_payload()
+                kinds.add(payload[0].dtype.char if usable else "defective")
+            rounds.append((kinds, {len(hs) for hs in spans}))
+            return span_coefficients(bases, spans)
+
+        monkeypatch.setattr(runner_mod, "span_coefficients", recorded)
+        quiescent, rebuilds = [], []
+        evaluate, rebuild = BlockNodeRunner._evaluate_span, BlockNodeRunner._rebuild_basis
+
+        def evaluate_span(runner, t, span_hs, first):
+            quiescent.append(first is None)
+            return evaluate(runner, t, span_hs, first)
+
+        def rebuild_basis(runner, t, ha):
+            rebuilds.append(ha)
+            return rebuild(runner, t, ha)
+
+        monkeypatch.setattr(BlockNodeRunner, "_evaluate_span", evaluate_span)
+        monkeypatch.setattr(BlockNodeRunner, "_rebuild_basis", rebuild_basis)
+        system = _mixed_round_system()
+        opts = SolverOptions(method="rational", gamma=1e-12, eps_rel=1e-2)
+        gts = tuple(system.global_transition_spots(2e-9))
+        tasks = [
+            SimulationTask(task_id=g.group_id, group=g, t_end=2e-9,
+                           global_points=gts)
+            for g in MatexScheduler(system, opts).groups(t_end=2e-9)
+        ]
+        ref = SerialExecutor(system, opts).run(tasks)
+        for seen in (rounds, quiescent, rebuilds):
+            seen.clear()
+        blk = SerialExecutor(system, opts, batch_width="auto").run(tasks)
+        assert_results_identical(ref, blk)
+
+        # The batch really mixes what the round passes group apart.
+        assert any({"d", "D", "defective"} <= kinds for kinds, _ in rounds)
+        assert any(len(lengths) > 1 for _, lengths in rounds)
+        assert any(quiescent) and rebuilds
 
 
 @pytest.mark.skipif(not shm_available(), reason="no shared-memory support")

@@ -360,6 +360,30 @@ class TestSweep:
             with pytest.raises(ValueError, match=message):
                 main([*command, flag])
 
+    @pytest.mark.parametrize("command, usage_error", [
+        (["simulate", "missing.spice"], False),
+        (["run", "--netlist", "missing.spice"], False),
+        (["sweep", "--netlist", "missing.spice", "--scenarios", "random:2"],
+         True),
+        (["serve", "--netlist", "missing.spice", "--socket", "unused.sock"],
+         True),
+    ])
+    @pytest.mark.parametrize("t_end", ["-1n", "0"])
+    def test_bad_horizon_fails_before_the_deck_opens(
+        self, capsys, command, usage_error, t_end
+    ):
+        """The horizon is checked from argv alone, through each command's
+        argv-error channel: the missing deck is never opened."""
+        message = "t_end must be positive and finite"
+        if usage_error:
+            assert main([*command, f"--t-end={t_end}"]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
+        else:
+            with pytest.raises(ValueError, match=message):
+                main([*command, f"--t-end={t_end}"])
+
     @pytest.mark.parametrize("flag", [
         ["--retries", "2"], ["--job-timeout", "30"], ["--backoff", "0.1"],
         ["--degrade-after", "3"],

@@ -9,10 +9,14 @@ scheduler's delegation (including the ``batch=`` UserWarning satellite).
 """
 
 import contextlib
+import functools
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import Netlist, Pulse, assemble
 from repro.circuit.waveforms import DC, PWL, Waveform
@@ -330,6 +334,27 @@ class TestCompiledPlanPickle:
         assert clone.system_fingerprint() == compiled.system_fingerprint()
 
 
+@functools.cache
+def _validation_session():
+    """Pulses that vary (from zero and from a level), a constant pulse,
+    a periodic pulse, a PWL and a DC source: columns 0 … 5."""
+    net = Netlist("validation-mesh")
+    for i in range(3):
+        net.add_resistor(f"R{i}", f"n{i}", f"n{i + 1}", 2.0)
+        net.add_capacitor(f"C{i}", f"n{i}", "0", 1e-13)
+    net.add_resistor("Rg", "n0", "0", 0.05)
+    net.add_current_source("I0", "n1", "0", Pulse(0.0, 5e-3, 1e-10, 5e-11, 2e-10, 5e-11))
+    net.add_current_source("I1", "n2", "0", Pulse(1e-3, -4e-3, 2e-10, 3e-11, 1e-10, 4e-11))
+    net.add_current_source("I2", "n3", "0", Pulse(2e-3, 2e-3, 1e-10, 5e-11, 2e-10, 5e-11))
+    net.add_current_source(
+        "I3", "n1", "0", Pulse(0.0, 1e-3, 1e-10, 5e-11, 1e-10, 5e-11, t_period=4e-10)
+    )
+    net.add_current_source("I4", "n2", "0", PWL([(0.0, 0.0), (3e-10, 2e-3), (6e-10, 1e-3)]))
+    net.add_current_source("I5", "n3", "0", DC(1e-3))
+    system = assemble(net)
+    return Session(SimulationPlan(system, OPTS, t_end=T_END).compile()), system
+
+
 class TestScenarioValidation:
     def test_spot_moving_override_is_rejected(self, mesh_system):
         moved = Pulse(0.0, 5e-3, 1.3e-10, 5e-11, 2e-10, 5e-11)
@@ -343,6 +368,34 @@ class TestScenarioValidation:
         with Session(compiled) as session:
             with pytest.raises(PlanError, match="constancy"):
                 session.run(Scenario("dead", scales={0: 0.0}))
+
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308,
+                         math.nan, math.inf, -math.inf, 1.0, -2.5])
+        | st.floats(allow_nan=True, allow_infinity=True),
+        min_size=6, max_size=6,
+    ), st.sets(st.integers(0, 5)))
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_pulses_are_judged_as_the_objects(self, factors, cols):
+        """The array test over the pulse table accepts and rejects what
+        comparing each scaled waveform with its base does, and names the
+        same (first) column."""
+        session, system = _validation_session()
+        scenario = Scenario("s", scales={c: factors[c] for c in sorted(cols)})
+        expected = None
+        bound = scenario.bind(system)
+        for col in scenario.changed_columns:
+            old, new = system.waveforms[col], bound.waveforms[col]
+            if new.is_constant() != old.is_constant() or (
+                new.transition_spots(T_END) != old.transition_spots(T_END)
+            ):
+                expected = col
+                break
+        if expected is None:
+            assert (session._validate(scenario) is None) == scenario.is_baseline
+        else:
+            with pytest.raises(PlanError, match=f"input column {expected}:"):
+                session._validate(scenario)
 
     def test_spot_preserving_override_is_accepted(self, mesh_system):
         base = mesh_system.waveforms[0]

@@ -217,6 +217,22 @@ class TestDaemonBasics:
         finally:
             stop_daemon(proc)
 
+    def test_load_checks_the_horizon_before_the_deck_opens(self, tmp_path, deck):
+        """A load with t_end = -1 answers kind="job" naming the horizon;
+        its netlist does not exist, so opening it would have named the
+        file instead."""
+        proc, sock = start_daemon(tmp_path, deck)
+        try:
+            with connect(sock, timeout=30.0) as c:
+                with pytest.raises(ServeError) as excinfo:
+                    c.load(tmp_path / "missing.spice", name="late", t_end=-1)
+                assert excinfo.value.kind == "job"
+                assert "t_end must be positive and finite, got -1" in str(excinfo.value)
+                assert "missing.spice" not in str(excinfo.value)
+                assert sorted(c.status()["plans"]) == ["default"]
+        finally:
+            stop_daemon(proc)
+
     def test_busy_rejection_when_queue_is_full(self, tmp_path, deck):
         """--max-queue 1 + a slow in-flight job: the third client is
         rejected immediately with kind="busy"."""

@@ -21,7 +21,7 @@ import pytest
 from repro.circuit import PWL, assemble
 from repro.core import MatexSolver, SolverOptions
 from repro.core.decomposition import SourceGroup
-from repro.core.shapes import _input_shapes
+from repro.core.shapes import _block_shapes, _input_shapes
 from repro.dist import BlockNodeRunner, MatexScheduler, SimulationTask
 from repro.pdn import PdnConfig, WorkloadSpec, attach_pulse_loads, generate_power_grid
 from tests.conftest import build_multi_source_mesh, build_small_pdn
@@ -143,3 +143,37 @@ def test_a_non_deviation_march_carries_u0_as_one_more_shape():
     assert res.stats.n_solves_etd == 2 * (2 + 1)
     dev = MatexSolver(system, opts, deviation_mode=True).simulate(1e-9)
     assert dev.stats.n_solves_etd == 2 * 2
+
+
+def test_a_block_is_factored_as_if_alone():
+    """A chunk's input rows are factored block by block in one pass:
+    each block's shapes, assignments and pivots are byte for byte those
+    of the block alone — with shared shapes, constant rows, a near-copy
+    that fails the check, and blocks with no moving row beside it."""
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 1.0, 23)
+    bump = np.interp(t, [0.0, 0.2, 0.3, 0.6, 0.7], [0.0, 0.0, 1.0, 1.0, 0.0])
+    ramp = np.interp(t, [0.0, 0.5, 1.0], [0.0, 1.0, 0.5])
+    for _ in range(40):
+        blocks = []
+        for _ in range(rng.integers(1, 6)):
+            rows = []
+            for _ in range(rng.integers(0, 6)):
+                kind = rng.integers(0, 5)
+                level = rng.standard_normal()
+                if kind == 0:
+                    rows.append(np.full(t.size, level))
+                elif kind == 1:
+                    rows.append(level + rng.uniform(1e-4, 1e2) * bump)
+                elif kind == 2:
+                    rows.append(level + rng.uniform(1e-4, 1e2) * ramp)
+                elif kind == 3:
+                    rows.append(3.0 * bump * (1 + 1e-11 * rng.standard_normal(t.size)))
+                else:
+                    rows.append(rng.standard_normal(t.size))
+            blocks.append(np.array(rows).reshape(len(rows), t.size))
+        bounds = np.cumsum([0] + [len(b) for b in blocks])
+        chunk = _block_shapes(np.concatenate(blocks), bounds)
+        for block, got in zip(blocks, chunk):
+            for ref, arr in zip(_input_shapes(block), got):
+                assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
