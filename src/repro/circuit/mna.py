@@ -35,9 +35,12 @@ import scipy.sparse as sp
 from repro.circuit.netlist import (
     KIND_C, KIND_I, KIND_L, KIND_R, KIND_V, Columns, Netlist, NodeView,
 )
-from repro.circuit.waveforms import Waveform, merge_transition_spots
+from repro.circuit.waveforms import Waveform, merge_transition_spots, sample_waveforms
 
 __all__ = ["MNASystem", "assemble", "stamp"]
+
+#: Input kinds of :meth:`MNASystem._input_table` (0: any other waveform).
+_PULSE, _DC = 1, 2
 
 #: Stamp pattern of a two-terminal branch row: KCL coupling of the branch
 #: current into its terminals, then the branch equation v(pos) - v(neg).
@@ -90,11 +93,6 @@ class MNASystem:
         """Columns of ``B`` that correspond to load-current sources."""
         return range(self.n_current_inputs)
 
-    @property
-    def voltage_input_indices(self) -> range:
-        """Columns of ``B`` that correspond to supply-voltage sources."""
-        return range(self.n_current_inputs, self.n_inputs)
-
     def rebind_sources(
         self,
         overrides: dict[int, Waveform] | None = None,
@@ -145,55 +143,73 @@ class MNASystem:
 
     # -- input evaluation ---------------------------------------------------------
 
-    def _pulse_table(self):
-        """Lazy vectorised evaluation table for non-periodic pulse inputs.
+    def _input_table(self):
+        """Lazy parameter table of the pulse and DC inputs.
 
-        PDN workloads have thousands of pulse sources; evaluating them
-        one Python call at a time dominates baseline runtimes.  The table
-        holds their parameters as arrays so ``u(t)`` is a handful of
-        numpy operations, with a scalar fallback for other waveforms.
+        The one evaluator beside the waveforms' own ``values_array``
+        (:mod:`repro.circuit.waveforms`), kept for the one-time-point
+        callers of :meth:`input_vector`: the DC operating point and the
+        baselines' steps.  On pg1t (800 pulses, 4 DC supplies; a 2-core
+        Xeon VM, one BLAS thread, quiet sitting) one :meth:`input_vector`
+        call takes 41 µs and ``sample_waveforms(waveforms, [t])`` 1.5 ms,
+        and adaptive TR (Table 2) makes 3871 such calls in a pg1t run.
+        The pulse formula here and interp's differ in the last bits (at
+        1659 of 2001 times on pg1t) and are not made to agree: mirroring
+        interp's arithmetic would still read other bits wherever C
+        contracts to FMA.  A DC column's value is its level either way.
+
+        ``kind[k]`` is column ``k``'s kind (:data:`_PULSE`, :data:`_DC`
+        or 0 for any other waveform, which reads its ``value``);
+        ``row[k]`` its row of the pulse parameters; ``level[k]`` a DC
+        column's level.  ``cols``, ``dc`` and ``others`` list the
+        columns of each kind.
         """
-        table = getattr(self, "_pulse_table_cache", None)
+        table = getattr(self, "_input_table_cache", None)
         if table is not None:
             return table
-        from repro.circuit.waveforms import Pulse
+        from repro.circuit.waveforms import DC, Pulse
 
-        pulse_cols = []
-        other_cols = []
+        kind = np.zeros(self.n_inputs, dtype=np.int8)
+        level = np.zeros(self.n_inputs)
         for k, w in enumerate(self.waveforms):
             if isinstance(w, Pulse):
-                pulse_cols.append(k)
-            else:
-                other_cols.append(k)
-        if pulse_cols:
-            ws = [self.waveforms[k] for k in pulse_cols]
-            params = {
-                "cols": np.array(pulse_cols, dtype=int),
-                "v1": np.array([w.v1 for w in ws]),
-                "v2": np.array([w.v2 for w in ws]),
-                "delay": np.array([w.t_delay for w in ws]),
-                "rise": np.array([w.t_rise for w in ws]),
-                "rw": np.array([w.t_rise + w.t_width for w in ws]),
-                "rwf": np.array(
-                    [w.t_rise + w.t_width + w.t_fall for w in ws]
-                ),
-                "period": np.array(
-                    [w.t_period if w.t_period is not None else np.nan for w in ws]
-                ),
-            }
-        else:
-            params = None
-        table = (params, other_cols)
-        self._pulse_table_cache = table
+                kind[k] = _PULSE
+            elif isinstance(w, DC):
+                kind[k] = _DC
+                level[k] = w.level
+        pulse_cols = np.flatnonzero(kind == _PULSE)
+        ws = [self.waveforms[k] for k in pulse_cols]
+        row = np.full(self.n_inputs, -1, dtype=np.intp)
+        row[pulse_cols] = np.arange(len(pulse_cols))
+        table = {
+            "kind": kind,
+            "row": row,
+            "level": level,
+            "cols": pulse_cols,
+            "dc": np.flatnonzero(kind == _DC),
+            "others": np.flatnonzero(kind == 0).tolist(),
+            "v1": np.array([w.v1 for w in ws]),
+            "v2": np.array([w.v2 for w in ws]),
+            "delay": np.array([w.t_delay for w in ws]),
+            "rise": np.array([w.t_rise for w in ws]),
+            "rw": np.array([w.t_rise + w.t_width for w in ws]),
+            "rwf": np.array([w.t_rise + w.t_width + w.t_fall for w in ws]),
+            "period": np.array(
+                [w.t_period if w.t_period is not None else np.nan for w in ws]
+            ),
+        }
+        self._input_table_cache = table
         return table
 
-    def _pulse_values(self, t: float, params: dict) -> np.ndarray:
-        tau = t - params["delay"]
-        period = params["period"]
+    @staticmethod
+    def _pulse_values(t: float, params: dict, rows=slice(None)) -> np.ndarray:
+        """The table's pulses (or its ``rows``) at time ``t``."""
+        tau = t - params["delay"][rows]
+        period = params["period"][rows]
         periodic = ~np.isnan(period) & (tau >= 0.0)
         tau = np.where(periodic, np.mod(tau, np.where(periodic, period, 1.0)), tau)
-        v1, v2 = params["v1"], params["v2"]
-        rise, rw, rwf = params["rise"], params["rw"], params["rwf"]
+        v1, v2 = params["v1"][rows], params["v2"][rows]
+        rise, rw, rwf = params["rise"][rows], params["rw"][rows], params["rwf"][rows]
         out = np.where(
             tau <= 0.0, v1,
             np.where(
@@ -225,38 +241,33 @@ class MNASystem:
 
         Notes
         -----
-        The full-vector case (``active=None``) is vectorised over pulse
-        sources; small per-node subsets use the scalar path.
+        Pulse and DC columns read the :meth:`_input_table` (a subset
+        reads its own rows of it, so ``input_vector(t, active)[active]``
+        equals ``input_vector(t)[active]`` bit for bit); other columns
+        read their waveform's ``value``.  A whole time grid is
+        :meth:`bu_series`'s job.
         """
         u = np.zeros(self.n_inputs)
+        table = self._input_table()
         if active is None:
-            params, other_cols = self._pulse_table()
-            if params is not None:
-                u[params["cols"]] = self._pulse_values(float(t), params)
-            for k in other_cols:
-                u[k] = self.waveforms[k].value(t)
-            return u
-        for k in active:
+            u[table["cols"]] = self._pulse_values(float(t), table)
+            dc = table["dc"]
+            others = table["others"]
+        else:
+            cols = np.fromiter(active, dtype=np.intp)
+            kind = table["kind"][cols]
+            pulse = cols[kind == _PULSE]
+            u[pulse] = self._pulse_values(float(t), table, table["row"][pulse])
+            dc = cols[kind == _DC]
+            others = cols[kind == 0].tolist()
+        u[dc] = table["level"][dc]
+        for k in others:
             u[k] = self.waveforms[k].value(t)
         return u
-
-    def input_slope(
-        self, t: float, active: Sequence[int] | None = None
-    ) -> np.ndarray:
-        """Evaluate the right-sided slope vector ``du/dt`` at ``t``."""
-        s = np.zeros(self.n_inputs)
-        cols = range(self.n_inputs) if active is None else active
-        for k in cols:
-            s[k] = self.waveforms[k].slope(t)
-        return s
 
     def bu(self, t: float, active: Sequence[int] | None = None) -> np.ndarray:
         """Convenience: ``B @ u(t)`` as a dense vector."""
         return np.asarray(self.B @ self.input_vector(t, active)).ravel()
-
-    def b_slope(self, t: float, active: Sequence[int] | None = None) -> np.ndarray:
-        """Convenience: ``B @ du/dt(t)`` as a dense vector."""
-        return np.asarray(self.B @ self.input_slope(t, active)).ravel()
 
     def b_slope_fd(
         self, t0: float, t1: float, active: Sequence[int] | None = None
@@ -265,11 +276,9 @@ class MNASystem:
 
         ``[t0, t1]`` must lie inside one PWL segment of every active
         input, which holds by construction when both ends are consecutive
-        global transition spots.  This form is preferred by the solvers:
-        the analytic right-sided ``slope(t)`` can land an ulp before a
-        breakpoint and return the previous segment's slope, while the
-        finite difference is exact for linear segments regardless of
-        floating-point noise at the endpoints.
+        global transition spots.  The solvers' slope form: exact for
+        linear segments regardless of floating-point noise at the
+        endpoints, and it needs input values only.
         """
         if t1 <= t0:
             raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
@@ -282,9 +291,10 @@ class MNASystem:
         """``B @ u(t)`` for a whole time grid at once, shape ``(dim, k)``.
 
         Used by the fixed-step baselines, which would otherwise evaluate
-        thousands of waveforms per step in Python loops.  Each input
-        column is evaluated over the whole grid (``values_array``) and
-        scattered through its ``B`` column directly — the same
+        thousands of waveforms per step in Python loops.  The input
+        columns are sampled over the whole grid in one
+        :func:`~repro.circuit.waveforms.sample_waveforms` pass and each
+        row is scattered through its ``B`` column directly — the same
         per-element accumulation order a CSC mat-mat product performs,
         without materialising the ``B[:, cols]`` slice (sparse fancy
         indexing costs more than the product for small column sets).
@@ -292,11 +302,14 @@ class MNASystem:
         times = np.asarray(times, dtype=float)
         out = np.zeros((self.dim, times.shape[0]))
         indptr, indices, data = self.B.indptr, self.B.indices, self.B.data
-        for col in range(self.n_inputs) if active is None else active:
+        cols = [
+            col for col in (range(self.n_inputs) if active is None else active)
+            if indptr[col] < indptr[col + 1]
+        ]
+        U = sample_waveforms([self.waveforms[col] for col in cols], times)
+        for col, u_row in zip(cols, U):
             lo, hi = indptr[col], indptr[col + 1]
-            if lo < hi:
-                u_row = self.waveforms[col].values_array(times)
-                out[indices[lo:hi]] += data[lo:hi, None] * u_row[None, :]
+            out[indices[lo:hi]] += data[lo:hi, None] * u_row[None, :]
         return out
 
     # -- transition spots -----------------------------------------------------------
@@ -335,13 +348,6 @@ class MNASystem:
         if idx < 0:
             return 0.0
         return float(x[idx])
-
-    def node_voltages(self, x: np.ndarray) -> dict[str, float]:
-        """All node voltages of a solution vector, keyed by node name."""
-        return {
-            name: float(x[i])
-            for i, name in enumerate(self.netlist.node_names())
-        }
 
 
 def _triplets(rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

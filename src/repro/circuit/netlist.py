@@ -299,21 +299,7 @@ class Netlist(NodeView):
     def __getitem__(self, name: str) -> Element:
         return self._elements[name]
 
-    # -- index assignment ----------------------------------------------------------
-
-    def vsource_index(self, name: str) -> int:
-        """Matrix row of a voltage-source branch current."""
-        for k, v in enumerate(self._vsources):
-            if v.name == name:
-                return self.n_nodes + k
-        raise NetlistError(f"unknown voltage source {name!r}")
-
-    def inductor_index(self, name: str) -> int:
-        """Matrix row of an inductor branch current."""
-        for k, ind in enumerate(self._inductors):
-            if ind.name == name:
-                return self.n_nodes + len(self._vsources) + k
-        raise NetlistError(f"unknown inductor {name!r}")
+    # -- lowering ----------------------------------------------------------------------
 
     def columns(self) -> Columns:
         """The elements as :class:`Columns`, kind by kind in :data:`KINDS` order."""

@@ -21,10 +21,23 @@ This module provides the waveform classes used throughout the simulator:
 
 All waveforms expose:
 
-* ``value(t)``        — the value at time ``t``;
-* ``slope(t)``        — the right-sided derivative at ``t``;
+* ``values_array(times)`` — the values on an array of times, the one
+  per-waveform evaluation (``np.interp`` on the waveform's breakpoints,
+  a constant fill for :class:`DC`);
+* ``value(t)``        — the value at time ``t``: a one-point
+  ``values_array``;
 * ``transition_spots(t_end)`` — sorted times in ``[0, t_end]`` where the
   slope changes (the Local Transition Spots of this source).
+
+MATEX needs input *values* only, on the transition-spot grid: a segment's
+slope is the finite difference of its end values
+(:meth:`repro.circuit.mna.MNASystem.b_slope_fd`), exact on a linear
+segment.  :func:`sample_waveforms` samples many waveforms on one grid,
+bit for bit as their ``values_array``; the scalar formulas live on only
+as the tests' oracle (``tests/waveform_oracle.py``).  The one other
+evaluator is the parameter table behind
+:meth:`repro.circuit.mna.MNASystem.input_vector`, for one time point
+(its docstring says why it stays).
 
 Times and values are plain floats in SI units (seconds, amps, volts).
 
@@ -37,7 +50,6 @@ its compiled plan computed.  A :class:`PWL`'s spots follow its *slopes*
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,12 +75,11 @@ class Waveform:
     """Abstract base class for all input waveforms."""
 
     def value(self, t: float) -> float:
-        """Return the waveform value at time ``t``."""
-        raise NotImplementedError
+        """Return the waveform value at time ``t`` (a one-point
+        :meth:`values_array`, so both read the same bits)."""
+        import numpy as np
 
-    def slope(self, t: float) -> float:
-        """Return the right-sided slope (d/dt) at time ``t``."""
-        raise NotImplementedError
+        return float(self.values_array(np.array([t], dtype=float))[0])
 
     def transition_spots(self, t_end: float) -> list[float]:
         """Return sorted slope-change times within ``[0, t_end]``.
@@ -79,20 +90,13 @@ class Waveform:
         raise NotImplementedError
 
     def values_array(self, times) -> "np.ndarray":
-        """Vectorised evaluation over a numpy array of times.
+        """The waveform's values on a numpy array of times (same shape).
 
-        Every concrete waveform shipped here (:class:`DC`, :class:`PWL`,
-        :class:`Pulse`) overrides this with a true numpy implementation
-        (constant fill / ``np.interp``) — the batched source-assembly
-        paths (:meth:`repro.circuit.mna.MNASystem.bu_series`, the block
-        node runner) evaluate whole time grids through it.  This base
-        fallback exists only for third-party subclasses; it preserves
-        the input shape but costs one Python call per point.
+        The one per-waveform evaluation: :meth:`value` and
+        :func:`sample_waveforms` read it, and every concrete waveform
+        implements it (constant fill / ``np.interp``).
         """
-        import numpy as np
-
-        t = np.asarray(times, dtype=float)
-        return np.array([self.value(float(v)) for v in t.ravel()]).reshape(t.shape)
+        raise NotImplementedError
 
     def is_constant(self) -> bool:
         """True when the waveform never changes (used for DC-only nodes)."""
@@ -121,12 +125,6 @@ class DC(Waveform):
     """Constant waveform (supply voltages, DC loads)."""
 
     level: float = 0.0
-
-    def value(self, t: float) -> float:
-        return self.level
-
-    def slope(self, t: float) -> float:
-        return 0.0
 
     def transition_spots(self, t_end: float) -> list[float]:
         return [0.0]
@@ -168,50 +166,6 @@ class PWL(Waveform):
                     f"got {t0!r} then {t1!r}"
                 )
         object.__setattr__(self, "points", pts)
-        # Breakpoint times cached once: value()/slope() bisect against
-        # them on every evaluation in the transient hot loop.
-        object.__setattr__(self, "_times", tuple(t for t, _ in pts))
-
-    def _snap(self, t: float) -> float:
-        """Snap ``t`` onto an adjacent breakpoint when within an ulp.
-
-        Transition-spot lists and evaluation times are built through
-        different arithmetic, so a caller can land a relative ulp before
-        a breakpoint and read the *previous* segment's slope — the same
-        hazard :meth:`Pulse._snap` guards against.  ``value`` needs no
-        snapping (PWL is continuous), but ``slope`` is discontinuous at
-        breakpoints and must stay right-sided at its own transition
-        spots.
-        """
-        times = self._times
-        i = bisect.bisect_right(times, t)
-        for j in (i - 1, i):
-            if 0 <= j < len(times) and math.isclose(
-                t, times[j], rel_tol=_TIME_RTOL, abs_tol=0.0
-            ):
-                return times[j]
-        return t
-
-    def value(self, t: float) -> float:
-        pts = self.points
-        if t <= pts[0][0]:
-            return pts[0][1]
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        i = bisect.bisect_right(self._times, t) - 1
-        t0, v0 = pts[i]
-        t1, v1 = pts[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def slope(self, t: float) -> float:
-        pts = self.points
-        t = self._snap(t)
-        if t < pts[0][0] or t >= pts[-1][0]:
-            return 0.0
-        i = bisect.bisect_right(self._times, t) - 1
-        t0, v0 = pts[i]
-        t1, v1 = pts[i + 1]
-        return (v1 - v0) / (t1 - t0)
 
     @cached_property
     def _interp_table(self):
@@ -310,83 +264,8 @@ class Pulse(Waveform):
                     f"({min_period})"
                 )
 
-    # -- single-bump geometry -------------------------------------------------
-
-    def _snap(self, tau: float) -> float:
-        """Snap ``tau`` onto an adjacent bump breakpoint.
-
-        Transition-spot times are built as sums like ``t_delay + t_rise``
-        while evaluation computes ``tau = t − t_delay``; the two can
-        disagree by an ulp, which would return the *previous* segment's
-        slope exactly at a breakpoint.  Snapping keeps ``slope()``
-        right-sided at its own transition spots.
-        """
-        breakpoints = (
-            0.0,
-            self.t_rise,
-            self.t_rise + self.t_width,
-            self.t_rise + self.t_width + self.t_fall,
-        )
-        for bp in breakpoints:
-            if math.isclose(tau, bp, rel_tol=1e-12, abs_tol=0.0):
-                return bp
-        return tau
-
-    def _bump_value(self, tau: float) -> float:
-        """Value of one bump, with ``tau`` measured from ``t_delay``."""
-        tau = self._snap(tau)
-        if tau <= 0.0:
-            return self.v1
-        if tau < self.t_rise:
-            return self.v1 + (self.v2 - self.v1) * tau / self.t_rise
-        tau -= self.t_rise
-        if tau < self.t_width:
-            return self.v2
-        tau -= self.t_width
-        if tau < self.t_fall:
-            return self.v2 + (self.v1 - self.v2) * tau / self.t_fall
-        return self.v1
-
-    def _bump_slope(self, tau: float) -> float:
-        tau = self._snap(tau)
-        if tau < 0.0:
-            return 0.0
-        if tau < self.t_rise:
-            return (self.v2 - self.v1) / self.t_rise
-        tau -= self.t_rise
-        if tau < self.t_width:
-            return 0.0
-        tau -= self.t_width
-        if tau < self.t_fall:
-            return (self.v1 - self.v2) / self.t_fall
-        return 0.0
-
-    def _fold(self, t: float) -> float:
-        """Map absolute time to bump-local time ``tau``."""
-        tau = t - self.t_delay
-        if self.t_period is not None and tau >= 0.0:
-            tau = math.fmod(tau, self.t_period)
-            # A spot time built as t_delay + k*t_period can fold to an
-            # ulp *below* the period instead of 0; snap it so slope()
-            # is right-sided (the next bump's rise) at periodic spots.
-            if math.isclose(tau, self.t_period, rel_tol=_TIME_RTOL,
-                            abs_tol=0.0):
-                tau = 0.0
-        return tau
-
-    # -- Waveform interface ---------------------------------------------------
-
-    def value(self, t: float) -> float:
-        return self._bump_value(self._fold(t))
-
-    def slope(self, t: float) -> float:
-        return self._bump_slope(self._fold(t))
-
-    @cached_property
-    def _interp_table(self):
-        return self._breakpoints(), self._levels()
-
     def _breakpoints(self):
+        """One bump's corner times, measured from ``t_delay``."""
         import numpy as np
 
         return np.array([
@@ -397,6 +276,7 @@ class Pulse(Waveform):
         ])
 
     def _levels(self):
+        """The pulse's values at :meth:`_breakpoints`."""
         import numpy as np
 
         return np.array([self.v1, self.v2, self.v2, self.v1])
@@ -414,9 +294,10 @@ class Pulse(Waveform):
     def values_array(self, times):
         import numpy as np
 
-        xp, fp = self._interp_table
         tau = self._folded(np.asarray(times, dtype=float))
-        return np.interp(tau, xp, fp, left=self.v1, right=self.v1)
+        return np.interp(
+            tau, self._breakpoints(), self._levels(), left=self.v1, right=self.v1
+        )
 
     def transition_spots(self, t_end: float) -> list[float]:
         # Memoised per t_end; the memo is shared with scaled() copies.
@@ -451,8 +332,8 @@ class Pulse(Waveform):
         """Equal to ``Pulse(v1*f, v2*f, <same timing>)``, built at copy
         cost: the seven fields are set directly (``__post_init__`` still
         checks them) and the copy shares this pulse's spot memo, since
-        a pulse's spots read only its timing fields.  Its interpolation
-        table is its own: each copy evaluates its own ``v1``/``v2``.
+        a pulse's spots read only its timing fields.  Each copy
+        evaluates its own ``v1``/``v2`` (:meth:`_levels`).
         """
         f = float(factor)
         new = object.__new__(Pulse)
@@ -508,21 +389,6 @@ class Pulse(Waveform):
                 break
             k += 1
         return bumps
-
-    def to_pwl(self, t_end: float) -> PWL:
-        """Expand the pulse into an equivalent PWL over ``[0, t_end]``."""
-        spots = self.transition_spots(t_end)
-        pts = [(t, self.value(t)) for t in spots]
-        if pts[0][0] > 0.0:
-            pts.insert(0, (0.0, self.value(0.0)))
-        if pts[-1][0] < t_end:
-            pts.append((t_end, self.value(t_end)))
-        # Ensure strictly increasing times after dedup.
-        out = [pts[0]]
-        for t, v in pts[1:]:
-            if t > out[-1][0]:
-                out.append((t, v))
-        return PWL(out)
 
 
 def sample_waveforms(waves: Sequence[Waveform], times) -> "np.ndarray":

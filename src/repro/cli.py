@@ -66,7 +66,7 @@ from repro.core.results import TransientResult
 from repro.core.solver import MatexSolver
 from repro.dist.scheduler import MatexScheduler
 from repro.engine import NpzStreamSink, make_sink
-from repro.linalg.lu import FACTORIZATION_CACHE, parse_byte_size
+from repro.linalg.lu import FACTORIZATION_CACHE
 from repro.plan.plan import (
     DECOMPOSITIONS, PlanError, check_horizon, compile_deck, given, load_deck, run_options,
 )
@@ -106,21 +106,6 @@ def _policy_type(check, keywords: tuple[str, ...]):
     return parse
 
 
-def _byte_size(value: str) -> int:
-    """argparse type for byte budgets with K/M/G suffixes."""
-    try:
-        size = parse_byte_size(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a byte count (K/M/G suffixes ok), got {value!r}"
-        ) from None
-    if size < 1:
-        raise argparse.ArgumentTypeError(
-            f"byte budget must be >= 1, got {value!r}"
-        )
-    return size
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for testing and doc generation)."""
     parser = argparse.ArgumentParser(
@@ -133,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("netlist", type=Path)
     info.add_argument("--t-end", default="10n",
                       help="horizon for transition-spot statistics")
-    _add_cache_options(info)
 
     dc = sub.add_parser("dc", help="DC operating point")
     dc.add_argument("netlist", type=Path)
@@ -177,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write one <scenario>.npz trajectory per "
                             "scenario into this directory")
     _add_supervision_options(sweep)
-    _add_cache_options(sweep)
 
     serve = sub.add_parser(
         "serve",
@@ -199,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded job-queue depth; a full queue rejects "
              "immediately with kind=busy (default 16)")
     _add_supervision_options(serve, serving=True)
-    _add_cache_options(serve)
 
     lint = sub.add_parser(
         "lint",
@@ -318,18 +300,6 @@ def _retry_policy_from_args(args, serving: bool):
         raise _UsageError(str(exc)) from None
 
 
-def _add_cache_options(p: argparse.ArgumentParser) -> None:
-    """Factorisation-cache residency flags (shared by all commands)."""
-    p.add_argument(
-        "--factor-cache-entries", type=int, default=None,
-        help="max resident LU factorisations in the process-wide cache "
-             "(default 32, or REPRO_FACTOR_CACHE_ENTRIES)")
-    p.add_argument(
-        "--factor-cache-bytes", type=_byte_size, default=None,
-        help="max bytes of resident LU factors, K/M/G suffixes ok "
-             "(default 256M, or REPRO_FACTOR_CACHE_BYTES)")
-
-
 def _add_sim_options(sim: argparse.ArgumentParser) -> None:
     """Simulation options shared by ``simulate`` and ``run``."""
     _add_method_options(sim, "integrator: " + " | ".join(METHODS))
@@ -354,7 +324,6 @@ def _add_sim_options(sim: argparse.ArgumentParser) -> None:
                      help="output file (.csv or .npz)")
     sim.add_argument("--vdd", default=None,
                      help="nominal rail voltage: prints a droop report")
-    _add_cache_options(sim)
 
 
 def _load(path: Path):
@@ -755,12 +724,6 @@ def _cmd_serve(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "factor_cache_entries", None) is not None or \
-            getattr(args, "factor_cache_bytes", None) is not None:
-        FACTORIZATION_CACHE.configure(
-            max_entries=args.factor_cache_entries,
-            max_bytes=args.factor_cache_bytes,
-        )
     handlers = {
         "info": _cmd_info,
         "dc": _cmd_dc,

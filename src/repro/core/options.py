@@ -16,7 +16,7 @@ It also holds the one validator of each lockstep policy (``batch``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.linalg.krylov import METHOD_NAMES
 
@@ -76,11 +76,6 @@ class SolverOptions:
             raise ValueError("error budgets must be non-negative")
         if self.m_max < 1 or self.m_min < 1:
             raise ValueError("basis-size limits must be at least 1")
-
-    def with_method(self, method: str) -> "SolverOptions":
-        """Copy of these options with another Krylov flavour."""
-        return replace(self, method=method)
-
 
 def _check_policy(value, keywords: tuple[str, ...], name: str, noun: str):
     """Return ``value`` if it is one of ``keywords`` or a positive int."""

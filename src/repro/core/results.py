@@ -61,16 +61,6 @@ class TransientResult:
     method: str = ""
     sink: object | None = None
 
-    @property
-    def states_nbytes(self) -> int:
-        """In-process bytes of the states block (0 when memmap-backed)."""
-        base = self.states
-        while isinstance(base, np.ndarray):
-            if isinstance(base, np.memmap):
-                return 0
-            base = base.base
-        return int(self.states.nbytes)
-
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
@@ -87,10 +77,6 @@ class TransientResult:
     @property
     def n_points(self) -> int:
         return self.times.shape[0]
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
     def voltage(self, node: str) -> np.ndarray:
         """Voltage series of one node (zeros for ground)."""
@@ -122,10 +108,6 @@ class TransientResult:
         return np.vstack([self.at(t) for t in np.asarray(times, dtype=float)])
 
     # -- algebra (superposition support) ------------------------------------------
-
-    def node_block(self) -> np.ndarray:
-        """The node-voltage columns only (drops MNA branch currents)."""
-        return self.states[:, : self.system.netlist.n_nodes]
 
     def shifted(self, offset: np.ndarray) -> "TransientResult":
         """A copy with ``offset`` added to every state (superposition)."""

@@ -64,11 +64,6 @@ class TransitionSchedule:
         """Number of GTS points (paper's ``K`` in Eq. 11)."""
         return len(self.points)
 
-    @property
-    def n_snapshots(self) -> int:
-        """Points served by Krylov-basis reuse."""
-        return self.n_points - self.n_lts
-
     @cached_property
     def segment_starts(self) -> list[int]:
         """Points that open a marching segment: point 0 and every later

@@ -238,19 +238,6 @@ class NodeResult:
         this result: its runner's, on that runner's first result only."""
         return self.stats.factor_seconds
 
-    def as_transient_result(self, system) -> TransientResult:
-        """Rehydrate into a :class:`TransientResult` (node voltages by
-        name, interpolation).  This materialises a factored trajectory;
-        superposition takes the node results themselves."""
-        return TransientResult(
-            system=system,
-            times=self.times,
-            states=self.states,
-            stats=self.stats,
-            method=f"matex-node[{self.label}]",
-        )
-
-
 class ErrorBudget(NamedTuple):
     """The posterior ledger of a run, against what it was allowed.
 
@@ -301,9 +288,9 @@ class DistributedResult:
     factor_cache_evictions:
         Factorisations the scheduler-side process-wide cache evicted
         while this run executed.  A persistently non-zero value during a
-        sweep means the residency limits are thrashing — raise them via
-        ``FACTORIZATION_CACHE.configure`` / the ``--factor-cache-*``
-        flags / the ``REPRO_FACTOR_CACHE_*`` environment variables.
+        sweep means the sweep's pencils outgrow the cache's fixed
+        residency limits (:data:`repro.linalg.lu.DEFAULT_CACHE_MAX_ENTRIES`
+        / ``DEFAULT_CACHE_MAX_BYTES``).
     scenario:
         Name of the :class:`repro.plan.Scenario` this result answers
         (``None`` for plain single-run scheduler results).

@@ -739,18 +739,6 @@ class KrylovExpmOperator:
         )
         return basis
 
-    def expm_multiply(
-        self,
-        v: np.ndarray,
-        h: float,
-        tol: float = 1e-8,
-        m_max: int = 100,
-        min_dim: int = 2,
-    ) -> tuple[np.ndarray, KrylovBasis]:
-        """Approximate ``exp(hA) v``; returns the value and reusable basis."""
-        basis = self.build_basis(v, h, tol=tol, m_max=m_max, min_dim=min_dim)
-        return basis.evaluate(h), basis
-
 
 class StandardKrylov(KrylovExpmOperator):
     """MEXP's standard Krylov subspace ``K_m(A, v)`` (paper Sec. 2.3).

@@ -31,10 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import InitVar, dataclass, field
 
@@ -51,11 +49,8 @@ __all__ = [
     "FACTORIZATION_CACHE",
     "DEFAULT_CACHE_MAX_ENTRIES",
     "DEFAULT_CACHE_MAX_BYTES",
-    "ENV_CACHE_MAX_ENTRIES",
-    "ENV_CACHE_MAX_BYTES",
     "canonical_shift",
     "matrix_fingerprint",
-    "parse_byte_size",
 ]
 
 
@@ -236,10 +231,6 @@ class SparseLU:
             return self._kernel.nbytes()
         return 12 * int(self._superlu.nnz)
 
-    def reset_counters(self) -> None:
-        """Zero the solve counter (factor time is kept)."""
-        self.n_solves = 0
-
     @classmethod
     def _shared_view(cls, origin: "SparseLU", label: str) -> "SparseLU":
         """A handle sharing ``origin``'s factors with fresh counters.
@@ -302,60 +293,9 @@ def matrix_fingerprint(matrix: sp.spmatrix) -> str:
     return h.hexdigest()
 
 
-#: Built-in residency limits of the process-wide cache.
+#: Residency limits of the process-wide cache.
 DEFAULT_CACHE_MAX_ENTRIES = 32
 DEFAULT_CACHE_MAX_BYTES = 256 << 20
-
-#: Environment variables overriding the limits at process start (the
-#: CLI's ``--factor-cache-entries`` / ``--factor-cache-bytes`` flags
-#: reconfigure the live cache instead).
-ENV_CACHE_MAX_ENTRIES = "REPRO_FACTOR_CACHE_ENTRIES"
-ENV_CACHE_MAX_BYTES = "REPRO_FACTOR_CACHE_BYTES"
-
-_BYTE_SUFFIXES = {
-    "k": 1 << 10, "kb": 1 << 10, "kib": 1 << 10,
-    "m": 1 << 20, "mb": 1 << 20, "mib": 1 << 20,
-    "g": 1 << 30, "gb": 1 << 30, "gib": 1 << 30,
-}
-
-
-def parse_byte_size(text: str | int) -> int:
-    """Parse a byte count with an optional K/M/G (or KiB/MiB/GiB) suffix.
-
-    >>> parse_byte_size("512M")
-    536870912
-    """
-    if isinstance(text, int):
-        return text
-    s = str(text).strip().lower()
-    for suffix, mult in sorted(_BYTE_SUFFIXES.items(), key=lambda kv: -len(kv[0])):
-        if s.endswith(suffix):
-            return int(float(s[: -len(suffix)]) * mult)
-    return int(s)
-
-
-def _limit_from_env(name: str, default: int, parse) -> int:
-    """Read one cache limit from the environment, falling back loudly.
-
-    A malformed value must not make ``import repro`` raise, but it must
-    not be silently ignored either — sweeps sized via these variables
-    would otherwise thrash the default-sized cache invisibly.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = parse(raw)
-        if value < 1:
-            raise ValueError("must be >= 1")
-        return value
-    except (ValueError, TypeError):
-        warnings.warn(
-            f"ignoring invalid {name}={raw!r}; using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
 
 
 class FactorizationCache:
@@ -384,12 +324,9 @@ class FactorizationCache:
     multi-GB of LU data for the life of the process; call :meth:`clear`
     to release everything eagerly.
 
-    The process-wide :data:`FACTORIZATION_CACHE` limits default to
-    :data:`DEFAULT_CACHE_MAX_ENTRIES` / :data:`DEFAULT_CACHE_MAX_BYTES`
-    and can be overridden per process through the
-    :data:`ENV_CACHE_MAX_ENTRIES` / :data:`ENV_CACHE_MAX_BYTES`
-    environment variables (byte sizes accept K/M/G suffixes) or at run
-    time via :meth:`configure` (the CLI's ``--factor-cache-*`` flags).
+    The process-wide :data:`FACTORIZATION_CACHE` holds the fixed limits
+    :data:`DEFAULT_CACHE_MAX_ENTRIES` / :data:`DEFAULT_CACHE_MAX_BYTES`;
+    a private cache (tests) takes its own through the constructor.
     The ``evictions`` counter — surfaced by ``repro info`` and
     :class:`~repro.dist.messages.DistributedResult` — tells when a sweep
     over many pencils is silently thrashing the residency limits.
@@ -470,27 +407,6 @@ class FactorizationCache:
             self._bytes.pop(evicted, None)
             self.evictions += 1
 
-    def configure(
-        self,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-    ) -> None:
-        """Re-bound the cache in place (evicting immediately if needed).
-
-        ``None`` keeps the current value.  Counters are preserved —
-        evictions triggered by a shrink are counted like any other.
-        """
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        with self._lock:
-            if max_entries is not None:
-                self.max_entries = max_entries
-            if max_bytes is not None:
-                self.max_bytes = max_bytes
-            self._evict_to_limits_locked()
-
     def register_external(self, key: str, nbytes: int) -> None:
         """Account dense derived operators against the cache's books.
 
@@ -554,12 +470,4 @@ class FactorizationCache:
 
 
 #: The process-wide cache used by solvers, workers and the scheduler.
-#: Limits come from the environment when set (see the class docstring).
-FACTORIZATION_CACHE = FactorizationCache(
-    max_entries=_limit_from_env(
-        ENV_CACHE_MAX_ENTRIES, DEFAULT_CACHE_MAX_ENTRIES, int
-    ),
-    max_bytes=_limit_from_env(
-        ENV_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_BYTES, parse_byte_size
-    ),
-)
+FACTORIZATION_CACHE = FactorizationCache()

@@ -196,7 +196,7 @@ class Session:
             )
         bound = scenario.bind(compiled.system)
         base = compiled.system.waveforms
-        pulses, _ = compiled.system._pulse_table()
+        pulses = compiled.system._input_table()
         overridden = {c for c, _ in scenario.overrides}
         scaled = [
             (c, f) for c, f in scenario.scales
@@ -206,7 +206,7 @@ class Session:
         if scaled:
             cols = np.array([c for c, _ in scaled], dtype=np.intp)
             f = np.array([f for _, f in scaled])
-            row = np.searchsorted(pulses["cols"], cols)
+            row = pulses["row"][cols]
             v1, v2 = pulses["v1"][row], pulses["v2"][row]
             with np.errstate(invalid="ignore", over="ignore"):
                 failed = cols[(v1 * f == v2 * f) != (v1 == v2)].tolist()

@@ -63,6 +63,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from repro.circuit.mna import MNASystem
+from repro.circuit.waveforms import sample_waveforms
 from repro.core.options import SolverOptions
 from repro.core.shapes import _input_shapes, _shape_rows
 from repro.rom.projector import BasisInfo, RomBuildError, rational_krylov_basis
@@ -222,8 +223,8 @@ class ReducedModel:
                 "system to re-evaluate the changed columns"
             )
         U = self.U_base.copy()
-        for col in scenario.changed_columns:
-            U[col] = bound.waveforms[col].values_array(self.grid)
+        cols = list(scenario.changed_columns)
+        U[cols] = sample_waveforms([bound.waveforms[c] for c in cols], self.grid)
         return U
 
     # -- the reduced march -------------------------------------------------------
@@ -418,9 +419,7 @@ def build_reduced_model(
     Z = np.asarray(lu_g.solve_many(CV))
 
     grid = np.asarray(system.global_transition_spots(t_end), dtype=float)
-    U_base = np.empty((p, grid.shape[0]))
-    for k, w in enumerate(system.waveforms):
-        U_base[k] = w.values_array(grid)
+    U_base = sample_waveforms(system.waveforms, grid)
     shapes, shape_of, pivot = _input_shapes(U_base)
     if not len(shapes):
         raise RomBuildError(

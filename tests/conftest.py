@@ -4,6 +4,7 @@ plus the /dev/shm leak sanitizer guarding the segment lifecycle."""
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 # One BLAS thread per process, set before numpy loads its BLAS: the
@@ -23,16 +24,44 @@ from repro.dist import Executor
 from tests.scalar_oracle import run_task
 
 
+#: A transport segment's name: ``repro{pid}x...`` (the pid that made it).
+_SEGMENT = re.compile(r"repro(\d+)x")
+
+
+def reclaimable_segment(name: str) -> bool:
+    """Whether this session may reclaim the /dev/shm segment ``name``.
+
+    Only ``repro{pid}x...`` segments whose pid is this process or a
+    process that is no longer running (a finished worker or CLI
+    subprocess of this suite): a live process's segments, another
+    pytest session's included, are its own to reclaim.
+    """
+    match = _SEGMENT.match(name)
+    if match is None:
+        return False
+    pid = int(match.group(1))
+    if pid == os.getpid():
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, another user's
+        return False
+    return False
+
+
 @pytest.fixture(scope="session", autouse=True)
 def shm_leak_sanitizer():
-    """Fail the suite if any ``repro*`` /dev/shm segment survives it.
+    """Fail the suite if one of its ``repro*`` /dev/shm segments survives it.
 
     The zero-copy transport names every segment ``repro{pid}x...``
     (``repro.dist.shm.new_segment_prefix``) and guarantees reclamation
-    through per-failure sweeps plus atexit/signal hooks.  A segment
-    still present after the session means some code path allocated
-    outside that lifecycle — the sanitizer reclaims it so one leak
-    cannot poison later runs, then fails loudly.
+    through per-failure sweeps plus atexit/signal hooks.  A new segment
+    of this session (:func:`reclaimable_segment`) still present after
+    it means some code path allocated outside that lifecycle — the
+    sanitizer reclaims it so one leak cannot poison later runs, then
+    fails loudly.
     """
     shm = Path("/dev/shm")
     if not shm.is_dir():  # non-Linux: transport falls back off-shm
@@ -41,7 +70,8 @@ def shm_leak_sanitizer():
     before = {p.name for p in shm.glob("repro*")}
     yield
     leaked = sorted(
-        p.name for p in shm.glob("repro*") if p.name not in before
+        p.name for p in shm.glob("repro*")
+        if p.name not in before and reclaimable_segment(p.name)
     )
     for name in leaked:
         try:

@@ -1,22 +1,12 @@
-"""Configurable FACTORIZATION_CACHE limits and eviction accounting."""
+"""FACTORIZATION_CACHE residency limits and eviction accounting."""
 
-import os
-import subprocess
-import sys
-import warnings
-from pathlib import Path
-
-import pytest
 import scipy.sparse as sp
 
 from repro.linalg.lu import (
     DEFAULT_CACHE_MAX_BYTES,
     DEFAULT_CACHE_MAX_ENTRIES,
-    ENV_CACHE_MAX_BYTES,
-    ENV_CACHE_MAX_ENTRIES,
+    FACTORIZATION_CACHE,
     FactorizationCache,
-    _limit_from_env,
-    parse_byte_size,
 )
 
 
@@ -24,70 +14,11 @@ def diag(k: float, n: int = 8) -> sp.csc_matrix:
     return sp.identity(n, format="csc") * k
 
 
-class TestParseByteSize:
-    @pytest.mark.parametrize("text,expected", [
-        ("1024", 1024),
-        ("4k", 4 << 10),
-        ("4KiB", 4 << 10),
-        ("512M", 512 << 20),
-        ("2gb", 2 << 30),
-        ("1.5M", int(1.5 * (1 << 20))),
-        (123, 123),
-    ])
-    def test_suffixes(self, text, expected):
-        assert parse_byte_size(text) == expected
-
-    def test_garbage_raises(self):
-        with pytest.raises(ValueError):
-            parse_byte_size("lots")
-
-
-class TestEnvLimits:
-    def test_valid_values_are_used(self, monkeypatch):
-        monkeypatch.setenv(ENV_CACHE_MAX_ENTRIES, "7")
-        assert _limit_from_env(
-            ENV_CACHE_MAX_ENTRIES, DEFAULT_CACHE_MAX_ENTRIES, int
-        ) == 7
-        monkeypatch.setenv(ENV_CACHE_MAX_BYTES, "64M")
-        assert _limit_from_env(
-            ENV_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_BYTES, parse_byte_size
-        ) == 64 << 20
-
-    def test_invalid_values_warn_and_fall_back(self, monkeypatch):
-        monkeypatch.setenv(ENV_CACHE_MAX_ENTRIES, "banana")
-        with pytest.warns(RuntimeWarning, match="ignoring invalid"):
-            value = _limit_from_env(
-                ENV_CACHE_MAX_ENTRIES, DEFAULT_CACHE_MAX_ENTRIES, int
-            )
-        assert value == DEFAULT_CACHE_MAX_ENTRIES
-        monkeypatch.setenv(ENV_CACHE_MAX_ENTRIES, "0")
-        with pytest.warns(RuntimeWarning):
-            assert _limit_from_env(
-                ENV_CACHE_MAX_ENTRIES, DEFAULT_CACHE_MAX_ENTRIES, int
-            ) == DEFAULT_CACHE_MAX_ENTRIES
-
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_CACHE_MAX_ENTRIES, raising=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _limit_from_env(
-                ENV_CACHE_MAX_ENTRIES, DEFAULT_CACHE_MAX_ENTRIES, int
-            ) == DEFAULT_CACHE_MAX_ENTRIES
-
-    def test_process_wide_cache_reads_env_at_import(self):
-        """A fresh interpreter sizes FACTORIZATION_CACHE from the env."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env[ENV_CACHE_MAX_ENTRIES] = "5"
-        env[ENV_CACHE_MAX_BYTES] = "8M"
-        env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
-        out = subprocess.check_output(
-            [sys.executable, "-c",
-             "from repro.linalg.lu import FACTORIZATION_CACHE as c; "
-             "print(c.max_entries, c.max_bytes)"],
-            env=env, text=True,
-        )
-        assert out.split() == ["5", str(8 << 20)]
+class TestLimits:
+    def test_process_wide_cache_holds_the_constants(self):
+        stats = FACTORIZATION_CACHE.stats()
+        assert stats["max_entries"] == DEFAULT_CACHE_MAX_ENTRIES == 32
+        assert stats["max_bytes"] == DEFAULT_CACHE_MAX_BYTES == 256 << 20
 
 
 class TestEvictionAccounting:
@@ -102,25 +33,6 @@ class TestEvictionAccounting:
         assert stats["entries"] == 2
         assert stats["max_entries"] == 2
 
-    def test_configure_shrink_evicts_and_counts(self):
-        cache = FactorizationCache(max_entries=8)
-        for k in (1.0, 2.0, 3.0, 4.0):
-            cache.factor(diag(k))
-        cache.configure(max_entries=1)
-        assert len(cache) == 1
-        assert cache.evictions == 3
-        # The surviving entry is the most recently used.
-        hits0 = cache.hits
-        cache.factor(diag(4.0))
-        assert cache.hits == hits0 + 1
-
-    def test_configure_validates(self):
-        cache = FactorizationCache()
-        with pytest.raises(ValueError):
-            cache.configure(max_entries=0)
-        with pytest.raises(ValueError):
-            cache.configure(max_bytes=0)
-
     def test_clear_zeroes_evictions(self):
         cache = FactorizationCache(max_entries=1)
         cache.factor(diag(1.0))
@@ -132,24 +44,18 @@ class TestEvictionAccounting:
 
 
 class TestEvictionsSurfaceInResults:
-    def test_distributed_result_reports_thrash(self, mesh_system):
+    def test_distributed_result_reports_thrash(self, mesh_system, monkeypatch):
         """A too-small cache during a run shows up on the result."""
         from repro.core import SolverOptions
         from repro.dist import MatexScheduler
-        from repro.linalg.lu import FACTORIZATION_CACHE
 
-        stats0 = FACTORIZATION_CACHE.stats()
         FACTORIZATION_CACHE.clear()
+        monkeypatch.setattr(FACTORIZATION_CACHE, "max_entries", 1)
         try:
-            FACTORIZATION_CACHE.configure(max_entries=1)
             dres = MatexScheduler(
                 mesh_system, SolverOptions(method="rational", gamma=1e-10)
             ).run(1e-9)
             # G and C+gammaG fight over a single slot: must evict.
             assert dres.factor_cache_evictions >= 1
         finally:
-            FACTORIZATION_CACHE.configure(
-                max_entries=stats0["max_entries"],
-                max_bytes=stats0["max_bytes"],
-            )
             FACTORIZATION_CACHE.clear()

@@ -399,23 +399,6 @@ class TestSweep:
         assert "only apply to --processes" in captured.err
         assert captured.out == ""  # before the deck load
 
-    def test_factor_cache_flags_reconfigure(self, ibmpg_deck, capsys):
-        from repro.linalg.lu import FACTORIZATION_CACHE
-
-        stats0 = FACTORIZATION_CACHE.stats()
-        try:
-            assert main(["sweep", "--netlist", str(ibmpg_deck),
-                         "--scenarios", "random:2",
-                         "--factor-cache-entries", "9",
-                         "--factor-cache-bytes", "64M"]) == 0
-            out = capsys.readouterr().out
-            assert "limits 9 entries / 64 MiB" in out
-        finally:
-            FACTORIZATION_CACHE.configure(
-                max_entries=stats0["max_entries"],
-                max_bytes=stats0["max_bytes"],
-            )
-
     def test_seed_determinism_is_pinned_cross_platform(
         self, small_pdn_system
     ):

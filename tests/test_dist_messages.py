@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.waveforms import DC, PWL, Pulse
-from repro.core import SolverStats, TransientResult
+from repro.core import SolverStats
 from repro.core.decomposition import SourceGroup, decompose_by_bump_split
 from repro.dist import (
     DistributedResult,
@@ -95,16 +95,6 @@ class TestNodeResultPickling:
         np.testing.assert_array_equal(r2.states, r.states)
         assert r2.stats == stats
         assert r2.transient_seconds == 0.25
-
-    def test_rehydrates_after_roundtrip(self, mesh_system):
-        r = NodeResult(
-            task_id=0, group_id=0, label="g",
-            times=np.array([0.0, 1e-9]),
-            states=np.zeros((2, mesh_system.dim)),
-        )
-        tres = roundtrip(r).as_transient_result(mesh_system)
-        assert isinstance(tres, TransientResult)
-        assert tres.system is mesh_system
 
 
 class TestDistributedResultPickling:

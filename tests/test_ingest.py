@@ -387,7 +387,7 @@ class TestStreamedNetlist:
         x = np.arange(float(system.dim))
         idx = system.netlist.node_index("g3_3")
         assert system.node_voltage(x, "g3_3") == x[idx]
-        assert system.node_voltages(x)["g0_0"] == x[0]
+        assert system.node_voltage(x, "g0_0") == x[0]
 
 
 class TestWriterOrders:

@@ -29,8 +29,9 @@ class TestAccuracy:
         h = 1e-11
         exact = sla.expm(h * dense_a) @ v
         op = make_krylov_operator(method, s.C, s.G, gamma=h)
-        y, basis = op.expm_multiply(v, h, tol=1e-10 * np.linalg.norm(v),
-                                    m_max=s.dim)
+        basis = op.build_basis(v, h, tol=1e-10 * np.linalg.norm(v),
+                               m_max=s.dim)
+        y = basis.evaluate(h)
         assert np.allclose(y, exact, rtol=1e-7, atol=1e-9 * np.linalg.norm(v))
 
     @pytest.mark.parametrize("method", METHODS)
@@ -42,7 +43,8 @@ class TestAccuracy:
         h = 1e-11
         tol = 1e-6 * np.linalg.norm(v)
         op = make_krylov_operator(method, s.C, s.G, gamma=h)
-        y, basis = op.expm_multiply(v, h, tol=tol, m_max=s.dim)
+        basis = op.build_basis(v, h, tol=tol, m_max=s.dim)
+        y = basis.evaluate(h)
         true_err = np.linalg.norm(y - sla.expm(h * a) @ v)
         assert true_err < 50.0 * tol
 
@@ -55,7 +57,7 @@ class TestAccuracy:
         dims = {}
         for method in METHODS:
             op = make_krylov_operator(method, s.C, s.G, gamma=h)
-            _, basis = op.expm_multiply(v, h, tol=tol, m_max=s.dim)
+            basis = op.build_basis(v, h, tol=tol, m_max=s.dim)
             dims[method] = basis.m
         assert dims["inverted"] < dims["standard"]
         assert dims["rational"] < dims["standard"]
@@ -93,21 +95,24 @@ class TestRegularizationFree:
         s = small_pdn_system
         op = make_krylov_operator(method, s.C, s.G, gamma=1e-11)
         v = rng.normal(size=s.dim)
-        y, basis = op.expm_multiply(v, 1e-11, tol=1e-8 * np.linalg.norm(v),
-                                    m_max=s.dim)
+        basis = op.build_basis(v, 1e-11, tol=1e-8 * np.linalg.norm(v),
+                               m_max=s.dim)
+        y = basis.evaluate(1e-11)
         assert np.all(np.isfinite(y))
         assert basis.m >= 1
 
 
 class TestBasisReuse:
-    def test_evaluate_consistent_with_expm_multiply(
-        self, rc_ladder_system, rng
-    ):
+    def test_evaluate_consistent_across_calls(self, rc_ladder_system, rng):
+        """A basis evaluates the same bits at its step however often and
+        whatever else it was evaluated at in between (snapshot reuse)."""
         s = rc_ladder_system
         v = rng.normal(size=s.dim)
         op = RationalKrylov(s.C, s.G, gamma=1e-11)
-        y, basis = op.expm_multiply(v, 1e-11, tol=1e-10)
-        assert np.allclose(basis.evaluate(1e-11), y)
+        basis = op.build_basis(v, 1e-11, tol=1e-10)
+        y = basis.evaluate(1e-11)
+        basis.evaluate(3e-11)
+        assert basis.evaluate(1e-11).tobytes() == y.tobytes()
 
     def test_reuse_at_larger_h_stays_accurate(self, mesh_system, rng):
         """The Fig. 5 property that justifies snapshot reuse."""
@@ -116,7 +121,7 @@ class TestBasisReuse:
         v = rng.normal(size=s.dim)
         op = RationalKrylov(s.C, s.G, gamma=1e-11)
         tol = 1e-7 * np.linalg.norm(v)
-        _, basis = op.expm_multiply(v, 1e-11, tol=tol, m_max=s.dim)
+        basis = op.build_basis(v, 1e-11, tol=tol, m_max=s.dim)
         err_small = np.linalg.norm(
             basis.evaluate(1e-11) - sla.expm(1e-11 * a) @ v
         )
@@ -129,14 +134,15 @@ class TestBasisReuse:
         s = mesh_system
         op = RationalKrylov(s.C, s.G, gamma=1e-11)
         v = rng.normal(size=s.dim)
-        _, basis = op.expm_multiply(v, 1e-11, tol=1e-6 * np.linalg.norm(v))
+        basis = op.build_basis(v, 1e-11, tol=1e-6 * np.linalg.norm(v))
         y, err = basis.evaluate_with_error(3e-11)
         assert np.allclose(y, basis.evaluate(3e-11))
         assert err == pytest.approx(basis.error_at(3e-11))
 
     def test_zero_vector_gives_empty_basis(self, rc_ladder_system):
         op = RationalKrylov(rc_ladder_system.C, rc_ladder_system.G, gamma=1e-11)
-        y, basis = op.expm_multiply(np.zeros(rc_ladder_system.dim), 1e-11)
+        basis = op.build_basis(np.zeros(rc_ladder_system.dim), 1e-11, tol=1e-8)
+        y = basis.evaluate(1e-11)
         assert basis.m == 0
         assert np.all(y == 0.0)
         assert basis.error_at(1e-10) == 0.0
@@ -168,8 +174,8 @@ class TestFactoryAndAccounting:
         s = rc_ladder_system
         op = RationalKrylov(s.C, s.G, gamma=1e-11)
         assert op.n_solves == 0
-        _, basis = op.expm_multiply(rng.normal(size=s.dim), 1e-11, tol=0.0,
-                                    m_max=5)
+        basis = op.build_basis(rng.normal(size=s.dim), 1e-11, tol=0.0,
+                               m_max=5)
         assert op.n_solves == basis.m
 
     def test_shape_mismatch_rejected(self, rc_ladder_system):

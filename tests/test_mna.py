@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.circuit import Netlist, assemble
+from repro.circuit.waveforms import PWL, sample_waveforms
+from repro.pdn.suite import build_case
+from tests import waveform_oracle as oracle
 
 
 def dense(m):
@@ -77,18 +80,18 @@ class TestSourceStamps:
         # At DC the inductor is a short: v_b = 1.0, i_L = 0.2.
         x = np.linalg.solve(dense(sys_.G), sys_.bu(0.0))
         names = sys_.netlist
+        row = names.n_nodes + 1  # after the voltage source's branch row
         assert x[names.node_index("b")] == pytest.approx(1.0)
-        assert x[names.inductor_index("L1")] == pytest.approx(0.2)
+        assert x[row] == pytest.approx(0.2)
         # The inductance appears in C on the branch row.
         c = dense(sys_.C)
-        row = names.inductor_index("L1")
         assert c[row, row] == pytest.approx(-1e-9)
 
     def test_input_ordering_currents_then_voltages(self, small_pdn_system):
         s = small_pdn_system
         assert s.n_current_inputs == 2
         assert list(s.current_input_indices) == [0, 1]
-        assert list(s.voltage_input_indices) == [2]
+        assert s.n_inputs == 3
 
 
 class TestInputEvaluation:
@@ -96,7 +99,7 @@ class TestInputEvaluation:
         s = small_pdn_system
         for t in [0.0, 1.3e-10, 2.5e-10, 7e-10]:
             fast = s.input_vector(t)
-            slow = np.array([w.value(t) for w in s.waveforms])
+            slow = np.array([oracle.value(w, t) for w in s.waveforms])
             assert np.allclose(fast, slow)
 
     def test_active_subset(self, small_pdn_system):
@@ -109,8 +112,10 @@ class TestInputEvaluation:
         s = small_pdn_system
         # Inside the rise of I0: [1e-10, 1.2e-10].
         fd = s.b_slope_fd(1.05e-10, 1.15e-10)
-        analytic = s.b_slope(1.05e-10)
-        assert np.allclose(fd, analytic)
+        w = s.waveforms[0]
+        du = np.zeros(s.n_inputs)
+        du[0] = (w.v2 - w.v1) / w.t_rise
+        assert np.allclose(fd, s.B @ du)
 
     def test_b_slope_fd_rejects_bad_interval(self, small_pdn_system):
         with pytest.raises(ValueError):
@@ -129,6 +134,69 @@ class TestInputEvaluation:
         series = s.bu_series(times, active=[1])
         for k, t in enumerate(times):
             assert np.allclose(series[:, k], s.bu(t, active=[1]))
+
+
+def _golden(name):
+    from tests.test_golden_digests import CASES
+
+    return CASES[name]()[0]
+
+
+def _pg1t_with_pwl():
+    """pg1t with a PWL load, which reads its waveform's ``value``."""
+    system = build_case("pg1t")[0]
+    pwl = PWL([(0.0, 0.0), (2e-9, 1e-3), (5e-9, -2e-4), (7e-9, 0.0)])
+    return system.rebind_sources(overrides={0: pwl, 5: pwl.scaled(0.3)})
+
+
+#: The suite's systems with the most pulse inputs, and the golden cases'.
+SYSTEMS = {
+    "pg1t": lambda: build_case("pg1t")[0],
+    "pg1t-pwl": _pg1t_with_pwl,
+    "pg4t": lambda: build_case("pg4t")[0],
+    "rlc-rebuild": lambda: _golden("rlc-rebuild"),
+    "mesh-bump-split": lambda: _golden("mesh-bump-split"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SYSTEMS))
+def big_system(request):
+    return SYSTEMS[request.param]()
+
+
+class TestInputTable:
+    """``input_vector`` reads one table, whole or by subset."""
+
+    @staticmethod
+    def times(system):
+        gts = np.array(system.global_transition_spots(1e-8))
+        mids = 0.5 * (gts[:-1] + gts[1:])
+        return np.concatenate([gts, mids, np.nextafter(gts, np.inf)])
+
+    def test_subset_equals_whole_vector_rows(self, big_system):
+        s = big_system
+        rng = np.random.default_rng(5)
+        subsets = [
+            list(range(s.n_inputs)),
+            list(range(0, s.n_inputs, 3)),
+            sorted(rng.choice(s.n_inputs, size=max(1, s.n_inputs // 4),
+                              replace=False).tolist()),
+        ]
+        for t in self.times(s):
+            whole = s.input_vector(t)
+            for active in subsets:
+                part = s.input_vector(t, active)
+                assert part[active].tobytes() == whole[active].tobytes()
+                rest = np.ones(s.n_inputs, dtype=bool)
+                rest[active] = False
+                assert not part[rest].any()
+
+    def test_table_agrees_with_sample_waveforms_at_zero(self, big_system):
+        """``x_dc`` (the table) and the march's ``u(0)`` (sampled) must
+        start from the same input bits."""
+        s = big_system
+        sampled = sample_waveforms(s.waveforms, [0.0])[:, 0]
+        assert s.input_vector(0.0).tobytes() == sampled.tobytes()
 
 
 class TestStructure:
@@ -153,5 +221,4 @@ class TestStructure:
         x = np.arange(s.dim, dtype=float)
         assert s.node_voltage(x, "g0_0") == x[s.netlist.node_index("g0_0")]
         assert s.node_voltage(x, "0") == 0.0
-        volts = s.node_voltages(x)
-        assert volts["pad"] == x[s.netlist.node_index("pad")]
+        assert s.node_voltage(x, "pad") == x[s.netlist.node_index("pad")]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuit import DC, Netlist, NetlistError
+from repro.circuit import DC, Netlist, NetlistError, assemble
 from repro.circuit.elements import Capacitor, Resistor
 
 
@@ -91,12 +91,15 @@ class TestUnknownBlocks:
         net.add_voltage_source("V1", "a", "0", 1.0)
         net.add_inductor("L1", "a", "b", 1e-9)
         net.add_resistor("R2", "b", "0", 1.0)
-        assert net.vsource_index("V1") == net.n_nodes
-        assert net.inductor_index("L1") == net.n_nodes + 1
-        with pytest.raises(NetlistError):
-            net.vsource_index("nope")
-        with pytest.raises(NetlistError):
-            net.inductor_index("nope")
+        # Branch rows follow the node block: voltage sources, then
+        # inductors.  V1's row holds its branch equation v(a) = u, L1's
+        # row carries -L on C's diagonal.
+        system = assemble(net)
+        a, v_row, l_row = net.node_index("a"), net.n_nodes, net.n_nodes + 1
+        assert system.G[v_row, a] == 1.0
+        assert system.B[v_row, 0] == 1.0
+        assert system.C[l_row, l_row] == -1e-9
+        assert system.dim == net.n_nodes + 2
 
 
 class TestValidation:

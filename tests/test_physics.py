@@ -63,7 +63,7 @@ class TestEnergyDissipation:
             s, SolverOptions(method="rational", gamma=1e-11, eps_rel=1e-10)
         )
         res = solver.simulate(1e-9, x0=x0)  # many time constants
-        assert np.max(np.abs(res.final_state)) < 1e-3 * np.max(np.abs(x0))
+        assert np.max(np.abs(res.states[-1])) < 1e-3 * np.max(np.abs(x0))
 
 
 class TestMaximumPrinciple:

@@ -10,6 +10,7 @@ scheduler's delegation (including the ``batch=`` UserWarning satellite).
 
 import contextlib
 import functools
+from dataclasses import replace
 import math
 import pickle
 
@@ -170,7 +171,7 @@ class TestCompile:
         b = plan.compile()
         assert a.system_fingerprint() == b.system_fingerprint()
         other = SimulationPlan(
-            mesh_system, OPTS.with_method("inverted"), t_end=T_END
+            mesh_system, replace(OPTS, method="inverted"), t_end=T_END
         ).compile()
         # Same pencil inputs except gamma is still recorded: rational
         # vs inverted share (C, G, B) so only a gamma change alters it.
@@ -413,7 +414,9 @@ class TestScenarioValidation:
     def test_zero_scaled_pwl_is_rejected(self, mesh_system):
         """A PWL's spots follow its slopes: a zero factor collapses them,
         so validation's spot check (not its constancy check) rejects it."""
-        pwl = mesh_system.waveforms[0].to_pwl(T_END)
+        pulse = mesh_system.waveforms[0]
+        spots = pulse.transition_spots(T_END) + [T_END]
+        pwl = PWL(zip(spots, pulse.values_array(np.array(spots))))
         compiled = SimulationPlan(mesh_system, OPTS, t_end=T_END).compile()
         with Session(compiled) as session:
             assert session._validate(

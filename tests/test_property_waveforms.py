@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.waveforms import PWL, Pulse, merge_transition_spots
+from tests import waveform_oracle as oracle
 
 # -- strategies -----------------------------------------------------------------
 
@@ -68,21 +69,11 @@ def test_pulse_linear_between_spots(params):
 
 @given(params=pulse_params)
 @settings(max_examples=50)
-def test_pulse_to_pwl_agrees(params):
-    p = Pulse(**params)
-    pwl = p.to_pwl(2e-9)
-    for t in np.linspace(0.0, 2e-9, 23):
-        assert math.isclose(pwl.value(float(t)), p.value(float(t)),
-                            rel_tol=1e-9, abs_tol=1e-12)
-
-
-@given(params=pulse_params)
-@settings(max_examples=50)
 def test_pulse_values_array_consistent(params):
     p = Pulse(**params)
     ts = np.linspace(0.0, 2e-9, 31)
     vec = p.values_array(ts)
-    scalar = np.array([p.value(float(t)) for t in ts])
+    scalar = np.array([oracle.value(p, float(t)) for t in ts])
     assert np.allclose(vec, scalar, atol=1e-12)
 
 
@@ -96,6 +87,14 @@ def test_pwl_value_within_hull(points):
     lo, hi = min(values), max(values)
     for t in np.linspace(0.0, 1.2e-8, 13):
         assert lo - 1e-9 <= w.value(float(t)) <= hi + 1e-9
+
+
+@given(points=pwl_points())
+def test_pwl_values_array_matches_oracle(points):
+    w = PWL(points)
+    ts = np.linspace(-1e-9, 1.2e-8, 29)
+    scalar = [oracle.value(w, float(t)) for t in ts]
+    assert np.allclose(w.values_array(ts), scalar, rtol=1e-12, atol=1e-12)
 
 
 @given(points=pwl_points())

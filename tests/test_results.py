@@ -1,5 +1,7 @@
 """Unit tests for TransientResult, SolverStats and SolverOptions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,6 @@ class TestTransientResult:
         idx = small_pdn_system.netlist.node_index("g0_0")
         assert np.allclose(v, result.states[:, idx])
         assert np.all(result.voltage("0") == 0.0)
-
-    def test_node_block_drops_branch_rows(self, result, small_pdn_system):
-        block = result.node_block()
-        assert block.shape[1] == small_pdn_system.netlist.n_nodes
 
     def test_shifted(self, result):
         shifted = result.shifted(np.ones(result.states.shape[1]))
@@ -92,8 +90,9 @@ class TestSolverOptions:
         assert SolverOptions(method="I-MATEX").method == "inverted"
 
     def test_with_method(self):
+        """A copy with another method is canonicalised like a new one."""
         opts = SolverOptions(method="rational", gamma=2e-10)
-        other = opts.with_method("imatex")
+        other = replace(opts, method="imatex")
         assert other.method == "inverted"
         assert other.gamma == 2e-10
 

@@ -43,7 +43,6 @@ class TestDecomposedSchedule:
         s = small_pdn_system
         sched = build_schedule(s, 1e-9, local_inputs=(0,))
         assert sched.n_points == len(sched.points)
-        assert sched.n_lts + sched.n_snapshots == sched.n_points
         # I0 has 5 LTS in range (0 + 4 bump corners); t=0 overlaps.
         assert sched.n_lts == 5
 

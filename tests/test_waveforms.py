@@ -12,7 +12,15 @@ from repro.circuit.waveforms import (
     Pulse,
     Waveform,
     merge_transition_spots,
+    sample_waveforms,
 )
+from tests import waveform_oracle as oracle
+
+
+def segment_slope(w, t0: float, t1: float) -> float:
+    """The finite-difference slope of ``w`` on ``[t0, t1]``: the slope
+    form the solvers use (``MNASystem.b_slope_fd``)."""
+    return (w.value(t1) - w.value(t0)) / (t1 - t0)
 
 
 class TestDC:
@@ -22,7 +30,7 @@ class TestDC:
         assert w.value(1e-6) == 1.8
 
     def test_slope_is_zero(self):
-        assert DC(5.0).slope(1e-9) == 0.0
+        assert segment_slope(DC(5.0), 1e-9, 2e-9) == 0.0
 
     def test_transition_spots_only_origin(self):
         assert DC(1.0).transition_spots(1e-8) == [0.0]
@@ -47,13 +55,13 @@ class TestPWL:
 
     def test_slope_inside_segment(self):
         w = PWL([(0.0, 0.0), (1e-9, 1.0), (2e-9, 1.0)])
-        assert w.slope(5e-10) == pytest.approx(1e9)
-        assert w.slope(1.5e-9) == 0.0
+        assert segment_slope(w, 2e-10, 5e-10) == pytest.approx(1e9)
+        assert segment_slope(w, 1.2e-9, 1.5e-9) == 0.0
 
     def test_slope_outside_is_zero(self):
         w = PWL([(1e-9, 0.0), (2e-9, 1.0)])
-        assert w.slope(0.5e-9) == 0.0
-        assert w.slope(3e-9) == 0.0
+        assert segment_slope(w, 0.2e-9, 0.5e-9) == 0.0
+        assert segment_slope(w, 3e-9, 4e-9) == 0.0
 
     def test_transition_spots_at_slope_changes(self):
         w = PWL([(0.0, 0.0), (1e-9, 1.0), (2e-9, 1.0), (3e-9, 0.0)])
@@ -67,25 +75,28 @@ class TestPWL:
         assert 1e-9 not in spots
 
     def test_slope_right_sided_at_exact_breakpoints(self):
+        """From each spot to the next, the finite difference is the
+        segment's own slope: a spot's value belongs to both segments."""
         w = PWL([(0.0, 0.0), (1e-9, 1.0), (2e-9, 1.0), (3e-9, 0.0)])
-        assert w.slope(1e-9) == 0.0            # flat segment starts here
-        assert w.slope(2e-9) == pytest.approx(-1e9)
-        assert w.slope(3e-9) == 0.0            # past-final hold
+        assert segment_slope(w, 1e-9, 2e-9) == 0.0    # flat segment
+        assert segment_slope(w, 2e-9, 3e-9) == pytest.approx(-1e9)
+        assert segment_slope(w, 3e-9, 4e-9) == 0.0    # past-final hold
 
     def test_slope_snaps_ulp_noise_onto_breakpoints(self):
-        """A time an ulp off a breakpoint must read the same segment.
+        """A segment whose start is an ulp off its breakpoint must still
+        read that segment's slope.
 
         Spot lists and evaluation times are built through different
-        arithmetic; without snapping, an ulp *before* a breakpoint
-        returns the previous segment's slope — the scalar path would
-        disagree with the `_interp_table`-derived spot geometry.
+        arithmetic; the finite difference to the next spot absorbs the
+        ulp, where an analytic right-sided slope would not.
         """
         w = PWL([(0.0, 0.0), (1e-9, 1.0), (2e-9, 1.0), (3e-9, 0.0)])
-        for bp in (1e-9, 2e-9, 3e-9):
-            below = np.nextafter(bp, 0.0)
-            above = np.nextafter(bp, np.inf)
-            assert w.slope(below) == w.slope(bp)
-            assert w.slope(above) == w.slope(bp)
+        for bp, nxt in ((1e-9, 2e-9), (2e-9, 3e-9), (3e-9, 4e-9)):
+            exact = segment_slope(w, bp, nxt)
+            for start in (np.nextafter(bp, 0.0), np.nextafter(bp, np.inf)):
+                assert segment_slope(w, float(start), nxt) == pytest.approx(
+                    exact, abs=1e-3
+                )
 
     def test_transition_spot_after_negative_breakpoint_not_missed(self):
         """A ramp starting before t=0 still ends at an in-window spot."""
@@ -109,7 +120,7 @@ class TestPWL:
     def test_values_array_matches_scalar(self):
         w = PWL([(0.0, 0.0), (1e-9, 1.0), (3e-9, -1.0)])
         ts = np.linspace(0, 4e-9, 17)
-        assert np.allclose(w.values_array(ts), [w.value(t) for t in ts])
+        assert np.allclose(w.values_array(ts), [oracle.value(w, t) for t in ts])
 
     def test_is_constant_false(self):
         assert not PWL([(0.0, 0.0), (1e-9, 1.0)]).is_constant()
@@ -141,13 +152,14 @@ class TestPulse:
         assert spots[-1] == pytest.approx(4e-10)
 
     def test_slope_right_sided_at_spots(self):
-        """At its own transition spots slope() must be the *next* segment's."""
+        """From each transition spot to the next, the finite difference
+        is the *next* segment's slope."""
         p = self.pulse()
-        spots = p.transition_spots(1e-9)
+        spots = p.transition_spots(1e-9) + [1e-9]
         rise = 1e-3 / 5e-11
         expected = [0.0, rise, 0.0, -rise, 0.0]
-        got = [p.slope(t) for t in spots]
-        assert got == pytest.approx(expected)
+        got = [segment_slope(p, a, b) for a, b in zip(spots, spots[1:])]
+        assert got == pytest.approx(expected, abs=1e-3)
 
     def test_periodic_fold(self):
         p = self.pulse(t_period=1e-9)
@@ -157,12 +169,12 @@ class TestPulse:
 
     def test_periodic_slope_right_sided_at_fold(self):
         """t_delay + k*t_period can fold to an ulp below the period;
-        slope() there must be the next bump's rise, not the tail hold."""
+        the segment from there must still be the next bump's rise."""
         p = self.pulse(t_period=1e-9)
         rise = (1e-3 - 0.0) / 5e-11
         for k in (1, 2, 3):
             spot = p.t_delay + k * p.t_period
-            assert p.slope(spot) == pytest.approx(rise)
+            assert segment_slope(p, spot, spot + p.t_rise) == pytest.approx(rise)
             assert p.value(spot) == pytest.approx(p.value(p.t_delay))
 
     def test_period_too_short_rejected(self):
@@ -179,17 +191,11 @@ class TestPulse:
         assert shape == BumpShape(1e-10, 5e-11, 5e-11, 2e-10)
         assert shape.key() == (1e-10, 5e-11, 5e-11, 2e-10)
 
-    def test_to_pwl_matches_values(self):
-        p = self.pulse()
-        pwl = p.to_pwl(1e-9)
-        for t in np.linspace(0, 1e-9, 41):
-            assert pwl.value(t) == pytest.approx(p.value(t), abs=1e-12)
-
     def test_values_array_matches_scalar(self):
         p = self.pulse(t_period=8e-10)
         ts = np.linspace(0, 3e-9, 53)
-        assert np.allclose(p.values_array(ts), [p.value(t) for t in ts],
-                           atol=1e-12)
+        assert np.allclose(p.values_array(ts),
+                           [oracle.value(p, t) for t in ts], atol=1e-12)
 
     def test_is_constant_when_levels_equal(self):
         assert self.pulse(v2=0.0).is_constant()
@@ -212,7 +218,7 @@ class TestMergeTransitionSpots:
 
 
 class TestValuesArrayParity:
-    """Every concrete waveform's vectorised path vs the scalar value()."""
+    """Every concrete waveform's ``values_array`` vs the scalar oracle."""
 
     WAVEFORMS = [
         DC(1.7),
@@ -225,7 +231,7 @@ class TestValuesArrayParity:
         ts = np.linspace(-1e-10, 1.2e-9, 457)
         for w in self.WAVEFORMS:
             vec = w.values_array(ts)
-            scalar = np.array([w.value(float(t)) for t in ts])
+            scalar = np.array([oracle.value(w, float(t)) for t in ts])
             np.testing.assert_allclose(vec, scalar, rtol=0.0, atol=1e-15)
             assert vec.shape == ts.shape
 
@@ -234,7 +240,7 @@ class TestValuesArrayParity:
         for w in self.WAVEFORMS:
             spots = np.array(w.transition_spots(1e-9))
             vec = w.values_array(spots)
-            scalar = np.array([w.value(float(t)) for t in spots])
+            scalar = np.array([oracle.value(w, float(t)) for t in spots])
             np.testing.assert_allclose(vec, scalar, rtol=0.0, atol=1e-15)
 
     def test_parity_ulp_around_spots_and_past_final(self):
@@ -248,22 +254,32 @@ class TestValuesArrayParity:
                 spots[-1] + np.array([1e-10, 1e-9, 1e-6, 1.0]),  # past final
             ])
             vec = w.values_array(probe)
-            scalar = np.array([w.value(float(t)) for t in probe])
+            scalar = np.array([oracle.value(w, float(t)) for t in probe])
             np.testing.assert_allclose(vec, scalar, rtol=0.0, atol=1e-15)
 
+    def test_value_is_one_point_values_array(self):
+        """value(t) and values_array read the same bits, at every time."""
+        ts = np.linspace(-1e-10, 1.2e-9, 97)
+        for w in self.WAVEFORMS:
+            one = np.array([w.value(float(t)) for t in ts])
+            assert one.tobytes() == w.values_array(ts).tobytes()
+
+    def test_sample_waveforms_is_values_array(self):
+        ts = np.linspace(-1e-10, 1.2e-9, 97)
+        rows = sample_waveforms(self.WAVEFORMS, ts)
+        for w, row in zip(self.WAVEFORMS, rows):
+            assert row.tobytes() == w.values_array(ts).tobytes()
+
     def test_repeated_calls_share_cached_tables(self):
-        p = Pulse(0.0, 1e-3, 1e-10, 2e-11, 1e-10, 3e-11)
-        a = p.values_array(np.array([0.0, 1e-10]))
-        b = p.values_array(np.array([0.0, 1e-10]))
+        w = PWL([(0.0, 0.0), (1e-10, 2e-3)])
+        a = w.values_array(np.array([0.0, 5e-11]))
+        b = w.values_array(np.array([0.0, 5e-11]))
         np.testing.assert_array_equal(a, b)
-        assert p._interp_table is p._interp_table  # cached, not rebuilt
+        assert w._interp_table is w._interp_table  # cached, not rebuilt
 
-    def test_base_class_fallback_preserves_shape(self):
+    def test_subclass_without_values_array_is_rejected(self):
         class Ramp(Waveform):
-            def value(self, t):
-                return 2.0 * t
+            pass
 
-        ts = np.array([[0.0, 1.0], [2.0, 3.0]])
-        out = Ramp().values_array(ts)
-        assert out.shape == ts.shape
-        np.testing.assert_allclose(out, 2.0 * ts)
+        with pytest.raises(NotImplementedError):
+            Ramp().value(1.0)
