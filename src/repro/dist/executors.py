@@ -121,6 +121,11 @@ def _shutdown_pool(pool: ProcessPoolExecutor, force: bool = False) -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _batch_policy(width):
+    """A validated ``batch_width`` policy; ``None`` is ``"off"``."""
+    return "off" if width is None else check_batch(width, "batch_width")
+
+
 def _resolve_batch_width(batch_width, n_tasks: int) -> int:
     """Normalise a batch-width policy to a concrete lockstep width.
 
@@ -128,7 +133,8 @@ def _resolve_batch_width(batch_width, n_tasks: int) -> int:
     (per-node execution), ``"auto"`` → one lockstep batch over all
     tasks, an integer → fixed-width chunks.
     """
-    if batch_width is None or check_batch(batch_width, "batch_width") == "off":
+    batch_width = _batch_policy(batch_width)
+    if batch_width == "off":
         return 1
     if batch_width == "auto":
         return max(n_tasks, 1)
@@ -232,6 +238,11 @@ class Executor:
         self.close()
         return False
 
+    @property
+    def workers(self) -> int:
+        """Processes a submission is spread over (1 in process)."""
+        return 1
+
     def max_factor_seconds(self, results: Iterable[NodeResult]) -> float:
         """The parallel factorisation cost chargeable to ``tr_total``.
 
@@ -260,11 +271,9 @@ class SerialExecutor(Executor):
         options: SolverOptions | None = None,
         batch_width=None,
     ):
-        if batch_width is not None:
-            check_batch(batch_width, "batch_width")
+        self.batch_width = _batch_policy(batch_width)
         self.system = system
         self.options = options if options is not None else SolverOptions()
-        self.batch_width = batch_width
         self._runner: BlockNodeRunner | None = None
 
     @property
@@ -444,12 +453,10 @@ class MultiprocessExecutor(Executor):
             raise TypeError(
                 f"retry must be a RetryPolicy or None, got {retry!r}"
             )
-        if batch_width is not None:
-            check_batch(batch_width, "batch_width")
+        self.batch_width = _batch_policy(batch_width)
         self.system = system
         self.options = options if options is not None else SolverOptions()
         self.max_workers = max_workers
-        self.batch_width = batch_width
         self.retry = retry
         #: Lifetime resilience counters (see
         #: :class:`~repro.dist.supervision.SupervisionStats`).
@@ -461,6 +468,11 @@ class MultiprocessExecutor(Executor):
         self._consecutive_failures = 0
         self._degraded = False
         self._serial: SerialExecutor | None = None
+
+    @property
+    def workers(self) -> int:
+        """The pool width: ``max_workers``, else ``os.cpu_count()``."""
+        return self.max_workers or os.cpu_count() or 1
 
     # -- pool lifecycle ---------------------------------------------------------
 
@@ -480,7 +492,7 @@ class MultiprocessExecutor(Executor):
         its ``n_tasks``."""
         if self._pool is not None:
             return
-        self._pool_workers = self.max_workers or os.cpu_count() or 1
+        self._pool_workers = self.workers
         if n_tasks is not None:
             self._pool_workers = min(self._pool_workers, n_tasks)
         self._prefix = new_segment_prefix() if shm_available() else None

@@ -11,7 +11,8 @@ objects through one :class:`~repro.plan.plan.CompiledPlan` against a
 * scenarios bound to the plan's frozen grid are **stacked**: their
   tasks are submitted in one batch, so the block-batched lockstep march
   advances N scenarios × K groups as one wide block instead of N
-  separate runs;
+  separate runs (``stack="auto"``: as many as fit one operator block
+  of :data:`AUTO_STACK_BLOCK_BYTES`, per executor worker);
 * every scenario's superposed trajectory is **bit-for-bit identical**
   to an independent cold :class:`~repro.dist.scheduler.MatexScheduler`
   run on the scenario-bound system (enforced by ``tests/test_plan.py``)
@@ -45,6 +46,7 @@ import numpy as np
 
 from repro.circuit.mna import MNASystem
 from repro.circuit.waveforms import Pulse
+from repro.core.decomposition import SourceGroup
 from repro.core.options import check_stack
 from repro.core.results import TransientResult
 from repro.core.stats import SolverStats
@@ -58,23 +60,18 @@ from repro.plan.scenario import Scenario
 __all__ = ["Session"]
 
 
-#: Target lockstep width (node tasks per submission) for ``stack="auto"``.
-#: Stacking pays off by amortising per-round Python overhead, which is
-#: saturated by a few hundred lockstep columns; beyond that the
-#: per-round working set (every stacked task's vectors and factored
-#: spans) only grows, and the march slows down on memory traffic.  So "auto"
-#: stacks narrow plans deeply (a 6-node plan runs ~40 scenarios per
-#: march) and wide plans shallowly (a 100-node plan runs 2 per march),
-#: instead of blindly submitting the whole sweep at once.
-AUTO_STACK_TASK_TARGET = 256
-
-
-def _resolve_stack(stack, n_scenarios: int, n_nodes: int) -> int:
-    """Normalise a stacking policy to a chunk size in scenarios."""
-    if check_stack(stack) == "auto":
-        per_chunk = max(1, AUTO_STACK_TASK_TARGET // max(n_nodes, 1))
-        return min(per_chunk, max(n_scenarios, 1))
-    return stack
+#: Byte budget of one march's operator block under ``stack="auto"``.
+#: The lockstep block holds one float64 ``dim``-vector per column, so
+#: each stacked scenario costs ``8·dim·n_nodes`` bytes; "auto" stacks as
+#: many scenarios into one march as fit in half of a 2 MiB L2 cache, and
+#: at least one.  Stacking pays off by amortising per-round Python
+#: overhead; once the block falls out of the cache, a wider march only
+#: adds page faults and holds more span factors until its chunk is
+#: added to the scenario sums.  So a small plan stacks deeply (a 2-node
+#: plan of 36 unknowns fits 1820 scenarios in a march) and a deck-sized
+#: one runs one per march (pg1t: 100 nodes × 1058 unknowns, 0.8 MiB).
+#: A submission is that many scenarios per executor worker.
+AUTO_STACK_BLOCK_BYTES = 1 << 20
 
 
 class _CompileCost(NamedTuple):
@@ -170,6 +167,15 @@ class Session:
             self.executor.prepare()
         self._prepared = True
 
+    def _stack(self, stack, n_scenarios: int) -> int:
+        """Scenarios per executor submission under a stacking policy."""
+        if check_stack(stack) != "auto":
+            return stack
+        compiled = self.compiled
+        block = 8 * compiled.system.dim * max(compiled.n_nodes, 1)
+        per_march = max(1, AUTO_STACK_BLOCK_BYTES // block)
+        return min(per_march * self.executor.workers, max(n_scenarios, 1))
+
     # -- scenario validation ---------------------------------------------------
 
     def _validate(self, scenario: Scenario) -> MNASystem | None:
@@ -260,11 +266,11 @@ class Session:
                     if w is not compiled.system.waveforms[col]:
                         merged[col] = w
                 if merged:
-                    group = replace(
-                        g,
-                        waveform_overrides=tuple(
-                            sorted(merged.items(), key=lambda cw: cw[0])
-                        ),
+                    group = SourceGroup(
+                        g.group_id,
+                        g.label,
+                        g.input_columns,
+                        tuple(sorted(merged.items(), key=lambda cw: cw[0])),
                     )
             tasks.append(
                 SimulationTask(
@@ -309,11 +315,12 @@ class Session:
             mid-sweep.
         stack:
             How many scenarios to submit to the executor per batch.
-            ``"auto"`` (default) targets
-            :data:`AUTO_STACK_TASK_TARGET` lockstep tasks per
-            submission — deep stacking for narrow plans, shallow for
-            wide ones; an explicit integer overrides it (each stacked
-            scenario holds its dense ``(K × dim)`` sum, and the
+            ``"auto"`` (default) fills each march's operator block up
+            to :data:`AUTO_STACK_BLOCK_BYTES` (at least one scenario)
+            and submits one such march per executor worker — deep
+            stacking for small plans; a 100-node pg1t plan runs one
+            scenario per march.  An explicit integer overrides it (each
+            stacked scenario holds its dense ``(K × dim)`` sum, and the
             executor holds at most one marched chunk's node factors
             until they are added — ≈ ``(m + 2)·(K + dim)`` floats per
             Krylov basis).
@@ -355,9 +362,7 @@ class Session:
         if model is not None:
             return self._sweep_rom(model, scenario_list, bound_list, stack)
 
-        chunk = _resolve_stack(
-            stack, len(scenario_list), self.compiled.n_nodes
-        )
+        chunk = self._stack(stack, len(scenario_list))
         self._ensure_prepared()
 
         results: list[DistributedResult] = []
@@ -430,9 +435,7 @@ class Session:
 
         if fallback_idx:
             self._ensure_prepared()
-            chunk = _resolve_stack(
-                stack, len(fallback_idx), compiled.n_nodes
-            )
+            chunk = self._stack(stack, len(fallback_idx))
             for start in range(0, len(fallback_idx), chunk):
                 idx = fallback_idx[start:start + chunk]
                 full = self._run_chunk(

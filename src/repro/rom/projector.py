@@ -31,6 +31,15 @@ Review 53(2), 2011, §5):
 3. **thin QR** — one unpivoted QR of the ``n × keep`` selected columns
    is ``V``.
 
+The candidates live in one F-ordered ``n × (1 + moments)·p`` block,
+allocated once and filled in place ``FILL_COLUMNS`` input columns at a
+time — the ``G`` and ``S`` solves, then the moment recursion — with each
+step's columns checked for finiteness and measured for their norms as
+they land; only ``W`` is copied out.  The solves and the sparse product
+are per-column deterministic, so every column has the bits of the whole
+blocks solved at once, without those blocks and their concatenation
+held beside it (pg1t: 40.6 MiB traced peak against 65.0).
+
 The selection is *global*: every block competes in the one pivoted QR,
 so the ``q_max`` budget goes to the most independent directions of the
 whole candidate set, not to whichever block happened to be
@@ -61,6 +70,11 @@ SKETCH_SEED = 20110601
 #: numerical rank above the cap (and so reports the truncation), and
 #: that its distortion of the column geometry stays small.
 SKETCH_OVERSAMPLE = 20
+
+#: Input columns per step of the candidate block's in-place fill: each
+#: step's solves and products are ``(n, FILL_COLUMNS)`` temporaries,
+#: not whole ``(n, p)`` blocks.
+FILL_COLUMNS = 128
 
 
 class RomBuildError(RuntimeError):
@@ -176,27 +190,35 @@ def rational_krylov_basis(
             f"basis: {exc}"
         ) from exc
 
-    W = np.asarray(lu_g.solve_many(Bd))
-    X = np.asarray(lu_s.solve_many(Bd))
-    blocks = [W, X]
-    for _ in range(moments - 1):
-        X = np.asarray(lu_s.solve_many(np.asarray(C @ X)))
-        blocks.append(X)
-
-    cand = np.concatenate(blocks, axis=1)
-    if not np.all(np.isfinite(cand)):
-        raise RomBuildError(
-            "candidate blocks contain non-finite entries (near-singular "
-            "pencil?); refusing to build a reduced model"
-        )
+    # [W | X_1 | … | X_moments], filled in place (module docstring).
+    n, p = Bd.shape
+    n_candidates = (1 + moments) * p
+    cand = np.empty((n, n_candidates), order="F")
+    W = np.empty((n, p), order="F")
+    norms = np.empty(n_candidates)
+    for c0 in range(0, p, FILL_COLUMNS):
+        c1 = min(c0 + FILL_COLUMNS, p)
+        blocks = [slice(j * p + c0, j * p + c1) for j in range(1 + moments)]
+        cand[:, blocks[0]] = lu_g.solve_many(Bd[:, c0:c1])
+        cand[:, blocks[1]] = lu_s.solve_many(Bd[:, c0:c1])
+        for prev, cur in zip(blocks[1:], blocks[2:]):
+            cand[:, cur] = lu_s.solve_many(np.asarray(C @ cand[:, prev]))
+        W[:, c0:c1] = cand[:, blocks[0]]
+        for cols in blocks:
+            if not np.all(np.isfinite(cand[:, cols])):
+                raise RomBuildError(
+                    "candidate blocks contain non-finite entries "
+                    "(near-singular pencil?); refusing to build a reduced "
+                    "model"
+                )
+            norms[cols] = np.linalg.norm(cand[:, cols], axis=0)
+    del Bd
 
     # Column-normalise so the pivoted QR ranks *directions*, not input
     # magnitudes (a microamp load deserves the same chance as a rail).
-    norms = np.linalg.norm(cand, axis=0)
     dead = norms == 0.0  # repro: allow[RPL005] exactly-zero columns only; near-zero must keep their scale
     norms[dead] = 1.0
     cand /= norms
-    n, n_candidates = cand.shape
 
     k = min(q_max + SKETCH_OVERSAMPLE, n)
     omega = np.random.default_rng(SKETCH_SEED).standard_normal((k, n))

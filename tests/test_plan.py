@@ -212,6 +212,18 @@ class TestSessionParity:
         for a, b in zip(stacked, chunked):
             assert a.result.states.tobytes() == b.result.states.tobytes()
 
+    def test_scenario_groups_pickle_like_replace(self, mesh_system, scenarios):
+        """A scenario's overridden groups are built directly, and pickle
+        to the bytes of ``dataclasses.replace`` on the plan's group."""
+        compiled = SimulationPlan(mesh_system, OPTS, t_end=T_END).compile()
+        session = Session(compiled)
+        bound = session._validate(scenarios[1])
+        tasks = session._scenario_tasks(1, bound)
+        assert any(t.group.waveform_overrides for t in tasks)
+        for g, t in zip(compiled.groups, tasks):
+            want = replace(g, waveform_overrides=t.group.waveform_overrides)
+            assert pickle.dumps(t.group) == pickle.dumps(want)
+
     def test_batch_off_session_matches_too(self, mesh_system, scenarios):
         compiled = SimulationPlan(
             mesh_system, OPTS, t_end=T_END, batch="off"

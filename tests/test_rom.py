@@ -29,10 +29,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
+import repro.rom.model as rom_model
+import repro.rom.projector as projector
 from repro.circuit.waveforms import PWL
 from repro.core.options import SolverOptions
-from repro.linalg.lu import FACTORIZATION_CACHE
+from repro.linalg.lu import FACTORIZATION_CACHE, canonical_shift
 from repro.plan import PlanError, Scenario, Session, SimulationPlan
 from repro.rom import (
     RomAnswer,
@@ -115,6 +119,63 @@ class TestProjectorDeflation:
             mesh_system.C, mesh_system.G, mesh_system.B, GAMMA, q_max=2
         )
         assert V.shape[1] == 2 and info.rank == 2 and info.truncated
+
+
+def whole_block_basis(C, G, B, gamma, moments=2, q_max=200,
+                      deflation_tol=1e-10):
+    """``(V, W)`` from the candidate block built whole: every moment
+    block solved at full width, concatenated, then normalised — the
+    oracle the projector's in-place column-chunk fill must match byte
+    for byte."""
+    Bd = np.asarray(B.todense() if sp.issparse(B) else B, order="F")
+    lu_g = FACTORIZATION_CACHE.factor(G, label="G(rom)")
+    lu_s = FACTORIZATION_CACHE.factor(
+        (C + gamma * G).tocsc(), label="S(rom)",
+        key_extra=("gamma", canonical_shift(gamma)),
+    )
+    W = np.asarray(lu_g.solve_many(Bd))
+    X = np.asarray(lu_s.solve_many(Bd))
+    blocks = [W, X]
+    for _ in range(moments - 1):
+        X = np.asarray(lu_s.solve_many(np.asarray(C @ X)))
+        blocks.append(X)
+    cand = np.concatenate(blocks, axis=1)
+    norms = np.linalg.norm(cand, axis=0)
+    cand /= np.where(norms > 0.0, norms, 1.0)
+    n = cand.shape[0]
+    k = min(q_max + projector.SKETCH_OVERSAMPLE, n)
+    omega = np.random.default_rng(projector.SKETCH_SEED).standard_normal((k, n))
+    R, perm = sla.qr(omega @ cand, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    keep = min(q_max, int(np.sum(diag > deflation_tol * diag[0])))
+    Q, _ = sla.qr(cand[:, perm[:keep]], mode="economic", overwrite_a=True)
+    return np.ascontiguousarray(Q), W
+
+
+class TestInPlaceFill:
+    """The candidate block is filled in place, ``FILL_COLUMNS`` input
+    columns at a time; every column keeps the whole-block bits."""
+
+    @pytest.mark.parametrize("fill", (1, 2))
+    def test_chunked_fill_is_byte_equal_to_whole_blocks(
+        self, mesh_system, monkeypatch, fill
+    ):
+        """3 inputs in steps of 1 or 2 columns (the last one partial),
+        through two moment recursions."""
+        monkeypatch.setattr(projector, "FILL_COLUMNS", fill)
+        s = mesh_system
+        V, _, W, _ = rational_krylov_basis(s.C, s.G, s.B, GAMMA, moments=3)
+        V_ref, W_ref = whole_block_basis(s.C, s.G, s.B, GAMMA, moments=3)
+        assert W.flags.f_contiguous
+        assert V.tobytes() == V_ref.tobytes()
+        assert W.tobytes() == W_ref.tobytes()
+
+    def test_non_finite_chunk_raises(self, mesh_system, monkeypatch):
+        monkeypatch.setattr(projector, "FILL_COLUMNS", 1)
+        B = mesh_system.B.toarray()
+        B[0, -1] = np.inf
+        with pytest.raises(RomBuildError, match="non-finite"):
+            rational_krylov_basis(mesh_system.C, mesh_system.G, B, GAMMA)
 
 
 class TestRomConfig:
@@ -613,6 +674,39 @@ class TestDeterminism:
         for name in ("Vt", "mu", "input_map"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.basis == b.basis
+
+    def test_pg1t_basis_is_byte_equal_to_whole_blocks(self, pg1t_rom):
+        """pg1t has 804 inputs: seven fill steps, the last one partial."""
+        system = pg1t_rom[0]
+        args = (system.C, system.G, system.B, BENCH_OPTS.gamma)
+        V, _, W, _ = rational_krylov_basis(*args)
+        V_ref, W_ref = whole_block_basis(*args)
+        assert system.n_inputs % projector.FILL_COLUMNS
+        assert V.tobytes() == V_ref.tobytes()
+        assert W.tobytes() == W_ref.tobytes()
+
+    def test_answers_equal_a_whole_block_build(self, pg1t_rom, monkeypatch):
+        """A model built on the whole-block basis answers 4 bench
+        scenarios with the same bits as the compiled one."""
+        from repro.pdn import load_pattern_scenarios
+
+        system, case, compiled = pg1t_rom
+
+        def whole_block(C, G, B, gamma, **kw):
+            _, info, _, lu_g = rational_krylov_basis(C, G, B, gamma, **kw)
+            V, W = whole_block_basis(C, G, B, gamma, **kw)
+            return V, info, W, lu_g
+
+        monkeypatch.setattr(rom_model, "rational_krylov_basis", whole_block)
+        ref = build_reduced_model(system, BENCH_OPTS, case.t_end, RomConfig())
+        model = compiled.rom
+        for name in ("Vt", "mu", "lam", "input_map", "X", "Zt"):
+            assert getattr(model, name).tobytes() == getattr(ref, name).tobytes()
+        for sc in load_pattern_scenarios(system, n=4, seed=7, spread=0.5):
+            got = model.answer(model.input_matrix(sc, None))
+            want = ref.answer(ref.input_matrix(sc, None))
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.bound_abs == want.bound_abs
 
     def test_pickled_plan_answers_bit_identically(self, pg1t_rom):
         from repro.pdn import load_pattern_scenarios
