@@ -38,7 +38,7 @@ def main() -> None:
         decomposition="bump",
     )
     groups = scheduler.groups()
-    print(f"{len(system.netlist.current_sources)} load sources fall into "
+    print(f"{system.n_current_inputs} load sources fall into "
           f"{len(groups)} bump groups (computing nodes)")
 
     executor = None

@@ -6,14 +6,15 @@ The IBM power grid benchmarks ship as flat SPICE decks.  This example
 shows the repository's I/O paths for that dialect:
 
 1. a hand-written deck string is parsed,
-2. the synthetic pg1t case is exported to the same format and re-parsed,
-3. both round-trips are verified by comparing DC operating points,
-4. the same deck is **streamed** back through the memory-bounded
-   ingester (``repro.circuit.ingest``) and shown to be bit-identical.
+2. the synthetic pg1t case is exported to the same format and read
+   back from a file, verified by comparing DC operating points,
+3. the same deck written in insertion order reads back into
+   **bit-identical** matrices.
 
-If you have real ``ibmpg*t.spice`` files, ``repro.circuit.parse_file``
-loads them the same way — and ``repro.circuit.ingest_file`` (or
-``python -m repro.cli run --netlist``) streams the big ones.
+Generators and the reader fill one netlist form, and every path reads
+decks with one memory-bounded pass (``repro.circuit.ingest``).  If you
+have real ``ibmpg*t.spice`` files, ``repro.circuit.ingest_file`` (or
+``python -m repro.cli run --netlist``) loads them the same way.
 """
 
 import tempfile
@@ -26,7 +27,6 @@ from repro.circuit import (
     assemble,
     format_netlist,
     ingest_file,
-    parse_file,
     parse_netlist,
     write_file,
 )
@@ -54,7 +54,7 @@ def main() -> None:
     print(f"parsed deck: {net.summary()}")
     print(f"DC voltage at n2: {system.node_voltage(x_dc, 'n2'):.4f} V")
 
-    # 2. Export a generated suite case and re-parse it.
+    # 2. Export a generated suite case and read it back from a file.
     pg1t = build_netlist("pg1t")
     text = format_netlist(pg1t, t_end=1e-8)
     print(f"\npg1t exports to {len(text.splitlines())} SPICE lines")
@@ -62,18 +62,17 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pg1t.spice"
         path.write_text(text)
-        reparsed = parse_file(path)
+        roundtrip = ingest_file(path).system
 
     original = assemble(pg1t)
-    roundtrip = assemble(reparsed)
     x0, _ = dc_operating_point(original)
     x1, _ = dc_operating_point(roundtrip)
     diff = float(np.max(np.abs(x0 - x1)))
     print(f"DC operating point round-trip difference: {diff:.2e} V")
     assert diff < 1e-12, "round trip corrupted the circuit"
 
-    # 3. Stream the deck back without per-element objects: written in
-    # insertion order, the ingest path is bit-identical to assemble().
+    # 3. Written in insertion order, the deck reads back into the
+    # generated netlist's columns: matrices bit-identical to assemble().
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pg1t_stream.spice"
         write_file(pg1t, path, t_end=1e-8, order="insertion")
@@ -82,8 +81,8 @@ def main() -> None:
     assert (streamed.G != original.G).nnz == 0
     assert (streamed.C != original.C).nnz == 0
     assert (streamed.B != original.B).nnz == 0
-    print(f"streamed ingest: {res.stats.summary()}")
-    print("streamed matrices bit-identical to the in-memory path")
+    print(f"ingest: {res.stats.summary()}")
+    print("read-back matrices bit-identical to the generated netlist's")
     print("OK")
 
 

@@ -26,7 +26,7 @@ from repro.circuit import (
     Netlist,
     Pulse,
     assemble,
-    parse_file,
+    ingest_file,
     parse_netlist,
 )
 from repro.core import (
@@ -61,7 +61,7 @@ __all__ = [
     "assemble",
     "build_schedule",
     "decompose_by_bump",
-    "parse_file",
+    "ingest_file",
     "parse_netlist",
     "superpose",
     "__version__",

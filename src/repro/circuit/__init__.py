@@ -1,29 +1,16 @@
-"""Circuit substrate: waveforms, elements, netlists, MNA, SPICE I/O."""
+"""Circuit substrate: waveforms, netlists, MNA, SPICE I/O."""
 
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    Element,
-    Inductor,
-    Resistor,
-    VoltageSource,
-)
 from repro.circuit.ingest import (
     IngestError,
     IngestResult,
     IngestStats,
     ingest_file,
     ingest_text,
+    parse_netlist,
 )
 from repro.circuit.mna import MNASystem, assemble
-from repro.circuit.netlist import Netlist, NetlistError, StreamedNetlist
-from repro.circuit.parser import (
-    ParseError,
-    parse_file,
-    parse_netlist,
-    parse_value,
-    parse_waveform,
-)
+from repro.circuit.netlist import Netlist, NetlistError
+from repro.circuit.parser import ParseError, parse_value, parse_waveform
 from repro.circuit.regularize import RegularizedSystem, regularize
 from repro.circuit.waveforms import (
     DC,
@@ -37,11 +24,7 @@ from repro.circuit.writer import format_netlist, iter_cards, write_file
 
 __all__ = [
     "BumpShape",
-    "Capacitor",
-    "CurrentSource",
     "DC",
-    "Element",
-    "Inductor",
     "IngestError",
     "IngestResult",
     "IngestStats",
@@ -49,12 +32,9 @@ __all__ = [
     "Netlist",
     "NetlistError",
     "PWL",
-    "StreamedNetlist",
     "ParseError",
     "Pulse",
     "RegularizedSystem",
-    "Resistor",
-    "VoltageSource",
     "Waveform",
     "assemble",
     "regularize",
@@ -63,7 +43,6 @@ __all__ = [
     "ingest_text",
     "iter_cards",
     "merge_transition_spots",
-    "parse_file",
     "parse_netlist",
     "parse_value",
     "parse_waveform",

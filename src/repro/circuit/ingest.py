@@ -1,70 +1,52 @@
-"""Memory-bounded streaming ingestion of ibmpg-style SPICE decks.
+"""The one deck reader: ibmpg-style SPICE text into a :class:`Netlist`.
 
 The IBM power grid transient benchmarks the paper evaluates on are flat
-SPICE files with hundreds of thousands of R/C/L/I/V cards.  Routing them
-through :func:`repro.circuit.parser.parse_file` would materialise one
-:class:`~repro.circuit.elements.Element` dataclass per card plus the
-:class:`~repro.circuit.netlist.Netlist` bookkeeping around them — for a
-400k-card deck that is hundreds of MB of Python objects built only to be
-walked once by the stamper and thrown away.
+SPICE files with hundreds of thousands of R/C/L/I/V cards.  This module
+reads them in **one streaming pass** (:func:`_read`): each logical card
+(:func:`~repro.circuit.parser.iter_logical_cards`) is tokenised once,
+its value or waveform parsed, and the element appended to a
+:class:`~repro.circuit.netlist.Netlist` through
+:meth:`~repro.circuit.netlist.Netlist.add` — the form the generators in
+:mod:`repro.pdn` fill through the same method, and the form
+:func:`repro.circuit.mna.assemble` stamps.  The grammar's checks
+(card shape, element letter, value and waveform syntax) live here and
+in :mod:`repro.circuit.parser`; each per-element rule (positive finite
+value, unique name, not both terminals grounded, node rows in order of
+first appearance) is checked once, in ``Netlist.add``.  Any error names
+its 1-based line.
 
-This module is the industrial-scale path: **one streaming pass** over
-the cards into compact columns, then the one numpy MNA stamp — file to
-assembled :class:`MNASystem` with no per-element object list.
-
-* **Text pass** (:func:`_read`) tokenises each logical card once.  It
-  interns the card's nodes into a ``{name: row}`` map in first-appearance
-  order (pos before neg, ground excluded — byte-for-byte the assignment
-  :meth:`Netlist._register_node` makes over the same card sequence),
-  parses its value and appends ``(kind, i, j, value)`` to four
-  ``array`` columns (ground is row ``-1``; source waveforms go to two
-  lists).  Each card meets the object parser's checks in the object
-  parser's order, so a bad deck fails on the line
-  :func:`~repro.circuit.parser.parse_netlist` names.
-* **Stamp**: the columns go to :func:`repro.circuit.mna.stamp`, the one
-  MNA stamp, which :func:`~repro.circuit.mna.assemble` also calls on a
-  lowered :class:`~repro.circuit.netlist.Netlist`.  Within each kind the
-  columns keep card order, so the triplet sequence — and therefore the
-  duplicate-summation order inside ``coo_matrix.tocsc`` — is the
-  in-memory path's.
+* :func:`parse_netlist` is the pass on text held in memory;
+* :func:`ingest_file` and :func:`ingest_text` add the stamp and return
+  the :class:`MNASystem` with an :class:`IngestStats` record.
 
 Consequently a deck written in element **insertion order**
-(``write_file(..., order="insertion")``) round-trips to an
-:class:`MNASystem` whose matrices are **bit-identical** to
-``assemble(netlist)``; the streamed system drops into the existing
-``decomposition`` → ``dist`` pipeline untouched (it carries a
-:class:`~repro.circuit.netlist.StreamedNetlist` node view instead of a
-full :class:`Netlist`).
+(``write_file(..., order="insertion")``) reads back into the netlist it
+was written from, and assembles to **bit-identical** matrices.
 
-Memory stays bounded by the *result* size (node map + 25 bytes of
-column per card + one waveform object per source), never by the text:
-the file is read once through a bounded line buffer, and peak RSS for a
-100k-node deck is dominated by the CSC matrices themselves (the bench's
-``deck_cold`` records it).  The one other per-card structure kept is a
-set of element names for duplicate detection.
+Memory stays bounded by the *result* size (node map, element names, 25
+bytes of column per card, one waveform object per source), never by
+the text: the file is read once through a bounded line buffer, and
+peak RSS for a 100k-node deck is dominated by the CSC matrices
+themselves (the bench's ``deck_cold`` records it).
 
-Dialect (the ibmpg subset plus what the in-memory parser accepts):
-``R``/``C``/``L``/``I``/``V`` cards, ``_X_Y``-style node names, ``*``
-comments, blank lines, ``+`` continuation lines, engineering suffixes,
-``DC``/``PULSE(...)``/``PWL(...)`` source specs, ``.tran`` (captured as
-the suggested horizon), other ``.``-directives tolerated and ignored,
-``.end`` stops parsing.
+Dialect (the ibmpg subset): ``R``/``C``/``L``/``I``/``V`` cards,
+``_X_Y``-style node names, ``*`` comments, blank lines, ``+``
+continuation lines, engineering suffixes, ``DC``/``PULSE(...)``/
+``PWL(...)`` source specs, a first line that is no card as the title,
+``.tran`` (captured as the suggested horizon), other ``.``-directives
+tolerated and ignored, ``.end`` stops parsing.  Files are UTF-8.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
-from repro.circuit.elements import GROUND_NAMES
-from repro.circuit.mna import MNASystem, stamp
-from repro.circuit.netlist import KIND_V, KINDS, Columns, StreamedNetlist
+from repro.circuit.mna import MNASystem, assemble
+from repro.circuit.netlist import KIND_V, KINDS, Netlist
 from repro.circuit.parser import (
     ParseError,
     is_title_line,
@@ -72,17 +54,18 @@ from repro.circuit.parser import (
     parse_value,
     parse_waveform,
 )
-from repro.circuit.waveforms import Waveform
 
-__all__ = ["IngestError", "IngestResult", "IngestStats", "ingest_file", "ingest_text"]
+__all__ = [
+    "IngestError", "IngestResult", "IngestStats", "ingest_file", "ingest_text",
+    "parse_netlist",
+]
 
 _OTHER = len(KINDS)
 _KIND = {ch: k for k, kind in enumerate(KINDS) for ch in (kind, kind.upper())}
-_NOUNS = ("resistor", "capacitor", "inductor")
 
 
 class IngestError(ParseError):
-    """Raised on malformed streamed netlist text (1-based line numbers)."""
+    """A card the reader rejects, with its 1-based line number."""
 
 
 @dataclass
@@ -135,21 +118,14 @@ class IngestResult:
 # -- text pass ---------------------------------------------------------------------
 
 
-@dataclass
-class _Deck:
-    """The columns of one text pass, in card order."""
+def _read(
+    lines: Iterable[str], default_title: str
+) -> tuple[Netlist, float | None, float | None]:
+    """The one text pass: ``(netlist, tran_step, tran_stop)``.
 
-    title: str
-    node_index: dict[str, int]
-    columns: Columns
-    currents: list[Waveform]
-    vsources: list[Waveform]
-    tran_step: float | None
-    tran_stop: float | None
-
-
-def _read(lines: Iterable[str], default_title: str) -> _Deck:
-    """The one text pass: check, intern and append each card in turn."""
+    Each card meets the grammar's checks here, then ``Netlist.add``'s
+    per-element rules; the first failing card raises, naming its line.
+    """
     cards = iter_logical_cards(lines)
     title = default_title
     first = next(cards, None)
@@ -159,19 +135,11 @@ def _read(lines: Iterable[str], default_title: str) -> _Deck:
         else:
             cards = chain((first,), cards)
 
-    # Ground names are pre-interned at row -1; every later key is a node
-    # and gets the next row, so insertion order is node order.
-    lookup = dict.fromkeys(GROUND_NAMES, -1)
-    n_ground = len(lookup)
-    get = lookup.get
-    names: set[str] = set()
-    kinds, pos_col, neg_col = array("b"), array("q"), array("q")
-    values = array("d")
-    currents: list[Waveform] = []
-    vsources: list[Waveform] = []
+    netlist = Netlist(title)
+    add = netlist.add
     tran_step: float | None = None
     tran_stop: float | None = None
-
+    lineno = 0
     try:
         for lineno, line in cards:
             kind = _KIND.get(line[0], _OTHER)
@@ -179,91 +147,46 @@ def _read(lines: Iterable[str], default_title: str) -> _Deck:
                 parts = line.split(None, 4)
                 if len(parts) < 4:
                     raise IngestError(f"line {lineno}: malformed card {line!r}")
-                name, pos, neg = parts[0], parts[1], parts[2]
-                value = parse_value(parts[3])
-                if value <= 0.0:
-                    raise IngestError(
-                        f"line {lineno}: {_NOUNS[kind]} {name!r}: value must "
-                        f"be positive, got {value!r}"
-                    )
-            else:
-                parts = line.split(None, 3)
-                head = parts[0]
-                if head[0] == ".":
-                    directive = head.lower()
-                    if directive == ".end":
-                        break
-                    if directive == ".tran":
-                        args = line.split()[1:]
-                        if len(args) >= 2:
-                            tran_step = parse_value(args[0])
-                            tran_stop = parse_value(args[1])
-                        elif args:
-                            tran_stop = parse_value(args[0])
-                    continue  # other directives tolerated, ignored
-                if len(parts) < 4:
-                    raise IngestError(f"line {lineno}: malformed card {line!r}")
-                if kind == _OTHER:
-                    raise IngestError(
-                        f"line {lineno}: unsupported element type {head!r} "
-                        f"(only R, C, L, V, I are in the PDN dialect)"
-                    )
-                name, pos, neg, rest = parts
-                (vsources if kind == KIND_V else currents).append(
-                    parse_waveform(rest, lineno)
-                )
-                value = 0.0
-            if name in names:
-                raise IngestError(f"line {lineno}: duplicate element name {name!r}")
-            names.add(name)
-            i = get(pos)
-            if i is None:
-                i = lookup[pos] = len(lookup) - n_ground
-            j = get(neg)
-            if j is None:
-                j = lookup[neg] = len(lookup) - n_ground
-            if i < 0 and j < 0:
+                add(kind, parts[0], parts[1], parts[2], parse_value(parts[3]), None)
+                continue
+            parts = line.split(None, 3)
+            head = parts[0]
+            if head[0] == ".":
+                directive = head.lower()
+                if directive == ".end":
+                    break
+                if directive == ".tran":
+                    args = line.split()[1:]
+                    if len(args) >= 2:
+                        tran_step = parse_value(args[0])
+                        tran_stop = parse_value(args[1])
+                    elif args:
+                        tran_stop = parse_value(args[0])
+                continue  # other directives tolerated, ignored
+            if len(parts) < 4:
+                raise IngestError(f"line {lineno}: malformed card {line!r}")
+            if kind == _OTHER:
                 raise IngestError(
-                    f"line {lineno}: element {name!r} has both terminals grounded"
+                    f"line {lineno}: unsupported element type {head!r} "
+                    f"(only R, C, L, V, I are in the PDN dialect)"
                 )
-            kinds.append(kind)
-            pos_col.append(i)
-            neg_col.append(j)
-            values.append(value)
+            add(kind, head, parts[1], parts[2], 0.0, parse_waveform(parts[3], lineno))
     except ParseError:
         raise
-    except ValueError as exc:
+    except ValueError as exc:  # parse_value, and Netlist.add's NetlistError
         raise IngestError(f"line {lineno}: {exc}") from exc
-
-    for g in GROUND_NAMES:
-        del lookup[g]
-    return _Deck(
-        title=title,
-        node_index=lookup,
-        columns=Columns(
-            kinds=np.frombuffer(kinds, dtype=np.int8),
-            pos=np.frombuffer(pos_col, dtype=np.int64),
-            neg=np.frombuffer(neg_col, dtype=np.int64),
-            values=np.frombuffer(values, dtype=np.float64),
-        ),
-        currents=currents,
-        vsources=vsources,
-        tran_step=tran_step,
-        tran_stop=tran_stop,
-    )
+    return netlist, tran_step, tran_stop
 
 
-# -- stamp -------------------------------------------------------------------------
-
-
-def _assemble(deck: _Deck, validate: bool) -> tuple[MNASystem, IngestStats]:
-    kinds = deck.columns.kinds
-    counts = dict(zip(KINDS, np.bincount(kinds, minlength=len(KINDS)).tolist()))
-    view = StreamedNetlist(deck.title, deck.node_index, counts)
-    system = stamp(view, deck.columns, deck.currents + deck.vsources, validate)
+def _ingest(lines: Iterable[str], title: str, validate: bool) -> IngestResult:
+    t0 = time.perf_counter()
+    netlist, tran_step, tran_stop = _read(lines, title)
+    t1 = time.perf_counter()
+    system = assemble(netlist, validate)
+    counts = netlist.counts
     stats = IngestStats(
-        n_cards=int(kinds.size),
-        n_nodes=view.n_nodes,
+        n_cards=len(netlist),
+        n_nodes=netlist.n_nodes,
         n_resistors=counts["r"],
         n_capacitors=counts["c"],
         n_inductors=counts["l"],
@@ -272,41 +195,42 @@ def _assemble(deck: _Deck, validate: bool) -> tuple[MNASystem, IngestStats]:
         dim=system.dim,
         nnz_g=system.G.nnz,
         nnz_c=system.C.nnz,
-        tran_step=deck.tran_step,
-        tran_stop=deck.tran_stop,
+        tran_step=tran_step,
+        tran_stop=tran_stop,
+        scan_seconds=t1 - t0,
+        stamp_seconds=time.perf_counter() - t1,
     )
-    return system, stats
-
-
-def _ingest(lines: Iterable[str], title: str, validate: bool) -> IngestResult:
-    t0 = time.perf_counter()
-    deck = _read(lines, title)
-    t1 = time.perf_counter()
-    system, stats = _assemble(deck, validate)
-    stats.scan_seconds = t1 - t0
-    stats.stamp_seconds = time.perf_counter() - t1
     return IngestResult(system=system, stats=stats)
 
 
 # -- public API --------------------------------------------------------------------
 
 
+def parse_netlist(text: str, title: str = "netlist") -> Netlist:
+    """Read netlist source text into a :class:`Netlist` (no stamp).
+
+    The first line is treated as the title if it is not a recognisable
+    card (SPICE convention); ``title`` is the default otherwise.
+    """
+    return _read(text.splitlines(), title)[0]
+
+
 def ingest_file(
     path: str | Path, title: str | None = None, validate: bool = True
 ) -> IngestResult:
-    """Stream an ibmpg-style SPICE deck into an :class:`MNASystem`.
+    """Read an ibmpg-style SPICE deck into an :class:`MNASystem`.
 
     Parameters
     ----------
     path:
-        The netlist file; it is read once with a bounded line buffer —
-        the text is never held in memory.
+        The netlist file (UTF-8); it is read once with a bounded line
+        buffer — the text is never held in memory.
     title:
         Default circuit title when the deck has no title line
-        (defaults to the filename stem, matching ``parse_file``).
+        (defaults to the filename stem).
     validate:
         When true (default), reject empty decks and nodes without a DC
-        path to ground with the check :meth:`Netlist.validate` runs.
+        path to ground (:func:`~repro.circuit.mna.assemble`).
 
     Returns
     -------
@@ -317,7 +241,7 @@ def ingest_file(
     """
     path = Path(path)
     default_title = title if title is not None else path.stem
-    with open(path, buffering=1 << 20) as f:
+    with open(path, buffering=1 << 20, encoding="utf-8") as f:
         return _ingest(f, default_title, validate)
 
 
@@ -326,7 +250,7 @@ def ingest_text(
 ) -> IngestResult:
     """Ingest netlist source held in memory (tests, generated decks).
 
-    Uses the same streaming pass as :func:`ingest_file`; for large decks
+    The same pass and stamp as :func:`ingest_file`; for large decks
     prefer the file variant, which never materialises the text.
     """
     return _ingest(text.splitlines(), title, validate)

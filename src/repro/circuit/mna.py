@@ -4,7 +4,7 @@ Builds the sparse descriptor system of paper Eq. (1)::
 
     C x'(t) = -G x(t) + B u(t)
 
-from a circuit in :class:`~repro.circuit.netlist.Columns` form:
+from the element columns of a :class:`~repro.circuit.netlist.Netlist`:
 
 * ``G`` — conductance matrix (resistors, source/inductor incidence),
 * ``C`` — capacitance/inductance matrix (possibly *singular*: nodes without
@@ -13,11 +13,9 @@ from a circuit in :class:`~repro.circuit.netlist.Columns` form:
 * ``B`` — input selector mapping the stacked input vector
   ``u(t) = [i_loads..., v_supplies...]`` onto MNA rows.
 
-:func:`stamp` is the one stamp: :func:`assemble` lowers a
-:class:`~repro.circuit.netlist.Netlist` into columns and calls it, and
-the streaming deck ingester (:mod:`repro.circuit.ingest`) calls it on
-the columns of its text pass.  A deck written in element insertion order
-therefore yields byte-identical matrices on both paths.
+:func:`assemble` is the one stamp: generated netlists and decks read
+by :mod:`repro.circuit.ingest` are the same :class:`Netlist`, so a deck
+written in element insertion order yields byte-identical matrices.
 
 The input vector ordering is **current sources first** (insertion order),
 then voltage sources; :class:`MNASystem` carries the index maps and the
@@ -33,11 +31,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.circuit.netlist import (
-    KIND_C, KIND_I, KIND_L, KIND_R, KIND_V, Columns, Netlist, NodeView,
+    KIND_C, KIND_I, KIND_L, KIND_R, KIND_V, Columns, Netlist, NetlistError,
 )
 from repro.circuit.waveforms import Waveform, merge_transition_spots, sample_waveforms
 
-__all__ = ["MNASystem", "assemble", "stamp"]
+__all__ = ["MNASystem", "assemble"]
 
 #: Input kinds of :meth:`MNASystem._input_table` (0: any other waveform).
 _PULSE, _DC = 1, 2
@@ -54,10 +52,8 @@ class MNASystem:
     Attributes
     ----------
     netlist:
-        The source circuit's node view (node names and reporting): the
-        caller's :class:`Netlist` for :func:`assemble`, a
-        :class:`~repro.circuit.netlist.StreamedNetlist` for an ingested
-        deck.
+        The source circuit (node names and reporting): the
+        :class:`Netlist` given to :func:`assemble`.
     C, G:
         Square sparse matrices of dimension :attr:`dim`.
     B:
@@ -69,7 +65,7 @@ class MNASystem:
         Number of leading columns of ``B`` that are load currents.
     """
 
-    netlist: NodeView
+    netlist: Netlist
     C: sp.csc_matrix
     G: sp.csc_matrix
     B: sp.csc_matrix
@@ -351,7 +347,7 @@ class MNASystem:
 
 
 def _triplets(rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Element-major stamp triplets, ground entries (-1) dropped in order.
+    """The per-element stamps, element-major; ground entries (-1) dropped in order.
 
     Stamp ``k`` of every element is ``(rows[k], cols[k], vals[k])``; the
     result lists element 0's stamps, then element 1's, and so on.
@@ -374,28 +370,58 @@ def _csc(blocks, shape: tuple[int, int]) -> sp.csc_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=float).tocsc()
 
 
-def stamp(
-    view: NodeView,
-    cols: Columns,
-    waveforms: Sequence[Waveform],
-    validate: bool = True,
-) -> MNASystem:
-    """The one MNA stamp: a circuit's columns into its :class:`MNASystem`.
+def _check_dc_paths(netlist: Netlist, cols: Columns) -> None:
+    """Check structural well-formedness; raise :class:`NetlistError`.
 
-    ``view`` counts ``cols`` and becomes the system's ``netlist``;
-    ``waveforms`` has one entry per input column, current sources first.
-    With ``validate``, :meth:`NodeView.validate_columns` runs first, so a
-    singular ``G`` is reported as a netlist problem, not an LU failure.
-    Each kind expands into its per-element stamp pattern (ground entries
-    dropped, order kept) and the blocks concatenate resistors, voltage
-    sources, inductors for ``G``; capacitors, inductors for ``C``;
-    current then voltage sources for ``B``.
+    Detects empty circuits and nodes with no DC path to ground through
+    resistive/source elements (which make ``G`` singular and break the
+    regularization-free formulation of paper Sec. 3.3.3): one
+    ``connected_components`` over the R/L/V edges, ground as an extra
+    vertex.  Floating nodes are named in row order.
     """
+    if cols.kinds.size == 0:
+        raise NetlistError("empty netlist")
+    n = netlist.n_nodes
+    if n == 0:
+        raise NetlistError("netlist has no non-ground nodes")
+    # Imported here: csgraph costs ~60 ms and ~1 MiB RSS at import, and
+    # every process that imports repro.circuit would pay it.
+    from scipy.sparse.csgraph import connected_components
+
+    dc = (cols.kinds != KIND_C) & (cols.kinds != KIND_I)
+    a = np.where(cols.pos[dc] < 0, n, cols.pos[dc])
+    b = np.where(cols.neg[dc] < 0, n, cols.neg[dc])
+    graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
+    _, labels = connected_components(graph, directed=False)
+    floating = np.flatnonzero(labels[:n] != labels[n])
+    if floating.size:
+        names = netlist.node_names()
+        raise NetlistError(
+            f"{floating.size} node(s) have no DC path to ground, "
+            f"e.g. {[names[k] for k in floating[:5]]!r}; "
+            f"G would be singular"
+        )
+
+
+def assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
+    """The one MNA stamp: a netlist's columns into its :class:`MNASystem`.
+
+    The netlist becomes the system's ``netlist``; the input columns are
+    its current sources, then its voltage sources.  With ``validate``,
+    empty circuits and nodes without a DC path to ground raise
+    :class:`NetlistError` first, so a singular ``G`` is reported as a
+    netlist problem, not an LU failure.  Each kind expands into its
+    per-element stamp pattern (ground entries dropped, order kept) and
+    the blocks concatenate resistors, voltage sources, inductors for
+    ``G``; capacitors, inductors for ``C``; current then voltage sources
+    for ``B``.
+    """
+    cols = netlist.columns()
     if validate:
-        view.validate_columns(cols)
-    u = view.unknowns
+        _check_dc_paths(netlist, cols)
+    u = netlist.unknowns
     n, n_vsrc, n_ind = u.n_nodes, u.n_vsrc, u.n_ind
-    n_cur = view.counts["i"]
+    n_cur = len(netlist.current_waveforms)
 
     def columns(kind: int):
         sel = cols.kinds == kind
@@ -426,23 +452,10 @@ def stamp(
 
     dim = u.dim
     return MNASystem(
-        netlist=view,
+        netlist=netlist,
         C=_csc([c_cap, c_ind], (dim, dim)),
         G=_csc([g_res, g_vsrc, g_ind], (dim, dim)),
         B=_csc([b_cur, b_vsrc], (dim, n_cur + n_vsrc)),
-        waveforms=tuple(waveforms),
+        waveforms=tuple(netlist.current_waveforms + netlist.voltage_waveforms),
         n_current_inputs=n_cur,
-    )
-
-
-def assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
-    """Assemble the MNA descriptor system for a netlist.
-
-    The netlist is lowered to :meth:`Netlist.columns` and stamped by
-    :func:`stamp` (checked first when ``validate``); it is kept as the
-    system's ``netlist``.
-    """
-    sources = netlist.current_sources + netlist.voltage_sources
-    return stamp(
-        netlist, netlist.columns(), [s.waveform for s in sources], validate
     )

@@ -1,59 +1,68 @@
-"""Netlist container: the in-memory circuit description.
+"""Netlist: a linear circuit held in the columns the MNA stamp reads.
 
-A :class:`Netlist` collects elements, assigns matrix indices to nodes and
-MNA branch unknowns, and offers the convenience constructors used by the
-generators in :mod:`repro.pdn` and the parser in
-:mod:`repro.circuit.parser`.  :class:`StreamedNetlist` is the same node
-view without element objects, for decks streamed by
-:mod:`repro.circuit.ingest`; both share :class:`NodeView`.
+A power-distribution network is a linear circuit of resistors,
+capacitors, inductors, ideal voltage sources and time-varying current
+sources (paper Sec. 2.1).  A :class:`Netlist` stores one in the form
+:func:`repro.circuit.mna.assemble` stamps:
 
-Index layout (fixed, relied upon by :mod:`repro.circuit.mna`):
+* per-element ``kind``/``pos``/``neg``/``value`` columns in insertion
+  order (:meth:`Netlist.columns`; ground is row ``-1``, a source's value
+  is ``0.0``);
+* the node map, non-ground node name to matrix row, rows in order of
+  first appearance (pos before neg);
+* the element names, and each source's waveform (current sources and
+  voltage sources, each list in insertion order).
+
+The generators in :mod:`repro.pdn` fill it through ``add_resistor`` …
+``add_current_source``, and the deck reader in
+:mod:`repro.circuit.ingest` through :meth:`Netlist.add` — the one place
+each per-element rule is checked:
+
+* an R/C/L value is positive and finite;
+* the element name is unique;
+* the two terminals are not both ground;
+* a new node takes the next row, pos before neg.
+
+Node names are strings; ``"0"`` and the other :data:`GROUND_NAMES` are
+the ground reference and never get a matrix row.
+
+Index layout of the MNA unknowns (fixed, relied upon by
+:mod:`repro.circuit.mna`):
 
 * rows ``0 .. n_nodes-1``     — node voltages (ground excluded),
 * next ``n_vsrc`` rows        — voltage-source branch currents,
 * next ``n_ind`` rows         — inductor branch currents.
 
-Both circuit forms reach the MNA stamp as :class:`Columns` — one array
-entry per element — and are checked for DC paths to ground by the one
-rule, :meth:`NodeView.validate_columns`.
-
-Element and node insertion order is deterministic, so two identically
+The element and node insertion order is deterministic, so two identically
 built netlists produce identical matrices (important for superposition
 tests and the distributed scheduler, which ships netlist copies to nodes).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from math import inf
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.circuit.elements import (
-    GROUND_NAMES,
-    Capacitor,
-    CurrentSource,
-    Element,
-    Inductor,
-    Resistor,
-    VoltageSource,
-)
 from repro.circuit.waveforms import DC, Waveform
 
-__all__ = ["KINDS", "Columns", "Netlist", "NetlistError", "NodeView", "StreamedNetlist"]
+__all__ = ["GROUND_NAMES", "KINDS", "Columns", "Netlist", "NetlistError"]
 
-#: Element kinds of :class:`Columns`; a kind's code is its index here.
+#: Names accepted as the ground node.
+GROUND_NAMES = frozenset({"0", "gnd", "GND", "vss", "VSS"})
+
+#: The element kinds of :class:`Columns`; a kind's code is its index here.
 KINDS = ("r", "c", "l", "v", "i")
 KIND_R, KIND_C, KIND_L, KIND_V, KIND_I = range(len(KINDS))
+_NOUNS = ("resistor", "capacitor", "inductor")
+_N_GROUND = len(GROUND_NAMES)
 
 
 class NetlistError(ValueError):
     """Raised for malformed circuit descriptions."""
-
-
-def _is_ground(node: str) -> bool:
-    return node in GROUND_NAMES
 
 
 @dataclass(frozen=True)
@@ -83,22 +92,141 @@ class Columns(NamedTuple):
     values: np.ndarray  # resistance / capacitance / inductance; 0.0 for sources
 
 
-class NodeView:
-    """Node bookkeeping shared by :class:`Netlist` and :class:`StreamedNetlist`.
+class Netlist:
+    """A linear circuit: element columns plus deterministic index assignment.
 
-    A subclass sets ``title``, ``_node_index`` (non-ground node name to
-    row; insertion order is row order) and ``counts`` (elements of each
-    kind, keyed by :data:`KINDS`).
+    Parameters
+    ----------
+    title:
+        Free-form circuit name used in reports and netlist files.
     """
 
-    title: str
-    _node_index: dict[str, int]
-    counts: dict[str, int]
+    def __init__(self, title: str = "circuit"):
+        self.title = title
+        # Ground names are pre-interned at row -1; every later key is a
+        # node and gets the next row, so key order is row order.
+        self._rows: dict[str, int] = dict.fromkeys(GROUND_NAMES, -1)
+        # Names as a set plus an ordered list: a dict's lookups touch two
+        # tables, and read the 52k-card bench deck measurably slower.
+        self._names: set[str] = set()
+        self._order: list[str] = []
+        self._kinds = array("b")
+        self._pos = array("q")
+        self._neg = array("q")
+        self._values = array("d")
+        #: Waveforms of the current sources, in insertion order.
+        self.current_waveforms: list[Waveform] = []
+        #: Waveforms of the voltage sources, in insertion order.
+        self.voltage_waveforms: list[Waveform] = []
+
+    # -- construction ----------------------------------------------------------
+
+    def add(
+        self,
+        kind: int,
+        name: str,
+        pos: str,
+        neg: str,
+        value: float = 0.0,
+        waveform: Waveform | None = None,
+    ) -> None:
+        """Append one element of ``kind`` (an index into :data:`KINDS`).
+
+        ``value`` is an R/C/L element's resistance, capacitance or
+        inductance (``0.0`` for a source); ``waveform`` is a source's.
+        The one place each per-element rule is checked: a value that is
+        not positive and finite, a duplicate name, an empty node name or
+        two grounded terminals raises :class:`NetlistError` (checked in
+        that order) and appends nothing.
+        """
+        if kind < KIND_V and not 0.0 < value < inf:
+            raise NetlistError(
+                f"{_NOUNS[kind]} {name!r}: value must be positive and "
+                f"finite, got {value!r}"
+            )
+        names = self._names
+        if name in names:
+            raise NetlistError(f"duplicate element name {name!r}")
+        rows = self._rows
+        i = rows.get(pos)
+        j = rows.get(neg)
+        if i is None or j is None:  # a new node takes the next row
+            if not (pos and neg):
+                raise NetlistError(f"element {name!r}: empty node name")
+            if i is None:
+                i = rows[pos] = len(rows) - _N_GROUND
+            if j is None:
+                j = rows.setdefault(neg, len(rows) - _N_GROUND)
+        if i < 0 and j < 0:
+            raise NetlistError(f"element {name!r} has both terminals grounded")
+        names.add(name)
+        self._order.append(name)
+        self._kinds.append(kind)
+        self._pos.append(i)
+        self._neg.append(j)
+        self._values.append(value)
+        if kind == KIND_I:
+            self.current_waveforms.append(waveform)
+        elif kind == KIND_V:
+            self.voltage_waveforms.append(waveform)
+
+    def add_resistor(self, name: str, pos: str, neg: str, resistance: float) -> None:
+        """Add a resistor (ohms)."""
+        self.add(KIND_R, name, pos, neg, float(resistance))
+
+    def add_capacitor(self, name: str, pos: str, neg: str, capacitance: float) -> None:
+        """Add a capacitor (farads)."""
+        self.add(KIND_C, name, pos, neg, float(capacitance))
+
+    def add_inductor(self, name: str, pos: str, neg: str, inductance: float) -> None:
+        """Add an inductor (henries); MNA gives it a branch-current row."""
+        self.add(KIND_L, name, pos, neg, float(inductance))
+
+    def add_voltage_source(
+        self, name: str, pos: str, neg: str, waveform: Waveform | float
+    ) -> None:
+        """Add ``v(pos) - v(neg) = waveform(t)``; a bare number means DC."""
+        if isinstance(waveform, (int, float)):
+            waveform = DC(float(waveform))
+        self.add(KIND_V, name, pos, neg, 0.0, waveform)
+
+    def add_current_source(
+        self, name: str, pos: str, neg: str, waveform: Waveform | float
+    ) -> None:
+        """Add a source drawing ``waveform(t)`` amps from ``pos`` to ``neg``.
+
+        A bare number means DC.  Each current source is one column of
+        the input selector ``B`` (paper Sec. 2.1).
+        """
+        if isinstance(waveform, (int, float)):
+            waveform = DC(float(waveform))
+        self.add(KIND_I, name, pos, neg, 0.0, waveform)
+
+    # -- accessors ---------------------------------------------------------------
+
+    def columns(self) -> Columns:
+        """The element columns as numpy copies (the netlist stays appendable)."""
+        return Columns(
+            kinds=np.array(self._kinds, dtype=np.int8),
+            pos=np.array(self._pos, dtype=np.int64),
+            neg=np.array(self._neg, dtype=np.int64),
+            values=np.array(self._values, dtype=np.float64),
+        )
+
+    def element_names(self) -> tuple[str, ...]:
+        """The element names, in insertion order."""
+        return tuple(self._order)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Number of elements of each kind, keyed by :data:`KINDS`."""
+        n = np.bincount(np.array(self._kinds, dtype=np.int8), minlength=len(KINDS))
+        return dict(zip(KINDS, n.tolist()))
 
     @property
     def n_nodes(self) -> int:
         """Number of non-ground nodes."""
-        return len(self._node_index)
+        return len(self._rows) - _N_GROUND
 
     @property
     def unknowns(self) -> _Unknowns:
@@ -115,51 +243,17 @@ class NodeView:
 
     def node_index(self, node: str) -> int:
         """Matrix row of a node voltage; ``-1`` for ground."""
-        if _is_ground(node):
-            return -1
-        try:
-            return self._node_index[node]
-        except KeyError:
-            raise NetlistError(f"unknown node {node!r}") from None
+        row = self._rows.get(node)
+        if row is None:
+            raise NetlistError(f"unknown node {node!r}")
+        return row
 
     def node_names(self) -> tuple[str, ...]:
         """Non-ground node names in index order."""
-        return tuple(self._node_index)
+        return tuple(self._rows)[_N_GROUND:]
 
     def __len__(self) -> int:
-        return sum(self.counts.values())
-
-    def validate_columns(self, cols: Columns) -> None:
-        """Check structural well-formedness; raise :class:`NetlistError`.
-
-        Detects empty circuits and nodes with no DC path to ground through
-        resistive/source elements (which make ``G`` singular and break the
-        regularization-free formulation of paper Sec. 3.3.3): one
-        ``connected_components`` over the R/L/V edges, ground as an extra
-        vertex.  Floating nodes are named in row order.
-        """
-        if cols.kinds.size == 0:
-            raise NetlistError("empty netlist")
-        n = self.n_nodes
-        if n == 0:
-            raise NetlistError("netlist has no non-ground nodes")
-        # Imported here: csgraph costs ~60 ms and ~1 MiB RSS at import, and
-        # every process that imports repro.circuit would pay it.
-        from scipy.sparse.csgraph import connected_components
-
-        dc = (cols.kinds != KIND_C) & (cols.kinds != KIND_I)
-        a = np.where(cols.pos[dc] < 0, n, cols.pos[dc])
-        b = np.where(cols.neg[dc] < 0, n, cols.neg[dc])
-        graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
-        _, labels = connected_components(graph, directed=False)
-        floating = np.flatnonzero(labels[:n] != labels[n])
-        if floating.size:
-            names = self.node_names()
-            raise NetlistError(
-                f"{floating.size} node(s) have no DC path to ground, "
-                f"e.g. {[names[k] for k in floating[:5]]!r}; "
-                f"G would be singular"
-            )
+        return len(self._kinds)
 
     def summary(self) -> str:
         """One-line human-readable size summary."""
@@ -172,178 +266,3 @@ class NodeView:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.summary()}>"
-
-
-class Netlist(NodeView):
-    """A linear circuit: elements plus deterministic index assignment.
-
-    Parameters
-    ----------
-    title:
-        Free-form circuit name used in reports and netlist files.
-    """
-
-    def __init__(self, title: str = "circuit"):
-        self.title = title
-        self._elements: dict[str, Element] = {}
-        self._node_index: dict[str, int] = {}
-        self._resistors: list[Resistor] = []
-        self._capacitors: list[Capacitor] = []
-        self._inductors: list[Inductor] = []
-        self._vsources: list[VoltageSource] = []
-        self._isources: list[CurrentSource] = []
-
-    # -- construction ----------------------------------------------------------
-
-    def _register_node(self, node: str) -> None:
-        if not node:
-            raise NetlistError("empty node name")
-        if _is_ground(node):
-            return
-        if node not in self._node_index:
-            self._node_index[node] = len(self._node_index)
-
-    def _add(self, element: Element) -> None:
-        if element.name in self._elements:
-            raise NetlistError(f"duplicate element name {element.name!r}")
-        if _is_ground(element.pos) and _is_ground(element.neg):
-            raise NetlistError(
-                f"element {element.name!r} has both terminals grounded"
-            )
-        self._register_node(element.pos)
-        self._register_node(element.neg)
-        self._elements[element.name] = element
-
-    def add_resistor(self, name: str, pos: str, neg: str, resistance: float) -> Resistor:
-        """Add a resistor and return it."""
-        r = Resistor(name, pos, neg, resistance)
-        self._add(r)
-        self._resistors.append(r)
-        return r
-
-    def add_capacitor(self, name: str, pos: str, neg: str, capacitance: float) -> Capacitor:
-        """Add a capacitor and return it."""
-        c = Capacitor(name, pos, neg, capacitance)
-        self._add(c)
-        self._capacitors.append(c)
-        return c
-
-    def add_inductor(self, name: str, pos: str, neg: str, inductance: float) -> Inductor:
-        """Add an inductor and return it."""
-        ind = Inductor(name, pos, neg, inductance)
-        self._add(ind)
-        self._inductors.append(ind)
-        return ind
-
-    def add_voltage_source(
-        self, name: str, pos: str, neg: str, waveform: Waveform | float
-    ) -> VoltageSource:
-        """Add a voltage source; a bare float means a DC source."""
-        if isinstance(waveform, (int, float)):
-            waveform = DC(float(waveform))
-        v = VoltageSource(name, pos, neg, waveform)
-        self._add(v)
-        self._vsources.append(v)
-        return v
-
-    def add_current_source(
-        self, name: str, pos: str, neg: str, waveform: Waveform | float
-    ) -> CurrentSource:
-        """Add a current source; a bare float means a DC source."""
-        if isinstance(waveform, (int, float)):
-            waveform = DC(float(waveform))
-        i = CurrentSource(name, pos, neg, waveform)
-        self._add(i)
-        self._isources.append(i)
-        return i
-
-    # -- accessors ---------------------------------------------------------------
-
-    @property
-    def resistors(self) -> tuple[Resistor, ...]:
-        return tuple(self._resistors)
-
-    @property
-    def capacitors(self) -> tuple[Capacitor, ...]:
-        return tuple(self._capacitors)
-
-    @property
-    def inductors(self) -> tuple[Inductor, ...]:
-        return tuple(self._inductors)
-
-    @property
-    def voltage_sources(self) -> tuple[VoltageSource, ...]:
-        return tuple(self._vsources)
-
-    @property
-    def current_sources(self) -> tuple[CurrentSource, ...]:
-        return tuple(self._isources)
-
-    @property
-    def _groups(self) -> tuple[list[Element], ...]:
-        """The element lists in :data:`KINDS` order."""
-        return (self._resistors, self._capacitors, self._inductors,
-                self._vsources, self._isources)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return {kind: len(group) for kind, group in zip(KINDS, self._groups)}
-
-    def elements(self) -> Iterator[Element]:
-        """Iterate over all elements in insertion order."""
-        return iter(self._elements.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._elements
-
-    def __getitem__(self, name: str) -> Element:
-        return self._elements[name]
-
-    # -- lowering ----------------------------------------------------------------------
-
-    def columns(self) -> Columns:
-        """The elements as :class:`Columns`, kind by kind in :data:`KINDS` order."""
-        row = dict.fromkeys(GROUND_NAMES, -1)
-        row.update(self._node_index)
-        groups = self._groups
-        elements = [e for group in groups for e in group]
-        n = len(elements)
-        values = (
-            [r.resistance for r in self._resistors]
-            + [c.capacitance for c in self._capacitors]
-            + [ind.inductance for ind in self._inductors]
-            + [0.0] * (len(self._vsources) + len(self._isources))
-        )
-        return Columns(
-            kinds=np.repeat(np.arange(len(KINDS), dtype=np.int8), [len(g) for g in groups]),
-            pos=np.fromiter((row[e.pos] for e in elements), np.int64, n),
-            neg=np.fromiter((row[e.neg] for e in elements), np.int64, n),
-            values=np.array(values, dtype=np.float64),
-        )
-
-    # -- validation ------------------------------------------------------------------
-
-    def validate(self) -> None:
-        """:meth:`NodeView.validate_columns` on this netlist's elements."""
-        self.validate_columns(self.columns())
-
-
-class StreamedNetlist(NodeView):
-    """Node view of a circuit ingested without element objects.
-
-    The streaming parser (:mod:`repro.circuit.ingest`) stamps matrices
-    from array columns and never materialises :class:`Element`
-    instances; the rest of the pipeline only needs the node bookkeeping
-    of :class:`NodeView`, under the same contract:
-
-    * ``node_index`` rows follow first-appearance order (pos before neg,
-      ground excluded) — identical to :meth:`Netlist._register_node`
-      replayed over the same card sequence;
-    * branch rows follow node rows: voltage sources first, inductors
-      after, each in card order.
-    """
-
-    def __init__(self, title: str, node_index: dict[str, int], counts: dict[str, int]):
-        self.title = title
-        self._node_index = node_index
-        self.counts = dict(counts)

@@ -1,9 +1,10 @@
-"""SPICE-subset netlist parser (IBM power-grid benchmark dialect).
+"""The card grammar of the SPICE subset (IBM power-grid benchmark dialect).
 
 The IBM power grid benchmarks (Nassif, ASPDAC'08) that the paper evaluates
 on are distributed as flat SPICE decks containing only ``R``, ``C``, ``L``,
 ``V`` and ``I`` cards plus ``.op``/``.tran``/``.end`` control lines.  This
-module parses that dialect (and enough general SPICE to be useful):
+module holds that dialect's token-level grammar (and enough general SPICE
+to be useful):
 
 * engineering suffixes (``1k``, ``2.2u``, ``3MEG``, ``10p`` ...),
 * ``PULSE(v1 v2 td tr tf pw per)``  — note SPICE parameter order,
@@ -12,8 +13,10 @@ module parses that dialect (and enough general SPICE to be useful):
 * ``*`` comments, blank lines, case-insensitive cards,
 * continuation lines starting with ``+``.
 
-The parser returns a :class:`repro.circuit.netlist.Netlist`; pair it with
-:func:`repro.circuit.mna.assemble` to obtain matrices.  The inverse
+The one card reader is :mod:`repro.circuit.ingest` (``parse_netlist``,
+``ingest_file``, ``ingest_text``), which folds lines into cards with
+:func:`iter_logical_cards` and parses tokens with :func:`parse_value`
+and :func:`parse_waveform`; a dialect change here moves it.  The inverse
 operation lives in :mod:`repro.circuit.writer`.
 """
 
@@ -21,18 +24,14 @@ from __future__ import annotations
 
 import re
 from math import isfinite
-from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.circuit.netlist import Netlist, NetlistError
 from repro.circuit.waveforms import DC, PWL, Pulse, Waveform
 
 __all__ = [
     "ParseError",
     "is_title_line",
     "iter_logical_cards",
-    "parse_netlist",
-    "parse_file",
     "parse_value",
     "parse_waveform",
 ]
@@ -101,38 +100,43 @@ def iter_logical_cards(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
     Blank lines and ``*`` comments are dropped; ``+`` continuation lines
     are folded into the preceding card.  At most one pending card is
-    held, so the stream costs O(1) memory regardless of deck size —
-    this single generator defines the card dialect for **both** the
-    in-memory parser and the streaming ingester
-    (:mod:`repro.circuit.ingest`); their bit-identical round-trip
-    guarantee depends on agreeing card-for-card.  A card without
-    continuations is yielded as its stripped line, with no join.
+    held, so the stream costs O(1) memory regardless of deck size.  A
+    card without continuations is yielded as its stripped line, with no
+    join.  ``lines`` may decode lazily (a text file): a byte that fails
+    to decode is a :class:`ParseError` naming its line.
     """
     start, card, pieces = 0, None, None  # pieces: card + continuations
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped[0] == "*":
-            continue
-        if stripped[0] != "+":
-            if card is not None:
-                yield start, card if pieces is None else " ".join(pieces)
-            start, card, pieces = lineno, stripped, None
-        elif card is None:
-            raise ParseError(f"line {lineno}: continuation without a card")
-        elif pieces is None:
-            pieces = [card, stripped[1:].strip()]
-        else:
-            pieces.append(stripped[1:].strip())
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            stripped = raw.strip()
+            if not stripped or stripped[0] == "*":
+                continue
+            if stripped[0] != "+":
+                if card is not None:
+                    yield start, card if pieces is None else " ".join(pieces)
+                start, card, pieces = lineno, stripped, None
+            elif card is None:
+                raise ParseError(f"line {lineno}: continuation without a card")
+            elif pieces is None:
+                pieces = [card, stripped[1:].strip()]
+            else:
+                pieces.append(stripped[1:].strip())
+    except UnicodeDecodeError as exc:
+        # A text file decodes a block ahead, once every complete line
+        # before the block has been read: the block's own newlines before
+        # the bad byte count on from there.
+        bad = lineno + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise ParseError(
+            f"line {bad}: byte 0x{exc.object[exc.start]:02x} is not "
+            f"{exc.encoding} text ({exc.reason})"
+        ) from None
     if card is not None:
         yield start, card if pieces is None else " ".join(pieces)
 
 
 def is_title_line(line: str) -> bool:
-    """SPICE convention: a first line that is no recognisable card.
-
-    Shared by both parsers for the same reason as
-    :func:`iter_logical_cards`.
-    """
+    """SPICE convention: a first line that is no recognisable card."""
     head = line.split(None, 1)[0].lower()
     return head[0] not in "rclvi." or len(line.split(None, 3)) < 3
 
@@ -143,8 +147,7 @@ _FUNC_RE = re.compile(r"(pulse|pwl)\s*\(([^)]*)\)", re.IGNORECASE)
 def parse_waveform(spec: str, lineno: int = 0) -> Waveform:
     """Parse the source-value portion of a V/I card.
 
-    Shared by the in-memory parser and the streaming ingester
-    (:mod:`repro.circuit.ingest`); ``lineno`` only decorates errors.
+    ``lineno`` only decorates errors.
     """
     spec = spec.strip()
     m = _FUNC_RE.search(spec)
@@ -181,60 +184,3 @@ def parse_waveform(spec: str, lineno: int = 0) -> Waveform:
     if pts[0][0] > 0.0:
         pts.insert(0, (0.0, pts[0][1]))
     return PWL(pts)
-
-
-def parse_netlist(text: str, title: str = "netlist") -> Netlist:
-    """Parse netlist source text into a :class:`Netlist`.
-
-    The first line is treated as the title if it is not a recognisable
-    card (SPICE convention).  ``.``-directives are accepted and ignored
-    except ``.end``, which stops parsing.
-    """
-    netlist = Netlist(title=title)
-    merged = list(iter_logical_cards(text.splitlines()))
-
-    start = 0
-    if merged and is_title_line(merged[0][1]):
-        netlist.title = merged[0][1]
-        start = 1
-
-    for lineno, line in merged[start:]:
-        head = line.split()[0]
-        kind = head[0].lower()
-        if kind == ".":
-            if head.lower() == ".end":
-                break
-            continue  # .op / .tran / .print etc. — tolerated, ignored
-        tokens = line.split(None, 3)
-        if len(tokens) < 4:
-            raise ParseError(f"line {lineno}: malformed card {line!r}")
-        name, pos, neg, rest = tokens
-        try:
-            if kind == "r":
-                netlist.add_resistor(name, pos, neg, parse_value(rest.split()[0]))
-            elif kind == "c":
-                netlist.add_capacitor(name, pos, neg, parse_value(rest.split()[0]))
-            elif kind == "l":
-                netlist.add_inductor(name, pos, neg, parse_value(rest.split()[0]))
-            elif kind == "v":
-                netlist.add_voltage_source(name, pos, neg, parse_waveform(rest, lineno))
-            elif kind == "i":
-                netlist.add_current_source(name, pos, neg, parse_waveform(rest, lineno))
-            else:
-                raise ParseError(
-                    f"line {lineno}: unsupported element type {head!r} "
-                    f"(only R, C, L, V, I are in the PDN dialect)"
-                )
-        except (ValueError, NetlistError) as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(f"line {lineno}: {exc}") from exc
-    return netlist
-
-
-def parse_file(path: str | Path) -> Netlist:
-    """Parse a netlist file; the filename stem becomes the default title."""
-    path = Path(path)
-    with open(path) as f:
-        text = f.read()
-    return parse_netlist(text, title=path.stem)

@@ -1,7 +1,8 @@
 """Netlist writer: serialise a :class:`Netlist` back to SPICE text.
 
-Round-trips with :mod:`repro.circuit.parser` and the streaming ingester
-in :mod:`repro.circuit.ingest`, which makes the synthetic PDN suite
+Formats each card straight from the netlist's element columns (ground
+is written ``0``) and round-trips with the deck reader in
+:mod:`repro.circuit.ingest`, which makes the synthetic PDN suite
 exportable in the same flat-SPICE dialect as the IBM power grid
 benchmarks — useful for cross-checking against external simulators and
 for synthesising benchmark-format decks on disk.
@@ -14,9 +15,8 @@ Two card orders are supported:
     Cards in element insertion order.  This is the order that makes the
     write → ingest round-trip **bit-identical**: node matrix indices are
     assigned by first appearance, so a deck replayed card-by-card in
-    insertion order reconstructs the exact index assignment (and hence
-    the exact ``G``/``C``/``B`` triplet sequence) of the in-memory
-    netlist.
+    insertion order reconstructs the exact columns (and hence the exact
+    ``G``/``C``/``B`` triplet sequence) of the in-memory netlist.
 
 :func:`iter_cards` streams one card line at a time so multi-hundred-MB
 decks can be written without materialising the text in memory.
@@ -27,15 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    Element,
-    Inductor,
-    Resistor,
-    VoltageSource,
-)
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import KIND_I, KIND_V, Netlist
 from repro.circuit.waveforms import DC, PWL, Pulse, Waveform
 
 __all__ = ["format_netlist", "iter_cards", "write_file"]
@@ -59,19 +51,6 @@ def _fmt_waveform(w: Waveform) -> str:
         flat = " ".join(f"{_fmt(t)} {_fmt(v)}" for t, v in w.points)
         return f"PWL({flat})"
     raise TypeError(f"cannot serialise waveform of type {type(w).__name__}")
-
-
-def _fmt_element(e: Element) -> str:
-    """One SPICE card for any supported element."""
-    if isinstance(e, Resistor):
-        return f"{e.name} {e.pos} {e.neg} {_fmt(e.resistance)}"
-    if isinstance(e, Capacitor):
-        return f"{e.name} {e.pos} {e.neg} {_fmt(e.capacitance)}"
-    if isinstance(e, Inductor):
-        return f"{e.name} {e.pos} {e.neg} {_fmt(e.inductance)}"
-    if isinstance(e, (VoltageSource, CurrentSource)):
-        return f"{e.name} {e.pos} {e.neg} {_fmt_waveform(e.waveform)}"
-    raise TypeError(f"cannot serialise element of type {type(e).__name__}")
 
 
 def iter_cards(
@@ -98,19 +77,20 @@ def iter_cards(
             f"order must be 'by-type' or 'insertion', got {order!r}"
         )
     yield f"* {netlist.title}"
-    if order == "insertion":
-        for e in netlist.elements():
-            yield _fmt_element(e)
-    else:
-        for group in (
-            netlist.resistors,
-            netlist.capacitors,
-            netlist.inductors,
-            netlist.voltage_sources,
-            netlist.current_sources,
-        ):
-            for e in group:
-                yield _fmt_element(e)
+    kinds, pos, neg, values = (col.tolist() for col in netlist.columns())
+    nodes = netlist.node_names() + ("0",)  # row -1 is ground
+    names = netlist.element_names()
+    sources = {KIND_V: iter(netlist.voltage_waveforms),
+               KIND_I: iter(netlist.current_waveforms)}
+    # Both orders keep insertion order within a kind, so a source's
+    # waveform is the next one of its kind.
+    rows = range(len(kinds))
+    if order == "by-type":
+        rows = sorted(rows, key=kinds.__getitem__)  # stable
+    for k in rows:
+        kind = kinds[k]
+        spec = _fmt(values[k]) if kind < KIND_V else _fmt_waveform(next(sources[kind]))
+        yield f"{names[k]} {nodes[pos[k]]} {nodes[neg[k]]} {spec}"
     if t_end is not None:
         yield f".tran {_fmt(t_end / 1000.0)} {_fmt(t_end)}"
     yield ".end"

@@ -17,11 +17,11 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli sweep --netlist ibmpg_like.spice \
         --scenarios random:1000:7 --rom 0.05
 
-``simulate`` loads the deck through the in-memory object parser;
-``run`` streams it through :mod:`repro.circuit.ingest` — the
-industrial-scale path for ibmpg-style decks with 100k+ nodes, which
-never materialises per-element objects and defaults ``--t-end`` to the
-deck's ``.tran`` stop time.  ``sweep`` compiles the deck **once** into
+Every command reads its deck through :mod:`repro.circuit.ingest` (one
+streaming pass into array columns, fit for ibmpg-style decks with 100k+
+nodes); ``run`` also defaults ``--t-end`` to the deck's ``.tran`` stop
+time.  A deck the reader rejects is a usage error (exit 2) naming its
+line.  ``sweep`` compiles the deck **once** into
 a :class:`~repro.plan.SimulationPlan` and executes many what-if input
 scenarios against it in one :class:`~repro.plan.Session` (persistent
 workers, stacked lockstep marches — see :mod:`repro.plan`); scenarios
@@ -58,8 +58,9 @@ from repro.baselines import (
     TrapezoidalIntegrator,
     dc_operating_point,
 )
-from repro.circuit.mna import assemble
-from repro.circuit.parser import parse_file, parse_value
+from repro.circuit.ingest import ingest_file
+from repro.circuit.netlist import NetlistError
+from repro.circuit.parser import ParseError, parse_value
 from repro.core.options import BATCH_KEYWORDS, STACK_KEYWORDS, SolverOptions
 from repro.core.options import check_batch, check_stack
 from repro.core.results import TransientResult
@@ -327,7 +328,7 @@ def _add_sim_options(sim: argparse.ArgumentParser) -> None:
 
 
 def _load(path: Path):
-    return assemble(parse_file(path))
+    return ingest_file(path).system
 
 
 def _cache_stats_line() -> str:
@@ -735,7 +736,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (_UsageError, PlanError) as exc:  # PlanError: e.g. no horizon
+    # PlanError: e.g. no horizon; ParseError/NetlistError: a bad deck.
+    except (_UsageError, PlanError, ParseError, NetlistError) as exc:
         print(f"repro.cli: error: {exc}", file=sys.stderr)
         return 2
 

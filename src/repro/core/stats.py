@@ -110,7 +110,7 @@ class SolverStats:
         return self.factor_seconds + self.dc_seconds + self.transient_seconds
 
     def merge(self, other: "SolverStats") -> "SolverStats":
-        """Element-wise accumulation (used to aggregate node stats)."""
+        """Elementwise accumulation (used to aggregate node stats)."""
         return SolverStats(
             n_steps=self.n_steps + other.n_steps,
             n_krylov_bases=self.n_krylov_bases + other.n_krylov_bases,

@@ -118,7 +118,7 @@ def stiff_rc_mesh(
                     f"Rv{i}_{j}", mesh_node(i, j), mesh_node(i + 1, j), resistance
                 )
 
-    # Capacitor population: mostly c_base, a fast subset, one slow anchor
+    # The capacitor population: mostly c_base, a fast subset, one slow anchor
     # at the mesh centre.
     c_fast = c_base / fast_ratio
     c_slow = c_base * slow_ratio

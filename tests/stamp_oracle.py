@@ -1,22 +1,59 @@
 """Per-element MNA stamping: the tests' independent oracle for ``G``/``C``/``B``.
 
-:func:`repro.circuit.mna.stamp` builds the descriptor system from array
-columns with numpy, for generated netlists and streamed decks alike.
+:func:`repro.circuit.mna.assemble` builds the descriptor system from
+array columns with numpy, for generated netlists and read decks alike.
 This module keeps the element-at-a-time formulation it replaced — one
-``add`` per matrix entry, walked over the :class:`Netlist` element
-lists, and a string-keyed breadth-first search for nodes without a DC
+``add`` per matrix entry, walked over one record per element
+(:func:`element_rows`, decoded from the netlist's columns back to node
+names), and a string-keyed breadth-first search for nodes without a DC
 path to ground — so the columnar stamp and its connectivity check are
-compared against code that shares nothing with them but the result
-type.  The triplet order is the same, so the two agree bit for bit.
+compared against code that shares nothing with them but the netlist's
+columns and the result type.  The triplet order is the same, so the two
+agree bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import scipy.sparse as sp
 
-from repro.circuit.elements import GROUND_NAMES
 from repro.circuit.mna import MNASystem
-from repro.circuit.netlist import Netlist, NetlistError
+from repro.circuit.netlist import (
+    GROUND_NAMES, KIND_I, KIND_V, KINDS, Netlist, NetlistError,
+)
+from repro.circuit.waveforms import Waveform
+
+
+class Row(NamedTuple):
+    """One element of a :class:`Netlist`, as the tests read it."""
+
+    kind: str  # "r", "c", "l", "v" or "i"
+    name: str
+    pos: str  # node name; ground reads "0"
+    neg: str
+    value: float  # resistance / capacitance / inductance; 0.0 for sources
+    waveform: Waveform | None  # a source's; None otherwise
+
+
+def element_rows(netlist: Netlist, kind: str | None = None) -> list[Row]:
+    """The netlist's elements (of ``kind``, if given) in insertion order."""
+    kinds, pos, neg, values = (col.tolist() for col in netlist.columns())
+    nodes = netlist.node_names() + ("0",)  # row -1 is ground
+    sources = {KIND_V: iter(netlist.voltage_waveforms),
+               KIND_I: iter(netlist.current_waveforms)}
+    rows = [
+        Row(KINDS[k], name, nodes[i], nodes[j], value,
+            next(sources[k]) if k in sources else None)
+        for k, name, i, j, value in zip(
+            kinds, netlist.element_names(), pos, neg, values)
+    ]
+    return rows if kind is None else [r for r in rows if r.kind == kind]
+
+
+def rows_by_name(netlist: Netlist) -> dict[str, Row]:
+    """:func:`element_rows` keyed by element name."""
+    return {r.name: r for r in element_rows(netlist)}
 
 
 class _Triplets:
@@ -45,7 +82,7 @@ class _Triplets:
 
 
 def check_dc_paths(netlist: Netlist) -> None:
-    """Raise :class:`NetlistError` as ``Netlist.validate`` does, by BFS."""
+    """Raise :class:`NetlistError` as ``assemble`` does, by BFS."""
     if len(netlist) == 0:
         raise NetlistError("empty netlist")
     nodes = netlist.node_names()
@@ -58,8 +95,9 @@ def check_dc_paths(netlist: Netlist) -> None:
     def canon(node: str) -> str:
         return ground if node in GROUND_NAMES else node
 
-    dc_paths = netlist.resistors + netlist.inductors + netlist.voltage_sources
-    for e in dc_paths:
+    for e in element_rows(netlist):
+        if e.kind in ("c", "i"):
+            continue
         a, b = canon(e.pos), canon(e.neg)
         adjacency[a].add(b)
         adjacency[b].add(a)
@@ -90,36 +128,39 @@ def oracle_assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
     b = _Triplets(dim)
 
     ni = netlist.node_index
+    resistors, capacitors, inductors, vsources, isources = (
+        element_rows(netlist, kind) for kind in KINDS
+    )
 
-    for r in netlist.resistors:
+    for r in resistors:
         i, j = ni(r.pos), ni(r.neg)
-        cond = r.conductance
+        cond = 1.0 / r.value
         g.add(i, i, cond)
         g.add(j, j, cond)
         g.add(i, j, -cond)
         g.add(j, i, -cond)
 
-    for cap in netlist.capacitors:
+    for cap in capacitors:
         i, j = ni(cap.pos), ni(cap.neg)
-        c.add(i, i, cap.capacitance)
-        c.add(j, j, cap.capacitance)
-        c.add(i, j, -cap.capacitance)
-        c.add(j, i, -cap.capacitance)
+        c.add(i, i, cap.value)
+        c.add(j, j, cap.value)
+        c.add(i, j, -cap.value)
+        c.add(j, i, -cap.value)
 
     waveforms = []
-    n_currents = len(netlist.current_sources)
+    n_currents = len(isources)
 
     # Current sources: columns [0, n_currents).  SPICE convention: a
     # positive source value draws current out of `pos` and injects it into
     # `neg`, so the RHS contribution is -u at pos and +u at neg.
-    for col, src in enumerate(netlist.current_sources):
+    for col, src in enumerate(isources):
         i, j = ni(src.pos), ni(src.neg)
         b.add(i, col, -1.0)
         b.add(j, col, +1.0)
         waveforms.append(src.waveform)
 
     # Voltage sources: extra branch-current rows after the node block.
-    for k, src in enumerate(netlist.voltage_sources):
+    for k, src in enumerate(vsources):
         row = netlist.n_nodes + k
         i, j = ni(src.pos), ni(src.neg)
         # KCL coupling of the branch current into its terminal nodes.
@@ -133,16 +174,16 @@ def oracle_assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
 
     # Inductors: branch rows after the voltage sources,
     # v(pos) - v(neg) - L di/dt = 0.
-    for k, ind in enumerate(netlist.inductors):
-        row = netlist.n_nodes + len(netlist.voltage_sources) + k
+    for k, ind in enumerate(inductors):
+        row = netlist.n_nodes + len(vsources) + k
         i, j = ni(ind.pos), ni(ind.neg)
         g.add(i, row, +1.0)
         g.add(j, row, -1.0)
         g.add(row, i, +1.0)
         g.add(row, j, -1.0)
-        c.add(row, row, -ind.inductance)
+        c.add(row, row, -ind.value)
 
-    n_inputs = n_currents + len(netlist.voltage_sources)
+    n_inputs = n_currents + len(vsources)
     return MNASystem(
         netlist=netlist,
         C=c.build(),

@@ -191,7 +191,7 @@ class TestRun:
         assert main(["run", "--netlist", str(deck), "--t-end", "1n"]) == 0
 
     def test_matches_object_parser_simulate(self, ibmpg_deck, tmp_path):
-        """Streaming and object paths agree through the full CLI."""
+        """simulate and run read the deck alike through the full CLI."""
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["simulate", str(ibmpg_deck), "--t-end", "1n",
                      "--nodes", "n2_2", "--out", str(a)]) == 0
@@ -442,3 +442,38 @@ class TestSweep:
         a = np.load(out_dir / "block_quiet.npz")["states"]
         b = np.load(out_dir / "block_quiet.1.npz")["states"]
         assert a.shape == b.shape and not np.array_equal(a, b)
+
+
+class TestDeckErrors:
+    """A deck the reader rejects is a usage error (exit 2) naming its line."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("R1 a 0 1\nC1 a 0 1p\nR2 a 0\n", "line 3: malformed card 'R2 a 0'"),
+        ("R1 a 0 1\nR1 a 0 2\n", "line 2: duplicate element name 'R1'"),
+        ("R1 a 0 1\nC1 b 0 1p\n", "node(s) have no DC path to ground"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["info", "{deck}", "--t-end", "1n"],
+        ["dc", "{deck}"],
+        ["simulate", "{deck}", "--t-end", "1n"],
+        ["run", "--netlist", "{deck}", "--t-end", "1n"],
+        ["sweep", "--netlist", "{deck}", "--t-end", "1n",
+         "--scenarios", "random:2"],
+    ])
+    def test_bad_deck_is_one_error_line(self, tmp_path, capsys, text,
+                                        message, command):
+        deck = tmp_path / "d.spice"
+        deck.write_text(text)
+        argv = [arg.format(deck=deck) for arg in command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro.cli: error: ")
+        assert message in line
+        assert "Traceback" not in captured.out
+
+    def test_undecodable_deck(self, tmp_path, capsys):
+        deck = tmp_path / "d.spice"
+        deck.write_bytes(b"R1 a 0 1\nR2 a 0 \xff\n")
+        assert main(["run", "--netlist", str(deck), "--t-end", "1n"]) == 2
+        assert "line 2: byte 0xff" in capsys.readouterr().err

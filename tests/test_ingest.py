@@ -1,11 +1,13 @@
-"""Tests for the streaming ibmpg-style ingester (repro.circuit.ingest).
+"""Tests for the one deck reader (repro.circuit.ingest).
 
 The load-bearing property is **bit-identity**: a deck written in element
-insertion order must stream back into an :class:`MNASystem` whose CSC
+insertion order must read back into an :class:`MNASystem` whose CSC
 arrays are byte-for-byte equal to ``assemble(netlist)`` — node index
 assignment, stamp sequence and duplicate-summation order all preserved.
-Both paths share one columnar stamp, so each is also held against the
-per-element oracle of ``tests/stamp_oracle.py``.
+Generated and read netlists are one form with one stamp, so each is
+also held against the per-element oracle of ``tests/stamp_oracle.py``,
+and the reader's card loop against the one it replaced
+(``tests/parse_oracle.py``).
 """
 
 import re
@@ -29,7 +31,7 @@ from repro.circuit import (
     ingest_text,
     parse_netlist,
 )
-from repro.circuit.elements import GROUND_NAMES
+from repro.circuit.netlist import GROUND_NAMES
 from repro.core import SolverOptions
 from repro.dist import MatexScheduler
 from repro.pdn import (
@@ -40,6 +42,7 @@ from repro.pdn import (
     synthesize_ibmpg,
 )
 from tests.conftest import build_multi_source_mesh, build_small_pdn
+from tests.parse_oracle import oracle_parse_netlist
 from tests.stamp_oracle import oracle_assemble
 
 
@@ -47,7 +50,7 @@ def build_inductor_pdn():
     """A package-inductor PDN built through the API, never parsed."""
     net = generate_power_grid(PdnConfig(rows=6, cols=6, l_package=5e-10, n_pads=3))
     attach_pulse_loads(net, WorkloadSpec(n_sources=5, n_shapes=2, time_grid_points=8))
-    assert net.inductors
+    assert net.counts["l"]
     return net
 
 
@@ -202,7 +205,7 @@ class TestErrors:
     ])
     def test_first_faulty_line_matches_object_parser(self, deck, line):
         with pytest.raises(ParseError) as ref:
-            parse_netlist(deck)
+            oracle_parse_netlist(deck)
         with pytest.raises(ParseError) as got:  # waveform errors stay ParseError
             ingest_text(deck)
         assert _error_line(got.value) == _error_line(ref.value) == line
@@ -226,16 +229,16 @@ class TestErrors:
             f"G would be singular"
         )
         with pytest.raises(NetlistError) as ref:
-            assemble(parse_netlist(deck))
+            assemble(oracle_parse_netlist(deck))
         assert str(ref.value) == str(exc.value)
         assert ingest_text(deck, validate=False).system.dim == 8
-        # The same circuit built through the API, not parsed: validate(),
-        # assemble(), its insertion-order deck and the oracle all agree.
+        # The same circuit built through the API, not parsed: assemble(),
+        # its insertion-order deck and the oracle all agree.
         net = Netlist("api")
         net.add_resistor("R0", "a", "0", 1.0)
         for k, node in enumerate(floating):
             net.add_capacitor(f"C{k}", node, "0", 1e-12)
-        for build in (net.validate, lambda: assemble(net),
+        for build in (lambda: assemble(net),
                       lambda: ingest_text(format_netlist(net, order="insertion")),
                       lambda: oracle_assemble(net)):
             with pytest.raises(NetlistError) as api:
@@ -256,14 +259,14 @@ class TestErrors:
         net.add_inductor("L1", "d", "e", 1e-9)
         net.add_voltage_source("V1", "e", "0", 1.0)
         net.add_resistor("R3", "g", "0", 1.0)
-        for build in (net.validate, lambda: assemble(net),
+        for build in (lambda: assemble(net),
                       lambda: ingest_text(format_netlist(net, order="insertion")),
                       lambda: oracle_assemble(net)):
             with pytest.raises(NetlistError, match=message):
                 build()
 
 
-# -- differential grammar fuzz: streaming pass vs parse_netlist + assemble -----------
+# -- differential grammar fuzz: the reader vs the card loop it replaced ----------------
 
 _FUZZ_NODES = ["a", "b", "n1_2"]
 _FUZZ_TERMINALS = _FUZZ_NODES * 6 + sorted(GROUND_NAMES)  # ground ~1 in 5
@@ -320,11 +323,13 @@ class TestGrammarFuzz:
     def test_streamed_and_object_paths_agree(self, deck):
         """Same typed error on the same line, or the same bits.
 
-        The object path is ``parse_netlist`` then both ``assemble`` and
-        the per-element oracle, which must agree with each other on
-        every deck.  One known divergence: the streaming pass parses
-        ``.tran`` (it is the deck's default horizon) and raises on a bad
-        value there, while ``parse_netlist`` ignores every ``.tran`` card.
+        The object path is the replaced card loop
+        (``tests/parse_oracle.py``) then both ``assemble`` and the
+        per-element oracle, which must agree with each other on every
+        deck.  One known divergence, between the reader and the oracle
+        only (``parse_netlist`` is the reader without the stamp): the reader
+        parses ``.tran`` (it is the deck's default horizon) and raises on
+        a bad value there, while the oracle ignores every ``.tran`` card.
         """
         got = ref = None
         try:
@@ -332,7 +337,7 @@ class TestGrammarFuzz:
         except (ParseError, NetlistError) as exc:
             got = exc
         try:
-            net = parse_netlist(deck)
+            net = oracle_parse_netlist(deck)
         except (ParseError, NetlistError) as exc:
             ref = exc
         else:
@@ -360,7 +365,60 @@ class TestGrammarFuzz:
                 assert str(got) == str(ref)
 
 
-class TestStreamedNetlist:
+class TestHostileDecks:
+    """A hostile deck is a ParseError naming its line, never a traceback."""
+
+    @staticmethod
+    def _line(exc) -> int:
+        assert isinstance(exc, ParseError), exc
+        return _error_line(exc)
+
+    def test_undecodable_second_line(self, tmp_path):
+        path = tmp_path / "bad.spice"
+        path.write_bytes(b"R1 a 0 1\nR2 a 0 \xff\n")
+        with pytest.raises(ParseError, match=r"^line 2: byte 0xff is not utf-8"):
+            ingest_file(path)
+
+    @pytest.mark.parametrize("bad", [1, 2, 8191, 49931, 50002, 50009])
+    def test_undecodable_line_in_a_large_deck(self, tmp_path, bad):
+        # 50 010 lines, 1.1 MB: the decoder fails a block ahead of the
+        # cards read so far, and the error still names the bad line.
+        lines = [b"R0 n0 0 1"] + [
+            b"R%d n%d n%d 1.5" % (k, k, k - 1) for k in range(1, 50010)
+        ]
+        lines[bad - 1] += b" \xfe"
+        path = tmp_path / "big.spice"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert path.stat().st_size > 1 << 20
+        with pytest.raises(ParseError) as exc:
+            ingest_file(path)
+        assert self._line(exc.value) == bad
+
+    @pytest.mark.parametrize("deck, line, message", [
+        ("R1 a 0 1\nR2 a 0 1\x00\n", 2, "not a SPICE number"),      # NUL in a card
+        ("R1 a 0 1\n\x00R2 a 0 1\n", 2, "unsupported element type"),
+        ("R1 a 0 1\nI1 a 0 PULSE(0 1m\n+ 1n", 2, "cannot parse source"),  # EOF in a + chain
+        ("R1 a 0 1\nR2 a", 2, "malformed card"),                     # EOF mid-card
+        ("R1 a 0 1\nV1 a 0", 2, "malformed card"),
+    ])
+    def test_truncated_and_nul_cards(self, tmp_path, deck, line, message):
+        path = tmp_path / "deck.spice"
+        path.write_text(deck)
+        for read in (lambda: ingest_file(path), lambda: ingest_text(deck),
+                     lambda: parse_netlist(deck)):
+            with pytest.raises(ParseError, match=message) as exc:
+                read()
+            assert self._line(exc.value) == line
+
+    def test_one_very_long_line(self, tmp_path):
+        path = tmp_path / "long.spice"
+        path.write_text("R1 a 0 1\nR2 " + "a" * (1 << 21) + " 0\nR3 a 0 1\n")
+        with pytest.raises(ParseError, match="malformed card") as exc:
+            ingest_file(path)
+        assert self._line(exc.value) == 2
+
+
+class TestIngestedNetlist:
     def test_netlist_interface(self, small_pdn):
         streamed = ingest_text(
             format_netlist(small_pdn, order="insertion")
@@ -379,6 +437,13 @@ class TestStreamedNetlist:
         # differs: the writer emits it as a comment, not a title line)
         assert (streamed.summary().split(": ", 1)[1]
                 == ref.summary().split(": ", 1)[1])
+        # One form: the read netlist holds the generated one's columns.
+        assert streamed.element_names() == ref.element_names()
+        for a, b in zip(streamed.columns(), ref.columns()):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+        assert streamed.current_waveforms == ref.current_waveforms
+        assert streamed.voltage_waveforms == ref.voltage_waveforms
 
     def test_node_voltage_reporting(self, small_pdn):
         system = ingest_text(
@@ -402,7 +467,7 @@ class TestWriterOrders:
         text = format_netlist(small_pdn, order="insertion")
         names = [ln.split()[0] for ln in text.splitlines()
                  if ln and ln[0] not in "*."]
-        assert names == [e.name for e in small_pdn.elements()]
+        assert names == list(small_pdn.element_names())
 
     def test_unknown_order_rejected(self, small_pdn):
         with pytest.raises(ValueError, match="order"):
@@ -422,13 +487,11 @@ class TestSynthesizeIbmpg:
         assert text.rstrip().endswith(".end")
 
     def test_deck_parses_with_object_parser_too(self, tmp_path):
-        """The streamed dialect stays a strict subset of the object one."""
-        from repro.circuit import parse_file
-
+        """The read dialect stays a subset of the replaced card loop's."""
         path = tmp_path / "pg.spice"
         net = synthesize_ibmpg(path, PdnConfig(rows=5, cols=5),
                                WorkloadSpec(n_sources=3, n_shapes=2,
                                             time_grid_points=8))
-        reparsed = parse_file(path)
+        reparsed = oracle_parse_netlist(path.read_text())
         assert len(reparsed) == len(net)
         assert assemble(reparsed).dim == assemble(net).dim

@@ -1,4 +1,4 @@
-"""Unit tests for the SPICE-dialect parser and writer."""
+"""Unit tests for the SPICE-dialect grammar, ``parse_netlist`` and the writer."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,11 @@ from repro.circuit import (
     Pulse,
     assemble,
     format_netlist,
+    ingest_file,
     parse_netlist,
     parse_value,
 )
-from repro.circuit.parser import parse_file
+from tests.stamp_oracle import element_rows, rows_by_name
 
 
 class TestParseValue:
@@ -50,22 +51,23 @@ class TestParseNetlist:
             "V1 a 0 1.8\n"
             "I1 b 0 2m\n"
         )
-        assert len(net.resistors) == 2
-        assert net["R1"].resistance == 1000.0
-        assert net["C1"].capacitance == 1e-12
-        assert net["L1"].inductance == 1e-9
-        assert net["V1"].waveform == DC(1.8)
-        assert net["I1"].waveform == DC(2e-3)
+        assert len(element_rows(net, "r")) == 2
+        rows = rows_by_name(net)
+        assert rows["R1"].value == 1000.0
+        assert rows["C1"].value == 1e-12
+        assert rows["L1"].value == 1e-9
+        assert rows["V1"].waveform == DC(1.8)
+        assert rows["I1"].waveform == DC(2e-3)
 
     def test_title_line(self):
         net = parse_netlist("my power grid title\nR1 a 0 1\n")
         assert net.title == "my power grid title"
-        assert "R1" in net
+        assert net.element_names() == ("R1",)
 
     def test_pulse_source_spice_order(self):
         # SPICE: PULSE(v1 v2 td tr tf pw per) — tf BEFORE pw.
         net = parse_netlist("I1 a 0 PULSE(0 1m 1n 50p 60p 300p 2n)\nR1 a 0 1\n")
-        p = net["I1"].waveform
+        (p,) = net.current_waveforms
         assert isinstance(p, Pulse)
         assert p.t_delay == 1e-9
         assert p.t_rise == 5e-11
@@ -75,17 +77,17 @@ class TestParseNetlist:
 
     def test_pwl_source(self):
         net = parse_netlist("I1 a 0 PWL(0 0 1n 1m 2n 0)\nR1 a 0 1\n")
-        w = net["I1"].waveform
+        (w,) = net.current_waveforms
         assert isinstance(w, PWL)
         assert w.value(1e-9) == pytest.approx(1e-3)
 
     def test_pwl_prepends_origin(self):
         net = parse_netlist("I1 a 0 PWL(1n 0.5m 2n 1m)\nR1 a 0 1\n")
-        assert net["I1"].waveform.value(0.0) == pytest.approx(5e-4)
+        assert net.current_waveforms[0].value(0.0) == pytest.approx(5e-4)
 
     def test_continuation_lines(self):
         net = parse_netlist("I1 a 0 PWL(0 0\n+ 1n 1m)\nR1 a 0 1\n")
-        assert isinstance(net["I1"].waveform, PWL)
+        assert isinstance(net.current_waveforms[0], PWL)
 
     def test_comments_and_blanks_skipped(self):
         net = parse_netlist("* c\n\nR1 a 0 1\n* more\nC1 a 0 1p\n")
@@ -93,11 +95,11 @@ class TestParseNetlist:
 
     def test_dot_end_stops_parsing(self):
         net = parse_netlist("R1 a 0 1\n.end\nR2 b 0 1\n")
-        assert "R2" not in net
+        assert net.element_names() == ("R1",)
 
     def test_directives_tolerated(self):
         net = parse_netlist("R1 a 0 1\n.tran 10p 10n\n.op\n")
-        assert "R1" in net
+        assert net.element_names() == ("R1",)
 
     def test_unsupported_element_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -136,11 +138,16 @@ class TestWriterRoundTrip:
     def test_pwl_round_trip(self):
         net = parse_netlist("I1 a 0 PWL(0 0 1n 1m 2n 0)\nR1 a 0 1\n")
         again = parse_netlist(format_netlist(net))
-        assert again["I1"].waveform == net["I1"].waveform
+        assert again.current_waveforms == net.current_waveforms
 
-    def test_parse_file(self, tmp_path, rc_ladder):
+    def test_file_stem_is_default_title(self, tmp_path, rc_ladder):
         path = tmp_path / "ladder.spice"
         path.write_text(format_netlist(rc_ladder))
-        net = parse_file(path)
+        net = ingest_file(path).system.netlist
         assert net.title == "ladder"
         assert len(net) == len(rc_ladder)
+
+    def test_malformed_tran_rejected(self):
+        # .tran is the deck's horizon: a bad one is an error, not ignored.
+        with pytest.raises(ParseError, match="^line 2: not a SPICE number"):
+            parse_netlist("R1 a 0 1\n.tran 1p soon\n")

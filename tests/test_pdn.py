@@ -17,14 +17,15 @@ from repro.pdn import (
     stiff_rc_mesh,
     stiffness,
 )
+from tests.stamp_oracle import element_rows
 
 
 class TestPowerGrid:
     def test_structure_counts(self):
         cfg = PdnConfig(rows=8, cols=10, n_pads=3, coarse_pitch=4)
         net = generate_power_grid(cfg)
-        assert len(net.capacitors) == 80          # one per grid node
-        assert len(net.voltage_sources) == 3
+        assert net.counts["c"] == 80              # one per grid node
+        assert net.counts["v"] == 3
         system = assemble(net)
         assert system.is_c_singular()             # V-source branch rows
 
@@ -79,7 +80,7 @@ class TestWorkloads:
         spec = WorkloadSpec(n_sources=20, n_shapes=20, t_end=1e-8)
         lib = attach_pulse_loads(net, spec)
         shapes_used = {
-            i.waveform.bump_shape().key() for i in net.current_sources
+            w.bump_shape().key() for w in net.current_waveforms
         }
         assert shapes_used == {s.key() for s in lib}
 
@@ -92,7 +93,7 @@ class TestWorkloads:
     def test_loads_avoid_pad_nodes(self):
         net = generate_power_grid(PdnConfig(rows=8, cols=8, n_pads=2))
         attach_pulse_loads(net, WorkloadSpec(n_sources=30, n_shapes=5))
-        for src in net.current_sources:
+        for src in element_rows(net, "i"):
             assert not src.pos.startswith("pad")
 
 
@@ -152,4 +153,4 @@ class TestSuite:
         assert case.name == "pg1t"
         assert system.dim > 1000
         assert system.is_c_singular()
-        assert len(system.netlist.current_sources) == 800
+        assert system.n_current_inputs == 800

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.circuit import Netlist, Pulse, assemble, ingest_file, write_file
 from repro.core import MatexSolver, SolverOptions
 from repro.linalg import SparseLU, exact_transient
+from tests.stamp_oracle import element_rows
 
 
 @st.composite
@@ -99,11 +100,11 @@ def test_response_scales_linearly(net, scale):
     _, base = exact_transient(system, x0, t_end)
 
     scaled_net = Netlist("scaled")
-    for r in net.resistors:
-        scaled_net.add_resistor(r.name, r.pos, r.neg, r.resistance)
-    for cp in net.capacitors:
-        scaled_net.add_capacitor(cp.name, cp.pos, cp.neg, cp.capacitance)
-    for i in net.current_sources:
+    for r in element_rows(net, "r"):
+        scaled_net.add_resistor(r.name, r.pos, r.neg, r.value)
+    for cp in element_rows(net, "c"):
+        scaled_net.add_capacitor(cp.name, cp.pos, cp.neg, cp.value)
+    for i in element_rows(net, "i"):
         w = i.waveform
         scaled_net.add_current_source(
             i.name, i.pos, i.neg,
@@ -129,7 +130,7 @@ def random_rlc_deck(draw):
     """A random RC tree, optionally with a supply pad behind a package
     inductor and inductive links — the branch rows MNA adds."""
     net = draw(random_rc_circuit())
-    n = len(net.capacitors)
+    n = net.counts["c"]
     if draw(st.booleans()):
         net.add_voltage_source("Vdd", "pad", "0", 1.8)
         net.add_inductor(

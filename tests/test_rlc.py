@@ -29,7 +29,7 @@ class TestRlcStructure:
     def test_inductor_branch_rows_present(self, rlc_pdn):
         system, _ = rlc_pdn
         net = system.netlist
-        assert len(net.inductors) == 2
+        assert net.counts["l"] == 2
         assert system.dim == net.n_nodes + 2 + 2  # + V rows + L rows
         assert system.is_c_singular()  # V rows still carry no dynamics
 
