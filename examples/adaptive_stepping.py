@@ -29,7 +29,7 @@ def main() -> None:
         n_sources=150, n_shapes=20, t_end=t_end, time_grid_points=60, seed=3,
     ))
     system = assemble(net)
-    print(f"circuit: {net.summary()}")
+    print(f"circuit: {system.summary()}")
 
     golden = simulate_trapezoidal(system, 1e-12, t_end,
                                   record_times=list(np.linspace(0, t_end, 101)))

@@ -30,7 +30,7 @@ def main() -> None:
     args = parser.parse_args()
 
     system, case = build_case(args.case)
-    print(f"case {case.name}: {system.netlist.summary()}")
+    print(f"case {case.name}: {system.summary()}")
 
     scheduler = MatexScheduler(
         system,

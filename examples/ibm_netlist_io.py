@@ -51,7 +51,7 @@ def main() -> None:
     net = parse_netlist(DECK, title="tiny-deck")
     system = assemble(net)
     x_dc, _ = dc_operating_point(system)
-    print(f"parsed deck: {net.summary()}")
+    print(f"parsed deck: {system.summary()}")
     print(f"DC voltage at n2: {system.node_voltage(x_dc, 'n2'):.4f} V")
 
     # 2. Export a generated suite case and read it back from a file.

@@ -38,7 +38,7 @@ def main() -> None:
                   t_width=6e-11, t_fall=1e-11, t_period=5e-10),
         )
     system = assemble(net)
-    print(f"circuit: {net.summary()}, horizon {t_end*1e9:.0f} ns "
+    print(f"circuit: {system.summary()}, horizon {t_end*1e9:.0f} ns "
           f"(4 clock periods)")
 
     opts = SolverOptions(method="rational", gamma=1e-10, eps_rel=1e-7)

@@ -26,7 +26,7 @@ def main() -> None:
                      time_grid_points=30, seed=7),
     )
     system = assemble(net)
-    print(f"circuit: {net.summary()}")
+    print(f"circuit: {system.summary()}")
     print(f"C singular: {system.is_c_singular()} "
           f"(no problem: R-MATEX is regularization-free)")
 
@@ -40,7 +40,7 @@ def main() -> None:
 
     # 3. Worst droop across the grid.
     vdd = 1.8
-    node_v = result.states[:, : system.netlist.n_nodes]
+    node_v = result.states[:, : system.n_nodes]
     droop = vdd - node_v.min()
     t_worst = result.times[np.unravel_index(node_v.argmin(), node_v.shape)[0]]
     print(f"worst droop: {droop * 1e3:.2f} mV at t = {t_worst * 1e9:.2f} ns")
@@ -48,8 +48,8 @@ def main() -> None:
     # 4. Cross-check against a fine trapezoidal run on the same grid.
     tr = simulate_trapezoidal(system, 2e-12, t_end,
                               record_times=list(result.times))
-    diff = np.abs(result.sample(result.times)[:, : system.netlist.n_nodes]
-                  - tr.sample(result.times)[:, : system.netlist.n_nodes])
+    diff = np.abs(result.sample(result.times)[:, : system.n_nodes]
+                  - tr.sample(result.times)[:, : system.n_nodes])
     print(f"max |MATEX - TR(2ps)| over all nodes/times: {diff.max():.2e} V")
     assert diff.max() < 1e-3, "solutions disagree"
     print("OK")

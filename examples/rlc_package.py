@@ -46,7 +46,7 @@ def main() -> None:
 
         # Cross-check against fine trapezoidal.
         tr = simulate_trapezoidal(system, 1e-12, t_end)
-        nn = system.netlist.n_nodes
+        nn = system.n_nodes
         diff = np.abs(res.sample(res.times)[:, :nn]
                       - tr.sample(res.times)[:, :nn])
         print(f"{'':16s}  vs TR(1ps): max diff {diff.max():.2e} V")

@@ -57,7 +57,7 @@ def main() -> None:
             results = session.sweep(scenarios)
     warm_wall = time.perf_counter() - t0
 
-    vdd_rows = slice(0, system.netlist.n_nodes)
+    vdd_rows = slice(0, system.n_nodes)
     for scenario, dres in zip(scenarios, results):
         rails = dres.result.states[:, vdd_rows]
         print(f"  {scenario.name}: min rail {rails.min():.6g} V, "

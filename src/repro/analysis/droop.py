@@ -89,7 +89,7 @@ def droop_report(
     -------
     DroopReport
     """
-    names = result.system.netlist.node_names()
+    names = result.system.node_names()
     keep = [
         (i, name) for i, name in enumerate(names)
         if node_filter is None or node_filter(name)

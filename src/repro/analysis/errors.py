@@ -22,7 +22,7 @@ def _aligned_node_blocks(
     if times is None:
         times = reference.times
     times = np.asarray(times, dtype=float)
-    n_nodes = result.system.netlist.n_nodes
+    n_nodes = result.system.n_nodes
     a = result.sample(times)[:, :n_nodes]
     b = reference.sample(times)[:, :n_nodes]
     return a, b

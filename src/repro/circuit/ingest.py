@@ -17,7 +17,8 @@ its 1-based line.
 
 * :func:`parse_netlist` is the pass on text held in memory;
 * :func:`ingest_file` and :func:`ingest_text` add the stamp and return
-  the :class:`MNASystem` with an :class:`IngestStats` record.
+  the :class:`MNASystem` with an :class:`IngestStats` record; the
+  netlist is freed after the stamp (the system keeps its node names).
 
 Consequently a deck written in element **insertion order**
 (``write_file(..., order="insertion")``) reads back into the netlist it
@@ -27,7 +28,8 @@ Memory stays bounded by the *result* size (node map, element names, 25
 bytes of column per card, one waveform object per source), never by
 the text: the file is read once through a bounded line buffer, and
 peak RSS for a 100k-node deck is dominated by the CSC matrices
-themselves (the bench's ``deck_cold`` records it).
+themselves (the bench's ``deck_cold`` records it).  An error quotes a
+long card or token clipped (:func:`~repro.circuit.parser.quote`).
 
 Dialect (the ibmpg subset): ``R``/``C``/``L``/``I``/``V`` cards,
 ``_X_Y``-style node names, ``*`` comments, blank lines, ``+``
@@ -53,6 +55,7 @@ from repro.circuit.parser import (
     iter_logical_cards,
     parse_value,
     parse_waveform,
+    quote,
 )
 
 __all__ = [
@@ -146,7 +149,7 @@ def _read(
             if kind < KIND_V:  # R/C/L: the value is the fourth token
                 parts = line.split(None, 4)
                 if len(parts) < 4:
-                    raise IngestError(f"line {lineno}: malformed card {line!r}")
+                    raise IngestError(f"line {lineno}: malformed card {quote(line)}")
                 add(kind, parts[0], parts[1], parts[2], parse_value(parts[3]), None)
                 continue
             parts = line.split(None, 3)
@@ -164,10 +167,10 @@ def _read(
                         tran_stop = parse_value(args[0])
                 continue  # other directives tolerated, ignored
             if len(parts) < 4:
-                raise IngestError(f"line {lineno}: malformed card {line!r}")
+                raise IngestError(f"line {lineno}: malformed card {quote(line)}")
             if kind == _OTHER:
                 raise IngestError(
-                    f"line {lineno}: unsupported element type {head!r} "
+                    f"line {lineno}: unsupported element type {quote(head)} "
                     f"(only R, C, L, V, I are in the PDN dialect)"
                 )
             add(kind, head, parts[1], parts[2], 0.0, parse_waveform(parts[3], lineno))

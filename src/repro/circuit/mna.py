@@ -18,20 +18,22 @@ by :mod:`repro.circuit.ingest` are the same :class:`Netlist`, so a deck
 written in element insertion order yields byte-identical matrices.
 
 The input vector ordering is **current sources first** (insertion order),
-then voltage sources; :class:`MNASystem` carries the index maps and the
-waveform evaluators used by all integrators.
+then voltage sources; :class:`MNASystem` carries the index maps, the
+node names and the waveform evaluators used by all integrators, never
+the :class:`Netlist`, which stays with whoever built it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.circuit.netlist import (
-    KIND_C, KIND_I, KIND_L, KIND_R, KIND_V, Columns, Netlist, NetlistError,
+    GROUND_NAMES, KIND_C, KIND_I, KIND_L, KIND_R, KIND_V, Columns, Netlist, NetlistError,
 )
 from repro.circuit.waveforms import Waveform, merge_transition_spots, sample_waveforms
 
@@ -51,9 +53,6 @@ class MNASystem:
 
     Attributes
     ----------
-    netlist:
-        The source circuit (node names and reporting): the
-        :class:`Netlist` given to :func:`assemble`.
     C, G:
         Square sparse matrices of dimension :attr:`dim`.
     B:
@@ -63,14 +62,24 @@ class MNASystem:
         currents first then voltage supplies.
     n_current_inputs:
         Number of leading columns of ``B`` that are load currents.
+    nodes, title, counts:
+        Non-ground node names in row order, the circuit's name and its
+        elements per :data:`~repro.circuit.netlist.KINDS` key.
     """
 
-    netlist: Netlist
     C: sp.csc_matrix
     G: sp.csc_matrix
     B: sp.csc_matrix
     waveforms: tuple[Waveform, ...]
     n_current_inputs: int
+    nodes: tuple[str, ...]
+    title: str
+    counts: dict[str, int]
+
+    def __getstate__(self) -> dict:
+        """Pickle without the lazy caches; they rebuild on first use."""
+        lazy = ("_input_table", "_rows")
+        return {k: v for k, v in self.__dict__.items() if k not in lazy}
 
     # -- basic geometry ---------------------------------------------------------
 
@@ -124,12 +133,7 @@ class MNASystem:
             if not 0 <= col < n_inputs:
                 raise IndexError(f"input column {col} out of range")
             new_waveforms[col] = new_waveforms[col].scaled(factor)
-        return MNASystem(
-            netlist=self.netlist,
-            C=self.C, G=self.G, B=self.B,
-            waveforms=tuple(new_waveforms),
-            n_current_inputs=self.n_current_inputs,
-        )
+        return replace(self, waveforms=tuple(new_waveforms))
 
     def is_c_singular(self) -> bool:
         """Cheap structural singularity check for ``C`` (empty rows)."""
@@ -139,7 +143,8 @@ class MNASystem:
 
     # -- input evaluation ---------------------------------------------------------
 
-    def _input_table(self):
+    @cached_property
+    def _input_table(self) -> dict:
         """Lazy parameter table of the pulse and DC inputs.
 
         The one evaluator beside the waveforms' own ``values_array``
@@ -160,9 +165,6 @@ class MNASystem:
         column's level.  ``cols``, ``dc`` and ``others`` list the
         columns of each kind.
         """
-        table = getattr(self, "_input_table_cache", None)
-        if table is not None:
-            return table
         from repro.circuit.waveforms import DC, Pulse
 
         kind = np.zeros(self.n_inputs, dtype=np.int8)
@@ -177,7 +179,7 @@ class MNASystem:
         ws = [self.waveforms[k] for k in pulse_cols]
         row = np.full(self.n_inputs, -1, dtype=np.intp)
         row[pulse_cols] = np.arange(len(pulse_cols))
-        table = {
+        return {
             "kind": kind,
             "row": row,
             "level": level,
@@ -194,8 +196,6 @@ class MNASystem:
                 [w.t_period if w.t_period is not None else np.nan for w in ws]
             ),
         }
-        self._input_table_cache = table
-        return table
 
     @staticmethod
     def _pulse_values(t: float, params: dict, rows=slice(None)) -> np.ndarray:
@@ -244,7 +244,7 @@ class MNASystem:
         :meth:`bu_series`'s job.
         """
         u = np.zeros(self.n_inputs)
-        table = self._input_table()
+        table = self._input_table
         if active is None:
             u[table["cols"]] = self._pulse_values(float(t), table)
             dc = table["dc"]
@@ -336,14 +336,43 @@ class MNASystem:
             spots.append(t_end)
         return spots
 
-    # -- reporting ---------------------------------------------------------------------
+    # -- node names and reporting -----------------------------------------------------
+
+    @property
+    def n_nodes(self) -> int:
+        """Number of non-ground nodes: the leading rows of the state."""
+        return len(self.nodes)
+
+    def node_names(self) -> tuple[str, ...]:
+        """Non-ground node names in row order."""
+        return self.nodes
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        """Node name to row; every ground spelling is row ``-1``."""
+        rows = dict.fromkeys(GROUND_NAMES, -1)
+        rows.update(zip(self.nodes, range(len(self.nodes))))
+        return rows
+
+    def node_index(self, node: str) -> int:
+        """Matrix row of a node voltage; ``-1`` for ground."""
+        row = self._rows.get(node)
+        if row is None:
+            raise NetlistError(f"unknown node {node!r}")
+        return row
 
     def node_voltage(self, x: np.ndarray, node: str) -> float:
         """Extract one node voltage from a solution vector."""
-        idx = self.netlist.node_index(node)
+        idx = self.node_index(node)
         if idx < 0:
             return 0.0
         return float(x[idx])
+
+    def summary(self) -> str:
+        """One-line human-readable size summary."""
+        c = self.counts
+        return (f"{self.title}: {self.n_nodes} nodes, {c['r']} R, {c['c']} C, "
+                f"{c['l']} L, {c['v']} V, {c['i']} I (dim {self.dim})")
 
 
 def _triplets(rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -406,22 +435,21 @@ def _check_dc_paths(netlist: Netlist, cols: Columns) -> None:
 def assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
     """The one MNA stamp: a netlist's columns into its :class:`MNASystem`.
 
-    The netlist becomes the system's ``netlist``; the input columns are
-    its current sources, then its voltage sources.  With ``validate``,
-    empty circuits and nodes without a DC path to ground raise
-    :class:`NetlistError` first, so a singular ``G`` is reported as a
-    netlist problem, not an LU failure.  Each kind expands into its
-    per-element stamp pattern (ground entries dropped, order kept) and
-    the blocks concatenate resistors, voltage sources, inductors for
-    ``G``; capacitors, inductors for ``C``; current then voltage sources
-    for ``B``.
+    The system records the netlist's node names, title and element
+    counts, not the netlist; the input columns are its current sources,
+    then its voltage sources.  With ``validate``, empty circuits and
+    nodes without a DC path to ground raise :class:`NetlistError`
+    first, so a singular ``G`` is a netlist problem, not an LU failure.
+    Each kind expands into its per-element stamp pattern (ground entries
+    dropped, order kept) and the blocks concatenate resistors, voltage
+    sources, inductors for ``G``; capacitors, inductors for ``C``;
+    current then voltage sources for ``B``.
     """
     cols = netlist.columns()
     if validate:
         _check_dc_paths(netlist, cols)
-    u = netlist.unknowns
-    n, n_vsrc, n_ind = u.n_nodes, u.n_vsrc, u.n_ind
-    n_cur = len(netlist.current_waveforms)
+    counts = netlist.counts
+    n, n_vsrc, n_ind, n_cur = netlist.n_nodes, counts["v"], counts["l"], counts["i"]
 
     def columns(kind: int):
         sel = cols.kinds == kind
@@ -450,12 +478,14 @@ def assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
     col = np.arange(n_cur, dtype=np.int64)
     b_cur = _triplets((i, j), (col, col), (-1.0, 1.0))
 
-    dim = u.dim
+    dim = n + n_vsrc + n_ind
     return MNASystem(
-        netlist=netlist,
         C=_csc([c_cap, c_ind], (dim, dim)),
         G=_csc([g_res, g_vsrc, g_ind], (dim, dim)),
         B=_csc([b_cur, b_vsrc], (dim, n_cur + n_vsrc)),
         waveforms=tuple(netlist.current_waveforms + netlist.voltage_waveforms),
         n_current_inputs=n_cur,
+        nodes=netlist.node_names(),
+        title=netlist.title,
+        counts=counts,
     )

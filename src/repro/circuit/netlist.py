@@ -35,13 +35,13 @@ Index layout of the MNA unknowns (fixed, relied upon by
 
 The element and node insertion order is deterministic, so two identically
 built netlists produce identical matrices (important for superposition
-tests and the distributed scheduler, which ships netlist copies to nodes).
+tests).  The assembled :class:`~repro.circuit.mna.MNASystem` answers
+node lookups and summaries itself and never holds the netlist.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple
 
@@ -63,19 +63,6 @@ _N_GROUND = len(GROUND_NAMES)
 
 class NetlistError(ValueError):
     """Raised for malformed circuit descriptions."""
-
-
-@dataclass(frozen=True)
-class _Unknowns:
-    """Sizes of the MNA unknown blocks."""
-
-    n_nodes: int
-    n_vsrc: int
-    n_ind: int
-
-    @property
-    def dim(self) -> int:
-        return self.n_nodes + self.n_vsrc + self.n_ind
 
 
 class Columns(NamedTuple):
@@ -228,41 +215,9 @@ class Netlist:
         """Number of non-ground nodes."""
         return len(self._rows) - _N_GROUND
 
-    @property
-    def unknowns(self) -> _Unknowns:
-        """Block sizes of the MNA unknown vector."""
-        counts = self.counts
-        return _Unknowns(
-            n_nodes=self.n_nodes, n_vsrc=counts["v"], n_ind=counts["l"]
-        )
-
-    @property
-    def dim(self) -> int:
-        """Total MNA system dimension."""
-        return self.unknowns.dim
-
-    def node_index(self, node: str) -> int:
-        """Matrix row of a node voltage; ``-1`` for ground."""
-        row = self._rows.get(node)
-        if row is None:
-            raise NetlistError(f"unknown node {node!r}")
-        return row
-
     def node_names(self) -> tuple[str, ...]:
         """Non-ground node names in index order."""
         return tuple(self._rows)[_N_GROUND:]
 
     def __len__(self) -> int:
         return len(self._kinds)
-
-    def summary(self) -> str:
-        """One-line human-readable size summary."""
-        c = self.counts
-        u = self.unknowns
-        return (
-            f"{self.title}: {u.n_nodes} nodes, {c['r']} R, {c['c']} C, "
-            f"{c['l']} L, {c['v']} V, {c['i']} I (dim {u.dim})"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.summary()}>"

@@ -34,11 +34,24 @@ __all__ = [
     "iter_logical_cards",
     "parse_value",
     "parse_waveform",
+    "quote",
 ]
 
 
 class ParseError(ValueError):
     """Raised on malformed netlist text, with 1-based line numbers."""
+
+
+#: Longest text an error message quotes whole.
+QUOTE_LIMIT = 80
+
+
+def quote(text: str) -> str:
+    """``repr(text)`` for an error message; longer text (a hostile card
+    can be megabytes) is quoted as its head and its length."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}… ({len(text)} characters)"
 
 
 #: SPICE engineering suffixes, longest match first (``meg`` before ``m``).
@@ -82,7 +95,7 @@ def parse_value(token: str) -> float:
             return value
     m = _NUM_RE.match(token.strip())
     if not m:
-        raise ValueError(f"not a SPICE number: {token!r}")
+        raise ValueError(f"not a SPICE number: {quote(token)}")
     base = float(m.group(1))
     suffix = m.group(2).lower()
     if not suffix:
@@ -158,7 +171,7 @@ def parse_waveform(spec: str, lineno: int = 0) -> Waveform:
             tokens = tokens[1:]
         if len(tokens) != 1:
             raise ParseError(
-                f"line {lineno}: cannot parse source value {spec!r}"
+                f"line {lineno}: cannot parse source value {quote(spec)}"
             )
         return DC(parse_value(tokens[0]))
 

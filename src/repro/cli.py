@@ -349,7 +349,7 @@ def _cache_stats_line() -> str:
 def _cmd_info(args) -> int:
     system = _load(args.netlist)
     t_end = parse_value(args.t_end)
-    print(system.netlist.summary())
+    print(system.summary())
     print(f"C singular: {system.is_c_singular()}")
     gts = system.global_transition_spots(t_end)
     print(f"global transition spots in [0, {t_end:g}]: {len(gts)}")
@@ -363,7 +363,7 @@ def _cmd_info(args) -> int:
 def _cmd_dc(args) -> int:
     system = _load(args.netlist)
     x, _ = dc_operating_point(system)
-    rails = x[: system.netlist.n_nodes]
+    rails = x[: system.n_nodes]
     print(f"DC solved: {len(rails)} node voltages, "
           f"min {rails.min():.6g} V, max {rails.max():.6g} V")
     for node in args.nodes or []:
@@ -378,19 +378,19 @@ def _export(result: TransientResult, nodes, out: Path) -> None:
             out,
             times=result.times,
             states=result.states,
-            node_names=np.array(system.netlist.node_names()),
+            node_names=np.array(system.node_names()),
         )
         return
     if out.suffix != ".csv":
         raise ValueError(f"unsupported output format {out.suffix!r}; "
                          f"use .csv or .npz")
-    names = list(nodes) if nodes else list(system.netlist.node_names())
+    names = list(nodes) if nodes else list(system.node_names())
     with open(out, "w") as f:
         f.write("time," + ",".join(names) + "\n")
         for i, t in enumerate(result.times):
             row = [f"{t:.9e}"]
             for name in names:
-                idx = system.netlist.node_index(name)
+                idx = system.node_index(name)
                 row.append(f"{result.states[i, idx]:.9e}")
             f.write(",".join(row) + "\n")
 
@@ -649,7 +649,7 @@ def _cmd_sweep(args) -> int:
 
     used_names: set[str] = set()
     for slot, (scenario, dres) in enumerate(zip(scenarios, results)):
-        rails = dres.result.states[:, : system.netlist.n_nodes]
+        rails = dres.result.states[:, : system.n_nodes]
         if dres.rom_dim is None:
             rom_note = ""
         elif dres.rom_fallback:

@@ -80,7 +80,7 @@ class TransientResult:
 
     def voltage(self, node: str) -> np.ndarray:
         """Voltage series of one node (zeros for ground)."""
-        idx = self.system.netlist.node_index(node)
+        idx = self.system.node_index(node)
         if idx < 0:
             return np.zeros(self.n_points)
         return self.states[:, idx]

@@ -62,10 +62,9 @@ def synthesize_ibmpg(
     net = generate_power_grid(config)
     shapes = attach_pulse_loads(net, workload)
 
-    u = net.unknowns
     header = (
         f"* ibmpg-style synthetic benchmark ({net.title})",
-        f"* {u.n_nodes} nodes, {len(net)} cards, "
+        f"* {net.n_nodes} nodes, {len(net)} cards, "
         f"{workload.n_sources} loads in {len(shapes)} bump groups",
         "* generated by repro.pdn.ibmpg.synthesize_ibmpg "
         "(insertion order: bit-identical streaming round-trip)",

@@ -202,7 +202,7 @@ class Session:
             )
         bound = scenario.bind(compiled.system)
         base = compiled.system.waveforms
-        pulses = compiled.system._input_table()
+        pulses = compiled.system._input_table
         overridden = {c for c, _ in scenario.overrides}
         scaled = [
             (c, f) for c, f in scenario.scales

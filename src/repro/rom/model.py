@@ -386,7 +386,7 @@ def build_reduced_model(
     # the projected pencil provably stable.  Vᵀ(D·A) = (D·V)ᵀA, so the
     # flip is applied to the left basis instead of to C, G and B.
     d = np.ones(n)
-    d[system.netlist.n_nodes:] = -1.0
+    d[system.n_nodes:] = -1.0
     Vd = V * d[:, None]
     CV = np.asarray(C @ V)
 

@@ -236,7 +236,7 @@ class PlanServer:
         self, entry: _PlanEntry, dres: DistributedResult
     ) -> dict:
         states = dres.result.states
-        rails = states[:, : entry.system.netlist.n_nodes]
+        rails = states[:, : entry.system.n_nodes]
         return {
             "scenario": dres.scenario,
             "digest": hashlib.sha256(states.tobytes()).hexdigest(),

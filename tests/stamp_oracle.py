@@ -122,15 +122,17 @@ def oracle_assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
     if validate:
         check_dc_paths(netlist)
 
-    dim = netlist.dim
-    g = _Triplets(dim)
-    c = _Triplets(dim)
-    b = _Triplets(dim)
-
-    ni = netlist.node_index
+    nodes = netlist.node_names()
+    ni = {name: k for k, name in enumerate(nodes)}
+    ni["0"] = -1  # element_rows reads ground as "0"
+    ni = ni.__getitem__
     resistors, capacitors, inductors, vsources, isources = (
         element_rows(netlist, kind) for kind in KINDS
     )
+    dim = len(nodes) + len(vsources) + len(inductors)
+    g = _Triplets(dim)
+    c = _Triplets(dim)
+    b = _Triplets(dim)
 
     for r in resistors:
         i, j = ni(r.pos), ni(r.neg)
@@ -161,7 +163,7 @@ def oracle_assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
 
     # Voltage sources: extra branch-current rows after the node block.
     for k, src in enumerate(vsources):
-        row = netlist.n_nodes + k
+        row = len(nodes) + k
         i, j = ni(src.pos), ni(src.neg)
         # KCL coupling of the branch current into its terminal nodes.
         g.add(i, row, +1.0)
@@ -175,7 +177,7 @@ def oracle_assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
     # Inductors: branch rows after the voltage sources,
     # v(pos) - v(neg) - L di/dt = 0.
     for k, ind in enumerate(inductors):
-        row = netlist.n_nodes + len(vsources) + k
+        row = len(nodes) + len(vsources) + k
         i, j = ni(ind.pos), ni(ind.neg)
         g.add(i, row, +1.0)
         g.add(j, row, -1.0)
@@ -185,10 +187,12 @@ def oracle_assemble(netlist: Netlist, validate: bool = True) -> MNASystem:
 
     n_inputs = n_currents + len(vsources)
     return MNASystem(
-        netlist=netlist,
         C=c.build(),
         G=g.build(),
         B=b.build(n_cols=n_inputs),  # 0 columns for a source-free circuit
         waveforms=tuple(waveforms),
         n_current_inputs=n_currents,
+        nodes=nodes,
+        title=netlist.title,
+        counts={kind: len(element_rows(netlist, kind)) for kind in KINDS},
     )

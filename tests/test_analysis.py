@@ -22,7 +22,7 @@ def pair(small_pdn_system):
     base = np.zeros((3, s.dim))
     other = base.copy()
     other[:, 0] = [0.0, 0.1, 0.2]  # node-voltage column differs
-    other[:, s.netlist.n_nodes] = 99.0  # branch-current diff must be ignored
+    other[:, s.n_nodes] = 99.0  # branch-current diff must be ignored
     a = TransientResult(s, times, base, SolverStats())
     b = TransientResult(s, times, other, SolverStats())
     return a, b
@@ -34,7 +34,7 @@ class TestErrorMetrics:
         m = error_metrics(b, a)
         assert m["max"] == pytest.approx(0.2)
         assert m["avg"] == pytest.approx(
-            0.3 / (3 * a.system.netlist.n_nodes)
+            0.3 / (3 * a.system.n_nodes)
         )
 
     def test_branch_currents_ignored(self, pair):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit import format_netlist
 from repro.cli import METHODS, main
+from repro.pdn import PdnConfig, WorkloadSpec, build_netlist, synthesize_ibmpg
 
 
 @pytest.fixture
@@ -21,6 +22,31 @@ class TestInfo:
         assert "C singular: True" in out
         assert "transition spots" in out
         assert "bump groups" in out
+
+
+class TestInfoSummaryLine:
+    """``repro info`` prints the summary line the system records at the
+    stamp (the literals are what it printed while the system kept the
+    whole netlist)."""
+
+    def test_generated_pg1t_deck(self, tmp_path, capsys):
+        deck = tmp_path / "pg1t.spice"
+        deck.write_text(format_netlist(build_netlist("pg1t"), t_end=1e-9))
+        assert main(["info", str(deck), "--t-end", "1n"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "pg1t: 1054 nodes, 2039 R, 1020 C, 0 L, 4 V, 800 I (dim 1058)"
+        )
+
+    def test_ibmpg_deck_with_package_inductors(self, tmp_path, capsys):
+        deck = tmp_path / "pkg.spice"
+        synthesize_ibmpg(
+            deck, PdnConfig(rows=10, cols=10, l_package=1e-10, seed=3),
+            WorkloadSpec(n_sources=12, n_shapes=3, t_end=1e-8, seed=5),
+        )
+        assert main(["info", str(deck), "--t-end", "1n"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "pkg: 112 nodes, 191 R, 100 C, 4 L, 4 V, 12 I (dim 120)"
+        )
 
 
 class TestDc:
@@ -471,6 +497,15 @@ class TestDeckErrors:
         assert line.startswith("repro.cli: error: ")
         assert message in line
         assert "Traceback" not in captured.out
+
+    def test_long_card_is_one_short_line(self, tmp_path, capsys):
+        deck = tmp_path / "d.spice"
+        deck.write_text("R1 a 0 1\nR2 " + "a" * (1 << 20) + " 0\n")
+        assert main(["info", str(deck), "--t-end", "1n"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro.cli: error: line 2: malformed card 'R2 aaa")
+        assert line.endswith(f"… ({(1 << 20) + 5} characters)")
+        assert len(line) < 200
 
     def test_undecodable_deck(self, tmp_path, capsys):
         deck = tmp_path / "d.spice"

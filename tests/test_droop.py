@@ -14,7 +14,7 @@ def sagging_result(small_pdn_system):
     s = small_pdn_system
     times = np.array([0.0, 1e-10, 2e-10])
     states = np.full((3, s.dim), 1.8)
-    dip_idx = s.netlist.node_index("g2_2")
+    dip_idx = s.node_index("g2_2")
     states[1, dip_idx] = 1.70
     states[2, dip_idx] = 1.78
     return TransientResult(s, times, states, SolverStats())

@@ -10,7 +10,10 @@ and the reader's card loop against the one it replaced
 (``tests/parse_oracle.py``).
 """
 
+import dataclasses
+import gc
 import re
+import types
 
 import numpy as np
 import pytest
@@ -62,7 +65,7 @@ def assert_bit_identical(ref, streamed):
         np.testing.assert_array_equal(a.indptr, b.indptr, err_msg=name)
         np.testing.assert_array_equal(a.indices, b.indices, err_msg=name)
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
-    assert ref.netlist.node_names() == streamed.netlist.node_names()
+    assert ref.node_names() == streamed.node_names()
     assert ref.waveforms == streamed.waveforms
     assert ref.n_current_inputs == streamed.n_current_inputs
 
@@ -135,8 +138,8 @@ class TestDialect:
             "Rg n_0_1 gnd 1.0\n"
             "Vs n_0_1 GND 1.8\n"
         )
-        assert res.system.netlist.title == "my power grid"
-        assert res.system.netlist.node_names() == ("n_0_1",)
+        assert res.system.title == "my power grid"
+        assert res.system.node_names() == ("n_0_1",)
         assert isinstance(res.system.waveforms[0], DC)
 
     def test_pwl_and_dc_sources(self):
@@ -416,28 +419,46 @@ class TestHostileDecks:
         with pytest.raises(ParseError, match="malformed card") as exc:
             ingest_file(path)
         assert self._line(exc.value) == 2
+        # The card is quoted as a clipped head plus its length.
+        message = str(exc.value)
+        assert len(message) < 200
+        assert message.endswith(f"… ({3 + (1 << 21) + 2} characters)")
+
+    @pytest.mark.parametrize("card, fragment", [
+        ("X" + "y" * 500 + " a 0 1", "unsupported element type 'Xyyy"),
+        ("R1 a 0 " + "9" * 400 + "z!", "not a SPICE number: '9999"),
+        ("I1 a 0 DC 1 " + "2 " * 300, "cannot parse source value 'DC 1 2"),
+    ])
+    def test_long_tokens_are_clipped(self, card, fragment):
+        with pytest.raises(ParseError, match=re.escape(fragment)) as exc:
+            ingest_text("R0 a 0 1\n" + card + "\n")
+        assert self._line(exc.value) == 2
+        assert len(str(exc.value)) < 200
+        assert "characters)" in str(exc.value)
 
 
 class TestIngestedNetlist:
     def test_netlist_interface(self, small_pdn):
-        streamed = ingest_text(
-            format_netlist(small_pdn, order="insertion")
-        ).system.netlist
-        ref = small_pdn
-        assert streamed.n_nodes == ref.n_nodes
-        assert streamed.dim == ref.dim
-        assert streamed.unknowns == ref.unknowns
-        assert len(streamed) == len(ref)
+        text = format_netlist(small_pdn, order="insertion")
+        system = ingest_text(text).system
+        ref = assemble(small_pdn)
+        assert system.n_nodes == ref.n_nodes == small_pdn.n_nodes
+        assert system.dim == ref.dim
+        assert system.counts == ref.counts == small_pdn.counts
         for name in ref.node_names():
-            assert streamed.node_index(name) == ref.node_index(name)
-        assert streamed.node_index("0") == -1
+            assert system.node_index(name) == ref.node_index(name)
+        assert system.node_index("0") == -1
         with pytest.raises(NetlistError, match="unknown node"):
-            streamed.node_index("no_such_node")
-        # summary matches the Netlist format field for field (the title
-        # differs: the writer emits it as a comment, not a title line)
-        assert (streamed.summary().split(": ", 1)[1]
+            system.node_index("no_such_node")
+        # summary matches the generated system's field for field (the
+        # title differs: the writer emits it as a comment, not a title line)
+        assert (system.summary().split(": ", 1)[1]
                 == ref.summary().split(": ", 1)[1])
         # One form: the read netlist holds the generated one's columns.
+        streamed, ref = parse_netlist(text), small_pdn
+        assert streamed.n_nodes == ref.n_nodes
+        assert streamed.counts == ref.counts
+        assert len(streamed) == len(ref)
         assert streamed.element_names() == ref.element_names()
         for a, b in zip(streamed.columns(), ref.columns()):
             np.testing.assert_array_equal(a, b)
@@ -450,9 +471,47 @@ class TestIngestedNetlist:
             format_netlist(small_pdn, order="insertion")
         ).system
         x = np.arange(float(system.dim))
-        idx = system.netlist.node_index("g3_3")
+        idx = system.node_index("g3_3")
         assert system.node_voltage(x, "g3_3") == x[idx]
         assert system.node_voltage(x, "g0_0") == x[0]
+
+
+class TestSystemWithoutNetlist:
+    """An ingested system keeps node names and counts, not the netlist."""
+
+    @staticmethod
+    def _reaches(root, cls) -> bool:
+        """Whether ``root``'s object graph (types, modules and functions
+        aside) holds an instance of ``cls``."""
+        seen, stack = set(), [root]
+        skip = (type, types.ModuleType, types.FunctionType)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, skip):
+                continue
+            if isinstance(obj, cls):
+                return True
+            seen.add(id(obj))
+            stack.extend(gc.get_referents(obj))
+        return False
+
+    def test_ingested_system_reaches_no_netlist(self, small_pdn, tmp_path):
+        path = tmp_path / "grid.spice"
+        path.write_text(format_netlist(small_pdn, t_end=1e-9))
+        res = ingest_file(path)
+        assert not self._reaches(res, Netlist)
+        assert self._reaches(small_pdn, Netlist)  # the walk can see one
+        # The counts are read before the netlist goes (values as recorded
+        # when the system still kept it).
+        counts = small_pdn.counts
+        assert dataclasses.astuple(res.stats)[:10] == (
+            44, 17, 25, 16, 0, 1, 2, 18, 69, 16,
+        ) == (
+            len(small_pdn), small_pdn.n_nodes, counts["r"], counts["c"],
+            counts["l"], counts["v"], counts["i"], res.system.dim,
+            res.system.G.nnz, res.system.C.nnz,
+        )
+        assert res.system.node_names() == small_pdn.node_names()
 
 
 class TestWriterOrders:

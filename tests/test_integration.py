@@ -11,15 +11,24 @@ from repro.dist import MatexScheduler
 from repro.pdn import PdnConfig, WorkloadSpec, attach_pulse_loads, generate_power_grid
 
 
+T_END = 2e-9
+
+
 @pytest.fixture(scope="module")
-def pdn_case():
-    """A mid-size PDN shared by the integration tests."""
-    t_end = 2e-9
+def pdn_netlist():
+    """The netlist of :func:`pdn_case`'s PDN, kept for writing it out."""
     net = generate_power_grid(PdnConfig(rows=10, cols=10, n_pads=4, seed=42))
     attach_pulse_loads(net, WorkloadSpec(
-        n_sources=60, n_shapes=10, t_end=t_end, time_grid_points=20, seed=42,
+        n_sources=60, n_shapes=10, t_end=T_END, time_grid_points=20, seed=42,
     ))
-    system = assemble(net)
+    return net
+
+
+@pytest.fixture(scope="module")
+def pdn_case(pdn_netlist):
+    """A mid-size PDN shared by the integration tests."""
+    t_end = T_END
+    system = assemble(pdn_netlist)
     golden = simulate_trapezoidal(
         system, 1e-12, t_end,
         record_times=system.global_transition_spots(t_end),
@@ -66,10 +75,10 @@ class TestAllPathsAgree:
 
 
 class TestNetlistFileWorkflow:
-    def test_roundtrip_then_simulate(self, pdn_case, tmp_path):
+    def test_roundtrip_then_simulate(self, pdn_case, pdn_netlist, tmp_path):
         """Export to SPICE text, re-parse, simulate: identical physics."""
         system, t_end, golden = pdn_case
-        text = format_netlist(system.netlist, t_end=t_end)
+        text = format_netlist(pdn_netlist, t_end=t_end)
         reparsed = assemble(parse_netlist(text))
         solver = MatexSolver(
             reparsed,
@@ -77,7 +86,7 @@ class TestNetlistFileWorkflow:
         )
         res = solver.simulate(t_end)
         # Compare against golden computed on the original system.
-        n_nodes = reparsed.netlist.n_nodes
+        n_nodes = reparsed.n_nodes
         a = res.sample(golden.times)[:, :n_nodes]
         b = golden.sample(golden.times)[:, :n_nodes]
         assert np.max(np.abs(a - b)) < 1e-4

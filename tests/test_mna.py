@@ -1,11 +1,15 @@
 """Unit tests for MNA assembly: stamps checked against hand calculations."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.circuit import Netlist, assemble
 from repro.circuit.waveforms import PWL, sample_waveforms
 from repro.pdn.suite import build_case
+from repro.plan import SimulationPlan
 from tests import waveform_oracle as oracle
 
 
@@ -79,9 +83,8 @@ class TestSourceStamps:
         sys_ = assemble(net)
         # At DC the inductor is a short: v_b = 1.0, i_L = 0.2.
         x = np.linalg.solve(dense(sys_.G), sys_.bu(0.0))
-        names = sys_.netlist
-        row = names.n_nodes + 1  # after the voltage source's branch row
-        assert x[names.node_index("b")] == pytest.approx(1.0)
+        row = sys_.n_nodes + 1  # after the voltage source's branch row
+        assert x[sys_.node_index("b")] == pytest.approx(1.0)
         assert x[row] == pytest.approx(0.2)
         # The inductance appears in C on the branch row.
         c = dense(sys_.C)
@@ -199,6 +202,45 @@ class TestInputTable:
         assert s.input_vector(0.0).tobytes() == sampled.tobytes()
 
 
+class TestPickle:
+    """A pickled system carries its fields, not its lazy caches."""
+
+    def test_round_trip_answers_bit_identical(self, big_system):
+        s = big_system
+        s.input_vector(0.0)
+        s.node_index(s.node_names()[0])  # fill both caches
+        assert {"_input_table", "_rows"} <= vars(s).keys()
+        back = pickle.loads(pickle.dumps(s))
+        assert not {"_input_table", "_rows"} & vars(back).keys()
+        active = list(range(0, s.n_inputs, 3))
+        for t in TestInputTable.times(s)[::7]:
+            assert back.input_vector(t).tobytes() == s.input_vector(t).tobytes()
+            assert (back.input_vector(t, active).tobytes()
+                    == s.input_vector(t, active).tobytes())
+        for name in s.node_names()[::11] + ("0", "gnd", "VSS"):
+            assert back.node_index(name) == s.node_index(name)
+        assert back.summary() == s.summary()
+
+    def test_compiled_pg1t_system_pickles_its_fields_only(self):
+        system, case = build_case("pg1t")
+        compiled = SimulationPlan(system, t_end=case.t_end).compile()
+        s = compiled.system
+        assert "_input_table" in vars(s)  # the DC analysis filled it
+        data = pickle.dumps(s)
+        fields = pickle.dumps(tuple(
+            getattr(s, f.name) for f in dataclasses.fields(s)
+        ))
+        # No netlist and no cache: the pickle is the fields plus the
+        # object's own framing (~100 bytes).  pg1t at this writing:
+        # 219 kB, of which C/G/B are 96 kB, the 804 waveforms 63 kB
+        # and their transition-spot memos 50 kB.
+        assert len(data) <= len(fields) + 256
+        assert len(data) < 240_000
+        assert not any(
+            isinstance(v, Netlist) for v in vars(pickle.loads(data)).values()
+        )
+
+
 class TestStructure:
     def test_singularity_detection(self, small_pdn_system, rc_ladder_system):
         assert small_pdn_system.is_c_singular()      # V-source branch row
@@ -219,6 +261,6 @@ class TestStructure:
     def test_node_voltage_lookup(self, small_pdn_system):
         s = small_pdn_system
         x = np.arange(s.dim, dtype=float)
-        assert s.node_voltage(x, "g0_0") == x[s.netlist.node_index("g0_0")]
+        assert s.node_voltage(x, "g0_0") == x[s.node_index("g0_0")]
         assert s.node_voltage(x, "0") == 0.0
-        assert s.node_voltage(x, "pad") == x[s.netlist.node_index("pad")]
+        assert s.node_voltage(x, "pad") == x[s.node_index("pad")]

@@ -9,6 +9,7 @@ from repro.circuit import (
     DC, IngestError, Netlist, NetlistError, assemble, format_netlist,
     ingest_text, parse_netlist,
 )
+from repro.circuit.netlist import GROUND_NAMES
 from tests.stamp_oracle import element_rows
 
 
@@ -88,6 +89,20 @@ class TestOneRule:
             net.add_resistor("R1", "a", "", 1.0)
         assert net.node_names() == () and len(net) == 0
 
+    def test_system_shape_fixed_at_assemble(self):
+        # The system owns its node names: appending to the netlist after
+        # the stamp changes neither its matrices nor what it reports.
+        net = Netlist("grid")
+        net.add_resistor("R1", "a", "0", 1.0)
+        system = assemble(net)
+        net.add_resistor("R2", "b", "0", 1.0)
+        assert system.dim == 1 and system.n_nodes == 1
+        assert system.node_names() == ("a",)
+        assert system.summary() == "grid: 1 nodes, 1 R, 0 C, 0 L, 0 V, 0 I (dim 1)"
+        with pytest.raises(NetlistError, match="unknown node"):
+            system.node_index("b")
+        assert not any(isinstance(v, Netlist) for v in vars(system).values())
+
     def test_appendable_after_assemble(self):
         net = Netlist()
         net.add_resistor("R1", "a", "0", 1.0)
@@ -106,19 +121,21 @@ class TestNetlistConstruction:
         net = Netlist()
         net.add_resistor("R1", "a", "b", 1.0)
         net.add_resistor("R2", "b", "c", 1.0)
-        assert net.node_index("a") == 0
-        assert net.node_index("b") == 1
-        assert net.node_index("c") == 2
-        assert net.node_names() == ("a", "b", "c")
+        system = assemble(net, validate=False)
+        assert system.node_index("a") == 0
+        assert system.node_index("b") == 1
+        assert system.node_index("c") == 2
+        assert net.node_names() == system.node_names() == ("a", "b", "c")
 
     def test_ground_aliases(self):
         net = Netlist()
         net.add_resistor("R1", "a", "0", 1.0)
         net.add_resistor("R2", "b", "gnd", 1.0)
         net.add_resistor("R3", "c", "GND", 1.0)
-        for g in ("0", "gnd", "GND"):
-            assert net.node_index(g) == -1
-        assert net.n_nodes == 3
+        system = assemble(net)
+        for g in GROUND_NAMES:
+            assert system.node_index(g) == -1
+        assert net.n_nodes == system.n_nodes == 3
 
     def test_duplicate_names_rejected(self):
         net = Netlist()
@@ -135,7 +152,7 @@ class TestNetlistConstruction:
         net = Netlist()
         net.add_resistor("R1", "a", "0", 1.0)
         with pytest.raises(NetlistError, match="unknown node"):
-            net.node_index("zz")
+            assemble(net).node_index("zz")
 
     def test_float_waveform_becomes_dc(self):
         net = Netlist()
@@ -160,11 +177,10 @@ class TestUnknownBlocks:
         net.add_resistor("R2", "b", "a", 1.0)
         net.add_inductor("L1", "a", "c", 1e-9)
         net.add_resistor("R3", "c", "0", 1.0)
-        u = net.unknowns
-        assert u.n_nodes == 3
-        assert u.n_vsrc == 1
-        assert u.n_ind == 1
-        assert net.dim == 5
+        assert net.n_nodes == 3
+        assert net.counts["v"] == 1
+        assert net.counts["l"] == 1
+        assert assemble(net).dim == 5
 
     def test_vsource_and_inductor_row_layout(self):
         net = Netlist()
@@ -176,7 +192,7 @@ class TestUnknownBlocks:
         # inductors.  V1's row holds its branch equation v(a) = u, L1's
         # row carries -L on C's diagonal.
         system = assemble(net)
-        a, v_row, l_row = net.node_index("a"), net.n_nodes, net.n_nodes + 1
+        a, v_row, l_row = system.node_index("a"), net.n_nodes, net.n_nodes + 1
         assert system.G[v_row, a] == 1.0
         assert system.B[v_row, 0] == 1.0
         assert system.C[l_row, l_row] == -1e-9
@@ -207,5 +223,5 @@ class TestValidation:
         assemble(rc_ladder)
 
     def test_summary_mentions_counts(self, rc_ladder):
-        s = rc_ladder.summary()
+        s = assemble(rc_ladder).summary()
         assert "10 R" in s and "10 C" in s and "1 I" in s

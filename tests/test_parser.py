@@ -143,9 +143,9 @@ class TestWriterRoundTrip:
     def test_file_stem_is_default_title(self, tmp_path, rc_ladder):
         path = tmp_path / "ladder.spice"
         path.write_text(format_netlist(rc_ladder))
-        net = ingest_file(path).system.netlist
-        assert net.title == "ladder"
-        assert len(net) == len(rc_ladder)
+        res = ingest_file(path)
+        assert res.system.title == "ladder"
+        assert res.stats.n_cards == len(rc_ladder)
 
     def test_malformed_tran_rejected(self):
         # .tran is the deck's horizon: a bad one is an error, not ignored.

@@ -43,7 +43,7 @@ class TestPowerGrid:
         from repro.baselines import dc_operating_point
 
         x, _ = dc_operating_point(system)
-        rails = x[: system.netlist.n_nodes]
+        rails = x[: system.n_nodes]
         assert np.all(rails > 1.7)                # unloaded grid sits at VDD
         assert np.all(rails <= 1.8 + 1e-9)
 

@@ -72,7 +72,7 @@ class TestMaximumPrinciple:
         from repro.baselines import dc_operating_point
 
         x, _ = dc_operating_point(small_pdn_system)
-        rails = x[: small_pdn_system.netlist.n_nodes]
+        rails = x[: small_pdn_system.n_nodes]
         assert np.all(rails >= -1e-12)
         assert np.all(rails <= 1.8 + 1e-12)
 
@@ -83,6 +83,6 @@ class TestMaximumPrinciple:
             SolverOptions(method="rational", gamma=1e-11, eps_rel=1e-9),
         )
         res = solver.simulate(1e-9)
-        rails = res.states[:, : small_pdn_system.netlist.n_nodes]
+        rails = res.states[:, : small_pdn_system.n_nodes]
         assert np.all(rails <= 1.8 + 1e-6)
         assert np.all(rails >= 0.0)

@@ -36,7 +36,7 @@ class TestTransientResult:
 
     def test_voltage_series(self, result, small_pdn_system):
         v = result.voltage("g0_0")
-        idx = small_pdn_system.netlist.node_index("g0_0")
+        idx = small_pdn_system.node_index("g0_0")
         assert np.allclose(v, result.states[:, idx])
         assert np.all(result.voltage("0") == 0.0)
 

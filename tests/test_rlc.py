@@ -28,9 +28,8 @@ def rlc_pdn():
 class TestRlcStructure:
     def test_inductor_branch_rows_present(self, rlc_pdn):
         system, _ = rlc_pdn
-        net = system.netlist
-        assert net.counts["l"] == 2
-        assert system.dim == net.n_nodes + 2 + 2  # + V rows + L rows
+        assert system.counts["l"] == 2
+        assert system.dim == system.n_nodes + 2 + 2  # + V rows + L rows
         assert system.is_c_singular()  # V rows still carry no dynamics
 
     def test_series_rlc_resonance(self):
@@ -83,7 +82,7 @@ class TestRlcAccuracy:
         )
         res = solver.simulate(t_end)
         golden = simulate_trapezoidal(system, 2.5e-13, t_end)
-        n = system.netlist.n_nodes
+        n = system.n_nodes
         diff = np.abs(res.sample(res.times)[:, :n]
                       - golden.sample(res.times)[:, :n])
         assert diff.max() < 1e-5
@@ -95,7 +94,7 @@ class TestRlcAccuracy:
         h = 2e-12
         tr = simulate_trapezoidal(system, h, t_end)
         be = reference_backward_euler(system, t_end, h)
-        n = system.netlist.n_nodes
+        n = system.n_nodes
         # Measure ringing energy as variance around the mean rail level.
         tr_var = float(np.var(tr.states[:, :n] - tr.states[:, :n].mean(0)))
         be_var = float(np.var(be.states[:, :n] - be.states[:, :n].mean(0)))

@@ -43,8 +43,8 @@ class TestAccuracyAgainstOracle:
         ref = reference_backward_euler(
             s, t_end, 1e-13, record_times=list(res.times)
         )
-        diff = np.abs(res.sample(res.times)[:, : s.netlist.n_nodes]
-                      - ref.sample(res.times)[:, : s.netlist.n_nodes])
+        diff = np.abs(res.sample(res.times)[:, : s.n_nodes]
+                      - ref.sample(res.times)[:, : s.n_nodes])
         assert diff.max() < 5e-5
 
 
