@@ -35,9 +35,10 @@ import scipy.sparse as sp
 from repro.circuit.netlist import (
     GROUND_NAMES, KIND_C, KIND_I, KIND_L, KIND_R, KIND_V, Columns, Netlist, NetlistError,
 )
+from repro.circuit.parser import quote
 from repro.circuit.waveforms import Waveform, merge_transition_spots, sample_waveforms
 
-__all__ = ["MNASystem", "assemble"]
+__all__ = ["MNASystem", "assemble", "scale_arrays"]
 
 #: Input kinds of :meth:`MNASystem._input_table` (0: any other waveform).
 _PULSE, _DC = 1, 2
@@ -101,7 +102,7 @@ class MNASystem:
     def rebind_sources(
         self,
         overrides: dict[int, Waveform] | None = None,
-        scales: dict[int, float] | None = None,
+        scales=None,
     ) -> "MNASystem":
         """Swap ``B·u(t)`` without re-stamping ``G`` or ``C``.
 
@@ -119,9 +120,11 @@ class MNASystem:
         overrides:
             ``{column: waveform}`` replacements, applied first.
         scales:
-            ``{column: factor}`` value scalings, applied to the (possibly
-            overridden) waveform via :meth:`Waveform.scaled`.  Scaling
-            never moves transition spots.
+            Value scalings in either form :func:`scale_arrays` reads
+            (``{column: factor}``, or ``(columns, factors)`` arrays),
+            applied to the (possibly overridden) waveform via
+            :meth:`Waveform.scaled`.  Scaling never moves transition
+            spots.
         """
         new_waveforms = list(self.waveforms)
         n_inputs = self.n_inputs
@@ -129,9 +132,11 @@ class MNASystem:
             if not 0 <= col < n_inputs:
                 raise IndexError(f"input column {col} out of range")
             new_waveforms[col] = w
-        for col, factor in (scales or {}).items():
-            if not 0 <= col < n_inputs:
-                raise IndexError(f"input column {col} out of range")
+        cols, factors = scale_arrays(scales)
+        if cols.size and not (cols[0] >= 0 and cols[-1] < n_inputs):
+            bad = cols[0] if cols[0] < 0 else cols[-1]
+            raise IndexError(f"input column {bad} out of range")
+        for col, factor in zip(cols.tolist(), factors.tolist()):
             new_waveforms[col] = new_waveforms[col].scaled(factor)
         return replace(self, waveforms=tuple(new_waveforms))
 
@@ -399,6 +404,37 @@ def _csc(blocks, shape: tuple[int, int]) -> sp.csc_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=float).tocsc()
 
 
+def scale_arrays(scales) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude scalings as ``(columns, factors)`` arrays.
+
+    ``scales`` is ``None``, a ``{column: factor}`` mapping (or its
+    pairs), or a ``(columns, factors)`` pair of numpy arrays.  The
+    result has strictly increasing ``intp`` columns and their
+    ``float64`` factors; a repeated column keeps its last factor.
+    Arrays whose columns already increase are held, not copied, so
+    scenarios built over one column array share it.
+    """
+    if scales is None:
+        cols, factors = np.empty(0, dtype=np.intp), np.empty(0)
+    elif (isinstance(scales, tuple) and len(scales) == 2
+          and all(isinstance(a, np.ndarray) for a in scales)):
+        cols = np.asarray(scales[0], dtype=np.intp).reshape(-1)
+        factors = np.asarray(scales[1], dtype=float).reshape(-1)
+        if cols.shape != factors.shape:
+            raise ValueError(
+                f"{cols.size} scale columns but {factors.size} factors"
+            )
+    else:
+        pairs = dict(scales)
+        cols = np.array([int(c) for c in pairs], dtype=np.intp)
+        factors = np.array([float(f) for f in pairs.values()], dtype=float)
+    if cols.size > 1 and not np.all(cols[1:] > cols[:-1]):
+        # np.unique keeps a value's first index: search the reversal.
+        cols, last = np.unique(cols[::-1], return_index=True)
+        factors = factors[::-1][last]
+    return cols, factors
+
+
 def _check_dc_paths(netlist: Netlist, cols: Columns) -> None:
     """Check structural well-formedness; raise :class:`NetlistError`.
 
@@ -425,10 +461,10 @@ def _check_dc_paths(netlist: Netlist, cols: Columns) -> None:
     floating = np.flatnonzero(labels[:n] != labels[n])
     if floating.size:
         names = netlist.node_names()
+        examples = ", ".join(quote(names[k]) for k in floating[:5])
         raise NetlistError(
             f"{floating.size} node(s) have no DC path to ground, "
-            f"e.g. {[names[k] for k in floating[:5]]!r}; "
-            f"G would be singular"
+            f"e.g. [{examples}]; G would be singular"
         )
 
 

@@ -47,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.circuit.parser import quote
 from repro.circuit.waveforms import DC, Waveform
 
 __all__ = ["GROUND_NAMES", "KINDS", "Columns", "Netlist", "NetlistError"]
@@ -128,24 +129,28 @@ class Netlist:
         """
         if kind < KIND_V and not 0.0 < value < inf:
             raise NetlistError(
-                f"{_NOUNS[kind]} {name!r}: value must be positive and "
-                f"finite, got {value!r}"
+                f"{_NOUNS[kind]} {quote(name)}: value must be positive "
+                f"and finite, got {value!r}"
             )
         names = self._names
         if name in names:
-            raise NetlistError(f"duplicate element name {name!r}")
+            raise NetlistError(f"duplicate element name {quote(name)}")
         rows = self._rows
         i = rows.get(pos)
         j = rows.get(neg)
         if i is None or j is None:  # a new node takes the next row
             if not (pos and neg):
-                raise NetlistError(f"element {name!r}: empty node name")
+                raise NetlistError(
+                    f"element {quote(name)}: empty node name"
+                )
             if i is None:
                 i = rows[pos] = len(rows) - _N_GROUND
             if j is None:
                 j = rows.setdefault(neg, len(rows) - _N_GROUND)
         if i < 0 and j < 0:
-            raise NetlistError(f"element {name!r} has both terminals grounded")
+            raise NetlistError(
+                f"element {quote(name)} has both terminals grounded"
+            )
         names.add(name)
         self._order.append(name)
         self._kinds.append(kind)

@@ -307,6 +307,12 @@ class Pulse(Waveform):
             spots = memo[t_end] = self._compute_spots(t_end)
         return list(spots)
 
+    def __getstate__(self) -> dict:
+        """Pickle the seven fields; the spot memo rebuilds on first use."""
+        state = dict(self.__dict__)
+        state.pop("_spots", None)
+        return state
+
     def _compute_spots(self, t_end: float) -> list[float]:
         spots = [0.0]
         bump = [0.0, self.t_rise, self.t_rise + self.t_width,

@@ -66,15 +66,16 @@ def load_pattern_scenarios(
         raise ValueError(
             "system has no varying load-current inputs to rescale"
         )
+    # Every pattern holds the one read-only column array and its own
+    # factor array: 6.4 kB a pg1t pattern.
+    cols = np.array(cols, dtype=np.intp)
+    cols.flags.writeable = False
     rng = np.random.default_rng(seed)
-    scenarios = []
-    for i in range(n):
-        factors = rng.uniform(1.0 - spread, 1.0 + spread, size=len(cols))
-        scenarios.append(
-            Scenario(
-                name=f"pattern{i}",
-                scales={c: float(f) for c, f in zip(cols, factors)},
-            )
+    return [
+        Scenario(
+            name=f"pattern{i}",
+            scales=(cols, rng.uniform(1.0 - spread, 1.0 + spread, cols.size)),
         )
-    return scenarios
+        for i in range(n)
+    ]
 

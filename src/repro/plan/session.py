@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -178,6 +179,15 @@ class Session:
 
     # -- scenario validation ---------------------------------------------------
 
+    @cached_property
+    def _plain_pulses(self) -> np.ndarray:
+        """Per input column: is its base waveform a :class:`Pulse`
+        itself (a subclass may move its spots when scaled)."""
+        return np.array(
+            [type(w) is Pulse for w in self.compiled.system.waveforms],
+            dtype=bool,
+        )
+
     def _validate(self, scenario: Scenario) -> MNASystem | None:
         """Bind a scenario, enforcing the compiled-grid contract.
 
@@ -203,23 +213,17 @@ class Session:
         bound = scenario.bind(compiled.system)
         base = compiled.system.waveforms
         pulses = compiled.system._input_table
-        overridden = {c for c, _ in scenario.overrides}
-        scaled = [
-            (c, f) for c, f in scenario.scales
-            if c not in overridden and type(base[c]) is Pulse
-        ]
-        failed = []
-        if scaled:
-            cols = np.array([c for c, _ in scaled], dtype=np.intp)
-            f = np.array([f for _, f in scaled])
-            row = pulses["row"][cols]
-            v1, v2 = pulses["v1"][row], pulses["v2"][row]
-            with np.errstate(invalid="ignore", over="ignore"):
-                failed = cols[(v1 * f == v2 * f) != (v1 == v2)].tolist()
-        in_table = {c for c, _ in scaled}
-        for col in scenario.changed_columns:
-            if col in in_table:
-                continue
+        cols, f = scenario.scale_columns, scenario.scale_factors
+        fast = self._plain_pulses[cols]
+        if scenario.overrides:
+            fast &= ~np.isin(cols, [c for c, _ in scenario.overrides])
+        scaled, f = cols[fast], f[fast]
+        row = pulses["row"][scaled]
+        v1, v2 = pulses["v1"][row], pulses["v2"][row]
+        with np.errstate(invalid="ignore", over="ignore"):
+            failed = scaled[(v1 * f == v2 * f) != (v1 == v2)].tolist()
+        rest = set(cols[~fast].tolist()) | {c for c, _ in scenario.overrides}
+        for col in sorted(rest):
             old, new = base[col], bound.waveforms[col]
             if new.is_constant() != old.is_constant() or (
                 new.transition_spots(compiled.t_end)

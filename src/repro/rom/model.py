@@ -16,6 +16,13 @@ full-order MATEX march (``n`` unknowns, ``p`` inputs in ``r`` shapes,
 ≈210 MFLOP on pg1t, against ≈830 for the same formula over all ``p``
 input rows with complex ``(n, q)`` lifts ``V·X`` and ``Z·X``.
 
+**Held once.**  The build keeps ``G^-1 B`` in one buffer: the
+projector returns it at the buffer's head, and the ``(p, n + 2q)``
+input map is that buffer, its rows moved apart in place to make room
+for the modal columns.  With the projector's streamed sketch, pg1t's
+build peaks at 26.1 MiB traced (40.6 when the map was a concatenated
+copy beside ``W`` and the candidate block was held whole).
+
 **Passive projection.**  MNA as stamped here is symmetric but
 indefinite (voltage-source and inductor branch rows), and a Galerkin
 projection of an indefinite pencil can produce an *unstable* reduced
@@ -214,8 +221,7 @@ class ReducedModel:
             return self.U_base
         if not scenario.overrides:
             svec = np.ones(self.n_inputs)
-            for col, factor in scenario.scales:
-                svec[col] = factor
+            svec[scenario.scale_columns] = scenario.scale_factors
             return self.U_base * svec[:, None]
         if bound is None:
             raise ValueError(
@@ -313,6 +319,33 @@ class ReducedModel:
 def _absmax(x: np.ndarray) -> float:
     """``max |x|`` without the ``|x|`` temporary."""
     return max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+
+
+def _input_map(W: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """``[Wᵀ | Fᵀ re,im]``, the ``(p, n + 2q)`` rows of the input map.
+
+    The projector hands ``W`` back as the head of a buffer with room
+    for the modal columns, so its rows are moved apart in place, last
+    first (a row only ever moves onto later memory), and ``W`` is never
+    held twice.  Any other ``W`` is copied.  When ``q`` stops below
+    ``min(q_max, n)`` the buffer's unused tail, ``2·(min(q_max, n) - q)``
+    values per input, is not counted by :meth:`ReducedModel.resident_bytes`
+    (none on pg1t, where ``q = q_max``).
+    """
+    n, p = W.shape
+    Ft = np.ascontiguousarray(F.T).view(float)
+    m = n + Ft.shape[1]
+    flat = W.base
+    if not (
+        W.flags.f_contiguous and flat is not None and flat.ndim == 1
+        and flat.size >= p * m and flat.ctypes.data == W.ctypes.data
+    ):
+        return np.concatenate([W.T, Ft], axis=1)
+    for i in range(p - 1, 0, -1):
+        flat[i * m:i * m + n] = flat[i * n:(i + 1) * n]
+    out = flat[:p * m].reshape(p, m)
+    out[:, n:] = Ft
+    return out
 
 
 def _segment_tables(
@@ -417,6 +450,7 @@ def build_reduced_model(
     lam = np.where(lam.real > 0.0, 1j * lam.imag, lam)
 
     Z = np.asarray(lu_g.solve_many(CV))
+    del Vd, CV
 
     grid = np.asarray(system.global_transition_spots(t_end), dtype=float)
     U_base = sample_waveforms(system.waveforms, grid)
@@ -436,9 +470,7 @@ def build_reduced_model(
         grid=grid,
         mu=mu_c,
         lam=lam,
-        input_map=np.concatenate(
-            [W.T, np.ascontiguousarray(F.T).view(float)], axis=1
-        ),
+        input_map=_input_map(W, F),
         X=np.ascontiguousarray(
             np.ascontiguousarray(X.conj()).view(float).T
         ),

@@ -31,14 +31,18 @@ Review 53(2), 2011, §5):
 3. **thin QR** — one unpivoted QR of the ``n × keep`` selected columns
    is ``V``.
 
-The candidates live in one F-ordered ``n × (1 + moments)·p`` block,
-allocated once and filled in place ``FILL_COLUMNS`` input columns at a
-time — the ``G`` and ``S`` solves, then the moment recursion — with each
-step's columns checked for finiteness and measured for their norms as
-they land; only ``W`` is copied out.  The solves and the sparse product
-are per-column deterministic, so every column has the bits of the whole
-blocks solved at once, without those blocks and their concatenation
-held beside it (pg1t: 40.6 MiB traced peak against 65.0).
+The candidate block is never held whole.  ``FILL_COLUMNS`` inputs at
+a time, ``B``'s columns are densified, solved — ``G``, ``S``, then the
+moment recursion — checked for finiteness, normalised and added to the
+sketch ``Y``; only ``W`` and ``Y`` outlive a step.  After the pivoted
+QR the kept columns are solved again (each moment chain only as deep
+as its kept candidates need).  The solves and the sparse product are
+per-column deterministic, so every column has the bits of the whole
+blocks solved at once (``tests/test_rom.py`` checks ``V``, ``W`` and
+the answers against that oracle).  pg1t's traced peak of the projector
+is 23.1 MiB (40.6 when the whole normalised block was held, 65.0 when
+the blocks were also concatenated); the re-solve costs ≈ 200 extra
+column solves.
 
 The selection is *global*: every block competes in the one pivoted QR,
 so the ``q_max`` budget goes to the most independent directions of the
@@ -77,6 +81,31 @@ SKETCH_OVERSAMPLE = 20
 FILL_COLUMNS = 128
 
 
+def _kept_columns(kept, W, B, C, lu_s) -> np.ndarray:
+    """The candidates ``kept``, re-solved, in that order.
+
+    The G and S solves and the sparse product are per-column
+    deterministic, so each column has the bits the fill gave it; the
+    moment chain ``X_b = S^-1 C X_(b-1)`` runs only for the inputs whose
+    kept candidates lie that deep.
+    """
+    p = W.shape[1]
+    block, inp = np.divmod(kept, p)
+    out = np.empty((W.shape[0], kept.size), order="F")
+    out[:, block == 0] = W[:, inp[block == 0]]
+    chain = np.unique(inp[block > 0])
+    if chain.size:
+        X = lu_s.solve_many(_input_columns(B, chain))
+        for b in range(1, int(block.max()) + 1):
+            here = block == b
+            out[:, here] = X[:, np.searchsorted(chain, inp[here])]
+            deeper = np.isin(chain, inp[block > b])
+            if deeper.any():
+                chain = chain[deeper]
+                X = lu_s.solve_many(np.asarray(C @ X[:, deeper]))
+    return out
+
+
 class RomBuildError(RuntimeError):
     """Reduced-model construction failed (the full-order path remains)."""
 
@@ -112,11 +141,13 @@ class BasisInfo:
     truncated: bool
 
 
-def _dense_inputs(B) -> np.ndarray:
-    """The input selector as a dense, contiguous ``(n, p)`` block."""
-    if sp.issparse(B):
-        return np.asarray(B.todense(), dtype=float, order="F")
-    return np.asarray(B, dtype=float, order="F")
+def _input_columns(B, cols) -> np.ndarray:
+    """Columns ``cols`` (a slice or an index array) of the input
+    selector as a dense F-ordered block."""
+    block = B[:, cols]
+    if sp.issparse(block):
+        block = block.toarray(order="F")
+    return np.asarray(block, dtype=float, order="F")
 
 
 def rational_krylov_basis(
@@ -157,6 +188,9 @@ def rational_krylov_basis(
         ``W = G^-1 B`` is the quasi-static candidate block and
         ``lu_g`` the factorisation of ``G`` that produced it, both
         handed back because the reduced model needs them again.
+        ``W`` is F-contiguous at the head of a buffer with room for
+        ``2·min(q_max, n)`` more values per input, which the model's
+        input map grows into in place.
 
     Raises
     ------
@@ -172,8 +206,8 @@ def rational_krylov_basis(
             f"deflation_tol must be in (0, 1), got {deflation_tol!r}"
         )
 
-    Bd = _dense_inputs(B)
-    if Bd.size == 0:
+    n, p = B.shape
+    if n * p == 0:
         raise RomBuildError("system has no inputs: nothing to project")
 
     try:
@@ -190,42 +224,55 @@ def rational_krylov_basis(
             f"basis: {exc}"
         ) from exc
 
-    # [W | X_1 | … | X_moments], filled in place (module docstring).
-    n, p = Bd.shape
-    n_candidates = (1 + moments) * p
-    cand = np.empty((n, n_candidates), order="F")
-    W = np.empty((n, p), order="F")
-    norms = np.empty(n_candidates)
-    for c0 in range(0, p, FILL_COLUMNS):
-        c1 = min(c0 + FILL_COLUMNS, p)
-        blocks = [slice(j * p + c0, j * p + c1) for j in range(1 + moments)]
-        cand[:, blocks[0]] = lu_g.solve_many(Bd[:, c0:c1])
-        cand[:, blocks[1]] = lu_s.solve_many(Bd[:, c0:c1])
-        for prev, cur in zip(blocks[1:], blocks[2:]):
-            cand[:, cur] = lu_s.solve_many(np.asarray(C @ cand[:, prev]))
-        W[:, c0:c1] = cand[:, blocks[0]]
-        for cols in blocks:
-            if not np.all(np.isfinite(cand[:, cols])):
-                raise RomBuildError(
-                    "candidate blocks contain non-finite entries "
-                    "(near-singular pencil?); refusing to build a reduced "
-                    "model"
-                )
-            norms[cols] = np.linalg.norm(cand[:, cols], axis=0)
-    del Bd
-
-    # Column-normalise so the pivoted QR ranks *directions*, not input
-    # magnitudes (a microamp load deserves the same chance as a rail).
-    dead = norms == 0.0  # repro: allow[RPL005] exactly-zero columns only; near-zero must keep their scale
-    norms[dead] = 1.0
-    cand /= norms
-
+    # Candidate j is block j // p (0: W, b: X_b) of input j % p.  Each
+    # step solves its inputs' candidates, measures and normalises them,
+    # and adds them to the sketch; only W and the sketch outlive it.
+    blocks = 1 + moments
+    n_candidates = blocks * p
+    # W heads a buffer with room for the model's 2q modal columns per
+    # input (q <= min(q_max, n)); see the Returns section.
+    W = np.empty(p * (n + 2 * min(q_max, n)))[:n * p].reshape(
+        (n, p), order="F"
+    )
     k = min(q_max + SKETCH_OVERSAMPLE, n)
     omega = np.random.default_rng(SKETCH_SEED).standard_normal((k, n))
+    Y = np.empty((k, n_candidates), order="F")
+    norms = np.empty(n_candidates)
+    n_dead = 0
+    for c0 in range(0, p, FILL_COLUMNS):
+        c1 = min(c0 + FILL_COLUMNS, p)
+        w = c1 - c0
+        Bs = _input_columns(B, slice(c0, c1))
+        step = np.empty((n, blocks * w), order="F")
+        step[:, :w] = W[:, c0:c1] = lu_g.solve_many(Bs)
+        step[:, w:2 * w] = lu_s.solve_many(Bs)
+        for j in range(2, blocks):
+            step[:, j * w:(j + 1) * w] = lu_s.solve_many(
+                np.asarray(C @ step[:, (j - 1) * w:j * w])
+            )
+        if not np.all(np.isfinite(step)):
+            raise RomBuildError(
+                "candidate blocks contain non-finite entries "
+                "(near-singular pencil?); refusing to build a reduced "
+                "model"
+            )
+        # Column-normalise so the pivoted QR ranks *directions*, not
+        # input magnitudes (a microamp load deserves the same chance as
+        # a rail).
+        cols = (np.arange(blocks)[:, None] * p + np.arange(c0, c1)).ravel()
+        norms[cols] = np.linalg.norm(step, axis=0)
+        dead = norms[cols] == 0.0  # repro: allow[RPL005] exactly-zero columns only; near-zero must keep their scale
+        norms[cols[dead]] = 1.0
+        n_dead += int(dead.sum())
+        step /= norms[cols]
+        Y[:, cols] = omega @ step
+    del step, Bs
+
     try:
-        R, perm = sla.qr(omega @ cand, mode="r", pivoting=True)
+        R, perm = sla.qr(Y, mode="r", pivoting=True, overwrite_a=True)
     except Exception as exc:
         raise RomBuildError(f"pivoted QR of the sketch failed: {exc}") from exc
+    del Y
 
     diag = np.abs(np.diag(R))
     lead = diag[0] if diag.size else 0.0
@@ -235,9 +282,11 @@ def rational_krylov_basis(
             "not excite the system"
         )
     rank = int(np.sum(diag > deflation_tol * lead))
-    ranked = min(diag.size, n_candidates - int(np.sum(dead)))
+    ranked = min(diag.size, n_candidates - n_dead)
     keep = min(q_max, rank)
-    Q, _ = sla.qr(cand[:, perm[:keep]], mode="economic", overwrite_a=True)
+    kept = _kept_columns(perm[:keep], W, B, C, lu_s)
+    kept /= norms[perm[:keep]]
+    Q, _ = sla.qr(kept, mode="economic", overwrite_a=True)
     return np.ascontiguousarray(Q), BasisInfo(
         n_candidates=n_candidates,
         n_deflated=ranked - rank,

@@ -225,3 +225,53 @@ class TestValidation:
     def test_summary_mentions_counts(self, rc_ladder):
         s = assemble(rc_ladder).summary()
         assert "10 R" in s and "10 C" in s and "1 I" in s
+
+
+#: A hostile element or node name: its messages quote a clip of it.
+LONG = 100_000
+
+
+def _clipped(message: str, name: str) -> None:
+    """``message`` is short and quotes ``name`` as its head and length."""
+    assert len(message) < 200
+    assert f"{name[:80]!r}… ({LONG} characters)" in message
+
+
+class TestLongNamesAreClipped:
+    """Every name a rule quotes goes through ``parser.quote``."""
+
+    def test_bad_value(self):
+        name = "R" + "v" * (LONG - 1)
+        with pytest.raises(NetlistError) as exc:
+            Netlist().add_resistor(name, "a", "0", -1.0)
+        _clipped(str(exc.value), name)
+
+    def test_duplicate_name(self):
+        name = "R" + "d" * (LONG - 1)
+        net = Netlist()
+        net.add_resistor(name, "a", "0", 1.0)
+        with pytest.raises(NetlistError) as exc:
+            net.add_resistor(name, "a", "0", 1.0)
+        _clipped(str(exc.value), name)
+        assert str(exc.value).endswith(f"… ({LONG} characters)")
+
+    def test_empty_node_name(self):
+        name = "R" + "e" * (LONG - 1)
+        with pytest.raises(NetlistError) as exc:
+            Netlist().add_resistor(name, "", "0", 1.0)
+        _clipped(str(exc.value), name)
+
+    def test_both_terminals_grounded(self):
+        name = "R" + "g" * (LONG - 1)
+        with pytest.raises(NetlistError) as exc:
+            Netlist().add_resistor(name, "0", "gnd", 1.0)
+        _clipped(str(exc.value), name)
+
+    def test_floating_node(self):
+        node = "n" * LONG
+        net = Netlist()
+        net.add_resistor("R1", "a", "0", 1.0)
+        net.add_capacitor("C1", node, "0", 1e-12)
+        with pytest.raises(NetlistError, match="no DC path") as exc:
+            assemble(net)
+        _clipped(str(exc.value), node)

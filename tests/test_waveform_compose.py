@@ -138,6 +138,22 @@ class TestScaledOfScaled:
         assert back.transition_spots(2e-10) == copy.transition_spots(2e-10)
 
     @pytest.mark.parametrize("f", FACTORS)
+    def test_pickle_leaves_the_spot_memo_home(self, f):
+        """A pickled pulse is its seven fields: filling the memo its
+        scaled copy shares does not change the copy's pickle, and the
+        unpickled copy rebuilds the base's spots."""
+        pulse = Pulse(1e-3, 2.5e-3, 1e-10, 2e-11, 1e-10, 3e-11, 4e-10)
+        copy = pulse.scaled(f)
+        bare = pickle.dumps(copy)
+        for t_end in (1e-9, 2e-10):
+            pulse.transition_spots(t_end)
+        assert pickle.dumps(copy) == bare
+        back = pickle.loads(bare)
+        assert "_spots" not in vars(back)
+        for t_end in (1e-9, 2e-10):
+            assert back.transition_spots(t_end) == pulse.transition_spots(t_end)
+
+    @pytest.mark.parametrize("f", FACTORS)
     def test_scaling_invalid_timing_still_raises(self, f):
         bad = object.__new__(Pulse)
         bad.__dict__.update(v1=0.0, v2=1e-3, t_delay=1e-10, t_rise=0.0,
